@@ -237,11 +237,7 @@ def check_axiom_P(olx: OrderedLocale) -> CheckReport:
     f = olx.frame
     primes = f.primes()
     rows = point_order_rows(olx, primes)
-    n = len(primes)
-    down_rows = [0] * n
-    for i in range(n):
-        for j in bits(rows[i]):
-            down_rows[j] |= 1 << i
+    down_rows = lat.transpose_rows(rows)
 
     def upc(mask):
         out = 0
@@ -272,11 +268,7 @@ def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
     f = olx.frame
     primes = f.primes()
     rows = point_order_rows(olx, primes)
-    n = len(primes)
-    down_rows = [0] * n
-    for i in range(n):
-        for j in bits(rows[i]):
-            down_rows[j] |= 1 << i
+    down_rows = lat.transpose_rows(rows)
     for u in f.elements():
         pm = pt_mask(f, primes, u)
         upc = 0
@@ -333,11 +325,7 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
         pm = [pt_mask(f, primes, u) for u in f.elements()] \
             if f.m <= ol.PAIR_LIMIT else None
         if pm is not None:
-            npts = len(primes)
-            trans = [0] * npts
-            for i in range(npts):
-                for j in bits(rows[i]):
-                    trans[j] |= 1 << i
+            trans = lat.transpose_rows(rows)
 
             def pt_rel(a, b):
                 # Egli-Milner on point sets: pt(V) inside upcone(pt(U)) and
@@ -483,10 +471,7 @@ def triangle_ideals(base_size: int, rel) -> list[PointSet]:
     if base_size > 16:
         raise FrameTooLarge("ideal enumeration capped at 16 points")
     succ = _rel_rows_input(base_size, rel)
-    pred = [0] * base_size
-    for a in range(base_size):
-        for b in bits(succ[a]):
-            pred[b] |= 1 << a
+    pred = lat.transpose_rows(succ)
     out = []
     for s in range(1, 1 << base_size):
         members = list(bits(s))
@@ -500,10 +485,7 @@ def triangle_ideals(base_size: int, rel) -> list[PointSet]:
 def is_past_semi_full(base_size: int, rel) -> CheckReport:
     """(i) everything has a predecessor; (ii) common predecessors interpolate."""
     succ = _rel_rows_input(base_size, rel)
-    pred = [0] * base_size
-    for a in range(base_size):
-        for b in bits(succ[a]):
-            pred[b] |= 1 << a
+    pred = lat.transpose_rows(succ)
     witness_i = None
     for x in range(base_size):
         if pred[x] == 0:

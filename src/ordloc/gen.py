@@ -13,7 +13,7 @@ from . import lattice as lat
 from . import olocale as ol
 from . import ospace as osp
 from .errors import SlopesUnequal, ValidationError
-from .lattice import bits, mask_of_iter
+from .lattice import mask_of_iter
 from .olocale import OrderedLocale
 from .ospace import OrderedSpace
 
@@ -94,10 +94,7 @@ def _topology_for(spec: GridSpec, n: int, rows) -> object:
         return "codiscrete"
     if spec.topology == "diamond_basis":
         closed = lat.transitive_closure_rows(list(rows))
-        down = [0] * n
-        for i in range(n):
-            for j in bits(closed[i]):
-                down[j] |= 1 << i
+        down = lat.transpose_rows(closed)
         gens = []
         for p in range(n):
             for q in range(n):

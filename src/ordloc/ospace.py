@@ -26,10 +26,7 @@ class OrderedSpace:
                  labels=None, name: str = ""):
         self.n = n
         self.up = up_rows                        # up[p] = point mask of {q : p <= q}
-        self.down = [0] * n
-        for p in range(n):
-            for q in bits(up_rows[p]):
-                self.down[q] |= 1 << p
+        self.down = lat.transpose_rows(up_rows)
         self.frame = frame
         self.labels = labels or frame.labels or [str(i) for i in range(n)]
         frame.labels = self.labels
@@ -163,25 +160,19 @@ def induced_locale(space: OrderedSpace, variant: str = "em") -> OrderedLocale:
     f = space.frame
     up_map, down_map = _cone_maps(space)
     top_const = [f.top] * f.m
-    oc = has_open_cones(space).ok
     if variant == "em":
         pair = ol.ConePair(f, list(up_map), list(down_map))
-        pointwise = oc
     elif variant == "upper":
         pair = ol.ConePair(f, list(up_map), top_const)
-        pointwise = False
     elif variant == "lower":
         pair = ol.ConePair(f, top_const, list(down_map))
-        pointwise = False
     else:
         raise ValidationError(f"unknown variant {variant!r}")
     # interiors of pointwise cones are always monads on the open-set lattice;
-    # run the full validation only where it is not structural
-    validated = pointwise and f.kind == "powerset"
-    loc = ol.ordered_locale_from_monads(pair, validated=validated,
-                                        cones_pointwise=pointwise,
-                                        meta={"variant": variant,
-                                              "space": space.name})
+    # validation costs one join-irreducible kernel pass per cone, which the
+    # law checks then share
+    loc = ol.ordered_locale_from_monads(pair, meta={"variant": variant,
+                                                    "space": space.name})
     rep = ol.check_axiom(loc, "V")
     if not rep.ok:
         raise ValidationError(f"induced locale lost join closure: {rep.pretty(f)}")

@@ -3,6 +3,8 @@ derived frames.  Expected values are computed against independent oracles
 (defining quantifiers, brute-force subset scans) before being asserted.
 """
 
+import ast
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from ordloc.errors import (
     NotAFrameMap,
     NotClosedUnderJoin,
     NotClosedUnderMeet,
+    NotDistributive,
 )
 
 
@@ -64,6 +67,38 @@ def test_missing_meet_and_bounds():
         L.frame_from_topology(2, [1, 3])
     with pytest.raises(NotClosedUnderMeet):
         L.frame_from_topology(3, [0, pts(0, 1), pts(1, 2), pts(0, 1, 2)])
+
+
+def _m3_leq(a, b):
+    # 0 below the three atoms 1, 2, 3, all below 4
+    return a == b or a == 0 or b == 4
+
+
+def _n5_leq(a, b):
+    # 0 < 1 < 3 < 4, with 2 beside the chain 1 < 3
+    return a == b or a == 0 or b == 4 or (a, b) == (1, 3)
+
+
+@pytest.mark.parametrize("leq", [_m3_leq, _n5_leq], ids=["M3", "N5"])
+def test_nondistributive_lattices_are_rejected(leq):
+    with pytest.raises(NotDistributive) as e:
+        L.frame_from_order(range(5), leq)
+    # the named triple really breaks a & (b | c) == (a & b) | (a & c)
+    f = L.frame_from_order(range(5), leq, validate=False)
+    a, b, c = ast.literal_eval(str(e.value).rsplit(" at ", 1)[1])
+    assert f.meet(a, f.join(b, c)) != f.join(f.meet(a, b), f.meet(a, c))
+
+
+def test_distributive_table_frame_passes():
+    # the product of a 2-chain and a 3-chain, ordered componentwise
+    items = [(x, y) for x in range(2) for y in range(3)]
+    f = L.frame_from_order(items, lambda p, q: p[0] <= q[0] and p[1] <= q[1])
+    assert f.kind == "table" and f.m == 6
+    for i, p in enumerate(items):
+        for j, q in enumerate(items):
+            assert items[f.meet(i, j)] == (min(p[0], q[0]), min(p[1], q[1]))
+            assert items[f.join(i, j)] == (max(p[0], q[0]), max(p[1], q[1]))
+    assert sorted(items[j] for j in f.coprimes()) == [(0, 1), (0, 2), (1, 0)]
 
 
 def test_downset_frames():

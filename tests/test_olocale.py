@@ -174,6 +174,31 @@ def test_wedge_without_corder_above_triple_limit():
         assert O.revalidate(olx, rep)
 
 
+@pytest.mark.parametrize("variant", ["em", "upper", "lower"])
+@pytest.mark.parametrize("size", [(3, 4), (4, 4)], ids=["M34", "M44"])
+def test_grid_laws_above_pair_limit_are_not_sampled(size, variant):
+    # pointwise cones pass the join-irreducible kernel, which makes C-join
+    # and F+/F- exact on frames too large for the pair scans
+    loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(*size)), variant)
+    assert loc.frame.m > O.PAIR_LIMIT
+    for law in O.ALL_AXIOMS:
+        rep = O.check_axiom(loc, law)
+        assert "SAMPLED" not in rep.note and "sampled" not in rep.note, rep
+        if not rep.ok:
+            assert O.revalidate(loc, rep), rep
+
+
+@pytest.mark.parametrize("size", [(3, 3), (3, 4)], ids=["M33", "M34"])
+def test_pasts_frame_of_upper_locale_adjoins_bottom(size):
+    # the constant-top past cone preserves binary joins but not the empty
+    # join: the pasts frame is {bottom, top} with bottom adjoined, on either
+    # side of PAIR_LIMIT
+    loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(*size)), "upper")
+    sub, fmap = O.pasts_frame(loc)
+    assert sub.m == 2 and sub.meta["adjoined_bottom"]
+    assert fmap.preimage == [loc.frame.bottom, loc.frame.top]
+
+
 def test_parallel_disjointness_property(loc22):
     f = loc22.frame
     for u in f.elements():

@@ -11,7 +11,8 @@ from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
-from ordloc import coverage as C, duality as D, gen, olocale as O, ospace as S
+from ordloc import coverage as C, duality as D, gen, lattice as L, olocale as O, ospace as S
+from ordloc.errors import NotAMonad
 from ordloc.lattice import bits, mask_of_iter
 
 
@@ -223,16 +224,161 @@ def test_random_relations_wedge_above_triple_limit(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_random_relations_failed_checks_revalidate(seed):
+    # discrete frames of 2 to 64 elements, so above TRIPLE_LIMIT too; fewer
+    # generators on the large ones keep join saturation small
     rng = random.Random(seed)
-    n = rng.randint(1, 3)
+    n = rng.randint(1, 6)
     f = S.OrderedSpace.build(n, [], opens="discrete").frame
     pairs = [(rng.randrange(f.m), rng.randrange(f.m))
-             for _ in range(rng.randint(0, 5))]
+             for _ in range(rng.randint(0, 5 if n <= 3 else 3))]
     olx = O.ordered_locale_from_relation(f, pairs)
     for law in O.ALL_AXIOMS:
         rep = O.check_axiom(olx, law)
         if not rep.ok and rep.witness is not None:
             assert O.revalidate(olx, rep), (law, pairs, rep)
+
+
+# -- join-irreducible kernel against definitional oracles --------------------------------
+
+
+def random_frame(rng):
+    """A powerset on up to 4 points, a random finite topology on up to 4
+    points, or a table frame copied from one."""
+    n = rng.randint(1, 4)
+    kind = rng.choice(("powerset", "mask", "table"))
+    if kind == "powerset":
+        return S.OrderedSpace.build(n, [], opens="discrete").frame
+    gens_ = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
+    f = L.frame_from_topology(n, L.close_family_under_union_intersection(n, gens_))
+    return f if kind == "mask" else L.subframe(f, f.elements())[0]
+
+
+def random_map(rng, f):
+    """A join-preserving map t(a) = b | join{g(j) : j in J, j <= a}, that map
+    changed at one element, or an arbitrary map."""
+    base = rng.randrange(f.m)
+    g = {j: rng.randrange(f.m) for j in f.coprimes()}
+    t = [f.join_all([base] + [g[j] for j in g if f.leq(j, a)]) for a in f.elements()]
+    style = rng.randrange(3)
+    if style == 1:
+        t[rng.randrange(f.m)] = rng.randrange(f.m)
+    elif style == 2:
+        t = [rng.randrange(f.m) for _ in f.elements()]
+    return t
+
+
+def random_monad(rng, f):
+    """Mostly monads: the closure of an inflationary join-preserving map
+    (iterated to idempotence), the interior of a random preorder's up-cones
+    (a monad that may not preserve joins on mask frames), or either one
+    changed at one element."""
+    if f.realized and rng.random() < 0.4:
+        n = f.base_size
+        sp = S.OrderedSpace.build(n, [(rng.randrange(n), rng.randrange(n))
+                                      for _ in range(rng.randint(0, 2 * n))])
+        t = [f.id_of_mask(max(e for e in map(f.mask_of, f.elements())
+                              if e & ~sp.up_mask(f.mask_of(a)) == 0))
+             for a in f.elements()]
+    else:
+        g = random_map(rng, f)
+        t = [f.join(a, g[a]) for a in f.elements()]
+        while [t[t[a]] for a in f.elements()] != t:
+            t = [t[t[a]] for a in f.elements()]
+    if rng.random() < 0.3:
+        t[rng.randrange(f.m)] = rng.randrange(f.m)
+    return t
+
+
+def old_validate(f, u, d):
+    """The monad scan that `ConePair.validate` shortcuts, as (law, witness)."""
+    for name, t in (("u", u), ("d", d)):
+        for x in f.elements():
+            if not f.leq(x, t[x]):
+                return f"{name} inflationary", (x,)
+            if t[t[x]] != t[x]:
+                return f"{name} idempotent", (x,)
+        for x in f.elements():
+            ys = f.upper_covers(x) if f.kind == "powerset" else f.elements()
+            for y in ys:
+                if f.leq(x, y) and not f.leq(t[x], t[y]):
+                    return f"{name} monotone", (x, y)
+    return None
+
+
+def frobenius_oracle(olx, plus):
+    """Least (U, V) in id order breaking F+ / F-, over all pairs."""
+    f, up, dn = olx.frame, olx.up_map, olx.down_map
+    for u in f.elements():
+        for v in f.elements():
+            if plus and not f.leq(f.meet(dn[u], v), dn[f.meet(u, up[v])]):
+                return u, v
+            if not plus and not f.leq(f.meet(up[u], v), up[f.meet(u, dn[v])]):
+                return u, v
+    return None
+
+
+def cone_join_oracle(olx):
+    """Least C-join witness: the empty family, then pairs U <= V by id."""
+    f, up, dn = olx.frame, olx.up_map, olx.down_map
+    if up[f.bottom] != f.bottom or dn[f.bottom] != f.bottom:
+        return f.bottom, f.bottom
+    for u in f.elements():
+        for v in range(u, f.m):
+            j = f.join(u, v)
+            if up[j] != f.join(up[u], up[v]) or dn[j] != f.join(dn[u], dn[v]):
+                return u, v
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_preserves_binary_joins_matches_all_pairs(seed):
+    rng = random.Random(seed)
+    f = random_frame(rng)
+    t = random_map(rng, f)
+    bad = [(a, b) for a in f.elements() for b in f.elements()
+           if t[f.join(a, b)] != f.join(t[a], t[b])]
+    assert O.preserves_binary_joins(f, t) == (not bad), (f, t)
+    w = O.join_failure(f, t)
+    assert (w is None) == (not bad)
+    if w is not None:
+        a, b = w
+        assert t[f.join(a, b)] != f.join(t[a], t[b])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_frobenius_and_cone_join_match_full_scans(seed):
+    rng = random.Random(seed)
+    f = random_frame(rng)
+    if rng.random() < 0.5:
+        up, down = random_map(rng, f), random_map(rng, f)
+    else:
+        up, down = random_monad(rng, f), random_monad(rng, f)
+    olx = O.ordered_locale_from_monads(O.ConePair(f, up, down), validated=True)
+    for law, least in (("F+", frobenius_oracle(olx, True)),
+                       ("F-", frobenius_oracle(olx, False)),
+                       ("C-join", cone_join_oracle(olx))):
+        rep = O.check_axiom(olx, law)
+        assert rep.ok == (least is None), (law, up, down)
+        assert rep.witness == least, (law, up, down)
+        if not rep.ok:
+            assert O.revalidate(olx, rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_cone_pair_validate_matches_old_scan(seed):
+    rng = random.Random(seed)
+    f = random_frame(rng)
+    u, d = random_monad(rng, f), random_monad(rng, f)
+    expected = old_validate(f, u, d)
+    try:
+        O.ConePair(f, u, d).validate()
+        got = None
+    except NotAMonad as e:
+        got = e.law, e.witness
+    assert got == expected, (f, u, d)
 
 
 @settings(max_examples=25, deadline=None)
