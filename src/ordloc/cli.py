@@ -348,8 +348,8 @@ def _cmd_ips(args) -> int:
 def _cmd_cone_frames(args, which) -> int:
     doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
-    frame, fmap = (ol.futures_frame(olx) if which == "futures"
-                   else ol.pasts_frame(olx))
+    frame, _ = (ol.futures_frame(olx) if which == "futures"
+                else ol.pasts_frame(olx))
     lines = [f"{which} frame: {frame.m} elements"
              + (" (ambient bottom adjoined)" if frame.meta.get("adjoined_bottom")
                 else "")]
@@ -362,7 +362,7 @@ def _cmd_dod(args) -> int:
     doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     a = _region_elem(doc, args.region)
-    res = cov.domain_of_dependence(olx, a, args.direction, args.max_path_len)
+    res = cov.domain_of_dependence(olx, a, args.direction)
     _emit(args, f"D{'+' if args.direction == 'future' else '-'}"
                 f"({olx.frame.pretty(a)}) = {olx.frame.pretty(res.region)} "
                 f"[{'exact' if res.exact else f'{res.unresolved} unresolved'}]\n")
@@ -480,8 +480,6 @@ def main(argv=None) -> int:
         if args.cmd == "check":
             return _cmd_check(args)
         if args.cmd == "cones":
-            def both(olx, u):
-                return olx.frame.join(olx.up_map[u], olx.down_map[u])
             doc = parse(_read_input(args.input), strict=args.strict)
             olx = _as_locale(doc, args.variant)
             u = _region_elem(doc, args.region)

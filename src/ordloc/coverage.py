@@ -19,6 +19,10 @@ chain all of whose insertion slots are provably empty), and "yes"
 verdicts are cross-validated by constructing and verifying an explicit
 refinement for every enumerated path.  Non-atomistic frames fall back to
 "inconclusive".
+
+Domains of dependence and the bulk membership rows read the same slot
+analysis one covering region at a time (`_coverage_column`): D(A) needs
+only A's column, so it costs one analysis at every frame size.
 """
 
 from __future__ import annotations
@@ -158,8 +162,6 @@ class _AtomCoverage:
         self.f = olx.frame
         self.a = amask_id
         self.atoms = self.f.atoms()
-        self.aidx = {a: i for i, a in enumerate(self.atoms)}
-        n = len(self.atoms)
         self.in_a = [self.f.leq(b, self.a) for b in self.atoms]
         self._bridge = {}
         self._prepend = {}
@@ -307,11 +309,10 @@ class _AtomCoverage:
 
     def refine_atom_chain(self, chain: list[int]) -> Optional[Path]:
         """An explicit causal path through the chain's atoms inhabiting A."""
-        f, olx = self.f, self.ol
+        olx = self.ol
         steps = [self.atoms[i] for i in chain]
-        for k, bi in enumerate(chain):
-            if self.in_a[bi]:
-                return validate_path(olx, steps)
+        if any(self.in_a[i] for i in chain):
+            return validate_path(olx, steps)
         feas, v, _ = self.prepend(chain[0])
         if feas:
             return validate_path(olx, [v] + steps)
@@ -423,7 +424,7 @@ def _covers(olx: OrderedLocale, a: int, u: int, bound, future: bool) -> Coverage
                                "frame is not atomistic; no certified search "
                                "available")
     cover = _AtomCoverage(work, a)
-    parent, unknown = cover.bad_reach()
+    _, unknown = cover.bad_reach()
     chain = cover.bad_chain_to(u)
     if chain is not None:
         steps = [cover.atoms[i] for i in chain]
@@ -472,8 +473,41 @@ def _covers(olx: OrderedLocale, a: int, u: int, bound, future: bool) -> Coverage
 # -- bulk membership -------------------------------------------------------------
 
 
-def coverage_rows(olx: OrderedLocale, direction: str = "past",
-                  bound: Optional[int] = None):
+def _coverage_column(olx: OrderedLocale, work: OrderedLocale,
+                     a: int) -> tuple[list[int], list[int]]:
+    """The regions U that A covers from below in `work` (olx or its dual),
+    and the U the analysis abstains on: (members, pending).
+
+    A outside cone(U) never covers U, and the empty region covers only
+    itself.  On atomistic frames U is out when it holds an atom of a
+    certified-unrefinable chain, and pending wherever some slot could not
+    be certified.  Elsewhere only A = U and A = cone(U) are certain.
+    """
+    f = olx.frame
+    if a == f.bottom:
+        return [f.bottom], []
+    atomistic = f.is_atomistic()
+    if atomistic:
+        cover = _AtomCoverage(work, a)
+        parent, unknown = cover.bad_reach()
+        bad = f.join_all(cover.atoms[i] for i in parent)
+    members, pending = [], []
+    for u in f.elements():
+        cone = work.down_map[u]
+        if not f.leq(a, cone):
+            continue
+        if atomistic:
+            # atoms are join-prime, so U meets `bad` iff it holds a bad atom
+            if f.meet(u, bad) != f.bottom:
+                continue
+            certain = not unknown
+        else:
+            certain = a == u or a == cone
+        (members if certain else pending).append(u)
+    return members, pending
+
+
+def coverage_rows(olx: OrderedLocale, direction: str = "past"):
     """Membership id-bitmask rows: rows[u] = {a : a covers u}.
 
     Uses the exact slot decision; returns (rows, unresolved) where
@@ -489,28 +523,13 @@ def coverage_rows(olx: OrderedLocale, direction: str = "past",
     if not f.is_atomistic():
         raise FrameTooLarge("bulk coverage needs an atomistic frame")
     work = olx if direction == "past" else _dual_with_axioms(olx)
-    atoms = f.atoms()
-    n = len(atoms)
-    atoms_of = [mask_of_iter(i for i in range(n) if f.leq(atoms[i], x))
-                for x in f.elements()]
     rows = [0] * f.m
     unresolved = []
     for a in f.elements():
-        if a == f.bottom:
-            rows[f.bottom] |= 1 << a
-            continue
-        cover = _AtomCoverage(work, a)
-        parent, unknown = cover.bad_reach()
-        bad_mask = mask_of_iter(parent)
-        for u in f.elements():
-            if not f.leq(a, work.down_map[u]):
-                continue
-            if atoms_of[u] & bad_mask:
-                continue
-            if unknown:
-                unresolved.append((a, u))
-                continue
+        members, pending = _coverage_column(olx, work, a)
+        for u in members:
             rows[u] |= 1 << a
+        unresolved.extend((a, u) for u in pending)
     if not hasattr(olx, "_cov_rows"):
         olx._cov_rows = {}
     olx._cov_rows[direction] = (rows, unresolved)
@@ -524,45 +543,22 @@ class DependenceResult:
     unresolved: int = 0
 
 
-def region_of_influence(frame: FiniteFrame, cov_row, u: int) -> int:
-    """L(U) = join of the covering regions of U."""
-    row = cov_row[u] if not callable(cov_row) else cov_row(u)
-    if isinstance(row, int):
-        return frame.join_of_idmask(row)
-    return frame.join_all(row)
+def region_of_influence(frame: FiniteFrame, cov_rows: list[int], u: int) -> int:
+    """L(U) = join of the covering regions of U (rows of `coverage_rows`)."""
+    return frame.join_of_idmask(cov_rows[u])
 
 
-def domain_of_dependence(source, a: int, direction: str = "future",
-                         bound: Optional[int] = None) -> DependenceResult:
+def domain_of_dependence(olx: OrderedLocale, a: int,
+                         direction: str = "future") -> DependenceResult:
     """D(A) = join of the regions covered by A (from below for future).
 
-    `source` is an OrderedLocale (path-based coverage, exact slot decision
-    with a certainty flag) or a pair (frame, rows) of precomputed
-    membership rows.
+    Reads A's coverage column at every frame size; `unresolved` counts
+    the regions the slot analysis abstained on.
     """
-    if isinstance(source, OrderedLocale):
-        f = source.frame
-        cov_dir = "past" if direction == "future" else "future"
-        try:
-            rows, unresolved = coverage_rows(source, cov_dir, bound)
-        except FrameTooLarge:
-            # no bulk decision available: fall back to per-query verdicts
-            fn = covers_below if direction == "future" else covers_above
-            vs, pending = [], 0
-            for v in f.elements():
-                verdict = fn(source, a, v, bound)
-                if verdict.status == "yes":
-                    vs.append(v)
-                elif verdict.status == "inconclusive":
-                    pending += 1
-            return DependenceResult(f.join_all(vs), pending == 0, pending)
-        vs = [v for v in f.elements() if rows[v] >> a & 1]
-        pending = sum(1 for (aa, _) in unresolved if aa == a)
-        return DependenceResult(f.join_all(vs), pending == 0, pending)
-    frame, rows = source
-    vs = [v for v in frame.elements()
-          if (rows[v] >> a & 1 if isinstance(rows[v], int) else a in rows[v])]
-    return DependenceResult(frame.join_all(vs), True, 0)
+    _require_coverage_axioms(olx)
+    work = olx if direction == "future" else _dual_with_axioms(olx)
+    members, pending = _coverage_column(olx, work, a)
+    return DependenceResult(olx.frame.join_all(members), not pending, len(pending))
 
 
 # -- abstract coverage axioms ----------------------------------------------------

@@ -113,7 +113,7 @@ def two_speed_grid(spec: GridSpec) -> OrderedLocale:
     """
     if spec.topology != "discrete":
         raise ValidationError("two_speed_grid wants the discrete topology")
-    alive, index = _grid_points(spec)
+    alive, _ = _grid_points(spec)
     n = len(alive)
     up_rows = [0] * n
     down_rows = [0] * n

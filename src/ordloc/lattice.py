@@ -103,6 +103,7 @@ class FiniteFrame:
         self._primes = None
         self._coprimes = None
         self._atoms = None
+        self._atomistic = None
         self.labels = labels              # optional point names
         self.meta = dict(meta or {})
 
@@ -170,12 +171,6 @@ class FiniteFrame:
         out = self.bottom
         for i in ids:
             out = self._join_t[out][i]
-        return out
-
-    def meet_all(self, ids: Iterable[int]) -> int:
-        out = self.top
-        for i in ids:
-            out = self.meet(out, i)
         return out
 
     def join_of_idmask(self, idmask: int) -> int:
@@ -315,13 +310,12 @@ class FiniteFrame:
 
     def is_atomistic(self) -> bool:
         """Every element is the join of the atoms below it."""
-        if self.kind == "powerset":
-            return True
-        amask = mask_of_iter(self.atoms())
-        for i in self.elements():
-            if self.join_of_idmask(self.down_row(i) & amask) != i:
-                return False
-        return True
+        if self._atomistic is None:
+            amask = mask_of_iter(self.atoms())
+            self._atomistic = self.kind == "powerset" or all(
+                self.join_of_idmask(self.down_row(i) & amask) == i
+                for i in self.elements())
+        return self._atomistic
 
     # -- Heyting structure -------------------------------------------------
 
@@ -626,9 +620,6 @@ class FrameMap:
                 if pre[tgt.join(a, b)] != src.join(pre[a], pre[b]):
                     raise NotAFrameMap(f"join not preserved at {(a, b)}")
 
-    def direct_image(self, u: int) -> int:
-        return right_adjoint(self, u)
-
 
 def identity_map(frame: FiniteFrame) -> FrameMap:
     return FrameMap(frame, frame, list(frame.elements()))
@@ -716,25 +707,6 @@ def all_ideals_bruteforce(frame: FiniteFrame) -> list[int]:
         if ok:
             out.append(s)
     return out
-
-
-# -- spec-level operation aliases --------------------------------------------
-
-
-def heyting(frame: FiniteFrame, a: int, b: int) -> int:
-    return frame.heyting(a, b)
-
-
-def primes(frame: FiniteFrame) -> list[int]:
-    return frame.primes()
-
-
-def coprimes(frame: FiniteFrame) -> list[int]:
-    return frame.coprimes()
-
-
-def atoms(frame: FiniteFrame) -> list[int]:
-    return frame.atoms()
 
 
 def primes_by_definition(frame: FiniteFrame) -> list[int]:

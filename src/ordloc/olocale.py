@@ -178,13 +178,12 @@ class OrderedLocale:
     """A finite frame with a causal preorder closed under joins."""
 
     def __init__(self, frame: FiniteFrame, *, up_map, down_map, rel_rows=None,
-                 rel_fn=None, cone_definitional=False, joins=None, meta=None):
+                 cone_definitional=False, joins=None, meta=None):
         self.frame = frame
         self.up_map = up_map            # memoized future cone, elem -> elem
         self.down_map = down_map        # memoized past cone
         self.cones = ConePair(frame, up_map, down_map, dict(joins or {}))
         self._rel_rows = rel_rows
-        self._rel_fn = rel_fn
         self.cone_definitional = cone_definitional
         self.meta = dict(meta or {})
         self._axiom_cache: dict[str, CheckReport] = {}
@@ -196,10 +195,8 @@ class OrderedLocale:
     def related(self, u: int, v: int) -> bool:
         if self._rel_rows is not None:
             return bool(self._rel_rows[u] >> v & 1)
-        if self.cone_definitional:
-            f = self.frame
-            return f.leq(u, self.down_map[v]) and f.leq(v, self.up_map[u])
-        return self._rel_fn(u, v)
+        f = self.frame
+        return f.leq(u, self.down_map[v]) and f.leq(v, self.up_map[u])
 
     def rel_rows(self) -> list[int]:
         if self._rel_rows is None:
@@ -219,12 +216,6 @@ class OrderedLocale:
 
     def check(self, law: str) -> CheckReport:
         return check_axiom(self, law)
-
-    def require(self, *laws: str) -> None:
-        from .errors import PreconditionAxioms
-        for law in laws:
-            if not self.check(law):
-                raise PreconditionAxioms(law)
 
     def __repr__(self):
         return f"OrderedLocale(m={self.frame.m})"
@@ -331,14 +322,13 @@ def inclusion_order(frame: FiniteFrame) -> OrderedLocale:
 
 
 def dual_order(ol: OrderedLocale) -> OrderedLocale:
-    """The opposite causal order; cones swap."""
-    if ol._rel_rows is not None:
-        return OrderedLocale(ol.frame, up_map=list(ol.down_map),
-                             down_map=list(ol.up_map),
-                             rel_rows=lat.transpose_rows(ol._rel_rows))
+    """The opposite causal order; cones swap, and so does their join memo."""
+    rows = ol._rel_rows
+    swap = {"u": "d", "d": "u"}
     return OrderedLocale(ol.frame, up_map=list(ol.down_map), down_map=list(ol.up_map),
-                         rel_fn=lambda u, v: ol.related(v, u),
-                         cone_definitional=ol.cone_definitional)
+                         rel_rows=None if rows is None else lat.transpose_rows(rows),
+                         cone_definitional=ol.cone_definitional,
+                         joins={swap[k]: w for k, w in ol.cones.joins.items()})
 
 
 # -- axiom checking ------------------------------------------------------------
@@ -598,11 +588,15 @@ def _check_empty(ol: OrderedLocale) -> CheckReport:
     if ol.down_map[b] != b:
         return _fail("empty", (ol.down_map[b], b),
                      "past cone of the empty region is not empty")
-    # cones of bottom empty bounds everything related to bottom
-    for v in range(min(f.m, PAIR_LIMIT)):
-        if v != b and ol.related(b, v):
+    if ol.cone_definitional:
+        # U rel V needs V <= up(U) and U <= down(V): with both cones of the
+        # empty region empty, it is related only to itself
+        return _ok("empty", "exhaustive")
+    rows = ol.rel_rows()
+    for v in range(f.m):
+        if v != b and rows[b] >> v & 1:
             return _fail("empty", (b, v), "bottom related to a non-bottom region")
-        if v != b and ol.related(v, b):
+        if v != b and rows[v] >> b & 1:
             return _fail("empty", (v, b), "non-bottom region related to bottom")
     return _ok("empty", "exhaustive")
 

@@ -73,9 +73,6 @@ class OrderedSpace:
             out |= self.down[p]
         return out
 
-    def point_set(self, members: Iterable[int]) -> PointSet:
-        return PointSet.from_members(self.n, members)
-
     def pretty_points(self, pmask: int) -> str:
         return "{" + ",".join(str(self.labels[p]) for p in bits(pmask)) + "}"
 

@@ -283,6 +283,16 @@ def test_vertical_domains():
     assert res.region == col0 and res.exact
 
 
+@pytest.mark.parametrize("size", [(3, 4), (4, 4)])
+def test_large_grid_row0_future_is_whole_grid(size):
+    # above REL_LIMIT, as below it, the answer is one coverage column
+    t, x = size
+    loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(t, x)), "em")
+    assert loc.frame.m > O.REL_LIMIT
+    res = C.domain_of_dependence(loc, (1 << x) - 1, "future")
+    assert (res.region, res.exact, res.unresolved) == (loc.frame.top, True, 0)
+
+
 def test_chain_coverage_never_contradicts_localic(m22, loc22, m33, loc33):
     # pointwise chain pass implies the localic verdict is never "no"
     rows, _ = C.coverage_rows(loc22, "past")

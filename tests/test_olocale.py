@@ -199,6 +199,30 @@ def test_pasts_frame_of_upper_locale_adjoins_bottom(size):
     assert fmap.preimage == [loc.frame.bottom, loc.frame.top]
 
 
+def test_empty_scans_the_whole_bottom_row():
+    # identity cones, but the relation ties bottom to the last element,
+    # which lies beyond PAIR_LIMIT
+    f = L.frame_from_topology(11, range(2048))
+    rows = [1 << u for u in f.elements()]
+    rows[f.bottom] |= 1 << 2047
+    ident = list(f.elements())
+    olx = O.OrderedLocale(f, up_map=ident, down_map=list(ident), rel_rows=rows)
+    rep = O.check_axiom(olx, "empty")
+    assert not rep.ok and rep.witness == (0, 2047)
+    assert O.revalidate(olx, rep)
+
+
+def test_dual_of_cone_locale_stays_cone_definitional():
+    olx = S.induced_locale(gen.minkowski_grid(gen.GridSpec(2, 2)), "em")
+    rows = olx.rel_rows()
+    O.check_axiom(olx, "C-join")
+    dual = O.dual_order(olx)
+    assert dual.cone_definitional
+    assert O.check_axiom(dual, "C-order").note.startswith("definitional")
+    assert dual.rel_rows() == L.transpose_rows(rows)
+    assert dual.cones.joins == {"u": olx.cones.joins["d"], "d": olx.cones.joins["u"]}
+
+
 def test_parallel_disjointness_property(loc22):
     f = loc22.frame
     for u in f.elements():

@@ -9,10 +9,11 @@ theorem routes are checked against direct scans.
 import random
 from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordloc import coverage as C, duality as D, gen, lattice as L, olocale as O, ospace as S
-from ordloc.errors import NotAMonad
+from ordloc.errors import NotAMonad, PreconditionAxioms
 from ordloc.lattice import bits, mask_of_iter
 
 
@@ -132,6 +133,40 @@ def test_verdict_api_agrees_with_rows_random(seed):
             v = C.covers_below(loc, a, u)
             assert v.status in ("yes", "no")
             assert (v.status == "yes") == bool(rows[u] >> a & 1), (a, u)
+
+
+def random_topology_space(rng):
+    """A random order on at most 4 points, with the discrete topology or
+    one generated by a few random opens (often not atomistic)."""
+    n = rng.randint(1, 4)
+    pairs = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(0, 2 * n))]
+    opens = "discrete" if rng.random() < 0.4 else L.close_family_under_union_intersection(
+        n, [rng.randrange(1 << n) for _ in range(rng.randint(0, 3))])
+    return S.OrderedSpace.build(n, pairs, opens=opens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_domain_of_dependence_matches_verdicts_random(seed):
+    """D(A) is the join of the regions the verdict API says A covers, and
+    `unresolved` counts its inconclusive verdicts, in both directions."""
+    rng = random.Random(seed)
+    sp = random_topology_space(rng)
+    loc = S.induced_locale(sp, rng.choice(["em", "em", "upper", "lower"]))
+    f = loc.frame
+    if not (O.check_axiom(loc, "parallel").ok and O.check_axiom(loc, "C-join").ok):
+        with pytest.raises(PreconditionAxioms):
+            C.domain_of_dependence(loc, f.top)
+        return
+    for direction, verdict in (("future", C.covers_below), ("past", C.covers_above)):
+        for a in f.elements():
+            statuses = [verdict(loc, a, u).status for u in f.elements()]
+            res = C.domain_of_dependence(loc, a, direction)
+            assert res.region == f.join_all(
+                u for u, s in zip(f.elements(), statuses) if s == "yes"), (a, direction)
+            assert res.unresolved == statuses.count("inconclusive"), (a, direction)
+            assert res.exact == (res.unresolved == 0)
 
 
 # -- axiom checker cross-routes ---------------------------------------------------------
