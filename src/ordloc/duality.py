@@ -231,56 +231,48 @@ def is_spatial(frame: FiniteFrame) -> bool:
     return True
 
 
-def check_axiom_P(olx: OrderedLocale) -> CheckReport:
-    """Axiom (bullet): cones commute with taking points,
-    upcone(pt(U)) == pt(up(U)) and downcone(pt(U)) == pt(down(U))."""
+def _point_cones(olx: OrderedLocale) -> list[tuple[int, int, int]]:
+    """Per element U: pt(U), upcone(pt(U)) and downcone(pt(U)), as point
+    masks over the primes."""
     f = olx.frame
     primes = f.primes()
     rows = point_order_rows(olx, primes)
     down_rows = lat.transpose_rows(rows)
-
-    def upc(mask):
-        out = 0
-        for i in bits(mask):
-            out |= rows[i]
-        return out
-
-    def dnc(mask):
-        out = 0
-        for i in bits(mask):
-            out |= down_rows[i]
-        return out
-
+    out = []
     for u in f.elements():
         pm = pt_mask(f, primes, u)
-        if upc(pm) != pt_mask(f, primes, olx.up_map[u]):
+        upc = dnc = 0
+        for i in bits(pm):
+            upc |= rows[i]
+            dnc |= down_rows[i]
+        out.append((pm, upc, dnc))
+    return out
+
+
+def _bullet_report(olx: OrderedLocale, pcones) -> CheckReport:
+    for u, (_, upc, dnc) in enumerate(pcones):
+        if upc != pcones[olx.up_map[u]][0]:
             return CheckReport("bullet", "fail", (u,),
                                "upcone(pt(U)) != pt(up(U))")
-        if dnc(pm) != pt_mask(f, primes, olx.down_map[u]):
+        if dnc != pcones[olx.down_map[u]][0]:
             return CheckReport("bullet", "fail", (u,),
                                "downcone(pt(U)) != pt(down(U))")
     return CheckReport("bullet", "pass", None, "exhaustive over opens")
 
 
+def check_axiom_P(olx: OrderedLocale) -> CheckReport:
+    """Axiom (bullet): cones commute with taking points,
+    upcone(pt(U)) == pt(up(U)) and downcone(pt(U)) == pt(down(U))."""
+    return _bullet_report(olx, _point_cones(olx))
+
+
 def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
     """upcone(pt(U)) inside pt(up(U)) and dually -- valid in every ordered
     locale, no axioms needed; the equalities are exactly axiom (bullet)."""
-    f = olx.frame
-    primes = f.primes()
-    rows = point_order_rows(olx, primes)
-    down_rows = lat.transpose_rows(rows)
-    for u in f.elements():
-        pm = pt_mask(f, primes, u)
-        upc = 0
-        dnc = 0
-        for i in bits(pm):
-            upc |= rows[i]
-            dnc |= down_rows[i]
-        if upc & ~pt_mask(f, primes, olx.up_map[u]):
-            return False
-        if dnc & ~pt_mask(f, primes, olx.down_map[u]):
-            return False
-    return True
+    pcones = _point_cones(olx)
+    return all(upc & ~pcones[olx.up_map[u]][0] == 0
+               and dnc & ~pcones[olx.down_map[u]][0] == 0
+               for u, (_, upc, dnc) in enumerate(pcones))
 
 
 def counit_monotone(olx: OrderedLocale) -> bool:
@@ -308,7 +300,8 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     U <= V iff pt(U) <= pt(V)."""
     f = olx.frame
     spatial = is_spatial(f)
-    brep = check_axiom_P(olx)
+    pcones = _point_cones(olx)
+    brep = _bullet_report(olx, pcones)
     corder = ol.check_axiom(olx, "C-order")
     monotone = counit_monotone(olx) if f.m <= ol.REL_LIMIT else None
     if monotone is False:
@@ -320,32 +313,14 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     witness = None if brep.ok else brep.witness
     biconditional = None
     if spatial and brep.ok and corder.ok:
-        primes = f.primes()
-        rows = point_order_rows(olx, primes)
-        pm = [pt_mask(f, primes, u) for u in f.elements()] \
-            if f.m <= ol.PAIR_LIMIT else None
-        if pm is not None:
-            trans = lat.transpose_rows(rows)
-
-            def pt_rel(a, b):
-                # Egli-Milner on point sets: pt(V) inside upcone(pt(U)) and
-                # pt(U) inside downcone(pt(V))
-                up = 0
-                for i in bits(pm[a]):
-                    up |= rows[i]
-                down = 0
-                for i in bits(pm[b]):
-                    down |= trans[i]
-                return pm[b] & ~up == 0 and pm[a] & ~down == 0
-            biconditional = True
-            for a in f.elements():
-                for b in f.elements():
-                    if olx.related(a, b) != pt_rel(a, b):
-                        biconditional = False
-                        witness = (a, b)
-                        break
-                if biconditional is False:
-                    break
+        if f.m <= ol.PAIR_LIMIT:
+            # Egli-Milner on point sets: pt(V) inside upcone(pt(U)) and
+            # pt(U) inside downcone(pt(V))
+            witness = next(((a, b) for a, (pa, upa, _) in enumerate(pcones)
+                            for b, (pb, _, dnb) in enumerate(pcones)
+                            if olx.related(a, b) != (pb & ~upa == 0 and pa & ~dnb == 0)),
+                           None)
+            biconditional = witness is None
             note.append(f"order-biconditional={biconditional} (exhaustive)")
         else:
             note.append("order-biconditional follows from spatial + bullet + "

@@ -44,10 +44,11 @@ class NotAFrameMap(ValidationError):
 
 
 class AxiomVFailure(OrdlocError):
-    """Strict-mode constructor: join-saturation strictly enlarged the relation."""
+    """Strict-mode constructor: the reflexive-transitive closure of the
+    relation is not closed under joins."""
 
     def __init__(self, witness):
-        self.witness = witness  # (u1, v1, u2, v2)
+        self.witness = witness  # (U, V, J, J): U rel V, not U | J rel V | J
         super().__init__(f"relation not closed under joins, witness {witness}")
 
 

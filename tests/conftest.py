@@ -1,6 +1,6 @@
 import pytest
 
-from ordloc import gen
+from ordloc import gen, olocale as O
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,9 @@ def loc33():
 def grid(space, *pts):
     """Frame element for grid points given as (t, x) tuples."""
     return gen.grid_open(space, list(pts))
+
+
+def rows_locale(frame, rows):
+    """An ordered locale on explicit relation rows, taken as they are."""
+    up, down = O.cones_from_rows(frame, rows)
+    return O.OrderedLocale(frame, up_map=up, down_map=down, rel_rows=rows)

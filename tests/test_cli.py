@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +58,14 @@ def test_parse_autocloses_relation(capsys):
     assert parsed.payload.related(1, 3)
     with pytest.raises(Exception):
         cli.parse(doc, strict=True)
+
+
+def test_parse_two_speed_3x3_document():
+    # 42,902 related pairs on 512 elements, already join-closed
+    loc = gen.two_speed_grid(gen.GridSpec(3, 3, Fraction(1), Fraction(2)))
+    parsed = cli.parse(cli.serialize(cli.doc_of_locale(loc))).payload
+    assert parsed.rel_rows() == loc.rel_rows()
+    assert "join_saturated" not in parsed.meta
 
 
 def test_cli_check_exit_codes():

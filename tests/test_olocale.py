@@ -13,7 +13,7 @@ from ordloc.errors import (
 )
 from ordloc.lattice import bits, mask_of_iter
 
-from conftest import grid
+from conftest import grid, rows_locale
 
 
 def pts(*ids):
@@ -221,6 +221,42 @@ def test_dual_of_cone_locale_stays_cone_definitional():
     assert O.check_axiom(dual, "C-order").note.startswith("definitional")
     assert dual.rel_rows() == L.transpose_rows(rows)
     assert dual.cones.joins == {"u": olx.cones.joins["d"], "d": olx.cones.joins["u"]}
+
+
+def test_L_witnesses_where_V_fails_above_24_elements():
+    # a preorder on the 32-element discrete frame that is not join-closed:
+    # L+/L- carry their own (U, U', V), not V's quadruple
+    f = L.frame_from_topology(5, range(32))
+    rows = [1 << u for u in f.elements()]
+    rows[1] |= 1 << 3
+    olx = rows_locale(f, rows)
+    assert not O.check_axiom(olx, "V").ok
+    for law, witness in (("L+", (1, 3, 5)), ("L-", (1, 3, 2))):
+        rep = O.check_axiom(olx, law)
+        assert not rep.ok and rep.witness == witness, rep
+        assert O.revalidate(olx, rep)
+
+
+def test_V_above_pair_scan_cap_fails_with_translation_gap():
+    # a preorder of 2,308 pairs on 1,024 elements, past the 4,000,000
+    # pair-pair scan, that is not join-closed
+    f = L.frame_from_topology(10, range(1024))
+    rows = [1 << u | 1 << (u | 1) | 1 << (u | 2) for u in f.elements()]
+    rows[4] |= 1 << 12
+    olx = rows_locale(f, L.transitive_closure_rows(rows))
+    rep = O.check_axiom(olx, "V")
+    assert not rep.ok and rep.witness == (4, 12, 1, 1)
+    assert O.revalidate(olx, rep)
+
+
+def test_V_on_translation_closed_relation_that_is_not_a_preorder():
+    # closed under translation by join-irreducibles but not transitive
+    # (2 rel 0 rel 1, not 2 rel 1): the lemma does not apply, the scan does
+    f = L.frame_from_topology(2, range(4))
+    rel = [(0, 1), (1, 1), (2, 0), (2, 2), (2, 3), (3, 1), (3, 3)]
+    rows = [mask_of_iter(v for u2, v in rel if u2 == u) for u in f.elements()]
+    rep = O.check_axiom(rows_locale(f, rows), "V")
+    assert not rep.ok and rep.witness == (0, 1, 2, 0)
 
 
 def test_parallel_disjointness_property(loc22):

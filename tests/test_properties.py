@@ -16,6 +16,8 @@ from ordloc import coverage as C, duality as D, gen, lattice as L, olocale as O,
 from ordloc.errors import NotAMonad, PreconditionAxioms
 from ordloc.lattice import bits, mask_of_iter
 
+from conftest import rows_locale
+
 
 def random_space(rng, n=None):
     n = n or rng.randint(1, 4)
@@ -464,3 +466,117 @@ def test_restriction_laws_on_random_spaces(seed):
         restr = [C.restrict_path(loc, p, a) for a in atoms]
         for n_ in range(2):
             assert f.join_all(x.steps[n_] for x in restr) == p.steps[n_]
+
+
+# -- join closure by join-irreducible translations --------------------------------------
+
+
+def closure_oracle(f, pairs, joins=True):
+    """The least reflexive, transitive (and, with joins, join-closed)
+    relation containing pairs, as a set: binary joins of all pairs plus
+    one composition step, iterated to a fixpoint."""
+    rel = {(u, u) for u in f.elements()} | set(pairs)
+    while True:
+        new = set(rel)
+        if joins:
+            new |= {(f.join(u1, u2), f.join(v1, v2)) for u1, v1 in rel for u2, v2 in rel}
+        new |= {(u, w) for u, v in new for x, w in new if v == x}
+        if new == rel:
+            return rel
+        rel = new
+
+
+def rows_of(f, rel):
+    rows = [0] * f.m
+    for u, v in rel:
+        rows[u] |= 1 << v
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_join_closure_matches_definitional_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    if rng.random() < 0.5:
+        f = S.OrderedSpace.build(n, [], opens="discrete").frame
+    else:
+        gens_ = [rng.randrange(1 << n) for _ in range(rng.randint(1, 5))]
+        f = L.frame_from_topology(n, L.close_family_under_union_intersection(n, gens_))
+    pairs = [(rng.randrange(f.m), rng.randrange(f.m))
+             for _ in range(rng.randint(0, 4 if f.m <= 16 else 2))]
+    olx = O.ordered_locale_from_relation(f, pairs)
+    closed = rows_of(f, closure_oracle(f, pairs))
+    assert olx.rel_rows() == closed, (f.m, pairs)
+    rt = rows_of(f, closure_oracle(f, pairs, joins=False))
+    gap = olx.meta.get("join_saturated")
+    assert (gap is not None) == (closed != rt), (f.m, pairs)
+    assert gap == next(((u, v, j, j) for u in f.elements() for v in bits(rt[u])
+                        for j in f.coprimes()
+                        if not rt[f.join(u, j)] >> f.join(v, j) & 1), None)
+    if gap is not None:
+        assert O.revalidate(rows_locale(f, rt), O.CheckReport("V", "fail", gap))
+
+
+def v_oracle(olx):
+    """Least (U1, V1, U2, V2) in id order with U1 rel V1, U2 rel V2 and
+    U1 | U2 not rel V1 | V2, over all pairs of related pairs."""
+    f, rows = olx.frame, olx.rel_rows()
+    pairs = [(u, v) for u in f.elements() for v in bits(rows[u])]
+    for u1, v1 in pairs:
+        for u2, v2 in pairs:
+            if not rows[f.join(u1, u2)] >> f.join(v1, v2) & 1:
+                return u1, v1, u2, v2
+    return None
+
+
+def l_oracle(olx, plus):
+    """Least (U, U', V) in id order breaking L+ / L-, one V at a time."""
+    f, rows = olx.frame, olx.rel_rows()
+    for u in f.elements():
+        for uq in bits(rows[u]):
+            for v in f.elements():
+                if plus and f.leq(u, v) and not any(
+                        rows[v] >> vq & 1 and f.leq(uq, vq) for vq in f.elements()):
+                    return u, uq, v
+                if not plus and f.leq(v, uq) and not any(
+                        rows[w] >> v & 1 and f.leq(w, u) for w in f.elements()):
+                    return u, uq, v
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_random_rows_locales_V_and_L_match_oracles(seed):
+    # preorders (join-closed or not) and arbitrary rows, on powerset, mask
+    # and table frames of up to 16 elements, and on the 32-element
+    # discrete frame, where a passing V still decides L+/L-
+    rng = random.Random(seed)
+    f = random_frame(rng) if rng.random() < 0.8 else \
+        S.OrderedSpace.build(5, [], opens="discrete").frame
+    pairs = [(rng.randrange(f.m), rng.randrange(f.m)) for _ in range(rng.randint(0, 4))]
+    style = rng.randrange(3)
+    if style == 0:
+        rows = [mask_of_iter(v for v in f.elements() if rng.random() < 0.15)
+                for _ in f.elements()]
+    elif style == 1:
+        rows = L.transitive_closure_rows(rows_of(f, pairs))
+    else:
+        rows = O.ordered_locale_from_relation(f, pairs).rel_rows()
+        u = rng.randrange(f.m)
+        rows[u] &= ~(1 << rng.randrange(f.m)) | 1 << u
+    olx = rows_locale(f, rows)
+    rep = O.check_axiom(olx, "V")
+    least = v_oracle(olx)
+    assert rep.ok == (least is None) and rep.witness == least, (rows, rep)
+    for law, plus in (("L+", True), ("L-", False)):
+        rep = O.check_axiom(olx, law)
+        if f.m > 24 and least is None:
+            assert rep.ok, (rows, rep)
+            continue
+        least_l = l_oracle(olx, plus)
+        assert rep.ok == (least_l is None) and rep.witness == least_l, (rows, rep)
+    for law in ("V", "L+", "L-"):
+        rep = O.check_axiom(olx, law)
+        if not rep.ok:
+            assert O.revalidate(olx, rep), (rows, rep)
