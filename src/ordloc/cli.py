@@ -387,7 +387,7 @@ def _cmd_cov(args) -> int:
 def _cmd_grothendieck(args) -> int:
     doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
-    rep = cov.check_down_grothendieck(olx, max_frame=args.dot_limit or 24)
+    rep = cov.check_down_grothendieck(olx)
     _emit(args, rep.pretty(olx.frame) + "\n")
     return 0 if rep.ok else 1
 

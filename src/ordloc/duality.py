@@ -45,27 +45,6 @@ def locale_points(frame: FiniteFrame) -> list[LocalePoint]:
     return [LocalePoint(p, prime_to_filter(frame, p)) for p in frame.primes()]
 
 
-def is_completely_prime_filter(frame: FiniteFrame, filt: int) -> bool:
-    """Filter axioms (F0)-(F4), checked directly; test oracle."""
-    members = [u for u in frame.elements() if filt >> u & 1]
-    if frame.top not in members or frame.bottom in members:
-        return False
-    mem = set(members)
-    for u in members:
-        for v in members:
-            if frame.meet(u, v) not in mem:
-                return False
-        for v in frame.elements():
-            if frame.leq(u, v) and v not in mem:
-                return False
-    # inaccessibility by joins on the binary level (finite: sufficient)
-    for u in frame.elements():
-        for v in frame.elements():
-            if frame.join(u, v) in mem and u not in mem and v not in mem:
-                return False
-    return True
-
-
 # -- the points space ----------------------------------------------------------
 
 
@@ -440,6 +419,14 @@ def _rel_rows_input(base_size: int, rel) -> list[int]:
     return rows
 
 
+def _is_ideal(succ: Sequence[int], pred: Sequence[int], s: int) -> bool:
+    """Is the point mask s an ideal: nonempty, down-closed and upward
+    directed (every two members have a common successor in s)?"""
+    members = list(bits(s))
+    return bool(members) and not any(pred[x] & ~s for x in members) and \
+        all(succ[x] & succ[y] & s for x in members for y in members)
+
+
 def triangle_ideals(base_size: int, rel) -> list[PointSet]:
     """All ideals of an arbitrary relation: nonempty, down-closed,
     upward-directed subsets.  Exponential scan, capped at 16 points."""
@@ -447,14 +434,8 @@ def triangle_ideals(base_size: int, rel) -> list[PointSet]:
         raise FrameTooLarge("ideal enumeration capped at 16 points")
     succ = _rel_rows_input(base_size, rel)
     pred = lat.transpose_rows(succ)
-    out = []
-    for s in range(1, 1 << base_size):
-        members = list(bits(s))
-        if any(pred[x] & ~s for x in members):
-            continue
-        if all(succ[x] & succ[y] & s for x in members for y in members):
-            out.append(PointSet(base_size, s))
-    return out
+    return [PointSet(base_size, s) for s in range(1, 1 << base_size)
+            if _is_ideal(succ, pred, s)]
 
 
 def is_past_semi_full(base_size: int, rel) -> CheckReport:
@@ -493,38 +474,14 @@ def is_past_semi_full(base_size: int, rel) -> CheckReport:
     return rep
 
 
-def ideals_have_directed_joins(base_size: int, rel, ideals: list[PointSet],
-                               samples: int = 300, seed: int = 11) -> bool:
-    """Unions of internally directed families of ideals are ideals.
+def ideals_have_directed_joins(base_size: int, rel, ideals: list[PointSet]) -> bool:
+    """Is the union of every directed subfamily of `ideals` an ideal of rel?
 
-    A family is directed when every pair of members sits inside some
-    member of the same family.  Pairs and triples are checked
-    exhaustively, larger families by seeded sampling.
+    Greatest-member lemma: a finite directed family (nonempty, any two
+    members inside some member) has a greatest member, by folding those
+    pairwise bounds, and it is the family's union.  Singleton families are
+    directed, so the claim holds iff every given set is an ideal of rel.
     """
-    import itertools
-    import random as _random
-    idset = {i.mask for i in ideals}
-    masks = [i.mask for i in ideals]
-
-    def directed(fam):
-        return all(any((a | b) & ~c == 0 for c in fam)
-                   for a in fam for b in fam)
-
-    def union_ok(fam):
-        out = 0
-        for m in fam:
-            out |= m
-        return out in idset
-
-    for r in (2, 3):
-        if len(masks) ** r <= 20000:
-            for fam in itertools.combinations(masks, r):
-                if directed(fam) and not union_ok(fam):
-                    return False
-    rng = _random.Random(seed)
-    for _ in range(samples):
-        k = rng.randint(2, min(6, len(masks)))
-        fam = rng.sample(masks, k)
-        if directed(fam) and not union_ok(fam):
-            return False
-    return True
+    succ = _rel_rows_input(base_size, rel)
+    pred = lat.transpose_rows(succ)
+    return all(_is_ideal(succ, pred, i.mask) for i in ideals)

@@ -690,43 +690,3 @@ def ideal_frame(frame: FiniteFrame) -> tuple[FiniteFrame, list[int]]:
         if f.mask_of(witness[x]) != frame.down_row(x):
             raise ValidationError("principal ideal iso broke")
     return f, witness
-
-
-def all_ideals_bruteforce(frame: FiniteFrame) -> list[int]:
-    """All ideals by scanning every subset; test oracle for small frames."""
-    if frame.m > 20:
-        raise ValidationError("brute force ideal scan capped at 20 elements")
-    out = []
-    for s in range(1, 1 << frame.m):
-        members = list(bits(s))
-        if frame.bottom not in members:
-            continue
-        ok = all(s >> frame.join(a, b) & 1 for a in members for b in members)
-        if ok:
-            ok = all(frame.down_row(x) & ~s == 0 for x in members)
-        if ok:
-            out.append(s)
-    return out
-
-
-def primes_by_definition(frame: FiniteFrame) -> list[int]:
-    """Primes via the defining quantifier; oracle, O(m^3)."""
-    out = []
-    for p in frame.elements():
-        if p == frame.top:
-            continue
-        if all(not frame.leq(frame.meet(a, b), p) or frame.leq(a, p) or frame.leq(b, p)
-               for a in frame.elements() for b in frame.elements()):
-            out.append(p)
-    return out
-
-
-def coprimes_by_definition(frame: FiniteFrame) -> list[int]:
-    out = []
-    for d in frame.elements():
-        if d == frame.bottom:
-            continue
-        if all(not frame.leq(d, frame.join(a, b)) or frame.leq(d, a) or frame.leq(d, b)
-               for a in frame.elements() for b in frame.elements()):
-            out.append(d)
-    return out

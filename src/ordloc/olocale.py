@@ -16,13 +16,13 @@ Axiom checks run in tiers and say which tier ran in the report note:
   bottom and J; cone-determined relations with monotone cones are
   join-closed; a preorder is join-closed iff it is closed under
   translation by J (`_translation_gap`), which also builds explicit
-  relations; the wedge laws follow from C-order and the Frobenius
+  relations; with monotone cones the join-irreducibles decide each row
+  of F+/F-; the wedge laws follow from C-order and the Frobenius
   inclusions, a route taken only once C-order has been verified, and
-  decided by an exact scan otherwise);
-* seeded random sampling, only for F+/F- above PAIR_LIMIT when a cone
-  fails the kernel, and clearly flagged.
+  decided by an exact scan otherwise).
 
-A check that no tier decides refuses (FrameTooLarge) instead of guessing.
+Nothing is sampled.  A check that no tier decides (F+/F- with cones that
+are not monotone, above PAIR_LIMIT) refuses with FrameTooLarge.
 
 A failing certificate hands over to the id-order scan it replaces
 (wherever affordable), so failing reports keep the least witness.
@@ -33,7 +33,6 @@ witness against the law it claims to break.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -50,8 +49,6 @@ from .lattice import FiniteFrame, FrameMap, bits, mask_of_iter
 PAIR_LIMIT = 1050        # full O(m^2) pair scans allowed up to this size
 TRIPLE_LIMIT = 40        # wedge laws always by exact scan up to this size
 REL_LIMIT = 2048         # explicit relation rows materialized up to this size
-SAMPLE_PAIRS = 4000
-_RNG_SEED = 0xC0FFEE
 
 
 @dataclass
@@ -142,40 +139,26 @@ class ConePair:
         """Monad laws, raising NotAMonad at the least witness.  A map that
         preserves binary joins is monotone, and inflationary and idempotent
         once it is so at bottom and on J, as each a != bottom is a join of
-        the j below it.  Any other map gets the full scan."""
+        the j below it.  Any other map gets the full scan, monotonicity
+        included: along covers (which generate <=) on powerset frames and
+        above PAIR_LIMIT, over all pairs x <= y (least in id order) otherwise."""
         f = self.frame
+        by_covers = f.kind == "powerset" or f.m > PAIR_LIMIT
         for name, t in (("u", self.u), ("d", self.d)):
             if len(t) != f.m:
                 raise NotAMonad(f"{name} totality", (len(t),))
-            fail = self.join_failure(name)
-            if fail is None and all(f.leq(x, t[x]) and t[t[x]] == t[x]
-                                    for x in (f.bottom, *f.coprimes())):
+            if self.join_failure(name) is None and all(
+                    f.leq(x, t[x]) and t[t[x]] == t[x] for x in (f.bottom, *f.coprimes())):
                 continue
             for x in f.elements():
                 if not f.leq(x, t[x]):
                     raise NotAMonad(f"{name} inflationary", (x,))
                 if t[t[x]] != t[x]:
                     raise NotAMonad(f"{name} idempotent", (x,))
-            _check_monotone_map(f, t, name, fail)
-
-
-def _check_monotone_map(frame: FiniteFrame, t: Sequence[int], name: str,
-                        join_fail: Optional[tuple]) -> None:
-    """Exact monotonicity: a map that preserves binary joins (join_fail is
-    None) is monotone; otherwise scan covers, which generate <=, or all
-    pairs on small non-powerset frames (least witness in id order)."""
-    if join_fail is None:
-        return
-    if frame.kind == "powerset" or frame.m > PAIR_LIMIT:
-        for x in frame.elements():
-            for y in frame.upper_covers(x):
-                if not frame.leq(t[x], t[y]):
-                    raise NotAMonad(f"{name} monotone", (x, y))
-    else:
-        for x in frame.elements():
-            for y in frame.elements():
-                if frame.leq(x, y) and not frame.leq(t[x], t[y]):
-                    raise NotAMonad(f"{name} monotone", (x, y))
+            for x in f.elements():
+                for y in f.upper_covers(x) if by_covers else bits(f.up_row(x)):
+                    if not f.leq(t[x], t[y]):
+                        raise NotAMonad(f"{name} monotone", (x, y))
 
 
 class OrderedLocale:
@@ -364,14 +347,13 @@ def check_axiom(ol: OrderedLocale, law: str) -> CheckReport:
     return rep
 
 
-def _cone_monotone_report(ol) -> Optional[tuple]:
-    f, cones = ol.frame, ol.cones
-    try:
-        _check_monotone_map(f, ol.up_map, "up", cones.join_failure("u"))
-        _check_monotone_map(f, ol.down_map, "down", cones.join_failure("d"))
-    except NotAMonad as e:
-        return e.witness
-    return None
+def _cones_monotone(ol) -> bool:
+    """Both cones monotone: one that preserves binary joins is, and any
+    other is checked along covers, which generate <=."""
+    f = ol.frame
+    return all(ol.cones.join_failure(name) is None
+               or all(f.leq(t[x], t[y]) for x in f.elements() for y in f.upper_covers(x))
+               for name, t in (("u", ol.up_map), ("d", ol.down_map)))
 
 
 def _check_V(ol: OrderedLocale) -> CheckReport:
@@ -381,7 +363,7 @@ def _check_V(ol: OrderedLocale) -> CheckReport:
     witness while P^2 <= 4,000,000; above that a preorder fails with its
     gap and anything else is refused."""
     f = ol.frame
-    if check_axiom(ol, "C-order").ok and _cone_monotone_report(ol) is None:
+    if check_axiom(ol, "C-order").ok and _cones_monotone(ol):
         return _ok("V", "exact: cone-determined relation with monotone cones "
                         "is closed under joins of arbitrary families")
     rows = ol.rel_rows()
@@ -445,20 +427,25 @@ def _check_L(ol: OrderedLocale, plus: bool) -> CheckReport:
 
 
 def _check_C_order(ol: OrderedLocale) -> CheckReport:
+    """U rel V iff U <= down(V) and V <= up(U).  In row form the cone side
+    of row U is down_row(up(U)) & T[U], with T the transpose of the rows
+    down_row(down(V)); the least U whose row differs from rows[U], at the
+    lowest differing V, is the least witness in id order."""
     f = ol.frame
     if ol.cone_definitional:
         return _ok("C-order", "definitional: relation is built from its cones "
                               "(validated monad pair)")
     rows = ol.rel_rows()
-    for u in range(f.m):
-        for v in range(f.m):
-            if f.leq(u, ol.down_map[v]) and f.leq(v, ol.up_map[u]):
-                if not rows[u] >> v & 1:
-                    return _fail("C-order", (u, v), "exhaustive")
-            elif rows[u] >> v & 1:
-                # only-if direction cannot fail if cones are the joins of
-                # the relation; flag inconsistent memoization loudly
+    below_down = lat.transpose_rows([f.down_row(d) for d in ol.down_map])
+    for u in f.elements():
+        diff = (f.down_row(ol.up_map[u]) & below_down[u]) ^ rows[u]
+        if diff:
+            v = next(bits(diff))
+            if rows[u] >> v & 1:
+                # cannot happen if the cones are the joins of the relation;
+                # flag inconsistent memoization loudly
                 return _fail("C-order", (u, v), "relation exceeds its cones")
+            return _fail("C-order", (u, v), "exhaustive")
     return _ok("C-order", "exhaustive")
 
 
@@ -500,36 +487,49 @@ def _check_F(ol: OrderedLocale, plus: bool) -> CheckReport:
     Once both cones preserve binary joins, so do both sides in each
     argument (meets distribute over joins), and every element but bottom
     is a join of join-irreducibles: the pairs over bottom and J decide.
+
+    Row lemma: with monotone cones, the V in J decide row U.  Proof for F+
+    (F- is the mirror): the left side down(U) & V preserves binary joins
+    in V, as meets distribute over joins, and the right side
+    r(V) = down(U & up(V)) is monotone in V.  So the law at V1 and V2
+    gives it at V1 | V2: down(U) & (V1 | V2) = (down(U) & V1) |
+    (down(U) & V2) <= r(V1) | r(V2) <= r(V1 | V2).  It holds at bottom,
+    and every V != bottom is a join of join-irreducibles.  Hence the first
+    U that fails some j, with the least failing V from a scan of that one
+    row, is the least pair in id order: the pair scan's witness, found in
+    O(m |J|) plus one row.
+
+    Cones that are not monotone get the pair scan up to PAIR_LIMIT and are
+    refused (FrameTooLarge) above it.
     """
     law = "F+" if plus else "F-"
     f = ol.frame
-    up, dn = ol.up_map, ol.down_map
+    side, other = (ol.down_map, ol.up_map) if plus else (ol.up_map, ol.down_map)
 
     def holds(u, v):
-        if plus:
-            return f.leq(f.meet(dn[u], v), dn[f.meet(u, up[v])])
-        return f.leq(f.meet(up[u], v), up[f.meet(u, dn[v])])
+        return f.leq(f.meet(side[u], v), side[f.meet(u, other[v])])
 
+    irreducibles = f.coprimes()
     if ol.cones.join_failure("u") is None and ol.cones.join_failure("d") is None:
-        gens = sorted({f.bottom, *f.coprimes()})
+        gens = sorted({f.bottom, *irreducibles})
         bad = next(((u, v) for u in gens for v in gens if not holds(u, v)), None)
         if bad is None:
             return _ok(law, f"exact: cones preserve binary joins; {len(gens) ** 2} "
                             "pairs over bottom and the join-irreducibles")
         if f.m > PAIR_LIMIT:
             return _fail(law, bad, "pairs over bottom and the join-irreducibles")
-    if f.m <= PAIR_LIMIT:
-        for u in range(f.m):
-            for v in range(f.m):
-                if not holds(u, v):
-                    return _fail(law, (u, v), "exhaustive")
-        return _ok(law, "exhaustive")
-    rng = random.Random(_RNG_SEED)
-    for _ in range(SAMPLE_PAIRS):
-        u, v = rng.randrange(f.m), rng.randrange(f.m)
-        if not holds(u, v):
-            return _fail(law, (u, v), "sampled")
-    return _ok(law, f"SAMPLED only ({SAMPLE_PAIRS} pairs)")
+    if _cones_monotone(ol):
+        tests, route = irreducibles, (f"exact: monotone cones; {f.m} rows over "
+                                      f"the {len(irreducibles)} join-irreducibles")
+    elif f.m <= PAIR_LIMIT:
+        tests, route = f.elements(), "exhaustive"
+    else:
+        raise FrameTooLarge(f"{law} with cones that are not monotone is decided "
+                            f"by a pair scan, capped at {PAIR_LIMIT} elements")
+    u = next((u for u in f.elements() if not all(holds(u, v) for v in tests)), None)
+    if u is None:
+        return _ok(law, route)
+    return _fail(law, (u, next(v for v in f.elements() if not holds(u, v))), route)
 
 
 def _check_wedge(ol: OrderedLocale, plus: bool) -> CheckReport:
@@ -549,20 +549,20 @@ def _check_wedge(ol: OrderedLocale, plus: bool) -> CheckReport:
     Hence, where C-order holds, wedge+ is equivalent to F+ (given monotone
     cones), and the F witness also breaks the wedge law.  Without C-order
     neither direction holds: wedge may pass while F fails.  So above
-    TRIPLE_LIMIT the F route is taken only once C-order is verified, and
-    its failure only once the cones are known monotone (validated monads
-    for cone-definitional locales, the join-irreducible kernel or a cover
-    scan otherwise).  Everywhere else the exact scan `_wedge_scan` decides.
+    TRIPLE_LIMIT the F route is taken only once C-order is verified and the
+    cones are known monotone (validated monads for cone-definitional
+    locales, the join-irreducible kernel or a cover scan otherwise).
+    Everywhere else the exact scan `_wedge_scan` decides.
     """
     law = "wedge+" if plus else "wedge-"
     corder = check_axiom(ol, "C-order") if ol.frame.m > TRIPLE_LIMIT else None
-    if corder is not None and corder.ok:
+    if corder is not None and corder.ok and (
+            ol.cone_definitional or _cones_monotone(ol)):
         frep = check_axiom(ol, "F+" if plus else "F-")
         if frep.ok:
             return _ok(law, f"exact: equals C-order plus {frep.law} "
                             f"({corder.note}; {frep.note})")
-        if ol.cone_definitional or _cone_monotone_report(ol) is None:
-            return _fail(law, frep.witness, f"via {frep.law}: {frep.note}")
+        return _fail(law, frep.witness, f"via {frep.law}: {frep.note}")
     w = _wedge_scan(ol, plus)
     if w is not None:
         return _fail(law, w, "exhaustive triple scan")

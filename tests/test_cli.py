@@ -130,7 +130,14 @@ def test_cli_json_report(m33):
 def test_cli_grothendieck_and_ideals():
     m22_text = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))
     g = run_cli(["grothendieck", "-"], m22_text)
-    assert g.returncode == 0 and "0 abstentions" in g.stdout
+    assert g.returncode == 0
+    assert g.stdout == "grothendieck: pass (exhaustive sieve enumeration; 0 abstentions)\n"
+    # the sieve check keeps its own 24-element cap; --dot-limit sizes DOT
+    # output only
+    m23_text = cli.serialize(cli.doc_of_space(gen.minkowski_grid(gen.GridSpec(2, 3))))
+    g = run_cli(["grothendieck", "-", "--dot-limit", "128"], m23_text)
+    assert g.returncode == 2 and g.stdout == ""
+    assert g.stderr == "error: sieve check capped at 24 elements\n"
     ide = run_cli(["ideals", "-"], m22_text)
     assert ide.returncode == 0 and "ideals (" in ide.stdout
 

@@ -5,9 +5,10 @@ import pytest
 
 from ordloc import duality as D, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import RegularConesRequired
-from ordloc.lattice import bits
+from ordloc.lattice import PointSet, bits
 
 from conftest import grid
+import oracles
 
 
 # -- points -----------------------------------------------------------------------
@@ -16,7 +17,7 @@ from conftest import grid
 def test_filter_prime_round_trip(bowtie):
     f = bowtie.frame
     for pt in D.locale_points(f):
-        assert D.is_completely_prime_filter(f, pt.as_filter)
+        assert oracles.is_completely_prime_filter(f, pt.as_filter)
         assert D.filter_to_prime(f, pt.as_filter) == pt.as_prime
         assert D.prime_to_filter(f, pt.as_prime) == pt.as_filter
 
@@ -273,6 +274,17 @@ def test_preorder_ideals_m33(m33):
                 assert m33.up[x] & m33.up[y] & i.mask
     assert D.is_past_semi_full(m33.n, list(m33.up)).ok
     assert D.ideals_have_directed_joins(m33.n, list(m33.up), ideals)
+
+
+def test_directed_joins_need_every_member_to_be_an_ideal():
+    # the chain 0 <= 1 <= 2: {1} is not down-closed, and the singleton
+    # family { {1} } is directed, so its union {1} must be an ideal
+    chain = [0b111, 0b110, 0b100]
+    ideals = D.triangle_ideals(3, chain)
+    assert [i.mask for i in ideals] == [0b001, 0b011, 0b111]
+    assert D.ideals_have_directed_joins(3, chain, ideals)
+    assert not D.ideals_have_directed_joins(3, chain, ideals + [PointSet(3, 0b010)])
+    assert D.ideals_have_directed_joins(3, chain, ideals[:1])
 
 
 def test_strict_chronology_has_no_ideals(m33):

@@ -9,6 +9,7 @@ from ordloc import gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import (
     AxiomVFailure,
     ConesDoNotPreserveJoins,
+    FrameTooLarge,
     NotAMonad,
 )
 from ordloc.lattice import bits, mask_of_iter
@@ -210,6 +211,41 @@ def test_empty_scans_the_whole_bottom_row():
     rep = O.check_axiom(olx, "empty")
     assert not rep.ok and rep.witness == (0, 2047)
     assert O.revalidate(olx, rep)
+
+
+def test_F_with_monotone_cones_is_exact_above_pair_limit():
+    # identity future cone; the past cone adds point 0 to every s above
+    # K = {1..10}: a monad, monotone but not join-preserving, on 2,048
+    # elements. F+ breaks at U = K, V = {0}, which a sample of pairs misses
+    f = S.OrderedSpace.build(11, [], opens="discrete").frame
+    K = 2046
+    ident = list(f.elements())
+    down = [s | 1 if s & K == K else s for s in f.elements()]
+    olx = O.ordered_locale_from_monads(O.ConePair(f, ident, down))
+    assert f.m > O.PAIR_LIMIT and not O.preserves_binary_joins(f, down)
+    rep = O.check_axiom(olx, "F+")
+    assert not rep.ok and rep.witness == (2046, 1), rep
+    assert O.check_axiom(olx, "F-").ok
+    for law in ("F+", "wedge+", "parallel"):
+        rep = O.check_axiom(olx, law)
+        assert not rep.ok and O.revalidate(olx, rep), rep
+
+
+def test_F_with_cones_that_are_not_monotone_refuses_above_pair_limit():
+    # 1 rel 3 makes up(1) = 3, not below up(5) = 5
+    f = S.OrderedSpace.build(11, [], opens="discrete").frame
+    rows = [1 << u for u in f.elements()]
+    rows[1] |= 1 << 3
+    olx = rows_locale(f, rows)
+    assert f.m > O.PAIR_LIMIT and not O._cones_monotone(olx)
+    for law in ("F+", "F-"):
+        with pytest.raises(FrameTooLarge):
+            O.check_axiom(olx, law)
+    # C-order holds, but with cones that are not monotone the wedge laws
+    # do not rest on F: the triple scan decides them
+    assert O.check_axiom(olx, "C-order").ok
+    for law, plus in (("wedge+", True), ("wedge-", False)):
+        assert O.check_axiom(olx, law).ok == (O._wedge_scan(olx, plus) is None)
 
 
 def test_dual_of_cone_locale_stays_cone_definitional():

@@ -304,6 +304,19 @@ def random_map(rng, f):
     return t
 
 
+def random_monotone_map(rng, f):
+    """A join-preserving map raised by c on the elements above k, as
+    s | {b} for s above K on a powerset: monotone, and it may break a
+    binary join when k is neither bottom nor join-irreducible."""
+    joins = [a for a in f.elements() if a != f.bottom and a not in f.coprimes()]
+    k = rng.choice(joins) if joins else rng.randrange(f.m)
+    base, c = rng.randrange(f.m), rng.randrange(f.m)
+    g = {j: rng.randrange(f.m) for j in f.coprimes()}
+    return [f.join_all([base] + [g[j] for j in g if f.leq(j, a)]
+                       + ([c] if f.leq(k, a) else []))
+            for a in f.elements()]
+
+
 def random_monad(rng, f):
     """Mostly monads: the closure of an inflationary join-preserving map
     (iterated to idempotence), the interior of a random preorder's up-cones
@@ -386,21 +399,24 @@ def test_preserves_binary_joins_matches_all_pairs(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_frobenius_and_cone_join_match_full_scans(seed):
+    # two draws per example: random maps or mostly-monads, then monotone
+    # maps that may break a binary join (the row route of F+/F-)
     rng = random.Random(seed)
     f = random_frame(rng)
     if rng.random() < 0.5:
         up, down = random_map(rng, f), random_map(rng, f)
     else:
         up, down = random_monad(rng, f), random_monad(rng, f)
-    olx = O.ordered_locale_from_monads(O.ConePair(f, up, down), validated=True)
-    for law, least in (("F+", frobenius_oracle(olx, True)),
-                       ("F-", frobenius_oracle(olx, False)),
-                       ("C-join", cone_join_oracle(olx))):
-        rep = O.check_axiom(olx, law)
-        assert rep.ok == (least is None), (law, up, down)
-        assert rep.witness == least, (law, up, down)
-        if not rep.ok:
-            assert O.revalidate(olx, rep)
+    for up, down in ((up, down), (random_monotone_map(rng, f), random_monotone_map(rng, f))):
+        olx = O.ordered_locale_from_monads(O.ConePair(f, up, down), validated=True)
+        for law, least in (("F+", frobenius_oracle(olx, True)),
+                           ("F-", frobenius_oracle(olx, False)),
+                           ("C-join", cone_join_oracle(olx))):
+            rep = O.check_axiom(olx, law)
+            assert rep.ok == (least is None), (law, up, down)
+            assert rep.witness == least, (law, up, down)
+            if not rep.ok:
+                assert O.revalidate(olx, rep)
 
 
 @settings(max_examples=60, deadline=None)
