@@ -71,19 +71,52 @@ def _frame_to_json(frame: FiniteFrame) -> dict:
     return out
 
 
+def _id(x, n: int, path: str) -> int:
+    """An integer id in 0..n-1."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError):
+        raise ParseError(f"{x!r} is not an integer id", path) from None
+    if not 0 <= i < n:
+        raise ParseError(f"id {i} out of range 0..{n - 1}", path)
+    return i
+
+
+def _ids(seq, n: int, path: str) -> list[int]:
+    if not isinstance(seq, list):
+        raise ParseError(f"expected a list of ids, got {seq!r}", path)
+    return [_id(x, n, path) for x in seq]
+
+
+def _pairs(seq, n: int, path: str) -> list[tuple[int, int]]:
+    if not isinstance(seq, list) or not all(isinstance(p, list) and len(p) == 2
+                                            for p in seq):
+        raise ParseError("expected a list of [a, b] pairs", path)
+    return [(_id(a, n, path), _id(b, n, path)) for a, b in seq]
+
+
+def _opens(opens, n: int, path: str):
+    """"discrete", "codiscrete", or point masks from lists of point ids."""
+    if opens in ("discrete", "codiscrete"):
+        return opens
+    if not isinstance(opens, list):
+        raise ParseError('opens must be "discrete", "codiscrete" or a list of '
+                         f"point-id lists, got {opens!r}", path)
+    return [mask_of_iter(_ids(fam, n, path)) for fam in opens]
+
+
 def _frame_from_json(obj: dict, path: str) -> FiniteFrame:
     try:
         base = int(obj["base"])
         labels = [str(s) for s in obj.get("points", range(base))]
-        opens = obj["opens"]
+        opens = _opens(obj["opens"], base, path + ".opens")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed frame: {e}", path)
     if opens == "discrete":
         return lat.frame_from_topology(base, range(1 << base), labels=labels)
     if opens == "codiscrete":
         return lat.frame_from_topology(base, [0, (1 << base) - 1], labels=labels)
-    masks = [mask_of_iter(int(p) for p in fam) for fam in opens]
-    return lat.frame_from_topology(base, masks, labels=labels)
+    return lat.frame_from_topology(base, opens, labels=labels)
 
 
 def _space_order_pairs(space: OrderedSpace) -> list[list[int]]:
@@ -119,12 +152,12 @@ def parse(text: str, strict: bool = False) -> Document:
     kind = obj["kind"]
     name = str(obj.get("name", ""))
     if kind == "space":
+        if not isinstance(obj.get("points", []), list):
+            raise ParseError("expected a list of point names", "points")
         pts = [str(p) for p in obj.get("points", [])]
         n = len(pts)
-        pairs = [(int(a), int(b)) for a, b in obj.get("order", [])]
-        opens = obj.get("opens", "discrete")
-        if isinstance(opens, list):
-            opens = [mask_of_iter(int(p) for p in fam) for fam in opens]
+        pairs = _pairs(obj.get("order", []), n, "order")
+        opens = _opens(obj.get("opens", "discrete"), n, "opens")
         space = OrderedSpace.build(n, pairs, opens=opens, labels=pts, name=name)
         given = set(pairs) | {(p, p) for p in range(n)}
         closed = {(p, q) for p in range(n) for q in bits(space.up[p])}
@@ -137,7 +170,7 @@ def parse(text: str, strict: bool = False) -> Document:
         return Document("space", name, space, obj)
     if kind == "locale":
         frame = _frame_from_json(obj.get("frame", {}), "frame")
-        pairs = [(int(a), int(b)) for a, b in obj.get("rel", [])]
+        pairs = _pairs(obj.get("rel", []), frame.m, "rel")
         olx = ol.ordered_locale_from_relation(frame, pairs, strict=strict)
         if "join_saturated" in olx.meta and not strict:
             print("notice: relation join-saturated, witness "
@@ -145,8 +178,8 @@ def parse(text: str, strict: bool = False) -> Document:
         return Document("locale", name, olx, obj)
     if kind == "cones":
         frame = _frame_from_json(obj.get("frame", {}), "frame")
-        up = [int(x) for x in obj["up"]]
-        down = [int(x) for x in obj["down"]]
+        up = _ids(obj.get("up"), frame.m, "up")
+        down = _ids(obj.get("down"), frame.m, "down")
         olx = ol.ordered_locale_from_monads(ol.ConePair(frame, up, down))
         return Document("cones", name, olx, obj)
     if kind == "coverage-table":

@@ -27,6 +27,7 @@ only A's column, so it costs one analysis at every frame size.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,7 +43,7 @@ from .errors import (
     PreconditionAxioms,
     ValidationError,
 )
-from .lattice import FiniteFrame, bits, mask_of_iter
+from .lattice import FiniteFrame, bits, mask_of_iter, popcount
 from .olocale import CheckReport, OrderedLocale
 
 
@@ -703,20 +704,43 @@ def check_down_grothendieck(olx: OrderedLocale, max_frame: int = 24) -> CheckRep
     below.  Verifies the maximal-sieve, pushforward-unit, pullback and
     transitivity axioms by exhaustive sieve enumeration; abstains (and
     counts abstentions) wherever the underlying membership is unresolved.
+
+    The pullback and transitivity axioms read, for a sieve join J, the
+    tri-state "down(W) & J covers W" at many W.  Those are two masks per J,
+    the W where it holds and the W where it is pending; a scan over the W
+    of a sieve is decided by the lowest W that does not hold, and that W,
+    when pending, is the scan's one abstention.
     """
     f = olx.frame
     if f.m > max_frame:
         raise FrameTooLarge(f"sieve check capped at {max_frame} elements")
     rows, unresolved = coverage_rows(olx, "past")
-    pending = set(unresolved)
+    pend = [0] * f.m
+    for a, u in unresolved:
+        pend[u] |= 1 << a
     abstained = 0
+    pulled = {}
 
     def member(a, u):
         nonlocal abstained
-        if (a, u) in pending:
+        if pend[u] >> a & 1:
             abstained += 1
             return None
         return bool(rows[u] >> a & 1)
+
+    def pullback(j):
+        """(holds, pending): the W at which down(W) & J covers W, and the W
+        at which that is unresolved, as id-bitmasks."""
+        if j not in pulled:
+            holds = pending = 0
+            for w in f.elements():
+                x = f.meet(olx.down_map[w], j)
+                if pend[w] >> x & 1:
+                    pending |= 1 << w
+                elif rows[w] >> x & 1:
+                    holds |= 1 << w
+            pulled[j] = holds, pending
+        return pulled[j]
 
     for u in f.elements():
         du = olx.down_map[u]
@@ -732,28 +756,29 @@ def check_down_grothendieck(olx: OrderedLocale, max_frame: int = 24) -> CheckRep
         joins = {s: f.join_of_idmask(s) for s in sieves}
         covering = [s for s in sieves if member(joins[s], u)]
         # (ii) pullback stability along W <= U
+        below = f.down_row(u)
         for s in covering:
-            js = joins[s]
-            for w in bits(f.down_row(u)):
-                mv = member(f.meet(olx.down_map[w], js), w)
-                if mv is False:
-                    return CheckReport("grothendieck", "fail", (u, w),
-                                       "pullback of a covering sieve stopped "
-                                       "covering")
-        # (iii) transitivity
+            holds, pending = pullback(joins[s])
+            fails = below & ~holds & ~pending
+            if fails:
+                return CheckReport("grothendieck", "fail",
+                                   (u, (fails & -fails).bit_length() - 1),
+                                   "pullback of a covering sieve stopped "
+                                   "covering")
+            abstained += popcount(below & pending)
+        # (iii) transitivity: the premise holds at every V of s.  Sieves
+        # with one join read the same masks, so each join is tested once
+        # and its outcome counted once per sieve
+        per_join = Counter(joins.values())
         for s in covering:
-            for r in sieves:
-                jr = joins[r]
-                premise = True
-                for v in bits(s):
-                    mv = member(f.meet(olx.down_map[v], jr), v)
-                    if mv is None:
-                        premise = None
-                        break
-                    if not mv:
-                        premise = False
-                        break
-                if premise and member(jr, u) is False:
+            for jr, times in per_join.items():
+                holds, pending = pullback(jr)
+                rest = s & ~holds
+                if rest:
+                    abstained += times * bool(pending & rest & -rest)
+                elif pend[u] >> jr & 1:
+                    abstained += times
+                elif not rows[u] >> jr & 1:
                     return CheckReport("grothendieck", "fail", (u,),
                                        "locally covering sieve does not cover")
     note = f"exhaustive sieve enumeration; {abstained} abstentions"

@@ -294,11 +294,27 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     if spatial and brep.ok and corder.ok:
         if f.m <= ol.PAIR_LIMIT:
             # Egli-Milner on point sets: pt(V) inside upcone(pt(U)) and
-            # pt(U) inside downcone(pt(V))
-            witness = next(((a, b) for a, (pa, upa, _) in enumerate(pcones)
-                            for b, (pb, _, dnb) in enumerate(pcones)
-                            if olx.related(a, b) != (pb & ~upa == 0 and pa & ~dnb == 0)),
-                           None)
+            # pt(U) inside downcone(pt(V)).  Row U is the AND of the masks
+            # {V : i not in pt(V)} over the points i outside upcone(pt(U))
+            # and {V : i in downcone(pt(V))} over the i in pt(U)
+            n, full = len(f.primes()), (1 << f.m) - 1
+            lacking, reached = [full] * n, [0] * n
+            for b, (pb, _, dnb) in enumerate(pcones):
+                for i in bits(pb):
+                    lacking[i] ^= 1 << b
+                for i in bits(dnb):
+                    reached[i] |= 1 << b
+            rows = olx.rel_rows()
+            for a, (pa, upa, _) in enumerate(pcones):
+                em = full
+                for i in bits(((1 << n) - 1) & ~upa):
+                    em &= lacking[i]
+                for i in bits(pa):
+                    em &= reached[i]
+                diff = em ^ rows[a]
+                if diff:
+                    witness = (a, next(bits(diff)))
+                    break
             biconditional = witness is None
             note.append(f"order-biconditional={biconditional} (exhaustive)")
         else:
@@ -373,12 +389,23 @@ def double_negation_transport(olx: OrderedLocale) -> CheckReport:
         if f.neg(f.neg(u)) == u:
             amb_of[reg_of[u]] = u
     if f.m <= ol.PAIR_LIMIT:
+        # row U pulled back along reg_of: {V : reg_of[U] rel reg_of[V]}
+        fibre = [0] * sub.m
         for u in f.elements():
-            for v in f.elements():
-                if induced.related(reg_of[u], reg_of[v]) != olx.related(u, v):
-                    return CheckReport("dn-transport", "fail", (u, v),
-                                       "regular order disagrees with the "
-                                       "ambient order")
+            fibre[reg_of[u]] |= 1 << u
+        induced_rows, rows = induced.rel_rows(), olx.rel_rows()
+        pulled = {}
+        for u in f.elements():
+            r = reg_of[u]
+            if r not in pulled:
+                # on a Boolean frame reg_of is the identity
+                pulled[r] = induced_rows[r] if sub is f else \
+                    ol._successors(fibre, induced_rows[r])
+            diff = pulled[r] ^ rows[u]
+            if diff:
+                return CheckReport("dn-transport", "fail", (u, next(bits(diff))),
+                                   "regular order disagrees with the "
+                                   "ambient order")
     for u in f.elements():
         up_i = amb_of[induced.up_map[reg_of[u]]]
         if up_i != olx.up_map[u]:

@@ -19,7 +19,7 @@ int bitmasks throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     MissingBottomOrTop,
@@ -174,8 +174,10 @@ class FiniteFrame:
         return out
 
     def join_of_idmask(self, idmask: int) -> int:
-        """Join of the element set given as an id-bitmask."""
-        return self.join_all(bits(idmask))
+        """Join of the element set given as an id-bitmask.  Join-irreducibles
+        are join-prime, so j is below the join iff it is below a member:
+        the join is that of the j whose up-row meets the mask, |J| tests."""
+        return self.join_all(j for j in self.coprimes() if idmask & self.up_row(j))
 
     # -- order rows (element-id bitmasks) --------------------------------
 
@@ -186,14 +188,14 @@ class FiniteFrame:
         r = self._down_rows[i]
         if r is None:
             if self.kind == "powerset":
-                # subsets of i: enumerate submasks
-                r = 0
-                s = i
-                while True:
-                    r |= 1 << s
-                    if s == 0:
-                        break
-                    s = (s - 1) & i
+                # the subsets of i are those of i less its lowest point,
+                # each without and with that point (id + low)
+                if i:
+                    low = i & -i
+                    r = self.down_row(i ^ low)
+                    r |= r << low
+                else:
+                    r = 1
             else:
                 e = self._ext[i]
                 r = 0
@@ -214,14 +216,15 @@ class FiniteFrame:
                     if self._down_rows[j] >> i & 1:
                         r |= 1 << j
             elif self.kind == "powerset":
-                r = 0
-                full = self.m - 1
-                s = free = full & ~i
-                while True:
-                    r |= 1 << (i | s)
-                    if s == 0:
-                        break
-                    s = (s - 1) & free
+                # the supersets of i are those of i plus its lowest missing
+                # point, each with and without that point (id - low)
+                free = self.m - 1 & ~i
+                if free:
+                    low = free & -free
+                    r = self.up_row(i | low)
+                    r |= r >> low
+                else:
+                    r = 1 << i
             else:
                 e = self._ext[i]
                 r = 0
@@ -311,11 +314,15 @@ class FiniteFrame:
     def is_atomistic(self) -> bool:
         """Every element is the join of the atoms below it."""
         if self._atomistic is None:
-            amask = mask_of_iter(self.atoms())
-            self._atomistic = self.kind == "powerset" or all(
-                self.join_of_idmask(self.down_row(i) & amask) == i
-                for i in self.elements())
+            self._atomistic = self.kind == "powerset" or \
+                self.least_non_join(mask_of_iter(self.atoms())) is None
         return self._atomistic
+
+    def least_non_join(self, gens: int) -> Optional[int]:
+        """The least element that is not the join of the members of the
+        id-bitmask `gens` below it, or None when they form a base."""
+        return next((i for i in self.elements()
+                     if self.join_of_idmask(self.down_row(i) & gens) != i), None)
 
     # -- Heyting structure -------------------------------------------------
 
@@ -445,9 +452,48 @@ def transpose_rows(rows: list[int]) -> list[int]:
     """Predecessor rows of a relation given by successor bitmask rows."""
     cols = [0] * len(rows)
     for i, r in enumerate(rows):
-        for j in bits(r):
-            cols[j] |= 1 << i
+        bit = 1 << i
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= bit
+            r ^= low
     return cols
+
+
+def rows_above(frame: FiniteFrame, values: Sequence[int]) -> list[int]:
+    """For every element x, the id-bitmask {i : x <= values[i]}.
+
+    Lemma (finite lattices): x <= y iff every join-irreducible j <= x is
+    below y, as x is the join of the j below it.  So row x is the AND of
+    the masks X[j] = {i : j <= values[i]} over the j <= x, and row bottom
+    holds every i.  On powersets the ANDs share prefixes along the lowest
+    point, T[s] = T[s ^ low] & X[low]: O(m) ANDs.  Elsewhere X[j] is
+    ANDed into the rows of up(j), one fold per join-irreducible:
+    O(m |J|).
+    """
+    f = frame
+    at = {}                                  # element -> positions holding it
+    for i, v in enumerate(values):
+        at[v] = at.get(v, 0) | 1 << i
+    rows = [(1 << len(values)) - 1] * f.m
+    if f.kind == "powerset":
+        x = [0] * f.base_size
+        for v, pos in at.items():
+            for b in bits(v):
+                x[b] |= pos
+        for s in range(1, f.m):
+            low = s & -s
+            rows[s] = rows[s ^ low] & x[low.bit_length() - 1]
+        return rows
+    for j in f.coprimes():
+        up = f.up_row(j)
+        xj = 0
+        for v, pos in at.items():
+            if up >> v & 1:
+                xj |= pos
+        for y in bits(up):
+            rows[y] &= xj
+    return rows
 
 
 def frame_from_poset_downsets(order: Sequence[Sequence[bool]] | list[int],

@@ -6,6 +6,14 @@ definitionally by the cone formula  U <= V  iff  U below down(V) and
 V below up(U)  for locales built from a pair of monads (this covers every
 space-induced order and keeps 2^16-element frames workable).
 
+Relation rows are read in bulk from the cones, never by a pair scan:
+`cone_rows` gives row U as down_row(up(U)) & rows_above(down)[U], where
+`lattice.rows_above` builds {V : U <= down(V)} from the join-irreducibles
+(x <= y iff every join-irreducible below x is below y): O(m) ANDs on
+powersets, O(m |J|) elsewhere.  `order_from_map` is a cone formula too:
+U <=_f U' iff U' <= a(U) and U <= c(U'), with a and c meets of pulled-back
+cones (the proof is in its docstring).
+
 Axiom checks run in tiers and say which tier ran in the report note:
 
 * exhaustive scans over all element pairs (or triples, for the wedge laws);
@@ -190,9 +198,7 @@ class OrderedLocale:
             if self.frame.m > REL_LIMIT:
                 raise FrameTooLarge(
                     f"will not materialize a relation on {self.frame.m} elements")
-            self._rel_rows = [mask_of_iter(v for v in self.frame.elements()
-                                           if self.related(u, v))
-                              for u in self.frame.elements()]
+            self._rel_rows = cone_rows(self.frame, self.up_map, self.down_map)
         return self._rel_rows
 
     def up(self, u: int) -> int:
@@ -211,11 +217,21 @@ class OrderedLocale:
 # -- constructors -------------------------------------------------------------
 
 
+def cone_rows(frame: FiniteFrame, up: Sequence[int], down: Sequence[int]) -> list[int]:
+    """Rows of the cone formula U rel V iff V <= up(U) and U <= down(V):
+    row U is down_row(up(U)) & rows_above(frame, down)[U]."""
+    above = lat.rows_above(frame, down)
+    return [frame.down_row(up[u]) & above[u] for u in frame.elements()]
+
+
 def cones_from_rows(frame: FiniteFrame, rows: list[int]) -> tuple[list[int], list[int]]:
-    m = frame.m
-    up_map = [frame.join_of_idmask(rows[u]) for u in range(m)]
-    cols = lat.transpose_rows(rows)
-    down_map = [frame.join_of_idmask(cols[v]) for v in range(m)]
+    """The cones as joins of rows and of columns.  A join-irreducible j is
+    below the join of column V iff some U >= j has V in its row (j is
+    join-prime), so the columns are never built: O(m |J|)."""
+    up_map = [frame.join_of_idmask(r) for r in rows]
+    reach = [(j, _successors(rows, frame.up_row(j))) for j in frame.coprimes()]
+    down_map = [frame.join_all(j for j, r in reach if r >> v & 1)
+                for v in frame.elements()]
     return up_map, down_map
 
 
@@ -317,8 +333,10 @@ def inclusion_order(frame: FiniteFrame) -> OrderedLocale:
 
 
 def dual_order(ol: OrderedLocale) -> OrderedLocale:
-    """The opposite causal order; cones swap, and so does their join memo."""
-    rows = ol._rel_rows
+    """The opposite causal order; cones swap, and so does their join memo.
+    Rows are transposed only for a locale they define: the dual of a
+    cone-definitional one derives its own rows from the swapped cones."""
+    rows = None if ol.cone_definitional else ol._rel_rows
     swap = {"u": "d", "d": "u"}
     return OrderedLocale(ol.frame, up_map=list(ol.down_map), down_map=list(ol.up_map),
                          rel_rows=None if rows is None else lat.transpose_rows(rows),
@@ -427,18 +445,17 @@ def _check_L(ol: OrderedLocale, plus: bool) -> CheckReport:
 
 
 def _check_C_order(ol: OrderedLocale) -> CheckReport:
-    """U rel V iff U <= down(V) and V <= up(U).  In row form the cone side
-    of row U is down_row(up(U)) & T[U], with T the transpose of the rows
-    down_row(down(V)); the least U whose row differs from rows[U], at the
-    lowest differing V, is the least witness in id order."""
+    """U rel V iff U <= down(V) and V <= up(U).  In row form (`cone_rows`)
+    the least U whose cone row differs from rows[U], at the lowest
+    differing V, is the least witness in id order."""
     f = ol.frame
     if ol.cone_definitional:
         return _ok("C-order", "definitional: relation is built from its cones "
                               "(validated monad pair)")
     rows = ol.rel_rows()
-    below_down = lat.transpose_rows([f.down_row(d) for d in ol.down_map])
+    cone = cone_rows(f, ol.up_map, ol.down_map)
     for u in f.elements():
-        diff = (f.down_row(ol.up_map[u]) & below_down[u]) ^ rows[u]
+        diff = cone[u] ^ rows[u]
         if diff:
             v = next(bits(diff))
             if rows[u] >> v & 1:
@@ -746,13 +763,9 @@ def is_convex_locale(ol: OrderedLocale) -> CheckReport:
     if f.m > 4096:
         raise FrameTooLarge("convexity base check capped at 4096 elements")
     conv = convex_elements(ol)
-    for u in f.elements():
-        acc = f.bottom
-        for c in conv:
-            if f.leq(c, u):
-                acc = f.join(acc, c)
-        if acc != u:
-            return _fail("convex", (u,), "not a join of convex subregions")
+    u = f.least_non_join(mask_of_iter(conv))
+    if u is not None:
+        return _fail("convex", (u,), "not a join of convex subregions")
     return _ok("convex", f"exhaustive; {len(conv)} convex elements form a base")
 
 
@@ -812,17 +825,13 @@ def is_biframe(ol: OrderedLocale) -> CheckReport:
     f = ol.frame
     if f.m > 4096:
         raise FrameTooLarge("biframe basis check capped at 4096 elements")
-    boxes = sorted({f.meet(ol.up_map[v], ol.down_map[w])
-                    for v in f.elements() for w in f.elements()})
-    for u in f.elements():
-        acc = f.bottom
-        for b in boxes:
-            if f.leq(b, u):
-                acc = f.join(acc, b)
-        if acc != u:
-            return _fail("biframe", (u,),
-                         "not a join of future-meet-past boxes; the map "
-                         "from the futures x pasts product is not surjective")
+    downs = set(ol.down_map)
+    boxes = mask_of_iter(f.meet(x, y) for x in set(ol.up_map) for y in downs)
+    u = f.least_non_join(boxes)
+    if u is not None:
+        return _fail("biframe", (u,),
+                     "not a join of future-meet-past boxes; the map "
+                     "from the futures x pasts product is not surjective")
     return _ok("biframe", "cones preserve joins and hull boxes form a base "
                           "(product map surjective)")
 
@@ -872,27 +881,42 @@ def order_from_map(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
     """The largest order on the source making the map monotone.
 
     U <=_f U' iff the cone of every region below f^{-1} stays below f^{-1}:
-    for all V with U <= f^{-1}(V): up(V) in R_f(U'), and dually.
+    for all V with U <= f^{-1}(V): U' <= f^{-1}(up(V)), and for all V' with
+    U' <= f^{-1}(V'): U <= f^{-1}(down(V')).
+
+    Cone formula: U <=_f U' iff U' <= a(U) and U <= c(U'), with
+      a(U) = meet{f^{-1}(up(V)) : U <= f^{-1}(V)},
+      c(U) = meet{f^{-1}(down(V)) : U <= f^{-1}(V)}
+    (the empty meet is top).  Proof: an element lies below every member
+    of a family iff it lies below the family's meet, as the intersection
+    of the down-sets of x_i is the down-set of meet x_i in any lattice.
+    So the rows are `cone_rows(source, a, c)`, exactly, for any preimage
+    list.  Each meet is that of the primes p above some member (primes
+    are meet-prime), so a and c cost O(m |P|) mask tests.
     """
     if fmap.target is not target_ol.frame:
         raise ValidationError("target ordered locale does not match the map")
-    src, tgt, pre = fmap.source, fmap.target, fmap.preimage
+    src, pre = fmap.source, fmap.preimage
     if src.m > REL_LIMIT:
         raise FrameTooLarge("order_from_map capped at materializable relations")
-    r_rows = [mask_of_iter(v for v in tgt.elements() if src.leq(u, pre[v]))
-              for u in src.elements()]
-    s_up = [mask_of_iter(v for v in tgt.elements()
-                         if src.leq(uq, pre[target_ol.up_map[v]]))
-            for uq in src.elements()]
-    s_down = [mask_of_iter(vq for vq in tgt.elements()
-                           if src.leq(u, pre[target_ol.down_map[vq]]))
-              for u in src.elements()]
-    rows = [0] * src.m
-    for u in range(src.m):
-        ru = r_rows[u]
-        for uq in range(src.m):
-            if ru & ~s_up[uq] == 0 and r_rows[uq] & ~s_down[u] == 0:
-                rows[u] |= 1 << uq
+    above = lat.rows_above(src, pre)                 # {V : U <= f^{-1}(V)}
+
+    def meets(cone):
+        g = [pre[x] for x in cone]
+        under = []                                   # (p, {V : g(V) <= p})
+        for p in src.primes():
+            below = src.down_row(p)
+            under.append((p, mask_of_iter(v for v, x in enumerate(g) if below >> x & 1)))
+        out = []
+        for row in above:
+            x = src.top
+            for p, vs in under:
+                if row & vs:
+                    x = src.meet(x, p)
+            out.append(x)
+        return out
+
+    rows = cone_rows(src, meets(target_ol.up_map), meets(target_ol.down_map))
     up_map, down_map = cones_from_rows(src, rows)
     return OrderedLocale(src, up_map=up_map, down_map=down_map, rel_rows=rows,
                          meta={"construction": "order_from_map"})

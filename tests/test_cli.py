@@ -110,6 +110,19 @@ def test_cli_hull_and_friends(m33):
     assert "up: " in cones.stdout and "down: " in cones.stdout
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"order": [[0, 5]]}, "parse error: id 5 out of range 0..1 (at order)"),
+    ({"order": [[0]]}, "parse error: expected a list of [a, b] pairs (at order)"),
+    ({"opens": "weird"}, 'parse error: opens must be "discrete", "codiscrete" or a '
+                         "list of point-id lists, got 'weird' (at opens)"),
+], ids=["order-out-of-range", "order-not-a-pair", "opens-not-a-list"])
+def test_cli_rejects_malformed_space_documents(field, message):
+    doc = json.dumps({"kind": "space", "points": ["a", "b"], **field})
+    out = run_cli(["check", "-"], doc)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == message + "\n"
+
+
 def test_cli_json_report(m33):
     import jsonschema
     doc_text = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))

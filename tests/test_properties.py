@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordloc import coverage as C, duality as D, gen, lattice as L, olocale as O, ospace as S
-from ordloc.errors import NotAMonad, PreconditionAxioms
+from ordloc.errors import (ConesDoNotPreserveJoins, FrameTooLarge, NotAMonad,
+                           PreconditionAxioms)
 from ordloc.lattice import bits, mask_of_iter
 
+import oracles
 from conftest import rows_locale
 
 
@@ -596,3 +598,176 @@ def test_random_rows_locales_V_and_L_match_oracles(seed):
         rep = O.check_axiom(olx, law)
         if not rep.ok:
             assert O.revalidate(olx, rep), (rows, rep)
+
+
+# -- relation rows from cones -------------------------------------------------------------
+
+
+def fold_join(f, idmask):
+    acc = f.bottom
+    for x in bits(idmask):
+        acc = f.join(acc, x)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_frame_rows_and_joins_match_definitions(seed):
+    rng = random.Random(seed)
+    f = random_frame(rng) if rng.random() < 0.8 else \
+        S.OrderedSpace.build(rng.randint(5, 6), [], opens="discrete").frame
+    for x in f.elements():
+        assert f.down_row(x) == mask_of_iter(y for y in f.elements() if f.leq(y, x))
+        assert f.up_row(x) == mask_of_iter(y for y in f.elements() if f.leq(x, y))
+    for _ in range(10):
+        s = rng.randrange(1 << f.m)
+        assert f.join_of_idmask(s) == fold_join(f, s), (f, s)
+    rows = [mask_of_iter(v for v in f.elements() if rng.random() < 0.3)
+            for _ in f.elements()]
+    cols = [mask_of_iter(u for u in f.elements() if rows[u] >> v & 1) for v in f.elements()]
+    assert L.transpose_rows(rows) == cols
+    assert O.cones_from_rows(f, rows) == ([fold_join(f, r) for r in rows],
+                                          [fold_join(f, c) for c in cols])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_rows_above_and_cone_rows_match_related_loop(seed):
+    rng = random.Random(seed)
+    f = random_frame(rng)
+    values = [rng.randrange(f.m) for _ in range(rng.randint(0, f.m + 2))]
+    assert L.rows_above(f, values) == [
+        mask_of_iter(i for i, v in enumerate(values) if f.leq(x, v)) for x in f.elements()]
+    up, down = random_map(rng, f), random_map(rng, f)
+    olx = O.OrderedLocale(f, up_map=up, down_map=down)   # related() reads the cones
+    assert O.cone_rows(f, up, down) == [
+        mask_of_iter(v for v in f.elements() if olx.related(u, v)) for u in f.elements()]
+
+
+def random_locale(rng, f):
+    """Explicit rows, a relation locale, or a monad locale on f."""
+    style = rng.randrange(3)
+    if style == 0:
+        return rows_locale(f, [mask_of_iter(v for v in f.elements() if rng.random() < 0.3)
+                               for _ in f.elements()])
+    if style == 1:
+        return O.ordered_locale_from_relation(
+            f, [(rng.randrange(f.m), rng.randrange(f.m)) for _ in range(rng.randint(0, 4))])
+    return O.ordered_locale_from_monads(O.ConePair(f, random_monad(rng, f),
+                                                   random_monad(rng, f)), validated=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_order_from_map_matches_pair_loop(seed):
+    # the double-negation sublocale map of a random (mostly not Boolean)
+    # frame, or of bowtie, and the inclusion of a futures frame
+    rng = random.Random(seed)
+    if rng.random() < 0.8:
+        f = random_frame(rng) if rng.random() < 0.7 else gen.bowtie().frame
+        fmap = L.double_negation_frame(f)[1]
+    else:
+        fmap = O.futures_frame(S.induced_locale(random_space(rng), "em"))[1]
+    target = random_locale(rng, fmap.target)
+    got, want = O.order_from_map(fmap, target), oracles.order_from_map_pairs(fmap, target)
+    src, rows = fmap.source, want.rel_rows()
+    assert got.rel_rows() == rows, (fmap.preimage, target.up_map, target.down_map)
+    assert got.up_map == [fold_join(src, r) for r in rows]
+    assert got.down_map == [fold_join(src, c) for c in L.transpose_rows(rows)]
+    assert (got.up_map, got.down_map) == (want.up_map, want.down_map)
+
+
+def grothendieck_outcome(fn, olx):
+    try:
+        rep = fn(olx)
+    except Exception as e:                  # the same refusal either way
+        return type(e).__name__, str(e)
+    return rep.verdict, rep.witness, rep.note, getattr(rep, "abstentions", None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_grothendieck_mask_form_matches_membership_loop(seed):
+    # induced locales of random spaces (and their rows copies) with their
+    # own coverage, then the same frame and cones with a perturbed coverage
+    # table in which some memberships are pending: the real analysis is
+    # certain on frames this small, so pending pairs come from the table
+    rng = random.Random(seed)
+    sp = random_topology_space(rng)
+    olx = S.induced_locale(sp, rng.choice(["em", "em", "upper", "lower"]))
+    if rng.random() < 0.5:
+        olx = rows_locale(olx.frame, olx.rel_rows())
+    f = olx.frame
+    assert grothendieck_outcome(C.check_down_grothendieck, olx) == \
+        grothendieck_outcome(oracles.check_down_grothendieck_loop, olx)
+    try:
+        rows = list(C.coverage_rows(olx, "past")[0])
+    except (PreconditionAxioms, FrameTooLarge):
+        rows = [f.down_row(u) for u in f.elements()]
+    unresolved = []
+    for u in f.elements():
+        for a in f.elements():
+            if rng.random() < 0.04:
+                rows[u] ^= 1 << a
+            if rng.random() < 0.08:
+                rows[u] &= ~(1 << a)
+                unresolved.append((a, u))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "coverage_rows", lambda loc, direction: (rows, unresolved))
+        assert grothendieck_outcome(C.check_down_grothendieck, olx) == \
+            grothendieck_outcome(oracles.check_down_grothendieck_loop, olx), \
+            (rows, unresolved)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_counit_and_transport_rows_match_pair_scans(seed):
+    # rows memoized on a cone-definitional locale, with one pair flipped
+    # half of the time: C-order is definitional and the cones are intact,
+    # so both order biconditionals must name the least flipped pair
+    rng = random.Random(seed)
+    olx = S.induced_locale(random_topology_space(rng), rng.choice(["em", "upper", "lower"]))
+    f = olx.frame
+    rows = olx.rel_rows()
+    if rng.random() < 0.5:
+        rows[rng.randrange(f.m)] ^= 1 << rng.randrange(f.m)
+    pcones = D._point_cones(olx)
+    rep = D.counit_check(olx)
+    if rep.details["biconditional"] is not None:
+        least = next(((a, b) for a, (pa, upa, _) in enumerate(pcones)
+                      for b, (pb, _, dnb) in enumerate(pcones)
+                      if olx.related(a, b) != (pb & ~upa == 0 and pa & ~dnb == 0)), None)
+        assert rep.details["biconditional"] == (least is None)
+        if least is not None:
+            assert rep.witness == least
+    if not O.check_regular_cones(olx).ok:
+        return
+    sub, dn_map = L.double_negation_frame(f)
+    induced = O.order_from_map(dn_map, olx)
+    reg_of = dn_map.preimage
+    least = next(((u, v) for u in f.elements() for v in f.elements()
+                  if induced.related(reg_of[u], reg_of[v]) != olx.related(u, v)), None)
+    try:
+        rep = D.double_negation_transport(olx)
+    except ConesDoNotPreserveJoins:
+        assert least is None
+        return
+    assert (rep.note == "regular order disagrees with the ambient order") == \
+        (least is not None)
+    if least is not None:
+        assert rep.witness == least
+
+
+def test_duality_row_forms_read_no_related_calls(m33, monkeypatch):
+    calls = []
+    related = O.OrderedLocale.related
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return related(self, u, v)
+
+    monkeypatch.setattr(O.OrderedLocale, "related", counted)
+    olx = S.induced_locale(m33, "em")
+    assert D.double_negation_transport(olx).ok
+    assert D.counit_check(olx).ok
+    assert calls == []
