@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import coverage as cov
 from . import duality as dua
 from . import gen
-from . import lattice as lat
 from . import olocale as ol
 from . import ospace as osp
 from .errors import OrdlocError, ParseError, ValidationError
@@ -112,11 +111,7 @@ def _frame_from_json(obj: dict, path: str) -> FiniteFrame:
         opens = _opens(obj["opens"], base, path + ".opens")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed frame: {e}", path)
-    if opens == "discrete":
-        return lat.frame_from_topology(base, range(1 << base), labels=labels)
-    if opens == "codiscrete":
-        return lat.frame_from_topology(base, [0, (1 << base) - 1], labels=labels)
-    return lat.frame_from_topology(base, opens, labels=labels)
+    return osp.topology(base, opens, labels)
 
 
 def _space_order_pairs(space: OrderedSpace) -> list[list[int]]:
@@ -184,8 +179,12 @@ def parse(text: str, strict: bool = False) -> Document:
         return Document("cones", name, olx, obj)
     if kind == "coverage-table":
         frame = _frame_from_json(obj.get("frame", {}), "frame")
-        minus = {int(u): [int(a) for a in row] for u, row in obj["cov_minus"]}
-        plus = {int(u): [int(a) for a in row] for u, row in obj["cov_plus"]}
+        try:
+            minus, plus = ({int(u): [int(a) for a in row] for u, row in obj[key]}
+                           for key in ("cov_minus", "cov_plus"))
+        except (KeyError, TypeError, ValueError):
+            raise ParseError("cov_minus and cov_plus must be lists of "
+                             "[open, [ids]] rows") from None
         return Document("coverage-table", name, (frame, minus, plus), obj)
     raise ParseError(f"unknown document kind {kind!r}")
 
@@ -254,13 +253,13 @@ def _as_locale(doc: Document, variant: str) -> OrderedLocale:
     raise ValidationError(f"cannot treat a {doc.kind} document as a locale")
 
 
-def _region_elem(doc: Document, region: str) -> int:
+def _region_elem(doc: Document, region: str, option: str = "--region") -> int:
     """A region given as a comma-separated list of point ids."""
     olx_frame = (doc.payload.frame if not isinstance(doc.payload, tuple)
                  else doc.payload[0])
     if not region:
-        raise ValidationError("--region required")
-    pts = [int(p) for p in region.split(",") if p != ""]
+        raise ValidationError(f"{option} required")
+    pts = [_id(p, olx_frame.base_size, option) for p in region.split(",") if p != ""]
     mask = mask_of_iter(pts)
     if not olx_frame.has_mask(mask):
         raise ValidationError(f"point set {pts} is not an open of the frame")
@@ -304,16 +303,30 @@ def _finish(args, frame, reports, extra=None) -> int:
 # -- subcommands ------------------------------------------------------------------
 
 
+def _number(kind, text: str, option: str):
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{text!r} is not a valid value", option) from None
+
+
+def _defect(text: str) -> tuple[int, int]:
+    cell = tuple(_number(int, c, "--defect") for c in text.split(","))
+    if len(cell) != 2:
+        raise ParseError(f"expected a t,x cell, got {text!r}", "--defect")
+    return cell
+
+
 def _cmd_gen(args) -> int:
     kind = args.what
     if kind == "minkowski":
-        spec = gen.GridSpec(args.t, args.x, Fraction(args.slope),
-                            Fraction(args.slope), topology=args.topology,
-                            defects=tuple(tuple(map(int, d.split(",")))
-                                          for d in args.defect))
+        slope = _number(Fraction, args.slope, "--slope")
+        spec = gen.GridSpec(args.t, args.x, slope, slope, topology=args.topology,
+                            defects=tuple(map(_defect, args.defect)))
         doc = doc_of_space(gen.minkowski_grid(spec))
     elif kind == "two-speed":
-        spec = gen.GridSpec(args.t, args.x, Fraction(args.up), Fraction(args.down))
+        spec = gen.GridSpec(args.t, args.x, _number(Fraction, args.up, "--up"),
+                            _number(Fraction, args.down, "--down"))
         doc = doc_of_locale(gen.two_speed_grid(spec))
     elif kind == "vertical":
         doc = doc_of_space(gen.vertical_grid(args.t, args.x))
@@ -406,7 +419,7 @@ def _cmd_cov(args) -> int:
     doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     a = _region_elem(doc, args.region)
-    u = _region_elem(doc, args.target)
+    u = _region_elem(doc, args.target, "--target")
     fn = cov.covers_below if args.direction == "future" else cov.covers_above
     v = fn(olx, a, u, args.max_path_len)
     f = olx.frame

@@ -33,7 +33,7 @@ def prime_to_filter(frame: FiniteFrame, p: int) -> int:
     """F = {U : U not<= P}, as an id-bitmask."""
     if frame.m > ol.REL_LIMIT:
         raise FrameTooLarge("filters materialized only on small frames")
-    return mask_of_iter(u for u in frame.elements() if not frame.leq(u, p))
+    return (1 << frame.m) - 1 & ~frame.down_row(p)
 
 
 def filter_to_prime(frame: FiniteFrame, filt: int) -> int:
@@ -48,35 +48,31 @@ def locale_points(frame: FiniteFrame) -> list[LocalePoint]:
 # -- the points space ----------------------------------------------------------
 
 
-def pt_mask(locale_or_frame, primes: Sequence[int], u: int) -> int:
-    """pt(U) = the points whose filter contains U, as a point-index mask."""
-    frame = locale_or_frame.frame if isinstance(locale_or_frame, OrderedLocale) \
-        else locale_or_frame
-    out = 0
-    for i, p in enumerate(primes):
-        if not frame.leq(u, p):
-            out |= 1 << i
-    return out
+def pt_masks(frame: FiniteFrame, primes: Sequence[int]) -> list[int]:
+    """pt(U) for every element U, as point-index masks: the points whose
+    filter holds U, i.e. the primes p_i with U not<= p_i."""
+    full = (1 << len(primes)) - 1
+    return [full & ~r for r in lat.rows_above(frame, primes)]
 
 
 def point_order_rows(olx: OrderedLocale, primes: Sequence[int]) -> list[int]:
     """F <= G iff up(U) in G for U in F, and down(V) in F for V in G.
 
-    Contrapositively: join{U : up(U) <= Q} <= P and join{V : down(V) <= P} <= Q,
-    which needs only one linear scan per point.
+    Contrapositively: join{U : up(U) <= Q} <= P and join{V : down(V) <= P} <= Q.
+    Every test reads the rows {i : x <= p_i} of `lattice.rows_above`.
     """
     f = olx.frame
+    below = lat.rows_above(f, primes)
     n = len(primes)
-    w_up = [f.join_all(u for u in f.elements() if f.leq(olx.up_map[u], q))
-            for q in primes]
-    w_down = [f.join_all(v for v in f.elements() if f.leq(olx.down_map[v], p))
-              for p in primes]
-    rows = [0] * n
-    for i, p in enumerate(primes):
-        for j, q in enumerate(primes):
-            if f.leq(w_up[j], p) and f.leq(w_down[i], q):
-                rows[i] |= 1 << j
-    return rows
+    under_up, under_down = [0] * n, [0] * n    # {U : up(U) <= p_i}, {V : down(V) <= p_i}
+    for u in f.elements():
+        for i in bits(below[olx.up_map[u]]):
+            under_up[i] |= 1 << u
+        for i in bits(below[olx.down_map[u]]):
+            under_down[i] |= 1 << u
+    # row i holds j iff w_up[j] <= p_i and w_down[i] <= p_j
+    cols = lat.transpose_rows([below[f.join_of_idmask(w)] for w in under_up])
+    return [below[f.join_of_idmask(w)] & cols[i] for i, w in enumerate(under_down)]
 
 
 def points_space(olx: OrderedLocale) -> OrderedSpace:
@@ -90,7 +86,7 @@ def points_space(olx: OrderedLocale) -> OrderedSpace:
     primes = f.primes()
     rows = point_order_rows(olx, primes)
     n = len(primes)
-    fam = sorted({pt_mask(f, primes, u) for u in f.elements()})
+    fam = sorted(set(pt_masks(f, primes)))
     topo = lat.frame_from_topology(n, fam, labels=[f"F{i}" for i in range(n)])
     space = OrderedSpace(n, rows, topo, labels=[f"F{i}" for i in range(n)],
                          name="pt")
@@ -178,14 +174,13 @@ def unit_check(space: OrderedSpace) -> CheckReport:
     if not fixed:
         witness = inv_witness or mono_witness or (t0o.witness if not t0o.ok else None)
         if witness is None and not t0:
-            # two topologically indistinguishable points
+            # two topologically indistinguishable points: equal N(x)
             seen = {}
-            for x in range(space.n):
-                key = osp._open_ids_containing(space, x)
-                if key in seen:
-                    witness = (seen[key], x)
+            for x, nx in enumerate(f.neighbourhoods()):
+                if nx in seen:
+                    witness = (seen[nx], x)
                     break
-                seen[key] = x
+                seen[nx] = x
     rep = CheckReport("unit", "pass" if fixed else "fail", witness, note)
     rep.details = details
     rep.points_space = pts
@@ -200,14 +195,8 @@ def is_spatial(frame: FiniteFrame) -> bool:
     """pt(U) = pt(V) implies U = V.  True for every finite frame (each
     element is the join of coprimes, which are separated by primes);
     checked directly anyway."""
-    primes = frame.primes()
-    seen = set()
-    for u in frame.elements():
-        k = pt_mask(frame, primes, u)
-        if k in seen:
-            return False
-        seen.add(k)
-    return True
+    pms = pt_masks(frame, frame.primes())
+    return len(set(pms)) == len(pms)
 
 
 def _point_cones(olx: OrderedLocale) -> list[tuple[int, int, int]]:
@@ -218,8 +207,7 @@ def _point_cones(olx: OrderedLocale) -> list[tuple[int, int, int]]:
     rows = point_order_rows(olx, primes)
     down_rows = lat.transpose_rows(rows)
     out = []
-    for u in f.elements():
-        pm = pt_mask(f, primes, u)
+    for pm in pt_masks(f, primes):
         upc = dnc = 0
         for i in bits(pm):
             upc |= rows[i]
@@ -260,11 +248,10 @@ def counit_monotone(olx: OrderedLocale) -> bool:
     pts = points_space(olx)
     ptloc = osp.induced_locale(pts, "em")
     f, g = pts.frame, olx.frame
-    primes = pts.prime_ids
+    pms = pt_masks(g, pts.prime_ids)
     for u in g.elements():
-        pre = f.id_of_mask(pt_mask(g, primes, u))
-        pre_up = f.id_of_mask(pt_mask(g, primes, olx.up_map[u]))
-        pre_dn = f.id_of_mask(pt_mask(g, primes, olx.down_map[u]))
+        pre, pre_up = f.id_of_mask(pms[u]), f.id_of_mask(pms[olx.up_map[u]])
+        pre_dn = f.id_of_mask(pms[olx.down_map[u]])
         if not f.leq(ptloc.up_map[pre], pre_up):
             return False
         if not f.leq(ptloc.down_map[pre], pre_dn):

@@ -13,7 +13,7 @@ from . import lattice as lat
 from . import olocale as ol
 from . import ospace as osp
 from .errors import SlopesUnequal, ValidationError
-from .lattice import mask_of_iter
+from .lattice import bits, mask_of_iter
 from .olocale import OrderedLocale
 from .ospace import OrderedSpace
 
@@ -78,13 +78,9 @@ def minkowski_grid(spec: GridSpec) -> OrderedSpace:
                     rows[i] |= 1 << j
     opens = _topology_for(spec, n, rows)
     name = f"M{spec.t_size}{spec.x_size}" + ("-defects" if spec.defects else "")
-    return OrderedSpace.build(n, order_matrix=_rows_to_matrix(rows, n),
+    return OrderedSpace.build(n, [(i, j) for i in range(n) for j in bits(rows[i])],
                               opens=opens, labels=_grid_labels(spec, set(alive)),
                               name=name)
-
-
-def _rows_to_matrix(rows, n):
-    return [[bool(rows[i] >> j & 1) for j in range(n)] for i in range(n)]
 
 
 def _topology_for(spec: GridSpec, n: int, rows) -> object:
@@ -127,16 +123,7 @@ def two_speed_grid(spec: GridSpec) -> OrderedLocale:
                                labels=_grid_labels(spec, set(alive)),
                                name=f"two_speed_{spec.t_size}x{spec.x_size}")
     f = space.frame
-    m = f.m
-    upt = [0] * m
-    dnt = [0] * m
-    for s in range(1, m):
-        low = s & -s
-        r = s ^ low
-        b = low.bit_length() - 1
-        upt[s] = upt[r] | up_rows[b]
-        dnt[s] = dnt[r] | down_rows[b]
-    pair = ol.ConePair(f, upt, dnt)
+    pair = ol.ConePair(f, *osp.subset_cones(f.m, up_rows, down_rows))
     return ol.ordered_locale_from_monads(
         pair, meta={"name": f"two_speed(up={spec.up_slope},down={spec.down_slope})"})
 

@@ -102,6 +102,7 @@ class FiniteFrame:
         self._covers = None
         self._primes = None
         self._coprimes = None
+        self._nbhds = None
         self._atoms = None
         self._atomistic = None
         self.labels = labels              # optional point names
@@ -287,21 +288,30 @@ class FiniteFrame:
         neighbourhoods of the points.
         """
         if self._coprimes is None:
+            if self.kind == "table":
+                self._coprimes = [i for i in self.elements()
+                                  if i != self.bottom and len(self.lower_covers(i)) == 1]
+            else:
+                self._coprimes = sorted(set(self.neighbourhoods()))
+        return self._coprimes
+
+    def neighbourhoods(self) -> list[int]:
+        """The least open N(p) containing each point p, as element ids
+        (frames of opens only).  The opens holding p are those above N(p)."""
+        if self._nbhds is None:
             if self.kind == "powerset":
-                self._coprimes = [1 << b for b in range(self.base_size)]
+                self._nbhds = [1 << p for p in range(self.base_size)]
             elif self.kind == "mask":
-                nbhd = set()
+                self._nbhds = []
                 for p in range(self.base_size):
                     acc = self._ext[self.top]
                     for e in self._ext:
                         if e >> p & 1:
                             acc &= e
-                    nbhd.add(self._id_of[acc])
-                self._coprimes = sorted(nbhd)
+                    self._nbhds.append(self._id_of[acc])
             else:
-                self._coprimes = [i for i in self.elements()
-                                  if i != self.bottom and len(self.lower_covers(i)) == 1]
-        return self._coprimes
+                raise ValidationError("neighbourhoods need a frame of opens")
+        return self._nbhds
 
     def atoms(self) -> list[int]:
         if self._atoms is None:
@@ -723,12 +733,8 @@ def ideal_frame(frame: FiniteFrame) -> tuple[FiniteFrame, list[int]]:
     """
     m = frame.m
     ideals = [frame.down_row(x) for x in frame.elements()]
-    down = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if ideals[j] & ~ideals[i] == 0:
-                down[i] |= 1 << j
-    f = _table_frame(down, ext=ideals, base_size=m,
+    # principal ideals are ordered like their generators: each is its own down row
+    f = _table_frame(ideals, ext=ideals, base_size=m,
                      labels=[f"e{i}" for i in range(m)],
                      meta={"construction": "ideals"})
     witness = list(range(m))

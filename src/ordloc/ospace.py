@@ -37,23 +37,18 @@ class OrderedSpace:
 
     @classmethod
     def build(cls, n: int, order: Iterable[tuple[int, int]] = (),
-              opens="discrete", labels=None, name: str = "",
-              order_matrix: Optional[Sequence[Sequence[bool]]] = None
-              ) -> "OrderedSpace":
+              opens="discrete", labels=None, name: str = "") -> "OrderedSpace":
         """Space from order generator pairs (closure is applied) and a
-        topology.  A full boolean matrix goes in `order_matrix` instead.
+        topology.
 
         `opens` is "discrete", "codiscrete", or an explicit family of point
         masks / PointSets (validated for closure).
         """
         rows = [0] * n
-        if order_matrix is not None:
-            for i in range(n):
-                rows[i] = mask_of_iter(j for j in range(n) if order_matrix[i][j])
         for a, b in order:
             rows[a] |= 1 << b
         rows = lat.transitive_closure_rows(rows)
-        frame = _topology(n, opens, labels)
+        frame = topology(n, opens, labels)
         return cls(n, rows, frame, labels=labels, name=name)
 
     def leq_points(self, p: int, q: int) -> bool:
@@ -77,7 +72,8 @@ class OrderedSpace:
         return "{" + ",".join(str(self.labels[p]) for p in bits(pmask)) + "}"
 
 
-def _topology(n, opens, labels) -> FiniteFrame:
+def topology(n, opens, labels) -> FiniteFrame:
+    """Frame of "discrete", "codiscrete" or explicit opens on n points."""
     if opens == "discrete":
         return lat.frame_from_topology(n, range(1 << n), labels=labels)
     if opens == "codiscrete":
@@ -124,15 +120,7 @@ def _cone_maps(space: OrderedSpace) -> tuple[list[int], list[int]]:
         return cached
     f = space.frame
     if f.kind == "powerset":
-        m = f.m
-        upt = [0] * m
-        dnt = [0] * m
-        for s in range(1, m):
-            low = s & -s
-            r = s ^ low
-            upt[s] = upt[r] | space.up[low.bit_length() - 1]
-            dnt[s] = dnt[r] | space.down[low.bit_length() - 1]
-        maps = (upt, dnt)   # identity interior: all subsets open
+        maps = subset_cones(f.m, space.up, space.down)   # all subsets open
     else:
         up_map, down_map = [], []
         for i in f.elements():
@@ -142,6 +130,19 @@ def _cone_maps(space: OrderedSpace) -> tuple[list[int], list[int]]:
         maps = (up_map, down_map)
     space._cone_cache["maps"] = maps
     return maps
+
+
+def subset_cones(m: int, up_rows: Sequence[int], down_rows: Sequence[int]
+                 ) -> tuple[list[int], list[int]]:
+    """Extend point cones to every subset s < m of the points, as the OR of
+    the cones of its points: t[s] = t[s ^ low] | rows[low point]."""
+    upt, dnt = [0] * m, [0] * m
+    for s in range(1, m):
+        low = s & -s
+        r, b = s ^ low, low.bit_length() - 1
+        upt[s] = upt[r] | up_rows[b]
+        dnt[s] = dnt[r] | down_rows[b]
+    return upt, dnt
 
 
 def induced_locale(space: OrderedSpace, variant: str = "em") -> OrderedLocale:
@@ -179,62 +180,21 @@ def induced_locale(space: OrderedSpace, variant: str = "em") -> OrderedLocale:
 # -- separation ---------------------------------------------------------------
 
 
-def _open_ids_containing(space: OrderedSpace, p: int) -> int:
-    """Bitmask over frame element ids of the opens containing p."""
-    f = space.frame
-    out = 0
-    for i in f.elements():
-        if f.mask_of(i) >> p & 1:
-            out |= 1 << i
-    return out
+def specialisation_order(frame: FiniteFrame) -> list[int]:
+    """x <= y iff every open containing x contains y; rows of point masks.
+    The opens containing x are those above N(x), so row x is N(x)."""
+    return [frame.mask_of(i) for i in frame.neighbourhoods()]
 
 
 def is_T0(space: OrderedSpace) -> bool:
-    if space.frame.kind == "powerset":
-        return True
-    seen = {}
-    for p in range(space.n):
-        key = _open_ids_containing(space, p)
-        if key in seen:
-            return False
-        seen[key] = p
-    return True
+    nbhds = space.frame.neighbourhoods()
+    return len(set(nbhds)) == len(nbhds)
 
 
 def closure_of_point(space: OrderedSpace, p: int) -> int:
-    """Topological closure of {p} as a point mask."""
-    if space.frame.kind == "powerset":
-        return 1 << p
-    mine = _open_ids_containing(space, p)
-    out = 0
-    for q in range(space.n):
-        if _open_ids_containing(space, q) & ~mine == 0:
-            out |= 1 << q
-    return out
-
-
-def specialisation_order(frame: FiniteFrame) -> list[int]:
-    """x <= y iff every open containing x contains y; rows of point masks."""
-    if not frame.realized:
-        raise ValidationError("specialisation order needs a realization")
-    n = frame.base_size
-    if frame.kind == "powerset":
-        return [1 << p for p in range(n)]
-    containing = []
-    for p in range(n):
-        out = 0
-        for i in frame.elements():
-            if frame.mask_of(i) >> p & 1:
-                out |= 1 << i
-        containing.append(out)
-    rows = []
-    for x in range(n):
-        row = 0
-        for y in range(n):
-            if containing[x] & ~containing[y] == 0:
-                row |= 1 << y
-        rows.append(row)
-    return rows
+    """Topological closure of {p} as a point mask: the q with p in N(q)."""
+    return mask_of_iter(q for q, nq in enumerate(specialisation_order(space.frame))
+                        if nq >> p & 1)
 
 
 def is_sober(space: OrderedSpace) -> bool:
@@ -262,23 +222,17 @@ def is_T0_ordered(space: OrderedSpace) -> CheckReport:
     if f.kind == "powerset":
         return CheckReport("T0-ordered", "pass", None,
                            "discrete topology: singleton opens separate")
-    for x in range(space.n):
-        for y in range(space.n):
-            if space.leq_points(x, y):
-                continue
-            found = False
-            for i in f.elements():
-                e = f.mask_of(i)
-                if e >> x & 1 and not space.up_mask(e) >> y & 1:
-                    found = True
-                    break
-                if e >> y & 1 and not space.down_mask(e) >> x & 1:
-                    found = True
-                    break
-            if not found:
-                return CheckReport("T0-ordered", "fail", (x, y),
-                                   f"points {space.labels[x]} and {space.labels[y]} "
-                                   "are order-inseparable")
+    # cones grow with the open, so the least open N(x) (resp. N(y)) decides:
+    # x, y are inseparable iff y is in up(N(x)) and x is in down(N(y))
+    nbhds = specialisation_order(f)
+    in_past = lat.transpose_rows([space.down_mask(e) for e in nbhds])
+    for x, e in enumerate(nbhds):
+        bad = space.up_mask(e) & in_past[x] & ~space.up[x]
+        if bad:
+            y = next(bits(bad))
+            return CheckReport("T0-ordered", "fail", (x, y),
+                               f"points {space.labels[x]} and {space.labels[y]} "
+                               "are order-inseparable")
     return CheckReport("T0-ordered", "pass", None, "exhaustive over point pairs")
 
 

@@ -8,6 +8,7 @@ from ordloc import coverage
 from ordloc.errors import FrameTooLarge, ValidationError
 from ordloc.lattice import FiniteFrame, FrameMap, bits, mask_of_iter
 from ordloc.olocale import (REL_LIMIT, CheckReport, OrderedLocale, cones_from_rows)
+from ordloc.ospace import OrderedSpace
 
 
 def all_ideals_bruteforce(frame: FiniteFrame) -> list[int]:
@@ -158,3 +159,66 @@ def check_down_grothendieck_loop(olx: OrderedLocale, max_frame: int = 24) -> Che
     rep = CheckReport("grothendieck", "pass", None, note)
     rep.abstentions = abstained
     return rep
+
+
+# -- points and neighbourhoods, one element or open at a time ----------------------
+
+
+def pt_mask(frame: FiniteFrame, primes, u: int) -> int:
+    """pt(U): the points i whose prime p_i is not above U."""
+    return mask_of_iter(i for i, p in enumerate(primes) if not frame.leq(u, p))
+
+
+def point_order_rows(olx: OrderedLocale, primes) -> list[int]:
+    """F_i <= F_j iff join{U : up(U) <= p_j} <= p_i and
+    join{V : down(V) <= p_i} <= p_j, one leq per element and prime."""
+    f = olx.frame
+    w_up = [f.join_all(u for u in f.elements() if f.leq(olx.up_map[u], q))
+            for q in primes]
+    w_down = [f.join_all(v for v in f.elements() if f.leq(olx.down_map[v], p))
+              for p in primes]
+    return [mask_of_iter(j for j, q in enumerate(primes)
+                         if f.leq(w_up[j], p) and f.leq(w_down[i], q))
+            for i, p in enumerate(primes)]
+
+
+def open_ids_containing(frame: FiniteFrame, p: int) -> int:
+    return mask_of_iter(i for i in frame.elements() if frame.mask_of(i) >> p & 1)
+
+
+def specialisation_order(frame: FiniteFrame) -> list[int]:
+    """x <= y iff every open containing x contains y."""
+    containing = [open_ids_containing(frame, p) for p in range(frame.base_size)]
+    return [mask_of_iter(y for y, cy in enumerate(containing) if cx & ~cy == 0)
+            for cx in containing]
+
+
+def closure_of_point(space: OrderedSpace, p: int) -> int:
+    """The points q every open neighbourhood of which contains p."""
+    mine = open_ids_containing(space.frame, p)
+    return mask_of_iter(q for q in range(space.n)
+                        if open_ids_containing(space.frame, q) & ~mine == 0)
+
+
+def is_T0_ordered(space: OrderedSpace) -> CheckReport:
+    """For x not<= y, some open U holds x with y outside upcone(U), or some
+    open V holds y with x outside downcone(V); scans every open per pair."""
+    f = space.frame
+    for x in range(space.n):
+        for y in range(space.n):
+            if space.leq_points(x, y):
+                continue
+            if not any(e >> x & 1 and not space.up_mask(e) >> y & 1 or
+                       e >> y & 1 and not space.down_mask(e) >> x & 1
+                       for e in map(f.mask_of, f.elements())):
+                return CheckReport("T0-ordered", "fail", (x, y),
+                                   f"points {space.labels[x]} and {space.labels[y]} "
+                                   "are order-inseparable")
+    return CheckReport("T0-ordered", "pass", None, "exhaustive over point pairs")
+
+
+def ideal_frame_rows(frame: FiniteFrame) -> list[int]:
+    """Down rows of the frame of principal ideals, by ideal inclusion."""
+    ideals = [frame.down_row(x) for x in frame.elements()]
+    return [mask_of_iter(j for j, ij in enumerate(ideals) if ij & ~ii == 0)
+            for ii in ideals]

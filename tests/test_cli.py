@@ -123,6 +123,33 @@ def test_cli_rejects_malformed_space_documents(field, message):
     assert out.stderr == message + "\n"
 
 
+M22_DOC = "m22"   # stands for the serialized m22 space
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["hull", "-", "--region", "a"], M22_DOC,
+     "parse error: 'a' is not an integer id (at --region)"),
+    (["hull", "-", "--region", "-1"], M22_DOC,
+     "parse error: id -1 out of range 0..3 (at --region)"),
+    (["cov", "-", "--region", "0", "--target", "x"], M22_DOC,
+     "parse error: 'x' is not an integer id (at --target)"),
+    (["gen", "minkowski", "--defect", "1"], None,
+     "parse error: expected a t,x cell, got '1' (at --defect)"),
+    (["gen", "minkowski", "--slope", "abc"], None,
+     "parse error: 'abc' is not a valid value (at --slope)"),
+    (["check", "-"], json.dumps({"kind": "coverage-table", "cov_plus": [],
+                                 "frame": {"base": 1, "opens": "discrete"}}),
+     "parse error: cov_minus and cov_plus must be lists of [open, [ids]] rows"),
+], ids=["region-not-an-id", "region-negative", "target-not-an-id",
+        "defect-not-a-cell", "slope-not-a-number", "coverage-table-without-cov-minus"])
+def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
+    if stdin == M22_DOC:
+        stdin = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))
+    out = run_cli(argv, stdin)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == message + "\n"
+
+
 def test_cli_json_report(m33):
     import jsonschema
     doc_text = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))

@@ -131,7 +131,8 @@ def test_bullet_fails_on_constructed_instance(bowtie):
     u = rep.witness[0]
     primes = f.primes()
     rows = D.point_order_rows(olx, primes)
-    pm = D.pt_mask(f, primes, u)
+    pms = D.pt_masks(f, primes)
+    pm = pms[u]
     upc = 0
     for i in bits(pm):
         upc |= rows[i]
@@ -142,8 +143,7 @@ def test_bullet_fails_on_constructed_instance(bowtie):
     dnc = 0
     for i in bits(pm):
         dnc |= dm[i]
-    assert upc != D.pt_mask(f, primes, olx.up_map[u]) or \
-        dnc != D.pt_mask(f, primes, olx.down_map[u])
+    assert upc != pms[olx.up_map[u]] or dnc != pms[olx.down_map[u]]
 
 
 def test_counit_m33(loc33):

@@ -771,3 +771,57 @@ def test_duality_row_forms_read_no_related_calls(m33, monkeypatch):
     assert D.double_negation_transport(olx).ok
     assert D.counit_check(olx).ok
     assert calls == []
+
+
+# -- points and neighbourhoods from rows ----------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_point_structures_match_per_open_scans(seed):
+    # spaces on mask and powerset frames, T0 or not, codiscrete included;
+    # points of their induced locales, of table-frame copies of those, and
+    # of random locales on random (also table) frames
+    rng = random.Random(seed)
+    if rng.random() < 0.2:
+        sp = S.OrderedSpace.build(rng.randint(1, 4), [], opens="codiscrete")
+    else:
+        sp = random_topology_space(rng)
+    f = sp.frame
+    assert S.specialisation_order(f) == oracles.specialisation_order(f)
+    assert [S.closure_of_point(sp, p) for p in range(sp.n)] == \
+        [oracles.closure_of_point(sp, p) for p in range(sp.n)]
+    assert S.is_T0(sp) == \
+        (len({oracles.open_ids_containing(f, p) for p in range(sp.n)}) == sp.n)
+    got, want = S.is_T0_ordered(sp), oracles.is_T0_ordered(sp)
+    assert (got.verdict, got.witness) == (want.verdict, want.witness)
+    idl = L.ideal_frame(f)[0]
+    assert [idl.down_row(i) for i in idl.elements()] == oracles.ideal_frame_rows(f)
+    style = rng.randrange(3)
+    if style == 2:
+        olx = random_locale(rng, random_frame(rng))
+    else:
+        olx = S.induced_locale(sp, rng.choice(["em", "upper", "lower"]))
+        if style == 1:
+            olx = rows_locale(L.subframe(olx.frame, olx.frame.elements())[0],
+                              olx.rel_rows())
+    g = olx.frame
+    primes = g.primes() if rng.random() < 0.8 else \
+        [rng.randrange(g.m) for _ in range(rng.randint(0, 4))]
+    assert D.pt_masks(g, primes) == [oracles.pt_mask(g, primes, u) for u in g.elements()]
+    assert D.point_order_rows(olx, primes) == oracles.point_order_rows(olx, primes)
+
+
+def test_points_space_makes_no_leq_calls(monkeypatch):
+    # a fresh locale, so that no frame rows are cached yet
+    olx = S.induced_locale(gen.minkowski_grid(gen.GridSpec(3, 3)), "em")
+    calls = []
+    leq = L.FiniteFrame.leq
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return leq(self, i, j)
+
+    monkeypatch.setattr(L.FiniteFrame, "leq", counted)
+    assert D.points_space(olx).n == 9
+    assert calls == []
