@@ -107,7 +107,11 @@ def _opens(opens, n: int, path: str):
 def _frame_from_json(obj: dict, path: str) -> FiniteFrame:
     try:
         base = int(obj["base"])
+        if base < 0:
+            raise ValueError(f"negative base {base}")
         labels = [str(s) for s in obj.get("points", range(base))]
+        if len(labels) != base:
+            raise ValueError(f"{len(labels)} point names for base {base}")
         opens = _opens(obj["opens"], base, path + ".opens")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed frame: {e}", path)

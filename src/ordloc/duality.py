@@ -61,6 +61,11 @@ def point_order_rows(olx: OrderedLocale, primes: Sequence[int]) -> list[int]:
     Contrapositively: join{U : up(U) <= Q} <= P and join{V : down(V) <= P} <= Q.
     Every test reads the rows {i : x <= p_i} of `lattice.rows_above`.
     """
+    return _point_data(olx, primes)[0]
+
+
+def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """`point_order_rows` and `pt_masks` of the primes, from one `rows_above` read."""
     f = olx.frame
     below = lat.rows_above(f, primes)
     n = len(primes)
@@ -72,7 +77,8 @@ def point_order_rows(olx: OrderedLocale, primes: Sequence[int]) -> list[int]:
             under_down[i] |= 1 << u
     # row i holds j iff w_up[j] <= p_i and w_down[i] <= p_j
     cols = lat.transpose_rows([below[f.join_of_idmask(w)] for w in under_up])
-    return [below[f.join_of_idmask(w)] & cols[i] for i, w in enumerate(under_down)]
+    return ([below[f.join_of_idmask(w)] & cols[i] for i, w in enumerate(under_down)],
+            [(1 << n) - 1 & ~r for r in below])
 
 
 def points_space(olx: OrderedLocale) -> OrderedSpace:
@@ -82,11 +88,13 @@ def points_space(olx: OrderedLocale) -> OrderedSpace:
     order is the cone characterization of the filter order.  The result is
     always T0-ordered; this is asserted.
     """
-    f = olx.frame
-    primes = f.primes()
-    rows = point_order_rows(olx, primes)
+    primes = olx.frame.primes()
+    return _points_space(primes, *_point_data(olx, primes))
+
+
+def _points_space(primes: list[int], rows: list[int], pms: list[int]) -> OrderedSpace:
     n = len(primes)
-    fam = sorted(set(pt_masks(f, primes)))
+    fam = sorted(set(pms))
     topo = lat.frame_from_topology(n, fam, labels=[f"F{i}" for i in range(n)])
     space = OrderedSpace(n, rows, topo, labels=[f"F{i}" for i in range(n)],
                          name="pt")
@@ -199,15 +207,12 @@ def is_spatial(frame: FiniteFrame) -> bool:
     return len(set(pms)) == len(pms)
 
 
-def _point_cones(olx: OrderedLocale) -> list[tuple[int, int, int]]:
+def _point_cones(rows: list[int], pms: list[int]) -> list[tuple[int, int, int]]:
     """Per element U: pt(U), upcone(pt(U)) and downcone(pt(U)), as point
-    masks over the primes."""
-    f = olx.frame
-    primes = f.primes()
-    rows = point_order_rows(olx, primes)
+    masks over the primes, from the point order rows and pt masks."""
     down_rows = lat.transpose_rows(rows)
     out = []
-    for pm in pt_masks(f, primes):
+    for pm in pms:
         upc = dnc = 0
         for i in bits(pm):
             upc |= rows[i]
@@ -230,13 +235,13 @@ def _bullet_report(olx: OrderedLocale, pcones) -> CheckReport:
 def check_axiom_P(olx: OrderedLocale) -> CheckReport:
     """Axiom (bullet): cones commute with taking points,
     upcone(pt(U)) == pt(up(U)) and downcone(pt(U)) == pt(down(U))."""
-    return _bullet_report(olx, _point_cones(olx))
+    return _bullet_report(olx, _point_cones(*_point_data(olx, olx.frame.primes())))
 
 
 def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
     """upcone(pt(U)) inside pt(up(U)) and dually -- valid in every ordered
     locale, no axioms needed; the equalities are exactly axiom (bullet)."""
-    pcones = _point_cones(olx)
+    pcones = _point_cones(*_point_data(olx, olx.frame.primes()))
     return all(upc & ~pcones[olx.up_map[u]][0] == 0
                and dnc & ~pcones[olx.down_map[u]][0] == 0
                for u, (_, upc, dnc) in enumerate(pcones))
@@ -245,11 +250,15 @@ def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
 def counit_monotone(olx: OrderedLocale) -> bool:
     """The counit loc(pt(X)) -> X is monotone for every ordered locale;
     verified directly against the induced locale on the points space."""
-    pts = points_space(olx)
+    primes = olx.frame.primes()
+    rows, pms = _point_data(olx, primes)
+    return _counit_monotone(olx, _points_space(primes, rows, pms), pms)
+
+
+def _counit_monotone(olx: OrderedLocale, pts: OrderedSpace, pms: list[int]) -> bool:
     ptloc = osp.induced_locale(pts, "em")
-    f, g = pts.frame, olx.frame
-    pms = pt_masks(g, pts.prime_ids)
-    for u in g.elements():
+    f = pts.frame
+    for u in olx.frame.elements():
         pre, pre_up = f.id_of_mask(pms[u]), f.id_of_mask(pms[olx.up_map[u]])
         pre_dn = f.id_of_mask(pms[olx.down_map[u]])
         if not f.leq(ptloc.up_map[pre], pre_up):
@@ -265,11 +274,14 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     given (bullet) and cone-determination -- the biconditional
     U <= V iff pt(U) <= pt(V)."""
     f = olx.frame
-    spatial = is_spatial(f)
-    pcones = _point_cones(olx)
+    primes = f.primes()
+    rows, pms = _point_data(olx, primes)
+    spatial = len(set(pms)) == len(pms)          # is_spatial, on the masks read
+    pcones = _point_cones(rows, pms)
     brep = _bullet_report(olx, pcones)
     corder = ol.check_axiom(olx, "C-order")
-    monotone = counit_monotone(olx) if f.m <= ol.REL_LIMIT else None
+    monotone = _counit_monotone(olx, _points_space(primes, rows, pms), pms) \
+        if f.m <= ol.REL_LIMIT else None
     if monotone is False:
         raise ValidationError("counit monotonicity failed; this should hold "
                               "in every ordered locale")
@@ -284,7 +296,7 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
             # pt(U) inside downcone(pt(V)).  Row U is the AND of the masks
             # {V : i not in pt(V)} over the points i outside upcone(pt(U))
             # and {V : i in downcone(pt(V))} over the i in pt(U)
-            n, full = len(f.primes()), (1 << f.m) - 1
+            n, full = len(primes), (1 << f.m) - 1
             lacking, reached = [full] * n, [0] * n
             for b, (pb, _, dnb) in enumerate(pcones):
                 for i in bits(pb):

@@ -8,9 +8,13 @@ interface:
   extent masks, so even the full powerset on 16 points (65536 opens) stays
   cheap.  The full-powerset case is detected and element ids then literally
   equal extent masks.
-* table-backed: an abstract finite lattice given by its order; meet/join
-  tables are precomputed and the lattice + distributive laws are verified
-  eagerly at construction.
+* table-backed: an abstract finite lattice given by the down rows of its
+  order; meet/join tables are precomputed and the lattice + distributive
+  laws are verified eagerly at construction.
+
+Frames come from three constructors: `frame_from_topology` (a family of
+opens), `frame_from_down_rows` (a table frame from its down rows) and
+`subframe` (ambient elements, ordered by the ambient down rows).
 
 Subsets of points and subsets of element ids are both carried as Python
 int bitmasks throughout.
@@ -19,7 +23,7 @@ int bitmasks throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     MissingBottomOrTop,
@@ -81,7 +85,7 @@ class FiniteFrame:
     """A finite frame: bounded distributive lattice with all (finite) joins.
 
     Do not call the constructor directly; use `frame_from_topology`,
-    `frame_from_poset_downsets`, `frame_from_order` or `subframe`.
+    `frame_from_down_rows` or `subframe`.
     """
 
     def __init__(self, *, kind, m, bottom, top, ext=None, base_size=None,
@@ -506,76 +510,15 @@ def rows_above(frame: FiniteFrame, values: Sequence[int]) -> list[int]:
     return rows
 
 
-def frame_from_poset_downsets(order: Sequence[Sequence[bool]] | list[int],
-                              labels=None) -> FiniteFrame:
-    """Birkhoff-style frame of down-closed subsets of a finite preorder.
+def frame_from_down_rows(down_rows: list[int], *, ext=None, base_size=None,
+                         labels=None, meta=None) -> FiniteFrame:
+    """Table-backed frame of the order whose row i is the id-bitmask
+    {j : j <= i}.
 
-    The input preorder is antisymmetrized internally (strongly connected
-    points collapse to one).
+    Checks antisymmetry, a unique bottom and top, that every meet and join
+    exists (the lower bounds of i and j are a down row, the upper bounds an
+    up row) and distributivity, which suffices for a finite frame.
     """
-    if order and isinstance(order[0], int):
-        rows = list(order)
-        n = len(rows)
-    else:
-        n = len(order)
-        rows = [mask_of_iter(j for j in range(n) if order[i][j]) for i in range(n)]
-    rows = transitive_closure_rows(rows)
-    # collapse strongly connected components
-    reps = []
-    rep_of = [-1] * n
-    for i in range(n):
-        for r in reps:
-            if rows[i] >> r & 1 and rows[r] >> i & 1:
-                rep_of[i] = r
-                break
-        else:
-            rep_of[i] = i
-            reps.append(i)
-    k = len(reps)
-    idx = {r: a for a, r in enumerate(reps)}
-    up = [0] * k
-    for a, r in enumerate(reps):
-        for j in bits(rows[r]):
-            up[a] |= 1 << idx[rep_of[j]]
-    # enumerate downsets by DFS over point inclusion
-    down_pts = transpose_rows(up)
-    downsets = {0}
-    work = [0]
-    while work:
-        s = work.pop()
-        for a in range(k):
-            if not s >> a & 1:
-                t = s | down_pts[a]
-                if t not in downsets:
-                    downsets.add(t)
-                    work.append(t)
-    fam = sorted(downsets)
-    if labels is None:
-        labels = [str(reps[a]) for a in range(k)]
-    return frame_from_topology(k, fam, labels=labels)
-
-
-def frame_from_order(items: Sequence, leq_fn: Callable, *, ext=None,
-                     base_size=None, labels=None, validate=True,
-                     meta=None) -> FiniteFrame:
-    """Table-backed frame from an abstract order on `items`.
-
-    leq_fn(a, b) decides the order between items.  Meet/join tables are
-    computed as greatest lower / least upper bounds and distributivity is
-    verified (sufficient for finite frames).
-    """
-    m = len(items)
-    down = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if leq_fn(items[j], items[i]):
-                down[i] |= 1 << j
-    return _table_frame(down, ext=ext, base_size=base_size, labels=labels,
-                        validate=validate, meta=meta)
-
-
-def _table_frame(down_rows: list[int], *, ext=None, base_size=None, labels=None,
-                 validate=True, meta=None) -> FiniteFrame:
     m = len(down_rows)
     # antisymmetry
     for i in range(m):
@@ -606,8 +549,7 @@ def _table_frame(down_rows: list[int], *, ext=None, base_size=None, labels=None,
                     base_size=base_size, meet_t=meet_t, join_t=join_t,
                     down_rows=list(down_rows), labels=labels, meta=meta)
     f._up_rows = up_rows
-    if validate:
-        validate_distributivity(f)
+    validate_distributivity(f)
     return f
 
 
@@ -619,8 +561,6 @@ def validate_distributivity(frame: FiniteFrame) -> None:
     not below b or c, where a & (b | c) != (a & b) | (a & c) for a = j.
     O(|J| m) joins.
     """
-    if frame.kind != "table":
-        return  # set-theoretic ops are distributive
     full = (1 << frame.m) - 1
     for j in frame.coprimes():
         acc = frame.bottom
@@ -631,19 +571,24 @@ def validate_distributivity(frame: FiniteFrame) -> None:
             acc = nxt
 
 
-def subframe(ambient: FiniteFrame, elem_ids: Iterable[int], *, validate=True,
+def subframe(ambient: FiniteFrame, elem_ids: Iterable[int], *,
              meta=None) -> tuple[FiniteFrame, list[int]]:
     """Frame on a subset of ambient elements, ordered by the ambient order.
 
-    Meets and joins are recomputed as bounds *within* the subset (never
-    inherited blindly): e.g. joins of regular elements differ from ambient
-    joins.  Returns (frame, inclusion) where inclusion[i] is the ambient id
-    of subframe element i.
+    Row k is the ambient down row of the k-th kept id, restricted to the
+    kept ids and renumbered to subframe positions.  Meets and joins are
+    recomputed as bounds *within* the subset (never inherited blindly):
+    e.g. joins of regular elements differ from ambient joins.  Returns
+    (frame, inclusion) where inclusion[i] is the ambient id of subframe
+    element i.
     """
     ids = sorted(set(elem_ids))
+    kept = mask_of_iter(ids)
+    pos = {a: k for k, a in enumerate(ids)}
+    rows = [mask_of_iter(pos[b] for b in bits(ambient.down_row(a) & kept)) for a in ids]
     ext = [ambient.mask_of(i) for i in ids] if ambient.realized else None
-    f = frame_from_order(ids, ambient.leq, ext=ext, base_size=ambient.base_size,
-                         labels=ambient.labels, validate=validate, meta=meta)
+    f = frame_from_down_rows(rows, ext=ext, base_size=ambient.base_size,
+                             labels=ambient.labels, meta=meta)
     return f, ids
 
 
@@ -734,9 +679,9 @@ def ideal_frame(frame: FiniteFrame) -> tuple[FiniteFrame, list[int]]:
     m = frame.m
     ideals = [frame.down_row(x) for x in frame.elements()]
     # principal ideals are ordered like their generators: each is its own down row
-    f = _table_frame(ideals, ext=ideals, base_size=m,
-                     labels=[f"e{i}" for i in range(m)],
-                     meta={"construction": "ideals"})
+    f = frame_from_down_rows(ideals, ext=ideals, base_size=m,
+                             labels=[f"e{i}" for i in range(m)],
+                             meta={"construction": "ideals"})
     witness = list(range(m))
     for x in frame.elements():
         if f.mask_of(witness[x]) != frame.down_row(x):

@@ -18,7 +18,7 @@ Axiom checks run in tiers and say which tier ran in the report note:
 
 * exhaustive scans over all element pairs (or triples, for the wedge laws);
 * exact theorem certificates whose premises are themselves verified
-  (the join-irreducible kernel `preserves_binary_joins`, memoized per
+  (the join-irreducible kernel `join_failure`, memoized per
   cone, certifies monotone cones, cuts monad validation to bottom and
   the join-irreducibles J, decides C-join and cuts F+/F- to pairs over
   bottom and J; cone-determined relations with monotone cones are
@@ -122,11 +122,6 @@ def join_failure(frame: FiniteFrame, t: Sequence[int]) -> Optional[tuple[int, in
                     return acc, j
                 acc = nxt
     return None
-
-
-def preserves_binary_joins(frame: FiniteFrame, t: Sequence[int]) -> bool:
-    """Exact: t(a | b) == t(a) | t(b) for all a, b (see `join_failure`)."""
-    return join_failure(frame, t) is None
 
 
 @dataclass

@@ -6,7 +6,9 @@ triples of elements), so it is slow and only used on small frames.
 
 from ordloc import coverage
 from ordloc.errors import FrameTooLarge, ValidationError
-from ordloc.lattice import FiniteFrame, FrameMap, bits, mask_of_iter
+from ordloc.lattice import (FiniteFrame, FrameMap, bits, close_family_under_union_intersection,
+                            frame_from_down_rows, frame_from_topology, mask_of_iter,
+                            transitive_closure_rows, transpose_rows)
 from ordloc.olocale import (REL_LIMIT, CheckReport, OrderedLocale, cones_from_rows)
 from ordloc.ospace import OrderedSpace
 
@@ -222,3 +224,41 @@ def ideal_frame_rows(frame: FiniteFrame) -> list[int]:
     ideals = [frame.down_row(x) for x in frame.elements()]
     return [mask_of_iter(j for j, ij in enumerate(ideals) if ij & ~ii == 0)
             for ii in ideals]
+
+
+# -- frames from an order, one order test per pair --------------------------------
+
+
+def order_rows(items, leq) -> list[int]:
+    """Down rows of the order `leq` on items: row i = {j : items[j] <= items[i]}."""
+    return [mask_of_iter(j for j, y in enumerate(items) if leq(y, x)) for x in items]
+
+
+def order_meet(items, leq, a: int, b: int) -> int:
+    """The greatest lower bound of items[a] and items[b], as an index."""
+    lower = [i for i, x in enumerate(items) if leq(x, items[a]) and leq(x, items[b])]
+    return next(i for i in lower if all(leq(items[k], items[i]) for k in lower))
+
+
+def order_join(items, leq, a: int, b: int) -> int:
+    """The least upper bound of items[a] and items[b], as an index."""
+    upper = [i for i, x in enumerate(items) if leq(items[a], x) and leq(items[b], x)]
+    return next(i for i in upper if all(leq(items[i], items[k]) for k in upper))
+
+
+def downset_frame(rel) -> FiniteFrame:
+    """Frame of the down-sets of the preorder generated by the boolean
+    matrix rel (rel[i][j]: i <= j): the unions of principal down-sets."""
+    n = len(rel)
+    up = transitive_closure_rows([mask_of_iter(j for j in range(n) if rel[i][j])
+                                  for i in range(n)])
+    return frame_from_topology(n, close_family_under_union_intersection(n, transpose_rows(up)))
+
+
+def subframe_by_pairs(ambient: FiniteFrame, elem_ids, meta=None):
+    """`lattice.subframe` with one ambient `leq` call per pair of kept ids."""
+    ids = sorted(set(elem_ids))
+    ext = [ambient.mask_of(i) for i in ids] if ambient.realized else None
+    f = frame_from_down_rows(order_rows(ids, ambient.leq), ext=ext,
+                             base_size=ambient.base_size, labels=ambient.labels, meta=meta)
+    return f, ids

@@ -68,7 +68,7 @@ def _random_small_frame(rng):
         return L.frame_from_topology(n, range(1 << n))
     rel = [[i == j or (i < j and rng.random() < 0.5) for j in range(n)]
            for i in range(n)]
-    return L.frame_from_poset_downsets(rel)
+    return oracles.downset_frame(rel)
 
 
 def test_criterion_03_monad_round_trips():

@@ -140,8 +140,16 @@ M22_DOC = "m22"   # stands for the serialized m22 space
     (["check", "-"], json.dumps({"kind": "coverage-table", "cov_plus": [],
                                  "frame": {"base": 1, "opens": "discrete"}}),
      "parse error: cov_minus and cov_plus must be lists of [open, [ids]] rows"),
+    (["check", "-"], json.dumps({"kind": "locale", "rel": [],
+                                 "frame": {"base": -1, "opens": "discrete"}}),
+     "parse error: malformed frame: negative base -1 (at frame)"),
+    (["hull", "-", "--region", "1"],
+     json.dumps({"kind": "locale", "rel": [],
+                 "frame": {"base": 2, "opens": "discrete", "points": ["a"]}}),
+     "parse error: malformed frame: 1 point names for base 2 (at frame)"),
 ], ids=["region-not-an-id", "region-negative", "target-not-an-id",
-        "defect-not-a-cell", "slope-not-a-number", "coverage-table-without-cov-minus"])
+        "defect-not-a-cell", "slope-not-a-number", "coverage-table-without-cov-minus",
+        "frame-negative-base", "frame-too-few-point-names"])
 def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
     if stdin == M22_DOC:
         stdin = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))

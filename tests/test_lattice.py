@@ -4,6 +4,7 @@ derived frames.  Expected values are computed against independent oracles
 """
 
 import ast
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,18 +84,21 @@ def _n5_leq(a, b):
 
 @pytest.mark.parametrize("leq", [_m3_leq, _n5_leq], ids=["M3", "N5"])
 def test_nondistributive_lattices_are_rejected(leq):
+    items = range(5)
     with pytest.raises(NotDistributive) as e:
-        L.frame_from_order(range(5), leq)
+        L.frame_from_down_rows(oracles.order_rows(items, leq))
     # the named triple really breaks a & (b | c) == (a & b) | (a & c)
-    f = L.frame_from_order(range(5), leq, validate=False)
     a, b, c = ast.literal_eval(str(e.value).rsplit(" at ", 1)[1])
-    assert f.meet(a, f.join(b, c)) != f.join(f.meet(a, b), f.meet(a, c))
+    meet = functools.partial(oracles.order_meet, items, leq)
+    join = functools.partial(oracles.order_join, items, leq)
+    assert meet(a, join(b, c)) != join(meet(a, b), meet(a, c))
 
 
 def test_distributive_table_frame_passes():
     # the product of a 2-chain and a 3-chain, ordered componentwise
     items = [(x, y) for x in range(2) for y in range(3)]
-    f = L.frame_from_order(items, lambda p, q: p[0] <= q[0] and p[1] <= q[1])
+    f = L.frame_from_down_rows(
+        oracles.order_rows(items, lambda p, q: p[0] <= q[0] and p[1] <= q[1]))
     assert f.kind == "table" and f.m == 6
     for i, p in enumerate(items):
         for j, q in enumerate(items):
@@ -104,19 +108,19 @@ def test_distributive_table_frame_passes():
 
 
 def test_downset_frames():
-    one = L.frame_from_poset_downsets([[True]])
+    one = oracles.downset_frame([[True]])
     assert one.m == 2
-    antichain = L.frame_from_poset_downsets([[True, False], [False, True]])
+    antichain = oracles.downset_frame([[True, False], [False, True]])
     assert antichain.m == 4 and antichain.is_boolean()
-    chain = L.frame_from_poset_downsets([[True, True], [False, True]])
+    chain = oracles.downset_frame([[True, True], [False, True]])
     assert chain.m == 3
     assert [chain.pretty(c) for c in chain.coprimes()] == ["{0}", "{0,1}"]
     assert [chain.pretty(p) for p in chain.primes()] == ["{}", "{0}"]
 
 
 def test_downset_frame_collapses_preorder_cycles():
-    # a 2-cycle is one point after antisymmetrization
-    f = L.frame_from_poset_downsets([[True, True], [True, True]])
+    # the two points of a 2-cycle lie in the same down-sets
+    f = oracles.downset_frame([[True, True], [True, True]])
     assert f.m == 2
 
 
@@ -155,7 +159,7 @@ def heyting_laws_hold(f):
 def test_heyting_laws_small_frames(bowtie_frame):
     heyting_laws_hold(bowtie_frame)
     heyting_laws_hold(L.frame_from_topology(2, [0, 1, 2, 3]))
-    heyting_laws_hold(L.frame_from_poset_downsets([[True, True], [False, True]]))
+    heyting_laws_hold(oracles.downset_frame([[True, True], [False, True]]))
 
 
 # -- irreducibles -----------------------------------------------------------------
@@ -223,7 +227,7 @@ def test_double_negation_bowtie(bowtie_frame):
 
 
 def test_double_negation_chain():
-    chain = L.frame_from_poset_downsets([[True, True], [False, True]])
+    chain = oracles.downset_frame([[True, True], [False, True]])
     sub, _ = L.double_negation_frame(chain)
     assert sub.m == 2
 
@@ -253,7 +257,7 @@ def random_downset_frame(draw):
     n = draw(st.integers(1, 4))
     rel = [[i == j or (i < j and draw(st.booleans())) for j in range(n)]
            for i in range(n)]
-    return L.frame_from_poset_downsets(rel)
+    return oracles.downset_frame(rel)
 
 
 @settings(max_examples=30, deadline=None)

@@ -222,7 +222,7 @@ def test_F_with_monotone_cones_is_exact_above_pair_limit():
     ident = list(f.elements())
     down = [s | 1 if s & K == K else s for s in f.elements()]
     olx = O.ordered_locale_from_monads(O.ConePair(f, ident, down))
-    assert f.m > O.PAIR_LIMIT and not O.preserves_binary_joins(f, down)
+    assert f.m > O.PAIR_LIMIT and O.join_failure(f, down) is not None
     rep = O.check_axiom(olx, "F+")
     assert not rep.ok and rep.witness == (2046, 1), rep
     assert O.check_axiom(olx, "F-").ok
