@@ -55,17 +55,14 @@ def pt_masks(frame: FiniteFrame, primes: Sequence[int]) -> list[int]:
     return [full & ~r for r in lat.rows_above(frame, primes)]
 
 
-def point_order_rows(olx: OrderedLocale, primes: Sequence[int]) -> list[int]:
-    """F <= G iff up(U) in G for U in F, and down(V) in F for V in G.
+def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The point order rows and `pt_masks` of the primes, from one
+    `rows_above` read.
 
+    F <= G iff up(U) in G for U in F, and down(V) in F for V in G.
     Contrapositively: join{U : up(U) <= Q} <= P and join{V : down(V) <= P} <= Q.
     Every test reads the rows {i : x <= p_i} of `lattice.rows_above`.
     """
-    return _point_data(olx, primes)[0]
-
-
-def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], list[int]]:
-    """`point_order_rows` and `pt_masks` of the primes, from one `rows_above` read."""
     f = olx.frame
     below = lat.rows_above(f, primes)
     n = len(primes)
@@ -199,14 +196,6 @@ def unit_check(space: OrderedSpace) -> CheckReport:
 # -- counit and axiom (bullet) ---------------------------------------------------
 
 
-def is_spatial(frame: FiniteFrame) -> bool:
-    """pt(U) = pt(V) implies U = V.  True for every finite frame (each
-    element is the join of coprimes, which are separated by primes);
-    checked directly anyway."""
-    pms = pt_masks(frame, frame.primes())
-    return len(set(pms)) == len(pms)
-
-
 def _point_cones(rows: list[int], pms: list[int]) -> list[tuple[int, int, int]]:
     """Per element U: pt(U), upcone(pt(U)) and downcone(pt(U)), as point
     masks over the primes, from the point order rows and pt masks."""
@@ -276,7 +265,7 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     f = olx.frame
     primes = f.primes()
     rows, pms = _point_data(olx, primes)
-    spatial = len(set(pms)) == len(pms)          # is_spatial, on the masks read
+    spatial = len(set(pms)) == len(pms)          # pt(U) = pt(V) implies U = V
     pcones = _point_cones(rows, pms)
     brep = _bullet_report(olx, pcones)
     corder = ol.check_axiom(olx, "C-order")

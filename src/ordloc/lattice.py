@@ -3,18 +3,20 @@
 Elements are dense integer ids 0..m-1.  Two storage strategies share one
 interface:
 
+* powerset: all subsets of n points.  Element ids literally equal extent
+  masks, so no element is ever listed and meets/joins are bit operations
+  on the ids.
 * mask-backed: the frame is a family of point sets closed under union and
   intersection (a finite topology).  Meets/joins are bit operations on the
-  extent masks, so even the full powerset on 16 points (65536 opens) stays
-  cheap.  The full-powerset case is detected and element ids then literally
-  equal extent masks.
+  extent masks.
 * table-backed: an abstract finite lattice given by the down rows of its
   order; meet/join tables are precomputed and the lattice + distributive
   laws are verified eagerly at construction.
 
-Frames come from three constructors: `frame_from_topology` (a family of
-opens), `frame_from_down_rows` (a table frame from its down rows) and
-`subframe` (ambient elements, ordered by the ambient down rows).
+Frames come from four constructors: `powerset_frame` (all subsets of n
+points), `frame_from_topology` (a family of opens), `frame_from_down_rows`
+(a table frame from its down rows) and `subframe` (ambient elements,
+ordered by the ambient down rows).
 
 Subsets of points and subsets of element ids are both carried as Python
 int bitmasks throughout.
@@ -84,8 +86,8 @@ class PointSet:
 class FiniteFrame:
     """A finite frame: bounded distributive lattice with all (finite) joins.
 
-    Do not call the constructor directly; use `frame_from_topology`,
-    `frame_from_down_rows` or `subframe`.
+    Do not call the constructor directly; use `powerset_frame`,
+    `frame_from_topology`, `frame_from_down_rows` or `subframe`.
     """
 
     def __init__(self, *, kind, m, bottom, top, ext=None, base_size=None,
@@ -397,13 +399,20 @@ class FiniteFrame:
 # -- constructors ------------------------------------------------------------
 
 
+def powerset_frame(n: int, labels=None) -> FiniteFrame:
+    """Frame of all subsets of n points, ordered by inclusion.  Element ids
+    are the subset masks, so no mask is listed."""
+    return FiniteFrame(kind="powerset", m=1 << n, bottom=0, top=(1 << n) - 1,
+                       base_size=n, labels=labels)
+
+
 def frame_from_topology(base_size: int, opens: Sequence[PointSet | int],
                         labels=None) -> FiniteFrame:
     """Frame of an explicit finite topology, ordered by inclusion.
 
     Validates closure under pairwise intersection/union and membership of
     the empty set and the full base.  The full powerset is detected and
-    stored without tables.
+    built by `powerset_frame`.
     """
     masks = []
     for o in opens:
@@ -415,9 +424,7 @@ def frame_from_topology(base_size: int, opens: Sequence[PointSet | int],
     if masks[-1] != full:
         raise MissingBottomOrTop("the full base")
     if len(masks) == 1 << base_size:
-        f = FiniteFrame(kind="powerset", m=len(masks), bottom=0, top=full,
-                        base_size=base_size, labels=labels)
-        return f
+        return powerset_frame(base_size, labels)
     mset = set(masks)
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:

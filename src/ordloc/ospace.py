@@ -14,9 +14,11 @@ from typing import Iterable, Optional, Sequence
 
 from . import lattice as lat
 from . import olocale as ol
-from .errors import ValidationError
+from .errors import FrameTooLarge, ValidationError
 from .lattice import FiniteFrame, PointSet, bits, mask_of_iter
 from .olocale import CheckReport, OrderedLocale
+
+SUBSET_LIMIT = 1 << 20   # cone lists of powerset frames built up to this size
 
 
 class OrderedSpace:
@@ -75,7 +77,7 @@ class OrderedSpace:
 def topology(n, opens, labels) -> FiniteFrame:
     """Frame of "discrete", "codiscrete" or explicit opens on n points."""
     if opens == "discrete":
-        return lat.frame_from_topology(n, range(1 << n), labels=labels)
+        return lat.powerset_frame(n, labels)
     if opens == "codiscrete":
         return lat.frame_from_topology(n, [0, (1 << n) - 1], labels=labels)
     masks = [o.mask if isinstance(o, PointSet) else int(o) for o in opens]
@@ -135,13 +137,16 @@ def _cone_maps(space: OrderedSpace) -> tuple[list[int], list[int]]:
 def subset_cones(m: int, up_rows: Sequence[int], down_rows: Sequence[int]
                  ) -> tuple[list[int], list[int]]:
     """Extend point cones to every subset s < m of the points, as the OR of
-    the cones of its points: t[s] = t[s ^ low] | rows[low point]."""
+    the cones of its points.  By doubling: the subsets whose highest point
+    is b are the s < 1 << b plus b, so t[s | 1 << b] = t[s] | rows[b].
+    Refuses (FrameTooLarge) above SUBSET_LIMIT subsets."""
+    if m > SUBSET_LIMIT:
+        raise FrameTooLarge(f"cone lists on {m} subsets exceed {SUBSET_LIMIT}")
     upt, dnt = [0] * m, [0] * m
-    for s in range(1, m):
-        low = s & -s
-        r, b = s ^ low, low.bit_length() - 1
-        upt[s] = upt[r] | up_rows[b]
-        dnt[s] = dnt[r] | down_rows[b]
+    for b in range(m.bit_length() - 1):
+        half, ru, rd = 1 << b, up_rows[b], down_rows[b]
+        upt[half:2 * half] = [x | ru for x in upt[:half]]
+        dnt[half:2 * half] = [x | rd for x in dnt[:half]]
     return upt, dnt
 
 

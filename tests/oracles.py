@@ -262,3 +262,35 @@ def subframe_by_pairs(ambient: FiniteFrame, elem_ids, meta=None):
     f = frame_from_down_rows(order_rows(ids, ambient.leq), ext=ext,
                              base_size=ambient.base_size, labels=ambient.labels, meta=meta)
     return f, ids
+
+
+# -- powerset frames, one subset at a time ---------------------------------------
+
+
+def mask_backed_powerset(n: int) -> FiniteFrame:
+    """The powerset of n points stored as a mask-backed frame, so that the
+    generic mask paths answer every query."""
+    return FiniteFrame(kind="mask", m=1 << n, bottom=0, top=(1 << n) - 1,
+                       ext=list(range(1 << n)), base_size=n)
+
+
+def subset_cones_lowest_bit(m, up_rows, down_rows):
+    """Extend point cones to every subset s < m of the points, as the OR of
+    the cones of its points: t[s] = t[s ^ low] | rows[low point]."""
+    upt, dnt = [0] * m, [0] * m
+    for s in range(1, m):
+        low = s & -s
+        r, b = s ^ low, low.bit_length() - 1
+        upt[s] = upt[r] | up_rows[b]
+        dnt[s] = dnt[r] | down_rows[b]
+    return upt, dnt
+
+
+def join_failure_lowest_bit(m, t):
+    """The least (s ^ low, low) with t[s] != t[s ^ low] | t[low] on the
+    powerset of m elements, low the lowest point of s, or None."""
+    for s in range(1, m):
+        low = s & -s
+        if t[s] != t[s ^ low] | t[low]:
+            return s ^ low, low
+    return None

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -156,6 +157,26 @@ def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
     out = run_cli(argv, stdin)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == message + "\n"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "-", "--axiom", "all"], ["hull", "-", "--region", "0"], ["points", "-"],
+    ["futures", "-"], ["dod", "-", "--region", "0"], ["ips", "-"], ["dot", "-"],
+], ids=lambda argv: argv[0])
+def test_cli_refuses_40_point_discrete_space(argv):
+    # 2**40 opens: refused before any cone list is allocated, within a
+    # memory cap and a time limit, so a regression fails instead of swapping
+    doc = json.dumps({"kind": "space", "points": [f"p{i}" for i in range(40)],
+                      "order": []})
+    out = subprocess.run([sys.executable, "-m", "ordloc.cli", *argv], input=doc,
+                         capture_output=True, text=True, timeout=10,
+                         preexec_fn=_cap_address_space)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
 
 
 def test_cli_json_report(m33):

@@ -130,7 +130,7 @@ def test_bullet_fails_on_constructed_instance(bowtie):
     # re-check the witness: cones of points disagree with points of cones
     u = rep.witness[0]
     primes = f.primes()
-    rows = D.point_order_rows(olx, primes)
+    rows = oracles.point_order_rows(olx, primes)
     pms = D.pt_masks(f, primes)
     pm = pms[u]
     upc = 0
@@ -172,7 +172,8 @@ def test_finite_frames_spatial():
     for name, inst in gen.standard_suite():
         frame = inst.frame
         if frame.m <= 1024:
-            assert D.is_spatial(frame), name
+            pms = D.pt_masks(frame, frame.primes())
+            assert len(set(pms)) == len(pms), name      # pt(U) = pt(V) implies U = V
 
 
 # -- ideal points -------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordloc import cli, gen, olocale as O, ospace as S
+from ordloc import cli, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import SlopesUnequal
 from ordloc.lattice import bits, mask_of_iter, popcount
 
@@ -133,3 +133,19 @@ def test_diamond_basis_topology():
     for p in range(sp.n):
         for q in range(sp.n):
             assert f.has_mask(sp.up[p] & sp.down[q])
+
+
+def test_m44_locales_list_no_opens(monkeypatch):
+    # the discrete 4x4 grid is a powerset frame: no mask is listed, sorted or hashed
+    calls = []
+    listed = L.frame_from_topology
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return listed(*args, **kwargs)
+
+    monkeypatch.setattr(L, "frame_from_topology", counted)
+    sp = gen.minkowski_grid(gen.GridSpec(4, 4))
+    for v in ("em", "upper", "lower"):
+        S.induced_locale(sp, v)
+    assert calls == [] and sp.frame.kind == "powerset" and sp.frame._ext is None

@@ -808,7 +808,7 @@ def test_point_structures_match_per_open_scans(seed):
     primes = g.primes() if rng.random() < 0.8 else \
         [rng.randrange(g.m) for _ in range(rng.randint(0, 4))]
     assert D.pt_masks(g, primes) == [oracles.pt_mask(g, primes, u) for u in g.elements()]
-    assert D.point_order_rows(olx, primes) == oracles.point_order_rows(olx, primes)
+    assert D._point_data(olx, primes)[0] == oracles.point_order_rows(olx, primes)
 
 
 def test_points_space_makes_no_leq_calls(monkeypatch):
@@ -874,3 +874,52 @@ def test_subframe_makes_no_ambient_leq_calls(monkeypatch):
     monkeypatch.setattr(L.FiniteFrame, "leq", counted)
     sub, incl = L.subframe(f, olx.up_map, meta={"construction": "futures"})
     assert sub.m == len(set(olx.up_map)) and calls == []
+
+
+# -- powerset frames: direct construction, cone doubling, join levels ---------------
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_powerset_frame_matches_listed_and_mask_frames(n):
+    # the listed family takes the same path; the mask-backed copy answers
+    # every query generically (its primes come in id order, not point order)
+    f, listed = L.powerset_frame(n), L.frame_from_topology(n, range(1 << n))
+    assert f.kind == listed.kind == "powerset" and f.primes() == listed.primes()
+    for g in (listed, oracles.mask_backed_powerset(n)):
+        assert (f.m, f.bottom, f.top) == (g.m, g.bottom, g.top)
+        assert [f.down_row(i) for i in f.elements()] == [g.down_row(i) for i in g.elements()]
+        assert [f.up_row(i) for i in f.elements()] == [g.up_row(i) for i in g.elements()]
+        assert f.coprimes() == g.coprimes() and sorted(f.primes()) == sorted(g.primes())
+        assert f.neighbourhoods() == g.neighbourhoods()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_subset_cones_match_lowest_bit_loop(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 9)
+    up = [rng.getrandbits(n) for _ in range(n)]
+    down = [rng.getrandbits(n) for _ in range(n)]
+    assert S.subset_cones(1 << n, up, down) == oracles.subset_cones_lowest_bit(1 << n, up, down)
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.integers(0, 10_000))
+def test_join_failure_levels_match_lowest_bit_loop(seed):
+    # OR-extensions pass; one changed entry fails late; random maps fail early
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    f = L.powerset_frame(n)
+    kind = seed % 3
+    if kind == 2:
+        t = [rng.randrange(f.m) for _ in f.elements()]
+    else:
+        b0 = rng.getrandbits(n)
+        singles = [rng.getrandbits(n) for _ in range(n)]
+        t = [b0 | x for x in oracles.subset_cones_lowest_bit(f.m, singles, singles)[0]]
+        if kind == 1:
+            t[rng.randrange(f.m)] = rng.randrange(f.m)
+    w = O.join_failure(f, t)
+    assert w == oracles.join_failure_lowest_bit(f.m, t)
+    if kind == 0:
+        assert w is None
