@@ -6,16 +6,16 @@ interface:
 * powerset: all subsets of n points.  Element ids literally equal extent
   masks, so no element is ever listed and meets/joins are bit operations
   on the ids.
-* mask-backed: the frame is a family of point sets closed under union and
-  intersection (a finite topology).  Meets/joins are bit operations on the
-  extent masks.
-* table-backed: an abstract finite lattice given by the down rows of its
-  order; meet/join tables are precomputed and the lattice + distributive
-  laws are verified eagerly at construction.
+* mask-backed: each element has a carrier mask, and the carriers form a
+  family closed under union and intersection, ordered by inclusion, so
+  meets/joins are bit operations on the carriers.  A finite topology
+  carries its opens' extents.  A frame given by the down rows of its order
+  carries J & down(x), its join-irreducibles below x (Birkhoff's
+  representation); there the extent, if any, only names the element.
 
 Frames come from four constructors: `powerset_frame` (all subsets of n
 points), `frame_from_topology` (a family of opens), `frame_from_down_rows`
-(a table frame from its down rows) and `subframe` (ambient elements,
+(a Birkhoff frame from its down rows) and `subframe` (ambient elements,
 ordered by the ambient down rows).
 
 Subsets of points and subsets of element ids are both carried as Python
@@ -25,6 +25,8 @@ int bitmasks throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -36,6 +38,8 @@ from .errors import (
     NotDistributive,
     ValidationError,
 )
+
+LEVEL_CHUNK = 4096       # entries compared at a time by the powerset join kernel
 
 
 def popcount(x: int) -> int:
@@ -90,21 +94,22 @@ class FiniteFrame:
     `frame_from_topology`, `frame_from_down_rows` or `subframe`.
     """
 
-    def __init__(self, *, kind, m, bottom, top, ext=None, base_size=None,
-                 meet_t=None, join_t=None, down_rows=None, labels=None, meta=None):
-        self.kind = kind                  # "powerset" | "mask" | "table"
+    def __init__(self, *, kind, m, bottom, top, ext=None, car=None, base_size=None,
+                 down_rows=None, labels=None, meta=None):
+        self.kind = kind                  # "powerset" | "mask"
         self.m = m
         self.bottom = bottom
         self.top = top
         self.base_size = base_size
         self._ext = ext                   # list: element id -> point mask
-        self._id_of = None if ext is None else {v: i for i, v in enumerate(ext)}
-        self._meet_t = meet_t             # list of lists (table frames)
-        self._join_t = join_t
-        self._down_rows = down_rows       # element-id bitmask rows, lazy for mask frames
+        self._car = ext if car is None else car   # list: element id -> carrier mask
+        self._id_of = None if self._car is None else {v: i for i, v in enumerate(self._car)}
+        self._id_of_ext = self._id_of     # point mask -> element id
+        if car is not None:
+            self._id_of_ext = None if ext is None else {v: i for i, v in enumerate(ext)}
+        self._down_rows = down_rows       # element-id bitmask rows, lazy for topologies
         self._up_rows = None
         self._neg = {}
-        self._interior_cache = {}
         self._covers = None
         self._primes = None
         self._coprimes = None
@@ -136,49 +141,37 @@ class FiniteFrame:
             if mask < 0 or mask >= self.m:
                 raise KeyError(mask)
             return mask
-        return self._id_of[mask]
+        return self._id_of_ext[mask]
 
     def has_mask(self, mask: int) -> bool:
         if self.kind == "powerset":
             return 0 <= mask < self.m
-        return self._id_of is not None and mask in self._id_of
+        return self._id_of_ext is not None and mask in self._id_of_ext
 
     def leq(self, i: int, j: int) -> bool:
         if self.kind == "powerset":
             return i & ~j == 0
-        if self.kind == "mask":
-            return self._ext[i] & ~self._ext[j] == 0
-        return bool(self._down_rows[j] >> i & 1)
+        return self._car[i] & ~self._car[j] == 0
 
     def meet(self, i: int, j: int) -> int:
         if self.kind == "powerset":
             return i & j
-        if self.kind == "mask":
-            return self._id_of[self._ext[i] & self._ext[j]]
-        return self._meet_t[i][j]
+        return self._id_of[self._car[i] & self._car[j]]
 
     def join(self, i: int, j: int) -> int:
         if self.kind == "powerset":
             return i | j
-        if self.kind == "mask":
-            return self._id_of[self._ext[i] | self._ext[j]]
-        return self._join_t[i][j]
+        return self._id_of[self._car[i] | self._car[j]]
 
     def join_all(self, ids: Iterable[int]) -> int:
+        out = 0
         if self.kind == "powerset":
-            out = 0
             for i in ids:
                 out |= i
             return out
-        if self.kind == "mask":
-            out = 0
-            for i in ids:
-                out |= self._ext[i]
-            return self._id_of[out]
-        out = self.bottom
         for i in ids:
-            out = self._join_t[out][i]
-        return out
+            out |= self._car[i]
+        return self._id_of[out]
 
     def join_of_idmask(self, idmask: int) -> int:
         """Join of the element set given as an id-bitmask.  Join-irreducibles
@@ -204,10 +197,10 @@ class FiniteFrame:
                 else:
                     r = 1
             else:
-                e = self._ext[i]
+                e = self._car[i]
                 r = 0
-                for j in range(self.m):
-                    if self._ext[j] & ~e == 0:
+                for j, c in enumerate(self._car):
+                    if c & ~e == 0:
                         r |= 1 << j
             self._down_rows[i] = r
         return r
@@ -217,12 +210,7 @@ class FiniteFrame:
             self._up_rows = [None] * self.m
         r = self._up_rows[i]
         if r is None:
-            if self.kind == "table":
-                r = 0
-                for j in range(self.m):
-                    if self._down_rows[j] >> i & 1:
-                        r |= 1 << j
-            elif self.kind == "powerset":
+            if self.kind == "powerset":
                 # the supersets of i are those of i plus its lowest missing
                 # point, each with and without that point (id - low)
                 free = self.m - 1 & ~i
@@ -233,10 +221,10 @@ class FiniteFrame:
                 else:
                     r = 1 << i
             else:
-                e = self._ext[i]
+                e = self._car[i]
                 r = 0
-                for j in range(self.m):
-                    if e & ~self._ext[j] == 0:
+                for j, c in enumerate(self._car):
+                    if e & ~c == 0:
                         r |= 1 << j
             self._up_rows[i] = r
         return r
@@ -260,19 +248,9 @@ class FiniteFrame:
             self._covers[i] = c
         return c
 
-    def lower_covers(self, i: int) -> list[int]:
-        if self.kind == "powerset":
-            return [i & ~(1 << b) for b in bits(i)]
-        strict_down = self.down_row(i) & ~(1 << i)
-        out = []
-        for j in bits(strict_down):
-            between = strict_down & (self.up_row(j) & ~(1 << j))
-            if between == 0:
-                out.append(j)
-        return out
-
     def primes(self) -> list[int]:
-        """Meet-irreducible elements != top.
+        """Meet-irreducible elements != top: on carrier frames, in id order,
+        the p whose strict up row is an up row (their unique upper cover's).
 
         In a finite distributive lattice these are exactly the primes
         (p != T with a&b <= p implying a <= p or b <= p); the quantifier
@@ -283,22 +261,19 @@ class FiniteFrame:
                 full = self.m - 1
                 self._primes = [full & ~(1 << b) for b in range(self.base_size)]
             else:
+                ups = {self.up_row(i) for i in self.elements()}
                 self._primes = [i for i in self.elements()
-                                if i != self.top and len(self.upper_covers(i)) == 1]
+                                if self.up_row(i) ^ 1 << i in ups]
         return self._primes
 
     def coprimes(self) -> list[int]:
         """Join-irreducible (nonzero) elements, in increasing id order.
 
-        In a finite topology these are the distinct least open
-        neighbourhoods of the points.
+        In a finite topology, the distinct least open neighbourhoods of
+        the points; `frame_from_down_rows` reads them off the rows.
         """
         if self._coprimes is None:
-            if self.kind == "table":
-                self._coprimes = [i for i in self.elements()
-                                  if i != self.bottom and len(self.lower_covers(i)) == 1]
-            else:
-                self._coprimes = sorted(set(self.neighbourhoods()))
+            self._coprimes = sorted(set(self.neighbourhoods()))
         return self._coprimes
 
     def neighbourhoods(self) -> list[int]:
@@ -307,7 +282,7 @@ class FiniteFrame:
         if self._nbhds is None:
             if self.kind == "powerset":
                 self._nbhds = [1 << p for p in range(self.base_size)]
-            elif self.kind == "mask":
+            elif self._car is self._ext:
                 self._nbhds = []
                 for p in range(self.base_size):
                     acc = self._ext[self.top]
@@ -346,15 +321,8 @@ class FiniteFrame:
         """Heyting implication a -> b = join{w : a & w <= b}."""
         if self.kind == "powerset":
             return b | (self.m - 1) & ~a
-        if self.kind == "mask":
-            # largest open inside b | complement(a)
-            full = self._ext[self.top]
-            return self.interior(self._ext[b] | (full & ~self._ext[a]))
-        out = self.bottom
-        for w in self.elements():
-            if self.leq(self._meet_t[a][w], b):
-                out = self._join_t[out][w]
-        return out
+        # largest element whose carrier lies inside b | complement(a)
+        return self.interior(self._car[b] | self._car[self.top] & ~self._car[a])
 
     def neg(self, a: int) -> int:
         r = self._neg.get(a)
@@ -366,19 +334,18 @@ class FiniteFrame:
     def is_boolean(self) -> bool:
         return all(self.neg(self.neg(x)) == x for x in self.elements())
 
-    def interior(self, point_mask: int) -> int:
-        """Largest element whose extent is contained in the point mask."""
+    def interior(self, mask: int) -> int:
+        """Largest element whose carrier (on a topology, its extent) lies in
+        the mask: the join of the join-irreducibles whose carriers do, as
+        each element is the join of those below it.  O(|J|)."""
         if self.kind == "powerset":
-            return point_mask
-        r = self._interior_cache.get(point_mask)
-        if r is None:
-            acc = 0
-            for e in self._ext:
-                if e & ~point_mask == 0:
-                    acc |= e
-            r = self._id_of[acc]
-            self._interior_cache[point_mask] = r
-        return r
+            return mask
+        car = self._car
+        acc = 0
+        for j in self.coprimes():
+            if car[j] & ~mask == 0:
+                acc |= car[j]
+        return self._id_of[acc]
 
     # -- misc ---------------------------------------------------------------
 
@@ -519,63 +486,74 @@ def rows_above(frame: FiniteFrame, values: Sequence[int]) -> list[int]:
 
 def frame_from_down_rows(down_rows: list[int], *, ext=None, base_size=None,
                          labels=None, meta=None) -> FiniteFrame:
-    """Table-backed frame of the order whose row i is the id-bitmask
-    {j : j <= i}.
+    """Frame of the order whose row i is the id-bitmask {j : j <= i}, carried
+    by car[x] = J & down(x), the join-irreducibles below x.
 
-    Checks antisymmetry, a unique bottom and top, that every meet and join
-    exists (the lower bounds of i and j are a down row, the upper bounds an
-    up row) and distributivity, which suffices for a finite frame.
+    Birkhoff: a finite poset is a distributive lattice iff x -> J & down(x)
+    is an order isomorphism onto the down-sets of J (Davey & Priestley,
+    ch. 5).  In a lattice x is in J iff its strict down row is a down row
+    (its unique lower cover's): m dict lookups.  The order is accepted iff
+    (a) car is injective and takes the value 0;
+    (b) up(x) is the AND of up(j) over j in car[x], i.e. x <= y iff
+        car[x] <= car[y] (the lemma of `rows_above`), so the order is a
+        partial order isomorphic to the carriers under inclusion;
+    (c) car[x] | car[j] is a carrier for every x and every j in J.
+    Lemma: the carriers are then exactly the down-sets of J (each is one
+    by (b), and closing 0 under | car[j] reaches the union of the car[j]
+    of any set of j), so meets and joins are carrier ANDs and ORs.  Every
+    finite distributive lattice passes: x is the join of car[x], and
+    car[x] | car[j] = car[x | j].  O(m |J|) mask operations.
+
+    A failure re-runs the definitions of a lattice (error path only) and
+    raises NotALattice with the first one broken.  A lattice can only fail
+    (c), at some (x, j): then some j' in car[x | j] is below neither x nor
+    j, and j' & (x | j) = j' is not (j' & x) | (j' & j), which lies below
+    the join-irreducible j' strictly: NotDistributive names (j', x, j).
     """
     m = len(down_rows)
-    # antisymmetry
-    for i in range(m):
-        for j in bits(down_rows[i]):
-            if j != i and down_rows[j] >> i & 1:
-                raise NotALattice(f"order not antisymmetric at ({i},{j})")
-    bottoms = [i for i in range(m) if down_rows[i] == 1 << i]
-    top_candidates = [i for i in range(m) if popcount(down_rows[i]) == m]
-    if len(bottoms) != 1 or len(top_candidates) != 1:
-        raise NotALattice("order lacks a unique bottom or top")
-    bottom, top = bottoms[0], top_candidates[0]
-
     up_rows = transpose_rows(down_rows)
-    # the lower bounds of i and j are down(i & j), the upper bounds up(i | j)
-    id_of_down = {r: i for i, r in enumerate(down_rows)}
-    id_of_up = {r: i for i, r in enumerate(up_rows)}
-    meet_t, join_t = [], []
-    for i in range(m):
-        di, ui = down_rows[i], up_rows[i]
-        mrow = [id_of_down.get(di & dj) for dj in down_rows]
-        jrow = [id_of_up.get(ui & uj) for uj in up_rows]
-        if None in mrow or None in jrow:
-            j = next(j for j in range(m) if mrow[j] is None or jrow[j] is None)
-            raise NotALattice(f"no {'meet' if mrow[j] is None else 'join'} for ({i},{j})")
-        meet_t.append(mrow)
-        join_t.append(jrow)
-    f = FiniteFrame(kind="table", m=m, bottom=bottom, top=top, ext=ext,
-                    base_size=base_size, meet_t=meet_t, join_t=join_t,
-                    down_rows=list(down_rows), labels=labels, meta=meta)
-    f._up_rows = up_rows
-    validate_distributivity(f)
+    downs = set(down_rows)
+    irreducibles = [x for x, r in enumerate(down_rows) if r ^ 1 << x in downs]
+    jmask = mask_of_iter(irreducibles)
+    car = [r & jmask for r in down_rows]
+    id_of = {c: x for x, c in enumerate(car)}
+    ok = 0 in id_of and len(id_of) == m and all(
+        reduce(and_, map(up_rows.__getitem__, bits(c)), (1 << m) - 1) == u
+        for c, u in zip(car, up_rows))
+    bad = next(((x, j) for x in range(m) for j in irreducibles
+                if car[x] | car[j] not in id_of), None) if ok else None
+    if not ok or bad:
+        msg = _lattice_failure(down_rows, up_rows)
+        if msg:
+            raise NotALattice(msg)
+        x, j = bad
+        z = {u: i for i, u in enumerate(up_rows)}[up_rows[x] & up_rows[j]]
+        jp = next(bits(car[z] & ~(car[x] | car[j])))
+        raise NotDistributive(f"a&(b|c) != (a&b)|(a&c) at {(jp, x, j)}")
+    f = FiniteFrame(kind="mask", m=m, bottom=id_of[0], top=id_of[jmask], ext=ext, car=car,
+                    base_size=base_size, down_rows=list(down_rows), labels=labels, meta=meta)
+    f._up_rows, f._coprimes = up_rows, irreducibles
     return f
 
 
-def validate_distributivity(frame: FiniteFrame) -> None:
-    """A finite lattice is distributive iff every join-irreducible j is
-    join-prime, i.e. the join of the elements not above j is not above j.
-
-    The failing fold step names a triple (j, b, c) with j below b | c but
-    not below b or c, where a & (b | c) != (a & b) | (a & c) for a = j.
-    O(|J| m) joins.
-    """
-    full = (1 << frame.m) - 1
-    for j in frame.coprimes():
-        acc = frame.bottom
-        for x in bits(full & ~frame.up_row(j)):
-            nxt = frame.join(acc, x)
-            if frame.leq(j, nxt):
-                raise NotDistributive(f"a&(b|c) != (a&b)|(a&c) at {(j, acc, x)}")
-            acc = nxt
+def _lattice_failure(down_rows: list[int], up_rows: list[int]) -> Optional[str]:
+    """The first lattice law the order breaks, checked by definition: O(m^2)."""
+    m = len(down_rows)
+    for i in range(m):
+        for j in bits(down_rows[i]):
+            if j != i and down_rows[j] >> i & 1:
+                return f"order not antisymmetric at ({i},{j})"
+    if sum(r == 1 << i for i, r in enumerate(down_rows)) != 1 or \
+            sum(popcount(r) == m for r in down_rows) != 1:
+        return "order lacks a unique bottom or top"
+    downs, ups = set(down_rows), set(up_rows)
+    for i in range(m):
+        for j in range(m):
+            if down_rows[i] & down_rows[j] not in downs:
+                return f"no meet for ({i},{j})"
+            if up_rows[i] & up_rows[j] not in ups:
+                return f"no join for ({i},{j})"
+    return None
 
 
 def subframe(ambient: FiniteFrame, elem_ids: Iterable[int], *,
@@ -602,6 +580,73 @@ def subframe(ambient: FiniteFrame, elem_ids: Iterable[int], *,
 # -- frame maps ---------------------------------------------------------------
 
 
+def join_failure(frame: FiniteFrame, t: Sequence[int],
+                 into: Optional[FiniteFrame] = None) -> Optional[tuple[int, int]]:
+    """A pair (a, b) with t(a | b) != t(a) | t(b), or None if there is none;
+    t maps frame elements to elements of `into` (default: the frame).
+
+    The join-irreducibles J of a finite frame are join-prime, so t
+    preserves binary joins iff t(a) = t(bottom) | join{t(j) : j in J, j <= a}
+    for every a.  That join is folded one j at a time, and the first fold
+    step that breaks is the pair: O(m |J|).
+
+    On powersets J is the singletons.  Lemma: over all s != 0, the
+    lowest-bit conditions t(s) = t(s - low) | t(low) and the highest-bit
+    conditions t(s) = t(s - high) | t(high) are each equivalent to
+    t(s) = t(bottom) | join{t({b}) : b in s} (induction on |s|; at s = {b}
+    both say t(bottom) <= t({b})).  The highest-bit conditions are the
+    levels t[h:2h] == [x | t[h] for x in t[:h]], h = 1 << b, compared in
+    list chunks, so the verdict costs O(m) list work.  Only a failing
+    level runs the lowest-bit loop, which names the least witness.
+    """
+    f, g = frame, into or frame
+    if f.kind == g.kind == "powerset":
+        if _levels_hold(t, f.m):
+            return None
+        for s in range(1, f.m):
+            low = s & -s
+            if t[s] != t[s ^ low] | t[low]:
+                return s ^ low, low
+        return None
+    return _fold_failure(t, [(j, f.up_row(j)) for j in f.coprimes()], f.bottom, f.join, g.join)
+
+
+def meet_failure(frame: FiniteFrame, t: Sequence[int],
+                 into: FiniteFrame) -> Optional[tuple[int, int]]:
+    """A pair (a, b) with t(a & b) != t(a) & t(b), or None: the dual of
+    `join_failure`.  The primes P of a finite frame are meet-prime and every
+    a is the meet of the p above it, so t preserves binary meets iff
+    t(a) = t(top) & meet{t(p) : p in P, a <= p} for every a: O(m |P|)."""
+    gens = [(p, frame.down_row(p)) for p in frame.primes()]
+    return _fold_failure(t, gens, frame.top, frame.meet, into.meet)
+
+
+def _fold_failure(t, gens, start, op, into_op) -> Optional[tuple[int, int]]:
+    """Fold op from start over the generators whose id-bitmask row holds a,
+    for each a; the first step acc -> op(acc, g) that t breaks is the pair."""
+    for a in range(len(t)):
+        acc = start
+        for g, row in gens:
+            if row >> a & 1:
+                nxt = op(acc, g)
+                if t[nxt] != into_op(t[acc], t[g]):
+                    return acc, g
+                acc = nxt
+    return None
+
+
+def _levels_hold(t: Sequence[int], m: int) -> bool:
+    """t(s | h) = t(s) | t(h) for every power of two h < m and s < h."""
+    for b in range(m.bit_length() - 1):
+        half = 1 << b
+        th = t[half]
+        for lo in range(0, half, LEVEL_CHUNK):
+            hi = min(half, lo + LEVEL_CHUNK)
+            if t[half + lo:half + hi] != [x | th for x in t[lo:hi]]:
+                return False
+    return True
+
+
 @dataclass
 class FrameMap:
     """A locale map source -> target carried by its frame map `preimage`.
@@ -614,6 +659,9 @@ class FrameMap:
     preimage: list[int]
 
     def validate(self) -> None:
+        """NotAFrameMap unless bottom, top, binary meets and joins are kept:
+        `join_failure` and `meet_failure` on the target, O(m (|J| + |P|));
+        only a failure scans the pairs a <= b in id order, for the least one."""
         src, tgt, pre = self.source, self.target, self.preimage
         if len(pre) != tgt.m:
             raise NotAFrameMap("preimage must be total on the target frame")
@@ -621,6 +669,8 @@ class FrameMap:
             raise NotAFrameMap("preimage does not preserve bottom")
         if pre[tgt.top] != src.top:
             raise NotAFrameMap("preimage does not preserve top")
+        if join_failure(tgt, pre, src) is None and meet_failure(tgt, pre, src) is None:
+            return
         for a in range(tgt.m):
             for b in range(a, tgt.m):
                 if pre[tgt.meet(a, b)] != src.meet(pre[a], pre[b]):

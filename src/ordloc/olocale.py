@@ -18,7 +18,7 @@ Axiom checks run in tiers and say which tier ran in the report note:
 
 * exhaustive scans over all element pairs (or triples, for the wedge laws);
 * exact theorem certificates whose premises are themselves verified
-  (the join-irreducible kernel `join_failure`, memoized per
+  (the join-irreducible kernel `lattice.join_failure`, memoized per
   cone, certifies monotone cones, cuts monad validation to bottom and
   the join-irreducibles J, decides C-join and cuts F+/F- to pairs over
   bottom and J; cone-determined relations with monotone cones are
@@ -52,12 +52,11 @@ from .errors import (
     NotAMonad,
     ValidationError,
 )
-from .lattice import FiniteFrame, FrameMap, bits, mask_of_iter
+from .lattice import FiniteFrame, FrameMap, bits, join_failure, mask_of_iter
 
 PAIR_LIMIT = 1050        # full O(m^2) pair scans allowed up to this size
 TRIPLE_LIMIT = 40        # wedge laws always by exact scan up to this size
 REL_LIMIT = 2048         # explicit relation rows materialized up to this size
-LEVEL_CHUNK = 4096       # entries compared at a time by the powerset join kernel
 
 
 @dataclass
@@ -95,56 +94,6 @@ def _ok(law, note=""):
 
 def _fail(law, witness, note=""):
     return CheckReport(law, "fail", witness, note)
-
-
-def join_failure(frame: FiniteFrame, t: Sequence[int]) -> Optional[tuple[int, int]]:
-    """A pair (a, b) with t(a | b) != t(a) | t(b), or None if there is none.
-
-    The join-irreducibles J of a finite frame are join-prime, so t
-    preserves binary joins iff t(a) = t(bottom) | join{t(j) : j in J, j <= a}
-    for every a.  That join is folded one j at a time, and the first fold
-    step that breaks is the pair: O(m |J|).
-
-    On powersets J is the singletons.  Lemma: over all s != 0, the
-    lowest-bit conditions t(s) = t(s - low) | t(low) and the highest-bit
-    conditions t(s) = t(s - high) | t(high) are each equivalent to
-    t(s) = t(bottom) | join{t({b}) : b in s} (induction on |s|; at s = {b}
-    both say t(bottom) <= t({b})).  The highest-bit conditions are the
-    levels t[h:2h] == [x | t[h] for x in t[:h]], h = 1 << b, compared in
-    list chunks, so the verdict costs O(m) list work.  Only a failing
-    level runs the lowest-bit loop, which names the least witness.
-    """
-    f = frame
-    if f.kind == "powerset":
-        if _levels_hold(t, f.m):
-            return None
-        for s in range(1, f.m):
-            low = s & -s
-            if t[s] != t[s ^ low] | t[low]:
-                return s ^ low, low
-        return None
-    irreducibles = f.coprimes()
-    for a in f.elements():
-        acc = f.bottom
-        for j in irreducibles:
-            if f.leq(j, a):
-                nxt = f.join(acc, j)
-                if t[nxt] != f.join(t[acc], t[j]):
-                    return acc, j
-                acc = nxt
-    return None
-
-
-def _levels_hold(t: Sequence[int], m: int) -> bool:
-    """t(s | h) = t(s) | t(h) for every power of two h < m and s < h."""
-    for b in range(m.bit_length() - 1):
-        half = 1 << b
-        th = t[half]
-        for lo in range(0, half, LEVEL_CHUNK):
-            hi = min(half, lo + LEVEL_CHUNK)
-            if t[half + lo:half + hi] != [x | th for x in t[lo:hi]]:
-                return False
-    return True
 
 
 @dataclass

@@ -5,7 +5,7 @@ triples of elements), so it is slow and only used on small frames.
 """
 
 from ordloc import coverage
-from ordloc.errors import FrameTooLarge, ValidationError
+from ordloc.errors import FrameTooLarge, NotALattice, NotDistributive, ValidationError
 from ordloc.lattice import (FiniteFrame, FrameMap, bits, close_family_under_union_intersection,
                             frame_from_down_rows, frame_from_topology, mask_of_iter,
                             transitive_closure_rows, transpose_rows)
@@ -253,6 +253,104 @@ def downset_frame(rel) -> FiniteFrame:
     up = transitive_closure_rows([mask_of_iter(j for j in range(n) if rel[i][j])
                                   for i in range(n)])
     return frame_from_topology(n, close_family_under_union_intersection(n, transpose_rows(up)))
+
+
+class TableFrame:
+    """A finite lattice served from the down rows of its order and its
+    m x m meet and join tables."""
+
+    def __init__(self, down_rows, bottom, top, meet_t, join_t):
+        self.m, self.bottom, self.top = len(down_rows), bottom, top
+        self.down_rows, self.up_rows = down_rows, transpose_rows(down_rows)
+        self.meet_t, self.join_t = meet_t, join_t
+
+    def leq(self, i: int, j: int) -> bool:
+        return bool(self.down_rows[j] >> i & 1)
+
+    def meet(self, i: int, j: int) -> int:
+        return self.meet_t[i][j]
+
+    def join(self, i: int, j: int) -> int:
+        return self.join_t[i][j]
+
+    def heyting(self, a: int, b: int) -> int:
+        out = self.bottom
+        for w in range(self.m):
+            if self.leq(self.meet(a, w), b):
+                out = self.join(out, w)
+        return out
+
+    def coprimes(self) -> list[int]:
+        """Elements with exactly one lower cover, in id order."""
+        return [i for i in range(self.m) if len(_covers(self.down_rows, self.up_rows, i)) == 1]
+
+    def primes(self) -> list[int]:
+        """Elements with exactly one upper cover, in id order."""
+        return [i for i in range(self.m) if len(_covers(self.up_rows, self.down_rows, i)) == 1]
+
+
+def _covers(rows, dual, i):
+    strict = rows[i] & ~(1 << i)
+    return [j for j in bits(strict) if strict & dual[j] & ~(1 << j) == 0]
+
+
+def frame_by_tables(down_rows: list[int]) -> TableFrame:
+    """The lattice of the order with the given down rows, every law checked
+    on every pair: antisymmetry, a unique bottom and top, a meet (the lower
+    bounds are a down row) and a join (the upper bounds are an up row) for
+    each pair, then distributivity.  Raises NotALattice or NotDistributive."""
+    m = len(down_rows)
+    for i in range(m):
+        for j in bits(down_rows[i]):
+            if j != i and down_rows[j] >> i & 1:
+                raise NotALattice(f"order not antisymmetric at ({i},{j})")
+    bottoms = [i for i in range(m) if down_rows[i] == 1 << i]
+    tops = [i for i in range(m) if bin(down_rows[i]).count("1") == m]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise NotALattice("order lacks a unique bottom or top")
+    up_rows = transpose_rows(down_rows)
+    id_of_down = {r: i for i, r in enumerate(down_rows)}
+    id_of_up = {r: i for i, r in enumerate(up_rows)}
+    meet_t, join_t = [], []
+    for i in range(m):
+        mrow = [id_of_down.get(down_rows[i] & dj) for dj in down_rows]
+        jrow = [id_of_up.get(up_rows[i] & uj) for uj in up_rows]
+        if None in mrow or None in jrow:
+            j = next(j for j in range(m) if mrow[j] is None or jrow[j] is None)
+            raise NotALattice(f"no {'meet' if mrow[j] is None else 'join'} for ({i},{j})")
+        meet_t.append(mrow)
+        join_t.append(jrow)
+    f = TableFrame(down_rows, bottoms[0], tops[0], meet_t, join_t)
+    # distributive iff every join-irreducible j is join-prime: the join of
+    # the elements not above j is not above j
+    for j in f.coprimes():
+        acc = f.bottom
+        for x in bits((1 << m) - 1 & ~up_rows[j]):
+            nxt = f.join(acc, x)
+            if f.leq(j, nxt):
+                raise NotDistributive(f"a&(b|c) != (a&b)|(a&c) at {(j, acc, x)}")
+            acc = nxt
+    return f
+
+
+def frame_map_failure_by_pairs(fmap: FrameMap):
+    """Why the preimage is not a frame map, as the NotAFrameMap message:
+    totality, bottom, top, then the first pair a <= b (ids) whose meet or
+    join it does not preserve; None for a frame map."""
+    src, tgt, pre = fmap.source, fmap.target, fmap.preimage
+    if len(pre) != tgt.m:
+        return "preimage must be total on the target frame"
+    if pre[tgt.bottom] != src.bottom:
+        return "preimage does not preserve bottom"
+    if pre[tgt.top] != src.top:
+        return "preimage does not preserve top"
+    for a in range(tgt.m):
+        for b in range(a, tgt.m):
+            if pre[tgt.meet(a, b)] != src.meet(pre[a], pre[b]):
+                return f"meet not preserved at {(a, b)}"
+            if pre[tgt.join(a, b)] != src.join(pre[a], pre[b]):
+                return f"join not preserved at {(a, b)}"
+    return None
 
 
 def subframe_by_pairs(ambient: FiniteFrame, elem_ids, meta=None):

@@ -13,6 +13,7 @@ from ordloc import lattice as L
 from ordloc.errors import (
     MissingBottomOrTop,
     NotAFrameMap,
+    NotALattice,
     NotClosedUnderJoin,
     NotClosedUnderMeet,
     NotDistributive,
@@ -94,12 +95,25 @@ def test_nondistributive_lattices_are_rejected(leq):
     assert meet(a, join(b, c)) != join(meet(a, b), meet(a, c))
 
 
+def test_non_lattice_is_not_reported_as_non_distributive():
+    # atoms a, c, b, d (masks 1, 4, 2, 8) under abc and abd: a | c has a
+    # join (abc), so closing the carriers first fails with a join at hand,
+    # yet a | b has two minimal upper bounds and the order is no lattice
+    items = [0, 1, 4, 2, 8, 7, 11, 15]
+    rows = oracles.order_rows(items, lambda x, y: x & ~y == 0)
+    with pytest.raises(NotALattice) as e:
+        L.frame_from_down_rows(rows)
+    with pytest.raises(NotALattice) as want:
+        oracles.frame_by_tables(rows)
+    assert str(e.value) == str(want.value) == "no join for (1,3)"
+
+
 def test_distributive_table_frame_passes():
     # the product of a 2-chain and a 3-chain, ordered componentwise
     items = [(x, y) for x in range(2) for y in range(3)]
     f = L.frame_from_down_rows(
         oracles.order_rows(items, lambda p, q: p[0] <= q[0] and p[1] <= q[1]))
-    assert f.kind == "table" and f.m == 6
+    assert f.kind == "mask" and f.m == 6 and not f.realized
     for i, p in enumerate(items):
         for j, q in enumerate(items):
             assert items[f.meet(i, j)] == (min(p[0], q[0]), min(p[1], q[1]))
@@ -204,6 +218,22 @@ def test_frame_map_validation_rejects_nonmap(bowtie_frame):
     bad = L.FrameMap(f, f, [f.top] * f.m)
     with pytest.raises(NotAFrameMap):
         bad.validate()
+
+
+@pytest.mark.parametrize("pre, message", [
+    # every join kept, but {0,1} & {0,2} = {0} goes to {0,1,2}, not to the base
+    ([0, 4, 5, 5, 5, 5], "meet not preserved at (2, 3)"),
+    # every meet kept, but {0,1} | {0,2} = {0,1,2} goes to {0}, not to {}
+    ([0, 0, 0, 0, 1, 5], "join not preserved at (2, 3)"),
+])
+def test_frame_map_breaking_only_meets_or_only_joins_is_rejected(pre, message):
+    # opens {}, {0}, {0,1}, {0,2}, {0,1,2} and the base
+    f = L.frame_from_topology(4, [0, 1, 3, 5, 7, 15])
+    kept = L.join_failure(f, pre) if message.startswith("meet") else L.meet_failure(f, pre, f)
+    assert kept is None
+    with pytest.raises(NotAFrameMap) as e:
+        L.FrameMap(f, f, pre).validate()
+    assert str(e.value) == message
 
 
 # -- double negation ---------------------------------------------------------------
