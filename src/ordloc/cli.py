@@ -533,8 +533,8 @@ def main(argv=None) -> int:
             doc = parse(_read_input(args.input), strict=args.strict)
             olx = _as_locale(doc, args.variant)
             u = _region_elem(doc, args.region)
-            _emit(args, f"up: {olx.frame.pretty(olx.up_map[u])}\n"
-                        f"down: {olx.frame.pretty(olx.down_map[u])}\n")
+            _emit(args, f"up: {olx.frame.pretty(olx.up(u))}\n"
+                        f"down: {olx.frame.pretty(olx.down(u))}\n")
             return 0
         if args.cmd == "hull":
             return _cmd_unary(args, ol.convex_hull)

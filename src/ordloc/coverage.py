@@ -161,6 +161,7 @@ class _AtomCoverage:
     def __init__(self, olx: OrderedLocale, amask_id: int):
         self.ol = olx
         self.f = olx.frame
+        self.up, self.down = olx.up_map, olx.down_map
         self.a = amask_id
         self.atoms = self.f.atoms()
         self.in_a = [self.f.leq(b, self.a) for b in self.atoms]
@@ -215,7 +216,7 @@ class _AtomCoverage:
         if r is None:
             f = self.f
             b, c = self.atoms[bi], self.atoms[ci]
-            meet = f.meet(f.meet(self.a, self.ol.up_map[b]), self.ol.down_map[c])
+            meet = f.meet(f.meet(self.a, self.up[b]), self.down[c])
             r = self._slot_certain(meet, b, c)
             self._bridge[key] = r
         return r
@@ -226,7 +227,7 @@ class _AtomCoverage:
         if r is None:
             f = self.f
             b = self.atoms[bi]
-            meet = f.meet(self.a, self.ol.down_map[b])
+            meet = f.meet(self.a, self.down[b])
             r = self._slot_certain(meet, None, b)
             self._prepend[bi] = r
         return r
@@ -487,6 +488,7 @@ def _coverage_column(olx: OrderedLocale, work: OrderedLocale,
     f = olx.frame
     if a == f.bottom:
         return [f.bottom], []
+    down = work.down_map
     atomistic = f.is_atomistic()
     if atomistic:
         cover = _AtomCoverage(work, a)
@@ -494,7 +496,7 @@ def _coverage_column(olx: OrderedLocale, work: OrderedLocale,
         bad = f.join_all(cover.atoms[i] for i in parent)
     members, pending = [], []
     for u in f.elements():
-        cone = work.down_map[u]
+        cone = down[u]
         if not f.leq(a, cone):
             continue
         if atomistic:

@@ -63,14 +63,14 @@ def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], l
     Contrapositively: join{U : up(U) <= Q} <= P and join{V : down(V) <= P} <= Q.
     Every test reads the rows {i : x <= p_i} of `lattice.rows_above`.
     """
-    f = olx.frame
+    f, up, down = olx.frame, olx.up_map, olx.down_map
     below = lat.rows_above(f, primes)
     n = len(primes)
     under_up, under_down = [0] * n, [0] * n    # {U : up(U) <= p_i}, {V : down(V) <= p_i}
     for u in f.elements():
-        for i in bits(below[olx.up_map[u]]):
+        for i in bits(below[up[u]]):
             under_up[i] |= 1 << u
-        for i in bits(below[olx.down_map[u]]):
+        for i in bits(below[down[u]]):
             under_down[i] |= 1 << u
     # row i holds j iff w_up[j] <= p_i and w_down[i] <= p_j
     cols = lat.transpose_rows([below[f.join_of_idmask(w)] for w in under_up])

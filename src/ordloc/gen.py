@@ -122,8 +122,8 @@ def two_speed_grid(spec: GridSpec) -> OrderedLocale:
     space = OrderedSpace.build(n, [], opens="discrete",
                                labels=_grid_labels(spec, set(alive)),
                                name=f"two_speed_{spec.t_size}x{spec.x_size}")
-    f = space.frame
-    pair = ol.ConePair(f, *osp.subset_cones(f.m, up_rows, down_rows))
+    pair = ol.ConePair(space.frame, lat.SubsetCone(n, 0, up_rows),
+                       lat.SubsetCone(n, 0, down_rows))
     return ol.ordered_locale_from_monads(
         pair, meta={"name": f"two_speed(up={spec.up_slope},down={spec.down_slope})"})
 

@@ -18,6 +18,10 @@ points), `frame_from_topology` (a family of opens), `frame_from_down_rows`
 (a Birkhoff frame from its down rows) and `subframe` (ambient elements,
 ordered by the ambient down rows).
 
+Cones on powerset frames are `SubsetCone`s: a join-preserving map is
+fixed by its value at the empty set and its n singleton values, and is
+read in O(1) from two half tables; the full 2^n list is built on demand.
+
 Subsets of points and subsets of element ids are both carried as Python
 int bitmasks throughout.
 """
@@ -30,6 +34,7 @@ from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    FrameTooLarge,
     MissingBottomOrTop,
     NotAFrameMap,
     NotALattice,
@@ -40,6 +45,7 @@ from .errors import (
 )
 
 LEVEL_CHUNK = 4096       # entries compared at a time by the powerset join kernel
+SUBSET_LIMIT = 1 << 20   # entries of a cone table or list on a powerset frame
 
 
 def popcount(x: int) -> int:
@@ -580,6 +586,57 @@ def subframe(ambient: FiniteFrame, elem_ids: Iterable[int], *,
 # -- frame maps ---------------------------------------------------------------
 
 
+class SubsetCone:
+    """A map t on the powerset of n points in generator form:
+    t(s) = base | OR of values[b] over the points b of s.
+
+    Lemma (Birkhoff; Davey & Priestley, ch. 5): a map on 2^n preserves
+    binary joins iff t(s) = t(0) | OR{t({b}) : b in s} for every s.  So
+    every join-preserving map has this form, and this form preserves
+    joins by construction: t(a | b) = t(a) | t(b), as a point of a | b is
+    a point of a or of b.  `join_failure` returns None for it unscanned.
+
+    t[s] is O(1): lo[s & (2^k - 1)] | hi[s >> k], from half tables over
+    the low k = ceil(n/2) points (base included) and the other n - k,
+    each built by doubling and refused (FrameTooLarge) above
+    SUBSET_LIMIT entries.  `tolist()` ORs the two tables into the 2^n
+    list, memoized and refused above SUBSET_LIMIT entries.
+    """
+
+    def __init__(self, n: int, base: int, values: Sequence[int]):
+        k = n - n // 2
+        if 1 << k > SUBSET_LIMIT:
+            raise FrameTooLarge(f"cone tables on {1 << k} subsets exceed {SUBSET_LIMIT}")
+        self.n, self._k, self._low = n, k, (1 << k) - 1
+        self._lo = _or_table(base, values[:k])
+        self._hi = _or_table(0, values[k:])
+        self._list = None
+
+    def __len__(self) -> int:
+        return 1 << self.n
+
+    def __getitem__(self, s: int) -> int:
+        return self._lo[s & self._low] | self._hi[s >> self._k]
+
+    def tolist(self) -> list[int]:
+        if self._list is None:
+            if 1 << self.n > SUBSET_LIMIT:
+                raise FrameTooLarge(f"cone lists on {1 << self.n} subsets exceed "
+                                    f"{SUBSET_LIMIT}")
+            lo = self._lo
+            self._list = [x | h for h in self._hi for x in lo]
+        return self._list
+
+
+def _or_table(base: int, rows: Sequence[int]) -> list[int]:
+    """t[s] = base | OR of rows[b] over the bits b of s, by doubling: the
+    subsets whose highest bit is b are the s < 2^b plus b."""
+    t = [base]
+    for r in rows:
+        t += [x | r for x in t] if r else t
+    return t
+
+
 def join_failure(frame: FiniteFrame, t: Sequence[int],
                  into: Optional[FiniteFrame] = None) -> Optional[tuple[int, int]]:
     """A pair (a, b) with t(a | b) != t(a) | t(b), or None if there is none;
@@ -598,7 +655,10 @@ def join_failure(frame: FiniteFrame, t: Sequence[int],
     levels t[h:2h] == [x | t[h] for x in t[:h]], h = 1 << b, compared in
     list chunks, so the verdict costs O(m) list work.  Only a failing
     level runs the lowest-bit loop, which names the least witness.
+    A `SubsetCone` preserves joins by its lemma: None, with no scan.
     """
+    if isinstance(t, SubsetCone):
+        return None
     f, g = frame, into or frame
     if f.kind == g.kind == "powerset":
         if _levels_hold(t, f.m):

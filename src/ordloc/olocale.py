@@ -19,7 +19,9 @@ Axiom checks run in tiers and say which tier ran in the report note:
 * exhaustive scans over all element pairs (or triples, for the wedge laws);
 * exact theorem certificates whose premises are themselves verified
   (the join-irreducible kernel `lattice.join_failure`, memoized per
-  cone, certifies monotone cones, cuts monad validation to bottom and
+  cone and answered without a scan for the generator-form cones
+  `lattice.SubsetCone` of powerset frames, which preserve joins by
+  construction, certifies monotone cones, cuts monad validation to bottom and
   the join-irreducibles J, decides C-join and cuts F+/F- to pairs over
   bottom and J; cone-determined relations with monotone cones are
   join-closed; a preorder is join-closed iff it is closed under
@@ -42,6 +44,7 @@ witness against the law it claims to break.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import lattice as lat
@@ -101,8 +104,8 @@ class ConePair:
     """Two candidate localic cones: monads u (future) and d (past)."""
 
     frame: FiniteFrame
-    u: list[int]
-    d: list[int]
+    u: Sequence[int]                  # a list, or a lattice.SubsetCone
+    d: Sequence[int]
     joins: dict = field(default_factory=dict, repr=False, compare=False)  # name -> witness
 
     def join_failure(self, name: str) -> Optional[tuple[int, int]]:
@@ -110,11 +113,21 @@ class ConePair:
             self.joins[name] = join_failure(self.frame, getattr(self, name))
         return self.joins[name]
 
+    def listed(self, name: str) -> list[int]:
+        """Cone `name` as a list, which from then on also serves its reads
+        here (a SubsetCone memoizes the list, so pairs sharing one share it)."""
+        t = getattr(self, name)
+        if isinstance(t, lat.SubsetCone):
+            t = t.tolist()
+            setattr(self, name, t)
+        return t
+
     def validate(self) -> None:
         """Monad laws, raising NotAMonad at the least witness.  A map that
         preserves binary joins is monotone, and inflationary and idempotent
         once it is so at bottom and on J, as each a != bottom is a join of
-        the j below it.  Any other map gets the full scan, monotonicity
+        the j below it (a `SubsetCone` preserves joins by construction, so
+        it costs O(n) reads).  Any other map gets the full scan, monotonicity
         included: along covers (which generate <=) on powerset frames and
         above PAIR_LIMIT, over all pairs x <= y (least in id order) otherwise."""
         f = self.frame
@@ -125,6 +138,7 @@ class ConePair:
             if self.join_failure(name) is None and all(
                     f.leq(x, t[x]) and t[t[x]] == t[x] for x in (f.bottom, *f.coprimes())):
                 continue
+            t = self.listed(name)
             for x in f.elements():
                 if not f.leq(x, t[x]):
                     raise NotAMonad(f"{name} inflationary", (x,))
@@ -137,20 +151,37 @@ class ConePair:
 
 
 class OrderedLocale:
-    """A finite frame with a causal preorder closed under joins."""
+    """A finite frame with a causal preorder closed under joins.
+
+    The cones have two read paths.  Per-element queries (the law checks,
+    `related`, `up`/`down`, hulls, complements) index `cones.u` and
+    `cones.d`, which on powerset frames may be generator-form
+    `lattice.SubsetCone`s with O(1) reads.  Whole-locale consumers read
+    `up_map`/`down_map`, plain lists built on first access
+    (`ConePair.listed`), which then serve the per-element reads too.
+    """
 
     def __init__(self, frame: FiniteFrame, *, up_map, down_map, rel_rows=None,
                  cone_definitional=False, joins=None, meta=None):
         self.frame = frame
-        self.up_map = up_map            # memoized future cone, elem -> elem
-        self.down_map = down_map        # memoized past cone
         self.cones = ConePair(frame, up_map, down_map, dict(joins or {}))
         self._rel_rows = rel_rows
         self.cone_definitional = cone_definitional
         self.meta = dict(meta or {})
         self._axiom_cache: dict[str, CheckReport] = {}
+        self._regular: Optional[CheckReport] = None
         self._hull_cache = {}
         self._compl_cache = {}
+
+    @cached_property
+    def up_map(self) -> list[int]:
+        """The future cone as a list, elem -> elem."""
+        return self.cones.listed("u")
+
+    @cached_property
+    def down_map(self) -> list[int]:
+        """The past cone as a list."""
+        return self.cones.listed("d")
 
     # -- relation access --------------------------------------------------
 
@@ -158,7 +189,7 @@ class OrderedLocale:
         if self._rel_rows is not None:
             return bool(self._rel_rows[u] >> v & 1)
         f = self.frame
-        return f.leq(u, self.down_map[v]) and f.leq(v, self.up_map[u])
+        return f.leq(u, self.cones.d[v]) and f.leq(v, self.cones.u[u])
 
     def rel_rows(self) -> list[int]:
         if self._rel_rows is None:
@@ -169,10 +200,10 @@ class OrderedLocale:
         return self._rel_rows
 
     def up(self, u: int) -> int:
-        return self.up_map[u]
+        return self.cones.u[u]
 
     def down(self, u: int) -> int:
-        return self.down_map[u]
+        return self.cones.d[u]
 
     def check(self, law: str) -> CheckReport:
         return check_axiom(self, law)
@@ -282,7 +313,7 @@ def ordered_locale_from_monads(cones: ConePair, *, validated=False,
     """Ordered locale whose order is determined by a validated monad pair."""
     if not validated:
         cones.validate()
-    return OrderedLocale(cones.frame, up_map=list(cones.u), down_map=list(cones.d),
+    return OrderedLocale(cones.frame, up_map=cones.u, down_map=cones.d,
                          cone_definitional=True, joins=cones.joins, meta=meta)
 
 
@@ -305,7 +336,7 @@ def dual_order(ol: OrderedLocale) -> OrderedLocale:
     cone-definitional one derives its own rows from the swapped cones."""
     rows = None if ol.cone_definitional else ol._rel_rows
     swap = {"u": "d", "d": "u"}
-    return OrderedLocale(ol.frame, up_map=list(ol.down_map), down_map=list(ol.up_map),
+    return OrderedLocale(ol.frame, up_map=ol.cones.d, down_map=ol.cones.u,
                          rel_rows=None if rows is None else lat.transpose_rows(rows),
                          cone_definitional=ol.cone_definitional,
                          joins={swap[k]: w for k, w in ol.cones.joins.items()})
@@ -338,7 +369,7 @@ def _cones_monotone(ol) -> bool:
     f = ol.frame
     return all(ol.cones.join_failure(name) is None
                or all(f.leq(t[x], t[y]) for x in f.elements() for y in f.upper_covers(x))
-               for name, t in (("u", ol.up_map), ("d", ol.down_map)))
+               for name, t in (("u", ol.cones.u), ("d", ol.cones.d)))
 
 
 def _check_V(ol: OrderedLocale) -> CheckReport:
@@ -436,7 +467,7 @@ def _check_C_order(ol: OrderedLocale) -> CheckReport:
 def _cone_join_failure(ol: OrderedLocale) -> Optional[tuple[tuple, str]]:
     """(pair, note) where a cone breaks a binary join, or None.  The kernel
     decides; up to PAIR_LIMIT the id-order scan names the least pair."""
-    f, up, dn = ol.frame, ol.up_map, ol.down_map
+    f, up, dn = ol.frame, ol.cones.u, ol.cones.d
     wu, wd = ol.cones.join_failure("u"), ol.cones.join_failure("d")
     if wu is None and wd is None:
         return None
@@ -455,7 +486,7 @@ def _cone_join_failure(ol: OrderedLocale) -> Optional[tuple[tuple, str]]:
 
 def _check_C_join(ol: OrderedLocale) -> CheckReport:
     f = ol.frame
-    if ol.up_map[f.bottom] != f.bottom or ol.down_map[f.bottom] != f.bottom:
+    if ol.cones.u[f.bottom] != f.bottom or ol.cones.d[f.bottom] != f.bottom:
         return _fail("C-join", (f.bottom, f.bottom),
                      "empty family: cone of bottom is not bottom")
     bad = _cone_join_failure(ol)
@@ -488,7 +519,7 @@ def _check_F(ol: OrderedLocale, plus: bool) -> CheckReport:
     """
     law = "F+" if plus else "F-"
     f = ol.frame
-    side, other = (ol.down_map, ol.up_map) if plus else (ol.up_map, ol.down_map)
+    side, other = (ol.cones.d, ol.cones.u) if plus else (ol.cones.u, ol.cones.d)
 
     def holds(u, v):
         return f.leq(f.meet(side[u], v), side[f.meet(u, other[v])])
@@ -581,13 +612,13 @@ def _wedge_scan(ol: OrderedLocale, plus: bool) -> Optional[tuple]:
 
 
 def _check_empty(ol: OrderedLocale) -> CheckReport:
-    f = ol.frame
+    f, up, dn = ol.frame, ol.cones.u, ol.cones.d
     b = f.bottom
-    if ol.up_map[b] != b:
-        return _fail("empty", (b, ol.up_map[b]),
+    if up[b] != b:
+        return _fail("empty", (b, up[b]),
                      "future cone of the empty region is not empty")
-    if ol.down_map[b] != b:
-        return _fail("empty", (ol.down_map[b], b),
+    if dn[b] != b:
+        return _fail("empty", (dn[b], b),
                      "past cone of the empty region is not empty")
     if ol.cone_definitional:
         # U rel V needs V <= up(U) and U <= down(V): with both cones of the
@@ -632,6 +663,7 @@ def revalidate(ol: OrderedLocale, report: CheckReport) -> bool:
     if report.verdict != "fail" or report.witness is None:
         return False
     f, w = ol.frame, report.witness
+    up, dn = ol.cones.u, ol.cones.d
     law = report.law
     if law == "parallel":
         for sub in ("empty", "wedge+", "wedge-"):
@@ -653,22 +685,20 @@ def revalidate(ol: OrderedLocale, report: CheckReport) -> bool:
                             for x in f.elements()))
     if law == "C-order":
         u, v = w
-        cone_form = f.leq(u, ol.down_map[v]) and f.leq(v, ol.up_map[u])
+        cone_form = f.leq(u, dn[v]) and f.leq(v, up[u])
         return cone_form != ol.related(u, v)
     if law == "C-join":
         u, v = w
         if u == f.bottom and v == f.bottom:
-            return ol.up_map[u] != f.bottom or ol.down_map[u] != f.bottom
+            return up[u] != f.bottom or dn[u] != f.bottom
         j = f.join(u, v)
-        return (ol.up_map[j] != f.join(ol.up_map[u], ol.up_map[v])
-                or ol.down_map[j] != f.join(ol.down_map[u], ol.down_map[v]))
+        return (up[j] != f.join(up[u], up[v])
+                or dn[j] != f.join(dn[u], dn[v]))
     if law in ("F+", "F-") or (law in ("wedge+", "wedge-") and len(w) == 2):
         u, v = w
         if law in ("F+", "wedge+"):
-            return not f.leq(f.meet(ol.down_map[u], v),
-                             ol.down_map[f.meet(u, ol.up_map[v])])
-        return not f.leq(f.meet(ol.up_map[u], v),
-                         ol.up_map[f.meet(u, ol.down_map[v])])
+            return not f.leq(f.meet(dn[u], v), dn[f.meet(u, up[v])])
+        return not f.leq(f.meet(up[u], v), up[f.meet(u, dn[v])])
     if law in ("wedge+", "wedge-"):
         u, v, vq = w
         if law == "wedge+":
@@ -681,8 +711,8 @@ def revalidate(ol: OrderedLocale, report: CheckReport) -> bool:
     if law == "empty":
         u, v = w
         return ol.related(u, v) and (u == f.bottom or v == f.bottom) and u != v \
-            or (u == f.bottom and ol.up_map[f.bottom] == v and v != f.bottom) \
-            or (v == f.bottom and ol.down_map[f.bottom] == u and u != f.bottom)
+            or (u == f.bottom and up[f.bottom] == v and v != f.bottom) \
+            or (v == f.bottom and dn[f.bottom] == u and u != f.bottom)
     raise ValidationError(f"no revalidator for law {report.law!r}")
 
 
@@ -711,7 +741,7 @@ def is_monotone(fmap: FrameMap, source: OrderedLocale,
 def convex_hull(ol: OrderedLocale, u: int) -> int:
     h = ol._hull_cache.get(u)
     if h is None:
-        h = ol.frame.meet(ol.up_map[u], ol.down_map[u])
+        h = ol.frame.meet(ol.cones.u[u], ol.cones.d[u])
         ol._hull_cache[u] = h
     return h
 
@@ -740,7 +770,7 @@ def causal_complement(ol: OrderedLocale, u: int) -> int:
     c = ol._compl_cache.get(u)
     if c is None:
         f = ol.frame
-        c = f.meet(f.neg(ol.up_map[u]), f.neg(ol.down_map[u]))
+        c = f.meet(f.neg(ol.cones.u[u]), f.neg(ol.cones.d[u]))
         ol._compl_cache[u] = c
     return c
 
@@ -809,7 +839,7 @@ def causal_heyting(ol: OrderedLocale, u: int, v: int, direction: str) -> int:
     if not cj.ok:
         raise ConesDoNotPreserveJoins(cj.witness)
     f = ol.frame
-    cone = ol.down_map if direction == "past" else ol.up_map
+    cone = ol.cones.d if direction == "past" else ol.cones.u
     return f.join_all(w for w in f.elements() if f.leq(f.meet(u, cone[w]), v))
 
 
@@ -890,7 +920,14 @@ def order_from_map(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
 
 
 def check_regular_cones(ol: OrderedLocale) -> CheckReport:
-    """not not up(U) == up(U) == up(not not U), and dually, for every U."""
+    """not not up(U) == up(U) == up(not not U), and dually, for every U.
+    One scan per locale; the report is cached on it."""
+    if ol._regular is None:
+        ol._regular = _regular_cones(ol)
+    return ol._regular
+
+
+def _regular_cones(ol: OrderedLocale) -> CheckReport:
     f = ol.frame
     for u in f.elements():
         nn = f.neg(f.neg(u))

@@ -14,11 +14,9 @@ from typing import Iterable, Optional, Sequence
 
 from . import lattice as lat
 from . import olocale as ol
-from .errors import FrameTooLarge, ValidationError
-from .lattice import FiniteFrame, PointSet, bits, mask_of_iter
+from .errors import ValidationError
+from .lattice import FiniteFrame, PointSet, SubsetCone, bits, mask_of_iter
 from .olocale import CheckReport, OrderedLocale
-
-SUBSET_LIMIT = 1 << 20   # cone lists of powerset frames built up to this size
 
 
 class OrderedSpace:
@@ -115,14 +113,17 @@ def has_open_cones(space: OrderedSpace) -> CheckReport:
     return CheckReport("open-cones", "pass", None, "exhaustive over opens")
 
 
-def _cone_maps(space: OrderedSpace) -> tuple[list[int], list[int]]:
-    """Pointwise cone of every open, as frame elements (interiors taken)."""
+def _cone_maps(space: OrderedSpace) -> tuple[Sequence[int], Sequence[int]]:
+    """Pointwise cone of every open, as frame elements (interiors taken):
+    generator-form `SubsetCone`s on powerset frames (every subset is open,
+    and the cone of a subset is the OR of its points' cones), lists
+    elsewhere.  Cached on the space, so the induced locales share them."""
     cached = space._cone_cache.get("maps")
     if cached is not None:
         return cached
     f = space.frame
     if f.kind == "powerset":
-        maps = subset_cones(f.m, space.up, space.down)   # all subsets open
+        maps = SubsetCone(space.n, 0, space.up), SubsetCone(space.n, 0, space.down)
     else:
         up_map, down_map = [], []
         for i in f.elements():
@@ -134,20 +135,15 @@ def _cone_maps(space: OrderedSpace) -> tuple[list[int], list[int]]:
     return maps
 
 
-def subset_cones(m: int, up_rows: Sequence[int], down_rows: Sequence[int]
-                 ) -> tuple[list[int], list[int]]:
-    """Extend point cones to every subset s < m of the points, as the OR of
-    the cones of its points.  By doubling: the subsets whose highest point
-    is b are the s < 1 << b plus b, so t[s | 1 << b] = t[s] | rows[b].
-    Refuses (FrameTooLarge) above SUBSET_LIMIT subsets."""
-    if m > SUBSET_LIMIT:
-        raise FrameTooLarge(f"cone lists on {m} subsets exceed {SUBSET_LIMIT}")
-    upt, dnt = [0] * m, [0] * m
-    for b in range(m.bit_length() - 1):
-        half, ru, rd = 1 << b, up_rows[b], down_rows[b]
-        upt[half:2 * half] = [x | ru for x in upt[:half]]
-        dnt[half:2 * half] = [x | rd for x in dnt[:half]]
-    return upt, dnt
+def _top_cone(space: OrderedSpace) -> Sequence[int]:
+    """The constant-top cone of the upper and lower variants, cached."""
+    top = space._cone_cache.get("top")
+    if top is None:
+        f = space.frame
+        top = (SubsetCone(space.n, f.top, [0] * space.n) if f.kind == "powerset"
+               else [f.top] * f.m)
+        space._cone_cache["top"] = top
+    return top
 
 
 def induced_locale(space: OrderedSpace, variant: str = "em") -> OrderedLocale:
@@ -162,18 +158,17 @@ def induced_locale(space: OrderedSpace, variant: str = "em") -> OrderedLocale:
     """
     f = space.frame
     up_map, down_map = _cone_maps(space)
-    top_const = [f.top] * f.m
     if variant == "em":
-        pair = ol.ConePair(f, list(up_map), list(down_map))
+        pair = ol.ConePair(f, up_map, down_map)
     elif variant == "upper":
-        pair = ol.ConePair(f, list(up_map), top_const)
+        pair = ol.ConePair(f, up_map, _top_cone(space))
     elif variant == "lower":
-        pair = ol.ConePair(f, top_const, list(down_map))
+        pair = ol.ConePair(f, _top_cone(space), down_map)
     else:
         raise ValidationError(f"unknown variant {variant!r}")
     # interiors of pointwise cones are always monads on the open-set lattice;
-    # validation costs one join-irreducible kernel pass per cone, which the
-    # law checks then share
+    # validation costs one join-irreducible kernel pass per list cone (none
+    # for a SubsetCone), which the law checks then share
     loc = ol.ordered_locale_from_monads(pair, meta={"variant": variant,
                                                     "space": space.name})
     rep = ol.check_axiom(loc, "V")

@@ -9,7 +9,8 @@ from ordloc.errors import FrameTooLarge, NotALattice, NotDistributive, Validatio
 from ordloc.lattice import (FiniteFrame, FrameMap, bits, close_family_under_union_intersection,
                             frame_from_down_rows, frame_from_topology, mask_of_iter,
                             transitive_closure_rows, transpose_rows)
-from ordloc.olocale import (REL_LIMIT, CheckReport, OrderedLocale, cones_from_rows)
+from ordloc.olocale import (REL_LIMIT, CheckReport, ConePair, OrderedLocale, check_axiom,
+                            cones_from_rows, ordered_locale_from_monads)
 from ordloc.ospace import OrderedSpace
 
 
@@ -370,6 +371,30 @@ def mask_backed_powerset(n: int) -> FiniteFrame:
     generic mask paths answer every query."""
     return FiniteFrame(kind="mask", m=1 << n, bottom=0, top=(1 << n) - 1,
                        ext=list(range(1 << n)), base_size=n)
+
+
+def subset_cones(m, up_rows, down_rows):
+    """Extend point cones to every subset s < m of the points, as the OR of
+    the cones of its points, by doubling: the subsets whose highest point
+    is b are the s < 1 << b plus b, so t[s | 1 << b] = t[s] | rows[b]."""
+    upt, dnt = [0] * m, [0] * m
+    for b in range(m.bit_length() - 1):
+        half, ru, rd = 1 << b, up_rows[b], down_rows[b]
+        upt[half:2 * half] = [x | ru for x in upt[:half]]
+        dnt[half:2 * half] = [x | rd for x in dnt[:half]]
+    return upt, dnt
+
+
+def list_form_locale(space: OrderedSpace, variant: str) -> OrderedLocale:
+    """The induced locale of a discrete space with its cones as full lists:
+    `subset_cones` and the constant-top list, validated by the list kernel."""
+    f = space.frame
+    up, down = subset_cones(f.m, space.up, space.down)
+    top = [f.top] * f.m
+    pair = {"em": (up, down), "upper": (up, top), "lower": (top, down)}[variant]
+    loc = ordered_locale_from_monads(ConePair(f, *pair))
+    assert check_axiom(loc, "V").ok
+    return loc
 
 
 def subset_cones_lowest_bit(m, up_rows, down_rows):

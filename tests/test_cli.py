@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordloc import cli, gen, ospace as S
+from ordloc import cli, gen, olocale as O, ospace as S
 from ordloc.errors import ValidationError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -163,20 +163,48 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
+def run_discrete(n, argv):
+    """The CLI on an n-point discrete space document, within a memory cap
+    and a time limit, so a regression fails instead of swapping."""
+    doc = json.dumps({"kind": "space", "points": [f"p{i}" for i in range(n)],
+                      "order": []})
+    return subprocess.run([sys.executable, "-m", "ordloc.cli", *argv], input=doc,
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=_cap_address_space)
+
+
 @pytest.mark.parametrize("argv", [
-    ["check", "-", "--axiom", "all"], ["hull", "-", "--region", "0"], ["points", "-"],
-    ["futures", "-"], ["dod", "-", "--region", "0"], ["ips", "-"], ["dot", "-"],
+    ["points", "-"], ["futures", "-"], ["dod", "-", "--region", "0"], ["ips", "-"],
+    ["dot", "-"],
 ], ids=lambda argv: argv[0])
 def test_cli_refuses_40_point_discrete_space(argv):
-    # 2**40 opens: refused before any cone list is allocated, within a
-    # memory cap and a time limit, so a regression fails instead of swapping
-    doc = json.dumps({"kind": "space", "points": [f"p{i}" for i in range(40)],
-                      "order": []})
-    out = subprocess.run([sys.executable, "-m", "ordloc.cli", *argv], input=doc,
-                         capture_output=True, text=True, timeout=10,
-                         preexec_fn=_cap_address_space)
+    # these read whole cone lists (or draw every element): 2**40 opens are
+    # refused before any list is allocated
+    out = run_discrete(40, argv)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,expect", [
+    (["check", "-", "--axiom", "all"], None), (["hull", "-", "--region", "0"], "{p0}\n"),
+], ids=["check", "hull"])
+def test_cli_answers_40_point_discrete_space(argv, expect):
+    # the laws and per-element queries read generator-form cones from two
+    # half tables of 2**20 entries each
+    out = run_discrete(40, argv)
+    assert out.returncode == 0 and out.stderr == ""
+    if expect is None:
+        lines = out.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(O.ALL_AXIOMS)
+        assert all(": pass (" in line for line in lines)
+    else:
+        assert out.stdout == expect
+
+
+def test_cli_refuses_41_point_discrete_check():
+    out = run_discrete(41, ["check", "-", "--axiom", "all"])
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: cone tables on 2097152 subsets exceed 1048576\n"
 
 
 def test_cli_json_report(m33):

@@ -682,6 +682,17 @@ def test_regular_cones(loc33, bowtie):
     assert f.neg(f.neg(u)) != u
 
 
+def test_regular_cones_scan_once_per_locale(bowtie, monkeypatch):
+    olx = S.induced_locale(bowtie, "em")
+    calls = []
+    neg = olx.frame.neg
+    monkeypatch.setattr(olx.frame, "neg", lambda a: calls.append(a) or neg(a))
+    first = O.check_regular_cones(olx)
+    scanned = len(calls)
+    assert scanned > 0
+    assert O.check_regular_cones(olx) is first and len(calls) == scanned
+
+
 # -- ideal completion ----------------------------------------------------------------------
 
 

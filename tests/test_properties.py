@@ -1084,11 +1084,79 @@ def test_powerset_frame_matches_listed_and_mask_frames(n):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_subset_cones_match_lowest_bit_loop(seed):
+    # the generator form's reads and full list, and the doubling oracle,
+    # against the lowest-bit loop and the definitional OR
     rng = random.Random(seed)
     n = rng.randint(0, 9)
     up = [rng.getrandbits(n) for _ in range(n)]
     down = [rng.getrandbits(n) for _ in range(n)]
-    assert S.subset_cones(1 << n, up, down) == oracles.subset_cones_lowest_bit(1 << n, up, down)
+    want = oracles.subset_cones_lowest_bit(1 << n, up, down)
+    assert oracles.subset_cones(1 << n, up, down) == want
+    base = rng.getrandbits(n)
+    for rows, listed in zip((up, down), want):
+        t = L.SubsetCone(n, base, rows)
+        assert len(t) == 1 << n and t.tolist() == [base | x for x in listed]
+        assert t.tolist() is t.tolist()
+        for s in (rng.getrandbits(n) for _ in range(20)):
+            definitional = base
+            for b in bits(s):
+                definitional |= rows[b]
+            assert t[s] == definitional
+
+
+def law_dump(loc):
+    return [(r.law, r.verdict, r.witness, r.note)
+            for r in (O.check_axiom(loc, law) for law in O.ALL_AXIOMS)]
+
+
+@pytest.mark.parametrize("t,x", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+def test_generator_form_matches_list_form_on_grids(t, x):
+    # every defect cell, every variant: identical reports (witnesses and
+    # notes included), and failing witnesses re-check on both forms
+    for defects in [()] + [((a, b),) for a in range(t) for b in range(x)]:
+        space = gen.minkowski_grid(gen.GridSpec(t, x, defects=defects))
+        for variant in ("em", "upper", "lower"):
+            loc = S.induced_locale(space, variant)
+            assert isinstance(loc.cones.u, L.SubsetCone)
+            listed = oracles.list_form_locale(space, variant)
+            assert law_dump(loc) == law_dump(listed), (t, x, defects, variant)
+            for rep in (O.check_axiom(loc, law) for law in O.ALL_AXIOMS):
+                if not rep.ok:
+                    assert O.revalidate(loc, rep) and O.revalidate(listed, rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_generator_form_matches_list_form_on_random_spaces(seed):
+    rng = random.Random(seed)
+    space = random_space(rng, rng.randint(1, 10))
+    variant = rng.choice(("em", "upper", "lower"))
+    loc = S.induced_locale(space, variant)
+    listed = oracles.list_form_locale(space, variant)
+    assert law_dump(loc) == law_dump(listed)
+    assert (loc.up_map, loc.down_map) == (listed.up_map, listed.down_map)
+
+
+def test_laws_on_grids_build_no_cone_list_and_run_no_level_scan(monkeypatch):
+    # the join lemma of SubsetCone replaces the level scan, and no law
+    # reads a full cone list
+    calls = {"levels": 0, "tolist": 0}
+    levels, tolist = L._levels_hold, L.SubsetCone.tolist
+
+    def count(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(L, "_levels_hold", count("levels", levels))
+    monkeypatch.setattr(L.SubsetCone, "tolist", count("tolist", tolist))
+    space = gen.minkowski_grid(gen.GridSpec(4, 4))
+    for variant in ("em", "upper", "lower"):
+        loc = S.induced_locale(space, variant)
+        assert all(O.check_axiom(loc, law) for law in ("V", "C-order", "F+", "F-"))
+        law_dump(loc)
+    assert calls == {"levels": 0, "tolist": 0}
 
 
 @settings(max_examples=90, deadline=None)
