@@ -4,6 +4,10 @@ reports, DOT export.
 Exit codes: 0 all checks passed / computation done, 1 a check failed
 (witness printed), 2 invalid input, 3 inconclusive (coverage bound or
 certification exhausted).
+
+A process loads only what its subcommand runs: `gen`, `duality` and
+`coverage` are imported by the subcommands that call them, and only the
+invoked subparser is given its options (see `build_parser`).
 """
 
 from __future__ import annotations
@@ -11,12 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
-from . import coverage as cov
-from . import duality as dua
-from . import gen
 from . import olocale as ol
 from . import ospace as osp
 from .errors import OrdlocError, ParseError, ValidationError
@@ -25,12 +24,14 @@ from .olocale import OrderedLocale
 from .ospace import OrderedSpace
 
 
-@dataclass
 class Document:
-    kind: str                  # space | locale | cones | coverage-table
-    name: str
-    payload: object            # OrderedSpace | OrderedLocale | (frame, tables)
-    raw: dict
+    __slots__ = ("kind", "name", "payload", "raw")
+
+    def __init__(self, kind: str, name: str, payload: object, raw: dict):
+        self.kind = kind          # space | locale | cones | coverage-table
+        self.name = name
+        self.payload = payload    # OrderedSpace | OrderedLocale | (frame, tables)
+        self.raw = raw
 
 
 # schema of the --json check reports; also documented in the README
@@ -205,13 +206,15 @@ def serialize(doc: Document) -> str:
 
 def export_dot(doc: Document, what: str = "hasse", limit: int = 128) -> str:
     """Hasse diagram of the frame as a DOT digraph, with optional coloring
-    of cone images (what=cones) or convex elements (what=hulls)."""
-    olx = _as_locale(doc, "em")
-    frame = olx.frame
-    if frame.m > limit:
+    of cone images (what=cones) or convex elements (what=hulls).  The size
+    limit is read from the document's frame before any locale is built."""
+    frame = getattr(doc.payload, "frame", None)     # a space's or a locale's
+    if frame is not None and frame.m > limit:
         raise ValidationError(
             f"frame has {frame.m} elements; DOT export limited to {limit} "
             "(raise with --dot-limit)")
+    olx = _as_locale(doc, "em")
+    frame = olx.frame
     color = {}
     if what == "cones":
         for u in frame.elements():
@@ -322,6 +325,9 @@ def _defect(text: str) -> tuple[int, int]:
 
 
 def _cmd_gen(args) -> int:
+    from fractions import Fraction
+
+    from . import gen
     kind = args.what
     if kind == "minkowski":
         slope = _number(Fraction, args.slope, "--slope")
@@ -339,7 +345,10 @@ def _cmd_gen(args) -> int:
     elif kind == "non-oc":
         doc = doc_of_space(gen.non_OC_example())
     elif kind == "suite":
-        inst = gen.suite_instance(args.name)
+        try:
+            inst = gen.suite_instance(args.name)
+        except KeyError:
+            raise ValidationError(f"unknown suite instance {args.name!r}") from None
         doc = doc_of_space(inst) if isinstance(inst, OrderedSpace) \
             else doc_of_locale(inst, args.name)
     else:
@@ -366,6 +375,7 @@ def _cmd_unary(args, fn) -> int:
 
 
 def _cmd_points(args) -> int:
+    from . import duality as dua
     doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     pts = dua.points_space(olx)
@@ -380,6 +390,7 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_ips(args) -> int:
+    from . import duality as dua
     doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     ips = dua.ideal_points(olx)
@@ -409,6 +420,7 @@ def _cmd_cone_frames(args, which) -> int:
 
 
 def _cmd_dod(args) -> int:
+    from . import coverage as cov
     doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     a = _region_elem(doc, args.region)
@@ -420,6 +432,7 @@ def _cmd_dod(args) -> int:
 
 
 def _cmd_cov(args) -> int:
+    from . import coverage as cov
     doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     a = _region_elem(doc, args.region)
@@ -435,6 +448,7 @@ def _cmd_cov(args) -> int:
 
 
 def _cmd_grothendieck(args) -> int:
+    from . import coverage as cov
     doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     rep = cov.check_down_grothendieck(olx)
@@ -443,6 +457,7 @@ def _cmd_grothendieck(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
+    from . import duality as dua
     doc = parse(_read_input(args.input), strict=args.strict)
     if not isinstance(doc.payload, OrderedSpace):
         raise ValidationError("ideals wants a space document")
@@ -464,103 +479,91 @@ def _cmd_dot(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _cmd_cones(args) -> int:
+    doc = parse(_read_input(args.input), strict=args.strict)
+    olx = _as_locale(doc, args.variant)
+    u = _region_elem(doc, args.region)
+    _emit(args, f"up: {olx.frame.pretty(olx.up(u))}\n"
+                f"down: {olx.frame.pretty(olx.down(u))}\n")
+    return 0
+
+
+# subcommand -> (help, handler), in the order `ordloc -h` lists them
+COMMANDS = {
+    "gen": ("generate a standard instance", _cmd_gen),
+    "check": ("run axiom checks", _cmd_check),
+    "cones": ("compute cones of --region", _cmd_cones),
+    "hull": ("compute hull of --region", lambda a: _cmd_unary(a, ol.convex_hull)),
+    "complement": ("compute complement of --region",
+                   lambda a: _cmd_unary(a, ol.causal_complement)),
+    "diamond": ("compute diamond of --region", lambda a: _cmd_unary(a, ol.diamond)),
+    "points": ("space of points + counit report", _cmd_points),
+    "ips": ("ideal points", _cmd_ips),
+    "futures": ("frame of futures", lambda a: _cmd_cone_frames(a, "futures")),
+    "pasts": ("frame of pasts", lambda a: _cmd_cone_frames(a, "pasts")),
+    "dod": ("domain of dependence of --region", _cmd_dod),
+    "cov": ("does --region cover --target", _cmd_cov),
+    "grothendieck": ("sieve axioms of the coverage", _cmd_grothendieck),
+    "ideals": ("relation ideals of a space", _cmd_ideals),
+    "dot": ("DOT export of the frame", _cmd_dot),
+}
+
+
+def _add_options(name: str, p: argparse.ArgumentParser) -> None:
+    if name == "gen":
+        p.add_argument("what", choices=["minkowski", "two-speed", "vertical",
+                                        "bowtie", "non-oc", "suite"])
+        p.add_argument("--t", type=int, default=3)
+        p.add_argument("--x", type=int, default=3)
+        p.add_argument("--slope", default="1")
+        p.add_argument("--up", default="1")
+        p.add_argument("--down", default="1")
+        p.add_argument("--topology", default="discrete",
+                       choices=["discrete", "diamond_basis", "codiscrete"])
+        p.add_argument("--defect", action="append", default=[])
+        p.add_argument("--name", default="m33")
+        p.add_argument("--out", default=None)
+        p.add_argument("--json", action="store_true")
+        return
+    p.add_argument("input", help="document file or - for stdin")
+    p.add_argument("--variant", default="em", choices=["em", "upper", "lower"])
+    p.add_argument("--strict", action="store_true")
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--out", default=None)
+    p.add_argument("--region", default="")
+    p.add_argument("--target", default="")
+    p.add_argument("--direction", default="future", choices=["future", "past"])
+    p.add_argument("--max-path-len", type=int, default=None)
+    p.add_argument("--dot-limit", type=int, default=128)
+    p.add_argument("--strict-rel", action="store_true",
+                   help="drop reflexive pairs before ideal enumeration")
+    if name == "check":
+        p.add_argument("--axiom", default="all", choices=["all", *ol.ALL_AXIOMS])
+    elif name == "dot":
+        p.add_argument("--what", default="hasse", choices=["hasse", "cones", "hulls"])
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The `ordloc` parser for `argv`.  Every subparser is added, so the
+    top-level help, usage and errors do not depend on `argv`, but only the
+    one named by argv[0] gets its options; all of them do when argv is None
+    or argv[0] names no subcommand."""
     ap = argparse.ArgumentParser(prog="ordloc",
                                  description="finite ordered locale workbench")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="document file or - for stdin")
-        p.add_argument("--variant", default="em", choices=["em", "upper", "lower"])
-        p.add_argument("--strict", action="store_true")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--out", default=None)
-        p.add_argument("--region", default="")
-        p.add_argument("--target", default="")
-        p.add_argument("--direction", default="future", choices=["future", "past"])
-        p.add_argument("--max-path-len", type=int, default=None)
-        p.add_argument("--dot-limit", type=int, default=128)
-        p.add_argument("--strict-rel", action="store_true",
-                       help="drop reflexive pairs before ideal enumeration")
-
-    g = sub.add_parser("gen", help="generate a standard instance")
-    g.add_argument("what", choices=["minkowski", "two-speed", "vertical",
-                                    "bowtie", "non-oc", "suite"])
-    g.add_argument("--t", type=int, default=3)
-    g.add_argument("--x", type=int, default=3)
-    g.add_argument("--slope", default="1")
-    g.add_argument("--up", default="1")
-    g.add_argument("--down", default="1")
-    g.add_argument("--topology", default="discrete",
-                   choices=["discrete", "diamond_basis", "codiscrete"])
-    g.add_argument("--defect", action="append", default=[])
-    g.add_argument("--name", default="m33")
-    g.add_argument("--out", default=None)
-    g.add_argument("--json", action="store_true")
-
-    c = sub.add_parser("check", help="run axiom checks")
-    common(c)
-    c.add_argument("--axiom", default="all",
-                   choices=["all", *ol.ALL_AXIOMS])
-
-    for name in ("cones", "hull", "complement", "diamond"):
-        p = sub.add_parser(name, help=f"compute {name} of --region")
-        common(p)
-
-    common(sub.add_parser("points", help="space of points + counit report"))
-    common(sub.add_parser("ips", help="ideal points"))
-    common(sub.add_parser("futures", help="frame of futures"))
-    common(sub.add_parser("pasts", help="frame of pasts"))
-    common(sub.add_parser("dod", help="domain of dependence of --region"))
-    common(sub.add_parser("cov", help="does --region cover --target"))
-    common(sub.add_parser("grothendieck", help="sieve axioms of the coverage"))
-    common(sub.add_parser("ideals", help="relation ideals of a space"))
-    d = sub.add_parser("dot", help="DOT export of the frame")
-    common(d)
-    d.add_argument("--what", default="hasse", choices=["hasse", "cones", "hulls"])
+    invoked = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (help_text, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if invoked in (None, name):
+            _add_options(name, p)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
-        if args.cmd == "gen":
-            return _cmd_gen(args)
-        if args.cmd == "check":
-            return _cmd_check(args)
-        if args.cmd == "cones":
-            doc = parse(_read_input(args.input), strict=args.strict)
-            olx = _as_locale(doc, args.variant)
-            u = _region_elem(doc, args.region)
-            _emit(args, f"up: {olx.frame.pretty(olx.up(u))}\n"
-                        f"down: {olx.frame.pretty(olx.down(u))}\n")
-            return 0
-        if args.cmd == "hull":
-            return _cmd_unary(args, ol.convex_hull)
-        if args.cmd == "complement":
-            return _cmd_unary(args, ol.causal_complement)
-        if args.cmd == "diamond":
-            return _cmd_unary(args, ol.diamond)
-        if args.cmd == "points":
-            return _cmd_points(args)
-        if args.cmd == "ips":
-            return _cmd_ips(args)
-        if args.cmd == "futures":
-            return _cmd_cone_frames(args, "futures")
-        if args.cmd == "pasts":
-            return _cmd_cone_frames(args, "pasts")
-        if args.cmd == "dod":
-            return _cmd_dod(args)
-        if args.cmd == "cov":
-            return _cmd_cov(args)
-        if args.cmd == "grothendieck":
-            return _cmd_grothendieck(args)
-        if args.cmd == "ideals":
-            return _cmd_ideals(args)
-        if args.cmd == "dot":
-            return _cmd_dot(args)
-        raise ValidationError(f"unknown command {args.cmd!r}")
+        return COMMANDS[args.cmd][1](args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

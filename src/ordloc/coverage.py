@@ -28,7 +28,6 @@ only A's column, so it costs one analysis at every frame size.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import olocale as ol
@@ -43,15 +42,17 @@ from .errors import (
     PreconditionAxioms,
     ValidationError,
 )
-from .lattice import FiniteFrame, bits, mask_of_iter, popcount
+from .lattice import FiniteFrame, Value, bits, mask_of_iter, popcount
 from .olocale import CheckReport, OrderedLocale
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Value):
     """A finite causal chain of nonempty open regions."""
 
-    steps: tuple[int, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[int, ...]):
+        self.steps = steps
 
     @property
     def start(self) -> int:
@@ -121,11 +122,13 @@ def restrict_path_future(olx: OrderedLocale, p: Path, v: int) -> Path:
     return validate_path(olx, steps)
 
 
-@dataclass
 class LocalRefinement:
     """A family of paths witnessing a local past refinement."""
 
-    pieces: list[tuple[Path, int]]        # (path q_j, endpoint W_j)
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: list[tuple[Path, int]]):
+        self.pieces = pieces              # (path q_j, endpoint W_j)
 
 
 def is_local_past_refinement(olx: OrderedLocale, family: LocalRefinement,
@@ -141,12 +144,15 @@ def is_local_past_refinement(olx: OrderedLocale, family: LocalRefinement,
     return True
 
 
-@dataclass
 class CoverageVerdict:
-    status: str                            # yes | no | inconclusive
-    witness: object = None
-    bound_used: int = 0
-    note: str = ""
+    __slots__ = ("status", "witness", "bound_used", "note")
+
+    def __init__(self, status: str, witness: object = None, bound_used: int = 0,
+                 note: str = ""):
+        self.status = status              # yes | no | inconclusive
+        self.witness = witness
+        self.bound_used = bound_used
+        self.note = note
 
     def __bool__(self):
         return self.status == "yes"
@@ -539,11 +545,13 @@ def coverage_rows(olx: OrderedLocale, direction: str = "past"):
     return rows, unresolved
 
 
-@dataclass
 class DependenceResult:
-    region: int
-    exact: bool
-    unresolved: int = 0
+    __slots__ = ("region", "exact", "unresolved")
+
+    def __init__(self, region: int, exact: bool, unresolved: int = 0):
+        self.region = region
+        self.exact = exact
+        self.unresolved = unresolved
 
 
 def region_of_influence(frame: FiniteFrame, cov_rows: list[int], u: int) -> int:

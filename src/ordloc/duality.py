@@ -9,24 +9,25 @@ below the prime).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import lattice as lat
 from . import olocale as ol
 from . import ospace as osp
 from .errors import FrameTooLarge, RegularConesRequired, ValidationError
-from .lattice import FiniteFrame, PointSet, bits, mask_of_iter
+from .lattice import FiniteFrame, PointSet, Value, bits, mask_of_iter
 from .olocale import CheckReport, OrderedLocale
 from .ospace import OrderedSpace
 
 
-@dataclass(frozen=True)
-class LocalePoint:
+class LocalePoint(Value):
     """One localic point, in both presentations."""
 
-    as_prime: int          # prime element id
-    as_filter: int         # id-bitmask of the completely prime filter
+    __slots__ = ("as_prime", "as_filter")
+
+    def __init__(self, as_prime: int, as_filter: int):
+        self.as_prime = as_prime       # prime element id
+        self.as_filter = as_filter     # id-bitmask of the completely prime filter
 
 
 def prime_to_filter(frame: FiniteFrame, p: int) -> int:
@@ -319,15 +320,18 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
 # -- ideal points ----------------------------------------------------------------
 
 
-@dataclass
 class IdealPointSet:
     """IPs/IFs and the points of the futures/pasts locales, as ambient ids."""
 
-    ips: list[int]
-    ifs: list[int]
-    future_points: list[int]
-    past_points: list[int]
-    negation_bijection: Optional[bool] = None
+    __slots__ = ("ips", "ifs", "future_points", "past_points", "negation_bijection")
+
+    def __init__(self, ips: list[int], ifs: list[int], future_points: list[int],
+                 past_points: list[int], negation_bijection: Optional[bool] = None):
+        self.ips = ips
+        self.ifs = ifs
+        self.future_points = future_points
+        self.past_points = past_points
+        self.negation_bijection = negation_bijection
 
 
 def ideal_points(olx: OrderedLocale) -> IdealPointSet:

@@ -4,7 +4,6 @@ counterexample menagerie, at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -18,23 +17,25 @@ from .olocale import OrderedLocale
 from .ospace import OrderedSpace
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    t_size: int
-    x_size: int
-    up_slope: Fraction = Fraction(1)
-    down_slope: Fraction = Fraction(1)
-    topology: str = "discrete"            # discrete | diamond_basis | codiscrete
-    defects: tuple[tuple[int, int], ...] = ()
+class GridSpec(lat.Value):
+    __slots__ = ("t_size", "x_size", "up_slope", "down_slope", "topology", "defects")
 
-    def __post_init__(self):
-        if self.t_size < 1 or self.x_size < 1:
+    def __init__(self, t_size: int, x_size: int, up_slope: Fraction = Fraction(1),
+                 down_slope: Fraction = Fraction(1), topology: str = "discrete",
+                 defects: tuple[tuple[int, int], ...] = ()):
+        if t_size < 1 or x_size < 1:
             raise ValidationError("grid must be at least 1x1")
-        if self.up_slope <= 0 or self.down_slope <= 0:
+        if up_slope <= 0 or down_slope <= 0:
             raise ValidationError("slopes must be positive")
-        for (t, x) in self.defects:
-            if not (0 <= t < self.t_size and 0 <= x < self.x_size):
+        for (t, x) in defects:
+            if not (0 <= t < t_size and 0 <= x < x_size):
                 raise ValidationError(f"defect {(t, x)} out of bounds")
+        self.t_size = t_size
+        self.x_size = x_size
+        self.up_slope = up_slope
+        self.down_slope = down_slope
+        self.topology = topology          # discrete | diamond_basis | codiscrete
+        self.defects = defects
 
 
 def _grid_labels(spec: GridSpec, alive) -> list[str]:

@@ -28,7 +28,6 @@ int bitmasks throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 from typing import Iterable, Optional, Sequence
@@ -67,16 +66,34 @@ def mask_of_iter(ids: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class PointSet:
+class Value:
+    """Equality and hashing by the attributes named in `__slots__`, for
+    small records that are not changed after construction."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class PointSet(Value):
     """A subset of a fixed finite base, stored as a bitmask."""
 
-    base_size: int
-    mask: int
+    __slots__ = ("base_size", "mask")
 
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.base_size:
-            raise ValidationError(f"point ids out of range for base {self.base_size}")
+    def __init__(self, base_size: int, mask: int):
+        if mask < 0 or mask >> base_size:
+            raise ValidationError(f"point ids out of range for base {base_size}")
+        self.base_size = base_size
+        self.mask = mask
 
     @classmethod
     def from_members(cls, base_size: int, members: Iterable[int]) -> "PointSet":
@@ -707,16 +724,18 @@ def _levels_hold(t: Sequence[int], m: int) -> bool:
     return True
 
 
-@dataclass
 class FrameMap:
     """A locale map source -> target carried by its frame map `preimage`.
 
     preimage[v] is the source element f^{-1}(V) for each target element V.
     """
 
-    source: FiniteFrame
-    target: FiniteFrame
-    preimage: list[int]
+    __slots__ = ("source", "target", "preimage")
+
+    def __init__(self, source: FiniteFrame, target: FiniteFrame, preimage: list[int]):
+        self.source = source
+        self.target = target
+        self.preimage = preimage
 
     def validate(self) -> None:
         """NotAFrameMap unless bottom, top, binary meets and joins are kept:

@@ -43,7 +43,6 @@ witness against the law it claims to break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -62,14 +61,18 @@ TRIPLE_LIMIT = 40        # wedge laws always by exact scan up to this size
 REL_LIMIT = 2048         # explicit relation rows materialized up to this size
 
 
-@dataclass
 class CheckReport:
-    """Verdict of one law check; fail comes with a re-checkable witness."""
+    """Verdict of one law check; fail comes with a re-checkable witness.
 
-    law: str
-    verdict: str                      # "pass" | "fail"
-    witness: Optional[tuple] = None
-    note: str = ""
+    Some checks attach details as further attributes, so it keeps a
+    `__dict__`."""
+
+    def __init__(self, law: str, verdict: str, witness: Optional[tuple] = None,
+                 note: str = ""):
+        self.law = law
+        self.verdict = verdict            # "pass" | "fail"
+        self.witness = witness
+        self.note = note
 
     @property
     def ok(self) -> bool:
@@ -99,14 +102,17 @@ def _fail(law, witness, note=""):
     return CheckReport(law, "fail", witness, note)
 
 
-@dataclass
 class ConePair:
     """Two candidate localic cones: monads u (future) and d (past)."""
 
-    frame: FiniteFrame
-    u: Sequence[int]                  # a list, or a lattice.SubsetCone
-    d: Sequence[int]
-    joins: dict = field(default_factory=dict, repr=False, compare=False)  # name -> witness
+    __slots__ = ("frame", "u", "d", "joins")
+
+    def __init__(self, frame: FiniteFrame, u: Sequence[int], d: Sequence[int],
+                 joins: Optional[dict] = None):
+        self.frame = frame
+        self.u = u                        # a list, or a lattice.SubsetCone
+        self.d = d
+        self.joins = {} if joins is None else joins   # name -> witness
 
     def join_failure(self, name: str) -> Optional[tuple[int, int]]:
         if name not in self.joins:

@@ -1,18 +1,26 @@
 """CLI: serialization round trips, exit codes, reports, DOT export."""
 
+import argparse
+import contextlib
+import copy
+import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordloc import cli, gen, olocale as O, ospace as S
 from ordloc.errors import ValidationError
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+ROOT = os.path.dirname(HERE)
 
 
 def run_cli(argv, stdin_text=None):
@@ -148,9 +156,10 @@ M22_DOC = "m22"   # stands for the serialized m22 space
      json.dumps({"kind": "locale", "rel": [],
                  "frame": {"base": 2, "opens": "discrete", "points": ["a"]}}),
      "parse error: malformed frame: 1 point names for base 2 (at frame)"),
+    (["gen", "suite", "--name", "nope"], None, "error: unknown suite instance 'nope'"),
 ], ids=["region-not-an-id", "region-negative", "target-not-an-id",
         "defect-not-a-cell", "slope-not-a-number", "coverage-table-without-cov-minus",
-        "frame-negative-base", "frame-too-few-point-names"])
+        "frame-negative-base", "frame-too-few-point-names", "unknown-suite-instance"])
 def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
     if stdin == M22_DOC:
         stdin = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))
@@ -253,6 +262,21 @@ def test_dot_limit(m33):
         cli.export_dot(cli.doc_of_space(m33))          # 512 > 128
 
 
+def test_dot_limit_is_checked_before_the_locale_is_built(monkeypatch):
+    # the em locale of 40 discrete points takes about 0.5 s and 190 MB to
+    # build; the frame size is known from the document alone
+    calls = []
+    induced = S.induced_locale
+    monkeypatch.setattr(S, "induced_locale", lambda *a: calls.append(a) or induced(*a))
+    doc = cli.parse(json.dumps({"kind": "space", "points": [f"p{i}" for i in range(40)],
+                                "order": []}))
+    with pytest.raises(ValidationError) as e:
+        cli.export_dot(doc)
+    assert str(e.value) == ("frame has 1099511627776 elements; DOT export limited to "
+                            "128 (raise with --dot-limit)")
+    assert calls == []
+
+
 def test_dot_golden_files():
     bow = cli.export_dot(cli.doc_of_space(gen.suite_instance("bowtie")), "hasse")
     with open(os.path.join(GOLDEN, "bowtie_hasse.dot")) as fh:
@@ -288,3 +312,184 @@ def test_dot_pasts_coloring(loc22):
     filled = {line.split()[0] for line in dot.splitlines() if "filled" in line}
     expect = {f"e{u}" for u in set(loc22.up_map) | set(loc22.down_map)}
     assert filled == expect
+
+
+# -- parser: only the invoked subparser is configured ---------------------------
+
+
+def _parse(parser, argv, capsys):
+    """(namespace or None, exit code, stdout, stderr) of parsing argv."""
+    try:
+        ns, code = parser.parse_args(argv), None
+    except SystemExit as e:
+        ns, code = None, e.code
+    out = capsys.readouterr()
+    return ns, code, out.out, out.err
+
+
+def _catalogue_argvs(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+    return [argv for argv, _ in workloads.cli_catalogue()]
+
+
+def _readme_argvs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(cmd)[1:] for line in block.splitlines()
+            for cmd in line.split("|") if cmd.strip().startswith("ordloc ")]
+
+
+def _every_flag_argv(name):
+    """One argv for subcommand `name` that gives each of its options a value."""
+    p = argparse.ArgumentParser()
+    cli._add_options(name, p)
+    argv = [name]
+    for action in p._actions:
+        value = (action.choices[-1] if action.choices
+                 else "5" if action.type is int else "0,1")
+        if not action.option_strings:
+            argv.append("-" if action.dest == "input" else value)
+        elif action.dest != "help":
+            argv += [action.option_strings[-1]] + ([] if action.nargs == 0 else [value])
+    return argv
+
+
+MALFORMED_ARGVS = [
+    ["check", "-", "--bogus"], ["check", "-", "--variant", "mid"], ["check"],
+    ["nosuch", "-"], ["-h"], ["check", "-h"], [], ["dot", "-", "--dot-limit", "x"],
+    ["gen", "--help"], ["--json", "check", "-"],
+]
+
+
+def test_lazy_parser_matches_the_fully_configured_one(monkeypatch, capsys):
+    readme = _readme_argvs()
+    assert readme
+    argvs = (_catalogue_argvs(monkeypatch) + readme
+             + [_every_flag_argv(name) for name in cli.COMMANDS])
+    for argv in argvs:
+        lazy = _parse(cli.build_parser(argv), argv, capsys)
+        assert lazy[1:] == (None, "", ""), argv
+        assert lazy == _parse(cli.build_parser(), argv, capsys), argv
+    for argv in MALFORMED_ARGVS:
+        lazy = _parse(cli.build_parser(argv), argv, capsys)
+        assert lazy[0] is None and lazy[1] in (0, 2), argv
+        assert lazy == _parse(cli.build_parser(), argv, capsys), argv
+
+
+# -- import footprint ---------------------------------------------------------------
+
+FOOTPRINT = """
+import io, json, sys
+from ordloc import cli
+sys.stdin, sys.stdout = io.StringIO(sys.argv[1]), io.StringIO()
+code = cli.main(sys.argv[2:])
+sys.stdout = sys.__stdout__
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _loaded_modules(argv, doc):
+    # -S: no site hooks, so only what ordloc imports shows up
+    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, doc, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+def test_each_subcommand_imports_only_what_it_runs():
+    doc = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))
+    code, modules = _loaded_modules(["check", "-", "--axiom", "all"], doc)
+    assert code == 0
+    assert not modules & {"ordloc.coverage", "ordloc.duality", "ordloc.gen", "fractions",
+                          "dataclasses", "inspect"}
+    code, modules = _loaded_modules(["dod", "-", "--region", "0"], doc)
+    assert code == 0
+    assert "ordloc.coverage" in modules and "ordloc.duality" not in modules
+
+
+# -- fuzz: mutated suite documents through cli.main ---------------------------------
+
+# m44 (65,536 opens) is left out: its whole-list commands take seconds
+FUZZ_DOCS = [cli.serialize(cli.doc_of_space(inst) if isinstance(inst, S.OrderedSpace)
+                           else cli.doc_of_locale(inst, name))
+             for name, inst in gen.standard_suite() if name != "m44"]
+JUNK = [None, -1, 0, 3, 40, 1.5, True, "x", "discrete", "codiscrete", "space", "locale",
+        "cones", "coverage-table", [], {}, [0], [[0]], [[0, 1]], [[1, 0]], [[0, 99]],
+        [["a", 0]], [[0, 1, 2]], {"base": 2, "opens": "discrete"}]
+KEYS = ["kind", "points", "order", "opens", "frame", "rel", "base", "up", "down",
+        "cov_minus", "cov_plus"]
+REGIONS = ["", "0", "1", "0,1", "1,2", "0,1,2", "3,4,5", "9", "-1", "a", ",", "0,,3"]
+
+
+@st.composite
+def mutated_doc(draw):
+    obj = json.loads(draw(st.sampled_from(FUZZ_DOCS)))
+    for _ in range(draw(st.integers(0, 3))):
+        target = obj["frame"] if isinstance(obj.get("frame"), dict) and draw(st.booleans()) \
+            else obj
+        key = draw(st.sampled_from(KEYS))
+        action = draw(st.sampled_from(["set", "delete", "append", "drop"]))
+        if action == "set":
+            target[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+        elif action == "delete":
+            target.pop(key, None)
+        elif isinstance(target.get(key), list):
+            if action == "append":
+                target[key].append(copy.deepcopy(draw(st.sampled_from(JUNK))))
+            elif target[key]:
+                del target[key][draw(st.integers(0, len(target[key]) - 1))]
+    text = json.dumps(obj)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def doc_argv(draw):
+    # check half the time, so that exits 1 of check --json come up often
+    cmd = draw(st.just("check") | st.sampled_from([c for c in cli.COMMANDS if c != "gen"]))
+    argv = [cmd, "-", "--region", draw(st.sampled_from(REGIONS)),
+            "--target", draw(st.sampled_from(REGIONS)),
+            "--variant", draw(st.sampled_from(["em", "upper", "lower"])),
+            "--direction", draw(st.sampled_from(["future", "past"]))]
+    for flag in ("--strict", "--json", "--strict-rel"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    length = draw(st.sampled_from([None, -1, 0, 1, 3]))
+    if length is not None:
+        argv += ["--max-path-len", str(length)]
+    if cmd == "dot":
+        argv += ["--what", draw(st.sampled_from(["hasse", "cones", "hulls"]))]
+    if cmd == "check" and draw(st.booleans()):
+        argv += ["--axiom", draw(st.sampled_from(O.ALL_AXIOMS))]
+    return argv
+
+
+def _run_in_process(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(mutated_doc(), doc_argv())
+def test_cli_fuzz_on_mutated_suite_documents(text, argv):
+    code, out = _run_in_process(argv, text)
+    assert code in (0, 1, 2, 3)
+    if code == 1 and argv[0] == "check" and "--json" in argv:
+        with contextlib.redirect_stderr(io.StringIO()):
+            doc = cli.parse(text, strict="--strict" in argv)
+        olx = cli._as_locale(doc, argv[argv.index("--variant") + 1])
+        fails = [r for r in json.loads(out)["reports"] if r["verdict"] == "fail"]
+        assert fails
+        for r in fails:
+            assert O.revalidate(olx, O.CheckReport(r["law"], "fail", tuple(r["witness"] or ()),
+                                                   r["note"])), r

@@ -45,6 +45,20 @@ def test_pointset_validation():
         L.PointSet(2, 0b100)      # member id out of range
 
 
+def test_value_records_compare_and_hash_by_fields():
+    from fractions import Fraction
+
+    from ordloc import coverage as C, duality as D, gen
+    for make, other in ((lambda: L.PointSet(3, 0b101), L.PointSet(4, 0b101)),
+                        (lambda: D.LocalePoint(2, 0b1011), D.LocalePoint(2, 0b1010)),
+                        (lambda: C.Path((1, 3)), C.Path((1, 3, 3))),
+                        (lambda: gen.GridSpec(2, 3, Fraction(1), Fraction(2)),
+                         gen.GridSpec(2, 3, Fraction(1), Fraction(2), defects=((0, 1),)))):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and len({a, b, other}) == 2
+        assert a != other and a != tuple(a._key())
+
+
 def test_powerset_detection():
     f = L.frame_from_topology(2, [0, 1, 2, 3])
     assert f.kind == "powerset" and f.m == 4
