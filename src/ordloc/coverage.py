@@ -9,16 +9,21 @@ paths, so the public verdict is an honest tri-state.  On atomistic frames
   self-loop, between consecutive steps, or because a step already lies in
   A (any refining path must literally contain each atom step, and an
   inhabiting step must sit causally between two of them);
+* each slot is decided by its largest candidate, the meet of A with the
+  bounding cones (`_AtomCoverage.slot`, whose docstring has the lemma);
+  a relation that fails C-order has explicit rows, and its slots scan
+  below that meet;
 * on a parallel ordered locale with join-preserving cones, every path is
   refinable iff all its endpoint's backward atom chains are, because
   atoms are join-prime and parallelism turns "future touches" into "past
   touches".
 
-"no" verdicts therefore come with a machine-checked obstruction (an atom
-chain all of whose insertion slots are provably empty), and "yes"
-verdicts are cross-validated by constructing and verifying an explicit
-refinement for every enumerated path.  Non-atomistic frames fall back to
-"inconclusive".
+"no" verdicts therefore come with an obstruction (an atom chain all of
+whose insertion slots are empty), and "yes" verdicts are cross-validated
+by constructing and verifying an explicit refinement for every
+enumerated path.  "inconclusive" comes only from a non-atomistic frame
+(where A is neither U nor the cone of U), the path-enumeration cap, or an
+enumerated path for which no refinement was found.
 
 Domains of dependence and the bulk membership rows read the same slot
 analysis one covering region at a time (`_coverage_column`): D(A) needs
@@ -171,72 +176,43 @@ class _AtomCoverage:
         self.a = amask_id
         self.atoms = self.f.atoms()
         self.in_a = [self.f.leq(b, self.a) for b in self.atoms]
-        self._bridge = {}
-        self._prepend = {}
+        self.cone_order = ol.check_axiom(olx, "C-order").ok
+        self._slots = {}
 
-    def _slot_certain(self, candidates_meet: int, lo: Optional[int],
-                      hi: Optional[int]):
-        """Is there a nonempty V <= A & bounds with lo rel V (and V rel hi)?
+    def slot(self, b: Optional[int], c: int) -> Optional[int]:
+        """A nonempty V <= A with b rel V rel c, or None; with b None, the
+        slot before c: a nonempty V <= A with V rel c.
 
-        Returns (feasible, vertex, certain).  Tries the largest candidate
-        first; exhaustive downset scan below a small cap gives certainty.
+        Lemma: under C-order the largest candidate decides.  The relation
+        is the cone formula, so V <= m0 = A & up(b) & down(c) (A & down(c)
+        when b is None) already gives V <= up(b) and V <= down(c); every V
+        that fits lies below m0.  The two conditions left, b <= down(V) and
+        c <= up(V), only get easier as V grows, because the cones are
+        monotone (they preserve joins: C-join, a coverage precondition).
+        So some V fits iff m0 fits, and m0 is the vertex.
+
+        Without C-order the locale has explicit rows (monad locales satisfy
+        it by definition), which every constructor caps at REL_LIMIT, so
+        the slot scans down_row(m0) from the top, in decreasing id order:
+        on a powerset frame, the submasks of m0 from m0 down.
         """
+        key = (b, c)
+        if key in self._slots:
+            return self._slots[key]
         f, olx = self.f, self.ol
-        m0 = candidates_meet
-        if m0 == f.bottom:
-            return (False, None, True)
+        m0 = f.meet(self.a, self.down[c])
+        if b is not None:
+            m0 = f.meet(m0, self.up[b])
 
         def fits(v):
-            if v == f.bottom or not f.leq(v, m0):
-                return False
-            if lo is not None and not olx.related(lo, v):
-                return False
-            if hi is not None and not olx.related(v, hi):
-                return False
-            return True
+            return (v != f.bottom and (b is None or olx.related(b, v))
+                    and olx.related(v, c))
 
-        if fits(m0):
-            return (True, m0, True)
-        if f.kind == "powerset" or f.m <= 64:
-            # exhaustive scan of the downset of the largest candidate
-            if f.kind == "powerset":
-                sub = m0
-                s = sub
-                while True:
-                    if s and fits(s):
-                        return (True, s, True)
-                    if s == 0:
-                        break
-                    s = (s - 1) & sub
-                return (False, None, True)
-            for v in bits(f.down_row(m0)):
-                if fits(v):
-                    return (True, v, True)
-            return (False, None, True)
-        return (False, None, False)
-
-    def bridge(self, bi: int, ci: int):
-        """Insertability between atoms b and c (b rel V rel c, V inside A)."""
-        key = (bi, ci)
-        r = self._bridge.get(key)
-        if r is None:
-            f = self.f
-            b, c = self.atoms[bi], self.atoms[ci]
-            meet = f.meet(f.meet(self.a, self.up[b]), self.down[c])
-            r = self._slot_certain(meet, b, c)
-            self._bridge[key] = r
-        return r
-
-    def prepend(self, bi: int):
-        """Insertability before atom b (V rel b, V inside A)."""
-        r = self._prepend.get(bi)
-        if r is None:
-            f = self.f
-            b = self.atoms[bi]
-            meet = f.meet(self.a, self.down[b])
-            r = self._slot_certain(meet, None, b)
-            self._prepend[bi] = r
-        return r
+        v = m0 if fits(m0) else None
+        if v is None and not self.cone_order:
+            v = next((v for v in reversed(list(bits(f.down_row(m0)))) if fits(v)), None)
+        self._slots[key] = v
+        return v
 
     def atom_rel(self):
         cached = getattr(self, "_arel", None)
@@ -248,42 +224,23 @@ class _AtomCoverage:
             self._arel = cached
         return cached
 
-    def bad_reach(self):
-        """Atoms reachable by a certified-unrefinable chain, with parents.
+    def bad_reach(self) -> dict[int, Optional[int]]:
+        """Atoms reachable by an unrefinable chain, with parents.
 
-        Nodes: atoms outside A whose self-slot is certainly empty.
-        Starts: nodes whose prepend slot is certainly empty.
-        Edges: related atom pairs whose between-slot is certainly empty.
-        Unknown slots poison the analysis (tracked separately).
+        Nodes: atoms outside A whose self-slot is empty.
+        Starts: nodes whose slot before them is empty.
+        Edges: related atom pairs whose between-slot is empty.
         """
         cached = getattr(self, "_badreach", None)
         if cached is not None:
             return cached
-        n = len(self.atoms)
+        atoms, slot = self.atoms, self.slot
         arel = self.atom_rel()
-        unknown = False
-        node_ok = []
-        for i in range(n):
-            if self.in_a[i]:
-                node_ok.append(False)
-                continue
-            feas, _, certain = self.bridge(i, i)
-            if feas:
-                node_ok.append(False)
-            elif not certain:
-                node_ok.append(False)
-                unknown = True
-            else:
-                node_ok.append(True)
+        node_ok = [not self.in_a[i] and slot(x, x) is None for i, x in enumerate(atoms)]
         parent = {}
         work = []
-        for i in range(n):
-            if not node_ok[i]:
-                continue
-            feas, _, certain = self.prepend(i)
-            if not certain:
-                unknown = True
-            elif not feas:
+        for i, x in enumerate(atoms):
+            if node_ok[i] and slot(None, x) is None:
                 parent[i] = None
                 work.append(i)
         while work:
@@ -291,29 +248,25 @@ class _AtomCoverage:
             for j in bits(arel[i]):
                 if j == i or not node_ok[j] or j in parent:
                     continue
-                feas, _, certain = self.bridge(i, j)
-                if not certain:
-                    unknown = True
-                elif not feas:
+                if slot(atoms[i], atoms[j]) is None:
                     parent[j] = i
                     work.append(j)
-        self._badreach = (parent, unknown)
-        return self._badreach
+        self._badreach = parent
+        return parent
 
     def bad_chain_to(self, umask_id: int) -> Optional[list[int]]:
-        parent, _ = self.bad_reach()
-        best = None
-        for i in sorted(parent):
-            if self.f.leq(self.atoms[i], umask_id):
-                best = i
-                break
-        if best is None:
+        """The unrefinable chain ending at the least bad atom inside U, as
+        its atoms in path order, or None."""
+        parent = self.bad_reach()
+        i = next((i for i in sorted(parent) if self.f.leq(self.atoms[i], umask_id)),
+                 None)
+        if i is None:
             return None
-        chain = [best]
-        while parent[chain[-1]] is not None:
-            chain.append(parent[chain[-1]])
-        chain.reverse()
-        return chain
+        chain = [i]
+        while parent[i] is not None:
+            i = parent[i]
+            chain.append(i)
+        return [self.atoms[i] for i in reversed(chain)]
 
     def refine_atom_chain(self, chain: list[int]) -> Optional[Path]:
         """An explicit causal path through the chain's atoms inhabiting A."""
@@ -321,16 +274,16 @@ class _AtomCoverage:
         steps = [self.atoms[i] for i in chain]
         if any(self.in_a[i] for i in chain):
             return validate_path(olx, steps)
-        feas, v, _ = self.prepend(chain[0])
-        if feas:
+        v = self.slot(None, steps[0])
+        if v is not None:
             return validate_path(olx, [v] + steps)
-        for k in range(len(chain)):
-            feas, v, _ = self.bridge(chain[k], chain[k])
-            if feas:
+        for k in range(len(steps)):
+            v = self.slot(steps[k], steps[k])
+            if v is not None:
                 return validate_path(olx, steps[:k + 1] + [v] + steps[k:])
-        for k in range(len(chain) - 1):
-            feas, v, _ = self.bridge(chain[k], chain[k + 1])
-            if feas:
+        for k in range(len(steps) - 1):
+            v = self.slot(steps[k], steps[k + 1])
+            if v is not None:
                 return validate_path(olx, steps[:k + 1] + [v] + steps[k + 1:])
         return None
 
@@ -377,11 +330,12 @@ def covers_above(olx: OrderedLocale, a: int, u: int,
 
 
 def _dual_with_axioms(olx: OrderedLocale) -> OrderedLocale:
-    """Memoized opposite order; parallel and C-join transfer by symmetry."""
+    """Memoized opposite order; parallel, C-join and C-order transfer by
+    symmetry."""
     dual = getattr(olx, "_dual", None)
     if dual is None:
         dual = ol.dual_order(olx)
-        for law in ("parallel", "C-join", "empty"):
+        for law in ("parallel", "C-join", "C-order", "empty"):
             rep = olx._axiom_cache.get(law)
             if rep is not None and rep.ok:
                 dual._axiom_cache[law] = rep
@@ -391,6 +345,16 @@ def _dual_with_axioms(olx: OrderedLocale) -> OrderedLocale:
                 dual._axiom_cache[theirs] = rep
         olx._dual = dual
     return dual
+
+
+def _unrefinable_path(olx: OrderedLocale, cover: _AtomCoverage, u: int,
+                      future: bool) -> Optional[Path]:
+    """The chain of `cover.bad_chain_to(u)` as a path of olx (reversed when
+    `cover` analyses the dual), or None."""
+    steps = cover.bad_chain_to(u)
+    if steps is None:
+        return None
+    return validate_path(olx, steps[::-1] if future else steps)
 
 
 def _covers(olx: OrderedLocale, a: int, u: int, bound, future: bool) -> CoverageVerdict:
@@ -406,12 +370,8 @@ def _covers(olx: OrderedLocale, a: int, u: int, bound, future: bool) -> Coverage
         # the truncated region is sound for chains landing in U)
         witness = None
         if f.is_atomistic():
-            cover = _AtomCoverage(work, f.meet(a, cone))
-            chain = cover.bad_chain_to(u)
-            if chain is not None:
-                steps = [cover.atoms[i] for i in chain]
-                witness = validate_path(olx, list(reversed(steps))) if future \
-                    else validate_path(work, steps)
+            witness = _unrefinable_path(olx, _AtomCoverage(work, f.meet(a, cone)),
+                                        u, future)
         return CoverageVerdict("no", witness, bound,
                                "precondition: A is not inside the cone of U"
                                + ("; witness path cannot be refined into A"
@@ -432,28 +392,11 @@ def _covers(olx: OrderedLocale, a: int, u: int, bound, future: bool) -> Coverage
                                "frame is not atomistic; no certified search "
                                "available")
     cover = _AtomCoverage(work, a)
-    _, unknown = cover.bad_reach()
-    chain = cover.bad_chain_to(u)
-    if chain is not None:
-        steps = [cover.atoms[i] for i in chain]
-        path = validate_path(work, steps)
-        # re-check the obstruction certificate slot by slot
-        cert = (not any(cover.in_a[i] for i in chain)
-                and cover.prepend(chain[0]) == (False, None, True)
-                and all(cover.bridge(i, i) == (False, None, True) for i in chain)
-                and all(cover.bridge(chain[k], chain[k + 1]) == (False, None, True)
-                        for k in range(len(chain) - 1)))
-        if cert:
-            p = validate_path(olx, list(reversed(steps))) if future else path
-            return CoverageVerdict("no", p, bound,
-                                   "certified: all insertion slots along the "
-                                   "witness chain are empty")
-        return CoverageVerdict("inconclusive", path, bound,
-                               "a candidate obstruction chain exists but some "
-                               "slot could not be certified")
-    if unknown:
-        return CoverageVerdict("inconclusive", None, bound,
-                               "some insertion slot could not be certified")
+    p = _unrefinable_path(olx, cover, u, future)
+    if p is not None:
+        return CoverageVerdict("no", p, bound,
+                               "certified: all insertion slots along the "
+                               "witness chain are empty")
     # yes: construct + verify a refinement for every enumerated atom path
     try:
         chains = _atom_chains_landing(work, cover, u, bound)
@@ -487,33 +430,25 @@ def _coverage_column(olx: OrderedLocale, work: OrderedLocale,
     and the U the analysis abstains on: (members, pending).
 
     A outside cone(U) never covers U, and the empty region covers only
-    itself.  On atomistic frames U is out when it holds an atom of a
-    certified-unrefinable chain, and pending wherever some slot could not
-    be certified.  Elsewhere only A = U and A = cone(U) are certain.
+    itself.  On atomistic frames the slot analysis decides every U: U is
+    out exactly when it holds an atom of an unrefinable chain, and
+    nothing is pending.  Elsewhere only A = U and A = cone(U) are certain;
+    every other U with A inside its cone is pending.
     """
     f = olx.frame
     if a == f.bottom:
         return [f.bottom], []
     down = work.down_map
-    atomistic = f.is_atomistic()
-    if atomistic:
-        cover = _AtomCoverage(work, a)
-        parent, unknown = cover.bad_reach()
-        bad = f.join_all(cover.atoms[i] for i in parent)
-    members, pending = [], []
-    for u in f.elements():
-        cone = down[u]
-        if not f.leq(a, cone):
-            continue
-        if atomistic:
-            # atoms are join-prime, so U meets `bad` iff it holds a bad atom
-            if f.meet(u, bad) != f.bottom:
-                continue
-            certain = not unknown
-        else:
-            certain = a == u or a == cone
-        (members if certain else pending).append(u)
-    return members, pending
+    inside = [u for u in f.elements() if f.leq(a, down[u])]
+    if not f.is_atomistic():
+        members, pending = [], []
+        for u in inside:
+            (members if a == u or a == down[u] else pending).append(u)
+        return members, pending
+    cover = _AtomCoverage(work, a)
+    bad = f.join_all(cover.atoms[i] for i in cover.bad_reach())
+    # atoms are join-prime, so U meets `bad` iff it holds a bad atom
+    return [u for u in inside if f.meet(u, bad) == f.bottom], []
 
 
 def coverage_rows(olx: OrderedLocale, direction: str = "past"):

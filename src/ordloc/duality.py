@@ -228,39 +228,30 @@ def check_axiom_P(olx: OrderedLocale) -> CheckReport:
     return _bullet_report(olx, _point_cones(*_point_data(olx, olx.frame.primes())))
 
 
-def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
-    """upcone(pt(U)) inside pt(up(U)) and dually -- valid in every ordered
-    locale, no axioms needed; the equalities are exactly axiom (bullet)."""
-    pcones = _point_cones(*_point_data(olx, olx.frame.primes()))
+def _cone_inclusions(olx: OrderedLocale, pcones) -> bool:
     return all(upc & ~pcones[olx.up_map[u]][0] == 0
                and dnc & ~pcones[olx.down_map[u]][0] == 0
                for u, (_, upc, dnc) in enumerate(pcones))
 
 
-def counit_monotone(olx: OrderedLocale) -> bool:
-    """The counit loc(pt(X)) -> X is monotone for every ordered locale;
-    verified directly against the induced locale on the points space."""
-    primes = olx.frame.primes()
-    rows, pms = _point_data(olx, primes)
-    return _counit_monotone(olx, _points_space(primes, rows, pms), pms)
+def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
+    """upcone(pt(U)) inside pt(up(U)) and dually -- valid in every ordered
+    locale, no axioms needed; the equalities are exactly axiom (bullet).
+
+    The inclusions make the counit loc(pt(X)) -> X monotone: the points
+    locale's cone of pt(U) is the interior of upcone(pt(U)), which lies
+    inside the open pt(up(U)) (dually for pasts).  So `counit_monotone`
+    is this check."""
+    return _cone_inclusions(olx, _point_cones(*_point_data(olx, olx.frame.primes())))
 
 
-def _counit_monotone(olx: OrderedLocale, pts: OrderedSpace, pms: list[int]) -> bool:
-    ptloc = osp.induced_locale(pts, "em")
-    f = pts.frame
-    for u in olx.frame.elements():
-        pre, pre_up = f.id_of_mask(pms[u]), f.id_of_mask(pms[olx.up_map[u]])
-        pre_dn = f.id_of_mask(pms[olx.down_map[u]])
-        if not f.leq(ptloc.up_map[pre], pre_up):
-            return False
-        if not f.leq(ptloc.down_map[pre], pre_dn):
-            return False
-    return True
+counit_monotone = point_cone_inclusions_hold
 
 
 def counit_check(olx: OrderedLocale) -> CheckReport:
     """Spatiality (automatic on finite frames, still verified), counit
-    monotonicity (always true, still verified), axiom (bullet), and --
+    monotonicity (always true, still verified by the point-cone
+    inclusions, see `point_cone_inclusions_hold`), axiom (bullet), and --
     given (bullet) and cone-determination -- the biconditional
     U <= V iff pt(U) <= pt(V)."""
     f = olx.frame
@@ -270,9 +261,8 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     pcones = _point_cones(rows, pms)
     brep = _bullet_report(olx, pcones)
     corder = ol.check_axiom(olx, "C-order")
-    monotone = _counit_monotone(olx, _points_space(primes, rows, pms), pms) \
-        if f.m <= ol.REL_LIMIT else None
-    if monotone is False:
+    monotone = _cone_inclusions(olx, pcones)
+    if not monotone:
         raise ValidationError("counit monotonicity failed; this should hold "
                               "in every ordered locale")
     note = [f"spatial={spatial} (finite frames are always spatial)",

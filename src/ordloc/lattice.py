@@ -43,7 +43,6 @@ from .errors import (
     ValidationError,
 )
 
-LEVEL_CHUNK = 4096       # entries compared at a time by the powerset join kernel
 SUBSET_LIMIT = 1 << 20   # entries of a cone table or list on a powerset frame
 
 
@@ -664,27 +663,24 @@ def join_failure(frame: FiniteFrame, t: Sequence[int],
     for every a.  That join is folded one j at a time, and the first fold
     step that breaks is the pair: O(m |J|).
 
-    On powersets J is the singletons.  Lemma: over all s != 0, the
-    lowest-bit conditions t(s) = t(s - low) | t(low) and the highest-bit
-    conditions t(s) = t(s - high) | t(high) are each equivalent to
-    t(s) = t(bottom) | join{t({b}) : b in s} (induction on |s|; at s = {b}
-    both say t(bottom) <= t({b})).  The highest-bit conditions are the
-    levels t[h:2h] == [x | t[h] for x in t[:h]], h = 1 << b, compared in
-    list chunks, so the verdict costs O(m) list work.  Only a failing
-    level runs the lowest-bit loop, which names the least witness.
-    A `SubsetCone` preserves joins by its lemma: None, with no scan.
+    On powersets J is the singletons, so t preserves joins iff it equals
+    its generator form g = `_or_table`(t(bottom), [t({b}) for each b]) (the
+    `SubsetCone` lemma).  The first s where t and g differ is the least s
+    breaking the lowest-bit condition t(s) = t(s - low) | t(low): below s,
+    t agrees with g, which meets every such condition, and at s the
+    condition reads t(s) = g(s).  So the pair is (s - low, low), found with
+    O(m) list work.  A `SubsetCone` preserves joins by its lemma: None,
+    with no scan.
     """
     if isinstance(t, SubsetCone):
         return None
     f, g = frame, into or frame
     if f.kind == g.kind == "powerset":
-        if _levels_hold(t, f.m):
+        form = _or_table(t[0], [t[1 << b] for b in range(f.base_size)])
+        if list(t) == form:
             return None
-        for s in range(1, f.m):
-            low = s & -s
-            if t[s] != t[s ^ low] | t[low]:
-                return s ^ low, low
-        return None
+        s = next(s for s in range(f.m) if t[s] != form[s])
+        return s & s - 1, s & -s
     return _fold_failure(t, [(j, f.up_row(j)) for j in f.coprimes()], f.bottom, f.join, g.join)
 
 
@@ -710,18 +706,6 @@ def _fold_failure(t, gens, start, op, into_op) -> Optional[tuple[int, int]]:
                     return acc, g
                 acc = nxt
     return None
-
-
-def _levels_hold(t: Sequence[int], m: int) -> bool:
-    """t(s | h) = t(s) | t(h) for every power of two h < m and s < h."""
-    for b in range(m.bit_length() - 1):
-        half = 1 << b
-        th = t[half]
-        for lo in range(0, half, LEVEL_CHUNK):
-            hi = min(half, lo + LEVEL_CHUNK)
-            if t[half + lo:half + hi] != [x | th for x in t[lo:hi]]:
-                return False
-    return True
 
 
 class FrameMap:

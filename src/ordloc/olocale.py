@@ -600,7 +600,7 @@ def _wedge_scan(ol: OrderedLocale, plus: bool) -> Optional[tuple]:
     """
     f = ol.frame
     rows = ol.rel_rows()
-    links = rows if plus else dual_order(ol).rel_rows()   # successors / predecessors
+    links = rows if plus else lat.transpose_rows(rows)   # successors / predecessors
     for u in range(f.m):
         above = f.up_row(u)
         need, reach = _successors(links, above), 0

@@ -417,3 +417,52 @@ def join_failure_lowest_bit(m, t):
         if t[s] != t[s ^ low] | t[low]:
             return s ^ low, low
     return None
+
+
+def convex_space_loop(space: OrderedSpace) -> CheckReport:
+    """Convex opens form a basis: every open, in id order, is the union of
+    the pointwise convex opens inside it."""
+    f = space.frame
+    convex = [e for e in map(f.mask_of, f.elements())
+              if space.up_mask(e) & space.down_mask(e) & ~e == 0]
+    for i in f.elements():
+        e = f.mask_of(i)
+        acc = 0
+        for c in convex:
+            if c & ~e == 0:
+                acc |= c
+        if acc != e:
+            return CheckReport("convex-space", "fail", (i,))
+    return CheckReport("convex-space", "pass")
+
+
+def slot_scan(olx: OrderedLocale, a: int, b, c: int):
+    """A nonempty V <= A with b rel V rel c (V rel c when b is None): the
+    largest candidate m = A & up(b) & down(c) if it fits, else the fitting
+    V of greatest id in the down-set of m, else None."""
+    f = olx.frame
+    m = f.meet(a, olx.down_map[c])
+    if b is not None:
+        m = f.meet(m, olx.up_map[b])
+
+    def fits(v):
+        return (v != f.bottom and (b is None or olx.related(b, v))
+                and olx.related(v, c))
+
+    if fits(m):
+        return m
+    return max((v for v in bits(f.down_row(m)) if fits(v)), default=None)
+
+
+def counit_monotone_by_points_locale(olx: OrderedLocale) -> bool:
+    """The counit loc(pt(X)) -> X is monotone: in the induced em locale of
+    the points space, the cones of pt(U) lie inside pt(up(U)) and
+    pt(down(U)), one leq per element and cone."""
+    from ordloc import duality, ospace
+    f, primes = olx.frame, olx.frame.primes()
+    pts = duality.points_space(olx)
+    ptloc, g = ospace.induced_locale(pts, "em"), pts.frame
+    pt = [g.id_of_mask(pt_mask(f, primes, u)) for u in f.elements()]
+    return all(g.leq(ptloc.up_map[pt[u]], pt[olx.up_map[u]])
+               and g.leq(ptloc.down_map[pt[u]], pt[olx.down_map[u]])
+               for u in f.elements())

@@ -344,6 +344,21 @@ def test_abstract_padded_coverage_fails_C2():
     assert rhs != set(table[j])
 
 
+@pytest.mark.parametrize("law, minus, witness", [
+    # C1: {0} misses its own cover
+    ("C1", {0: [0], 1: [0], 2: [2], 3: [3]}, (1,)),
+    # C2 with the nullary join: the empty region covers only itself
+    ("C2", {0: [0, 1], 1: [1], 2: [2], 3: [3]}, (0,)),
+    # C3: {0} covers {1}, which covers the top, but {0} does not cover it
+    ("C3", {0: [0], 1: [1], 2: [1, 2], 3: [2, 3]}, (1, 2, 3)),
+])
+def test_abstract_coverage_fails_with_least_witness(law, minus, witness):
+    f = L.frame_from_topology(2, [0, 1, 2, 3])
+    plus = {u: [u] for u in f.elements()}
+    rep = {r.law: r for r in C.abstract_coverage_check(f, minus, plus)}[law]
+    assert (rep.verdict, rep.witness) == ("fail", witness)
+
+
 def test_abstract_downset_coverage_fails_C5():
     f = L.frame_from_topology(2, [0, 1, 2, 3])
     eq = O.equality_order(f)

@@ -153,6 +153,15 @@ def test_counit_m33(loc33):
                            "biconditional": True, "counit_monotone": True}
 
 
+def test_counit_monotone_read_above_rel_limit():
+    # 4,096 opens: the point-cone inclusions still decide monotonicity
+    loc = S.induced_locale(S.OrderedSpace.build(12, [(0, 1), (1, 2)]), "em")
+    assert loc.frame.m > O.REL_LIMIT
+    rep = D.counit_check(loc)
+    assert rep.ok and rep.details["counit_monotone"] is True
+    assert "counit-monotone=True" in rep.note
+
+
 def test_point_cone_inclusions_always_hold(bowtie):
     # one-sided inclusions need no axioms, even where (bullet) fails
     f = bowtie.frame
@@ -161,11 +170,13 @@ def test_point_cone_inclusions_always_hold(bowtie):
     assert not D.check_axiom_P(olx).ok
     assert D.point_cone_inclusions_hold(olx)
     assert D.counit_monotone(olx)
+    assert oracles.counit_monotone_by_points_locale(olx)
     for name, inst in gen.standard_suite():
         loc = inst if isinstance(inst, O.OrderedLocale) \
             else S.induced_locale(inst, "em")
         if loc.frame.m <= 1024:
             assert D.point_cone_inclusions_hold(loc), name
+            assert oracles.counit_monotone_by_points_locale(loc), name
 
 
 def test_finite_frames_spatial():

@@ -4,10 +4,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from ordloc import gen, olocale as O, ospace as S
+from ordloc import gen, lattice as L, olocale as O, ospace as S
 from ordloc.lattice import PointSet, mask_of_iter
 
 from conftest import grid
+import oracles
 
 
 def pmask(space, *pts):
@@ -182,6 +183,32 @@ def test_bowtie_open_not_convex(bowtie):
 def test_convex_space_reports(m33, bowtie):
     assert S.is_convex_space(m33).ok
     assert not S.is_convex_space(bowtie).ok
+
+
+def test_convex_space_reads_neighbourhoods_above_4096_opens():
+    # opens: every S with 0 in S => 1 in S (6,144 of them on 13 points),
+    # order 0 <= 2 <= 1.  {0} is not open, and N(0) = {0,1} misses 2: it
+    # is the least open that is not a union of convex opens, as on 6 points
+    for n in (6, 13):
+        opens = [s for s in range(1 << n) if not (s & 1 and not s & 2)]
+        sp = S.OrderedSpace.build(n, [(0, 2), (2, 1)], opens=opens)
+        rep = S.is_convex_space(sp)
+        assert (rep.verdict, rep.witness) == ("fail", (sp.frame.id_of_mask(0b11),)), n
+        if n == 6:
+            assert oracles.convex_space_loop(sp).witness == rep.witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_convex_space_matches_union_loop(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+    opens = "discrete" if rng.random() < 0.2 else L.close_family_under_union_intersection(
+        n, [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))])
+    sp = S.OrderedSpace.build(n, pairs, opens=opens)
+    rep, want = S.is_convex_space(sp), oracles.convex_space_loop(sp)
+    assert (rep.verdict, rep.witness) == (want.verdict, want.witness), (pairs, opens)
 
 
 def test_convex_space_iff_convex_locale_with_open_cones(m22, bowtie):

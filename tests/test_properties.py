@@ -152,6 +152,81 @@ def random_topology_space(rng):
     return S.OrderedSpace.build(n, pairs, opens=opens)
 
 
+def random_coverage_locale(rng):
+    """An induced locale of a random space (any topology, any variant), or
+    explicit rows: a relation locale, or an induced locale's rows with a
+    few pairs dropped and one added (these often fail C-order)."""
+    sp = random_topology_space(rng)
+    loc = S.induced_locale(sp, rng.choice(["em", "upper", "lower"]))
+    style = rng.randrange(3)
+    if style == 0:
+        return loc
+    f = loc.frame
+    if style == 1:
+        pairs = [(rng.randrange(f.m), rng.randrange(f.m)) for _ in range(rng.randint(0, 5))]
+        return rows_locale(f, O.ordered_locale_from_relation(f, pairs).rel_rows())
+    rows = list(loc.rel_rows())
+    for _ in range(rng.randint(1, 3)):
+        u, v = rng.randrange(f.m), rng.randrange(f.m)
+        if u != v:
+            rows[u] &= ~(1 << v)
+    if rng.random() < 0.5:
+        rows[rng.randrange(f.m)] |= 1 << rng.randrange(f.m)
+    return rows_locale(f, rows)
+
+
+def slot_scans(olx):
+    """Check `_AtomCoverage.slot` against the down-set scan for every A, b
+    (or none) and c; return how many slots the scan decided below a
+    largest candidate that does not fit."""
+    f = olx.frame
+    found = 0
+    for a in f.elements():
+        cover = C._AtomCoverage(olx, a)
+        for c in f.elements():
+            for b in [None, *f.elements()]:
+                want = oracles.slot_scan(olx, a, b, c)
+                assert cover.slot(b, c) == want, (olx.rel_rows(), a, b, c)
+                m0 = f.meet(a, olx.down_map[c])
+                if b is not None:
+                    m0 = f.meet(m0, olx.up_map[b])
+                found += want is not None and want != m0
+    return found
+
+
+def coverage_preconditions_hold(olx):
+    return O.check_axiom(olx, "parallel").ok and O.check_axiom(olx, "C-join").ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_slot_matches_down_set_scan_random(seed):
+    # under C-order and C-join the largest candidate decides every slot
+    olx = random_coverage_locale(random.Random(seed))
+    if coverage_preconditions_hold(olx):
+        found = slot_scans(olx)
+        assert found == 0 or not O.check_axiom(olx, "C-order").ok
+
+
+def test_slot_scan_runs_where_C_order_fails():
+    # rows [1, 6, 4, 8] on 2^2: {0} rel {0}, {1} and {1} rel {1}.  The
+    # slot from the atom {0} (element 1) to the atom {1} (element 2) inside
+    # the top: m0 = top is not related from {0}, and the scan of its
+    # down-set finds {1}, the fitting element of greatest id
+    f = L.powerset_frame(2)
+    olx = rows_locale(f, [1, 6, 4, 8])
+    assert coverage_preconditions_hold(olx) and not O.check_axiom(olx, "C-order").ok
+    assert C._AtomCoverage(olx, f.top).slot(1, 2) == 2
+    found = slot_scans(olx)
+    rng, failing = random.Random(3), 0
+    for _ in range(1500):
+        olx = random_coverage_locale(rng)
+        if coverage_preconditions_hold(olx) and not O.check_axiom(olx, "C-order").ok:
+            failing += 1
+            found += slot_scans(olx)
+    assert failing >= 5 and found >= 2, (failing, found)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_domain_of_dependence_matches_verdicts_random(seed):
@@ -1138,25 +1213,30 @@ def test_generator_form_matches_list_form_on_random_spaces(seed):
 
 
 def test_laws_on_grids_build_no_cone_list_and_run_no_level_scan(monkeypatch):
-    # the join lemma of SubsetCone replaces the level scan, and no law
-    # reads a full cone list
-    calls = {"levels": 0, "tolist": 0}
-    levels, tolist = L._levels_hold, L.SubsetCone.tolist
-
-    def count(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(L, "_levels_hold", count("levels", levels))
-    monkeypatch.setattr(L.SubsetCone, "tolist", count("tolist", tolist))
+    # the join lemma of SubsetCone replaces the generator-form comparison
+    # of join_failure, and no law reads a full cone list: the only tables
+    # built are the half tables of the SubsetCones
     space = gen.minkowski_grid(gen.GridSpec(4, 4))
+    full = 1 << space.n
+    calls = {"full_table": 0, "tolist": 0}
+    or_table, tolist = L._or_table, L.SubsetCone.tolist
+
+    def counted_or_table(base, rows):
+        table = or_table(base, rows)
+        calls["full_table"] += len(table) == full
+        return table
+
+    def counted_tolist(cone):
+        calls["tolist"] += 1
+        return tolist(cone)
+
+    monkeypatch.setattr(L, "_or_table", counted_or_table)
+    monkeypatch.setattr(L.SubsetCone, "tolist", counted_tolist)
     for variant in ("em", "upper", "lower"):
         loc = S.induced_locale(space, variant)
         assert all(O.check_axiom(loc, law) for law in ("V", "C-order", "F+", "F-"))
         law_dump(loc)
-    assert calls == {"levels": 0, "tolist": 0}
+    assert calls == {"full_table": 0, "tolist": 0}
 
 
 @settings(max_examples=90, deadline=None)
