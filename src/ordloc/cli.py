@@ -28,9 +28,9 @@ class Document:
     __slots__ = ("kind", "name", "payload", "raw")
 
     def __init__(self, kind: str, name: str, payload: object, raw: dict):
-        self.kind = kind          # space | locale | cones | coverage-table
+        self.kind = kind          # space | locale | cones
         self.name = name
-        self.payload = payload    # OrderedSpace | OrderedLocale | (frame, tables)
+        self.payload = payload    # OrderedSpace | OrderedLocale
         self.raw = raw
 
 
@@ -182,15 +182,6 @@ def parse(text: str, strict: bool = False) -> Document:
         down = _ids(obj.get("down"), frame.m, "down")
         olx = ol.ordered_locale_from_monads(ol.ConePair(frame, up, down))
         return Document("cones", name, olx, obj)
-    if kind == "coverage-table":
-        frame = _frame_from_json(obj.get("frame", {}), "frame")
-        try:
-            minus, plus = ({int(u): [int(a) for a in row] for u, row in obj[key]}
-                           for key in ("cov_minus", "cov_plus"))
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("cov_minus and cov_plus must be lists of "
-                             "[open, [ids]] rows") from None
-        return Document("coverage-table", name, (frame, minus, plus), obj)
     raise ParseError(f"unknown document kind {kind!r}")
 
 
@@ -208,8 +199,8 @@ def export_dot(doc: Document, what: str = "hasse", limit: int = 128) -> str:
     """Hasse diagram of the frame as a DOT digraph, with optional coloring
     of cone images (what=cones) or convex elements (what=hulls).  The size
     limit is read from the document's frame before any locale is built."""
-    frame = getattr(doc.payload, "frame", None)     # a space's or a locale's
-    if frame is not None and frame.m > limit:
+    frame = doc.payload.frame       # a space's or a locale's
+    if frame.m > limit:
         raise ValidationError(
             f"frame has {frame.m} elements; DOT export limited to {limit} "
             "(raise with --dot-limit)")
@@ -253,17 +244,14 @@ def _read_input(arg: str) -> str:
 
 
 def _as_locale(doc: Document, variant: str) -> OrderedLocale:
-    if isinstance(doc.payload, OrderedLocale):
-        return doc.payload
     if isinstance(doc.payload, OrderedSpace):
         return osp.induced_locale(doc.payload, variant)
-    raise ValidationError(f"cannot treat a {doc.kind} document as a locale")
+    return doc.payload
 
 
 def _region_elem(doc: Document, region: str, option: str = "--region") -> int:
     """A region given as a comma-separated list of point ids."""
-    olx_frame = (doc.payload.frame if not isinstance(doc.payload, tuple)
-                 else doc.payload[0])
+    olx_frame = doc.payload.frame
     if not region:
         raise ValidationError(f"{option} required")
     pts = [_id(p, olx_frame.base_size, option) for p in region.split(",") if p != ""]

@@ -32,7 +32,6 @@ only A's column, so it costs one analysis at every frame size.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional, Sequence
 
 from . import olocale as ol
@@ -47,7 +46,7 @@ from .errors import (
     PreconditionAxioms,
     ValidationError,
 )
-from .lattice import FiniteFrame, Value, bits, mask_of_iter, popcount
+from .lattice import FiniteFrame, Value, bits, mask_of_iter
 from .olocale import CheckReport, OrderedLocale
 
 
@@ -427,7 +426,7 @@ def _covers(olx: OrderedLocale, a: int, u: int, bound, future: bool) -> Coverage
 def _coverage_column(olx: OrderedLocale, work: OrderedLocale,
                      a: int) -> tuple[list[int], list[int]]:
     """The regions U that A covers from below in `work` (olx or its dual),
-    and the U the analysis abstains on: (members, pending).
+    and the U it leaves undecided: (members, pending).
 
     A outside cone(U) never covers U, and the empty region covers only
     itself.  On atomistic frames the slot analysis decides every U: U is
@@ -451,14 +450,15 @@ def _coverage_column(olx: OrderedLocale, work: OrderedLocale,
     return [u for u in inside if f.meet(u, bad) == f.bottom], []
 
 
-def coverage_rows(olx: OrderedLocale, direction: str = "past"):
+def coverage_rows(olx: OrderedLocale, direction: str = "past") -> list[int]:
     """Membership id-bitmask rows: rows[u] = {a : a covers u}.
 
-    Uses the exact slot decision; returns (rows, unresolved) where
-    unresolved collects (a, u) pairs the analysis abstained on.
+    Refuses non-atomistic frames, where `_coverage_column` pends; on
+    atomistic ones the slot analysis decides every pair, so each row is
+    exact.
     """
-    cached = getattr(olx, "_cov_rows", None)
-    if cached is not None and direction in cached:
+    cached = vars(olx).setdefault("_cov_rows", {})
+    if direction in cached:
         return cached[direction]
     _require_coverage_axioms(olx)
     f = olx.frame
@@ -468,16 +468,11 @@ def coverage_rows(olx: OrderedLocale, direction: str = "past"):
         raise FrameTooLarge("bulk coverage needs an atomistic frame")
     work = olx if direction == "past" else _dual_with_axioms(olx)
     rows = [0] * f.m
-    unresolved = []
     for a in f.elements():
-        members, pending = _coverage_column(olx, work, a)
-        for u in members:
+        for u in _coverage_column(olx, work, a)[0]:
             rows[u] |= 1 << a
-        unresolved.extend((a, u) for u in pending)
-    if not hasattr(olx, "_cov_rows"):
-        olx._cov_rows = {}
-    olx._cov_rows[direction] = (rows, unresolved)
-    return rows, unresolved
+    cached[direction] = rows
+    return rows
 
 
 class DependenceResult:
@@ -499,7 +494,7 @@ def domain_of_dependence(olx: OrderedLocale, a: int,
     """D(A) = join of the regions covered by A (from below for future).
 
     Reads A's coverage column at every frame size; `unresolved` counts
-    the regions the slot analysis abstained on.
+    its pending regions, which only a non-atomistic frame has.
     """
     _require_coverage_axioms(olx)
     work = olx if direction == "future" else _dual_with_axioms(olx)
@@ -625,6 +620,8 @@ def abstract_coverage_check(frame: FiniteFrame, cov_minus, cov_plus) -> list[Che
 
 # -- Grothendieck axioms ----------------------------------------------------------
 
+SIEVE_FRAME_LIMIT = 24      # sieves are enumerated exhaustively up to this size
+
 
 def _downsets_of(frame: FiniteFrame, top_elem: int, cap: int = 4096) -> list[int]:
     """Down-closed subsets of the interval below top_elem, as id-bitmasks."""
@@ -642,91 +639,58 @@ def _downsets_of(frame: FiniteFrame, top_elem: int, cap: int = 4096) -> list[int
     return sorted(out)
 
 
-def check_down_grothendieck(olx: OrderedLocale, max_frame: int = 24) -> CheckReport:
+def check_down_grothendieck(olx: OrderedLocale) -> CheckReport:
     """The coverage as a cone-shifted Grothendieck topology on the frame.
 
     J-(U) holds of a sieve R on down(U) when the join of R covers U from
     below.  Verifies the maximal-sieve, pushforward-unit, pullback and
-    transitivity axioms by exhaustive sieve enumeration; abstains (and
-    counts abstentions) wherever the underlying membership is unresolved.
+    transitivity axioms by exhaustive sieve enumeration, on frames of at
+    most SIEVE_FRAME_LIMIT elements.  Membership is read from the exact
+    `coverage_rows`, so nothing is left undecided: the note's abstention
+    count, and `abstentions`, are always 0.
 
-    The pullback and transitivity axioms read, for a sieve join J, the
-    tri-state "down(W) & J covers W" at many W.  Those are two masks per J,
-    the W where it holds and the W where it is pending; a scan over the W
-    of a sieve is decided by the lowest W that does not hold, and that W,
-    when pending, is the scan's one abstention.
+    The pullback and transitivity axioms read, for a sieve join J, whether
+    down(W) & J covers W at many W: one id-bitmask of those W per J.
     """
     f = olx.frame
-    if f.m > max_frame:
-        raise FrameTooLarge(f"sieve check capped at {max_frame} elements")
-    rows, unresolved = coverage_rows(olx, "past")
-    pend = [0] * f.m
-    for a, u in unresolved:
-        pend[u] |= 1 << a
-    abstained = 0
+    if f.m > SIEVE_FRAME_LIMIT:
+        raise FrameTooLarge(f"sieve check capped at {SIEVE_FRAME_LIMIT} elements")
+    rows = coverage_rows(olx, "past")
+    down = olx.down_map
     pulled = {}
 
-    def member(a, u):
-        nonlocal abstained
-        if pend[u] >> a & 1:
-            abstained += 1
-            return None
-        return bool(rows[u] >> a & 1)
-
     def pullback(j):
-        """(holds, pending): the W at which down(W) & J covers W, and the W
-        at which that is unresolved, as id-bitmasks."""
+        """The W at which down(W) & J covers W, as an id-bitmask."""
         if j not in pulled:
-            holds = pending = 0
-            for w in f.elements():
-                x = f.meet(olx.down_map[w], j)
-                if pend[w] >> x & 1:
-                    pending |= 1 << w
-                elif rows[w] >> x & 1:
-                    holds |= 1 << w
-            pulled[j] = holds, pending
+            pulled[j] = mask_of_iter(w for w in f.elements()
+                                     if rows[w] >> f.meet(down[w], j) & 1)
         return pulled[j]
 
+    def fail(witness, note):
+        return CheckReport("grothendieck", "fail", witness, note)
+
     for u in f.elements():
-        du = olx.down_map[u]
-        sieves = _downsets_of(f, du)
-        # (i) maximal sieve covers
-        if member(du, u) is False:
-            return CheckReport("grothendieck", "fail", (u,),
-                               "maximal sieve on down(U) does not cover U")
-        # (i') pushforward of the maximal sieve on U itself
-        if member(u, u) is False:
-            return CheckReport("grothendieck", "fail", (u,),
-                               "unit pushforward sieve does not cover U")
-        joins = {s: f.join_of_idmask(s) for s in sieves}
-        covering = [s for s in sieves if member(joins[s], u)]
+        sieves = _downsets_of(f, down[u])
+        # (i) the maximal sieve on down(U), (i') its pushforward onto U
+        if not rows[u] >> down[u] & 1:
+            return fail((u,), "maximal sieve on down(U) does not cover U")
+        if not rows[u] >> u & 1:
+            return fail((u,), "unit pushforward sieve does not cover U")
+        joins = [f.join_of_idmask(s) for s in sieves]
+        covering = [(s, j) for s, j in zip(sieves, joins) if rows[u] >> j & 1]
         # (ii) pullback stability along W <= U
         below = f.down_row(u)
-        for s in covering:
-            holds, pending = pullback(joins[s])
-            fails = below & ~holds & ~pending
+        for _, j in covering:
+            fails = below & ~pullback(j)
             if fails:
-                return CheckReport("grothendieck", "fail",
-                                   (u, (fails & -fails).bit_length() - 1),
-                                   "pullback of a covering sieve stopped "
-                                   "covering")
-            abstained += popcount(below & pending)
-        # (iii) transitivity: the premise holds at every V of s.  Sieves
-        # with one join read the same masks, so each join is tested once
-        # and its outcome counted once per sieve
-        per_join = Counter(joins.values())
-        for s in covering:
-            for jr, times in per_join.items():
-                holds, pending = pullback(jr)
-                rest = s & ~holds
-                if rest:
-                    abstained += times * bool(pending & rest & -rest)
-                elif pend[u] >> jr & 1:
-                    abstained += times
-                elif not rows[u] >> jr & 1:
-                    return CheckReport("grothendieck", "fail", (u,),
-                                       "locally covering sieve does not cover")
-    note = f"exhaustive sieve enumeration; {abstained} abstentions"
-    rep = CheckReport("grothendieck", "pass", None, note)
-    rep.abstentions = abstained
+                return fail((u, (fails & -fails).bit_length() - 1),
+                            "pullback of a covering sieve stopped covering")
+        # (iii) transitivity: no covering sieve lies inside the pullback of
+        # a sieve join that does not cover U
+        if any(s & ~pullback(j) == 0 for j in set(joins) if not rows[u] >> j & 1
+               for s, _ in covering):
+            return fail((u,), "locally covering sieve does not cover")
+    rep = CheckReport("grothendieck", "pass", None,
+                      "exhaustive sieve enumeration; 0 abstentions")
+    rep.abstentions = 0
     return rep

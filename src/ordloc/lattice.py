@@ -300,20 +300,12 @@ class FiniteFrame:
 
     def neighbourhoods(self) -> list[int]:
         """The least open N(p) containing each point p, as element ids
-        (frames of opens only).  The opens holding p are those above N(p)."""
+        (frames of opens only).  The opens holding p are those above N(p);
+        `frame_from_topology` stores them as it validates the opens."""
         if self._nbhds is None:
-            if self.kind == "powerset":
-                self._nbhds = [1 << p for p in range(self.base_size)]
-            elif self._car is self._ext:
-                self._nbhds = []
-                for p in range(self.base_size):
-                    acc = self._ext[self.top]
-                    for e in self._ext:
-                        if e >> p & 1:
-                            acc &= e
-                    self._nbhds.append(self._id_of[acc])
-            else:
+            if self.kind != "powerset":
                 raise ValidationError("neighbourhoods need a frame of opens")
+            self._nbhds = [1 << p for p in range(self.base_size)]
         return self._nbhds
 
     def atoms(self) -> list[int]:
@@ -395,18 +387,28 @@ def powerset_frame(n: int, labels=None) -> FiniteFrame:
                        base_size=n, labels=labels)
 
 
+def least_neighbourhood(base_size: int, family: Iterable[int], p: int) -> int:
+    """N(p): the AND of the members of the family that hold p, or the full
+    base when none does."""
+    return reduce(and_, (e for e in family if e >> p & 1), (1 << base_size) - 1)
+
+
 def frame_from_topology(base_size: int, opens: Sequence[PointSet | int],
                         labels=None) -> FiniteFrame:
     """Frame of an explicit finite topology, ordered by inclusion.
 
-    Validates closure under pairwise intersection/union and membership of
-    the empty set and the full base.  The full powerset is detected and
-    built by `powerset_frame`.
+    Lemma: a family holding the empty set and the full base is closed
+    under & and | iff it holds every N(p), the AND of its members holding
+    p, and every e | N(p).  Then each member is the union of the N(p) of
+    its points, and each such union is reached from the empty set by
+    | N(p), so the family is the unions of the N(p): closed under |, and
+    under & as N(r) lies inside every member holding r.  O(m n) mask
+    operations: a fold step acc & e that leaves the family raises
+    NotClosedUnderMeet(acc, e), a missing e | N(p) NotClosedUnderJoin(e,
+    N(p)).  The frame keeps the N(p) as its `neighbourhoods`; the full
+    powerset is built by `powerset_frame`.
     """
-    masks = []
-    for o in opens:
-        masks.append(o.mask if isinstance(o, PointSet) else int(o))
-    masks = sorted(set(masks))
+    masks = sorted({o.mask if isinstance(o, PointSet) else int(o) for o in opens})
     full = (1 << base_size) - 1
     if not masks or masks[0] != 0:
         raise MissingBottomOrTop("the empty set")
@@ -414,29 +416,34 @@ def frame_from_topology(base_size: int, opens: Sequence[PointSet | int],
         raise MissingBottomOrTop("the full base")
     if len(masks) == 1 << base_size:
         return powerset_frame(base_size, labels)
-    mset = set(masks)
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            if a & b not in mset:
-                raise NotClosedUnderMeet(a, b)
-            if a | b not in mset:
-                raise NotClosedUnderJoin(a, b)
-    return FiniteFrame(kind="mask", m=len(masks), bottom=0, top=len(masks) - 1,
-                       ext=masks, base_size=base_size, labels=labels)
+    id_of = {e: i for i, e in enumerate(masks)}
+    nbhds = []
+    for p in range(base_size):
+        acc = full
+        for e in masks:
+            if e >> p & 1:
+                if acc & e not in id_of:
+                    raise NotClosedUnderMeet(acc, e)
+                acc &= e
+        missing = next((e for e in masks if e | acc not in id_of), None)
+        if missing is not None:
+            raise NotClosedUnderJoin(missing, acc)
+        nbhds.append(id_of[acc])
+    f = FiniteFrame(kind="mask", m=len(masks), bottom=0, top=len(masks) - 1,
+                    ext=masks, base_size=base_size, labels=labels)
+    f._nbhds = nbhds
+    return f
 
 
 def close_family_under_union_intersection(base_size: int, gens: Iterable[int]) -> list[int]:
-    """Smallest family containing gens, 0 and the full base, closed under & and |."""
-    full = (1 << base_size) - 1
-    fam = {0, full} | set(gens)
-    work = list(fam)
-    while work:
-        a = work.pop()
-        for b in list(fam):
-            for c in (a & b, a | b):
-                if c not in fam:
-                    fam.add(c)
-                    work.append(c)
+    """Smallest family containing gens, 0 and the full base, closed under & and |:
+    the unions of the least neighbourhoods N(p) of the generators (the
+    lemma of `frame_from_topology`), enumerated by closing {0} under each
+    distinct | N(p)."""
+    family = set(gens)
+    fam = {0}
+    for nb in {least_neighbourhood(base_size, family, p) for p in range(base_size)}:
+        fam |= {s | nb for s in fam}
     return sorted(fam)
 
 

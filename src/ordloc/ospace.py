@@ -308,24 +308,24 @@ def _bad_chain(space: OrderedSpace, amask: int, umask: int) -> Optional[list[int
     return chain
 
 
-def chain_covers_below(space: OrderedSpace, a: PointSet | int, u: PointSet | int,
-                       strict_past: bool = True) -> CheckReport:
+def chain_covers_below(space: OrderedSpace, a: PointSet | int,
+                       u: PointSet | int) -> CheckReport:
     """Does A cover U from below along <=-chains?
 
-    Fails exactly when some chain ending in U avoids A and starts at a
-    point whose past misses A; the witness is such a chain.
+    Fails when some chain ending in U avoids A and starts at a point whose
+    past misses A, with such a chain as witness, or else when A is not
+    inside the past of U, with A's points outside it.
     """
     amask = a.mask if isinstance(a, PointSet) else a
     umask = u.mask if isinstance(u, PointSet) else u
-    pre_bad = strict_past and amask & ~space.down_mask(umask) != 0
+    extra = amask & ~space.down_mask(umask)
     chain = _bad_chain(space, amask, umask)
     if chain is not None:
         note = "witness chain avoids A with past-blind start"
-        if pre_bad:
+        if extra:
             note = "precondition: A is not inside the past of U; " + note
         return CheckReport("chain-cover", "fail", tuple(chain), note)
-    if pre_bad:
-        extra = amask & ~space.down_mask(umask)
+    if extra:
         return CheckReport("chain-cover", "fail", tuple(bits(extra)),
                            "precondition: A is not inside the past of U")
     return CheckReport("chain-cover", "pass", None, "digraph reachability, exact")

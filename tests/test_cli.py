@@ -148,7 +148,7 @@ M22_DOC = "m22"   # stands for the serialized m22 space
      "parse error: 'abc' is not a valid value (at --slope)"),
     (["check", "-"], json.dumps({"kind": "coverage-table", "cov_plus": [],
                                  "frame": {"base": 1, "opens": "discrete"}}),
-     "parse error: cov_minus and cov_plus must be lists of [open, [ids]] rows"),
+     "parse error: unknown document kind 'coverage-table'"),
     (["check", "-"], json.dumps({"kind": "locale", "rel": [],
                                  "frame": {"base": -1, "opens": "discrete"}}),
      "parse error: malformed frame: negative base -1 (at frame)"),
@@ -158,7 +158,7 @@ M22_DOC = "m22"   # stands for the serialized m22 space
      "parse error: malformed frame: 1 point names for base 2 (at frame)"),
     (["gen", "suite", "--name", "nope"], None, "error: unknown suite instance 'nope'"),
 ], ids=["region-not-an-id", "region-negative", "target-not-an-id",
-        "defect-not-a-cell", "slope-not-a-number", "coverage-table-without-cov-minus",
+        "defect-not-a-cell", "slope-not-a-number", "coverage-table-kind-unknown",
         "frame-negative-base", "frame-too-few-point-names", "unknown-suite-instance"])
 def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
     if stdin == M22_DOC:

@@ -207,9 +207,8 @@ def test_bottom_coverage(loc33):
 
 def test_coverage_properties_m22(loc22):
     f = loc22.frame
-    rows, unresolved = C.coverage_rows(loc22, "past")
-    rows_up, unresolved_up = C.coverage_rows(loc22, "future")
-    assert not unresolved and not unresolved_up
+    rows = C.coverage_rows(loc22, "past")
+    rows_up = C.coverage_rows(loc22, "future")
     up, dn = loc22.up_map, loc22.down_map
     for u in f.elements():
         assert rows[u] >> u & 1                       # (a)
@@ -232,7 +231,7 @@ def test_coverage_properties_m22(loc22):
 
 def test_cov_join_law_m22(loc22):
     f = loc22.frame
-    rows, _ = C.coverage_rows(loc22, "past")
+    rows = C.coverage_rows(loc22, "past")
     for u1 in f.elements():
         for u2 in f.elements():
             j = f.join(u1, u2)
@@ -295,15 +294,14 @@ def test_large_grid_row0_future_is_whole_grid(size):
 
 def test_chain_coverage_never_contradicts_localic(m22, loc22, m33, loc33):
     # pointwise chain pass implies the localic verdict is never "no"
-    rows, _ = C.coverage_rows(loc22, "past")
+    rows = C.coverage_rows(loc22, "past")
     f = loc22.frame
     for a in f.elements():
         for u in f.elements():
-            chain = S.chain_covers_below(m22, f.mask_of(a), f.mask_of(u),
-                                         strict_past=True)
+            chain = S.chain_covers_below(m22, f.mask_of(a), f.mask_of(u))
             if chain.ok:
                 assert rows[u] >> a & 1, (a, u)
-    rows33, _ = C.coverage_rows(loc33, "past")
+    rows33 = C.coverage_rows(loc33, "past")
     f33 = loc33.frame
     rng = random.Random(9)
     for _ in range(2500):
@@ -325,8 +323,7 @@ def test_abstract_identity_coverage_is_the_equality_coverage():
     reps = {r.law: r for r in C.abstract_coverage_check(f, table, table)}
     for law, r in reps.items():
         assert r.ok, law
-    eq_rows, unresolved = C.coverage_rows(O.equality_order(f), "past")
-    assert not unresolved
+    eq_rows = C.coverage_rows(O.equality_order(f), "past")
     assert eq_rows == [1 << u for u in f.elements()]
 
 
@@ -373,8 +370,8 @@ def test_abstract_downset_coverage_fails_C5():
 
 def test_real_coverage_tables_pass_abstract_axioms(loc22):
     f = loc22.frame
-    minus, _ = C.coverage_rows(loc22, "past")
-    plus, _ = C.coverage_rows(loc22, "future")
+    minus = C.coverage_rows(loc22, "past")
+    plus = C.coverage_rows(loc22, "future")
     reps = C.abstract_coverage_check(f, list(minus), list(plus))
     for r in reps:
         assert r.ok, (r.law, r.witness)

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from ordloc import coverage as C, duality as D, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import (ConesDoNotPreserveJoins, FrameTooLarge, NotAFrameMap, NotAMonad,
-                           NotDistributive, PreconditionAxioms, ValidationError)
+                           NotClosedUnderJoin, NotClosedUnderMeet, NotDistributive,
+                           PreconditionAxioms, ValidationError)
 from ordloc.lattice import bits, mask_of_iter
 
 import oracles
@@ -71,8 +72,7 @@ def bridge_cover_oracle(space, amask, umask):
 
 def test_coverage_matches_pointwise_oracle_m22(m22, loc22):
     f = loc22.frame
-    rows, unresolved = C.coverage_rows(loc22, "past")
-    assert not unresolved
+    rows = C.coverage_rows(loc22, "past")
     for a in f.elements():
         for u in f.elements():
             expect = bridge_cover_oracle(m22, f.mask_of(a), f.mask_of(u))
@@ -81,8 +81,7 @@ def test_coverage_matches_pointwise_oracle_m22(m22, loc22):
 
 def test_coverage_matches_pointwise_oracle_m33(m33, loc33):
     f = loc33.frame
-    rows, unresolved = C.coverage_rows(loc33, "past")
-    assert not unresolved
+    rows = C.coverage_rows(loc33, "past")
     rng = random.Random(13)
     for _ in range(1500):
         a, u = rng.randrange(f.m), rng.randrange(f.m)
@@ -97,8 +96,7 @@ def test_coverage_matches_pointwise_oracle_random(seed):
     sp = random_space(rng)
     loc = S.induced_locale(sp, "em")
     f = loc.frame
-    rows, unresolved = C.coverage_rows(loc, "past")
-    assert not unresolved
+    rows = C.coverage_rows(loc, "past")
     for a in f.elements():
         for u in f.elements():
             expect = bridge_cover_oracle(sp, f.mask_of(a), f.mask_of(u))
@@ -112,7 +110,7 @@ def test_coverage_laws_random(seed):
     sp = random_space(rng)
     loc = S.induced_locale(sp, "em")
     f = loc.frame
-    rows, _ = C.coverage_rows(loc, "past")
+    rows = C.coverage_rows(loc, "past")
     up, dn = loc.up_map, loc.down_map
     for u in f.elements():
         assert rows[u] >> u & 1
@@ -133,7 +131,7 @@ def test_verdict_api_agrees_with_rows_random(seed):
     sp = random_space(rng, n=rng.randint(1, 3))
     loc = S.induced_locale(sp, "em")
     f = loc.frame
-    rows, _ = C.coverage_rows(loc, "past")
+    rows = C.coverage_rows(loc, "past")
     for a in f.elements():
         for u in f.elements():
             v = C.covers_below(loc, a, u)
@@ -766,8 +764,7 @@ def grothendieck_outcome(fn, olx):
 def test_grothendieck_mask_form_matches_membership_loop(seed):
     # induced locales of random spaces (and their rows copies) with their
     # own coverage, then the same frame and cones with a perturbed coverage
-    # table in which some memberships are pending: the real analysis is
-    # certain on frames this small, so pending pairs come from the table
+    # table, so that every failure branch is reached
     rng = random.Random(seed)
     sp = random_topology_space(rng)
     olx = S.induced_locale(sp, rng.choice(["em", "em", "upper", "lower"]))
@@ -777,22 +774,19 @@ def test_grothendieck_mask_form_matches_membership_loop(seed):
     assert grothendieck_outcome(C.check_down_grothendieck, olx) == \
         grothendieck_outcome(oracles.check_down_grothendieck_loop, olx)
     try:
-        rows = list(C.coverage_rows(olx, "past")[0])
+        rows = list(C.coverage_rows(olx, "past"))
     except (PreconditionAxioms, FrameTooLarge):
         rows = [f.down_row(u) for u in f.elements()]
-    unresolved = []
     for u in f.elements():
         for a in f.elements():
             if rng.random() < 0.04:
                 rows[u] ^= 1 << a
             if rng.random() < 0.08:
                 rows[u] &= ~(1 << a)
-                unresolved.append((a, u))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "coverage_rows", lambda loc, direction: (rows, unresolved))
+        mp.setattr(C, "coverage_rows", lambda loc, direction: rows)
         assert grothendieck_outcome(C.check_down_grothendieck, olx) == \
-            grothendieck_outcome(oracles.check_down_grothendieck_loop, olx), \
-            (rows, unresolved)
+            grothendieck_outcome(oracles.check_down_grothendieck_loop, olx), rows
 
 
 @settings(max_examples=40, deadline=None)
@@ -847,6 +841,55 @@ def test_duality_row_forms_read_no_related_calls(m33, monkeypatch):
     assert D.double_negation_transport(olx).ok
     assert D.counit_check(olx).ok
     assert calls == []
+
+
+# -- finite topologies from least neighbourhoods -------------------------------------
+
+
+def topology_outcome(build, n, opens):
+    try:
+        f = build(n, opens)
+    except ValidationError as e:
+        return e
+    return f.kind, f.m, [f.mask_of(i) for i in f.elements()], f.neighbourhoods()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_frame_from_topology_matches_pair_loop(seed):
+    # closed families, and closed families with a member dropped or added
+    # (the empty set and the full base kept): both checks accept the same
+    # families and build the same frame, and each refusal names two members
+    # whose intersection or union is missing
+    rng = random.Random(seed)
+    n = rng.randint(0, 6)
+    fam = set(oracles.close_family_fixpoint(
+        n, [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        fam ^= {rng.getrandbits(n)}
+    opens = sorted(fam | {0, (1 << n) - 1})
+    got = topology_outcome(L.frame_from_topology, n, opens)
+    want = topology_outcome(oracles.frame_from_topology_pairs, n, opens)
+    assert isinstance(got, Exception) == isinstance(want, Exception), (n, opens)
+    if not isinstance(got, Exception):
+        assert got == want
+        return
+    a, b = got.pair
+    assert a in fam and b in fam
+    if isinstance(got, NotClosedUnderMeet):
+        assert a & b not in fam
+    else:
+        assert isinstance(got, NotClosedUnderJoin) and a | b not in fam
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_close_family_matches_pair_fixpoint(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 7)
+    gens = [rng.getrandbits(n) for _ in range(rng.randint(0, 5))]
+    assert L.close_family_under_union_intersection(n, gens) == \
+        oracles.close_family_fixpoint(n, gens)
 
 
 # -- points and neighbourhoods from rows ----------------------------------------------
