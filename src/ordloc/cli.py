@@ -25,13 +25,12 @@ from .ospace import OrderedSpace
 
 
 class Document:
-    __slots__ = ("kind", "name", "payload", "raw")
+    __slots__ = ("name", "payload", "raw")
 
-    def __init__(self, kind: str, name: str, payload: object, raw: dict):
-        self.kind = kind          # space | locale | cones
+    def __init__(self, name: str, payload: object, raw: dict):
         self.name = name
         self.payload = payload    # OrderedSpace | OrderedLocale
-        self.raw = raw
+        self.raw = raw            # the JSON object; its "kind" names the payload
 
 
 # schema of the --json check reports; also documented in the README
@@ -128,7 +127,7 @@ def doc_of_space(space: OrderedSpace, name: str = "") -> Document:
            "points": [str(l) for l in space.labels],
            "order": _space_order_pairs(space),
            "opens": _frame_to_json(space.frame)["opens"]}
-    return Document("space", raw["name"], space, raw)
+    return Document(raw["name"], space, raw)
 
 
 def doc_of_locale(olx: OrderedLocale, name: str = "") -> Document:
@@ -137,7 +136,7 @@ def doc_of_locale(olx: OrderedLocale, name: str = "") -> Document:
            "frame": _frame_to_json(olx.frame),
            "rel": [[u, v] for u in olx.frame.elements() for v in bits(rows[u])
                    if u != v]}
-    return Document("locale", raw["name"], olx, raw)
+    return Document(raw["name"], olx, raw)
 
 
 def parse(text: str, strict: bool = False) -> Document:
@@ -167,7 +166,7 @@ def parse(text: str, strict: bool = False) -> Document:
                                  "order")
             print("notice: order closed transitively "
                   f"(+{len(closed) - len(given)} pairs)", file=sys.stderr)
-        return Document("space", name, space, obj)
+        return Document(name, space, obj)
     if kind == "locale":
         frame = _frame_from_json(obj.get("frame", {}), "frame")
         pairs = _pairs(obj.get("rel", []), frame.m, "rel")
@@ -175,13 +174,13 @@ def parse(text: str, strict: bool = False) -> Document:
         if "join_saturated" in olx.meta and not strict:
             print("notice: relation join-saturated, witness "
                   f"{olx.meta['join_saturated']}", file=sys.stderr)
-        return Document("locale", name, olx, obj)
+        return Document(name, olx, obj)
     if kind == "cones":
         frame = _frame_from_json(obj.get("frame", {}), "frame")
         up = _ids(obj.get("up"), frame.m, "up")
         down = _ids(obj.get("down"), frame.m, "down")
         olx = ol.ordered_locale_from_monads(ol.ConePair(frame, up, down))
-        return Document("cones", name, olx, obj)
+        return Document(name, olx, obj)
     raise ParseError(f"unknown document kind {kind!r}")
 
 

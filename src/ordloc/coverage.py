@@ -294,7 +294,7 @@ def _require_coverage_axioms(olx: OrderedLocale) -> None:
 
 
 def _atom_chains_landing(olx: OrderedLocale, cover: _AtomCoverage, u: int,
-                         bound: int, cap: int = 20000) -> list[list[int]]:
+                         bound: int) -> list[list[int]]:
     """Backward-extended atom chains ending inside u, consecutive repeats
     collapsed, up to the length bound."""
     arel = cover.atom_rel()
@@ -307,7 +307,7 @@ def _atom_chains_landing(olx: OrderedLocale, cover: _AtomCoverage, u: int,
     while work:
         chain = work.pop()
         out.append(chain)
-        if len(out) > cap:
+        if len(out) > ATOM_CHAIN_LIMIT:
             raise FrameTooLarge("atom path enumeration exceeded the cap")
         if len(chain) < bound:
             for j in bits(preds[chain[0]]):
@@ -621,9 +621,11 @@ def abstract_coverage_check(frame: FiniteFrame, cov_minus, cov_plus) -> list[Che
 # -- Grothendieck axioms ----------------------------------------------------------
 
 SIEVE_FRAME_LIMIT = 24      # sieves are enumerated exhaustively up to this size
+SIEVE_LIMIT = 4096          # sieves enumerated on one element
+ATOM_CHAIN_LIMIT = 20000    # atom chains enumerated per coverage verdict
 
 
-def _downsets_of(frame: FiniteFrame, top_elem: int, cap: int = 4096) -> list[int]:
+def _downsets_of(frame: FiniteFrame, top_elem: int) -> list[int]:
     """Down-closed subsets of the interval below top_elem, as id-bitmasks."""
     carrier = list(bits(frame.down_row(top_elem)))
     out = {0}
@@ -634,7 +636,7 @@ def _downsets_of(frame: FiniteFrame, top_elem: int, cap: int = 4096) -> list[int
             if not s >> x & 1:
                 new.add(s | dx)
         out |= new
-        if len(out) > cap:
+        if len(out) > SIEVE_LIMIT:
             raise FrameTooLarge("sieve enumeration exceeded the cap")
     return sorted(out)
 

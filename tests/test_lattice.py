@@ -48,9 +48,10 @@ def test_pointset_validation():
 def test_value_records_compare_and_hash_by_fields():
     from fractions import Fraction
 
-    from ordloc import coverage as C, duality as D, gen
+    from ordloc import coverage as C, gen
     for make, other in ((lambda: L.PointSet(3, 0b101), L.PointSet(4, 0b101)),
-                        (lambda: D.LocalePoint(2, 0b1011), D.LocalePoint(2, 0b1010)),
+                        (lambda: oracles.LocalePoint(2, 0b1011),
+                         oracles.LocalePoint(2, 0b1010)),
                         (lambda: C.Path((1, 3)), C.Path((1, 3, 3))),
                         (lambda: gen.GridSpec(2, 3, Fraction(1), Fraction(2)),
                          gen.GridSpec(2, 3, Fraction(1), Fraction(2), defects=((0, 1),)))):

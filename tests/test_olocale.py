@@ -4,6 +4,7 @@ derived causal structure, order constructions."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordloc import gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import (
@@ -15,6 +16,7 @@ from ordloc.errors import (
 from ordloc.lattice import bits, mask_of_iter
 
 from conftest import grid, rows_locale
+import oracles
 
 
 def pts(*ids):
@@ -293,6 +295,85 @@ def test_V_on_translation_closed_relation_that_is_not_a_preorder():
     rows = [mask_of_iter(v for u2, v in rel if u2 == u) for u in f.elements()]
     rep = O.check_axiom(rows_locale(f, rows), "V")
     assert not rep.ok and rep.witness == (0, 1, 2, 0)
+
+
+# -- translation gaps against the per-row image loop ------------------------------
+
+
+def random_gap_instance(rng):
+    """A frame with random relation rows, taken as drawn or reflexive-
+    transitively closed.  The frame is a powerset of 1-6 points, a powerset
+    stored mask-backed, or the frame of a random topology."""
+    n = rng.randint(1, 6)
+    shape = rng.choice(("powerset", "mask-backed powerset", "topology"))
+    if shape == "powerset":
+        f = L.powerset_frame(n)
+    elif shape == "mask-backed powerset":
+        f = oracles.mask_backed_powerset(min(n, 5))
+    else:
+        gens = [rng.randrange(1 << n) for _ in range(rng.randint(1, 2 * n))]
+        f = L.frame_from_topology(n, L.close_family_under_union_intersection(n, gens))
+    rows = [mask_of_iter(rng.randrange(f.m) for _ in range(rng.randint(0, 3)))
+            for _ in f.elements()]
+    if rng.random() < 0.5:
+        rows = L.transitive_closure_rows(rows)
+    return f, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_translation_gap_matches_image_loop(seed):
+    f, rows = random_gap_instance(random.Random(seed))
+    assert O._translation_gap(f, rows) == oracles.translation_gap_loop(f, rows)
+    fill, expect = list(rows), list(rows)
+    gap = O._translation_gap(f, rows, fill)
+    assert gap == oracles.translation_gap_loop(f, rows, expect)
+    assert fill == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_relation_saturation_matches_image_loop(seed):
+    f, rows = random_gap_instance(random.Random(seed))
+    pairs = [(u, v) for u in f.elements() for v in bits(rows[u])]
+    olx = O.ordered_locale_from_relation(f, pairs, meta={"name": "r"})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "_translation_gap", oracles.translation_gap_loop)
+        ref = O.ordered_locale_from_relation(f, pairs, meta={"name": "r"})
+    assert olx.rel_rows() == ref.rel_rows() and olx.meta == ref.meta
+    assert (olx.up_map, olx.down_map) == (ref.up_map, ref.down_map)
+
+
+def test_translation_gap_on_powersets_makes_no_join_or_mask_of_iter_call(monkeypatch):
+    # the two-speed 2x3 relation on its 64-element powerset: each (U, J)
+    # is one row test and each (J, t) one shift; the per-row image loop
+    # made m |J| = 384 joins per call
+    ts = gen.suite_instance("two_speed_2x3")
+    pairs = [(u, v) for u in ts.frame.elements() for v in bits(ts.rel_rows()[u])]
+    counts = dict.fromkeys(("gap", "join", "mask_of_iter"), 0)
+    inside = [False]
+    translation_gap = O._translation_gap
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += inside[0]
+            return fn(*args, **kwargs)
+        return call
+
+    def gap(*args, **kwargs):
+        counts["gap"] += 1
+        inside[0] = True
+        try:
+            return translation_gap(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(O, "_translation_gap", gap)
+    monkeypatch.setattr(L.FiniteFrame, "join", counting("join", L.FiniteFrame.join))
+    monkeypatch.setattr(O, "mask_of_iter", counting("mask_of_iter", O.mask_of_iter))
+    olx = O.ordered_locale_from_relation(ts.frame, pairs)
+    assert olx.rel_rows() == ts.rel_rows()
+    assert counts == {"gap": 1, "join": 0, "mask_of_iter": 0}
 
 
 def test_parallel_disjointness_property(loc22):
