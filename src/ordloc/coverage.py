@@ -25,9 +25,11 @@ enumerated path.  "inconclusive" comes only from a non-atomistic frame
 (where A is neither U nor the cone of U), the path-enumeration cap, or an
 enumerated path for which no refinement was found.
 
-Domains of dependence and the bulk membership rows read the same slot
-analysis one covering region at a time (`_coverage_column`): D(A) needs
-only A's column, so it costs one analysis at every frame size.
+Domains of dependence and the bulk membership rows need no scan over the
+covered regions.  On atomistic frames A covers exactly the U below K(A),
+the join of the atoms that no unrefinable chain reaches, whose cone holds
+A; so D(A) is K(A) or bottom (`domain_of_dependence` has the lemma), one
+slot analysis over the atoms at every frame size.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .errors import (
     PreconditionAxioms,
     ValidationError,
 )
-from .lattice import FiniteFrame, Value, bits, mask_of_iter
+from .lattice import FiniteFrame, Value, bits, mask_of_iter, rows_above, transpose_rows
 from .olocale import CheckReport, OrderedLocale
 
 
@@ -171,7 +173,7 @@ class _AtomCoverage:
     def __init__(self, olx: OrderedLocale, amask_id: int):
         self.ol = olx
         self.f = olx.frame
-        self.up, self.down = olx.up_map, olx.down_map
+        self.up, self.down = olx.cones.u, olx.cones.d
         self.a = amask_id
         self.atoms = self.f.atoms()
         self.in_a = [self.f.leq(b, self.a) for b in self.atoms]
@@ -252,6 +254,11 @@ class _AtomCoverage:
                     work.append(j)
         self._badreach = parent
         return parent
+
+    def good_join(self) -> int:
+        """K(A): the join of the atoms that `bad_reach` does not reach."""
+        parent = self.bad_reach()
+        return self.f.join_all(x for i, x in enumerate(self.atoms) if i not in parent)
 
     def bad_chain_to(self, umask_id: int) -> Optional[list[int]]:
         """The unrefinable chain ending at the least bad atom inside U, as
@@ -423,38 +430,12 @@ def _covers(olx: OrderedLocale, a: int, u: int, bound, future: bool) -> Coverage
 # -- bulk membership -------------------------------------------------------------
 
 
-def _coverage_column(olx: OrderedLocale, work: OrderedLocale,
-                     a: int) -> tuple[list[int], list[int]]:
-    """The regions U that A covers from below in `work` (olx or its dual),
-    and the U it leaves undecided: (members, pending).
-
-    A outside cone(U) never covers U, and the empty region covers only
-    itself.  On atomistic frames the slot analysis decides every U: U is
-    out exactly when it holds an atom of an unrefinable chain, and
-    nothing is pending.  Elsewhere only A = U and A = cone(U) are certain;
-    every other U with A inside its cone is pending.
-    """
-    f = olx.frame
-    if a == f.bottom:
-        return [f.bottom], []
-    down = work.down_map
-    inside = [u for u in f.elements() if f.leq(a, down[u])]
-    if not f.is_atomistic():
-        members, pending = [], []
-        for u in inside:
-            (members if a == u or a == down[u] else pending).append(u)
-        return members, pending
-    cover = _AtomCoverage(work, a)
-    bad = f.join_all(cover.atoms[i] for i in cover.bad_reach())
-    # atoms are join-prime, so U meets `bad` iff it holds a bad atom
-    return [u for u in inside if f.meet(u, bad) == f.bottom], []
-
-
 def coverage_rows(olx: OrderedLocale, direction: str = "past") -> list[int]:
     """Membership id-bitmask rows: rows[u] = {a : a covers u}.
 
-    Refuses non-atomistic frames, where `_coverage_column` pends; on
-    atomistic ones the slot analysis decides every pair, so each row is
+    Refuses non-atomistic frames, where coverage is left undecided; on
+    atomistic ones column A is down_row(K(A)) & {U : A <= down(U)}, in
+    closed form (`domain_of_dependence` has the lemma), so each row is
     exact.
     """
     cached = vars(olx).setdefault("_cov_rows", {})
@@ -467,10 +448,9 @@ def coverage_rows(olx: OrderedLocale, direction: str = "past") -> list[int]:
     if not f.is_atomistic():
         raise FrameTooLarge("bulk coverage needs an atomistic frame")
     work = olx if direction == "past" else _dual_with_axioms(olx)
-    rows = [0] * f.m
-    for a in f.elements():
-        for u in _coverage_column(olx, work, a)[0]:
-            rows[u] |= 1 << a
+    above = rows_above(f, work.down_map)
+    rows = transpose_rows([f.down_row(_AtomCoverage(work, a).good_join()) & above[a]
+                           for a in f.elements()])
     cached[direction] = rows
     return rows
 
@@ -493,13 +473,31 @@ def domain_of_dependence(olx: OrderedLocale, a: int,
                          direction: str = "future") -> DependenceResult:
     """D(A) = join of the regions covered by A (from below for future).
 
-    Reads A's coverage column at every frame size; `unresolved` counts
-    its pending regions, which only a non-atomistic frame has.
+    On atomistic frames in closed form.  Let K(A) be the join of the atoms
+    that no unrefinable chain reaches (`_AtomCoverage.good_join`).  Atoms
+    are join-prime, so U holds a bad atom iff U is not below K(A), and the
+    regions A covers are {U : A <= down(U) and U <= K(A)}.  The first
+    condition is up-closed, as the cones are monotone (C-join, a coverage
+    precondition), and the second is down-closed.  Hence D(A) = K(A) if
+    A <= down(K(A)), and bottom otherwise.  For A = bottom every atom is
+    bad, so K(A) = bottom.
+
+    Elsewhere only A = U and A = cone(U) certainly cover U among the U
+    with A inside cone(U); `unresolved` counts the others, which stay out.
     """
     _require_coverage_axioms(olx)
+    f = olx.frame
     work = olx if direction == "future" else _dual_with_axioms(olx)
-    members, pending = _coverage_column(olx, work, a)
-    return DependenceResult(olx.frame.join_all(members), not pending, len(pending))
+    if f.is_atomistic():
+        k = _AtomCoverage(work, a).good_join()
+        return DependenceResult(k if f.leq(a, work.cones.d[k]) else f.bottom, True)
+    if a == f.bottom:
+        return DependenceResult(f.bottom, True)
+    down = work.down_map
+    inside = [u for u in f.elements() if f.leq(a, down[u])]
+    members = [u for u in inside if a == u or a == down[u]]
+    pending = len(inside) - len(members)
+    return DependenceResult(f.join_all(members), not pending, pending)
 
 
 # -- abstract coverage axioms ----------------------------------------------------

@@ -221,12 +221,9 @@ def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
 
     The inclusions make the counit loc(pt(X)) -> X monotone: the points
     locale's cone of pt(U) is the interior of upcone(pt(U)), which lies
-    inside the open pt(up(U)) (dually for pasts).  So `counit_monotone`
+    inside the open pt(up(U)) (dually for pasts).  So counit monotonicity
     is this check."""
     return _cone_inclusions(olx, _point_cones(*_point_data(olx, olx.frame.primes())))
-
-
-counit_monotone = point_cone_inclusions_hold
 
 
 def counit_check(olx: OrderedLocale) -> CheckReport:

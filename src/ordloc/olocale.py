@@ -106,7 +106,7 @@ def _fail(law, witness, note=""):
 class ConePair:
     """Two candidate localic cones: monads u (future) and d (past)."""
 
-    __slots__ = ("frame", "u", "d", "joins")
+    __slots__ = ("frame", "u", "d", "joins", "monotone")
 
     def __init__(self, frame: FiniteFrame, u: Sequence[int], d: Sequence[int],
                  joins: Optional[dict] = None):
@@ -114,6 +114,7 @@ class ConePair:
         self.u = u                        # a list, or a lattice.SubsetCone
         self.d = d
         self.joins = {} if joins is None else joins   # name -> witness
+        self.monotone = None              # memo of `_cones_monotone`
 
     def join_failure(self, name: str) -> Optional[tuple[int, int]]:
         if name not in self.joins:
@@ -397,11 +398,15 @@ def check_axiom(ol: OrderedLocale, law: str) -> CheckReport:
 
 def _cones_monotone(ol) -> bool:
     """Both cones monotone: one that preserves binary joins is, and any
-    other is checked along covers, which generate <=."""
-    f = ol.frame
-    return all(ol.cones.join_failure(name) is None
-               or all(f.leq(t[x], t[y]) for x in f.elements() for y in f.upper_covers(x))
-               for name, t in (("u", ol.cones.u), ("d", ol.cones.d)))
+    other is checked along covers, which generate <=.  Memoized on the
+    locale's cone pair."""
+    f, cones = ol.frame, ol.cones
+    if cones.monotone is None:
+        cones.monotone = all(
+            cones.join_failure(name) is None
+            or all(f.leq(t[x], t[y]) for x in f.elements() for y in f.upper_covers(x))
+            for name, t in (("u", cones.u), ("d", cones.d)))
+    return cones.monotone
 
 
 def _check_V(ol: OrderedLocale) -> CheckReport:

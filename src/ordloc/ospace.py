@@ -353,18 +353,3 @@ def pointwise_domain_of_dependence(space: OrderedSpace, a: PointSet | int,
 def is_monotone_fn(src: OrderedSpace, tgt: OrderedSpace, g: Sequence[int]) -> bool:
     return all(tgt.leq_points(g[x], g[y])
                for x in range(src.n) for y in bits(src.up[x]))
-
-
-def monotone_via_cones(src: OrderedSpace, tgt: OrderedSpace, g: Sequence[int]) -> bool:
-    """upcone(g^{-1}(A)) inside g^{-1}(upcone(A)) for all subsets A (and dual)."""
-    for amask in range(1 << tgt.n):
-        pre = mask_of_iter(x for x in range(src.n) if amask >> g[x] & 1)
-        pre_up = mask_of_iter(x for x in range(src.n)
-                              if tgt.up_mask(amask) >> g[x] & 1)
-        if src.up_mask(pre) & ~pre_up:
-            return False
-        pre_dn = mask_of_iter(x for x in range(src.n)
-                              if tgt.down_mask(amask) >> g[x] & 1)
-        if src.down_mask(pre) & ~pre_dn:
-            return False
-    return True

@@ -546,3 +546,44 @@ def translation_gap_loop(frame: FiniteFrame, rows, fill=None):
         if gap is not None and fill is None:
             return gap
     return gap
+
+
+def coverage_column_loop(olx: OrderedLocale, work: OrderedLocale, a: int):
+    """The regions U that A covers from below in `work` (olx or its dual),
+    and the U it leaves undecided, (members, pending), by scanning every U.
+
+    A outside cone(U) never covers U, and the empty region covers only
+    itself.  On atomistic frames the slot analysis decides every U: U is
+    out exactly when it holds an atom of an unrefinable chain.  Elsewhere
+    only A = U and A = cone(U) are certain; every other U with A inside
+    its cone is pending.
+    """
+    f = olx.frame
+    if a == f.bottom:
+        return [f.bottom], []
+    down = work.down_map
+    inside = [u for u in f.elements() if f.leq(a, down[u])]
+    if not f.is_atomistic():
+        members, pending = [], []
+        for u in inside:
+            (members if a == u or a == down[u] else pending).append(u)
+        return members, pending
+    cover = coverage._AtomCoverage(work, a)
+    bad = f.join_all(cover.atoms[i] for i in cover.bad_reach())
+    return [u for u in inside if f.meet(u, bad) == f.bottom], []
+
+
+def monotone_via_cones(src: OrderedSpace, tgt: OrderedSpace, g) -> bool:
+    """`ospace.is_monotone_fn` by its cone characterization:
+    upcone(g^{-1}(A)) inside g^{-1}(upcone(A)) for all subsets A (and dual)."""
+    for amask in range(1 << tgt.n):
+        pre = mask_of_iter(x for x in range(src.n) if amask >> g[x] & 1)
+        pre_up = mask_of_iter(x for x in range(src.n)
+                              if tgt.up_mask(amask) >> g[x] & 1)
+        if src.up_mask(pre) & ~pre_up:
+            return False
+        pre_dn = mask_of_iter(x for x in range(src.n)
+                              if tgt.down_mask(amask) >> g[x] & 1)
+        if src.down_mask(pre) & ~pre_dn:
+            return False
+    return True

@@ -183,8 +183,7 @@ def run_discrete(n, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["points", "-"], ["futures", "-"], ["dod", "-", "--region", "0"], ["ips", "-"],
-    ["dot", "-"],
+    ["points", "-"], ["futures", "-"], ["ips", "-"], ["dot", "-"],
 ], ids=lambda argv: argv[0])
 def test_cli_refuses_40_point_discrete_space(argv):
     # these read whole cone lists (or draw every element): 2**40 opens are
@@ -196,10 +195,12 @@ def test_cli_refuses_40_point_discrete_space(argv):
 
 @pytest.mark.parametrize("argv,expect", [
     (["check", "-", "--axiom", "all"], None), (["hull", "-", "--region", "0"], "{p0}\n"),
-], ids=["check", "hull"])
+    (["dod", "-", "--region", "0"], "D+({p0}) = {p0} [exact]\n"),
+], ids=["check", "hull", "dod"])
 def test_cli_answers_40_point_discrete_space(argv, expect):
-    # the laws and per-element queries read generator-form cones from two
-    # half tables of 2**20 entries each
+    # the laws, per-element queries and the closed-form domain of
+    # dependence read generator-form cones from two half tables of 2**20
+    # entries each
     out = run_discrete(40, argv)
     assert out.returncode == 0 and out.stderr == ""
     if expect is None:

@@ -16,7 +16,8 @@ from ordloc.errors import (
 )
 from ordloc.lattice import bits, mask_of_iter
 
-from conftest import grid
+import oracles
+from conftest import grid, rows_locale
 
 
 # -- paths ------------------------------------------------------------------------
@@ -284,12 +285,59 @@ def test_vertical_domains():
 
 @pytest.mark.parametrize("size", [(3, 4), (4, 4)])
 def test_large_grid_row0_future_is_whole_grid(size):
-    # above REL_LIMIT, as below it, the answer is one coverage column
+    # above REL_LIMIT, as below it, the answer is the closed form K(A)
     t, x = size
     loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(t, x)), "em")
     assert loc.frame.m > O.REL_LIMIT
     res = C.domain_of_dependence(loc, (1 << x) - 1, "future")
     assert (res.region, res.exact, res.unresolved) == (loc.frame.top, True, 0)
+
+
+def test_dod_on_m44_lists_no_cone(monkeypatch):
+    # the closed form reads the generator-form cones one element at a time:
+    # no 2**16 cone list is built in either direction
+    calls = [0]
+    tolist = L.SubsetCone.tolist
+
+    def counting(self):
+        calls[0] += 1
+        return tolist(self)
+
+    monkeypatch.setattr(L.SubsetCone, "tolist", counting)
+    loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(4, 4)), "em")
+    assert isinstance(loc.cones.u, L.SubsetCone)
+    for direction in ("future", "past"):
+        res = C.domain_of_dependence(loc, 0b1111, direction)
+        assert res.exact and res.unresolved == 0
+    assert calls[0] == 0
+    assert isinstance(loc.cones.u, L.SubsetCone) and isinstance(loc.cones.d, L.SubsetCone)
+
+
+def test_dod_is_bottom_where_A_lies_outside_down_of_K():
+    # the empty relation: every cone is bottom, so A != bottom covers no
+    # region, though K(A) holds the atoms of A
+    f = L.powerset_frame(2)
+    loc = rows_locale(f, [0] * f.m)
+    assert [C._AtomCoverage(loc, a).good_join() for a in f.elements()] == [0, 1, 2, 3]
+    for direction in ("future", "past"):
+        assert [C.domain_of_dependence(loc, a, direction).region
+                for a in f.elements()] == [0, 0, 0, 0]
+
+
+def test_dod_on_non_atomistic_frame_keeps_its_pending_count(bowtie):
+    # without atoms only A = U and A = cone(U) are certain: D(A) = A, and
+    # every other U with A inside its cone stays unresolved
+    loc = S.induced_locale(bowtie, "em")
+    f = loc.frame
+    assert not f.is_atomistic()
+    for direction, pending in (("future", [0, 5, 4, 4, 4, 4, 0]),
+                               ("past", [0, 4, 5, 4, 4, 4, 0])):
+        work = loc if direction == "future" else C._dual_with_axioms(loc)
+        for a in f.elements():
+            res = C.domain_of_dependence(loc, a, direction)
+            members, want = oracles.coverage_column_loop(loc, work, a)
+            assert (res.region, res.exact, res.unresolved) == (
+                f.join_all(members), not want, len(want)) == (a, not pending[a], pending[a])
 
 
 def test_chain_coverage_never_contradicts_localic(m22, loc22, m33, loc33):

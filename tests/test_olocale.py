@@ -233,6 +233,27 @@ def test_F_with_monotone_cones_is_exact_above_pair_limit():
         assert not rep.ok and O.revalidate(olx, rep), rep
 
 
+def test_cone_monotonicity_is_walked_once_per_locale(monkeypatch):
+    # F+, F-, V and the wedge laws all ask; only the first ask walks the
+    # covers of a cone that breaks a binary join (1 rel 3: up(1) = 3)
+    f = S.OrderedSpace.build(3, [], opens="discrete").frame
+    rows = [1 << u for u in f.elements()]
+    rows[1] |= 1 << 3
+    olx = rows_locale(f, rows)
+    calls = [0]
+    upper_covers = L.FiniteFrame.upper_covers
+
+    def counting(self, i):
+        calls[0] += 1
+        return upper_covers(self, i)
+
+    monkeypatch.setattr(L.FiniteFrame, "upper_covers", counting)
+    assert not O._cones_monotone(olx) and calls[0] > 0
+    calls[0] = 0
+    assert not O._cones_monotone(olx) and calls[0] == 0
+    assert not O._cones_monotone(rows_locale(f, rows)) and calls[0] > 0
+
+
 def test_F_with_cones_that_are_not_monotone_refuses_above_pair_limit():
     # 1 rel 3 makes up(1) = 3, not below up(5) = 5
     f = S.OrderedSpace.build(11, [], opens="discrete").frame

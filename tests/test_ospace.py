@@ -286,4 +286,4 @@ def test_monotone_iff_cone_characterization(seed):
         n_t, [(rng.randrange(n_t), rng.randrange(n_t)) for _ in range(n_t)],
         opens="discrete")
     g = [rng.randrange(n_t) for _ in range(n_s)]
-    assert S.is_monotone_fn(src, tgt, g) == S.monotone_via_cones(src, tgt, g)
+    assert S.is_monotone_fn(src, tgt, g) == oracles.monotone_via_cones(src, tgt, g)

@@ -248,6 +248,61 @@ def test_domain_of_dependence_matches_verdicts_random(seed):
             assert res.exact == (res.unresolved == 0)
 
 
+def assert_dod_matches_column_loop(loc, regions):
+    """`domain_of_dependence` against the join of the scanned coverage
+    column, and, given every region of an atomistic frame of at most 512
+    elements, `coverage_rows` against the columns' rows, in both
+    directions."""
+    f = loc.frame
+    rows_built = f.is_atomistic() and len(regions) == f.m <= 512
+    for direction, rows_direction in (("future", "past"), ("past", "future")):
+        work = loc if direction == "future" else C._dual_with_axioms(loc)
+        want_rows = [0] * f.m
+        for a in regions:
+            members, pending = oracles.coverage_column_loop(loc, work, a)
+            res = C.domain_of_dependence(loc, a, direction)
+            assert (res.region, res.exact, res.unresolved) == (
+                f.join_all(members), not pending, len(pending)), (a, direction)
+            for u in members:
+                want_rows[u] |= 1 << a
+        if rows_built:
+            assert C.coverage_rows(loc, rows_direction) == want_rows, direction
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["induced", "relation", "rows"]))
+def test_dod_closed_form_matches_column_loop_random(seed, style):
+    """Atomistic induced locales, relation locales on any frame, and
+    explicit random rows, which need not be reflexive (so A may lie outside
+    down(K(A))), wherever they meet the coverage preconditions."""
+    rng = random.Random(seed)
+    if style == "induced":
+        loc = S.induced_locale(random_space(rng, rng.randint(1, 5)),
+                               rng.choice(["em", "upper", "lower"]))
+    else:
+        f = S.induced_locale(random_topology_space(rng), "em").frame
+        if style == "relation":
+            loc = O.ordered_locale_from_relation(
+                f, [(rng.randrange(f.m), rng.randrange(f.m))
+                    for _ in range(rng.randint(0, 5))])
+        else:
+            loc = rows_locale(f, [rng.getrandbits(f.m) & rng.getrandbits(f.m)
+                                  for _ in f.elements()])
+    if coverage_preconditions_hold(loc):
+        assert_dod_matches_column_loop(loc, list(loc.frame.elements()))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]), st.data())
+def test_dod_closed_form_matches_column_loop_on_grids(size, data):
+    """Every region of M22 to M33, with the rows, and sampled regions of
+    M34 and M44."""
+    loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(*size)), "em")
+    f = loc.frame
+    regions = data.draw(st.lists(st.integers(0, f.m - 1), min_size=1, max_size=4))
+    assert_dod_matches_column_loop(loc, f.elements() if f.m <= 512 else regions)
+
+
 # -- axiom checker cross-routes ---------------------------------------------------------
 
 
