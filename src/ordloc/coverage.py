@@ -216,13 +216,15 @@ class _AtomCoverage:
         return v
 
     def atom_rel(self):
-        cached = getattr(self, "_arel", None)
+        """The atom relation as atom-index rows.  It does not depend on A,
+        so it is memoized on the locale (`work`, one per direction)."""
+        cached = getattr(self.ol, "_atom_rel", None)
         if cached is None:
             n = len(self.atoms)
             cached = [mask_of_iter(j for j in range(n)
                                    if self.ol.related(self.atoms[i], self.atoms[j]))
                       for i in range(n)]
-            self._arel = cached
+            self.ol._atom_rel = cached
         return cached
 
     def bad_reach(self) -> dict[int, Optional[int]]:

@@ -51,8 +51,10 @@ def _grid_points(spec: GridSpec):
     return alive, index
 
 
-def _cone_reaches(slope: Fraction, dt: int, dx: int) -> bool:
-    return dt >= 0 and abs(dx) <= slope * dt
+def _cone_reaches(p: int, q: int, dt: int, dx: int) -> bool:
+    """|dx| <= (p/q) dt for dt >= 0, compared exactly in integers (q > 0),
+    with (p, q) the slope's `as_integer_ratio()`."""
+    return dt >= 0 and abs(dx) * q <= p * dt
 
 
 def minkowski_grid(spec: GridSpec) -> OrderedSpace:
@@ -66,16 +68,17 @@ def minkowski_grid(spec: GridSpec) -> OrderedSpace:
         raise SlopesUnequal("minkowski_grid needs equal slopes; use two_speed_grid")
     alive, index = _grid_points(spec)
     n = len(alive)
+    p, q = spec.up_slope.as_integer_ratio()
     rows = [0] * n
     if spec.defects:
         for i, (t, x) in enumerate(alive):
             for x2 in range(spec.x_size):
-                if _cone_reaches(spec.up_slope, 1, x2 - x) and (t + 1, x2) in index:
+                if _cone_reaches(p, q, 1, x2 - x) and (t + 1, x2) in index:
                     rows[i] |= 1 << index[(t + 1, x2)]
     else:
         for i, (t, x) in enumerate(alive):
             for j, (t2, x2) in enumerate(alive):
-                if _cone_reaches(spec.up_slope, t2 - t, x2 - x):
+                if _cone_reaches(p, q, t2 - t, x2 - x):
                     rows[i] |= 1 << j
     opens = _topology_for(spec, n, rows)
     name = f"M{spec.t_size}{spec.x_size}" + ("-defects" if spec.defects else "")
@@ -114,11 +117,13 @@ def two_speed_grid(spec: GridSpec) -> OrderedLocale:
     n = len(alive)
     up_rows = [0] * n
     down_rows = [0] * n
+    up = spec.up_slope.as_integer_ratio()
+    down = spec.down_slope.as_integer_ratio()
     for i, (t, x) in enumerate(alive):
         for j, (t2, x2) in enumerate(alive):
-            if _cone_reaches(spec.up_slope, t2 - t, x2 - x):
+            if _cone_reaches(*up, t2 - t, x2 - x):
                 up_rows[i] |= 1 << j
-            if _cone_reaches(spec.down_slope, t - t2, x - x2):
+            if _cone_reaches(*down, t - t2, x - x2):
                 down_rows[i] |= 1 << j
     space = OrderedSpace.build(n, [], opens="discrete",
                                labels=_grid_labels(spec, set(alive)),

@@ -23,14 +23,14 @@ Axiom checks run in tiers and say which tier ran in the report note:
   `lattice.SubsetCone` of powerset frames, which preserve joins by
   construction, certifies monotone cones, cuts monad validation to bottom and
   the join-irreducibles J, decides C-join and cuts F+/F- to pairs over
-  bottom and J; cone-determined relations with monotone cones are
-  join-closed; a preorder is join-closed iff it is closed under
-  translation by J (`_translation_gap`, one preimage-mask test per
-  (U, J), bit shifts on powersets), which also saturates explicit
-  relations; with monotone cones the join-irreducibles decide each row
-  of F+/F-; the wedge laws follow from C-order and the Frobenius
-  inclusions, a route taken only once C-order has been verified, and
-  decided by an exact scan otherwise).
+  bottom and J, on powersets to one transposed row test per point;
+  cone-determined relations with monotone cones are join-closed; a
+  preorder is join-closed iff it is closed under translation by J
+  (`_translation_gap`, one preimage-mask test per (U, J), bit shifts on
+  powersets), which also saturates explicit relations; with monotone
+  cones the join-irreducibles decide each row of F+/F-; the wedge laws
+  follow from C-order and the Frobenius inclusions, a route taken only
+  once C-order has been verified, and decided by an exact scan otherwise).
 
 Nothing is sampled.  A check that no tier decides (F+/F- with cones that
 are not monotone, above PAIR_LIMIT) refuses with FrameTooLarge.
@@ -540,6 +540,15 @@ def _check_F(ol: OrderedLocale, plus: bool) -> CheckReport:
     argument (meets distribute over joins), and every element but bottom
     is a join of join-irreducibles: the pairs over bottom and J decide.
 
+    Powerset lemma: ids are point masks, {b} & x is {b} or bottom, and
+    {a} & up({b}) is {a} or bottom.  So F+ fails at ({a}, {b}) iff
+    b in down({a}), b not in down(bottom) and a not in up({b}); pairs with
+    bottom hold.  Hence F+ holds iff down({a}) & ~down(bottom) & ~UT[a] == 0
+    for every point a, UT the transpose of the point rows up({b}) (F- swaps
+    up and down): one n x n transpose and n row tests in place of (n+1)^2
+    `holds` calls.  The least failing a, at the lowest bit of its row, is
+    the least pair in `gens` order, so the witness is the pair scan's.
+
     Row lemma: with monotone cones, the V in J decide row U.  Proof for F+
     (F- is the mirror): the left side down(U) & V preserves binary joins
     in V, as meets distribute over joins, and the right side
@@ -564,7 +573,7 @@ def _check_F(ol: OrderedLocale, plus: bool) -> CheckReport:
     irreducibles = f.coprimes()
     if ol.cones.join_failure("u") is None and ol.cones.join_failure("d") is None:
         gens = sorted({f.bottom, *irreducibles})
-        bad = next(((u, v) for u in gens for v in gens if not holds(u, v)), None)
+        bad = _gens_failure(f, side, other, gens, holds)
         if bad is None:
             return _ok(law, f"exact: cones preserve binary joins; {len(gens) ** 2} "
                             "pairs over bottom and the join-irreducibles")
@@ -582,6 +591,17 @@ def _check_F(ol: OrderedLocale, plus: bool) -> CheckReport:
     if u is None:
         return _ok(law, route)
     return _fail(law, (u, next(v for v in f.elements() if not holds(u, v))), route)
+
+
+def _gens_failure(f: FiniteFrame, side, other, gens, holds) -> Optional[tuple[int, int]]:
+    """The least pair over `gens` (bottom, then J) that `holds` fails, or
+    None; on powersets by the powerset lemma of `_check_F`."""
+    if f.kind != "powerset":
+        return next(((u, v) for u in gens for v in gens if not holds(u, v)), None)
+    floor, pts = side[f.bottom], gens[1:]
+    ut = lat.transpose_rows([other[p] for p in pts])
+    rows = [side[p] & ~floor & ~col for p, col in zip(pts, ut)]
+    return next(((p, r & -r) for p, r in zip(pts, rows) if r), None)
 
 
 def _check_wedge(ol: OrderedLocale, plus: bool) -> CheckReport:

@@ -587,3 +587,20 @@ def monotone_via_cones(src: OrderedSpace, tgt: OrderedSpace, g) -> bool:
         if src.down_mask(pre) & ~pre_dn:
             return False
     return True
+
+
+def frobenius_gens_loop(f: FiniteFrame, side, other, gens, holds=None):
+    """`olocale._gens_failure` by the pair loop: the least (u, v) over gens,
+    u first, with side(u) & v not below side(u & other(v)) (F+ takes
+    side = down and other = up, F- the reverse).  `holds` is not used."""
+    return next(((u, v) for u in gens for v in gens
+                 if not f.leq(f.meet(side[u], v), side[f.meet(u, other[v])])), None)
+
+
+def fraction_cone_rows(alive, slope, step=False):
+    """Grid rows in Fraction arithmetic: row i holds j iff t_j >= t_i
+    (t_j = t_i + 1 with `step`) and |x_j - x_i| <= slope * (t_j - t_i)."""
+    return [mask_of_iter(j for j, (t2, x2) in enumerate(alive)
+                         if (t2 == t + 1 if step else t2 >= t)
+                         and abs(x2 - x) <= slope * (t2 - t))
+            for (t, x) in alive]

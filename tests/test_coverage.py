@@ -313,6 +313,29 @@ def test_dod_on_m44_lists_no_cone(monkeypatch):
     assert isinstance(loc.cones.u, L.SubsetCone) and isinstance(loc.cones.d, L.SubsetCone)
 
 
+def test_coverage_rows_build_the_atom_relation_once_per_direction(monkeypatch):
+    # the atom relation depends on the locale, not on the region A: M33 in
+    # both directions made 88,088 `related` calls when each of its 512
+    # regions rebuilt the 9 x 9 relation
+    calls = [0]
+    related = O.OrderedLocale.related
+
+    def counting(self, u, v):
+        calls[0] += 1
+        return related(self, u, v)
+
+    loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(3, 3)), "em")
+    monkeypatch.setattr(O.OrderedLocale, "related", counting)
+    rows = [C.coverage_rows(loc, d) for d in ("past", "future")]
+    assert calls[0] == 5306
+    monkeypatch.undo()
+    dual = C._dual_with_axioms(loc)
+    assert loc._atom_rel is not dual._atom_rel
+    for work, got in ((loc, rows[0]), (dual, rows[1])):
+        cols = [oracles.coverage_column_loop(loc, work, a)[0] for a in loc.frame.elements()]
+        assert got == L.transpose_rows([mask_of_iter(c) for c in cols])
+
+
 def test_dod_is_bottom_where_A_lies_outside_down_of_K():
     # the empty relation: every cone is bottom, so A != bottom covers no
     # region, though K(A) holds the atoms of A

@@ -3,10 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordloc import cli, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import SlopesUnequal
 from ordloc.lattice import bits, mask_of_iter, popcount
+
+import oracles
+
+SLOPES = tuple(map(Fraction, ("1", "2", "1/2", "3/2", "2/3", "5/3")))
 
 
 def _single_step_closure_oracle(t, x, slope, dead=()):
@@ -149,3 +154,46 @@ def test_m44_locales_list_no_opens(monkeypatch):
     for v in ("em", "upper", "lower"):
         S.induced_locale(sp, v)
     assert calls == [] and sp.frame.kind == "powerset" and sp.frame._ext is None
+
+
+def _alive(t, x, defects):
+    return [(a, b) for a in range(t) for b in range(x) if (a, b) not in defects]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.sampled_from(SLOPES),
+       st.sampled_from(SLOPES), st.sampled_from(("discrete", "diamond_basis")),
+       st.sets(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=3))
+def test_integer_slopes_match_fraction_rows(t, x, up, down, topology, cells):
+    defects = tuple(sorted((a, b) for a, b in cells if a < t and b < x))
+    alive = _alive(t, x, defects)
+    if defects:
+        steps = oracles.fraction_cone_rows(alive, up, step=True)
+        rows = L.transitive_closure_rows([r | 1 << i for i, r in enumerate(steps)])
+    else:
+        rows = oracles.fraction_cone_rows(alive, up)
+    sp = gen.minkowski_grid(gen.GridSpec(t, x, up, up, topology, defects))
+    assert list(sp.up) == rows and list(sp.down) == L.transpose_rows(rows)
+    ts = gen.two_speed_grid(gen.GridSpec(t, x, up, down))
+    alive = _alive(t, x, ())
+    points = [1 << i for i in range(len(alive))]
+    assert [ts.cones.u[p] for p in points] == oracles.fraction_cone_rows(alive, up)
+    assert [ts.cones.d[p] for p in points] == L.transpose_rows(
+        oracles.fraction_cone_rows(alive, down))
+
+
+def test_minkowski_grid_makes_no_fraction_product(monkeypatch):
+    # the slope is compared as |dx| q <= p dt in integers
+    expect = oracles.fraction_cone_rows(_alive(4, 4, ()), Fraction(1))
+    calls = [0]
+
+    def counting(fn):
+        def call(*args):
+            calls[0] += 1
+            return fn(*args)
+        return call
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+    sp = gen.minkowski_grid(gen.GridSpec(4, 4))
+    assert calls[0] == 0 and list(sp.up) == expect

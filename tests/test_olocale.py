@@ -397,6 +397,68 @@ def test_translation_gap_on_powersets_makes_no_join_or_mask_of_iter_call(monkeyp
     assert counts == {"gap": 1, "join": 0, "mask_of_iter": 0}
 
 
+# -- F+/F- on powersets against the pair loop over bottom and J ------------------
+
+
+def random_frobenius_locale(seed):
+    """A locale on the powerset of 1-6 points whose cones preserve joins:
+    SubsetCones from random point rows and a random t(bottom), mostly
+    neither inflationary nor monads, or the list cones of a random relation."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    f = L.powerset_frame(n)
+    if rng.random() < 0.5:
+        def cone():
+            base = rng.randrange(1 << n) if rng.random() < 0.5 else 0
+            return L.SubsetCone(n, base, [rng.randrange(1 << n) for _ in range(n)])
+        return O.OrderedLocale(f, up_map=cone(), down_map=cone())
+    pairs = [(rng.randrange(f.m), rng.randrange(f.m)) for _ in range(rng.randint(0, 4))]
+    return O.ordered_locale_from_relation(f, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_frobenius_row_form_matches_gens_loop(seed):
+    olx, ref = random_frobenius_locale(seed), random_frobenius_locale(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "_gens_failure", oracles.frobenius_gens_loop)
+        expect = [O.check_axiom(ref, law) for law in ("F+", "F-")]
+    f = olx.frame
+    gens = sorted({f.bottom, *f.coprimes()})
+    for (side, other), law, want in zip(((olx.cones.d, olx.cones.u),
+                                         (olx.cones.u, olx.cones.d)), ("F+", "F-"), expect):
+        assert (O._gens_failure(f, side, other, gens, None)
+                == oracles.frobenius_gens_loop(f, side, other, gens))
+        rep = O.check_axiom(olx, law)
+        assert (rep.verdict, rep.witness, rep.note) == (want.verdict, want.witness,
+                                                         want.note)
+        assert rep.ok or O.revalidate(olx, rep), rep
+
+
+def test_frobenius_on_m44_makes_no_meet_or_leq_call(monkeypatch):
+    # one transposed row test per point: n + 1 reads of the side cone and
+    # n of the other, where the pair loop made 289 holds calls per law
+    olx = S.induced_locale(gen.minkowski_grid(gen.GridSpec(4, 4)), "em")
+    assert isinstance(olx.cones.u, L.SubsetCone) and isinstance(olx.cones.d, L.SubsetCone)
+    counts = dict.fromkeys(("meet", "leq", "read"), 0)
+
+    def counting(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(L.FiniteFrame, "meet", counting("meet", L.FiniteFrame.meet))
+    monkeypatch.setattr(L.FiniteFrame, "leq", counting("leq", L.FiniteFrame.leq))
+    monkeypatch.setattr(L.SubsetCone, "__getitem__",
+                        counting("read", L.SubsetCone.__getitem__))
+    for law in ("F+", "F-"):
+        counts.update(meet=0, leq=0, read=0)
+        rep = O.check_axiom(olx, law)
+        assert rep.ok and rep.note.endswith("289 pairs over bottom and the join-irreducibles")
+        assert counts["meet"] == counts["leq"] == 0 and counts["read"] <= 2 * 16 + 1, counts
+
+
 def test_parallel_disjointness_property(loc22):
     f = loc22.frame
     for u in f.elements():
