@@ -348,24 +348,24 @@ def double_negation_transport(olx: OrderedLocale) -> CheckReport:
     for u in f.elements():
         if f.neg(f.neg(u)) == u:
             amb_of[reg_of[u]] = u
-    if f.m <= ol.PAIR_LIMIT:
-        # row U pulled back along reg_of: {V : reg_of[U] rel reg_of[V]}
-        fibre = [0] * sub.m
-        for u in f.elements():
-            fibre[reg_of[u]] |= 1 << u
-        induced_rows, rows = induced.rel_rows(), olx.rel_rows()
-        pulled = {}
-        for u in f.elements():
-            r = reg_of[u]
-            if r not in pulled:
-                # on a Boolean frame reg_of is the identity
-                pulled[r] = induced_rows[r] if sub is f else \
-                    ol._successors(fibre, induced_rows[r])
-            diff = pulled[r] ^ rows[u]
-            if diff:
-                return CheckReport("dn-transport", "fail", (u, next(bits(diff))),
-                                   "regular order disagrees with the "
-                                   "ambient order")
+    # row U pulled back along reg_of: {V : reg_of[U] rel reg_of[V]}, one
+    # row XOR per U at every size `order_from_map` accepts
+    fibre = [0] * sub.m
+    for u in f.elements():
+        fibre[reg_of[u]] |= 1 << u
+    induced_rows, rows = induced.rel_rows(), olx.rel_rows()
+    pulled = {}
+    for u in f.elements():
+        r = reg_of[u]
+        if r not in pulled:
+            # on a Boolean frame reg_of is the identity
+            pulled[r] = induced_rows[r] if sub is f else \
+                ol._successors(fibre, induced_rows[r])
+        diff = pulled[r] ^ rows[u]
+        if diff:
+            return CheckReport("dn-transport", "fail", (u, next(bits(diff))),
+                               "regular order disagrees with the "
+                               "ambient order")
     for u in f.elements():
         up_i = amb_of[induced.up_map[reg_of[u]]]
         if up_i != olx.up_map[u]:

@@ -12,7 +12,7 @@ from . import lattice as lat
 from . import olocale as ol
 from . import ospace as osp
 from .errors import SlopesUnequal, ValidationError
-from .lattice import bits, mask_of_iter
+from .lattice import mask_of_iter
 from .olocale import OrderedLocale
 from .ospace import OrderedSpace
 
@@ -75,25 +75,26 @@ def minkowski_grid(spec: GridSpec) -> OrderedSpace:
             for x2 in range(spec.x_size):
                 if _cone_reaches(p, q, 1, x2 - x) and (t + 1, x2) in index:
                     rows[i] |= 1 << index[(t + 1, x2)]
+        rows = lat.transitive_closure_rows(rows)
     else:
+        # the cone relation is reflexive and transitive: the rows are closed
         for i, (t, x) in enumerate(alive):
             for j, (t2, x2) in enumerate(alive):
                 if _cone_reaches(p, q, t2 - t, x2 - x):
                     rows[i] |= 1 << j
-    opens = _topology_for(spec, n, rows)
+    labels = _grid_labels(spec, set(alive))
     name = f"M{spec.t_size}{spec.x_size}" + ("-defects" if spec.defects else "")
-    return OrderedSpace.build(n, [(i, j) for i in range(n) for j in bits(rows[i])],
-                              opens=opens, labels=_grid_labels(spec, set(alive)),
-                              name=name)
+    return OrderedSpace(n, rows, osp.topology(n, _topology_for(spec, n, rows), labels),
+                        labels=labels, name=name)
 
 
-def _topology_for(spec: GridSpec, n: int, rows) -> object:
+def _topology_for(spec: GridSpec, n: int, closed) -> object:
+    """The opens of the spec's topology, from the closed order rows."""
     if spec.topology == "discrete":
         return "discrete"
     if spec.topology == "codiscrete":
         return "codiscrete"
     if spec.topology == "diamond_basis":
-        closed = lat.transitive_closure_rows(list(rows))
         down = lat.transpose_rows(closed)
         gens = []
         for p in range(n):

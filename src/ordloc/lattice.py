@@ -624,9 +624,13 @@ class SubsetCone:
     each built by doubling and refused (FrameTooLarge) above
     SUBSET_LIMIT entries.  `tolist()` ORs the two tables into the 2^n
     list, memoized and refused above SUBSET_LIMIT entries.
+
+    `cols`, when the caller already holds it, is the transpose of the
+    point rows t({b}): cols[a] = {b : a in t({b})}, as a point mask.
     """
 
-    def __init__(self, n: int, base: int, values: Sequence[int]):
+    def __init__(self, n: int, base: int, values: Sequence[int],
+                 cols: Optional[list[int]] = None):
         k = n - n // 2
         if 1 << k > SUBSET_LIMIT:
             raise FrameTooLarge(f"cone tables on {1 << k} subsets exceed {SUBSET_LIMIT}")
@@ -634,6 +638,7 @@ class SubsetCone:
         self._lo = _or_table(base, values[:k])
         self._hi = _or_table(0, values[k:])
         self._list = None
+        self.cols = cols
 
     def __len__(self) -> int:
         return 1 << self.n

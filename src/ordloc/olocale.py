@@ -12,7 +12,9 @@ Relation rows are read in bulk from the cones, never by a pair scan:
 (x <= y iff every join-irreducible below x is below y): O(m) ANDs on
 powersets, O(m |J|) elsewhere.  `order_from_map` is a cone formula too:
 U <=_f U' iff U' <= a(U) and U <= c(U'), with a and c meets of pulled-back
-cones (the proof is in its docstring).
+cones, and a and c are its cones wherever a(U) is in row U and c(V) in
+column V (m bit tests; the proofs are in its docstring).  The futures and
+pasts frames are built once per locale and shared by their callers.
 
 Axiom checks run in tiers and say which tier ran in the report note:
 
@@ -180,6 +182,7 @@ class OrderedLocale:
         self._regular: Optional[CheckReport] = None
         self._hull_cache = {}
         self._compl_cache = {}
+        self._cone_frames = {}            # "futures" | "pasts" -> (subframe, FrameMap)
 
     @cached_property
     def up_map(self) -> list[int]:
@@ -595,11 +598,12 @@ def _check_F(ol: OrderedLocale, plus: bool) -> CheckReport:
 
 def _gens_failure(f: FiniteFrame, side, other, gens, holds) -> Optional[tuple[int, int]]:
     """The least pair over `gens` (bottom, then J) that `holds` fails, or
-    None; on powersets by the powerset lemma of `_check_F`."""
+    None; on powersets by the powerset lemma of `_check_F`, reading the
+    transposed point rows that a `SubsetCone` carries (`cols`)."""
     if f.kind != "powerset":
         return next(((u, v) for u in gens for v in gens if not holds(u, v)), None)
     floor, pts = side[f.bottom], gens[1:]
-    ut = lat.transpose_rows([other[p] for p in pts])
+    ut = getattr(other, "cols", None) or lat.transpose_rows([other[p] for p in pts])
     rows = [side[p] & ~floor & ~col for p, col in zip(pts, ut)]
     return next(((p, r & -r) for p, r in zip(pts, rows) if r), None)
 
@@ -851,6 +855,12 @@ def pasts_frame(ol: OrderedLocale) -> tuple[FiniteFrame, FrameMap]:
 
 
 def _cone_frame(ol: OrderedLocale, cone, label) -> tuple[FiniteFrame, FrameMap]:
+    """The subframe on one cone's image and its inclusion map, built once
+    per locale and shared by every caller (none mutates them); a refusal
+    is not cached."""
+    cached = ol._cone_frames.get(label)
+    if cached is not None:
+        return cached
     f = ol.frame
     bad = _cone_join_failure(ol)
     if bad is not None:
@@ -863,7 +873,8 @@ def _cone_frame(ol: OrderedLocale, cone, label) -> tuple[FiniteFrame, FrameMap]:
     sub, incl = lat.subframe(f, image, meta=meta)
     fmap = FrameMap(source=f, target=sub, preimage=list(incl))
     fmap.validate()
-    return sub, fmap
+    cached = ol._cone_frames[label] = sub, fmap
+    return cached
 
 
 def is_biframe(ol: OrderedLocale) -> CheckReport:
@@ -946,7 +957,15 @@ def order_from_map(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
     of the down-sets of x_i is the down-set of meet x_i in any lattice.
     So the rows are `cone_rows(source, a, c)`, exactly, for any preimage
     list.  Each meet is that of the primes p above some member (primes
-    are meet-prime), so a and c cost O(m |P|) mask tests.
+    are meet-prime), so a and c cost O(m |P|) mask tests; the sets
+    {V : g(V) <= p}, g = f^{-1} up (or down), are ORs of the fibres of g
+    over its distinct values.
+
+    Cone lemma: every V in row U lies below a(U), and every U in column V
+    lies below c(V).  So where a(U) is in row U and c(V) in column V for
+    all U and V, the join of row U is a(U) and the join of column V is
+    c(V): the cones `cones_from_rows` would build.  That premise costs m
+    bit tests; where it fails, the cones are the joins of the rows.
     """
     if fmap.target is not target_ol.frame:
         raise ValidationError("target ordered locale does not match the map")
@@ -956,11 +975,12 @@ def order_from_map(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
     above = lat.rows_above(src, pre)                 # {V : U <= f^{-1}(V)}
 
     def meets(cone):
-        g = [pre[x] for x in cone]
-        under = []                                   # (p, {V : g(V) <= p})
-        for p in src.primes():
-            below = src.down_row(p)
-            under.append((p, mask_of_iter(v for v, x in enumerate(g) if below >> x & 1)))
+        at = {}                                      # g(V) -> {V}, g = f^{-1} cone
+        for v, x in enumerate(cone):
+            at[pre[x]] = at.get(pre[x], 0) | 1 << v
+        image = mask_of_iter(at)
+        under = [(p, _successors(at, src.down_row(p) & image))   # {V : g(V) <= p}
+                 for p in src.primes()]
         out = []
         for row in above:
             x = src.top
@@ -970,8 +990,12 @@ def order_from_map(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
             out.append(x)
         return out
 
-    rows = cone_rows(src, meets(target_ol.up_map), meets(target_ol.down_map))
-    up_map, down_map = cones_from_rows(src, rows)
+    a, c = meets(target_ol.up_map), meets(target_ol.down_map)
+    rows = cone_rows(src, a, c)
+    if all(rows[u] >> a[u] & 1 and rows[c[u]] >> u & 1 for u in src.elements()):
+        up_map, down_map = a, c
+    else:
+        up_map, down_map = cones_from_rows(src, rows)
     return OrderedLocale(src, up_map=up_map, down_map=down_map, rel_rows=rows,
                          meta={"construction": "order_from_map"})
 

@@ -116,14 +116,16 @@ def has_open_cones(space: OrderedSpace) -> CheckReport:
 def _cone_maps(space: OrderedSpace) -> tuple[Sequence[int], Sequence[int]]:
     """Pointwise cone of every open, as frame elements (interiors taken):
     generator-form `SubsetCone`s on powerset frames (every subset is open,
-    and the cone of a subset is the OR of its points' cones), lists
-    elsewhere.  Cached on the space, so the induced locales share them."""
+    and the cone of a subset is the OR of its points' cones, so the
+    transposed point rows of one cone are the other's), lists elsewhere.
+    Cached on the space, so the induced locales share them."""
     cached = space._cone_cache.get("maps")
     if cached is not None:
         return cached
     f = space.frame
     if f.kind == "powerset":
-        maps = SubsetCone(space.n, 0, space.up), SubsetCone(space.n, 0, space.down)
+        maps = (SubsetCone(space.n, 0, space.up, cols=space.down),
+                SubsetCone(space.n, 0, space.down, cols=space.up))
     else:
         up_map, down_map = [], []
         for i in f.elements():
@@ -140,8 +142,8 @@ def _top_cone(space: OrderedSpace) -> Sequence[int]:
     top = space._cone_cache.get("top")
     if top is None:
         f = space.frame
-        top = (SubsetCone(space.n, f.top, [0] * space.n) if f.kind == "powerset"
-               else [f.top] * f.m)
+        top = (SubsetCone(space.n, f.top, [0] * space.n, cols=[f.top] * space.n)
+               if f.kind == "powerset" else [f.top] * f.m)
         space._cone_cache["top"] = top
     return top
 

@@ -237,6 +237,53 @@ def test_dn_transport_m33(loc33):
     assert D.double_negation_transport(loc33).ok
 
 
+def test_dn_transport_compares_rows_above_pair_limit():
+    # an 11-point discrete chain has 2,048 opens: the regular order is
+    # still compared row by row, so a relation row that disagrees with the
+    # cones is caught
+    chain = S.OrderedSpace.build(11, [(i, i + 1) for i in range(10)])
+    olx = S.induced_locale(chain, "em")
+    assert olx.frame.m > O.PAIR_LIMIT
+    assert D.double_negation_transport(olx).ok
+    bent = S.induced_locale(chain, "em")
+    bent._rel_rows = list(olx.rel_rows())
+    bent._rel_rows[5] ^= 1 << 7
+    rep = D.double_negation_transport(bent)
+    assert (rep.verdict, rep.witness) == ("fail", (5, 7))
+    assert rep.note == "regular order disagrees with the ambient order"
+
+
+def test_warm_transport_reuses_cones_and_cone_frames(m33, monkeypatch):
+    # after the README tour (futures, pasts, ideal points) the transport
+    # builds only the two cone frames of the regular order, and takes that
+    # order's cones from the cone formula
+    olx, cold = S.induced_locale(m33, "em"), S.induced_locale(m33, "em")
+    fut, pas = O.futures_frame(olx), O.pasts_frame(olx)
+    assert O.futures_frame(olx) is fut and O.pasts_frame(olx) is pas
+    ips = D.ideal_points(olx)
+    calls = {"cones_from_rows": 0, "subframe": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counting(O, "cones_from_rows")
+    counting(L, "subframe")
+    rep = D.double_negation_transport(olx)
+    assert calls == {"cones_from_rows": 0, "subframe": 2}
+    monkeypatch.undo()
+    want = D.double_negation_transport(cold)
+    assert (rep.verdict, rep.witness, rep.note) == (want.verdict, want.witness, want.note)
+    again, fresh = D.ideal_points(olx), D.ideal_points(cold)
+    for name in D.IdealPointSet.__slots__:
+        assert getattr(again, name) == getattr(ips, name) == getattr(fresh, name)
+    assert O.futures_frame(olx) is fut and O.pasts_frame(olx) is pas
+
+
 def test_dn_transport_requires_regular_cones():
     chain = gen.suite_instance("chain3")
     eq = O.equality_order(chain.frame)

@@ -182,6 +182,27 @@ def test_integer_slopes_match_fraction_rows(t, x, up, down, topology, cells):
         oracles.fraction_cone_rows(alive, down))
 
 
+def _space_key(sp):
+    f = sp.frame
+    opens = None if f.kind == "powerset" else [f.mask_of(i) for i in f.elements()]
+    return sp.n, sp.up, sp.down, sp.labels, sp.name, f.kind, f.m, opens
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.sampled_from(SLOPES[:4]),
+       st.sampled_from(("discrete", "codiscrete", "diamond_basis")))
+def test_defect_free_grid_rows_are_closed(t, x, slope, topology):
+    # the cone relation is reflexive and transitive, so its rows reach the
+    # constructor as they are: closing them from pairs changes nothing
+    spec = gen.GridSpec(t, x, slope, slope, topology)
+    sp = gen.minkowski_grid(spec)
+    assert L.transitive_closure_rows(list(sp.up)) == sp.up
+    built = S.OrderedSpace.build(
+        sp.n, [(i, j) for i in range(sp.n) for j in bits(sp.up[i])],
+        opens=gen._topology_for(spec, sp.n, sp.up), labels=sp.labels, name=sp.name)
+    assert _space_key(built) == _space_key(sp)
+
+
 def test_minkowski_grid_makes_no_fraction_product(monkeypatch):
     # the slope is compared as |dx| q <= p dt in integers
     expect = oracles.fraction_cone_rows(_alive(4, 4, ()), Fraction(1))

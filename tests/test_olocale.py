@@ -459,6 +459,37 @@ def test_frobenius_on_m44_makes_no_meet_or_leq_call(monkeypatch):
         assert counts["meet"] == counts["leq"] == 0 and counts["read"] <= 2 * 16 + 1, counts
 
 
+def test_frobenius_on_grids_reads_the_carried_point_columns(monkeypatch):
+    # the cones of a discrete space carry the transposes of their point
+    # rows (the space's down and up rows, all ones for the top cone), so
+    # F+/F- transpose nothing and keep the pair loop's verdicts
+    spaces = [gen.minkowski_grid(gen.GridSpec(4, 4)), gen.vertical_grid(3, 3),
+              gen.minkowski_grid(gen.GridSpec(3, 4, defects=((1, 2),)))]
+    for sp in spaces:
+        for cone in (*S._cone_maps(sp), S._top_cone(sp)):
+            assert cone.cols == L.transpose_rows([cone[1 << b] for b in range(sp.n)])
+    expect = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "_gens_failure", oracles.frobenius_gens_loop)
+        for sp in spaces:
+            for v in ("em", "upper", "lower"):
+                olx = S.induced_locale(sp, v)
+                expect += [O.check_axiom(olx, law) for law in ("F+", "F-")]
+    calls = [0]
+    transpose = L.transpose_rows
+
+    def counting(rows):
+        calls[0] += 1
+        return transpose(rows)
+
+    monkeypatch.setattr(L, "transpose_rows", counting)
+    got = [O.check_axiom(S.induced_locale(sp, v), law)
+           for sp in spaces for v in ("em", "upper", "lower") for law in ("F+", "F-")]
+    assert calls[0] == 0
+    assert [(r.verdict, r.witness, r.note) for r in got] == \
+        [(r.verdict, r.witness, r.note) for r in expect]
+
+
 def test_parallel_disjointness_property(loc22):
     f = loc22.frame
     for u in f.elements():

@@ -786,24 +786,43 @@ def random_locale(rng, f):
                                                    random_monad(rng, f)), validated=True)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000))
-def test_order_from_map_matches_pair_loop(seed):
+def test_order_from_map_matches_pair_loop(monkeypatch):
     # the double-negation sublocale map of a random (mostly not Boolean)
-    # frame, or of bowtie, and the inclusion of a futures frame
-    rng = random.Random(seed)
-    if rng.random() < 0.8:
-        f = random_frame(rng) if rng.random() < 0.7 else gen.bowtie().frame
-        fmap = L.double_negation_frame(f)[1]
-    else:
-        fmap = O.futures_frame(S.induced_locale(random_space(rng), "em"))[1]
-    target = random_locale(rng, fmap.target)
-    got, want = O.order_from_map(fmap, target), oracles.order_from_map_pairs(fmap, target)
-    src, rows = fmap.source, want.rel_rows()
-    assert got.rel_rows() == rows, (fmap.preimage, target.up_map, target.down_map)
-    assert got.up_map == [fold_join(src, r) for r in rows]
-    assert got.down_map == [fold_join(src, c) for c in L.transpose_rows(rows)]
-    assert (got.up_map, got.down_map) == (want.up_map, want.down_map)
+    # frame, or of bowtie, and the inclusion of a futures frame; both cone
+    # routes must be taken: the cone formula where its premise holds, the
+    # joins of the rows (`cones_from_rows`) where it fails
+    routes = {"cone formula": 0, "joins of rows": 0}
+    joins = [0]
+    cones_from_rows = O.cones_from_rows
+
+    def counted(*args):
+        joins[0] += 1
+        return cones_from_rows(*args)
+
+    monkeypatch.setattr(O, "cones_from_rows", counted)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def check(seed):
+        rng = random.Random(seed)
+        if rng.random() < 0.8:
+            f = random_frame(rng) if rng.random() < 0.7 else gen.bowtie().frame
+            fmap = L.double_negation_frame(f)[1]
+        else:
+            fmap = O.futures_frame(S.induced_locale(random_space(rng), "em"))[1]
+        target = random_locale(rng, fmap.target)
+        joins[0] = 0
+        got = O.order_from_map(fmap, target)
+        routes["joins of rows" if joins[0] else "cone formula"] += 1
+        want = oracles.order_from_map_pairs(fmap, target)
+        src, rows = fmap.source, want.rel_rows()
+        assert got.rel_rows() == rows, (fmap.preimage, target.up_map, target.down_map)
+        assert got.up_map == [fold_join(src, r) for r in rows]
+        assert got.down_map == [fold_join(src, c) for c in L.transpose_rows(rows)]
+        assert (got.up_map, got.down_map) == (want.up_map, want.down_map)
+
+    check()
+    assert all(routes.values()), routes
 
 
 def grothendieck_outcome(fn, olx):
