@@ -520,102 +520,56 @@ def _norm_table(frame: FiniteFrame, cov) -> list[int]:
 
 
 def abstract_coverage_check(frame: FiniteFrame, cov_minus, cov_plus) -> list[CheckReport]:
-    """Verify the causal-coverage axioms (C1)-(C5) on explicit tables."""
-    minus = _norm_table(frame, cov_minus)
-    plus = _norm_table(frame, cov_plus)
-    out = []
+    """Verify the causal-coverage axioms (C1)-(C5) on explicit tables.  A
+    failure names the least witness of the scan over Cov-, then Cov+."""
+    f = frame
+    minus, plus = _norm_table(f, cov_minus), _norm_table(f, cov_plus)
 
-    def fail(law, witness, note=""):
-        out.append(CheckReport(law, "fail", witness, note))
+    def c2(rows):
+        # Cov(U1 v U2) == {A1 v A2}; nullary join forces Cov(bottom)={bottom}
+        if rows[f.bottom] != 1 << f.bottom:
+            return (f.bottom,)
+        return next(((u1, u2) for u1 in f.elements() for u2 in f.elements()
+                     if rows[f.join(u1, u2)] != mask_of_iter(
+                         f.join(a1, a2) for a1 in bits(rows[u1]) for a2 in bits(rows[u2]))),
+                    None)
 
-    def ok(law):
-        out.append(CheckReport(law, "pass", None, "exhaustive"))
+    def c3(rows):
+        # transitivity: the least b of a member a's cover outside Cov(U)
+        return next(((next(bits(rows[a] & ~rows[u])), a, u) for u in f.elements()
+                     for a in bits(rows[u]) if rows[a] & ~rows[u]), None)
 
-    # C1
-    bad = next(((u,) for u in frame.elements()
-                if not (minus[u] >> u & 1 and plus[u] >> u & 1)), None)
-    if bad:
-        fail("C1", bad)
-    else:
-        ok("C1")
-
-    # C2: Cov(U1 v U2) == {A1 v A2}; nullary join forces Cov(bottom)={bottom}
-    law = "C2"
-    witness = None
-    for rows in (minus, plus):
-        if rows[frame.bottom] != 1 << frame.bottom:
-            witness = (frame.bottom,)
-            break
-        for u1 in frame.elements():
-            for u2 in frame.elements():
-                j = frame.join(u1, u2)
-                combo = 0
-                for a1 in bits(rows[u1]):
-                    for a2 in bits(rows[u2]):
-                        combo |= 1 << frame.join(a1, a2)
-                if combo != rows[j]:
-                    witness = (u1, u2)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    fail(law, witness) if witness else ok(law)
-
-    # C3 transitivity
-    law = "C3"
-    witness = None
-    for rows in (minus, plus):
-        for u in frame.elements():
+    def c4(rows):
+        # interval closure: members a <= c <= b exist iff c is in up_row(a)
+        # and below some member; the least such a, then b, then c is the
+        # least (a, c, b, u) of the member-pair scan
+        for u in f.elements():
+            below = 0
+            for b in bits(rows[u]):
+                below |= f.down_row(b)
             for a in bits(rows[u]):
-                if rows[a] & ~rows[u]:
-                    b = next(bits(rows[a] & ~rows[u]))
-                    witness = (b, a, u)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    fail(law, witness) if witness else ok(law)
+                out = f.up_row(a) & ~rows[u]
+                if out & below:
+                    b = next(b for b in bits(rows[u]) if f.down_row(b) & out)
+                    gap = f.down_row(b) & out
+                    return a, (gap & -gap).bit_length() - 1, b, u
+        return None
 
-    # C4 interval closure
-    law = "C4"
-    witness = None
-    for rows in (minus, plus):
-        for u in frame.elements():
-            members = list(bits(rows[u]))
-            for a in members:
-                for b in members:
-                    for c in frame.elements():
-                        if frame.leq(a, c) and frame.leq(c, b) \
-                                and not rows[u] >> c & 1:
-                            witness = (a, c, b, u)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    fail(law, witness) if witness else ok(law)
+    def c5(rows, other):
+        # flip: each member A of Cov(U) has some W >= U in the other Cov(A)
+        return next(((a, u) for u in f.elements() for a in bits(rows[u])
+                     if not any(f.leq(u, w) for w in bits(other[a]))), None)
 
-    # C5 flip
-    law = "C5"
-    witness = None
-    for rows, other in ((minus, plus), (plus, minus)):
-        for u in frame.elements():
-            for a in bits(rows[u]):
-                if not any(frame.leq(u, w) for w in bits(other[a])):
-                    witness = (a, u)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    fail(law, witness) if witness else ok(law)
-    return out
+    witnesses = {
+        "C1": next(((u,) for u in f.elements()
+                    if not (minus[u] >> u & 1 and plus[u] >> u & 1)), None),
+        "C2": c2(minus) or c2(plus),
+        "C3": c3(minus) or c3(plus),
+        "C4": c4(minus) or c4(plus),
+        "C5": c5(minus, plus) or c5(plus, minus),
+    }
+    return [CheckReport(law, "pass", None, "exhaustive") if w is None
+            else CheckReport(law, "fail", w, "") for law, w in witnesses.items()]
 
 
 # -- Grothendieck axioms ----------------------------------------------------------

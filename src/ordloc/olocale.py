@@ -29,7 +29,8 @@ Axiom checks run in tiers and say which tier ran in the report note:
   cone-determined relations with monotone cones are join-closed; a
   preorder is join-closed iff it is closed under translation by J
   (`_translation_gap`, one preimage-mask test per (U, J), bit shifts on
-  powersets), which also saturates explicit relations; with monotone
+  powersets); the least join-closed preorder containing an explicit
+  relation R is T(R*)*, T one translation pass per J; with monotone
   cones the join-irreducibles decide each row of F+/F-; the wedge laws
   follow from C-order and the Frobenius inclusions, a route taken only
   once C-order has been verified, and decided by an exact scan otherwise).
@@ -62,6 +63,7 @@ from .lattice import FiniteFrame, FrameMap, bits, join_failure, mask_of_iter
 PAIR_LIMIT = 1050        # full O(m^2) pair scans allowed up to this size
 TRIPLE_LIMIT = 40        # wedge laws always by exact scan up to this size
 REL_LIMIT = 2048         # explicit relation rows materialized up to this size
+SATURATION_LIMIT = 250_000   # pairs of a join-saturated explicit relation
 
 
 class CheckReport:
@@ -244,11 +246,9 @@ def cones_from_rows(frame: FiniteFrame, rows: list[int]) -> tuple[list[int], lis
     return up_map, down_map
 
 
-def _translation_gap(frame: FiniteFrame, rows: Sequence[int],
-                     fill: Optional[list[int]] = None) -> Optional[tuple]:
+def _translation_gap(frame: FiniteFrame, rows: Sequence[int]) -> Optional[tuple]:
     """The least (U, V, J, J) with U rel V, J join-irreducible and U | J not
     rel V | J (least U, then V, then J in `coprimes()` order), or None.
-    With `fill`, every missing translated pair is also added to those rows.
 
     Lemma: a reflexive, transitive relation R on a finite frame is closed
     under binary joins iff U R V implies (U | J) R (V | J) for every
@@ -261,60 +261,97 @@ def _translation_gap(frame: FiniteFrame, rows: Sequence[int],
 
     Preimage masks: with t = U | J, row U translates into row t iff
     rows[U] & ~pre_J(t) == 0, where pre_J(t) = {V : V | J in rows[t]}
-    depends on t >= J alone.  The lowest bit of lack = rows[U] & ~pre_J(t)
-    is the least V of a gap, and `fill` adds image_J(lack) to row t, which
-    is exactly the missing pairs.  pre_J(t) is the OR of the fibres
-    {V : V | J = x} over the x in rows[t] & up_row(J).  On powersets J is
-    a point {b}, ids are masks and H = up_row(J) holds the subsets with b,
-    so V | J is V on H and V + J off it:
-        pre_J(Y) = Y & H | Y >> J & ~H,   image_J(X) = X & H | (X & ~H) << J.
+    depends on t >= J alone.  The lowest bit of rows[U] & ~pre_J(t) is the
+    least V of a gap.  pre_J(t) is the OR of the fibres {V : V | J = x}
+    over the x in rows[t] & up_row(J).  On powersets J is a point {b}, ids
+    are masks and H = up_row(J) holds the subsets with b, so V | J is V on
+    H and V + J off it:  pre_J(Y) = Y & H | Y >> J & ~H.
     Cost: O(m |J|) row tests, plus the sum over J and t >= J of
     |rows[t] & up_row(J)| fibre ORs; on powersets O(1) wide-int operations
     per (J, t).
     """
     f = frame
-    power = f.kind == "powerset"
     tests = []
     for j in f.coprimes():
         up = f.up_row(j)
-        if power:
+        if f.kind == "powerset":
             shift = [x | j for x in f.elements()]
             pre = [r & up | r >> j & ~up for r in rows]     # read at t >= J
         else:
-            shift = [f.join(x, j) for x in f.elements()]
-            fibre = [0] * f.m
-            for x, y in enumerate(shift):
-                fibre[y] |= 1 << x
+            shift, fibre = _join_fibres(f, j)
             pre = {t: _successors(fibre, rows[t] & up) for t in bits(up)}
-        tests.append((j, up, shift, pre))
-    gap = None
+        tests.append((j, shift, pre))
     for u in f.elements():
-        for j, up, shift, pre in tests:
-            t = shift[u]
-            lack = rows[u] & ~pre[t]
+        gap = None
+        for j, shift, pre in tests:
+            lack = rows[u] & ~pre[shift[u]]
             if not lack:
                 continue
-            if fill is not None:
-                fill[t] |= (lack & up | (lack & ~up) << j if power
-                            else mask_of_iter(shift[v] for v in bits(lack)))
             v = (lack & -lack).bit_length() - 1
-            if gap is None or gap[0] == u and v < gap[1]:
+            if gap is None or v < gap[1]:
                 gap = (u, v, j, j)
-        if gap is not None and fill is None:
+        if gap is not None:
             return gap
-    return gap
+    return None
+
+
+def _translation_closure(frame: FiniteFrame, rows: list[int]) -> list[int]:
+    """Close `rows` in place under translation by every join-irreducible J
+    (U R V gives (U | J) R (V | J)), one pass per J in `coprimes()` order,
+    and return them.
+
+    One pass per J suffices.  Translation by J is idempotent, so the pairs
+    a J pass adds are their own J-images, and the pass leaves the rows
+    closed under J in any row order.  A later J' pass keeps that: for
+    (U, V) in the J-closed rows, the J-image of its J'-image is the
+    J'-image of (U | J, V | J), which is in those rows too, so the J' pass
+    adds it.
+
+    The image of row U lands in row U | J: image_J(X) = {V | J : V in X}.
+    With the notation of `_translation_gap`: on powersets
+    image_J(X) = X & H | (X & ~H) << J; elsewhere row t >= J gains the
+    images of the V that the rows of its fibre {U : U | J = t} reach
+    outside pre_J(t), so only the missing pairs are mapped bit by bit.
+    """
+    f = frame
+    for j in f.coprimes():
+        up = f.up_row(j)
+        if f.kind == "powerset":
+            for u in f.elements():
+                r = rows[u]
+                rows[u | j] |= r & up | (r & ~up) << j
+        else:
+            shift, fibre = _join_fibres(f, j)
+            for t in bits(up):
+                lack = _successors(rows, fibre[t]) & ~_successors(fibre, rows[t] & up)
+                rows[t] |= mask_of_iter(shift[v] for v in bits(lack))
+    return rows
+
+
+def _join_fibres(f: FiniteFrame, j: int) -> tuple[list[int], list[int]]:
+    """shift[x] = x | J, and the fibres fibre[t] = {x : x | J = t}."""
+    shift = [f.join(x, j) for x in f.elements()]
+    fibre = [0] * f.m
+    for x, t in enumerate(shift):
+        fibre[t] |= 1 << x
+    return shift, fibre
 
 
 def ordered_locale_from_relation(frame: FiniteFrame, pairs: Iterable[tuple[int, int]],
                                  strict: bool = False, meta=None) -> OrderedLocale:
-    """Ordered locale from generator pairs.
+    """Ordered locale from generator pairs: the least join-closed preorder
+    containing them, T(R*)*, where R* is the reflexive-transitive closure
+    and T closes under translation by the join-irreducibles
+    (`_translation_closure`).
 
-    Takes the reflexive-transitive closure, then alternates filling its
-    translation gaps (see `_translation_gap`) and closing transitively
-    until a round adds nothing: the least join-closed preorder containing
-    the pairs.  If the reflexive-transitive closure had a gap, that first
-    gap, a V witness against it, is an error (AxiomVFailure) in strict
-    mode and is recorded as meta["join_saturated"] otherwise.
+    T(R*)* is a preorder, and it is translation-closed because a transitive
+    closure keeps that (U R X R V gives U|J R X|J R V|J), so it is
+    join-closed by the lemma of `_translation_gap`; every join-closed
+    preorder containing the pairs contains it.  If R* has a translation
+    gap, that least gap, a V witness against R*, is an error
+    (AxiomVFailure) in strict mode and is recorded as
+    meta["join_saturated"] otherwise; a saturated relation of more than
+    SATURATION_LIMIT pairs is refused.
     """
     if frame.m > REL_LIMIT:
         raise FrameTooLarge(
@@ -326,19 +363,15 @@ def ordered_locale_from_relation(frame: FiniteFrame, pairs: Iterable[tuple[int, 
             raise ValidationError(f"relation pair {(u, v)} out of range")
         rows[u] |= 1 << v
     rows = lat.transitive_closure_rows(rows)
-    grown = list(rows)
-    gap = _translation_gap(frame, rows, grown)
+    gap = _translation_gap(frame, rows)
     if gap is not None:
         if strict:
             raise AxiomVFailure(gap)
         meta = dict(meta or {})
         meta["join_saturated"] = gap
-    while gap is not None:
-        rows = lat.transitive_closure_rows(grown)
-        if sum(map(lat.popcount, rows)) > 250_000:
-            raise FrameTooLarge("join saturation exceeded 250000 pairs")
-        grown = list(rows)
-        gap = _translation_gap(frame, rows, grown)
+        rows = lat.transitive_closure_rows(_translation_closure(frame, rows))
+        if sum(map(lat.popcount, rows)) > SATURATION_LIMIT:
+            raise FrameTooLarge(f"join saturation exceeded {SATURATION_LIMIT} pairs")
     up_map, down_map = cones_from_rows(frame, rows)
     return OrderedLocale(frame, up_map=up_map, down_map=down_map, rel_rows=rows,
                          meta=meta)

@@ -4,14 +4,15 @@ Each one scans the definition directly (all subsets, or all pairs or
 triples of elements), so it is slow and only used on small frames.
 """
 
-from ordloc import coverage
+from ordloc import coverage, olocale
 from ordloc.duality import prime_to_filter
-from ordloc.errors import (FrameTooLarge, MissingBottomOrTop, NotALattice, NotClosedUnderJoin,
-                           NotClosedUnderMeet, NotDistributive, ValidationError)
+from ordloc.errors import (AxiomVFailure, FrameTooLarge, MissingBottomOrTop, NotALattice,
+                           NotClosedUnderJoin, NotClosedUnderMeet, NotDistributive,
+                           ValidationError)
 from ordloc.lattice import (FiniteFrame, FrameMap, Value, bits,
                             close_family_under_union_intersection,
                             frame_from_down_rows, frame_from_topology, least_neighbourhood,
-                            mask_of_iter, powerset_frame, transitive_closure_rows,
+                            mask_of_iter, popcount, powerset_frame, transitive_closure_rows,
                             transpose_rows)
 from ordloc.olocale import (REL_LIMIT, CheckReport, ConePair, OrderedLocale, check_axiom,
                             cones_from_rows, ordered_locale_from_monads)
@@ -527,7 +528,8 @@ def counit_monotone_by_points_locale(olx: OrderedLocale) -> bool:
 def translation_gap_loop(frame: FiniteFrame, rows, fill=None):
     """`olocale._translation_gap` by building the translated image of each
     row U for each join-irreducible J, bit by bit: O(P |J|) for P related
-    pairs."""
+    pairs.  With `fill`, every missing translated pair is also added to
+    those rows (the filling step of `saturate_alternating`)."""
     f = frame
     shifts = [(j, [f.join(x, j) for x in f.elements()]) for j in f.coprimes()]
     gap = None
@@ -546,6 +548,34 @@ def translation_gap_loop(frame: FiniteFrame, rows, fill=None):
         if gap is not None and fill is None:
             return gap
     return gap
+
+
+def saturate_alternating(frame: FiniteFrame, pairs, strict=False, meta=None):
+    """`olocale.ordered_locale_from_relation` by alternating fixpoint: close
+    transitively, add every missing translated pair (`translation_gap_loop`
+    with `fill`), and repeat until a round adds nothing, refusing once a
+    closed relation exceeds `olocale.SATURATION_LIMIT` pairs."""
+    rows = [0] * frame.m
+    for u, v in pairs:
+        rows[u] |= 1 << v
+    rows = transitive_closure_rows(rows)
+    grown = list(rows)
+    gap = translation_gap_loop(frame, rows, grown)
+    if gap is not None:
+        if strict:
+            raise AxiomVFailure(gap)
+        meta = dict(meta or {})
+        meta["join_saturated"] = gap
+    while gap is not None:
+        rows = transitive_closure_rows(grown)
+        if sum(map(popcount, rows)) > olocale.SATURATION_LIMIT:
+            raise FrameTooLarge("join saturation exceeded "
+                                f"{olocale.SATURATION_LIMIT} pairs")
+        grown = list(rows)
+        gap = translation_gap_loop(frame, rows, grown)
+    up_map, down_map = cones_from_rows(frame, rows)
+    return OrderedLocale(frame, up_map=up_map, down_map=down_map, rel_rows=rows,
+                         meta=meta)
 
 
 def coverage_column_loop(olx: OrderedLocale, work: OrderedLocale, a: int):

@@ -427,6 +427,19 @@ def test_abstract_coverage_fails_with_least_witness(law, minus, witness):
     assert (rep.verdict, rep.witness) == ("fail", witness)
 
 
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_abstract_coverage_fails_C4_with_least_witness(side):
+    # on the powerset of 3 points the top is covered by {3, 4, 5, 7}: the
+    # interval [3, 7] is inside, the least member whose interval up to a
+    # member is not is 4, and [4, 7] misses 6 (the interval [4, 5] is in)
+    f = L.frame_from_topology(3, range(8))
+    ident = {u: [u] for u in f.elements()}
+    odd = {**ident, 7: [3, 4, 5, 7]}
+    minus, plus = (odd, ident) if side == "minus" else (ident, odd)
+    rep = {r.law: r for r in C.abstract_coverage_check(f, minus, plus)}["C4"]
+    assert (rep.verdict, rep.witness) == ("fail", (4, 6, 7, 7))
+
+
 def test_abstract_downset_coverage_fails_C5():
     f = L.frame_from_topology(2, [0, 1, 2, 3])
     eq = O.equality_order(f)

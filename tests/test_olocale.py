@@ -324,9 +324,10 @@ def test_V_on_translation_closed_relation_that_is_not_a_preorder():
 def random_gap_instance(rng):
     """A frame with random relation rows, taken as drawn or reflexive-
     transitively closed.  The frame is a powerset of 1-6 points, a powerset
-    stored mask-backed, or the frame of a random topology."""
+    stored mask-backed, the frame of a random topology, or a Birkhoff copy
+    of one (`lattice.subframe`), whose ids do not follow masks."""
     n = rng.randint(1, 6)
-    shape = rng.choice(("powerset", "mask-backed powerset", "topology"))
+    shape = rng.choice(("powerset", "mask-backed powerset", "topology", "birkhoff"))
     if shape == "powerset":
         f = L.powerset_frame(n)
     elif shape == "mask-backed powerset":
@@ -334,6 +335,8 @@ def random_gap_instance(rng):
     else:
         gens = [rng.randrange(1 << n) for _ in range(rng.randint(1, 2 * n))]
         f = L.frame_from_topology(n, L.close_family_under_union_intersection(n, gens))
+        if shape == "birkhoff":
+            f = L.subframe(f, f.elements())[0]
     rows = [mask_of_iter(rng.randrange(f.m) for _ in range(rng.randint(0, 3)))
             for _ in f.elements()]
     if rng.random() < 0.5:
@@ -346,55 +349,81 @@ def random_gap_instance(rng):
 def test_translation_gap_matches_image_loop(seed):
     f, rows = random_gap_instance(random.Random(seed))
     assert O._translation_gap(f, rows) == oracles.translation_gap_loop(f, rows)
-    fill, expect = list(rows), list(rows)
-    gap = O._translation_gap(f, rows, fill)
-    assert gap == oracles.translation_gap_loop(f, rows, expect)
-    assert fill == expect
 
 
-@settings(max_examples=40, deadline=None)
+def saturation_or_error(build, f, pairs, strict):
+    try:
+        olx = build(f, pairs, strict=strict, meta={"name": "r"})
+    except (AxiomVFailure, FrameTooLarge) as exc:
+        return type(exc), exc.args
+    return olx.rel_rows(), olx.up_map, olx.down_map, olx.meta
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_relation_saturation_matches_image_loop(seed):
+    # translation by each join-irreducible once, then one closure, against
+    # the fixpoint that alternates the image loop's gap filling with
+    # closing: equal rows, cones and meta, the same strict-mode gap, and
+    # the same refusals with the pair cap just below and at the saturated
+    # size
     f, rows = random_gap_instance(random.Random(seed))
     pairs = [(u, v) for u in f.elements() for v in bits(rows[u])]
-    olx = O.ordered_locale_from_relation(f, pairs, meta={"name": "r"})
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(O, "_translation_gap", oracles.translation_gap_loop)
-        ref = O.ordered_locale_from_relation(f, pairs, meta={"name": "r"})
-    assert olx.rel_rows() == ref.rel_rows() and olx.meta == ref.meta
-    assert (olx.up_map, olx.down_map) == (ref.up_map, ref.down_map)
+    for strict in (False, True):
+        got = saturation_or_error(O.ordered_locale_from_relation, f, pairs, strict)
+        assert got == saturation_or_error(oracles.saturate_alternating, f, pairs, strict)
+    size = sum(map(L.popcount, O.ordered_locale_from_relation(f, pairs).rel_rows()))
+    for limit in (size - 1, size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(O, "SATURATION_LIMIT", limit)
+            got = saturation_or_error(O.ordered_locale_from_relation, f, pairs, False)
+            want = saturation_or_error(oracles.saturate_alternating, f, pairs, False)
+        assert got == want
 
 
 def test_translation_gap_on_powersets_makes_no_join_or_mask_of_iter_call(monkeypatch):
-    # the two-speed 2x3 relation on its 64-element powerset: each (U, J)
-    # is one row test and each (J, t) one shift; the per-row image loop
-    # made m |J| = 384 joins per call
+    # the two-speed 2x3 relation on its 64-element powerset, given whole
+    # (no gap) and by its 13 point pairs (saturated): each relation is one
+    # gap pass and at most two closures; each (U, J) is one row test, each
+    # (J, t) one shift and each (J, U) of the translation closure one
+    # shifted row; the per-row image loop made m |J| = 384 joins per call
     ts = gen.suite_instance("two_speed_2x3")
-    pairs = [(u, v) for u in ts.frame.elements() for v in bits(ts.rel_rows()[u])]
-    counts = dict.fromkeys(("gap", "join", "mask_of_iter"), 0)
+    f, rows = ts.frame, ts.rel_rows()
+    whole = [(u, v) for u in f.elements() for v in bits(rows[u])]
+    points = [(u, v) for u, v in whole if L.popcount(u) == L.popcount(v) == 1]
+    counts = {}
     inside = [False]
-    translation_gap = O._translation_gap
 
-    def counting(name, fn):
+    def counting(name, fn, anywhere=False):
         def call(*args, **kwargs):
-            counts[name] += inside[0]
+            counts[name] += anywhere or inside[0]
             return fn(*args, **kwargs)
         return call
 
-    def gap(*args, **kwargs):
-        counts["gap"] += 1
-        inside[0] = True
-        try:
-            return translation_gap(*args, **kwargs)
-        finally:
-            inside[0] = False
+    def entering(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            inside[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = False
+        return call
 
-    monkeypatch.setattr(O, "_translation_gap", gap)
+    monkeypatch.setattr(O, "_translation_gap", entering("gap", O._translation_gap))
+    monkeypatch.setattr(O, "_translation_closure",
+                        entering("closure", O._translation_closure))
+    monkeypatch.setattr(L, "transitive_closure_rows",
+                        counting("transitive", L.transitive_closure_rows, True))
     monkeypatch.setattr(L.FiniteFrame, "join", counting("join", L.FiniteFrame.join))
     monkeypatch.setattr(O, "mask_of_iter", counting("mask_of_iter", O.mask_of_iter))
-    olx = O.ordered_locale_from_relation(ts.frame, pairs)
-    assert olx.rel_rows() == ts.rel_rows()
-    assert counts == {"gap": 1, "join": 0, "mask_of_iter": 0}
+    for pairs, closures in ((whole, 0), (points, 1)):
+        counts.update(dict.fromkeys(("gap", "closure", "transitive", "join",
+                                     "mask_of_iter"), 0))
+        olx = O.ordered_locale_from_relation(f, pairs)
+        assert counts == {"gap": 1, "closure": closures, "transitive": 1 + closures,
+                          "join": 0, "mask_of_iter": 0}
+        assert olx.rel_rows() == oracles.saturate_alternating(f, pairs).rel_rows()
 
 
 # -- F+/F- on powersets against the pair loop over bottom and J ------------------
