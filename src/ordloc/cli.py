@@ -323,7 +323,7 @@ def _cmd_gen(args) -> int:
         doc = doc_of_space(gen.minkowski_grid(spec))
     elif kind == "two-speed":
         spec = gen.GridSpec(args.t, args.x, _number(Fraction, args.up, "--up"),
-                            _number(Fraction, args.down, "--down"))
+                            _number(Fraction, args.down, "--down"), topology=args.topology)
         doc = doc_of_locale(gen.two_speed_grid(spec))
     elif kind == "vertical":
         doc = doc_of_space(gen.vertical_grid(args.t, args.x))

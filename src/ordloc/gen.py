@@ -1,5 +1,12 @@
 """Deterministic instance generators: discrete causal grids and the
 counterexample menagerie, at desk scale.
+
+A Minkowski grid carries one of three topologies: `discrete` (every set
+of points open, served by `lattice.powerset_frame` without listing a
+mask), `codiscrete` (only the empty set and the whole grid), or
+`diamond_basis`, the Alexandrov topology generated by the causal
+diamonds.  On a grid the last is the discrete topology (the lemma is in
+`minkowski_grid`), so it is built as such.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ class GridSpec(lat.Value):
             raise ValidationError("grid must be at least 1x1")
         if up_slope <= 0 or down_slope <= 0:
             raise ValidationError("slopes must be positive")
+        if topology not in ("discrete", "diamond_basis", "codiscrete"):
+            raise ValidationError(f"unknown topology {topology!r}")
         for (t, x) in defects:
             if not (0 <= t < t_size and 0 <= x < x_size):
                 raise ValidationError(f"defect {(t, x)} out of bounds")
@@ -34,7 +43,7 @@ class GridSpec(lat.Value):
         self.x_size = x_size
         self.up_slope = up_slope
         self.down_slope = down_slope
-        self.topology = topology          # discrete | diamond_basis | codiscrete
+        self.topology = topology
         self.defects = defects
 
 
@@ -63,6 +72,13 @@ def minkowski_grid(spec: GridSpec) -> OrderedSpace:
     Removed points recompute the order as reachability through survivors
     along single-step moves (the covering relation), so defects genuinely
     break causal chains instead of keeping long-range shortcuts.
+
+    Lemma: `diamond_basis` is the discrete topology.  A diamond
+    up(a) & down(b) holds p iff a <= p <= b, and then it contains
+    up(p) & down(p); so the least open holding p is N(p) = up(p) & down(p),
+    the class of p.  The grid order is antisymmetric, defects or not:
+    (t, x) <= (t', x') for distinct points needs t' > t, as equal t forces
+    equal x.  So every N(p) is {p}, and every set of points is open.
     """
     if spec.up_slope != spec.down_slope:
         raise SlopesUnequal("minkowski_grid needs equal slopes; use two_speed_grid")
@@ -84,25 +100,8 @@ def minkowski_grid(spec: GridSpec) -> OrderedSpace:
                     rows[i] |= 1 << j
     labels = _grid_labels(spec, set(alive))
     name = f"M{spec.t_size}{spec.x_size}" + ("-defects" if spec.defects else "")
-    return OrderedSpace(n, rows, osp.topology(n, _topology_for(spec, n, rows), labels),
-                        labels=labels, name=name)
-
-
-def _topology_for(spec: GridSpec, n: int, closed) -> object:
-    """The opens of the spec's topology, from the closed order rows."""
-    if spec.topology == "discrete":
-        return "discrete"
-    if spec.topology == "codiscrete":
-        return "codiscrete"
-    if spec.topology == "diamond_basis":
-        down = lat.transpose_rows(closed)
-        gens = []
-        for p in range(n):
-            for q in range(n):
-                gens.append(closed[p] & down[q])
-        # diamond basis generates by unions only; close under both for a frame
-        return lat.close_family_under_union_intersection(n, gens)
-    raise ValidationError(f"unknown topology {spec.topology!r}")
+    opens = "codiscrete" if spec.topology == "codiscrete" else "discrete"
+    return OrderedSpace(n, rows, osp.topology(n, opens, labels), labels=labels, name=name)
 
 
 def two_speed_grid(spec: GridSpec) -> OrderedLocale:

@@ -387,12 +387,6 @@ def powerset_frame(n: int, labels=None) -> FiniteFrame:
                        base_size=n, labels=labels)
 
 
-def least_neighbourhood(base_size: int, family: Iterable[int], p: int) -> int:
-    """N(p): the AND of the members of the family that hold p, or the full
-    base when none does."""
-    return reduce(and_, (e for e in family if e >> p & 1), (1 << base_size) - 1)
-
-
 def frame_from_topology(base_size: int, opens: Sequence[PointSet | int],
                         labels=None) -> FiniteFrame:
     """Frame of an explicit finite topology, ordered by inclusion.
@@ -433,18 +427,6 @@ def frame_from_topology(base_size: int, opens: Sequence[PointSet | int],
                     ext=masks, base_size=base_size, labels=labels)
     f._nbhds = nbhds
     return f
-
-
-def close_family_under_union_intersection(base_size: int, gens: Iterable[int]) -> list[int]:
-    """Smallest family containing gens, 0 and the full base, closed under & and |:
-    the unions of the least neighbourhoods N(p) of the generators (the
-    lemma of `frame_from_topology`), enumerated by closing {0} under each
-    distinct | N(p)."""
-    family = set(gens)
-    fam = {0}
-    for nb in {least_neighbourhood(base_size, family, p) for p in range(base_size)}:
-        fam |= {s | nb for s in fam}
-    return sorted(fam)
 
 
 def transitive_closure_rows(rows: list[int]) -> list[int]:

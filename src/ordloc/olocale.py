@@ -489,14 +489,20 @@ def _check_L(ol: OrderedLocale, plus: bool) -> CheckReport:
     """L+ : U rel U' and U <= V give some V' with V rel V' and U' <= V';
     L- : U rel U' and V <= U' give some W with W rel V and W <= U.
 
-    Above 24 elements a passing V still certifies both (for L- unsoundly:
-    joins give L+, not L-).  Everywhere else the exact scan grouped by U
-    names the least (U, U', V): L+ fails on up(U) minus the V that reach
-    above U', L- on down(U') minus the successors of the W below U.
+    Above 24 elements a passing V on a reflexive relation certifies L+:
+    joining U rel U' with V rel V gives V = U v V rel U' v V >= U'.  A
+    cone-definitional relation is reflexive, as its monads are
+    inflationary; other rows cost m bit tests.  A passing V still
+    certifies L- too, unsoundly: joins give L+, not L-.  Everywhere else
+    the exact scan grouped by U names the least (U, U', V): L+ fails on
+    up(U) minus the V that reach above U', L- on down(U') minus the
+    successors of the W below U.
     """
     law = "L+" if plus else "L-"
     f = ol.frame
-    if f.m > 24 and check_axiom(ol, "V").ok:
+    if f.m > 24 and check_axiom(ol, "V").ok and (
+            not plus or ol.cone_definitional
+            or all(r >> u & 1 for u, r in enumerate(ol.rel_rows()))):
         return _ok(law, "exact: follows from join closure with witness U'vV / UvV'")
     rows = ol.rel_rows()
     cols = lat.transpose_rows(rows)

@@ -4,16 +4,17 @@ Each one scans the definition directly (all subsets, or all pairs or
 triples of elements), so it is slow and only used on small frames.
 """
 
+from functools import reduce
+from operator import and_
+
 from ordloc import coverage, olocale
 from ordloc.duality import prime_to_filter
 from ordloc.errors import (AxiomVFailure, FrameTooLarge, MissingBottomOrTop, NotALattice,
                            NotClosedUnderJoin, NotClosedUnderMeet, NotDistributive,
                            ValidationError)
-from ordloc.lattice import (FiniteFrame, FrameMap, Value, bits,
-                            close_family_under_union_intersection,
-                            frame_from_down_rows, frame_from_topology, least_neighbourhood,
-                            mask_of_iter, popcount, powerset_frame, transitive_closure_rows,
-                            transpose_rows)
+from ordloc.lattice import (FiniteFrame, FrameMap, Value, bits, frame_from_down_rows,
+                            frame_from_topology, mask_of_iter, popcount, powerset_frame,
+                            transitive_closure_rows, transpose_rows)
 from ordloc.olocale import (REL_LIMIT, CheckReport, ConePair, OrderedLocale, check_axiom,
                             cones_from_rows, ordered_locale_from_monads)
 from ordloc.ospace import OrderedSpace
@@ -400,6 +401,24 @@ def frame_from_topology_pairs(base_size: int, opens) -> FiniteFrame:
                 acc &= e
         f._nbhds.append(masks.index(acc))
     return f
+
+
+def least_neighbourhood(base_size: int, family, p: int) -> int:
+    """N(p): the AND of the members of the family that hold p, or the full
+    base when none does."""
+    return reduce(and_, (e for e in family if e >> p & 1), (1 << base_size) - 1)
+
+
+def close_family_under_union_intersection(base_size: int, gens) -> list[int]:
+    """Smallest family containing gens, 0 and the full base, closed under & and |:
+    the unions of the least neighbourhoods N(p) of the generators (the
+    lemma of `lattice.frame_from_topology`), enumerated by closing {0}
+    under each distinct | N(p).  Lists the whole family, up to 2^n masks."""
+    family = set(gens)
+    fam = {0}
+    for nb in {least_neighbourhood(base_size, family, p) for p in range(base_size)}:
+        fam |= {s | nb for s in fam}
+    return sorted(fam)
 
 
 def close_family_fixpoint(base_size: int, gens) -> list[int]:

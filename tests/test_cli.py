@@ -157,9 +157,12 @@ M22_DOC = "m22"   # stands for the serialized m22 space
                  "frame": {"base": 2, "opens": "discrete", "points": ["a"]}}),
      "parse error: malformed frame: 1 point names for base 2 (at frame)"),
     (["gen", "suite", "--name", "nope"], None, "error: unknown suite instance 'nope'"),
+    (["gen", "two-speed", "--topology", "codiscrete"], None,
+     "error: two_speed_grid wants the discrete topology"),
 ], ids=["region-not-an-id", "region-negative", "target-not-an-id",
         "defect-not-a-cell", "slope-not-a-number", "coverage-table-kind-unknown",
-        "frame-negative-base", "frame-too-few-point-names", "unknown-suite-instance"])
+        "frame-negative-base", "frame-too-few-point-names", "unknown-suite-instance",
+        "two-speed-not-discrete"])
 def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
     if stdin == M22_DOC:
         stdin = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))
@@ -170,6 +173,18 @@ def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
 
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_cli_diamond_basis_m66_is_the_discrete_document():
+    # the diamonds generate the discrete topology (gen.minkowski_grid), so
+    # 2**36 opens are never listed
+    outs = [subprocess.run([sys.executable, "-m", "ordloc.cli", "gen", "minkowski",
+                            "--t", "6", "--x", "6", "--topology", topology],
+                           capture_output=True, text=True, timeout=10,
+                           preexec_fn=_cap_address_space)
+            for topology in ("diamond_basis", "discrete")]
+    assert outs[0].returncode == 0 and outs[0].stderr == ""
+    assert outs[0].stdout == outs[1].stdout
 
 
 def run_discrete(n, argv):

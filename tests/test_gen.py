@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordloc import cli, gen, lattice as L, olocale as O, ospace as S
-from ordloc.errors import SlopesUnequal
+from ordloc.errors import SlopesUnequal, ValidationError
 from ordloc.lattice import bits, mask_of_iter, popcount
 
 import oracles
@@ -154,6 +154,9 @@ def test_m44_locales_list_no_opens(monkeypatch):
     for v in ("em", "upper", "lower"):
         S.induced_locale(sp, v)
     assert calls == [] and sp.frame.kind == "powerset" and sp.frame._ext is None
+    # diamond_basis is discrete by the lemma of minkowski_grid: no diamond is listed
+    sp = gen.minkowski_grid(gen.GridSpec(4, 4, topology="diamond_basis"))
+    assert calls == [] and sp.frame.kind == "powerset" and sp.frame._ext is None
 
 
 def _alive(t, x, defects):
@@ -194,13 +197,36 @@ def _space_key(sp):
 def test_defect_free_grid_rows_are_closed(t, x, slope, topology):
     # the cone relation is reflexive and transitive, so its rows reach the
     # constructor as they are: closing them from pairs changes nothing
-    spec = gen.GridSpec(t, x, slope, slope, topology)
-    sp = gen.minkowski_grid(spec)
+    # (diamond_basis is discrete: test_diamond_basis_is_the_closure_of_the_diamonds)
+    sp = gen.minkowski_grid(gen.GridSpec(t, x, slope, slope, topology))
     assert L.transitive_closure_rows(list(sp.up)) == sp.up
     built = S.OrderedSpace.build(
         sp.n, [(i, j) for i in range(sp.n) for j in bits(sp.up[i])],
-        opens=gen._topology_for(spec, sp.n, sp.up), labels=sp.labels, name=sp.name)
+        opens="codiscrete" if topology == "codiscrete" else "discrete",
+        labels=sp.labels, name=sp.name)
     assert _space_key(built) == _space_key(sp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(SLOPES),
+       st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3))
+def test_diamond_basis_is_the_closure_of_the_diamonds(t, x, slope, cells):
+    # the lemma of minkowski_grid: the order is antisymmetric, so the
+    # diamonds up(a) & down(b) generate every set of points
+    defects = tuple(sorted((a, b) for a, b in cells if a < t and b < x))
+    sp = gen.minkowski_grid(gen.GridSpec(t, x, slope, slope, "diamond_basis", defects))
+    assert all(sp.up[p] & sp.down[p] == 1 << p for p in range(sp.n))
+    diamonds = [sp.up[a] & sp.down[b] for a in range(sp.n) for b in range(sp.n)]
+    built = S.OrderedSpace.build(
+        sp.n, [(i, j) for i in range(sp.n) for j in bits(sp.up[i])],
+        opens=oracles.close_family_under_union_intersection(sp.n, diamonds),
+        labels=sp.labels, name=sp.name)
+    assert _space_key(built) == _space_key(sp)
+
+
+def test_grid_spec_rejects_unknown_topology():
+    with pytest.raises(ValidationError, match="unknown topology 'bogus'"):
+        gen.GridSpec(2, 2, topology="bogus")
 
 
 def test_minkowski_grid_makes_no_fraction_product(monkeypatch):

@@ -334,7 +334,7 @@ def random_gap_instance(rng):
         f = oracles.mask_backed_powerset(min(n, 5))
     else:
         gens = [rng.randrange(1 << n) for _ in range(rng.randint(1, 2 * n))]
-        f = L.frame_from_topology(n, L.close_family_under_union_intersection(n, gens))
+        f = L.frame_from_topology(n, oracles.close_family_under_union_intersection(n, gens))
         if shape == "birkhoff":
             f = L.subframe(f, f.elements())[0]
     rows = [mask_of_iter(rng.randrange(f.m) for _ in range(rng.randint(0, 3)))

@@ -204,7 +204,7 @@ def test_convex_space_matches_union_loop(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 6)
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
-    opens = "discrete" if rng.random() < 0.2 else L.close_family_under_union_intersection(
+    opens = "discrete" if rng.random() < 0.2 else oracles.close_family_under_union_intersection(
         n, [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))])
     sp = S.OrderedSpace.build(n, pairs, opens=opens)
     rep, want = S.is_convex_space(sp), oracles.convex_space_loop(sp)

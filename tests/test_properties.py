@@ -145,7 +145,7 @@ def random_topology_space(rng):
     n = rng.randint(1, 4)
     pairs = [(rng.randrange(n), rng.randrange(n))
              for _ in range(rng.randint(0, 2 * n))]
-    opens = "discrete" if rng.random() < 0.4 else L.close_family_under_union_intersection(
+    opens = "discrete" if rng.random() < 0.4 else oracles.close_family_under_union_intersection(
         n, [rng.randrange(1 << n) for _ in range(rng.randint(0, 3))])
     return S.OrderedSpace.build(n, pairs, opens=opens)
 
@@ -418,7 +418,7 @@ def random_frame(rng):
     if kind == "powerset":
         return S.OrderedSpace.build(n, [], opens="discrete").frame
     gens_ = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
-    f = L.frame_from_topology(n, L.close_family_under_union_intersection(n, gens_))
+    f = L.frame_from_topology(n, oracles.close_family_under_union_intersection(n, gens_))
     return f if kind == "mask" else L.subframe(f, f.elements())[0]
 
 
@@ -649,7 +649,7 @@ def test_join_closure_matches_definitional_oracle(seed):
         f = S.OrderedSpace.build(n, [], opens="discrete").frame
     else:
         gens_ = [rng.randrange(1 << n) for _ in range(rng.randint(1, 5))]
-        f = L.frame_from_topology(n, L.close_family_under_union_intersection(n, gens_))
+        f = L.frame_from_topology(n, oracles.close_family_under_union_intersection(n, gens_))
     pairs = [(rng.randrange(f.m), rng.randrange(f.m))
              for _ in range(rng.randint(0, 4 if f.m <= 16 else 2))]
     olx = O.ordered_locale_from_relation(f, pairs)
@@ -697,7 +697,8 @@ def l_oracle(olx, plus):
 def test_random_rows_locales_V_and_L_match_oracles(seed):
     # preorders (join-closed or not) and arbitrary rows, on powerset, mask
     # and Birkhoff frames of up to 16 elements, and on the 32-element
-    # discrete frame, where a passing V still decides L+/L-
+    # discrete frame, where a passing V still decides L+ on reflexive rows
+    # and L- on all rows
     rng = random.Random(seed)
     f = random_frame(rng) if rng.random() < 0.8 else \
         S.OrderedSpace.build(5, [], opens="discrete").frame
@@ -718,7 +719,8 @@ def test_random_rows_locales_V_and_L_match_oracles(seed):
     assert rep.ok == (least is None) and rep.witness == least, (rows, rep)
     for law, plus in (("L+", True), ("L-", False)):
         rep = O.check_axiom(olx, law)
-        if f.m > 24 and least is None:
+        if f.m > 24 and least is None and (
+                not plus or all(r >> u & 1 for u, r in enumerate(rows))):
             assert rep.ok, (rows, rep)
             continue
         least_l = l_oracle(olx, plus)
@@ -727,6 +729,19 @@ def test_random_rows_locales_V_and_L_match_oracles(seed):
         rep = O.check_axiom(olx, law)
         if not rep.ok:
             assert O.revalidate(olx, rep), (rows, rep)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_non_reflexive_join_closed_rows_fail_L_plus(n):
+    # (bottom, top) alone passes V, but V certifies L+ only on reflexive rows
+    f = L.powerset_frame(n)
+    rows = [0] * f.m
+    rows[0] = 1 << f.top
+    olx = rows_locale(f, rows)
+    assert O.check_axiom(olx, "V").ok
+    rep = O.check_axiom(olx, "L+")
+    assert not rep.ok and rep.witness == (0, f.top, 1) == l_oracle(olx, True)
+    assert O.revalidate(olx, rep)
 
 
 # -- relation rows from cones -------------------------------------------------------------
@@ -962,7 +977,7 @@ def test_close_family_matches_pair_fixpoint(seed):
     rng = random.Random(seed)
     n = rng.randint(0, 7)
     gens = [rng.getrandbits(n) for _ in range(rng.randint(0, 5))]
-    assert L.close_family_under_union_intersection(n, gens) == \
+    assert oracles.close_family_under_union_intersection(n, gens) == \
         oracles.close_family_fixpoint(n, gens)
 
 
