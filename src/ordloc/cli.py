@@ -311,11 +311,23 @@ def _defect(text: str) -> tuple[int, int]:
     return cell
 
 
+# generator -> its flags and their defaults; another flag given to it exits 2
+GEN_FLAGS = {"minkowski": {"t": 3, "x": 3, "slope": "1", "topology": "discrete", "defect": ()},
+             "two-speed": {"t": 3, "x": 3, "up": "1", "down": "1", "topology": "discrete"},
+             "vertical": {"t": 3, "x": 3}, "bowtie": {}, "non-oc": {},
+             "suite": {"name": "m33"}}
+
+
 def _cmd_gen(args) -> int:
     from fractions import Fraction
 
     from . import gen
     kind = args.what
+    for flag in ("t", "x", "slope", "up", "down", "topology", "defect", "name"):
+        given = getattr(args, flag)
+        if given is not None and flag not in GEN_FLAGS[kind]:
+            raise ParseError(f"not a flag of gen {kind}", f"--{flag}")
+        setattr(args, flag, GEN_FLAGS[kind].get(flag) if given is None else given)
     if kind == "minkowski":
         slope = _number(Fraction, args.slope, "--slope")
         spec = gen.GridSpec(args.t, args.x, slope, slope, topology=args.topology,
@@ -331,15 +343,13 @@ def _cmd_gen(args) -> int:
         doc = doc_of_space(gen.bowtie())
     elif kind == "non-oc":
         doc = doc_of_space(gen.non_OC_example())
-    elif kind == "suite":
+    else:
         try:
             inst = gen.suite_instance(args.name)
         except KeyError:
             raise ValidationError(f"unknown suite instance {args.name!r}") from None
         doc = doc_of_space(inst) if isinstance(inst, OrderedSpace) \
             else doc_of_locale(inst, args.name)
-    else:
-        raise ValidationError(f"unknown generator {kind!r}")
     _emit(args, serialize(doc))
     return 0
 
@@ -498,17 +508,15 @@ COMMANDS = {
 
 def _add_options(name: str, p: argparse.ArgumentParser) -> None:
     if name == "gen":
-        p.add_argument("what", choices=["minkowski", "two-speed", "vertical",
-                                        "bowtie", "non-oc", "suite"])
-        p.add_argument("--t", type=int, default=3)
-        p.add_argument("--x", type=int, default=3)
-        p.add_argument("--slope", default="1")
-        p.add_argument("--up", default="1")
-        p.add_argument("--down", default="1")
-        p.add_argument("--topology", default="discrete",
-                       choices=["discrete", "diamond_basis", "codiscrete"])
-        p.add_argument("--defect", action="append", default=[])
-        p.add_argument("--name", default="m33")
+        p.add_argument("what", choices=list(GEN_FLAGS))
+        p.add_argument("--t", type=int)
+        p.add_argument("--x", type=int)
+        p.add_argument("--slope")
+        p.add_argument("--up")
+        p.add_argument("--down")
+        p.add_argument("--topology", choices=["discrete", "diamond_basis", "codiscrete"])
+        p.add_argument("--defect", action="append")
+        p.add_argument("--name")
         p.add_argument("--out", default=None)
         p.add_argument("--json", action="store_true")
         return

@@ -9,6 +9,8 @@ below the prime).
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import and_, or_
 from typing import Optional, Sequence
 
 from . import lattice as lat
@@ -43,17 +45,20 @@ def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], l
 
     F <= G iff up(U) in G for U in F, and down(V) in F for V in G.
     Contrapositively: join{U : up(U) <= Q} <= P and join{V : down(V) <= P} <= Q.
-    Every test reads the rows {i : x <= p_i} of `lattice.rows_above`.
+    Every test reads the rows {i : x <= p_i} of `lattice.rows_above`, once
+    per distinct cone value.
     """
     f, up, down = olx.frame, olx.up_map, olx.down_map
     below = lat.rows_above(f, primes)
     n = len(primes)
     under_up, under_down = [0] * n, [0] * n    # {U : up(U) <= p_i}, {V : down(V) <= p_i}
-    for u in f.elements():
-        for i in bits(below[up[u]]):
-            under_up[i] |= 1 << u
-        for i in bits(below[down[u]]):
-            under_down[i] |= 1 << u
+    for cone, under in ((up, under_up), (down, under_down)):
+        at = {}                                # cone value -> the U it is the cone of
+        for u, v in enumerate(cone):
+            at[v] = at.get(v, 0) | 1 << u
+        for v, us in at.items():
+            for i in bits(below[v]):
+                under[i] |= us
     # row i holds j iff w_up[j] <= p_i and w_down[i] <= p_j
     cols = lat.transpose_rows([below[f.join_of_idmask(w)] for w in under_up])
     return ([below[f.join_of_idmask(w)] & cols[i] for i, w in enumerate(under_down)],
@@ -178,18 +183,34 @@ def unit_check(space: OrderedSpace) -> CheckReport:
 # -- counit and axiom (bullet) ---------------------------------------------------
 
 
+def _fold(rows: Sequence[int], op, unit: int, keys) -> list[int]:
+    """For each mask s in keys, op of rows[i] over the i in s, memoized
+    along the lowest bit: t[s] = op(t[s ^ low], rows[low]), so masks that
+    share a prefix share its fold.  Where the keys are at least half of
+    all 2^n masks, the whole table is built, doubling it once per row."""
+    if 1 << len(rows) <= 2 * len(keys):
+        table = [unit]
+        for r in rows:
+            table += [*map(op, table, repeat(r))]
+        return [table[s] for s in keys]
+    memo, out = {0: unit}, []
+    for s in keys:
+        chain = []
+        while s not in memo:
+            chain.append(s)
+            s &= s - 1
+        acc = memo[s]
+        for t in reversed(chain):
+            acc = memo[t] = op(acc, rows[(t & -t).bit_length() - 1])
+        out.append(acc)
+    return out
+
+
 def _point_cones(rows: list[int], pms: list[int]) -> list[tuple[int, int, int]]:
     """Per element U: pt(U), upcone(pt(U)) and downcone(pt(U)), as point
     masks over the primes, from the point order rows and pt masks."""
-    down_rows = lat.transpose_rows(rows)
-    out = []
-    for pm in pms:
-        upc = dnc = 0
-        for i in bits(pm):
-            upc |= rows[i]
-            dnc |= down_rows[i]
-        out.append((pm, upc, dnc))
-    return out
+    return list(zip(pms, _fold(rows, or_, 0, pms),
+                    _fold(lat.transpose_rows(rows), or_, 0, pms)))
 
 
 def _bullet_report(olx: OrderedLocale, pcones) -> CheckReport:
@@ -231,7 +252,15 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     monotonicity (always true, still verified by the point-cone
     inclusions, see `point_cone_inclusions_hold`), axiom (bullet), and --
     given (bullet) and cone-determination -- the biconditional
-    U <= V iff pt(U) <= pt(V)."""
+    U <= V iff pt(U) <= pt(V).
+
+    The biconditional is Egli-Milner on point sets: pt(V) inside
+    upcone(pt(U)) and pt(U) inside downcone(pt(V)).  So row U is the AND
+    of lacking[i] = {V : i not in pt(V)} over the i outside upcone(pt(U))
+    and of reached[i] = {V : i in downcone(pt(V))} over the i in pt(U).
+    i is not in pt(V) iff V <= p_i, so lacking[i] = down_row(p_i); i is in
+    downcone(pt(V)) iff pt(V) meets the point row of i, so reached[i] is
+    the complement of the AND of lacking[k] over k in that row."""
     f = olx.frame
     primes = f.primes()
     rows, pms = _point_data(olx, primes)
@@ -250,25 +279,14 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     biconditional = None
     if spatial and brep.ok and corder.ok:
         if f.m <= ol.PAIR_LIMIT:
-            # Egli-Milner on point sets: pt(V) inside upcone(pt(U)) and
-            # pt(U) inside downcone(pt(V)).  Row U is the AND of the masks
-            # {V : i not in pt(V)} over the points i outside upcone(pt(U))
-            # and {V : i in downcone(pt(V))} over the i in pt(U)
             n, full = len(primes), (1 << f.m) - 1
-            lacking, reached = [full] * n, [0] * n
-            for b, (pb, _, dnb) in enumerate(pcones):
-                for i in bits(pb):
-                    lacking[i] ^= 1 << b
-                for i in bits(dnb):
-                    reached[i] |= 1 << b
-            rows = olx.rel_rows()
-            for a, (pa, upa, _) in enumerate(pcones):
-                em = full
-                for i in bits(((1 << n) - 1) & ~upa):
-                    em &= lacking[i]
-                for i in bits(pa):
-                    em &= reached[i]
-                diff = em ^ rows[a]
+            lacking = _fold([f.down_row(p) for p in primes], and_, full,
+                            rows + [(1 << n) - 1 & ~upa for _, upa, _ in pcones])
+            reached = _fold([full & ~r for r in lacking[:n]], and_, full,
+                            [pa for pa, _, _ in pcones])
+            rel = olx.rel_rows()
+            for a, em in enumerate(map(and_, lacking[n:], reached)):
+                diff = em ^ rel[a]
                 if diff:
                     witness = (a, next(bits(diff)))
                     break
@@ -335,50 +353,56 @@ def ideal_points(olx: OrderedLocale) -> IdealPointSet:
 
 def double_negation_transport(olx: OrderedLocale) -> CheckReport:
     """Transport the order to the regular-element frame and compare ideal
-    points; exact identities under regular cones + cone-determination."""
+    points; exact identities under regular cones + cone-determination.
+
+    Identity lemma: on a Boolean frame the sublocale map is the identity,
+    so `order_from_map` reads a(U) = meet{up(V) : V >= U} = up(U) for
+    monotone cones, and c = down: its rows are `cone_rows(f, up, down)`.
+    Where its cone premise holds on them (row U holds up(U), row down(U)
+    holds U), its cones are up and down, so it returns the ambient locale:
+    only the rows are compared, and the IP sets are one set.  The ambient
+    IPs are still computed: they refuse cones that do not preserve joins.
+    """
     if not ol.check_regular_cones(olx).ok:
         raise RegularConesRequired("double-negation transport needs regular cones")
     if not ol.check_axiom(olx, "C-order").ok:
         raise RegularConesRequired("double-negation transport needs C-order")
     f = olx.frame
     sub, dn_map = lat.double_negation_frame(f)
-    induced = ol.order_from_map(dn_map, olx)
-    reg_of = dn_map.preimage          # ambient U -> regular id of not-not-U
-    amb_of = [None] * sub.m           # regular id -> its ambient element
+    reg_of = amb_of = dn_map.preimage      # ambient U -> regular id of not-not-U
+    induced, back = olx, None
+    if sub is f and f.m <= ol.REL_LIMIT and ol._cones_monotone(olx):
+        up, down = olx.up_map, olx.down_map
+        back = ol.cone_rows(f, up, down)
+        if not all(back[u] >> up[u] & 1 and back[down[u]] >> u & 1 for u in f.elements()):
+            back = None
+    if back is None:
+        induced = ol.order_from_map(dn_map, olx)
+        back = induced.rel_rows()
+    if sub is not f:
+        amb_of, fibre = [None] * sub.m, [0] * sub.m    # regular id -> ambient element
+        for u in f.elements():
+            fibre[reg_of[u]] |= 1 << u
+            if f.neg(f.neg(u)) == u:
+                amb_of[reg_of[u]] = u
+        # row R pulled back along reg_of: {V : R rel reg_of[V]}
+        back = [ol._successors(fibre, r) for r in back]
+    rows = olx.rel_rows()
     for u in f.elements():
-        if f.neg(f.neg(u)) == u:
-            amb_of[reg_of[u]] = u
-    # row U pulled back along reg_of: {V : reg_of[U] rel reg_of[V]}, one
-    # row XOR per U at every size `order_from_map` accepts
-    fibre = [0] * sub.m
-    for u in f.elements():
-        fibre[reg_of[u]] |= 1 << u
-    induced_rows, rows = induced.rel_rows(), olx.rel_rows()
-    pulled = {}
-    for u in f.elements():
-        r = reg_of[u]
-        if r not in pulled:
-            # on a Boolean frame reg_of is the identity
-            pulled[r] = induced_rows[r] if sub is f else \
-                ol._successors(fibre, induced_rows[r])
-        diff = pulled[r] ^ rows[u]
+        diff = back[reg_of[u]] ^ rows[u]
         if diff:
             return CheckReport("dn-transport", "fail", (u, next(bits(diff))),
-                               "regular order disagrees with the "
-                               "ambient order")
-    for u in f.elements():
-        up_i = amb_of[induced.up_map[reg_of[u]]]
-        if up_i != olx.up_map[u]:
+                               "regular order disagrees with the ambient order")
+    for u in f.elements() if induced is not olx else ():
+        if amb_of[induced.up_map[reg_of[u]]] != olx.up_map[u]:
             return CheckReport("dn-transport", "fail", (u,),
-                               "induced future cone differs from the "
-                               "ambient one")
-        dn_i = amb_of[induced.down_map[reg_of[u]]]
-        if dn_i != olx.down_map[u]:
+                               "induced future cone differs from the ambient one")
+        if amb_of[induced.down_map[reg_of[u]]] != olx.down_map[u]:
             return CheckReport("dn-transport", "fail", (u,),
                                "induced past cone differs from the ambient one")
     amb_ip = sorted(ideal_points(olx).ips)
-    reg_ipts = ideal_points(induced)
-    reg_ip = sorted(amb_of[i] for i in reg_ipts.ips)
+    reg_ip = amb_ip if induced is olx else \
+        sorted(amb_of[i] for i in ideal_points(induced).ips)
     if amb_ip != reg_ip:
         return CheckReport("dn-transport", "fail", tuple(amb_ip[:2]),
                            "IP sets differ between the locale and its "

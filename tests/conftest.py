@@ -1,6 +1,7 @@
 import pytest
 
 from ordloc import gen, olocale as O
+from ordloc.errors import OrdlocError
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +43,13 @@ def rows_locale(frame, rows):
     """An ordered locale on explicit relation rows, taken as they are."""
     up, down = O.cones_from_rows(frame, rows)
     return O.OrderedLocale(frame, up_map=up, down_map=down, rel_rows=rows)
+
+
+def report_outcome(fn, olx):
+    """A check's report as (verdict, witness, note, details), or its
+    refusal as (type, message)."""
+    try:
+        rep = fn(olx)
+    except OrdlocError as e:
+        return type(e).__name__, str(e)
+    return rep.verdict, rep.witness, rep.note, getattr(rep, "details", None)

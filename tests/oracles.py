@@ -14,7 +14,7 @@ from ordloc.errors import (AxiomVFailure, FrameTooLarge, MissingBottomOrTop, Not
                            ValidationError)
 from ordloc.lattice import (FiniteFrame, FrameMap, Value, bits, frame_from_down_rows,
                             frame_from_topology, mask_of_iter, popcount, powerset_frame,
-                            transitive_closure_rows, transpose_rows)
+                            rows_above, transitive_closure_rows, transpose_rows)
 from ordloc.olocale import (REL_LIMIT, CheckReport, ConePair, OrderedLocale, check_axiom,
                             cones_from_rows, ordered_locale_from_monads)
 from ordloc.ospace import OrderedSpace
@@ -653,3 +653,138 @@ def fraction_cone_rows(alive, slope, step=False):
                          if (t2 == t + 1 if step else t2 >= t)
                          and abs(x2 - x) <= slope * (t2 - t))
             for (t, x) in alive]
+
+
+# -- duality checks by per-element loops ---------------------------------------------
+
+
+def point_data_loop(olx: OrderedLocale, primes) -> tuple[list[int], list[int]]:
+    """The point order rows and pt masks, walking the rows {i : x <= p_i}
+    once per element and cone."""
+    f, up, down = olx.frame, olx.up_map, olx.down_map
+    below = rows_above(f, primes)
+    n = len(primes)
+    under_up, under_down = [0] * n, [0] * n    # {U : up(U) <= p_i}, {V : down(V) <= p_i}
+    for u in f.elements():
+        for i in bits(below[up[u]]):
+            under_up[i] |= 1 << u
+        for i in bits(below[down[u]]):
+            under_down[i] |= 1 << u
+    cols = transpose_rows([below[f.join_of_idmask(w)] for w in under_up])
+    return ([below[f.join_of_idmask(w)] & cols[i] for i, w in enumerate(under_down)],
+            [(1 << n) - 1 & ~r for r in below])
+
+
+def point_cones_loop(rows: list[int], pms: list[int]) -> list[tuple[int, int, int]]:
+    """pt(U), upcone(pt(U)) and downcone(pt(U)), one OR per point of pt(U)."""
+    down_rows = transpose_rows(rows)
+    out = []
+    for pm in pms:
+        upc = dnc = 0
+        for i in bits(pm):
+            upc |= rows[i]
+            dnc |= down_rows[i]
+        out.append((pm, upc, dnc))
+    return out
+
+
+def counit_check_loop(olx: OrderedLocale) -> CheckReport:
+    """`duality.counit_check` with the Egli-Milner masks built point by
+    point: lacking[i] and reached[i] collect the V with i outside pt(V)
+    and with i in downcone(pt(V)), and row U ANDs them bit by bit."""
+    from ordloc import duality
+    f = olx.frame
+    primes = f.primes()
+    rows, pms = point_data_loop(olx, primes)
+    spatial = len(set(pms)) == len(pms)
+    pcones = point_cones_loop(rows, pms)
+    brep = duality._bullet_report(olx, pcones)
+    corder = check_axiom(olx, "C-order")
+    monotone = duality._cone_inclusions(olx, pcones)
+    if not monotone:
+        raise ValidationError("counit monotonicity failed; this should hold "
+                              "in every ordered locale")
+    note = [f"spatial={spatial} (finite frames are always spatial)",
+            f"counit-monotone={monotone}",
+            f"bullet={brep.verdict}"]
+    witness = None if brep.ok else brep.witness
+    biconditional = None
+    if spatial and brep.ok and corder.ok:
+        if f.m <= olocale.PAIR_LIMIT:
+            n, full = len(primes), (1 << f.m) - 1
+            lacking, reached = [full] * n, [0] * n
+            for b, (pb, _, dnb) in enumerate(pcones):
+                for i in bits(pb):
+                    lacking[i] ^= 1 << b
+                for i in bits(dnb):
+                    reached[i] |= 1 << b
+            rows = olx.rel_rows()
+            for a, (pa, upa, _) in enumerate(pcones):
+                em = full
+                for i in bits(((1 << n) - 1) & ~upa):
+                    em &= lacking[i]
+                for i in bits(pa):
+                    em &= reached[i]
+                diff = em ^ rows[a]
+                if diff:
+                    witness = (a, next(bits(diff)))
+                    break
+            biconditional = witness is None
+            note.append(f"order-biconditional={biconditional} (exhaustive)")
+        else:
+            note.append("order-biconditional follows from spatial + bullet + "
+                        "C-order (frame too large for the pair scan)")
+            biconditional = True
+    ok = spatial and brep.ok and biconditional is not False
+    rep = CheckReport("counit", "pass" if ok else "fail", witness, "; ".join(note))
+    rep.details = {"spatial": spatial, "bullet": brep.ok,
+                   "biconditional": biconditional, "counit_monotone": monotone}
+    return rep
+
+
+def double_negation_transport_general(olx: OrderedLocale) -> CheckReport:
+    """`duality.double_negation_transport` without the identity route: the
+    regular order always comes from `order_from_map`, the cones are always
+    compared, and the IPs of the induced locale are computed again."""
+    from ordloc.duality import ideal_points
+    from ordloc.errors import RegularConesRequired
+    from ordloc.lattice import double_negation_frame
+    if not olocale.check_regular_cones(olx).ok:
+        raise RegularConesRequired("double-negation transport needs regular cones")
+    if not check_axiom(olx, "C-order").ok:
+        raise RegularConesRequired("double-negation transport needs C-order")
+    f = olx.frame
+    sub, dn_map = double_negation_frame(f)
+    induced = olocale.order_from_map(dn_map, olx)
+    reg_of = dn_map.preimage
+    amb_of = [None] * sub.m
+    for u in f.elements():
+        if f.neg(f.neg(u)) == u:
+            amb_of[reg_of[u]] = u
+    fibre = [0] * sub.m
+    for u in f.elements():
+        fibre[reg_of[u]] |= 1 << u
+    induced_rows, rows = induced.rel_rows(), olx.rel_rows()
+    for u in f.elements():
+        pulled = induced_rows[u] if sub is f else \
+            olocale._successors(fibre, induced_rows[reg_of[u]])
+        diff = pulled ^ rows[u]
+        if diff:
+            return CheckReport("dn-transport", "fail", (u, next(bits(diff))),
+                               "regular order disagrees with the ambient order")
+    for u in f.elements():
+        if amb_of[induced.up_map[reg_of[u]]] != olx.up_map[u]:
+            return CheckReport("dn-transport", "fail", (u,),
+                               "induced future cone differs from the ambient one")
+        if amb_of[induced.down_map[reg_of[u]]] != olx.down_map[u]:
+            return CheckReport("dn-transport", "fail", (u,),
+                               "induced past cone differs from the ambient one")
+    amb_ip = sorted(ideal_points(olx).ips)
+    reg_ip = sorted(amb_of[i] for i in ideal_points(induced).ips)
+    if amb_ip != reg_ip:
+        return CheckReport("dn-transport", "fail", tuple(amb_ip[:2]),
+                           "IP sets differ between the locale and its "
+                           "double-negation sublocale")
+    return CheckReport("dn-transport", "pass", None,
+                       "order biconditional, cone identities and IP "
+                       "bijection all verified")

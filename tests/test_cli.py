@@ -159,10 +159,20 @@ M22_DOC = "m22"   # stands for the serialized m22 space
     (["gen", "suite", "--name", "nope"], None, "error: unknown suite instance 'nope'"),
     (["gen", "two-speed", "--topology", "codiscrete"], None,
      "error: two_speed_grid wants the discrete topology"),
+    (["gen", "vertical", "--t", "2", "--x", "2", "--slope", "5"], None,
+     "parse error: not a flag of gen vertical (at --slope)"),
+    (["gen", "bowtie", "--t", "4"], None, "parse error: not a flag of gen bowtie (at --t)"),
+    (["gen", "vertical", "--topology", "codiscrete"], None,
+     "parse error: not a flag of gen vertical (at --topology)"),
+    (["gen", "minkowski", "--up", "2"], None,
+     "parse error: not a flag of gen minkowski (at --up)"),
+    (["gen", "suite", "--name", "m22", "--defect", "0,0"], None,
+     "parse error: not a flag of gen suite (at --defect)"),
 ], ids=["region-not-an-id", "region-negative", "target-not-an-id",
         "defect-not-a-cell", "slope-not-a-number", "coverage-table-kind-unknown",
         "frame-negative-base", "frame-too-few-point-names", "unknown-suite-instance",
-        "two-speed-not-discrete"])
+        "two-speed-not-discrete", "vertical-takes-no-slope", "bowtie-takes-no-size",
+        "vertical-takes-no-topology", "minkowski-takes-no-up", "suite-takes-no-defect"])
 def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
     if stdin == M22_DOC:
         stdin = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))

@@ -1,13 +1,15 @@
 """Adjunction layer: points, unit/counit, axiom (bullet), ideal points,
 relation ideals."""
 
+import itertools
+
 import pytest
 
 from ordloc import duality as D, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import RegularConesRequired
 from ordloc.lattice import PointSet, bits
 
-from conftest import grid
+from conftest import grid, report_outcome
 import oracles
 
 
@@ -253,28 +255,35 @@ def test_dn_transport_compares_rows_above_pair_limit():
     assert rep.note == "regular order disagrees with the ambient order"
 
 
+def count_calls(monkeypatch, targets) -> dict:
+    """Patch each (module, name) in targets to count its calls by name."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 def test_warm_transport_reuses_cones_and_cone_frames(m33, monkeypatch):
-    # after the README tour (futures, pasts, ideal points) the transport
-    # builds only the two cone frames of the regular order, and takes that
-    # order's cones from the cone formula
+    # after the README tour (futures, pasts, ideal points) the transport of
+    # a Boolean frame induces the ambient locale itself (the identity
+    # lemma): no induced locale, cone frame or cones, and the ambient ideal
+    # points are read once
     olx, cold = S.induced_locale(m33, "em"), S.induced_locale(m33, "em")
     fut, pas = O.futures_frame(olx), O.pasts_frame(olx)
     assert O.futures_frame(olx) is fut and O.pasts_frame(olx) is pas
     ips = D.ideal_points(olx)
-    calls = {"cones_from_rows": 0, "subframe": 0}
-
-    def counting(module, name):
-        fn = getattr(module, name)
-
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, call)
-
-    counting(O, "cones_from_rows")
-    counting(L, "subframe")
+    calls = count_calls(monkeypatch, ((O, "cones_from_rows"), (L, "subframe"),
+                                      (O, "order_from_map"), (D, "ideal_points")))
     rep = D.double_negation_transport(olx)
-    assert calls == {"cones_from_rows": 0, "subframe": 2}
+    assert calls == {"cones_from_rows": 0, "subframe": 0, "order_from_map": 0,
+                     "ideal_points": 1}
     monkeypatch.undo()
     want = D.double_negation_transport(cold)
     assert (rep.verdict, rep.witness, rep.note) == (want.verdict, want.witness, want.note)
@@ -282,6 +291,62 @@ def test_warm_transport_reuses_cones_and_cone_frames(m33, monkeypatch):
     for name in D.IdealPointSet.__slots__:
         assert getattr(again, name) == getattr(ips, name) == getattr(fresh, name)
     assert O.futures_frame(olx) is fut and O.pasts_frame(olx) is pas
+
+
+def duality_cases():
+    """(name, fresh-locale maker): the standard suite in every variant,
+    M22-M33 with each defect cell, M34 (above REL_LIMIT), and a powerset
+    whose monotone, regular cones send every pair of points to the top,
+    so they do not preserve joins."""
+    def induced(space, variant):
+        return lambda: S.induced_locale(space, variant)
+    for name, inst in gen.standard_suite():
+        if isinstance(inst, O.OrderedLocale):
+            yield name, lambda inst=inst: inst
+            continue
+        for variant in ("em", "upper", "lower"):
+            yield f"{name}/{variant}", induced(inst, variant)
+    for t, x in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for cell in itertools.product(range(t), range(x)):
+            space = gen.minkowski_grid(gen.GridSpec(t, x, defects=(cell,)))
+            for variant in ("em", "upper", "lower"):
+                yield f"m{t}{x}-{cell}/{variant}", induced(space, variant)
+    yield "m34/em", induced(gen.minkowski_grid(gen.GridSpec(3, 4)), "em")
+
+    def pairs_to_top():
+        f = S.OrderedSpace.build(3, [], opens="discrete").frame
+        close = [u if L.popcount(f.mask_of(u)) < 2 else f.top for u in f.elements()]
+        return O.ordered_locale_from_monads(O.ConePair(f, close, list(close)),
+                                            validated=True)
+    yield "pairs-to-top", pairs_to_top
+
+
+def test_counit_and_transport_match_loop_oracles_on_named_locales():
+    seen = {}
+    for name, make in duality_cases():
+        assert report_outcome(D.counit_check, make()) == \
+            report_outcome(oracles.counit_check_loop, make()), name
+        got = report_outcome(D.double_negation_transport, make())
+        assert got == report_outcome(oracles.double_negation_transport_general, make()), name
+        seen[name] = got
+    assert seen["m34/em"] == ("FrameTooLarge",
+                              "order_from_map capped at materializable relations")
+    assert seen["pairs-to-top"][0] == "ConesDoNotPreserveJoins"
+    assert seen["m33-(1, 1)/em"][0] == "pass"
+
+
+def test_duality_checks_op_counts_on_warm_m33(m33, monkeypatch):
+    # the counit walks bits once per distinct cone value, not per element;
+    # after it has memoized the rows, the transport's one `rows_above`
+    # builds the rows the identity induces, to compare them with those
+    olx = S.induced_locale(m33, "em")
+    O.futures_frame(olx), O.pasts_frame(olx), D.ideal_points(olx)
+    calls = count_calls(monkeypatch, ((D, "bits"), (L, "rows_above")))
+    assert D.counit_check(olx).ok
+    assert calls["bits"] <= 100, calls
+    calls.update(bits=0, rows_above=0)
+    assert D.double_negation_transport(olx).ok
+    assert calls == {"bits": 0, "rows_above": 1}
 
 
 def test_dn_transport_requires_regular_cones():

@@ -21,7 +21,7 @@ from ordloc.errors import (ConesDoNotPreserveJoins, FrameTooLarge, NotAFrameMap,
 from ordloc.lattice import bits, mask_of_iter
 
 import oracles
-from conftest import rows_locale
+from conftest import report_outcome, rows_locale
 
 
 def random_space(rng, n=None):
@@ -1186,7 +1186,8 @@ def test_frame_map_kernels_match_pair_scan(seed):
 def test_frame_map_validate_op_count_on_vertical_grid(monkeypatch):
     # every validate of the futures and pasts frames behind ideal points and
     # the double-negation transport stays within 2 m (|J| + |P|) meets and
-    # joins on its target
+    # joins on its target; the transport's general path builds the cone
+    # frames of the induced locale, which the identity route skips
     olx = S.induced_locale(gen.vertical_grid(3, 3), "em")
     calls, budgets = [0], []
     meet, join, validate = L.FiniteFrame.meet, L.FiniteFrame.join, L.FrameMap.validate
@@ -1207,6 +1208,8 @@ def test_frame_map_validate_op_count_on_vertical_grid(monkeypatch):
     monkeypatch.setattr(L.FrameMap, "validate", measured)
     D.ideal_points(olx)
     assert D.double_negation_transport(olx).ok
+    assert len(budgets) == 2
+    assert oracles.double_negation_transport_general(olx).ok
     assert len(budgets) >= 4 and all(used <= budget for used, budget in budgets), budgets
 
 
@@ -1391,3 +1394,69 @@ def test_join_failure_levels_match_lowest_bit_loop(seed):
     assert w == oracles.join_failure_lowest_bit(f.m, t)
     if kind == 0:
         assert w is None
+
+
+# -- duality checks against their per-element loops ---------------------------------------
+
+
+def duality_locale(seed):
+    """An induced locale of a random space, a random locale on a random
+    (mostly not Boolean) frame, random cones on a powerset (Boolean, so
+    they are regular; monads, monotone maps that are not inflationary, or
+    arbitrary maps), or regular cones not-not h(not-not U) on a random
+    frame.  A third of the time one memoized row is flipped."""
+    rng = random.Random(seed)
+    style = rng.randrange(4)
+    if style == 0:
+        variant = rng.choice(["em", "upper", "lower"])
+        olx = S.induced_locale(random_topology_space(rng), variant)
+    elif style == 1:
+        olx = random_locale(rng, random_frame(rng))
+    else:
+        f = S.OrderedSpace.build(rng.randint(1, 4), [], opens="discrete").frame \
+            if style == 2 else random_frame(rng)
+        nn = [f.neg(f.neg(u)) for u in f.elements()]
+        cones = []
+        for _ in range(2):
+            h = rng.choice((random_monad, random_monotone_map, random_map))(rng, f)
+            cones.append([nn[h[nn[u]]] for u in f.elements()])
+        olx = O.ordered_locale_from_monads(O.ConePair(f, *cones), validated=True)
+    if rng.random() < 0.3:
+        m = olx.frame.m
+        olx.rel_rows()[rng.randrange(m)] ^= 1 << rng.randrange(m)
+    return olx
+
+
+def test_counit_and_transport_match_loop_oracles(monkeypatch):
+    # full reports and refusals equal those of the per-element loops; the
+    # transport must take the identity route and each way out of it
+    routes = {"identity": 0, "not monotone": 0, "premise fails": 0, "not Boolean": 0}
+    induced = [0]
+    order_from_map = O.order_from_map
+
+    def counted(*args):
+        induced[0] += 1
+        return order_from_map(*args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 100_000))
+    def check(seed):
+        assert report_outcome(D.counit_check, duality_locale(seed)) == \
+            report_outcome(oracles.counit_check_loop, duality_locale(seed))
+        olx = duality_locale(seed)
+        induced[0] = 0
+        with monkeypatch.context() as mp:
+            mp.setattr(O, "order_from_map", counted)
+            got = report_outcome(D.double_negation_transport, olx)
+        assert got == report_outcome(oracles.double_negation_transport_general,
+                                     duality_locale(seed))
+        if got[0] != "RegularConesRequired":
+            if L.double_negation_frame(olx.frame)[0] is not olx.frame:
+                routes["not Boolean"] += 1
+            elif not induced[0]:
+                routes["identity"] += 1
+            else:
+                routes["premise fails" if O._cones_monotone(olx) else "not monotone"] += 1
+
+    check()
+    assert all(routes.values()), routes
