@@ -4,11 +4,13 @@ future regions, the negation bijection, and ideals of raw relations.
 
 Points are computed in prime-element form and converted to completely
 prime filters on demand (a filter is the id-bitmask of the opens not
-below the prime).
+below the prime).  The ideals of a relation are read from their greatest
+members, one candidate per point (`triangle_ideals`).
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat
 from operator import and_, or_
 from typing import Optional, Sequence
@@ -17,7 +19,7 @@ from . import lattice as lat
 from . import olocale as ol
 from . import ospace as osp
 from .errors import FrameTooLarge, RegularConesRequired, ValidationError
-from .lattice import FiniteFrame, PointSet, bits, mask_of_iter
+from .lattice import FiniteFrame, PointSet, bits
 from .olocale import CheckReport, OrderedLocale
 from .ospace import OrderedSpace
 
@@ -374,6 +376,8 @@ def double_negation_transport(olx: OrderedLocale) -> CheckReport:
     if sub is f and f.m <= ol.REL_LIMIT and ol._cones_monotone(olx):
         up, down = olx.up_map, olx.down_map
         back = ol.cone_rows(f, up, down)
+        if olx._rel_rows is None:          # these are the rows rel_rows() builds
+            olx._rel_rows = back
         if not all(back[u] >> up[u] & 1 and back[down[u]] >> u & 1 for u in f.elements()):
             back = None
     if back is None:
@@ -415,16 +419,12 @@ def double_negation_transport(olx: OrderedLocale) -> CheckReport:
 # -- ideals of a raw relation -----------------------------------------------------
 
 
+IDEAL_LIMIT = 64    # points of a relation whose ideals are listed: O(n^3) on a total order
+
+
 def _rel_rows_input(base_size: int, rel) -> list[int]:
-    if isinstance(rel, (list, tuple)) and rel and isinstance(rel[0], int):
-        rows = list(rel)
-    elif isinstance(rel, (list, tuple)) and rel and not isinstance(rel[0], int):
-        rows = [mask_of_iter(j for j in range(base_size) if rel[i][j])
-                for i in range(base_size)]
-    else:
-        rows = [0] * base_size
-        for a, b in rel:
-            rows[a] |= 1 << b
+    """The relation as successor rows: rel[x] is the point mask {y : x rel y}."""
+    rows = list(rel)
     if len(rows) != base_size:
         raise ValidationError("relation size mismatch")
     return rows
@@ -439,38 +439,34 @@ def _is_ideal(succ: Sequence[int], pred: Sequence[int], s: int) -> bool:
 
 
 def triangle_ideals(base_size: int, rel) -> list[PointSet]:
-    """All ideals of an arbitrary relation: nonempty, down-closed,
-    upward-directed subsets.  Exponential scan, capped at 16 points."""
-    if base_size > 16:
-        raise FrameTooLarge("ideal enumeration capped at 16 points")
+    """All ideals of an arbitrary relation R: nonempty, down-closed,
+    upward-directed subsets, in increasing mask order.
+
+    Greatest-member lemma: an ideal I is pred+[z] = {x : x R+ z}, R+ =
+    R*.R (paths of one step or more), for a z in I with z R+ z.  Fold the
+    members x_1..x_k: z_1 in I is a successor of x_1, z_(i+1) in I one of
+    z_i and x_(i+1), so x_i R z_i R .. R z_k and I is inside pred+[z_k],
+    z_k R+ z_k.  A path into z_k stays in the down-closed I, so I =
+    pred+[z_k].  The candidates that `_is_ideal` accepts are kept: O(n^3)
+    on a total order, refused above IDEAL_LIMIT points.
+    """
+    if base_size > IDEAL_LIMIT:
+        raise FrameTooLarge(f"ideals listed only up to {IDEAL_LIMIT} points")
     succ = _rel_rows_input(base_size, rel)
     pred = lat.transpose_rows(succ)
-    return [PointSet(base_size, s) for s in range(1, 1 << base_size)
-            if _is_ideal(succ, pred, s)]
+    star = lat.transitive_closure_rows(pred)          # star[y] = {x : x R* y}
+    plus = [reduce(or_, map(star.__getitem__, bits(r)), 0) for r in pred]
+    cands = {p for z, p in enumerate(plus) if p >> z & 1}
+    return [PointSet(base_size, s) for s in sorted(cands) if _is_ideal(succ, pred, s)]
 
 
 def is_past_semi_full(base_size: int, rel) -> CheckReport:
     """(i) everything has a predecessor; (ii) common predecessors interpolate."""
     succ = _rel_rows_input(base_size, rel)
     pred = lat.transpose_rows(succ)
-    witness_i = None
-    for x in range(base_size):
-        if pred[x] == 0:
-            witness_i = (x,)
-            break
-    witness_ii = None
-    for x in range(base_size):
-        ps = list(bits(pred[x]))
-        for y1 in ps:
-            for y2 in ps:
-                if not any(succ[y1] & succ[y2] & pred[x] & (1 << z)
-                           for z in range(base_size)):
-                    witness_ii = (y1, y2, x)
-                    break
-            if witness_ii:
-                break
-        if witness_ii:
-            break
+    witness_i = next(((x,) for x in range(base_size) if not pred[x]), None)
+    witness_ii = next(((y1, y2, x) for x in range(base_size) for y1 in bits(pred[x])
+                       for y2 in bits(pred[x]) if not succ[y1] & succ[y2] & pred[x]), None)
     if witness_i is None and witness_ii is None:
         return CheckReport("past-semi-full", "pass", None, "exhaustive")
     note = []

@@ -16,7 +16,9 @@ interface:
 Frames come from four constructors: `powerset_frame` (all subsets of n
 points), `frame_from_topology` (a family of opens), `frame_from_down_rows`
 (a Birkhoff frame from its down rows) and `subframe` (ambient elements,
-ordered by the ambient down rows).
+ordered by the ambient down rows).  Each element is the join of the
+join-irreducibles J below it, so the atoms are the minimal j, and the
+frame is atomistic, and Boolean, iff J is an antichain.
 
 Cones on powerset frames are `SubsetCone`s: a join-preserving map is
 fixed by its value at the empty set and its n singleton values, and is
@@ -137,7 +139,6 @@ class FiniteFrame:
         self._coprimes = None
         self._nbhds = None
         self._atoms = None
-        self._atomistic = None
         self.labels = labels              # optional point names
         self.meta = dict(meta or {})
 
@@ -309,25 +310,21 @@ class FiniteFrame:
         return self._nbhds
 
     def atoms(self) -> list[int]:
+        """The minimal join-irreducibles j, in id order: O(|J|^2) order tests.
+        Each covers bottom, as an x in (bottom, j] joins the j below it."""
         if self._atoms is None:
             if self.kind == "powerset":
                 self._atoms = [1 << b for b in range(self.base_size)]
             else:
-                self._atoms = self.upper_covers(self.bottom)
+                js = self.coprimes()
+                self._atoms = [j for j in js
+                               if not any(k != j and self.leq(k, j) for k in js)]
         return self._atoms
 
     def is_atomistic(self) -> bool:
-        """Every element is the join of the atoms below it."""
-        if self._atomistic is None:
-            self._atomistic = self.kind == "powerset" or \
-                self.least_non_join(mask_of_iter(self.atoms())) is None
-        return self._atomistic
-
-    def least_non_join(self, gens: int) -> Optional[int]:
-        """The least element that is not the join of the members of the
-        id-bitmask `gens` below it, or None when they form a base."""
-        return next((i for i in self.elements()
-                     if self.join_of_idmask(self.down_row(i) & gens) != i), None)
+        """Every element is the join of the atoms below it: iff every j is
+        one, as a join-irreducible is a join of atoms only if it is one."""
+        return len(self.atoms()) == len(self.coprimes())
 
     # -- Heyting structure -------------------------------------------------
 
@@ -346,7 +343,8 @@ class FiniteFrame:
         return r
 
     def is_boolean(self) -> bool:
-        return all(self.neg(self.neg(x)) == x for x in self.elements())
+        """Birkhoff: the down-sets of J are all its subsets iff J is an antichain."""
+        return self.is_atomistic()
 
     def interior(self, mask: int) -> int:
         """Largest element whose carrier (on a topology, its extent) lies in
@@ -766,11 +764,10 @@ def double_negation_frame(frame: FiniteFrame) -> tuple[FiniteFrame, FrameMap]:
     Returns the Boolean subframe together with the sublocale map
     X_regular >-> X, whose frame map sends U to not-not-U.
     """
+    if frame.is_boolean():
+        # every element is regular: the sublocale is the identity
+        return frame, identity_map(frame)
     regular = [x for x in frame.elements() if frame.neg(frame.neg(x)) == x]
-    if len(regular) == frame.m:
-        # Boolean frame: the sublocale is the identity
-        fmap = identity_map(frame)
-        return frame, fmap
     sub, incl = subframe(frame, regular, meta={"construction": "double-negation"})
     pos = {amb: i for i, amb in enumerate(incl)}
     pre = [pos[frame.neg(frame.neg(u))] for u in frame.elements()]

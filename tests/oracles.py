@@ -37,6 +37,76 @@ def all_ideals_bruteforce(frame: FiniteFrame) -> list[int]:
     return out
 
 
+def relation_ideals_by_enumeration(base_size: int, succ) -> list[int]:
+    """The ideals of a relation given by successor rows, as point masks in
+    increasing order: every nonempty subset tested for being down-closed
+    and upward directed (any two members, equal or not, have a common
+    successor inside it).  O(2^n n^3)."""
+    out = []
+    for s in range(1, 1 << base_size):
+        members = list(bits(s))
+        down_closed = all(not succ[y] >> x & 1 or s >> y & 1
+                          for x in members for y in range(base_size))
+        if down_closed and all(any(succ[x] >> z & 1 and succ[y] >> z & 1 for z in members)
+                               for x in members for y in members):
+            out.append(s)
+    return out
+
+
+def past_semi_full_loop(base_size: int, succ):
+    """(witness_i, witness_ii) of `duality.is_past_semi_full`, by its loops:
+    the first point with no predecessor, and the first (y1, y2, x) with y1,
+    y2 predecessors of x and no z with y1 R z, y2 R z and z R x."""
+    wi = next(((x,) for x in range(base_size)
+               if not any(succ[y] >> x & 1 for y in range(base_size))), None)
+    for x in range(base_size):
+        ps = [y for y in range(base_size) if succ[y] >> x & 1]
+        for y1 in ps:
+            for y2 in ps:
+                if not any(succ[y1] >> z & 1 and succ[y2] >> z & 1 and succ[z] >> x & 1
+                           for z in range(base_size)):
+                    return wi, (y1, y2, x)
+    return wi, None
+
+
+def atoms_by_definition(frame: FiniteFrame) -> list[int]:
+    """The elements that cover bottom, in id order: O(m^2) order tests."""
+    return [a for a in frame.elements() if a != frame.bottom and not any(
+        x not in (frame.bottom, a) and frame.leq(x, a) for x in frame.elements())]
+
+
+def least_non_join(frame: FiniteFrame, gens: int):
+    """The least element (by id) that is not the join of the members of the
+    id-bitmask `gens` below it, or None when they form a base: every
+    element's join folded pairwise."""
+    for i in frame.elements():
+        if reduce(frame.join, bits(frame.down_row(i) & gens), frame.bottom) != i:
+            return i
+    return None
+
+
+def is_atomistic_by_definition(frame: FiniteFrame) -> bool:
+    return least_non_join(frame, mask_of_iter(atoms_by_definition(frame))) is None
+
+
+def is_boolean_by_definition(frame: FiniteFrame) -> bool:
+    return all(frame.neg(frame.neg(x)) == x for x in frame.elements())
+
+
+def convex_generators(ol: OrderedLocale) -> int:
+    """The id-bitmask of the convex elements, U = up(U) & down(U)."""
+    f = ol.frame
+    return mask_of_iter(u for u in f.elements()
+                        if f.meet(ol.up_map[u], ol.down_map[u]) == u)
+
+
+def box_generators(ol: OrderedLocale) -> int:
+    """The id-bitmask of the boxes up(V) & down(W), over all V and W."""
+    f = ol.frame
+    downs = set(ol.down_map)
+    return mask_of_iter(f.meet(x, y) for x in set(ol.up_map) for y in downs)
+
+
 def primes_by_definition(frame: FiniteFrame) -> list[int]:
     """Primes via the defining quantifier; oracle, O(m^3)."""
     out = []

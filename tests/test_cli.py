@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordloc import cli, gen, olocale as O, ospace as S
+from ordloc import cli, duality as D, gen, olocale as O, ospace as S
 from ordloc.errors import ValidationError
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -221,11 +221,14 @@ def test_cli_refuses_40_point_discrete_space(argv):
 @pytest.mark.parametrize("argv,expect", [
     (["check", "-", "--axiom", "all"], None), (["hull", "-", "--region", "0"], "{p0}\n"),
     (["dod", "-", "--region", "0"], "D+({p0}) = {p0} [exact]\n"),
-], ids=["check", "hull", "dod"])
+    (["ideals", "-"], "ideals (40):\n" + "".join(f"  {{p{i}}}\n" for i in range(40))
+     + "past-semi-full: pass (exhaustive)\n"),
+], ids=["check", "hull", "dod", "ideals"])
 def test_cli_answers_40_point_discrete_space(argv, expect):
     # the laws, per-element queries and the closed-form domain of
     # dependence read generator-form cones from two half tables of 2**20
-    # entries each
+    # entries each; the ideals of the relation are its greatest-member
+    # candidates, one per point
     out = run_discrete(40, argv)
     assert out.returncode == 0 and out.stderr == ""
     if expect is None:
@@ -240,6 +243,22 @@ def test_cli_refuses_41_point_discrete_check():
     out = run_discrete(41, ["check", "-", "--axiom", "all"])
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == "error: cone tables on 2097152 subsets exceed 1048576\n"
+
+
+def test_cli_ideals_on_m66_and_above_the_guard():
+    # the ideals of a partial order are its principal down-sets, one per
+    # point; above IDEAL_LIMIT points the listing is refused in one line
+    m66 = gen.minkowski_grid(gen.GridSpec(6, 6))
+    out = subprocess.run([sys.executable, "-m", "ordloc.cli", "ideals", "-"],
+                         input=cli.serialize(cli.doc_of_space(m66)), capture_output=True,
+                         text=True, timeout=10, preexec_fn=_cap_address_space)
+    lines = out.stdout.splitlines()
+    assert out.returncode == 0 and out.stderr == ""
+    assert lines[0] == "ideals (36):" and lines[-1] == "past-semi-full: pass (exhaustive)"
+    assert lines[1:-1] == ["  " + m66.pretty_points(m) for m in sorted(m66.down)]
+    out = run_discrete(D.IDEAL_LIMIT + 1, ["ideals", "-"])
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == f"error: ideals listed only up to {D.IDEAL_LIMIT} points\n"
 
 
 def test_cli_json_report(m33):

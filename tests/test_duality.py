@@ -273,17 +273,20 @@ def count_calls(monkeypatch, targets) -> dict:
 def test_warm_transport_reuses_cones_and_cone_frames(m33, monkeypatch):
     # after the README tour (futures, pasts, ideal points) the transport of
     # a Boolean frame induces the ambient locale itself (the identity
-    # lemma): no induced locale, cone frame or cones, and the ambient ideal
-    # points are read once
+    # lemma): no induced locale, cone frame or cones, the ambient ideal
+    # points are read once, and the induced rows, built by one `rows_above`,
+    # are memoized as the locale's rows
     olx, cold = S.induced_locale(m33, "em"), S.induced_locale(m33, "em")
     fut, pas = O.futures_frame(olx), O.pasts_frame(olx)
     assert O.futures_frame(olx) is fut and O.pasts_frame(olx) is pas
     ips = D.ideal_points(olx)
     calls = count_calls(monkeypatch, ((O, "cones_from_rows"), (L, "subframe"),
-                                      (O, "order_from_map"), (D, "ideal_points")))
+                                      (O, "order_from_map"), (D, "ideal_points"),
+                                      (L, "rows_above")))
     rep = D.double_negation_transport(olx)
     assert calls == {"cones_from_rows": 0, "subframe": 0, "order_from_map": 0,
-                     "ideal_points": 1}
+                     "ideal_points": 1, "rows_above": 1}
+    assert olx.rel_rows() == cold.rel_rows()
     monkeypatch.undo()
     want = D.double_negation_transport(cold)
     assert (rep.verdict, rep.witness, rep.note) == (want.verdict, want.witness, want.note)

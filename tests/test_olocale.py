@@ -776,6 +776,18 @@ def test_biframe_m33_and_vertical(loc33):
     assert O.is_biframe(lv).ok
 
 
+def test_biframe_folds_no_joins_on_m33(m33, monkeypatch):
+    # the boxes are tested at the join-irreducibles only: no element is
+    # rebuilt as a join of the boxes below it
+    loc = S.induced_locale(m33, "em")
+    calls = []
+    join_of_idmask = L.FiniteFrame.join_of_idmask
+    monkeypatch.setattr(L.FiniteFrame, "join_of_idmask",
+                        lambda f, s: calls.append(s) or join_of_idmask(f, s))
+    assert O.is_biframe(loc).ok
+    assert calls == []
+
+
 def test_biframe_bowtie_fails(bowtie):
     loc = S.induced_locale(bowtie, "em")
     rep = O.is_biframe(loc)

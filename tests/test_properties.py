@@ -1460,3 +1460,114 @@ def test_counit_and_transport_match_loop_oracles(monkeypatch):
 
     check()
     assert all(routes.values()), routes
+
+
+# -- generator lemmas against their definitional scans --------------------------------------
+
+
+def random_relation_rows(rng, n):
+    """Successor rows on n points: random pairs, then made reflexive,
+    irreflexive, transitive (a preorder) or left as they are."""
+    p = rng.uniform(0.05, 0.6)
+    rows = [mask_of_iter(j for j in range(n) if rng.random() < p) for _ in range(n)]
+    style = rng.randrange(4)
+    if style == 0:
+        rows = [r | 1 << i for i, r in enumerate(rows)]
+    elif style == 1:
+        rows = [r & ~(1 << i) for i, r in enumerate(rows)]
+    elif style == 2:
+        rows = L.transitive_closure_rows(rows)
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000))
+def test_relation_ideals_match_enumeration(seed):
+    # the greatest-member candidates pred+[z] against the 2^n scan, and
+    # both past-semi-full witnesses against their loops
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    rows = random_relation_rows(rng, n)
+    got = [i.mask for i in D.triangle_ideals(n, rows)]
+    assert got == oracles.relation_ideals_by_enumeration(n, rows), rows
+    rep = D.is_past_semi_full(n, rows)
+    want = oracles.past_semi_full_loop(n, rows)
+    assert (rep.ok, getattr(rep, "witness_i", None), getattr(rep, "witness_ii", None)) == \
+        (want == (None, None), *want)
+
+
+def shuffled_frame(rng, f):
+    """f with its element ids permuted, rebuilt by `frame_from_down_rows`:
+    the ids no longer extend the order."""
+    perm = list(f.elements())
+    rng.shuffle(perm)
+    rows = [0] * f.m
+    for i in f.elements():
+        rows[perm[i]] = mask_of_iter(perm[j] for j in bits(f.down_row(i)))
+    return L.frame_from_down_rows(rows)
+
+
+def ids_extend_order(f):
+    return all(j >= i for i in f.elements() for j in bits(f.up_row(i)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_atoms_and_booleanness_match_definitions(seed):
+    # atoms are the minimal join-irreducibles; atomistic and Boolean both
+    # mean that J is an antichain
+    rng = random.Random(seed)
+    f = random_topology_space(rng).frame if rng.random() < 0.5 else random_frame(rng)
+    if rng.random() < 0.5:
+        f = shuffled_frame(rng, f)
+    assert f.atoms() == oracles.atoms_by_definition(f)
+    assert f.is_atomistic() == oracles.is_atomistic_by_definition(f)
+    assert f.is_boolean() == oracles.is_boolean_by_definition(f) == f.is_atomistic()
+
+
+def assert_base_checks_match_least_non_join(loc):
+    """`is_convex_locale` and `is_biframe` against `oracles.least_non_join`:
+    equal verdicts; equal witnesses where ids extend the order, and
+    elsewhere a join-irreducible that is no join of the generators."""
+    f = loc.frame
+    convex = oracles.convex_generators(loc)
+    cases = [(O.is_convex_locale(loc), convex)]
+    cj = O.check_axiom(loc, "C-join")
+    if cj.ok:
+        cases.append((O.is_biframe(loc), oracles.box_generators(loc)))
+    else:
+        assert O.is_biframe(loc).witness == cj.witness
+    extends = ids_extend_order(f)
+    for rep, gens in cases:
+        want = oracles.least_non_join(f, gens)
+        assert rep.ok == (want is None), (rep.law, f)
+        if rep.ok:
+            continue
+        (j,) = rep.witness
+        if extends:
+            assert j == want
+        else:
+            assert j in f.coprimes() and not gens >> j & 1
+            assert functools.reduce(f.join, bits(f.down_row(j) & gens), f.bottom) != j
+    if cases[0][0].ok:
+        assert cases[0][0].note == f"exhaustive; {L.popcount(convex)} convex elements form a base"
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000))
+def test_convex_and_biframe_match_least_non_join(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        loc = S.induced_locale(random_topology_space(rng), rng.choice(["em", "upper", "lower"]))
+    else:
+        f = random_frame(rng)
+        loc = random_locale(rng, shuffled_frame(rng, f) if rng.random() < 0.5 else f)
+    assert_base_checks_match_least_non_join(loc)
+
+
+def test_convex_and_biframe_match_least_non_join_on_suite():
+    for name, inst in gen.standard_suite():
+        for variant in ("em", "upper", "lower"):
+            loc = inst if isinstance(inst, O.OrderedLocale) else S.induced_locale(inst, variant)
+            if loc.frame.m <= 512:
+                assert_base_checks_match_least_non_join(loc)
