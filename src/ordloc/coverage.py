@@ -108,7 +108,7 @@ def restrict_path(olx: OrderedLocale, p: Path, w: int) -> Path:
         raise NotParallelOrdered("path restriction needs a parallel order")
     steps = [w]
     for n in range(len(p.steps) - 2, -1, -1):
-        steps.append(f.meet(p.steps[n], olx.down_map[steps[-1]]))
+        steps.append(f.meet(p.steps[n], olx.down(steps[-1])))
     steps.reverse()
     return validate_path(olx, steps)
 
@@ -124,7 +124,7 @@ def restrict_path_future(olx: OrderedLocale, p: Path, v: int) -> Path:
         raise NotParallelOrdered("path restriction needs a parallel order")
     steps = [v]
     for n in range(1, len(p.steps)):
-        steps.append(f.meet(p.steps[n], olx.up_map[steps[-1]]))
+        steps.append(f.meet(p.steps[n], olx.up(steps[-1])))
     return validate_path(olx, steps)
 
 
@@ -371,7 +371,7 @@ def _covers(olx: OrderedLocale, a: int, u: int, bound, future: bool) -> Coverage
     f = olx.frame
     if bound is None:
         bound = 2 * (f.m - 1)
-    cone = work.down_map[u]
+    cone = work.down(u)
     if not f.leq(a, cone):
         # decisive already; still exhibit an unrefinable path when one exists
         # (insertable steps always live inside A & cone(U), so the hunt with

@@ -4,8 +4,11 @@ future regions, the negation bijection, and ideals of raw relations.
 
 Points are computed in prime-element form and converted to completely
 prime filters on demand (a filter is the id-bitmask of the opens not
-below the prime).  The ideals of a relation are read from their greatest
-members, one candidate per point (`triangle_ideals`).
+below the prime).  Each filter is the up-set of one join-irreducible, so
+the point order is read from the cones there (`_point_data`); the
+double-negation transport restricts the cones to the regular elements
+(`double_negation_transport`).  The ideals of a relation are read from
+their greatest members, one candidate per point (`triangle_ideals`).
 """
 
 from __future__ import annotations
@@ -41,30 +44,49 @@ def pt_masks(frame: FiniteFrame, primes: Sequence[int]) -> list[int]:
     return [full & ~r for r in lat.rows_above(frame, primes)]
 
 
-def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The point order rows and `pt_masks` of the primes, from one
-    `rows_above` read.
+def _envelopes(olx: OrderedLocale, at: Sequence[int]):
+    """The maps x -> meet{up(V) : V >= x} and x -> meet{down(V) : V >= x},
+    readable at the x in `at`.  Each is the greatest monotone map below
+    its cone: it is monotone, as a larger x meets fewer cones, and a
+    monotone h below the cone has h(x) <= h(V) <= cone(V) for V >= x.  So
+    monotone cones are their own envelopes, returned as they are."""
+    if ol._cones_monotone(olx):
+        return olx.cones.u, olx.cones.d
+    f = olx.frame
+    return tuple({x: reduce(f.meet, [cone[v] for v in bits(f.up_row(x))]) for x in at}
+                 for cone in (olx.up_map, olx.down_map))
 
-    F <= G iff up(U) in G for U in F, and down(V) in F for V in G.
-    Contrapositively: join{U : up(U) <= Q} <= P and join{V : down(V) <= P} <= Q.
-    Every test reads the rows {i : x <= p_i} of `lattice.rows_above`, once
-    per distinct cone value.
+
+def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The point order rows and `pt_masks` of the frame's primes, the
+    order read at the join-irreducibles J.
+
+    Birkhoff lemma (Davey & Priestley, ch. 5): the filter F_i of the
+    prime p_i, {U : U not<= p_i}, is the up-set of one join-irreducible
+    j_i, its least member.  pt is monotone and injective (finite frames
+    are spatial), so pt(j_i) is strictly inside pt(j) for every other j
+    in F_i: j_i is the j with i in pt(j) and the fewest points.
+
+    Order lemma: F_i <= F_k iff up(U) is in F_k for every U in F_i, and
+    down(V) in F_i for every V in F_k.  The U in F_i are the U >= j_i, and
+    an element lies above j_k iff it does for every member of a family
+    iff it does for the family's meet.  So the first half says
+    j_k <= a(j_i), a(x) = meet{up(U) : U >= x}, i.e. k in pt(a(j_i)), and
+    the second i in pt(d(j_k)), d from down alike (`_envelopes`; a = up
+    and d = down for monotone cones).  Row i is pt(a(j_i)) &
+    {k : i in pt(d(j_k))}: |J| cone reads per cone, and |J|^2 bits.
     """
-    f, up, down = olx.frame, olx.up_map, olx.down_map
-    below = lat.rows_above(f, primes)
+    f = olx.frame
     n = len(primes)
-    under_up, under_down = [0] * n, [0] * n    # {U : up(U) <= p_i}, {V : down(V) <= p_i}
-    for cone, under in ((up, under_up), (down, under_down)):
-        at = {}                                # cone value -> the U it is the cone of
-        for u, v in enumerate(cone):
-            at[v] = at.get(v, 0) | 1 << u
-        for v, us in at.items():
-            for i in bits(below[v]):
-                under[i] |= us
-    # row i holds j iff w_up[j] <= p_i and w_down[i] <= p_j
-    cols = lat.transpose_rows([below[f.join_of_idmask(w)] for w in under_up])
-    return ([below[f.join_of_idmask(w)] & cols[i] for i, w in enumerate(under_down)],
-            [(1 << n) - 1 & ~r for r in below])
+    pms = pt_masks(f, primes)
+    least, free = [0] * n, (1 << n) - 1          # least[i] = j_i
+    for j in sorted(f.coprimes(), key=lambda j: lat.popcount(pms[j])):
+        for i in bits(pms[j] & free):
+            least[i] = j
+        free &= ~pms[j]
+    up, down = _envelopes(olx, least)
+    cols = lat.transpose_rows([pms[down[j]] for j in least])
+    return [pms[up[j]] & col for j, col in zip(least, cols)], pms
 
 
 def points_space(olx: OrderedLocale) -> OrderedSpace:
@@ -94,13 +116,24 @@ def _points_space(primes: list[int], rows: list[int], pms: list[int]) -> Ordered
 # -- unit -----------------------------------------------------------------------
 
 
+def _least_excess(rows: Sequence[int], bound: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The least x with a y in rows[x] outside bound[x], and the least such
+    y, or None."""
+    for x, (r, b) in enumerate(zip(rows, bound)):
+        if r & ~b:
+            return x, next(bits(r & ~b))
+    return None
+
+
 def unit_check(space: OrderedSpace) -> CheckReport:
     """Classify the unit of the adjunction at one space.
 
     Reports injectivity (= T0), surjectivity (= enough points),
     monotonicity (= open cones) and monotonicity of the inverse
     (= T0-ordered); the verdict is "pass" exactly for fixed points:
-    sober + T0-ordered + open cones.
+    sober + T0-ordered + open cones.  Both monotonicities compare the
+    space order with the point order pulled back along eta, one point
+    mask per point, and the least excess either way is the witness.
     """
     f = space.frame
     olx = osp.induced_locale(space, "em")
@@ -122,30 +155,18 @@ def unit_check(space: OrderedSpace) -> CheckReport:
     t0o = osp.is_T0_ordered(space)
     sober = osp.is_sober(space)
 
-    monotone = True
-    mono_witness = None
+    mono_witness = inverse_monotone = inv_witness = None
     if injective:
-        for x in range(space.n):
-            for y in bits(space.up[x]):
-                if not pts.leq_points(eta[x], eta[y]):
-                    monotone = False
-                    mono_witness = (x, y)
-                    break
-            if not monotone:
-                break
-        inverse_monotone = True
-        inv_witness = None
-        for x in range(space.n):
-            for y in range(space.n):
-                if pts.leq_points(eta[x], eta[y]) and not space.leq_points(x, y):
-                    inverse_monotone = False
-                    inv_witness = (eta[x], eta[y])
-                    break
-            if not inverse_monotone:
-                break
-    else:
-        inverse_monotone = None
-        inv_witness = None
+        # the point order pulled back along eta: pulled[x] = {y : eta(x) <= eta(y)}
+        point_of = {e: x for x, e in enumerate(eta)}
+        pulled = [lat.mask_of_iter(point_of[k] for k in bits(pts.up[e]) if k in point_of)
+                  for e in eta]
+        mono_witness = _least_excess(space.up, pulled)
+        gap = _least_excess(pulled, space.up)
+        inverse_monotone = gap is None
+        if gap is not None:
+            inv_witness = (eta[gap[0]], eta[gap[1]])
+    monotone = mono_witness is None
 
     # cross-checks of the fixed-point lemmas on this instance
     if injective != t0:
@@ -357,13 +378,31 @@ def double_negation_transport(olx: OrderedLocale) -> CheckReport:
     """Transport the order to the regular-element frame and compare ideal
     points; exact identities under regular cones + cone-determination.
 
-    Identity lemma: on a Boolean frame the sublocale map is the identity,
-    so `order_from_map` reads a(U) = meet{up(V) : V >= U} = up(U) for
-    monotone cones, and c = down: its rows are `cone_rows(f, up, down)`.
-    Where its cone premise holds on them (row U holds up(U), row down(U)
-    holds U), its cones are up and down, so it returns the ambient locale:
-    only the rows are compared, and the IP sets are one set.  The ambient
-    IPs are still computed: they refuse cones that do not preserve joins.
+    The transported order is the largest one on the regular elements that
+    makes the sublocale map (U -> not-not-U) monotone: R rel R' iff for
+    every ambient V with R <= not-not-V, R' <= up(V), and for every V'
+    with R' <= not-not-V', R <= down(V').
+
+    Restriction lemma: regular cones give up(V) = up(not-not-V), so the
+    cones up(V) with R <= not-not-V are those of the V >= R: each such V
+    has R <= V <= not-not-V, and each not-not-V >= R is one.  An element
+    is below every member of a family iff it is below the meet, and
+    regular elements are closed under meets, so R rel R' iff R' <= a(R)
+    and R <= c(R'), a(R) = meet{up(V) : V >= R} and c alike from down
+    (`_envelopes`; a = up and c = down for monotone cones).  The rows are
+    `cone_rows(sub, a, c)`.
+
+    Cone lemma: every R' in row R lies below a(R), and every R in column
+    R' below c(R').  So where a(R) is in row R and c(R') in column R' for
+    all R and R' (m bit tests), a and c are the joins of the rows and of
+    the columns, the cones; elsewhere the cones are those joins
+    (`cones_from_rows`).
+
+    On a Boolean frame every element is regular, so where the cones are
+    the ambient ones the transported locale is the ambient locale once
+    the rows agree: the cones are not compared, and the ideal points are
+    read once.  The ambient IPs are still computed: they refuse cones
+    that do not preserve joins.
     """
     if not ol.check_regular_cones(olx).ok:
         raise RegularConesRequired("double-negation transport needs regular cones")
@@ -371,46 +410,46 @@ def double_negation_transport(olx: OrderedLocale) -> CheckReport:
         raise RegularConesRequired("double-negation transport needs C-order")
     f = olx.frame
     sub, dn_map = lat.double_negation_frame(f)
+    if sub.m > ol.REL_LIMIT:
+        raise FrameTooLarge("double-negation transport capped at materializable relations")
     reg_of = amb_of = dn_map.preimage      # ambient U -> regular id of not-not-U
-    induced, back = olx, None
-    if sub is f and f.m <= ol.REL_LIMIT and ol._cones_monotone(olx):
-        up, down = olx.up_map, olx.down_map
-        back = ol.cone_rows(f, up, down)
-        if olx._rel_rows is None:          # these are the rows rel_rows() builds
-            olx._rel_rows = back
-        if not all(back[u] >> up[u] & 1 and back[down[u]] >> u & 1 for u in f.elements()):
-            back = None
-    if back is None:
-        induced = ol.order_from_map(dn_map, olx)
-        back = induced.rel_rows()
     if sub is not f:
         amb_of, fibre = [None] * sub.m, [0] * sub.m    # regular id -> ambient element
         for u in f.elements():
             fibre[reg_of[u]] |= 1 << u
             if f.neg(f.neg(u)) == u:
                 amb_of[reg_of[u]] = u
-        # row R pulled back along reg_of: {V : R rel reg_of[V]}
-        back = [ol._successors(fibre, r) for r in back]
+    up, down = _envelopes(olx, amb_of)
+    a, c = [reg_of[up[r]] for r in amb_of], [reg_of[down[r]] for r in amb_of]
+    sub_rows = ol.cone_rows(sub, a, c)
+    if not all(sub_rows[r] >> a[r] & 1 and sub_rows[c[r]] >> r & 1 for r in sub.elements()):
+        a, c = ol.cones_from_rows(sub, sub_rows)
+    identity = sub is f and a == olx.up_map and c == olx.down_map
+    if identity and olx._rel_rows is None:     # these are the rows rel_rows() builds
+        olx._rel_rows = sub_rows
+    # row R pulled back along reg_of: {V : R rel reg_of[V]}
+    back = sub_rows if sub is f else [ol._successors(fibre, r) for r in sub_rows]
     rows = olx.rel_rows()
     for u in f.elements():
         diff = back[reg_of[u]] ^ rows[u]
         if diff:
             return CheckReport("dn-transport", "fail", (u, next(bits(diff))),
                                "regular order disagrees with the ambient order")
-    for u in f.elements() if induced is not olx else ():
-        if amb_of[induced.up_map[reg_of[u]]] != olx.up_map[u]:
+    for u in f.elements() if not identity else ():
+        if amb_of[a[reg_of[u]]] != olx.up_map[u]:
             return CheckReport("dn-transport", "fail", (u,),
                                "induced future cone differs from the ambient one")
-        if amb_of[induced.down_map[reg_of[u]]] != olx.down_map[u]:
+        if amb_of[c[reg_of[u]]] != olx.down_map[u]:
             return CheckReport("dn-transport", "fail", (u,),
                                "induced past cone differs from the ambient one")
     amb_ip = sorted(ideal_points(olx).ips)
-    reg_ip = amb_ip if induced is olx else \
-        sorted(amb_of[i] for i in ideal_points(induced).ips)
-    if amb_ip != reg_ip:
-        return CheckReport("dn-transport", "fail", tuple(amb_ip[:2]),
-                           "IP sets differ between the locale and its "
-                           "double-negation sublocale")
+    if not identity:
+        induced = OrderedLocale(sub, up_map=a, down_map=c, rel_rows=sub_rows,
+                                meta={"construction": "double-negation"})
+        if amb_ip != sorted(amb_of[i] for i in ideal_points(induced).ips):
+            return CheckReport("dn-transport", "fail", tuple(amb_ip[:2]),
+                               "IP sets differ between the locale and its "
+                               "double-negation sublocale")
     return CheckReport("dn-transport", "pass", None,
                        "order biconditional, cone identities and IP "
                        "bijection all verified")

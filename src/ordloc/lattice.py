@@ -464,11 +464,14 @@ def rows_above(frame: FiniteFrame, values: Sequence[int]) -> list[int]:
     below y, as x is the join of the j below it.  So row x is the AND of
     the masks X[j] = {i : j <= values[i]} over the j <= x, and row bottom
     holds every i.  On powersets the ANDs share prefixes along the lowest
-    point, T[s] = T[s ^ low] & X[low]: O(m) ANDs.  Elsewhere X[j] is
+    point, T[s] = T[s ^ low] & X[low]: O(m) ANDs, refused (FrameTooLarge)
+    above SUBSET_LIMIT subsets, as a cone list is.  Elsewhere X[j] is
     ANDed into the rows of up(j), one fold per join-irreducible:
     O(m |J|).
     """
     f = frame
+    if f.kind == "powerset" and f.m > SUBSET_LIMIT:
+        raise FrameTooLarge(f"element rows on {f.m} subsets exceed {SUBSET_LIMIT}")
     at = {}                                  # element -> positions holding it
     for i, v in enumerate(values):
         at[v] = at.get(v, 0) | 1 << i

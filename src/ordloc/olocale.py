@@ -10,13 +10,11 @@ Relation rows are read in bulk from the cones, never by a pair scan:
 `cone_rows` gives row U as down_row(up(U)) & rows_above(down)[U], where
 `lattice.rows_above` builds {V : U <= down(V)} from the join-irreducibles
 (x <= y iff every join-irreducible below x is below y): O(m) ANDs on
-powersets, O(m |J|) elsewhere.  `order_from_map` is a cone formula too:
-U <=_f U' iff U' <= a(U) and U <= c(U'), with a and c meets of pulled-back
-cones, and a and c are its cones wherever a(U) is in row U and c(V) in
-column V (m bit tests; the proofs are in its docstring).  The futures and
-pasts frames are built once per locale and shared by their callers.
-Convexity and the biframe predicate ask whether generators form a base,
-which holds iff they hold every join-irreducible (`is_convex_locale`).
+powersets, O(m |J|) elsewhere.  The futures and pasts frames are built
+once per locale and shared by their callers.  Convexity and the biframe
+predicate ask whether generators form a base, which holds iff they hold
+every join-irreducible (`is_convex_locale`); the biframe boxes are read
+from the cones at the join-irreducibles (`is_biframe`).
 
 Axiom checks run in tiers and say which tier ran in the report note:
 
@@ -927,14 +925,21 @@ def is_biframe(ol: OrderedLocale) -> CheckReport:
     canonical map into the product of the futures and pasts locales.  By
     the lemma of `is_convex_locale`, the boxes form a base iff every
     join-irreducible is a box, and the least one that is not is the witness.
+
+    Generator lemma: once C-join passes, j in J is a box iff
+    j = up(x) & down(y) for some x, y in J.  Write V and W as joins of the
+    j below them (bottom as the empty join, which the cones send to
+    bottom); the cones preserve those joins, and meets distribute over
+    them, so up(V) & down(W) is the join of the up(x) & down(y) over those
+    x and y, and a join-irreducible j equal to such a join is one of its
+    terms.  So the boxes that matter are |J|^2 meets of cone reads.
     """
     cj = check_axiom(ol, "C-join")
     if not cj.ok:
         return _fail("biframe", cj.witness, f"cones do not preserve joins: {cj.note}")
-    f = ol.frame
-    downs = set(ol.down_map)
-    boxes = {f.meet(x, y) for x in set(ol.up_map) for y in downs}
-    u = next((j for j in f.coprimes() if j not in boxes), None)
+    f, js = ol.frame, ol.frame.coprimes()
+    boxes = {f.meet(ol.up(x), ol.down(y)) for x in js for y in js}
+    u = next((j for j in js if j not in boxes), None)
     if u is not None:
         return _fail("biframe", (u,),
                      "not a join of future-meet-past boxes; the map "
@@ -982,64 +987,6 @@ def meet_of_orders(ols: Sequence[OrderedLocale],
         up_map, down_map = cones_from_rows(frame, rows)
         return OrderedLocale(frame, up_map=up_map, down_map=down_map, rel_rows=rows)
     raise FrameTooLarge("meet of orders capped at materializable relations")
-
-
-def order_from_map(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
-    """The largest order on the source making the map monotone.
-
-    U <=_f U' iff the cone of every region below f^{-1} stays below f^{-1}:
-    for all V with U <= f^{-1}(V): U' <= f^{-1}(up(V)), and for all V' with
-    U' <= f^{-1}(V'): U <= f^{-1}(down(V')).
-
-    Cone formula: U <=_f U' iff U' <= a(U) and U <= c(U'), with
-      a(U) = meet{f^{-1}(up(V)) : U <= f^{-1}(V)},
-      c(U) = meet{f^{-1}(down(V)) : U <= f^{-1}(V)}
-    (the empty meet is top).  Proof: an element lies below every member
-    of a family iff it lies below the family's meet, as the intersection
-    of the down-sets of x_i is the down-set of meet x_i in any lattice.
-    So the rows are `cone_rows(source, a, c)`, exactly, for any preimage
-    list.  Each meet is that of the primes p above some member (primes
-    are meet-prime), so a and c cost O(m |P|) mask tests; the sets
-    {V : g(V) <= p}, g = f^{-1} up (or down), are ORs of the fibres of g
-    over its distinct values.
-
-    Cone lemma: every V in row U lies below a(U), and every U in column V
-    lies below c(V).  So where a(U) is in row U and c(V) in column V for
-    all U and V, the join of row U is a(U) and the join of column V is
-    c(V): the cones `cones_from_rows` would build.  That premise costs m
-    bit tests; where it fails, the cones are the joins of the rows.
-    """
-    if fmap.target is not target_ol.frame:
-        raise ValidationError("target ordered locale does not match the map")
-    src, pre = fmap.source, fmap.preimage
-    if src.m > REL_LIMIT:
-        raise FrameTooLarge("order_from_map capped at materializable relations")
-    above = lat.rows_above(src, pre)                 # {V : U <= f^{-1}(V)}
-
-    def meets(cone):
-        at = {}                                      # g(V) -> {V}, g = f^{-1} cone
-        for v, x in enumerate(cone):
-            at[pre[x]] = at.get(pre[x], 0) | 1 << v
-        image = mask_of_iter(at)
-        under = [(p, _successors(at, src.down_row(p) & image))   # {V : g(V) <= p}
-                 for p in src.primes()]
-        out = []
-        for row in above:
-            x = src.top
-            for p, vs in under:
-                if row & vs:
-                    x = src.meet(x, p)
-            out.append(x)
-        return out
-
-    a, c = meets(target_ol.up_map), meets(target_ol.down_map)
-    rows = cone_rows(src, a, c)
-    if all(rows[u] >> a[u] & 1 and rows[c[u]] >> u & 1 for u in src.elements()):
-        up_map, down_map = a, c
-    else:
-        up_map, down_map = cones_from_rows(src, rows)
-    return OrderedLocale(src, up_map=up_map, down_map=down_map, rel_rows=rows,
-                         meta={"construction": "order_from_map"})
 
 
 def check_regular_cones(ol: OrderedLocale) -> CheckReport:

@@ -7,8 +7,8 @@ triples of elements), so it is slow and only used on small frames.
 from functools import reduce
 from operator import and_
 
-from ordloc import coverage, olocale
-from ordloc.duality import prime_to_filter
+from ordloc import coverage, olocale, ospace
+from ordloc.duality import points_space, prime_to_filter
 from ordloc.errors import (AxiomVFailure, FrameTooLarge, MissingBottomOrTop, NotALattice,
                            NotClosedUnderJoin, NotClosedUnderMeet, NotDistributive,
                            ValidationError)
@@ -168,6 +168,64 @@ def filter_to_prime(frame: FiniteFrame, filt: int) -> int:
 
 def locale_points(frame: FiniteFrame) -> list[LocalePoint]:
     return [LocalePoint(p, prime_to_filter(frame, p)) for p in frame.primes()]
+
+
+def order_from_map(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
+    """The largest order on the source making the map monotone.
+
+    U <=_f U' iff the cone of every region below f^{-1} stays below f^{-1}:
+    for all V with U <= f^{-1}(V): U' <= f^{-1}(up(V)), and for all V' with
+    U' <= f^{-1}(V'): U <= f^{-1}(down(V')).
+
+    Cone formula: U <=_f U' iff U' <= a(U) and U <= c(U'), with
+      a(U) = meet{f^{-1}(up(V)) : U <= f^{-1}(V)},
+      c(U) = meet{f^{-1}(down(V)) : U <= f^{-1}(V)}
+    (the empty meet is top).  Proof: an element lies below every member
+    of a family iff it lies below the family's meet, as the intersection
+    of the down-sets of x_i is the down-set of meet x_i in any lattice.
+    So the rows are `cone_rows(source, a, c)`, exactly, for any preimage
+    list.  Each meet is that of the primes p above some member (primes
+    are meet-prime), so a and c cost O(m |P|) mask tests; the sets
+    {V : g(V) <= p}, g = f^{-1} up (or down), are ORs of the fibres of g
+    over its distinct values.
+
+    Cone lemma: every V in row U lies below a(U), and every U in column V
+    lies below c(V).  So where a(U) is in row U and c(V) in column V for
+    all U and V, the join of row U is a(U) and the join of column V is
+    c(V): the cones `cones_from_rows` would build.  That premise costs m
+    bit tests; where it fails, the cones are the joins of the rows.
+    """
+    if fmap.target is not target_ol.frame:
+        raise ValidationError("target ordered locale does not match the map")
+    src, pre = fmap.source, fmap.preimage
+    if src.m > REL_LIMIT:
+        raise FrameTooLarge("order_from_map capped at materializable relations")
+    above = rows_above(src, pre)                 # {V : U <= f^{-1}(V)}
+
+    def meets(cone):
+        at = {}                                      # g(V) -> {V}, g = f^{-1} cone
+        for v, x in enumerate(cone):
+            at[pre[x]] = at.get(pre[x], 0) | 1 << v
+        image = mask_of_iter(at)
+        under = [(p, olocale._successors(at, src.down_row(p) & image))   # {V : g(V) <= p}
+                 for p in src.primes()]
+        out = []
+        for row in above:
+            x = src.top
+            for p, vs in under:
+                if row & vs:
+                    x = src.meet(x, p)
+            out.append(x)
+        return out
+
+    a, c = meets(target_ol.up_map), meets(target_ol.down_map)
+    rows = olocale.cone_rows(src, a, c)
+    if all(rows[u] >> a[u] & 1 and rows[c[u]] >> u & 1 for u in src.elements()):
+        up_map, down_map = a, c
+    else:
+        up_map, down_map = olocale.cones_from_rows(src, rows)
+    return OrderedLocale(src, up_map=up_map, down_map=down_map, rel_rows=rows,
+                         meta={"construction": "order_from_map"})
 
 
 def order_from_map_pairs(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
@@ -604,9 +662,8 @@ def counit_monotone_by_points_locale(olx: OrderedLocale) -> bool:
     """The counit loc(pt(X)) -> X is monotone: in the induced em locale of
     the points space, the cones of pt(U) lie inside pt(up(U)) and
     pt(down(U)), one leq per element and cone."""
-    from ordloc import duality, ospace
     f, primes = olx.frame, olx.frame.primes()
-    pts = duality.points_space(olx)
+    pts = points_space(olx)
     ptloc, g = ospace.induced_locale(pts, "em"), pts.frame
     pt = [g.id_of_mask(pt_mask(f, primes, u)) for u in f.elements()]
     return all(g.leq(ptloc.up_map[pt[u]], pt[olx.up_map[u]])
@@ -745,6 +802,89 @@ def point_data_loop(olx: OrderedLocale, primes) -> tuple[list[int], list[int]]:
             [(1 << n) - 1 & ~r for r in below])
 
 
+def unit_check_loop(space: OrderedSpace) -> CheckReport:
+    """`duality.unit_check` with both monotonicities decided by flag loops
+    over the point pairs, the first failing pair in loop order the witness."""
+    f = space.frame
+    olx = ospace.induced_locale(space, "em")
+    primes = f.primes()
+    pts = points_space(olx)
+    full = (1 << space.n) - 1
+
+    eta = []      # eta(x) as an index into primes, or None if not a prime
+    prime_index = {p: i for i, p in enumerate(primes)}
+    for x in range(space.n):
+        cmask = full & ~ospace.closure_of_point(space, x)
+        pid = f.id_of_mask(cmask) if f.has_mask(cmask) else None
+        eta.append(prime_index.get(pid))
+
+    t0 = ospace.is_T0(space)
+    injective = len({e for e in eta if e is not None}) == space.n and None not in eta
+    surjective = set(e for e in eta if e is not None) == set(range(len(primes)))
+    oc = ospace.has_open_cones(space)
+    t0o = ospace.is_T0_ordered(space)
+    sober = ospace.is_sober(space)
+
+    monotone = True
+    mono_witness = None
+    if injective:
+        for x in range(space.n):
+            for y in bits(space.up[x]):
+                if not pts.leq_points(eta[x], eta[y]):
+                    monotone = False
+                    mono_witness = (x, y)
+                    break
+            if not monotone:
+                break
+        inverse_monotone = True
+        inv_witness = None
+        for x in range(space.n):
+            for y in range(space.n):
+                if pts.leq_points(eta[x], eta[y]) and not space.leq_points(x, y):
+                    inverse_monotone = False
+                    inv_witness = (eta[x], eta[y])
+                    break
+            if not inverse_monotone:
+                break
+    else:
+        inverse_monotone = None
+        inv_witness = None
+
+    # cross-checks of the fixed-point lemmas on this instance
+    if injective != t0:
+        raise ValidationError("unit injectivity disagrees with T0")
+    if injective and monotone != oc.ok:
+        raise ValidationError("unit monotonicity disagrees with open cones")
+    if sober and oc.ok and inverse_monotone is not None and t0o.ok != inverse_monotone:
+        raise ValidationError("inverse-unit monotonicity disagrees with T0-ordered")
+
+    fixed = sober and t0o.ok and oc.ok
+    details = {
+        "T0": t0, "enough_points": surjective, "open_cones": oc.ok,
+        "T0_ordered": t0o.ok, "sober": sober, "fixed_point": fixed,
+        "unit_monotone": monotone if injective else oc.ok,
+        "inverse_monotone": inverse_monotone,
+        "points_open_cones": ospace.has_open_cones(pts).ok,
+    }
+    note = ", ".join(f"{k}={v}" for k, v in details.items())
+    witness = None
+    if not fixed:
+        witness = inv_witness or mono_witness or (t0o.witness if not t0o.ok else None)
+        if witness is None and not t0:
+            # two topologically indistinguishable points: equal N(x)
+            seen = {}
+            for x, nx in enumerate(f.neighbourhoods()):
+                if nx in seen:
+                    witness = (seen[nx], x)
+                    break
+                seen[nx] = x
+    rep = CheckReport("unit", "pass" if fixed else "fail", witness, note)
+    rep.details = details
+    rep.points_space = pts
+    rep.eta = eta
+    return rep
+
+
 def point_cones_loop(rows: list[int], pms: list[int]) -> list[tuple[int, int, int]]:
     """pt(U), upcone(pt(U)) and downcone(pt(U)), one OR per point of pt(U)."""
     down_rows = transpose_rows(rows)
@@ -813,9 +953,10 @@ def counit_check_loop(olx: OrderedLocale) -> CheckReport:
 
 
 def double_negation_transport_general(olx: OrderedLocale) -> CheckReport:
-    """`duality.double_negation_transport` without the identity route: the
-    regular order always comes from `order_from_map`, the cones are always
-    compared, and the IPs of the induced locale are computed again."""
+    """`duality.double_negation_transport` by the definition: the regular
+    order always comes from `order_from_map` along the sublocale map, the
+    cones are always compared, and the IPs of the induced locale are
+    computed again."""
     from ordloc.duality import ideal_points
     from ordloc.errors import RegularConesRequired
     from ordloc.lattice import double_negation_frame
@@ -825,7 +966,9 @@ def double_negation_transport_general(olx: OrderedLocale) -> CheckReport:
         raise RegularConesRequired("double-negation transport needs C-order")
     f = olx.frame
     sub, dn_map = double_negation_frame(f)
-    induced = olocale.order_from_map(dn_map, olx)
+    if sub.m > REL_LIMIT:
+        raise FrameTooLarge("double-negation transport capped at materializable relations")
+    induced = order_from_map(dn_map, olx)
     reg_of = dn_map.preimage
     amb_of = [None] * sub.m
     for u in f.elements():

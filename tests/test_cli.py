@@ -239,6 +239,22 @@ def test_cli_answers_40_point_discrete_space(argv, expect):
         assert out.stdout == expect
 
 
+def test_cli_cov_at_generator_scale():
+    # the coverage search reads the cones one element at a time, never a
+    # cone list: M55 (2**25 opens) and a 40-point discrete space answer
+    m55 = cli.serialize(cli.doc_of_space(gen.minkowski_grid(gen.GridSpec(5, 5))))
+    out = subprocess.run([sys.executable, "-m", "ordloc.cli", "cov", "-", "--region",
+                          "0,1,2,3,4", "--target", "12"], input=m55, capture_output=True,
+                         text=True, timeout=10, preexec_fn=_cap_address_space)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == ("yes (verified refinements for 18 enumerated atom paths; "
+                          "slot analysis certifies the rest)\n")
+    out = run_discrete(40, ["cov", "-", "--region", "0", "--target", "0,1"])
+    assert (out.returncode, out.stderr) == (1, "")
+    assert out.stdout == ("no witness path {p1} (certified: all insertion slots along "
+                          "the witness chain are empty)\n")
+
+
 def test_cli_refuses_41_point_discrete_check():
     out = run_discrete(41, ["check", "-", "--axiom", "all"])
     assert out.returncode == 2 and out.stdout == ""

@@ -281,7 +281,7 @@ def test_warm_transport_reuses_cones_and_cone_frames(m33, monkeypatch):
     assert O.futures_frame(olx) is fut and O.pasts_frame(olx) is pas
     ips = D.ideal_points(olx)
     calls = count_calls(monkeypatch, ((O, "cones_from_rows"), (L, "subframe"),
-                                      (O, "order_from_map"), (D, "ideal_points"),
+                                      (oracles, "order_from_map"), (D, "ideal_points"),
                                       (L, "rows_above")))
     rep = D.double_negation_transport(olx)
     assert calls == {"cones_from_rows": 0, "subframe": 0, "order_from_map": 0,
@@ -333,7 +333,7 @@ def test_counit_and_transport_match_loop_oracles_on_named_locales():
         assert got == report_outcome(oracles.double_negation_transport_general, make()), name
         seen[name] = got
     assert seen["m34/em"] == ("FrameTooLarge",
-                              "order_from_map capped at materializable relations")
+                              "double-negation transport capped at materializable relations")
     assert seen["pairs-to-top"][0] == "ConesDoNotPreserveJoins"
     assert seen["m33-(1, 1)/em"][0] == "pass"
 

@@ -788,6 +788,16 @@ def test_biframe_folds_no_joins_on_m33(m33, monkeypatch):
     assert calls == []
 
 
+def test_biframe_at_generator_scale(monkeypatch):
+    # the boxes are meets of cone reads at the join-irreducibles, so a
+    # 21-point discrete space (2**21 opens) answers without a cone list
+    loc = S.induced_locale(S.OrderedSpace.build(21, [], opens="discrete"), "em")
+    calls = []
+    tolist = L.SubsetCone.tolist
+    monkeypatch.setattr(L.SubsetCone, "tolist", lambda cone: calls.append(cone) or tolist(cone))
+    assert O.is_biframe(loc).ok and calls == []
+
+
 def test_biframe_bowtie_fails(bowtie):
     loc = S.induced_locale(bowtie, "em")
     rep = O.is_biframe(loc)
@@ -869,7 +879,7 @@ def test_order_from_identity_is_cone_closure(b4):
     a, b = b4.id_of_mask(1), b4.id_of_mask(2)
     olx = O.ordered_locale_from_relation(b4, [(a, b4.top), (b4.bottom, a)])
     fmap = L.identity_map(b4)
-    derived = O.order_from_map(fmap, olx)
+    derived = oracles.order_from_map(fmap, olx)
     # the derived order is the cone-determined closure of the original
     pair = O.ConePair(b4, list(olx.up_map), list(olx.down_map))
     closure = O.ordered_locale_from_monads(pair)
@@ -884,7 +894,7 @@ def test_order_from_map_is_largest_monotone(b4):
     tgt = O.ordered_locale_from_relation(
         b4, [(b4.id_of_mask(1), b4.top)])
     fmap = L.identity_map(b4)
-    derived = O.order_from_map(fmap, tgt)
+    derived = oracles.order_from_map(fmap, tgt)
     assert O.is_monotone(fmap, derived, tgt).ok
     rows = derived.rel_rows()
     for u in b4.elements():
@@ -901,7 +911,7 @@ def test_order_from_map_is_largest_monotone(b4):
 def test_order_from_dn_inclusion_boolean(m33, loc33):
     # Boolean frame: the double negation sublocale is the identity
     sub, dn_map = L.double_negation_frame(loc33.frame)
-    derived = O.order_from_map(dn_map, loc33)
+    derived = oracles.order_from_map(dn_map, loc33)
     assert derived.rel_rows() == loc33.rel_rows()
 
 

@@ -827,7 +827,7 @@ def test_order_from_map_matches_pair_loop(monkeypatch):
             fmap = O.futures_frame(S.induced_locale(random_space(rng), "em"))[1]
         target = random_locale(rng, fmap.target)
         joins[0] = 0
-        got = O.order_from_map(fmap, target)
+        got = oracles.order_from_map(fmap, target)
         routes["joins of rows" if joins[0] else "cone formula"] += 1
         want = oracles.order_from_map_pairs(fmap, target)
         src, rows = fmap.source, want.rel_rows()
@@ -902,7 +902,7 @@ def test_counit_and_transport_rows_match_pair_scans(seed):
     if not O.check_regular_cones(olx).ok:
         return
     sub, dn_map = L.double_negation_frame(f)
-    induced = O.order_from_map(dn_map, olx)
+    induced = oracles.order_from_map(dn_map, olx)
     reg_of = dn_map.preimage
     least = next(((u, v) for u in f.elements() for v in f.elements()
                   if induced.related(reg_of[u], reg_of[v]) != olx.related(u, v)), None)
@@ -1017,7 +1017,7 @@ def test_point_structures_match_per_open_scans(seed):
     primes = g.primes() if rng.random() < 0.8 else \
         [rng.randrange(g.m) for _ in range(rng.randint(0, 4))]
     assert D.pt_masks(g, primes) == [oracles.pt_mask(g, primes, u) for u in g.elements()]
-    assert D._point_data(olx, primes)[0] == oracles.point_order_rows(olx, primes)
+    assert D._point_data(olx, g.primes())[0] == oracles.point_order_rows(olx, g.primes())
 
 
 def test_points_space_makes_no_leq_calls(monkeypatch):
@@ -1033,6 +1033,20 @@ def test_points_space_makes_no_leq_calls(monkeypatch):
     monkeypatch.setattr(L.FiniteFrame, "leq", counted)
     assert D.points_space(olx).n == 9
     assert calls == []
+
+
+def test_points_space_on_m44_lists_no_cone(monkeypatch):
+    # the point order reads the generator-form cones at the 16
+    # join-irreducibles: no 2**16-entry cone list is built
+    olx = S.induced_locale(gen.minkowski_grid(gen.GridSpec(4, 4)), "em")
+    calls = []
+    tolist = L.SubsetCone.tolist
+    monkeypatch.setattr(L.SubsetCone, "tolist",
+                        lambda cone: calls.append(cone) or tolist(cone))
+    pts = D.points_space(olx)
+    assert pts.n == 16 and calls == []
+    monkeypatch.undo()
+    assert pts.up == oracles.point_data_loop(olx, olx.frame.primes())[0]
 
 
 # -- Birkhoff frames and frame-map kernels against pair scans -----------------------
@@ -1427,16 +1441,43 @@ def duality_locale(seed):
     return olx
 
 
-def test_counit_and_transport_match_loop_oracles(monkeypatch):
-    # full reports and refusals equal those of the per-element loops; the
-    # transport must take the identity route and each way out of it
-    routes = {"identity": 0, "not monotone": 0, "premise fails": 0, "not Boolean": 0}
-    induced = [0]
-    order_from_map = O.order_from_map
+def test_unit_check_matches_flag_loops():
+    # the pulled-back point masks name the loops' witnesses: 2,500 random
+    # topology spaces (T0 or not, often without open cones) and the suite,
+    # where bowtie is not T0-ordered
+    spaces = [random_topology_space(random.Random(seed)) for seed in range(2500)]
+    spaces += [inst for _, inst in gen.standard_suite() if isinstance(inst, S.OrderedSpace)]
+    seen = set()
+    for space in spaces:
+        got, want = D.unit_check(space), oracles.unit_check_loop(space)
+        assert (got.verdict, got.witness, got.note, got.details, got.eta) == \
+            (want.verdict, want.witness, want.note, want.details, want.eta)
+        seen.add((got.details["unit_monotone"], got.details["inverse_monotone"]))
+    assert {(False, True), (True, False), (True, True)} <= seen, seen
 
-    def counted(*args):
-        induced[0] += 1
-        return order_from_map(*args)
+
+def transport_class(olx) -> str:
+    """Which case of `duality.double_negation_transport` the input is: a
+    frame that is not Boolean, cones that are not monotone, monotone cones
+    whose rows miss the cone premise, or the identity (the transported
+    cones are the ambient ones)."""
+    f = olx.frame
+    if L.double_negation_frame(f)[0] is not f:
+        return "not Boolean"
+    if not O._cones_monotone(olx):
+        return "not monotone"
+    up, down = olx.up_map, olx.down_map
+    rows = O.cone_rows(f, up, down)
+    if all(rows[u] >> up[u] & 1 and rows[down[u]] >> u & 1 for u in f.elements()):
+        return "identity"
+    return "premise fails"
+
+
+def test_counit_and_transport_match_loop_oracles():
+    # full reports and refusals equal those of the per-element loops and
+    # of the transport by `oracles.order_from_map`, in all four input
+    # classes of the transport
+    routes = {"identity": 0, "not monotone": 0, "premise fails": 0, "not Boolean": 0}
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 100_000))
@@ -1444,22 +1485,28 @@ def test_counit_and_transport_match_loop_oracles(monkeypatch):
         assert report_outcome(D.counit_check, duality_locale(seed)) == \
             report_outcome(oracles.counit_check_loop, duality_locale(seed))
         olx = duality_locale(seed)
-        induced[0] = 0
-        with monkeypatch.context() as mp:
-            mp.setattr(O, "order_from_map", counted)
-            got = report_outcome(D.double_negation_transport, olx)
+        got = report_outcome(D.double_negation_transport, olx)
         assert got == report_outcome(oracles.double_negation_transport_general,
                                      duality_locale(seed))
         if got[0] != "RegularConesRequired":
-            if L.double_negation_frame(olx.frame)[0] is not olx.frame:
-                routes["not Boolean"] += 1
-            elif not induced[0]:
-                routes["identity"] += 1
-            else:
-                routes["premise fails" if O._cones_monotone(olx) else "not monotone"] += 1
+            routes[transport_class(olx)] += 1
 
     check()
     assert all(routes.values()), routes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 100_000))
+def test_point_data_matches_per_element_loop(seed):
+    # the point order read at the join-irreducibles, with monotone cones
+    # and with their envelopes; a quarter of the locales are on frames
+    # whose ids do not extend the order
+    olx = duality_locale(seed)
+    if seed % 4 == 0:
+        rng = random.Random(seed)
+        olx = random_locale(rng, shuffled_frame(rng, random_frame(rng)))
+    primes = olx.frame.primes()
+    assert D._point_data(olx, primes) == oracles.point_data_loop(olx, primes)
 
 
 # -- generator lemmas against their definitional scans --------------------------------------
