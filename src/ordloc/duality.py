@@ -89,6 +89,15 @@ def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], l
     return [pms[up[j]] & col for j, col in zip(least, cols)], pms
 
 
+def _locale_point_data(olx: OrderedLocale) -> tuple[list[int], list[int]]:
+    """`_point_data` of the frame's primes, built once per locale and
+    shared by `points_space`, `counit_check`, `check_axiom_P` and
+    `point_cone_inclusions_hold` (none of them writes to it)."""
+    if olx._points is None:
+        olx._points = _point_data(olx, olx.frame.primes())
+    return olx._points
+
+
 def points_space(olx: OrderedLocale) -> OrderedSpace:
     """The ordered space of points of an ordered locale.
 
@@ -96,8 +105,7 @@ def points_space(olx: OrderedLocale) -> OrderedSpace:
     order is the cone characterization of the filter order.  The result is
     always T0-ordered; this is asserted.
     """
-    primes = olx.frame.primes()
-    return _points_space(primes, *_point_data(olx, primes))
+    return _points_space(olx.frame.primes(), *_locale_point_data(olx))
 
 
 def _points_space(primes: list[int], rows: list[int], pms: list[int]) -> OrderedSpace:
@@ -250,7 +258,7 @@ def _bullet_report(olx: OrderedLocale, pcones) -> CheckReport:
 def check_axiom_P(olx: OrderedLocale) -> CheckReport:
     """Axiom (bullet): cones commute with taking points,
     upcone(pt(U)) == pt(up(U)) and downcone(pt(U)) == pt(down(U))."""
-    return _bullet_report(olx, _point_cones(*_point_data(olx, olx.frame.primes())))
+    return _bullet_report(olx, _point_cones(*_locale_point_data(olx)))
 
 
 def _cone_inclusions(olx: OrderedLocale, pcones) -> bool:
@@ -267,7 +275,7 @@ def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
     locale's cone of pt(U) is the interior of upcone(pt(U)), which lies
     inside the open pt(up(U)) (dually for pasts).  So counit monotonicity
     is this check."""
-    return _cone_inclusions(olx, _point_cones(*_point_data(olx, olx.frame.primes())))
+    return _cone_inclusions(olx, _point_cones(*_locale_point_data(olx)))
 
 
 def counit_check(olx: OrderedLocale) -> CheckReport:
@@ -286,7 +294,7 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     the complement of the AND of lacking[k] over k in that row."""
     f = olx.frame
     primes = f.primes()
-    rows, pms = _point_data(olx, primes)
+    rows, pms = _locale_point_data(olx)
     spatial = len(set(pms)) == len(pms)          # pt(U) = pt(V) implies U = V
     pcones = _point_cones(rows, pms)
     brep = _bullet_report(olx, pcones)

@@ -321,6 +321,15 @@ class FiniteFrame:
                                if not any(k != j and self.leq(k, j) for k in js)]
         return self._atoms
 
+    def ids_extend_order(self) -> bool:
+        """Does x <= y in the frame imply x <= y as integers?  Powerset ids
+        are the masks, and a carrier frame whose carriers increase with the
+        id qualifies, as a sub-mask is numerically no larger (so every
+        `frame_from_topology` frame does).  A False answer only means that
+        this O(m) test did not apply."""
+        return self.kind == "powerset" or all(
+            a < b for a, b in zip(self._car, self._car[1:]))
+
     def is_atomistic(self) -> bool:
         """Every element is the join of the atoms below it: iff every j is
         one, as a join-irreducible is a join of atoms only if it is one."""

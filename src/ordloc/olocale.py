@@ -33,7 +33,13 @@ Axiom checks run in tiers and say which tier ran in the report note:
   relation R is T(R*)*, T one translation pass per J; with monotone
   cones the join-irreducibles decide each row of F+/F-; the wedge laws
   follow from C-order and the Frobenius inclusions, a route taken only
-  once C-order has been verified, and decided by an exact scan otherwise).
+  once C-order has been verified, and decided by an exact scan otherwise);
+* construction records, theorems whose premises the constructor made
+  true: a locale built by `ordered_locale_from_relation` is a reflexive
+  join-closed preorder, so V passes after the cone certificate without a
+  gap pass, its cones are monotone without a cover walk, and, where ids
+  extend the order, they are the greatest members of its rows and
+  columns; `dual_order` keeps both records.
 
 Nothing is sampled.  A check that no tier decides (F+/F- with cones that
 are not monotone, above PAIR_LIMIT) refuses with FrameTooLarge.
@@ -185,6 +191,11 @@ class OrderedLocale:
         self._hull_cache = {}
         self._compl_cache = {}
         self._cone_frames = {}            # "futures" | "pasts" -> (subframe, FrameMap)
+        self._points = None               # memo of the point data (duality)
+        # the rows are a reflexive, translation-closed preorder: set by
+        # `ordered_locale_from_relation`, kept by `dual_order`; this holds
+        # as long as no caller writes to the rows after construction
+        self._join_closed = False
 
     @cached_property
     def up_map(self) -> list[int]:
@@ -352,6 +363,23 @@ def ordered_locale_from_relation(frame: FiniteFrame, pairs: Iterable[tuple[int, 
     (AxiomVFailure) in strict mode and is recorded as
     meta["join_saturated"] otherwise; a saturated relation of more than
     SATURATION_LIMIT pairs is refused.
+
+    The locale keeps what construction proved, so the law checks do not
+    decide it again:
+    * Closure: the rows are a reflexive, translation-closed preorder, the
+      record `_check_V` answers from.
+    * Monotone cones: if U <= U' and U rel X, joining with U' rel U' gives
+      U' = U | U' rel X | U', so up(U) <= up(U'); the past cone is the
+      mirror (Y rel V <= V' gives Y | V' rel V').  So `cones.monotone` is
+      set, and `_cones_monotone` walks no cover.
+    * Greatest members: a row (or column) of a reflexive join-closed
+      relation is non-empty and closed under binary joins, so its join is
+      a member, the greatest one.  Where ids extend the order
+      (`FiniteFrame.ids_extend_order`: powersets, and every
+      `frame_from_topology` frame) that member has the highest id, so
+      up(U) is the top bit of rows[U] and down(V) the highest U whose row
+      holds V, one descending sweep (`_greatest_members`).  Other frames,
+      e.g. Birkhoff frames with permuted ids, take `cones_from_rows`.
     """
     if frame.m > REL_LIMIT:
         raise FrameTooLarge(
@@ -372,9 +400,28 @@ def ordered_locale_from_relation(frame: FiniteFrame, pairs: Iterable[tuple[int, 
         rows = lat.transitive_closure_rows(_translation_closure(frame, rows))
         if sum(map(lat.popcount, rows)) > SATURATION_LIMIT:
             raise FrameTooLarge(f"join saturation exceeded {SATURATION_LIMIT} pairs")
-    up_map, down_map = cones_from_rows(frame, rows)
-    return OrderedLocale(frame, up_map=up_map, down_map=down_map, rel_rows=rows,
-                         meta=meta)
+    up_map, down_map = (_greatest_members(rows) if frame.ids_extend_order()
+                        else cones_from_rows(frame, rows))
+    olx = OrderedLocale(frame, up_map=up_map, down_map=down_map, rel_rows=rows,
+                        meta=meta)
+    olx._join_closed = olx.cones.monotone = True
+    return olx
+
+
+def _greatest_members(rows: list[int]) -> tuple[list[int], list[int]]:
+    """The cones of reflexive join-closed rows on a frame whose ids extend
+    its order: the highest id of each row, and of each column, the highest
+    U whose row holds V, from a sweep down the rows that assigns each V
+    once (greatest-member lemma of `ordered_locale_from_relation`)."""
+    up_map = [r.bit_length() - 1 for r in rows]
+    down_map = [0] * len(rows)
+    left = (1 << len(rows)) - 1
+    for u in range(len(rows) - 1, -1, -1):
+        new = rows[u] & left
+        for v in bits(new):
+            down_map[v] = u
+        left ^= new
+    return up_map, down_map
 
 
 def ordered_locale_from_monads(cones: ConePair, *, validated=False,
@@ -402,13 +449,20 @@ def inclusion_order(frame: FiniteFrame) -> OrderedLocale:
 def dual_order(ol: OrderedLocale) -> OrderedLocale:
     """The opposite causal order; cones swap, and so does their join memo.
     Rows are transposed only for a locale they define: the dual of a
-    cone-definitional one derives its own rows from the swapped cones."""
+    cone-definitional one derives its own rows from the swapped cones.
+
+    Both other memos carry over.  Swapping the cones does not change
+    whether both are monotone.  The transpose of a reflexive join-closed
+    preorder is one: V1 R U1 and V2 R U2 give V1 | V2 R U1 | U2.
+    """
     rows = None if ol.cone_definitional else ol._rel_rows
     swap = {"u": "d", "d": "u"}
-    return OrderedLocale(ol.frame, up_map=ol.cones.d, down_map=ol.cones.u,
+    dual = OrderedLocale(ol.frame, up_map=ol.cones.d, down_map=ol.cones.u,
                          rel_rows=None if rows is None else lat.transpose_rows(rows),
                          cone_definitional=ol.cone_definitional,
                          joins={swap[k]: w for k, w in ol.cones.joins.items()})
+    dual.cones.monotone, dual._join_closed = ol.cones.monotone, ol._join_closed
+    return dual
 
 
 # -- axiom checking ------------------------------------------------------------
@@ -435,7 +489,8 @@ def check_axiom(ol: OrderedLocale, law: str) -> CheckReport:
 def _cones_monotone(ol) -> bool:
     """Both cones monotone: one that preserves binary joins is, and any
     other is checked along covers, which generate <=.  Memoized on the
-    locale's cone pair."""
+    locale's cone pair; `ordered_locale_from_relation` sets the memo by
+    its monotone-cone lemma."""
     f, cones = ol.frame, ol.cones
     if cones.monotone is None:
         cones.monotone = all(
@@ -446,9 +501,18 @@ def _cones_monotone(ol) -> bool:
 
 
 def _check_V(ol: OrderedLocale) -> CheckReport:
-    """Join closure.  The cone certificate first; on a preorder, a
-    translation gap (`_translation_gap`) decides at every size.  A gap, or
-    rows that are not a preorder, get the id-order pair scan for the least
+    """Join closure.  The cone certificate first.  A locale built by
+    `ordered_locale_from_relation` (or its dual) then passes by its
+    construction record, with the translation note, and runs no preorder
+    test or gap pass.  The record rests on the three lemmas of that
+    constructor: its rows are a translation-closed preorder (closure), its
+    cones are monotone, so the certificate reads `_cones_monotone` from a
+    memo (monotone cones), and where ids extend the order its cones are
+    the greatest members of rows and columns, which are the joins that
+    `cones_from_rows` takes, so C-order sees the same cones on either
+    route (greatest members).  On other rows, a translation gap
+    (`_translation_gap`) decides a preorder at every size.  A gap, or rows
+    that are not a preorder, get the id-order pair scan for the least
     witness while P^2 <= 4,000,000; above that a preorder fails with its
     gap and anything else is refused."""
     f = ol.frame
@@ -457,9 +521,12 @@ def _check_V(ol: OrderedLocale) -> CheckReport:
                         "is closed under joins of arbitrary families")
     rows = ol.rel_rows()
     npairs = sum(lat.popcount(r) for r in rows)
-    preorder = all(rows[u] >> u & 1 and _successors(rows, rows[u]) == rows[u]
-                   for u in f.elements())
-    gap = _translation_gap(f, rows) if preorder else None
+    if ol._join_closed:
+        preorder, gap = True, None
+    else:
+        preorder = all(rows[u] >> u & 1 and _successors(rows, rows[u]) == rows[u]
+                       for u in f.elements())
+        gap = _translation_gap(f, rows) if preorder else None
     if preorder and gap is None:
         return _ok("V", f"exact: preorder closed under translation by the "
                         f"{len(f.coprimes())} join-irreducibles ({npairs} pairs)")

@@ -45,6 +45,21 @@ def rows_locale(frame, rows):
     return O.OrderedLocale(frame, up_map=up, down_map=down, rel_rows=rows)
 
 
+def count_calls(monkeypatch, targets) -> dict:
+    """Patch each (module, name) in targets to count its calls by name."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 def report_outcome(fn, olx):
     """A check's report as (verdict, witness, note, details), or its
     refusal as (type, message)."""

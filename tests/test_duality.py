@@ -1,15 +1,16 @@
 """Adjunction layer: points, unit/counit, axiom (bullet), ideal points,
 relation ideals."""
 
+import io
 import itertools
 
 import pytest
 
-from ordloc import duality as D, gen, lattice as L, olocale as O, ospace as S
+from ordloc import cli, duality as D, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import RegularConesRequired
 from ordloc.lattice import PointSet, bits
 
-from conftest import grid, report_outcome
+from conftest import count_calls, grid, report_outcome
 import oracles
 
 
@@ -73,6 +74,27 @@ def test_points_space_always_T0_ordered():
             continue
         pts = D.points_space(olx)   # raises if T0-orderedness fails
         assert S.is_T0_ordered(pts).ok, name
+
+
+def run_points_on_m44(monkeypatch, capsys) -> str:
+    doc = cli.serialize(cli.doc_of_space(gen.minkowski_grid(gen.GridSpec(4, 4))))
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code = cli.main(["points", "-"])
+    return f"{code}\n{capsys.readouterr().out}"
+
+
+def test_points_command_builds_the_point_data_once(monkeypatch, capsys):
+    # `ordloc points` reads the point data in points_space and again in
+    # counit_check: one copy is built per locale, with the output of a
+    # run that builds it for each caller
+    calls = count_calls(monkeypatch, ((D, "_point_data"), (L, "rows_above")))
+    out = run_points_on_m44(monkeypatch, capsys)
+    assert calls == {"_point_data": 1, "rows_above": 1}
+    point_data = D._point_data
+    monkeypatch.setattr(D, "_locale_point_data",
+                        lambda olx: point_data(olx, olx.frame.primes()))
+    assert run_points_on_m44(monkeypatch, capsys) == out
+    assert calls == {"_point_data": 3, "rows_above": 3}
 
 
 # -- unit --------------------------------------------------------------------------
@@ -253,21 +275,6 @@ def test_dn_transport_compares_rows_above_pair_limit():
     rep = D.double_negation_transport(bent)
     assert (rep.verdict, rep.witness) == ("fail", (5, 7))
     assert rep.note == "regular order disagrees with the ambient order"
-
-
-def count_calls(monkeypatch, targets) -> dict:
-    """Patch each (module, name) in targets to count its calls by name."""
-    calls = dict.fromkeys((name for _, name in targets), 0)
-
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return call
-
-    for module, name in targets:
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    return calls
 
 
 def test_warm_transport_reuses_cones_and_cone_frames(m33, monkeypatch):

@@ -15,7 +15,7 @@ from ordloc.errors import (
 )
 from ordloc.lattice import bits, mask_of_iter
 
-from conftest import grid, rows_locale
+from conftest import count_calls, grid, report_outcome, rows_locale
 import oracles
 
 
@@ -316,6 +316,47 @@ def test_V_on_translation_closed_relation_that_is_not_a_preorder():
     rows = [mask_of_iter(v for u2, v in rel if u2 == u) for u in f.elements()]
     rep = O.check_axiom(rows_locale(f, rows), "V")
     assert not rep.ok and rep.witness == (0, 1, 2, 0)
+
+
+def test_relation_locale_answers_V_from_its_construction(monkeypatch):
+    # {0} rel {1,2} saturates to 15 pairs on the powerset of 3 points and
+    # fails C-order, so the cone certificate does not answer: V passes by
+    # the construction record, with no gap pass and no preorder test, and
+    # the cones are monotone by the constructor's lemma, with no cover
+    # walk.  The same rows taken as they are still run the gap pass.
+    f = L.powerset_frame(3)
+    olx = O.ordered_locale_from_relation(f, [(1, 6)])
+    assert not O.check_axiom(olx, "C-order").ok
+    calls = count_calls(monkeypatch, ((O, "_translation_gap"), (O, "_successors"),
+                                      (L.FiniteFrame, "upper_covers")))
+    rep = O.check_axiom(olx, "V")
+    assert O._cones_monotone(olx)
+    assert calls == {"_translation_gap": 0, "_successors": 0, "upper_covers": 0}
+    assert rep.note == ("exact: preorder closed under translation by the 3 "
+                        "join-irreducibles (15 pairs)")
+    plain = rows_locale(f, olx.rel_rows())
+    assert report_outcome(lambda x: O.check_axiom(x, "V"), plain) == \
+        report_outcome(lambda x: O.check_axiom(x, "V"), olx)
+    assert calls["_translation_gap"] == 1
+
+
+def test_dual_of_relation_locale_keeps_its_records(monkeypatch):
+    # the transpose of a join-closed preorder is one, and swapping the
+    # cones keeps both monotone: the dual answers every law as the
+    # transposed rows taken as they are, with no gap pass for V
+    f = L.powerset_frame(3)
+    olx = O.ordered_locale_from_relation(f, [(1, 6), (2, 4)])
+    dual = O.dual_order(olx)
+    plain = rows_locale(f, L.transpose_rows(olx.rel_rows()))
+    calls = count_calls(monkeypatch, ((O, "_translation_gap"),
+                                      (L.FiniteFrame, "upper_covers")))
+    got = [report_outcome(lambda x: O.check_axiom(x, law), dual) for law in O.ALL_AXIOMS]
+    assert calls == {"_translation_gap": 0, "upper_covers": 0}
+    assert got[0][2].startswith("exact: preorder closed under translation")
+    assert got == [report_outcome(lambda x: O.check_axiom(x, law), plain)
+                   for law in O.ALL_AXIOMS]
+    assert calls["_translation_gap"] == 1
+    assert (dual.up_map, dual.down_map) == (plain.up_map, plain.down_map)
 
 
 # -- translation gaps against the per-row image loop ------------------------------

@@ -1618,3 +1618,53 @@ def test_convex_and_biframe_match_least_non_join_on_suite():
             loc = inst if isinstance(inst, O.OrderedLocale) else S.induced_locale(inst, variant)
             if loc.frame.m <= 512:
                 assert_base_checks_match_least_non_join(loc)
+
+
+# -- relation locales against their rows taken as they are ----------------------------
+
+
+def test_relation_locales_match_rows_without_record(monkeypatch):
+    # a constructed relation locale answers V from its construction record,
+    # knows its cones monotone and, where ids extend the order, reads the
+    # cones as greatest members; the rows taken as they are, with none of
+    # that, give the same 11 reports and the joins of the rows as cones.
+    # Both cone routes are taken, on saturated and unsaturated relations.
+    routes = {"greatest members": 0, "joins of rows": 0}
+    saturated = {True: 0, False: 0}
+    joins = [0]
+    cones_from_rows = O.cones_from_rows
+
+    def counted(*args):
+        joins[0] += 1
+        return cones_from_rows(*args)
+
+    monkeypatch.setattr(O, "cones_from_rows", counted)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10_000))
+    def check(seed):
+        rng = random.Random(seed)
+        style = rng.randrange(4)
+        if style == 0:
+            f = random_topology_space(rng).frame
+        elif style == 1:
+            f = L.powerset_frame(rng.randint(1, 5))
+        else:
+            f = random_frame(rng)
+            if style == 3:
+                f = shuffled_frame(rng, f)
+        pairs = [(rng.randrange(f.m), rng.randrange(f.m)) for _ in range(rng.randint(0, 4))]
+        joins[0] = 0
+        olx = O.ordered_locale_from_relation(f, pairs)
+        routes["joins of rows" if joins[0] else "greatest members"] += 1
+        assert joins[0] == (not f.ids_extend_order())
+        assert ids_extend_order(f) or not f.ids_extend_order()
+        saturated["join_saturated" in olx.meta] += 1
+        plain = rows_locale(f, olx.rel_rows())
+        assert (olx.up_map, olx.down_map) == (plain.up_map, plain.down_map), pairs
+        for law in O.ALL_AXIOMS:
+            assert report_outcome(lambda x: O.check_axiom(x, law), olx) == \
+                report_outcome(lambda x: O.check_axiom(x, law), plain), (law, pairs)
+
+    check()
+    assert all(routes.values()) and all(saturated.values()), (routes, saturated)
