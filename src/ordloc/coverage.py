@@ -179,6 +179,7 @@ class _AtomCoverage:
         self.in_a = [self.f.leq(b, self.a) for b in self.atoms]
         self.cone_order = ol.check_axiom(olx, "C-order").ok
         self._slots = {}
+        self._badreach = None
 
     def slot(self, b: Optional[int], c: int) -> Optional[int]:
         """A nonempty V <= A with b rel V rel c, or None; with b None, the
@@ -217,15 +218,12 @@ class _AtomCoverage:
 
     def atom_rel(self):
         """The atom relation as atom-index rows.  It does not depend on A,
-        so it is memoized on the locale (`work`, one per direction)."""
-        cached = getattr(self.ol, "_atom_rel", None)
-        if cached is None:
-            n = len(self.atoms)
-            cached = [mask_of_iter(j for j in range(n)
-                                   if self.ol.related(self.atoms[i], self.atoms[j]))
-                      for i in range(n)]
-            self.ol._atom_rel = cached
-        return cached
+        so it is memoized in the locale's `memo` (of `work`, one per direction)."""
+        memo, atoms = self.ol.memo, self.atoms
+        if "atom-rel" not in memo:
+            memo["atom-rel"] = [mask_of_iter(j for j, y in enumerate(atoms)
+                                             if self.ol.related(x, y)) for x in atoms]
+        return memo["atom-rel"]
 
     def bad_reach(self) -> dict[int, Optional[int]]:
         """Atoms reachable by an unrefinable chain, with parents.
@@ -234,9 +232,8 @@ class _AtomCoverage:
         Starts: nodes whose slot before them is empty.
         Edges: related atom pairs whose between-slot is empty.
         """
-        cached = getattr(self, "_badreach", None)
-        if cached is not None:
-            return cached
+        if self._badreach is not None:
+            return self._badreach
         atoms, slot = self.atoms, self.slot
         arel = self.atom_rel()
         node_ok = [not self.in_a[i] and slot(x, x) is None for i, x in enumerate(atoms)]
@@ -302,15 +299,11 @@ def _require_coverage_axioms(olx: OrderedLocale) -> None:
             raise PreconditionAxioms(law)
 
 
-def _atom_chains_landing(olx: OrderedLocale, cover: _AtomCoverage, u: int,
-                         bound: int) -> list[list[int]]:
+def _atom_chains_landing(cover: _AtomCoverage, u: int, bound: int) -> list[list[int]]:
     """Backward-extended atom chains ending inside u, consecutive repeats
     collapsed, up to the length bound."""
-    arel = cover.atom_rel()
-    n = len(cover.atoms)
-    preds = [mask_of_iter(j for j in range(n) if arel[j] >> i & 1 and j != i)
-             for i in range(n)]
-    ends = [i for i in range(n) if cover.f.leq(cover.atoms[i], u)]
+    preds = [c & ~(1 << i) for i, c in enumerate(transpose_rows(cover.atom_rel()))]
+    ends = [i for i, x in enumerate(cover.atoms) if cover.f.leq(x, u)]
     out = []
     work = [[i] for i in ends]
     while work:
@@ -337,24 +330,6 @@ def covers_above(olx: OrderedLocale, a: int, u: int,
     return _covers(olx, a, u, bound, future=True)
 
 
-def _dual_with_axioms(olx: OrderedLocale) -> OrderedLocale:
-    """Memoized opposite order; parallel, C-join and C-order transfer by
-    symmetry."""
-    dual = getattr(olx, "_dual", None)
-    if dual is None:
-        dual = ol.dual_order(olx)
-        for law in ("parallel", "C-join", "C-order", "empty"):
-            rep = olx._axiom_cache.get(law)
-            if rep is not None and rep.ok:
-                dual._axiom_cache[law] = rep
-        for mine, theirs in (("wedge+", "wedge-"), ("wedge-", "wedge+")):
-            rep = olx._axiom_cache.get(mine)
-            if rep is not None and rep.ok:
-                dual._axiom_cache[theirs] = rep
-        olx._dual = dual
-    return dual
-
-
 def _unrefinable_path(olx: OrderedLocale, cover: _AtomCoverage, u: int,
                       future: bool) -> Optional[Path]:
     """The chain of `cover.bad_chain_to(u)` as a path of olx (reversed when
@@ -367,7 +342,7 @@ def _unrefinable_path(olx: OrderedLocale, cover: _AtomCoverage, u: int,
 
 def _covers(olx: OrderedLocale, a: int, u: int, bound, future: bool) -> CoverageVerdict:
     _require_coverage_axioms(olx)
-    work = _dual_with_axioms(olx) if future else olx
+    work = ol.dual_order(olx) if future else olx
     f = olx.frame
     if bound is None:
         bound = 2 * (f.m - 1)
@@ -407,7 +382,7 @@ def _covers(olx: OrderedLocale, a: int, u: int, bound, future: bool) -> Coverage
                                "witness chain are empty")
     # yes: construct + verify a refinement for every enumerated atom path
     try:
-        chains = _atom_chains_landing(work, cover, u, bound)
+        chains = _atom_chains_landing(cover, u, bound)
     except FrameTooLarge:
         return CoverageVerdict("inconclusive", None, bound,
                                "path enumeration exceeded the cap")
@@ -440,7 +415,7 @@ def coverage_rows(olx: OrderedLocale, direction: str = "past") -> list[int]:
     closed form (`domain_of_dependence` has the lemma), so each row is
     exact.
     """
-    cached = vars(olx).setdefault("_cov_rows", {})
+    cached = olx.memo.setdefault("coverage-rows", {})
     if direction in cached:
         return cached[direction]
     _require_coverage_axioms(olx)
@@ -449,7 +424,7 @@ def coverage_rows(olx: OrderedLocale, direction: str = "past") -> list[int]:
         raise FrameTooLarge("bulk coverage capped at materializable sizes")
     if not f.is_atomistic():
         raise FrameTooLarge("bulk coverage needs an atomistic frame")
-    work = olx if direction == "past" else _dual_with_axioms(olx)
+    work = olx if direction == "past" else ol.dual_order(olx)
     above = rows_above(f, work.down_map)
     rows = transpose_rows([f.down_row(_AtomCoverage(work, a).good_join()) & above[a]
                            for a in f.elements()])
@@ -489,7 +464,7 @@ def domain_of_dependence(olx: OrderedLocale, a: int,
     """
     _require_coverage_axioms(olx)
     f = olx.frame
-    work = olx if direction == "future" else _dual_with_axioms(olx)
+    work = olx if direction == "future" else ol.dual_order(olx)
     if f.is_atomistic():
         k = _AtomCoverage(work, a).good_join()
         return DependenceResult(k if f.leq(a, work.cones.d[k]) else f.bottom, True)

@@ -93,9 +93,9 @@ def _locale_point_data(olx: OrderedLocale) -> tuple[list[int], list[int]]:
     """`_point_data` of the frame's primes, built once per locale and
     shared by `points_space`, `counit_check`, `check_axiom_P` and
     `point_cone_inclusions_hold` (none of them writes to it)."""
-    if olx._points is None:
-        olx._points = _point_data(olx, olx.frame.primes())
-    return olx._points
+    if "points" not in olx.memo:
+        olx.memo["points"] = _point_data(olx, olx.frame.primes())
+    return olx.memo["points"]
 
 
 def points_space(olx: OrderedLocale) -> OrderedSpace:
@@ -367,18 +367,13 @@ def ideal_points(olx: OrderedLocale) -> IdealPointSet:
         neg_fut = sorted(f.neg(p) for p in future_points)
         neg_pas = sorted(f.neg(p) for p in past_points)
         ok = (neg_fut == sorted(ips) and len(set(neg_fut)) == len(future_points)
-              and neg_pas == sorted(ifs) and len(set(neg_pas)) == len(past_points))
-        # mutually inverse on the images
-        for p in future_points:
-            if f.neg(f.neg(p)) != p:
-                ok = False
-        for p in past_points:
-            if f.neg(f.neg(p)) != p:
-                ok = False
-        out.negation_bijection = ok
+              and neg_pas == sorted(ifs) and len(set(neg_pas)) == len(past_points)
+              # mutually inverse on the images
+              and all(f.neg(f.neg(p)) == p for p in future_points + past_points))
         if not ok:
             raise ValidationError("negation bijection failed despite parallel "
                                   "+ regular cones")
+        out.negation_bijection = True
     return out
 
 

@@ -147,7 +147,8 @@ class ConePair:
         the j below it (a `SubsetCone` preserves joins by construction, so
         it costs O(n) reads).  Any other map gets the full scan, monotonicity
         included: along covers (which generate <=) on powerset frames and
-        above PAIR_LIMIT, over all pairs x <= y (least in id order) otherwise."""
+        above PAIR_LIMIT, over all pairs x <= y (least in id order) otherwise.
+        Both maps are then monotone, so a pass sets the `monotone` memo."""
         f = self.frame
         by_covers = f.kind == "powerset" or f.m > PAIR_LIMIT
         for name, t in (("u", self.u), ("d", self.d)):
@@ -166,6 +167,7 @@ class ConePair:
                 for y in f.upper_covers(x) if by_covers else bits(f.up_row(x)):
                     if not f.leq(t[x], t[y]):
                         raise NotAMonad(f"{name} monotone", (x, y))
+        self.monotone = True
 
 
 class OrderedLocale:
@@ -177,6 +179,20 @@ class OrderedLocale:
     `lattice.SubsetCone`s with O(1) reads.  Whole-locale consumers read
     `up_map`/`down_map`, plain lists built on first access
     (`ConePair.listed`), which then serve the per-element reads too.
+
+    Its state:
+    * cones: `cones`, the monad pair with its join-failure and monotone
+      memos, and the lists `up_map`/`down_map`;
+    * rows: the relation as element-id bitmask rows, given or built from
+      the cones on first use (`rel_rows`);
+    * law cache: one `CheckReport` per law (`check_axiom`);
+    * construction records: `cone_definitional`, `meta`, and whether the
+      rows are a reflexive, translation-closed preorder (set by
+      `ordered_locale_from_relation`, kept by `dual_order`; this holds as
+      long as no caller writes to the rows after construction);
+    * `memo`: derived structures, built once each and keyed by name
+      ("futures", "pasts", "regular-cones", "points", "dual", "atom-rel",
+      "coverage-rows"), whichever module derives them.
     """
 
     def __init__(self, frame: FiniteFrame, *, up_map, down_map, rel_rows=None,
@@ -187,15 +203,8 @@ class OrderedLocale:
         self.cone_definitional = cone_definitional
         self.meta = dict(meta or {})
         self._axiom_cache: dict[str, CheckReport] = {}
-        self._regular: Optional[CheckReport] = None
-        self._hull_cache = {}
-        self._compl_cache = {}
-        self._cone_frames = {}            # "futures" | "pasts" -> (subframe, FrameMap)
-        self._points = None               # memo of the point data (duality)
-        # the rows are a reflexive, translation-closed preorder: set by
-        # `ordered_locale_from_relation`, kept by `dual_order`; this holds
-        # as long as no caller writes to the rows after construction
         self._join_closed = False
+        self.memo: dict[str, object] = {}
 
     @cached_property
     def up_map(self) -> list[int]:
@@ -429,8 +438,10 @@ def ordered_locale_from_monads(cones: ConePair, *, validated=False,
     """Ordered locale whose order is determined by a validated monad pair."""
     if not validated:
         cones.validate()
-    return OrderedLocale(cones.frame, up_map=cones.u, down_map=cones.d,
-                         cone_definitional=True, joins=cones.joins, meta=meta)
+    olx = OrderedLocale(cones.frame, up_map=cones.u, down_map=cones.d,
+                        cone_definitional=True, joins=cones.joins, meta=meta)
+    olx.cones.monotone = cones.monotone
+    return olx
 
 
 def equality_order(frame: FiniteFrame) -> OrderedLocale:
@@ -450,11 +461,19 @@ def dual_order(ol: OrderedLocale) -> OrderedLocale:
     """The opposite causal order; cones swap, and so does their join memo.
     Rows are transposed only for a locale they define: the dual of a
     cone-definitional one derives its own rows from the swapped cones.
+    Built once per locale and memoized both ways, so the dual's dual is
+    `ol` itself.
 
     Both other memos carry over.  Swapping the cones does not change
     whether both are monotone.  The transpose of a reflexive join-closed
-    preorder is one: V1 R U1 and V2 R U2 give V1 | V2 R U1 | U2.
+    preorder is one: V1 R U1 and V2 R U2 give V1 | V2 R U1 | U2.  So do
+    the passing reports of the laws that reversal maps to themselves:
+    C-order and C-join swap the cones, empty is symmetric, and parallel is
+    empty with wedge+ and wedge-, which reversal exchanges.
     """
+    dual = ol.memo.get("dual")
+    if dual is not None:
+        return dual
     rows = None if ol.cone_definitional else ol._rel_rows
     swap = {"u": "d", "d": "u"}
     dual = OrderedLocale(ol.frame, up_map=ol.cones.d, down_map=ol.cones.u,
@@ -462,6 +481,11 @@ def dual_order(ol: OrderedLocale) -> OrderedLocale:
                          cone_definitional=ol.cone_definitional,
                          joins={swap[k]: w for k, w in ol.cones.joins.items()})
     dual.cones.monotone, dual._join_closed = ol.cones.monotone, ol._join_closed
+    for law in ("C-order", "C-join", "empty", "parallel"):
+        rep = ol._axiom_cache.get(law)
+        if rep is not None and rep.ok:
+            dual._axiom_cache[law] = rep
+    ol.memo["dual"], dual.memo["dual"] = dual, ol
     return dual
 
 
@@ -906,11 +930,7 @@ def is_monotone(fmap: FrameMap, source: OrderedLocale,
 
 
 def convex_hull(ol: OrderedLocale, u: int) -> int:
-    h = ol._hull_cache.get(u)
-    if h is None:
-        h = ol.frame.meet(ol.cones.u[u], ol.cones.d[u])
-        ol._hull_cache[u] = h
-    return h
+    return ol.frame.meet(ol.cones.u[u], ol.cones.d[u])
 
 
 def is_convex_open(ol: OrderedLocale, u: int) -> bool:
@@ -924,23 +944,18 @@ def is_convex_locale(ol: OrderedLocale) -> CheckReport:
     as each element is the join of the j below it, and a join equal to j
     holds j.  An element that is no join of generators lies above a j that
     is none, so where ids extend the order the least such element is the
-    least such j.  O(|J|) hulls; a pass counts the convex elements.
+    least such j.  O(|J|) hulls, and no cone is listed.
     """
-    f = ol.frame
-    u = next((j for j in f.coprimes() if not is_convex_open(ol, j)), None)
+    js = ol.frame.coprimes()
+    u = next((j for j in js if not is_convex_open(ol, j)), None)
     if u is not None:
         return _fail("convex", (u,), "not a join of convex subregions")
-    n = sum(f.meet(x, y) == v for v, (x, y) in enumerate(zip(ol.up_map, ol.down_map)))
-    return _ok("convex", f"exhaustive; {n} convex elements form a base")
+    return _ok("convex", f"exact: the {len(js)} join-irreducibles are convex")
 
 
 def causal_complement(ol: OrderedLocale, u: int) -> int:
-    c = ol._compl_cache.get(u)
-    if c is None:
-        f = ol.frame
-        c = f.meet(f.neg(ol.cones.u[u]), f.neg(ol.cones.d[u]))
-        ol._compl_cache[u] = c
-    return c
+    f = ol.frame
+    return f.meet(f.neg(ol.cones.u[u]), f.neg(ol.cones.d[u]))
 
 
 def diamond(ol: OrderedLocale, u: int) -> int:
@@ -965,7 +980,7 @@ def _cone_frame(ol: OrderedLocale, cone, label) -> tuple[FiniteFrame, FrameMap]:
     """The subframe on one cone's image and its inclusion map, built once
     per locale and shared by every caller (none mutates them); a refusal
     is not cached."""
-    cached = ol._cone_frames.get(label)
+    cached = ol.memo.get(label)
     if cached is not None:
         return cached
     f = ol.frame
@@ -980,7 +995,7 @@ def _cone_frame(ol: OrderedLocale, cone, label) -> tuple[FiniteFrame, FrameMap]:
     sub, incl = lat.subframe(f, image, meta=meta)
     fmap = FrameMap(source=f, target=sub, preimage=list(incl))
     fmap.validate()
-    cached = ol._cone_frames[label] = sub, fmap
+    cached = ol.memo[label] = sub, fmap
     return cached
 
 
@@ -1058,10 +1073,11 @@ def meet_of_orders(ols: Sequence[OrderedLocale],
 
 def check_regular_cones(ol: OrderedLocale) -> CheckReport:
     """not not up(U) == up(U) == up(not not U), and dually, for every U.
-    One scan per locale; the report is cached on it."""
-    if ol._regular is None:
-        ol._regular = _regular_cones(ol)
-    return ol._regular
+    One scan per locale; the report is memoized on it."""
+    rep = ol.memo.get("regular-cones")
+    if rep is None:
+        rep = ol.memo["regular-cones"] = _regular_cones(ol)
+    return rep
 
 
 def _regular_cones(ol: OrderedLocale) -> CheckReport:

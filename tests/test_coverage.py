@@ -329,8 +329,8 @@ def test_coverage_rows_build_the_atom_relation_once_per_direction(monkeypatch):
     rows = [C.coverage_rows(loc, d) for d in ("past", "future")]
     assert calls[0] == 5306
     monkeypatch.undo()
-    dual = C._dual_with_axioms(loc)
-    assert loc._atom_rel is not dual._atom_rel
+    dual = O.dual_order(loc)
+    assert loc.memo["atom-rel"] is not dual.memo["atom-rel"]
     for work, got in ((loc, rows[0]), (dual, rows[1])):
         cols = [oracles.coverage_column_loop(loc, work, a)[0] for a in loc.frame.elements()]
         assert got == L.transpose_rows([mask_of_iter(c) for c in cols])
@@ -355,7 +355,7 @@ def test_dod_on_non_atomistic_frame_keeps_its_pending_count(bowtie):
     assert not f.is_atomistic()
     for direction, pending in (("future", [0, 5, 4, 4, 4, 4, 0]),
                                ("past", [0, 4, 5, 4, 4, 4, 0])):
-        work = loc if direction == "future" else C._dual_with_axioms(loc)
+        work = loc if direction == "future" else O.dual_order(loc)
         for a in f.elements():
             res = C.domain_of_dependence(loc, a, direction)
             members, want = oracles.coverage_column_loop(loc, work, a)

@@ -6,12 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordloc import gen, lattice as L, olocale as O, ospace as S
+from ordloc import coverage as C, duality as D, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import (
     AxiomVFailure,
     ConesDoNotPreserveJoins,
     FrameTooLarge,
     NotAMonad,
+    OrdlocError,
 )
 from ordloc.lattice import bits, mask_of_iter
 
@@ -359,6 +360,25 @@ def test_dual_of_relation_locale_keeps_its_records(monkeypatch):
     assert (dual.up_map, dual.down_map) == (plain.up_map, plain.down_map)
 
 
+def test_dual_is_memoized_both_ways_and_files_reports_under_their_laws():
+    # coverage works on the dual that `dual_order` memoizes; the dual
+    # carries the passing self-dual reports, each under its own law, and
+    # they read as the dual's own checks do
+    loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(3, 3)), "em")
+    for law in O.ALL_AXIOMS:
+        O.check_axiom(loc, law)
+    C.coverage_rows(loc, "future")
+    dual = O.dual_order(loc)
+    assert O.dual_order(dual) is loc and O.dual_order(loc) is dual
+    assert set(dual._axiom_cache) == {"C-order", "C-join", "empty", "parallel"}
+    fresh = O.dual_order(S.induced_locale(gen.minkowski_grid(gen.GridSpec(3, 3)), "em"))
+    for law, rep in dual._axiom_cache.items():
+        assert rep.law == law
+        assert report_outcome(lambda x: O.check_axiom(x, law), fresh) == \
+            report_outcome(lambda x: O.check_axiom(x, law), dual)
+    assert O.check_axiom(dual, "wedge-").law == "wedge-"
+
+
 # -- translation gaps against the per-row image loop ------------------------------
 
 
@@ -606,6 +626,20 @@ def test_monads_order_round_trip(loc22):
             assert rebuilt.related(u, v) == loc22.related(u, v)
 
 
+def test_validated_monads_keep_their_monotone_walk(monkeypatch):
+    # t(S) = S for |S| <= 1 and top otherwise breaks a binary join, so
+    # validation walks its covers, one call per element; that walk proves
+    # both cones monotone, and no law walks them again
+    f = L.powerset_frame(3)
+    t = [s if L.popcount(s) <= 1 else f.top for s in f.elements()]
+    calls = count_calls(monkeypatch, ((L.FiniteFrame, "upper_covers"),))
+    olx = O.ordered_locale_from_monads(O.ConePair(f, t, list(f.elements())))
+    assert olx.cones.monotone and olx.cones.join_failure("u") is not None
+    for law in O.ALL_AXIOMS:
+        O.check_axiom(olx, law)
+    assert calls == {"upper_covers": 8}
+
+
 def test_order_to_monads_round_trip_iff_corder(b4):
     a, b = b4.id_of_mask(1), b4.id_of_mask(2)
     olx = O.ordered_locale_from_relation(b4, [(a, b4.top), (b4.bottom, a)])
@@ -830,13 +864,17 @@ def test_biframe_folds_no_joins_on_m33(m33, monkeypatch):
 
 
 def test_biframe_at_generator_scale(monkeypatch):
-    # the boxes are meets of cone reads at the join-irreducibles, so a
-    # 21-point discrete space (2**21 opens) answers without a cone list
+    # the boxes are meets of cone reads at the join-irreducibles, and so
+    # are the convex hulls, so a 21-point discrete space (2**21 opens)
+    # answers both without a cone list (its 2**21-entry lists are refused)
     loc = S.induced_locale(S.OrderedSpace.build(21, [], opens="discrete"), "em")
     calls = []
     tolist = L.SubsetCone.tolist
     monkeypatch.setattr(L.SubsetCone, "tolist", lambda cone: calls.append(cone) or tolist(cone))
     assert O.is_biframe(loc).ok and calls == []
+    rep = O.is_convex_locale(loc)
+    assert rep.ok and calls == []
+    assert rep.note == "exact: the 21 join-irreducibles are convex"
 
 
 def test_biframe_bowtie_fails(bowtie):
@@ -994,3 +1032,54 @@ def test_ideal_completion_instances(b4, loc22):
                 assert f.leq(u, v) == idl.frame.leq(u, v)
         if O.check_axiom(olx, "C-join").ok:
             assert O.is_monotone(fmap, olx, idl).ok
+
+
+# -- derived state ---------------------------------------------------------------------
+
+
+def _derive_everything(olx):
+    """Every derived structure of olx, in both directions; refusals of a
+    locale that lacks a precondition are passed over."""
+    f = olx.frame
+    calls = [lambda: [O.check_axiom(olx, law) for law in O.ALL_AXIOMS],
+             lambda: O.futures_frame(olx), lambda: O.pasts_frame(olx),
+             lambda: O.is_convex_locale(olx), lambda: O.is_biframe(olx),
+             lambda: O.check_regular_cones(olx), lambda: O.ideal_completion(olx),
+             lambda: [(O.convex_hull(olx, u), O.diamond(olx, u)) for u in f.elements()],
+             lambda: [O.causal_heyting(olx, f.top, u, d) for u in f.elements()
+                      for d in ("future", "past")],
+             lambda: D.points_space(olx), lambda: D.counit_check(olx),
+             lambda: D.check_axiom_P(olx), lambda: D.ideal_points(olx),
+             lambda: D.double_negation_transport(olx),
+             lambda: C.check_down_grothendieck(olx),
+             lambda: [C.coverage_rows(olx, d) for d in ("future", "past")],
+             lambda: [C.domain_of_dependence(olx, a, d) for a in f.elements()
+                      for d in ("future", "past")],
+             lambda: [(C.covers_below(olx, a, f.top), C.covers_above(olx, a, f.top))
+                      for a in f.elements()]]
+    for call in calls:
+        try:
+            call()
+        except OrdlocError:
+            pass
+
+
+def test_derived_structures_patch_no_locale():
+    # derived modules keep what they build in the locale's `memo`: a locale
+    # and its dual carry the attributes of a fresh locale, and no others
+    m22 = gen.minkowski_grid(gen.GridSpec(2, 2))
+    rows = S.induced_locale(m22, "em").rel_rows()
+    f = L.powerset_frame(4)
+    builds = (lambda: S.induced_locale(m22, "em"),
+              lambda: O.ordered_locale_from_relation(
+                  f, [(u, v) for u in f.elements() for v in bits(rows[u])]),
+              lambda: rows_locale(f, list(rows)))
+    for build in builds:
+        olx, fresh = build(), build()
+        _derive_everything(olx)
+        _derive_everything(O.dual_order(olx))
+        for x in (olx, O.dual_order(olx)):
+            assert set(x.memo) == {"futures", "pasts", "regular-cones", "points", "dual",
+                                   "atom-rel", "coverage-rows"}
+            assert set(vars(x)) - {"up_map", "down_map"} == \
+                set(vars(fresh)) - {"up_map", "down_map"}

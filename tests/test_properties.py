@@ -256,7 +256,7 @@ def assert_dod_matches_column_loop(loc, regions):
     f = loc.frame
     rows_built = f.is_atomistic() and len(regions) == f.m <= 512
     for direction, rows_direction in (("future", "past"), ("past", "future")):
-        work = loc if direction == "future" else C._dual_with_axioms(loc)
+        work = loc if direction == "future" else O.dual_order(loc)
         want_rows = [0] * f.m
         for a in regions:
             members, pending = oracles.coverage_column_loop(loc, work, a)
@@ -1597,7 +1597,7 @@ def assert_base_checks_match_least_non_join(loc):
             assert j in f.coprimes() and not gens >> j & 1
             assert functools.reduce(f.join, bits(f.down_row(j) & gens), f.bottom) != j
     if cases[0][0].ok:
-        assert cases[0][0].note == f"exhaustive; {L.popcount(convex)} convex elements form a base"
+        assert cases[0][0].note == f"exact: the {len(f.coprimes())} join-irreducibles are convex"
 
 
 @settings(max_examples=120, deadline=None)
