@@ -640,6 +640,27 @@ def convex_space_loop(space: OrderedSpace) -> CheckReport:
     return CheckReport("convex-space", "pass")
 
 
+def interior_cone_maps(space: OrderedSpace) -> tuple[list[int], list[int]]:
+    """Localic cones by definition: the interior of the pointwise up and
+    down cone of every open, in element-id order."""
+    f = space.frame
+    masks = [f.mask_of(i) for i in f.elements()]
+    return ([f.interior(space.up_mask(e)) for e in masks],
+            [f.interior(space.down_mask(e)) for e in masks])
+
+
+def open_cones_element_scan(space: OrderedSpace) -> CheckReport:
+    """Are the pointwise cones of every open open?  Every open in id order,
+    the up cone before the down cone; the witness is (open id, direction)."""
+    f = space.frame
+    for i in f.elements():
+        e = f.mask_of(i)
+        for direction, cone in (("up", space.up_mask(e)), ("down", space.down_mask(e))):
+            if not f.has_mask(cone):
+                return CheckReport("open-cones", "fail", (i, direction))
+    return CheckReport("open-cones", "pass")
+
+
 def slot_scan(olx: OrderedLocale, a: int, b, c: int):
     """A nonempty V <= A with b rel V rel c (V rel c when b is None): the
     largest candidate m = A & up(b) & down(c) if it fits, else the fitting

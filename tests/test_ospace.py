@@ -5,9 +5,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from ordloc import gen, lattice as L, olocale as O, ospace as S
-from ordloc.lattice import PointSet, mask_of_iter
+from ordloc.lattice import PointSet, bits, mask_of_iter
 
-from conftest import grid
+from conftest import count_calls, grid
 import oracles
 
 
@@ -124,6 +124,32 @@ def test_localic_cones_are_interiors_without_open_cones(non_oc):
         assert f.mask_of(loc.up_map[u]) == f.mask_of(f.interior(non_oc.up_mask(um)))
         assert f.mask_of(loc.down_map[u]) == \
             f.mask_of(f.interior(non_oc.down_mask(um)))
+
+
+def test_open_cones_take_no_interior_and_no_join_fold(monkeypatch):
+    # every cone of a down-set is a down-set, so on the 729 down-sets of the
+    # vertical 2x6 grid each cone value is open: no interior is taken and
+    # both list cones carry the join certificate in every variant
+    g = gen.vertical_grid(2, 6)
+    opens = [s for s in range(1 << g.n) if all(g.down[p] & ~s == 0 for p in bits(s))]
+    sp = S.OrderedSpace.build(g.n, [(p, q) for p in range(g.n) for q in bits(g.up[p])],
+                              opens=opens)
+    assert sp.frame.kind == "mask" and sp.frame.m == 729
+    calls = count_calls(monkeypatch, ((L.FiniteFrame, "interior"), (L, "_fold_failure")))
+    for v in ("em", "upper", "lower"):
+        assert S.induced_locale(sp, v).cones.joins == {"u": None, "d": None}
+    assert calls == {"interior": 0, "_fold_failure": 0}
+
+
+def test_cone_with_a_value_that_is_not_open_keeps_interior_and_fold(monkeypatch):
+    # the up cone of {*} is {*, 0}, not open: the up cone takes its interior
+    # and is folded; the down cone's values are all open
+    non_oc = gen.non_OC_example()
+    calls = count_calls(monkeypatch, ((L.FiniteFrame, "interior"), (L, "_fold_failure")))
+    loc = S.induced_locale(non_oc, "em")
+    assert S._cone_maps(non_oc)[2] == {"d": None}
+    assert calls == {"interior": 1, "_fold_failure": 1}
+    assert loc.cones.join_failure("u") == L.join_failure(non_oc.frame, loc.up_map)
 
 
 # -- separation -----------------------------------------------------------------------

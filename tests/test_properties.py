@@ -306,6 +306,36 @@ def test_dod_closed_form_matches_column_loop_on_grids(size, data):
 # -- axiom checker cross-routes ---------------------------------------------------------
 
 
+def test_open_cone_certificate_matches_interior_oracle():
+    # induced locales take a cone value without an interior where it is open
+    # and skip the join fold of a cone whose values are all open: their cone
+    # lists, join memos and law reports must equal those of the interiors
+    # validated with no certificate, and the open-cone pass at J must equal
+    # the element scan
+    cases = set()
+    spaces = [random_topology_space(random.Random(seed)) for seed in range(200)]
+    flipped = [S.OrderedSpace(sp.n, list(sp.down), sp.frame) for sp in spaces]
+    for sp in spaces + flipped + [gen.non_OC_example()]:
+        assert report_outcome(S.has_open_cones, sp)[:2] == \
+            report_outcome(oracles.open_cones_element_scan, sp)[:2], sp.up
+    for sp in spaces:
+        f = sp.frame
+        up, down = oracles.interior_cone_maps(sp)
+        top = [f.top] * f.m
+        for v, pair in (("em", (up, down)), ("upper", (up, top)), ("lower", (top, down))):
+            loc = S.induced_locale(sp, v)
+            want = O.ordered_locale_from_monads(O.ConePair(f, *pair))
+            for law in O.ALL_AXIOMS:
+                assert report_outcome(lambda x: O.check_axiom(x, law), loc) == \
+                    report_outcome(lambda x: O.check_axiom(x, law), want), (sp.up, v, law)
+            for name in "ud":
+                assert loc.cones.join_failure(name) == want.cones.join_failure(name)
+            assert (loc.up_map, loc.down_map) == pair, (sp.up, v)
+        if f.kind != "powerset":
+            cases.add(tuple(sorted(S._cone_maps(sp)[2])))
+    assert cases == {(), ("u",), ("d",), ("d", "u")}
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_em_locales_parallel_on_random_spaces(seed):
