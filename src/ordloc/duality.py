@@ -237,34 +237,64 @@ def _fold(rows: Sequence[int], op, unit: int, keys) -> list[int]:
     return out
 
 
-def _point_cones(rows: list[int], pms: list[int]) -> list[tuple[int, int, int]]:
-    """Per element U: pt(U), upcone(pt(U)) and downcone(pt(U)), as point
-    masks over the primes, from the point order rows and pt masks."""
-    return list(zip(pms, _fold(rows, or_, 0, pms),
-                    _fold(lat.transpose_rows(rows), or_, 0, pms)))
+def _cone_sides(olx: OrderedLocale, rows: list[int], pms: list[int], us):
+    """(U, upcone(pt(U)), pt(up(U)), downcone(pt(U)), pt(down(U))) for
+    each U in `us`, as point masks over the primes, from the point order
+    rows and pt masks."""
+    up, down, keys = olx.cones.u, olx.cones.d, [pms[u] for u in us]
+    return zip(us, _fold(rows, or_, 0, keys), [pms[up[u]] for u in us],
+               _fold(lat.transpose_rows(rows), or_, 0, keys), [pms[down[u]] for u in us])
 
 
-def _bullet_report(olx: OrderedLocale, pcones) -> CheckReport:
-    for u, (_, upc, dnc) in enumerate(pcones):
-        if upc != pcones[olx.up_map[u]][0]:
-            return CheckReport("bullet", "fail", (u,),
-                               "upcone(pt(U)) != pt(up(U))")
-        if dnc != pcones[olx.down_map[u]][0]:
-            return CheckReport("bullet", "fail", (u,),
-                               "downcone(pt(U)) != pt(down(U))")
-    return CheckReport("bullet", "pass", None, "exhaustive over opens")
+def _deciding(olx: OrderedLocale):
+    """The U that decide (bullet) and the point-cone inclusions: bottom and
+    J, in id order, where both cones pass the join kernel; else every U.
+
+    Lemma: pt preserves joins (a completely prime filter holds U | V iff it
+    holds U or V), and so does upcone, a union of point rows; pt(up(U))
+    does where up does.  So both sides of each law preserve binary joins,
+    and agree (or include) at every U once they do at bottom and at the j
+    below U, as U is their join.  A U that fails lies above a failing
+    generator, and where ids extend the order (`ids_extend_order`) that
+    generator is no larger: the least failing generator is the least
+    failing element, with the same side failing first."""
+    f, cones = olx.frame, olx.cones
+    if cones.join_failure("u") is None and cones.join_failure("d") is None:
+        return sorted({f.bottom, *f.coprimes()})
+    return f.elements()
+
+
+def _bullet_failure(sides) -> Optional[tuple[tuple, str]]:
+    for u, upc, upt, dnc, dnt in sides:
+        if upc != upt:
+            return (u,), "upcone(pt(U)) != pt(up(U))"
+        if dnc != dnt:
+            return (u,), "downcone(pt(U)) != pt(down(U))"
+    return None
+
+
+def _bullet_report(olx: OrderedLocale, rows: list[int], pms: list[int]) -> CheckReport:
+    """Axiom (bullet) at the deciding U (`_deciding`); a generator failure
+    on a frame whose ids do not extend its order rescans every U, for the
+    least witness."""
+    f, us = olx.frame, _deciding(olx)
+    bad = _bullet_failure(_cone_sides(olx, rows, pms, us))
+    if bad is not None and len(us) < f.m and not f.ids_extend_order():
+        bad = _bullet_failure(_cone_sides(olx, rows, pms, f.elements()))
+    if bad is None:
+        return CheckReport("bullet", "pass", None, "exhaustive over opens")
+    return CheckReport("bullet", "fail", *bad)
 
 
 def check_axiom_P(olx: OrderedLocale) -> CheckReport:
     """Axiom (bullet): cones commute with taking points,
     upcone(pt(U)) == pt(up(U)) and downcone(pt(U)) == pt(down(U))."""
-    return _bullet_report(olx, _point_cones(*_locale_point_data(olx)))
+    return _bullet_report(olx, *_locale_point_data(olx))
 
 
-def _cone_inclusions(olx: OrderedLocale, pcones) -> bool:
-    return all(upc & ~pcones[olx.up_map[u]][0] == 0
-               and dnc & ~pcones[olx.down_map[u]][0] == 0
-               for u, (_, upc, dnc) in enumerate(pcones))
+def _cone_inclusions(olx: OrderedLocale, rows: list[int], pms: list[int]) -> bool:
+    return all(upc & ~upt == 0 and dnc & ~dnt == 0
+               for _, upc, upt, dnc, dnt in _cone_sides(olx, rows, pms, _deciding(olx)))
 
 
 def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
@@ -275,7 +305,7 @@ def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
     locale's cone of pt(U) is the interior of upcone(pt(U)), which lies
     inside the open pt(up(U)) (dually for pasts).  So counit monotonicity
     is this check."""
-    return _cone_inclusions(olx, _point_cones(*_locale_point_data(olx)))
+    return _cone_inclusions(olx, *_locale_point_data(olx))
 
 
 def counit_check(olx: OrderedLocale) -> CheckReport:
@@ -287,8 +317,9 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
 
     The biconditional is Egli-Milner on point sets: pt(V) inside
     upcone(pt(U)) and pt(U) inside downcone(pt(V)).  So row U is the AND
-    of lacking[i] = {V : i not in pt(V)} over the i outside upcone(pt(U))
-    and of reached[i] = {V : i in downcone(pt(V))} over the i in pt(U).
+    of lacking[i] = {V : i not in pt(V)} over the i outside upcone(pt(U)),
+    which is pt(up(U)) by (bullet), and of reached[i] =
+    {V : i in downcone(pt(V))} over the i in pt(U).
     i is not in pt(V) iff V <= p_i, so lacking[i] = down_row(p_i); i is in
     downcone(pt(V)) iff pt(V) meets the point row of i, so reached[i] is
     the complement of the AND of lacking[k] over k in that row."""
@@ -296,10 +327,9 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     primes = f.primes()
     rows, pms = _locale_point_data(olx)
     spatial = len(set(pms)) == len(pms)          # pt(U) = pt(V) implies U = V
-    pcones = _point_cones(rows, pms)
-    brep = _bullet_report(olx, pcones)
+    brep = _bullet_report(olx, rows, pms)
     corder = ol.check_axiom(olx, "C-order")
-    monotone = _cone_inclusions(olx, pcones)
+    monotone = brep.ok or _cone_inclusions(olx, rows, pms)   # (bullet) is equality
     if not monotone:
         raise ValidationError("counit monotonicity failed; this should hold "
                               "in every ordered locale")
@@ -310,11 +340,10 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     biconditional = None
     if spatial and brep.ok and corder.ok:
         if f.m <= ol.PAIR_LIMIT:
-            n, full = len(primes), (1 << f.m) - 1
+            n, full, up = len(primes), (1 << f.m) - 1, olx.up_map
             lacking = _fold([f.down_row(p) for p in primes], and_, full,
-                            rows + [(1 << n) - 1 & ~upa for _, upa, _ in pcones])
-            reached = _fold([full & ~r for r in lacking[:n]], and_, full,
-                            [pa for pa, _, _ in pcones])
+                            rows + [(1 << n) - 1 & ~pms[up[u]] for u in f.elements()])
+            reached = _fold([full & ~r for r in lacking[:n]], and_, full, pms)
             rel = olx.rel_rows()
             for a, em in enumerate(map(and_, lacking[n:], reached)):
                 diff = em ^ rel[a]
@@ -428,8 +457,8 @@ def double_negation_transport(olx: OrderedLocale) -> CheckReport:
     if not all(sub_rows[r] >> a[r] & 1 and sub_rows[c[r]] >> r & 1 for r in sub.elements()):
         a, c = ol.cones_from_rows(sub, sub_rows)
     identity = sub is f and a == olx.up_map and c == olx.down_map
-    if identity and olx._rel_rows is None:     # these are the rows rel_rows() builds
-        olx._rel_rows = sub_rows
+    if identity:
+        olx.adopt_cone_rows(sub_rows)
     # row R pulled back along reg_of: {V : R rel reg_of[V]}
     back = sub_rows if sub is f else [ol._successors(fibre, r) for r in sub_rows]
     rows = olx.rel_rows()

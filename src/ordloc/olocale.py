@@ -54,6 +54,7 @@ witness against the law it claims to break.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import lattice as lat
@@ -231,6 +232,13 @@ class OrderedLocale:
                     f"will not materialize a relation on {self.frame.m} elements")
             self._rel_rows = cone_rows(self.frame, self.up_map, self.down_map)
         return self._rel_rows
+
+    def adopt_cone_rows(self, rows: list[int]) -> None:
+        """Keep `rows`, which a caller built as `cone_rows` of this locale's
+        own cones, as the rows `rel_rows()` would build; rows the locale
+        already has stay."""
+        if self._rel_rows is None:
+            self._rel_rows = rows
 
     def up(self, u: int) -> int:
         return self.cones.u[u]
@@ -969,17 +977,24 @@ def futures_frame(ol: OrderedLocale) -> tuple[FiniteFrame, FrameMap]:
     inclusion order, where the future cone of bottom is the top); then the
     ambient bottom is adjoined and flagged in frame.meta["adjoined_bottom"].
     """
-    return _cone_frame(ol, ol.up_map, "futures")
+    return _cone_frame(ol, "u", "futures")
 
 
 def pasts_frame(ol: OrderedLocale) -> tuple[FiniteFrame, FrameMap]:
-    return _cone_frame(ol, ol.down_map, "pasts")
+    return _cone_frame(ol, "d", "pasts")
 
 
-def _cone_frame(ol: OrderedLocale, cone, label) -> tuple[FiniteFrame, FrameMap]:
-    """The subframe on one cone's image and its inclusion map, built once
-    per locale and shared by every caller (none mutates them); a refusal
-    is not cached."""
+def _cone_frame(ol: OrderedLocale, name, label) -> tuple[FiniteFrame, FrameMap]:
+    """The subframe on the image of cone `name` and its inclusion map, built
+    once per locale and shared by every caller (none mutates them); a
+    refusal is not cached.
+
+    Generator lemma: a cone c that preserves binary joins is monotone and
+    has c(x) = c(bottom) | join{c(j) : j in J, j <= x}, and c(bottom)
+    joined with the c(j) of any set S of j is c(join S).  So its image is
+    {c(bottom)} closed under join with each c(j), built by doubling over
+    the distinct c(j): O(|image| |J|) joins, and no cone is listed.  An image above
+    SUBSET_LIMIT elements is refused (FrameTooLarge)."""
     cached = ol.memo.get(label)
     if cached is not None:
         return cached
@@ -987,10 +1002,17 @@ def _cone_frame(ol: OrderedLocale, cone, label) -> tuple[FiniteFrame, FrameMap]:
     bad = _cone_join_failure(ol)
     if bad is not None:
         raise ConesDoNotPreserveJoins(bad[0])
-    image = sorted(set(cone))
+    cone, join = getattr(ol.cones, name), or_ if f.kind == "powerset" else f.join
+    image = {cone[f.bottom]}
+    for g in {cone[j] for j in f.coprimes()}:
+        new = {join(x, g) for x in image}
+        new -= image
+        if len(image) + len(new) > lat.SUBSET_LIMIT:
+            raise FrameTooLarge(f"{label} frame exceeds {lat.SUBSET_LIMIT} elements")
+        image |= new
     meta = {"construction": label}
     if f.bottom not in image:
-        image = [f.bottom] + image
+        image.add(f.bottom)
         meta["adjoined_bottom"] = True
     sub, incl = lat.subframe(f, image, meta=meta)
     fmap = FrameMap(source=f, target=sub, preimage=list(incl))

@@ -9,9 +9,9 @@ from operator import and_
 
 from ordloc import coverage, olocale, ospace
 from ordloc.duality import points_space, prime_to_filter
-from ordloc.errors import (AxiomVFailure, FrameTooLarge, MissingBottomOrTop, NotALattice,
-                           NotClosedUnderJoin, NotClosedUnderMeet, NotDistributive,
-                           ValidationError)
+from ordloc.errors import (AxiomVFailure, ConesDoNotPreserveJoins, FrameTooLarge,
+                           MissingBottomOrTop, NotALattice, NotClosedUnderJoin,
+                           NotClosedUnderMeet, NotDistributive, ValidationError)
 from ordloc.lattice import (FiniteFrame, FrameMap, Value, bits, frame_from_down_rows,
                             frame_from_topology, mask_of_iter, popcount, powerset_frame,
                             rows_above, transitive_closure_rows, transpose_rows)
@@ -919,19 +919,63 @@ def point_cones_loop(rows: list[int], pms: list[int]) -> list[tuple[int, int, in
     return out
 
 
+def transpose_by_bits(rows: list[int]) -> list[int]:
+    """Column j of a square bitmask matrix collects i for every bit j of row i."""
+    cols = [0] * len(rows)
+    for i, r in enumerate(rows):
+        for j in bits(r):
+            cols[j] |= 1 << i
+    return cols
+
+
+def cone_frame_by_list(olx: OrderedLocale, name: str, label: str):
+    """The cone frame on the listed image of cone `name`, with the ambient
+    bottom adjoined if missing, by `subframe_by_pairs`, and its inclusion;
+    refused as `olocale.futures_frame` refuses."""
+    bad = olocale._cone_join_failure(olx)
+    if bad is not None:
+        raise ConesDoNotPreserveJoins(bad[0])
+    cone = getattr(olx.cones, name)
+    image = sorted(set(cone.tolist() if hasattr(cone, "tolist") else cone))
+    meta = {"construction": label}
+    if olx.frame.bottom not in image:
+        image = [olx.frame.bottom] + image
+        meta["adjoined_bottom"] = True
+    sub, incl = subframe_by_pairs(olx.frame, image, meta=meta)
+    FrameMap(source=olx.frame, target=sub, preimage=list(incl)).validate()
+    return sub, incl
+
+
+def bullet_scan(olx: OrderedLocale, pcones) -> CheckReport:
+    """Axiom (bullet) tested at every element in id order, with the
+    `point_cones_loop` triples of every element."""
+    for u, (_, upc, dnc) in enumerate(pcones):
+        if upc != pcones[olx.up_map[u]][0]:
+            return CheckReport("bullet", "fail", (u,), "upcone(pt(U)) != pt(up(U))")
+        if dnc != pcones[olx.down_map[u]][0]:
+            return CheckReport("bullet", "fail", (u,), "downcone(pt(U)) != pt(down(U))")
+    return CheckReport("bullet", "pass", None, "exhaustive over opens")
+
+
+def cone_inclusions_scan(olx: OrderedLocale, pcones) -> bool:
+    """upcone(pt(U)) inside pt(up(U)) and dually, at every element."""
+    return all(upc & ~pcones[olx.up_map[u]][0] == 0
+               and dnc & ~pcones[olx.down_map[u]][0] == 0
+               for u, (_, upc, dnc) in enumerate(pcones))
+
+
 def counit_check_loop(olx: OrderedLocale) -> CheckReport:
     """`duality.counit_check` with the Egli-Milner masks built point by
     point: lacking[i] and reached[i] collect the V with i outside pt(V)
     and with i in downcone(pt(V)), and row U ANDs them bit by bit."""
-    from ordloc import duality
     f = olx.frame
     primes = f.primes()
     rows, pms = point_data_loop(olx, primes)
     spatial = len(set(pms)) == len(pms)
     pcones = point_cones_loop(rows, pms)
-    brep = duality._bullet_report(olx, pcones)
+    brep = bullet_scan(olx, pcones)
     corder = check_axiom(olx, "C-order")
-    monotone = duality._cone_inclusions(olx, pcones)
+    monotone = cone_inclusions_scan(olx, pcones)
     if not monotone:
         raise ValidationError("counit monotonicity failed; this should hold "
                               "in every ordered locale")

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import functools
 import io
 import json
 import os
@@ -181,8 +182,8 @@ def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
     assert out.stderr == message + "\n"
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+def _cap_address_space(limit=512 << 20):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_cli_diamond_basis_m66_is_the_discrete_document():
@@ -211,11 +212,23 @@ def run_discrete(n, argv):
     ["points", "-"], ["futures", "-"], ["ips", "-"], ["dot", "-"],
 ], ids=lambda argv: argv[0])
 def test_cli_refuses_40_point_discrete_space(argv):
-    # these read whole cone lists (or draw every element): 2**40 opens are
-    # refused before any list is allocated
+    # `points` reads pt(U) for every element and `dot` draws every element,
+    # so 2**40 opens are refused before any list is allocated; the cone
+    # frames of `futures` and `ips` are all 2**40 subsets, refused once
+    # their closure from the generator values passes 2**20 elements
     out = run_discrete(40, argv)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
+def test_cli_lists_futures_frame_of_14_point_discrete_space():
+    # the futures frame is the whole powerset, 2**14 elements: its tables
+    # are transposed bit by bit above lattice.PACK_ROWS rows, so no packed
+    # matrix or block-swap mask of 2**28 bits is built under the 512 MB cap
+    out = run_discrete(14, ["futures", "-"])
+    assert (out.returncode, out.stderr) == (0, "")
+    lines = out.stdout.splitlines()
+    assert lines[0] == "futures frame: 16384 elements" and len(lines) == 16385
 
 
 @pytest.mark.parametrize("argv,expect", [
@@ -253,6 +266,24 @@ def test_cli_cov_at_generator_scale():
     assert (out.returncode, out.stderr) == (1, "")
     assert out.stdout == ("no witness path {p1} (certified: all insertion slots along "
                           "the witness chain are empty)\n")
+
+
+@pytest.mark.parametrize("t,size,ips", [(5, 340, 25), (6, 1193, 36)], ids=["m55", "m66"])
+def test_cli_cone_frames_and_ips_at_generator_scale(t, size, ips):
+    # the cone frames close the t*t generator values under union, so M55
+    # (2**25 opens) and M66 (2**36) list their frames without a cone list
+    doc = cli.serialize(cli.doc_of_space(gen.minkowski_grid(gen.GridSpec(t, t))))
+    outs = {cmd: subprocess.run([sys.executable, "-m", "ordloc.cli", cmd, "-"], input=doc,
+                                capture_output=True, text=True, timeout=10,
+                                preexec_fn=functools.partial(_cap_address_space, 1 << 30))
+            for cmd in ("futures", "pasts", "ips")}
+    assert all((o.returncode, o.stderr) == (0, "") for o in outs.values())
+    for cmd in ("futures", "pasts"):
+        lines = outs[cmd].stdout.splitlines()
+        assert lines[0] == f"{cmd} frame: {size} elements" and len(lines) == size + 1
+    lines = outs["ips"].stdout.splitlines()
+    assert (lines[0], lines[ips + 1]) == (f"IPs ({ips}):", f"IFs ({ips}):")
+    assert lines[-1] == f"future points: {ips}, past points: {ips}, negation bijection: True"
 
 
 def test_cli_refuses_41_point_discrete_check():

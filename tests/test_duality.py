@@ -170,6 +170,37 @@ def test_bullet_fails_on_constructed_instance(bowtie):
     assert upc != pms[olx.up_map[u]] or dnc != pms[olx.down_map[u]]
 
 
+def test_bullet_matches_per_element_scans_report_for_report(bowtie):
+    # the failing bowtie relation and every duality case: (bullet) read at
+    # bottom and J (or scanned) gives the per-element scan's report, and
+    # the point-cone inclusions its verdict
+    f = bowtie.frame
+    failing = O.ordered_locale_from_relation(f, [(f.id_of_mask(0b1011), f.top)])
+    verdicts = set()
+    for name, olx in [("bowtie/relation", failing)] + [(n, make()) for n, make in duality_cases()]:
+        pcones = oracles.point_cones_loop(*D._point_data(olx, olx.frame.primes()))
+        got, want = D.check_axiom_P(olx), oracles.bullet_scan(olx, pcones)
+        assert (got.verdict, got.witness, got.note) == \
+            (want.verdict, want.witness, want.note), name
+        assert D.point_cone_inclusions_hold(olx) == oracles.cone_inclusions_scan(olx, pcones)
+        verdicts.add(got.verdict)
+    assert verdicts == {"pass", "fail"}
+
+
+def test_cone_frames_ideal_points_and_counit_on_m44_list_no_cone(monkeypatch):
+    # the cone frames close the generator values under join, and (bullet)
+    # and the cone inclusions are read at bottom and J, so the README tour
+    # and `points` on M44 (2**16 opens) list neither cone
+    olx = S.induced_locale(gen.minkowski_grid(gen.GridSpec(4, 4)), "em")
+    calls = count_calls(monkeypatch, ((L.SubsetCone, "tolist"),))
+    fut, pas, ips = O.futures_frame(olx)[0], O.pasts_frame(olx)[0], D.ideal_points(olx)
+    pts, counit = D.points_space(olx), D.counit_check(olx)
+    assert calls == {"tolist": 0}
+    assert (fut.m, pas.m, len(ips.ips), len(ips.ifs)) == (95, 95, 16, 16)
+    assert ips.negation_bijection is True
+    assert pts.n == 16 and counit.ok and counit.details["bullet"]
+
+
 def test_counit_m33(loc33):
     rep = D.counit_check(loc33)
     assert rep.ok
