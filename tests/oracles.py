@@ -256,11 +256,27 @@ def order_from_map_pairs(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLoc
                          meta={"construction": "order_from_map"})
 
 
+SIEVE_FRAME_LIMIT = 24      # sieves are enumerated exhaustively up to this size
+SIEVE_LIMIT = 4096          # sieves enumerated on one element
+
+
+def downsets_of(frame: FiniteFrame, top_elem: int) -> list[int]:
+    """Down-closed subsets of the interval below top_elem, as id-bitmasks."""
+    out = {0}
+    for x in bits(frame.down_row(top_elem)):
+        dx = frame.down_row(x)
+        out |= {s | dx for s in out if not s >> x & 1}
+        if len(out) > SIEVE_LIMIT:
+            raise FrameTooLarge("sieve enumeration exceeded the cap")
+    return sorted(out)
+
+
 def check_down_grothendieck_loop(olx: OrderedLocale) -> CheckReport:
-    """The sieve axioms one membership at a time, with early exits."""
+    """The sieve axioms one membership at a time, over every sieve, with
+    early exits; a pullback failure names the least (U, W)."""
     f = olx.frame
-    if f.m > coverage.SIEVE_FRAME_LIMIT:
-        raise FrameTooLarge(f"sieve check capped at {coverage.SIEVE_FRAME_LIMIT} elements")
+    if f.m > SIEVE_FRAME_LIMIT:
+        raise FrameTooLarge(f"sieve check capped at {SIEVE_FRAME_LIMIT} elements")
     rows = coverage.coverage_rows(olx, "past")
 
     def member(a, u):
@@ -268,7 +284,7 @@ def check_down_grothendieck_loop(olx: OrderedLocale) -> CheckReport:
 
     for u in f.elements():
         du = olx.down_map[u]
-        sieves = coverage._downsets_of(f, du)
+        sieves = downsets_of(f, du)
         # (i) maximal sieve covers
         if not member(du, u):
             return CheckReport("grothendieck", "fail", (u,),
@@ -280,10 +296,9 @@ def check_down_grothendieck_loop(olx: OrderedLocale) -> CheckReport:
         joins = {s: f.join_of_idmask(s) for s in sieves}
         covering = [s for s in sieves if member(joins[s], u)]
         # (ii) pullback stability along W <= U
-        for s in covering:
-            js = joins[s]
-            for w in bits(f.down_row(u)):
-                if not member(f.meet(olx.down_map[w], js), w):
+        for w in bits(f.down_row(u)):
+            for s in covering:
+                if not member(f.meet(olx.down_map[w], joins[s]), w):
                     return CheckReport("grothendieck", "fail", (u, w),
                                        "pullback of a covering sieve stopped "
                                        "covering")
@@ -291,8 +306,8 @@ def check_down_grothendieck_loop(olx: OrderedLocale) -> CheckReport:
         for s in covering:
             for r in sieves:
                 jr = joins[r]
-                premise = all(member(f.meet(olx.down_map[v], jr), v) for v in bits(s))
-                if premise and not member(jr, u):
+                if not member(jr, u) and all(member(f.meet(olx.down_map[v], jr), v)
+                                             for v in bits(s)):
                     return CheckReport("grothendieck", "fail", (u,),
                                        "locally covering sieve does not cover")
     rep = CheckReport("grothendieck", "pass", None,

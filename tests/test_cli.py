@@ -330,12 +330,20 @@ def test_cli_grothendieck_and_ideals():
     g = run_cli(["grothendieck", "-"], m22_text)
     assert g.returncode == 0
     assert g.stdout == "grothendieck: pass (exhaustive sieve enumeration; 0 abstentions)\n"
-    # the sieve check keeps its own 24-element cap; --dot-limit sizes DOT
-    # output only
+    # the sieve check has no cap of its own: M23 answers like M22, and only
+    # the membership rows refuse (M34 has 4,096 elements); an upper locale
+    # of M23 fails the coverage's required axioms first
     m23_text = cli.serialize(cli.doc_of_space(gen.minkowski_grid(gen.GridSpec(2, 3))))
-    g = run_cli(["grothendieck", "-", "--dot-limit", "128"], m23_text)
+    g = run_cli(["grothendieck", "-"], m23_text)
+    assert g.returncode == 0
+    assert g.stdout == "grothendieck: pass (exhaustive sieve enumeration; 0 abstentions)\n"
+    m34_text = cli.serialize(cli.doc_of_space(gen.minkowski_grid(gen.GridSpec(3, 4))))
+    g = run_cli(["grothendieck", "-"], m34_text)
     assert g.returncode == 2 and g.stdout == ""
-    assert g.stderr == "error: sieve check capped at 24 elements\n"
+    assert g.stderr == "error: bulk coverage capped at materializable sizes\n"
+    g = run_cli(["grothendieck", "-", "--variant", "upper"], m23_text)
+    assert g.returncode == 2 and g.stdout == ""
+    assert g.stderr == "error: required axiom parallel does not hold\n"
     ide = run_cli(["ideals", "-"], m22_text)
     assert ide.returncode == 0 and "ideals (" in ide.stdout
 

@@ -9,6 +9,7 @@ from ordloc import coverage as C, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import (
     ConcatMismatch,
     EmptyRestriction,
+    FrameTooLarge,
     NotASubregion,
     NotParallelOrdered,
     NotRelated,
@@ -479,3 +480,31 @@ def test_grothendieck_trivial_frame():
     f = L.frame_from_topology(1, [0, 1])
     rep = C.check_down_grothendieck(O.equality_order(f))
     assert rep.ok and rep.abstentions == 0
+
+
+@pytest.mark.parametrize("size", [(2, 3), (3, 3)])
+def test_grothendieck_m23_m33_pass_exhaustively(size):
+    # sieves are read at their joins, so the 64- and 512-element frames
+    # answer like M22, with the same note
+    loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(*size)), "em")
+    rep = C.check_down_grothendieck(loc)
+    assert (rep.verdict, rep.note, rep.abstentions) == \
+        ("pass", "exhaustive sieve enumeration; 0 abstentions", 0)
+
+
+def test_grothendieck_answers_at_rel_limit():
+    # eleven spacelike points: 2,048 elements, REL_LIMIT itself
+    loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(1, 11)), "em")
+    assert loc.frame.m == O.REL_LIMIT and loc.frame.is_atomistic()
+    rep = C.check_down_grothendieck(loc)
+    assert (rep.verdict, rep.abstentions) == ("pass", 0)
+
+
+def test_grothendieck_refuses_where_coverage_rows_does():
+    # its only size guard is that of the membership rows: M34 has 4,096
+    # elements, and chain3 is not atomistic
+    m34 = S.induced_locale(gen.minkowski_grid(gen.GridSpec(3, 4)), "em")
+    with pytest.raises(FrameTooLarge, match="bulk coverage capped at materializable sizes"):
+        C.check_down_grothendieck(m34)
+    with pytest.raises(FrameTooLarge, match="bulk coverage needs an atomistic frame"):
+        C.check_down_grothendieck(gen.em_locale("chain3"))

@@ -878,20 +878,16 @@ def grothendieck_outcome(fn, olx):
     return rep.verdict, rep.witness, rep.note, getattr(rep, "abstentions", None)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000))
-def test_grothendieck_mask_form_matches_membership_loop(seed):
-    # induced locales of random spaces (and their rows copies) with their
-    # own coverage, then the same frame and cones with a perturbed coverage
-    # table, so that every failure branch is reached
+def grothendieck_tables(seed):
+    """An induced locale of a random space (or its rows copy), and a
+    perturbed copy of its coverage table, so that every failure branch is
+    reached."""
     rng = random.Random(seed)
     sp = random_topology_space(rng)
     olx = S.induced_locale(sp, rng.choice(["em", "em", "upper", "lower"]))
     if rng.random() < 0.5:
         olx = rows_locale(olx.frame, olx.rel_rows())
     f = olx.frame
-    assert grothendieck_outcome(C.check_down_grothendieck, olx) == \
-        grothendieck_outcome(oracles.check_down_grothendieck_loop, olx)
     try:
         rows = list(C.coverage_rows(olx, "past"))
     except (PreconditionAxioms, FrameTooLarge):
@@ -902,10 +898,47 @@ def test_grothendieck_mask_form_matches_membership_loop(seed):
                 rows[u] ^= 1 << a
             if rng.random() < 0.08:
                 rows[u] &= ~(1 << a)
+    return olx, rows
+
+
+def grothendieck_outcomes(olx, rows=None):
+    """The check's and the membership loop's outcomes, on the locale's own
+    coverage or, given rows, on that table."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "coverage_rows", lambda loc, direction: rows)
-        assert grothendieck_outcome(C.check_down_grothendieck, olx) == \
-            grothendieck_outcome(oracles.check_down_grothendieck_loop, olx), rows
+        if rows is not None:
+            mp.setattr(C, "coverage_rows", lambda loc, direction: rows)
+        return (grothendieck_outcome(C.check_down_grothendieck, olx),
+                grothendieck_outcome(oracles.check_down_grothendieck_loop, olx))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_grothendieck_mask_form_matches_membership_loop(seed):
+    # the locale's own coverage, then the same frame and cones with a
+    # perturbed coverage table
+    olx, rows = grothendieck_tables(seed)
+    for table in (None, rows):
+        got, want = grothendieck_outcomes(olx, table)
+        assert got == want, table
+
+
+def test_grothendieck_sweep_reaches_every_branch():
+    # a fixed seed range, whatever Hypothesis draws: over own and perturbed
+    # tables the pass and each of the four failure notes occur, and every
+    # verdict, witness and note equals the membership loop's
+    notes = {"exhaustive sieve enumeration; 0 abstentions": 0,
+             "maximal sieve on down(U) does not cover U": 0,
+             "unit pushforward sieve does not cover U": 0,
+             "pullback of a covering sieve stopped covering": 0,
+             "locally covering sieve does not cover": 0}
+    for seed in range(200):
+        olx, rows = grothendieck_tables(seed)
+        for table in (None, rows):
+            got, want = grothendieck_outcomes(olx, table)
+            assert got == want, (seed, table)
+            if len(got) == 4:
+                notes[got[2]] += 1
+    assert all(notes.values()), notes
 
 
 @settings(max_examples=40, deadline=None)
