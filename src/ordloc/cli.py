@@ -71,10 +71,12 @@ def _frame_to_json(frame: FiniteFrame) -> dict:
 
 
 def _id(x, n: int, path: str) -> int:
-    """An integer id in 0..n-1."""
-    try:
-        i = int(x)
-    except (TypeError, ValueError):
+    """An integer id in 0..n-1, from a JSON integer or a decimal string (as
+    --region and --target give it); a bool or a float is refused, not
+    truncated."""
+    try:    # int("") raises, as a malformed string does
+        i = x if type(x) is int else int(x if type(x) is str else "")
+    except ValueError:
         raise ParseError(f"{x!r} is not an integer id", path) from None
     if not 0 <= i < n:
         raise ParseError(f"id {i} out of range 0..{n - 1}", path)
@@ -106,7 +108,9 @@ def _opens(opens, n: int, path: str):
 
 def _frame_from_json(obj: dict, path: str) -> FiniteFrame:
     try:
-        base = int(obj["base"])
+        base = obj["base"]
+        if type(base) is not int:
+            raise ValueError(f"base {base!r} is not an integer")
         if base < 0:
             raise ValueError(f"negative base {base}")
         labels = [str(s) for s in obj.get("points", range(base))]
@@ -268,29 +272,16 @@ def _emit(args, payload_text: str):
         sys.stdout.write(payload_text)
 
 
-def _report_lines(frame, reports) -> list[str]:
-    return [r.pretty(frame) for r in reports]
-
-
-def _finish(args, frame, reports, extra=None) -> int:
-    code = 0
-    for r in reports:
-        if getattr(r, "verdict", "pass") == "fail":
-            code = 1
+def _finish(args, frame, reports) -> int:
+    code = int(any(r.verdict == "fail" for r in reports))
     if args.json:
         blob = {"reports": [
             {"law": r.law, "verdict": r.verdict,
              "witness": list(r.witness) if r.witness is not None else None,
-             "note": r.note} for r in reports]}
-        if extra:
-            blob.update(extra)
-        blob["exit"] = code
+             "note": r.note} for r in reports], "exit": code}
         _emit(args, json.dumps(blob, sort_keys=True, indent=1) + "\n")
     else:
-        lines = _report_lines(frame, reports)
-        if extra:
-            lines += [f"{k}: {v}" for k, v in extra.items()]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(r.pretty(frame) for r in reports) + "\n")
     return code
 
 
@@ -354,16 +345,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    doc = parse(_read_input(args.input), strict=args.strict)
+def _cmd_check(args, doc: Document) -> int:
     olx = _as_locale(doc, args.variant)
     laws = list(ol.ALL_AXIOMS) if args.axiom == "all" else [args.axiom]
     reports = [ol.check_axiom(olx, law) for law in laws]
     return _finish(args, olx.frame, reports)
 
 
-def _cmd_unary(args, fn) -> int:
-    doc = parse(_read_input(args.input), strict=args.strict)
+def _cmd_unary(args, doc: Document, fn) -> int:
     olx = _as_locale(doc, args.variant)
     u = _region_elem(doc, args.region)
     res = fn(olx, u)
@@ -371,9 +360,8 @@ def _cmd_unary(args, fn) -> int:
     return 0
 
 
-def _cmd_points(args) -> int:
+def _cmd_points(args, doc: Document) -> int:
     from . import duality as dua
-    doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     pts = dua.points_space(olx)
     lines = [f"points: {pts.n}"]
@@ -386,9 +374,8 @@ def _cmd_points(args) -> int:
     return 0 if rep.ok else 1
 
 
-def _cmd_ips(args) -> int:
+def _cmd_ips(args, doc: Document) -> int:
     from . import duality as dua
-    doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     ips = dua.ideal_points(olx)
     f = olx.frame
@@ -403,8 +390,7 @@ def _cmd_ips(args) -> int:
     return 0
 
 
-def _cmd_cone_frames(args, which) -> int:
-    doc = parse(_read_input(args.input), strict=args.strict)
+def _cmd_cone_frames(args, doc: Document, which) -> int:
     olx = _as_locale(doc, args.variant)
     frame, _ = (ol.futures_frame(olx) if which == "futures"
                 else ol.pasts_frame(olx))
@@ -416,9 +402,8 @@ def _cmd_cone_frames(args, which) -> int:
     return 0
 
 
-def _cmd_dod(args) -> int:
+def _cmd_dod(args, doc: Document) -> int:
     from . import coverage as cov
-    doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     a = _region_elem(doc, args.region)
     res = cov.domain_of_dependence(olx, a, args.direction)
@@ -428,9 +413,8 @@ def _cmd_dod(args) -> int:
     return 0 if res.exact else 3
 
 
-def _cmd_cov(args) -> int:
+def _cmd_cov(args, doc: Document) -> int:
     from . import coverage as cov
-    doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     a = _region_elem(doc, args.region)
     u = _region_elem(doc, args.target, "--target")
@@ -444,18 +428,16 @@ def _cmd_cov(args) -> int:
     return {"yes": 0, "no": 1, "inconclusive": 3}[v.status]
 
 
-def _cmd_grothendieck(args) -> int:
+def _cmd_grothendieck(args, doc: Document) -> int:
     from . import coverage as cov
-    doc = parse(_read_input(args.input), strict=args.strict)
     olx = _as_locale(doc, args.variant)
     rep = cov.check_down_grothendieck(olx)
     _emit(args, rep.pretty(olx.frame) + "\n")
     return 0 if rep.ok else 1
 
 
-def _cmd_ideals(args) -> int:
+def _cmd_ideals(args, doc: Document) -> int:
     from . import duality as dua
-    doc = parse(_read_input(args.input), strict=args.strict)
     if not isinstance(doc.payload, OrderedSpace):
         raise ValidationError("ideals wants a space document")
     space = doc.payload
@@ -470,14 +452,12 @@ def _cmd_ideals(args) -> int:
     return 0 if psf.ok else 1
 
 
-def _cmd_dot(args) -> int:
-    doc = parse(_read_input(args.input), strict=args.strict)
+def _cmd_dot(args, doc: Document) -> int:
     _emit(args, export_dot(doc, what=args.what, limit=args.dot_limit))
     return 0
 
 
-def _cmd_cones(args) -> int:
-    doc = parse(_read_input(args.input), strict=args.strict)
+def _cmd_cones(args, doc: Document) -> int:
     olx = _as_locale(doc, args.variant)
     u = _region_elem(doc, args.region)
     _emit(args, f"up: {olx.frame.pretty(olx.up(u))}\n"
@@ -485,28 +465,53 @@ def _cmd_cones(args) -> int:
     return 0
 
 
-# subcommand -> (help, handler), in the order `ordloc -h` lists them
+# subcommand -> (help, handler, the shared options it reads), in the order
+# `ordloc -h` lists them; every subcommand but gen also takes the document
+# (input), --strict and --out, and its handler is given the parsed document
 COMMANDS = {
-    "gen": ("generate a standard instance", _cmd_gen),
-    "check": ("run axiom checks", _cmd_check),
-    "cones": ("compute cones of --region", _cmd_cones),
-    "hull": ("compute hull of --region", lambda a: _cmd_unary(a, ol.convex_hull)),
+    "gen": ("generate a standard instance", _cmd_gen, ()),
+    "check": ("run axiom checks", _cmd_check, ("--variant", "--axiom", "--json")),
+    "cones": ("compute cones of --region", _cmd_cones, ("--variant", "--region")),
+    "hull": ("compute hull of --region", lambda a, d: _cmd_unary(a, d, ol.convex_hull),
+             ("--variant", "--region")),
     "complement": ("compute complement of --region",
-                   lambda a: _cmd_unary(a, ol.causal_complement)),
-    "diamond": ("compute diamond of --region", lambda a: _cmd_unary(a, ol.diamond)),
-    "points": ("space of points + counit report", _cmd_points),
-    "ips": ("ideal points", _cmd_ips),
-    "futures": ("frame of futures", lambda a: _cmd_cone_frames(a, "futures")),
-    "pasts": ("frame of pasts", lambda a: _cmd_cone_frames(a, "pasts")),
-    "dod": ("domain of dependence of --region", _cmd_dod),
-    "cov": ("does --region cover --target", _cmd_cov),
-    "grothendieck": ("sieve axioms of the coverage", _cmd_grothendieck),
-    "ideals": ("relation ideals of a space", _cmd_ideals),
-    "dot": ("DOT export of the frame", _cmd_dot),
+                   lambda a, d: _cmd_unary(a, d, ol.causal_complement),
+                   ("--variant", "--region")),
+    "diamond": ("compute diamond of --region", lambda a, d: _cmd_unary(a, d, ol.diamond),
+                ("--variant", "--region")),
+    "points": ("space of points + counit report", _cmd_points, ("--variant",)),
+    "ips": ("ideal points", _cmd_ips, ("--variant",)),
+    "futures": ("frame of futures", lambda a, d: _cmd_cone_frames(a, d, "futures"),
+                ("--variant",)),
+    "pasts": ("frame of pasts", lambda a, d: _cmd_cone_frames(a, d, "pasts"),
+              ("--variant",)),
+    "dod": ("domain of dependence of --region", _cmd_dod,
+            ("--variant", "--region", "--direction")),
+    "cov": ("does --region cover --target", _cmd_cov,
+            ("--variant", "--region", "--target", "--direction", "--max-path-len")),
+    "grothendieck": ("sieve axioms of the coverage", _cmd_grothendieck, ("--variant",)),
+    "ideals": ("relation ideals of a space", _cmd_ideals, ("--strict-rel",)),
+    "dot": ("DOT export of the frame", _cmd_dot, ("--what", "--dot-limit")),
+}
+
+# shared option -> its add_argument keywords
+OPTIONS = {
+    "--variant": {"default": "em", "choices": ["em", "upper", "lower"]},
+    "--axiom": {"default": "all", "choices": ["all", *ol.ALL_AXIOMS]},
+    "--json": {"action": "store_true"},
+    "--region": {"default": ""},
+    "--target": {"default": ""},
+    "--direction": {"default": "future", "choices": ["future", "past"]},
+    "--max-path-len": {"type": int, "default": None},
+    "--strict-rel": {"action": "store_true",
+                     "help": "drop reflexive pairs before ideal enumeration"},
+    "--what": {"default": "hasse", "choices": ["hasse", "cones", "hulls"]},
+    "--dot-limit": {"type": int, "default": 128},
 }
 
 
 def _add_options(name: str, p: argparse.ArgumentParser) -> None:
+    """Give subparser `name` the options its handler reads, and no other."""
     if name == "gen":
         p.add_argument("what", choices=list(GEN_FLAGS))
         p.add_argument("--t", type=int)
@@ -517,25 +522,12 @@ def _add_options(name: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--topology", choices=["discrete", "diamond_basis", "codiscrete"])
         p.add_argument("--defect", action="append")
         p.add_argument("--name")
-        p.add_argument("--out", default=None)
-        p.add_argument("--json", action="store_true")
-        return
-    p.add_argument("input", help="document file or - for stdin")
-    p.add_argument("--variant", default="em", choices=["em", "upper", "lower"])
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--json", action="store_true")
+    else:
+        p.add_argument("input", help="document file or - for stdin")
+        p.add_argument("--strict", action="store_true")
+        for flag in COMMANDS[name][2]:
+            p.add_argument(flag, **OPTIONS[flag])
     p.add_argument("--out", default=None)
-    p.add_argument("--region", default="")
-    p.add_argument("--target", default="")
-    p.add_argument("--direction", default="future", choices=["future", "past"])
-    p.add_argument("--max-path-len", type=int, default=None)
-    p.add_argument("--dot-limit", type=int, default=128)
-    p.add_argument("--strict-rel", action="store_true",
-                   help="drop reflexive pairs before ideal enumeration")
-    if name == "check":
-        p.add_argument("--axiom", default="all", choices=["all", *ol.ALL_AXIOMS])
-    elif name == "dot":
-        p.add_argument("--what", default="hasse", choices=["hasse", "cones", "hulls"])
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -547,7 +539,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                                  description="finite ordered locale workbench")
     sub = ap.add_subparsers(dest="cmd", required=True)
     invoked = argv[0] if argv and argv[0] in COMMANDS else None
-    for name, (help_text, _) in COMMANDS.items():
+    for name, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if invoked in (None, name):
             _add_options(name, p)
@@ -557,8 +549,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
+    handler = COMMANDS[args.cmd][1]
     try:
-        return COMMANDS[args.cmd][1](args)
+        if args.cmd == "gen":
+            return handler(args)
+        return handler(args, parse(_read_input(args.input), strict=args.strict))
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

@@ -460,7 +460,7 @@ def double_negation_transport(olx: OrderedLocale) -> CheckReport:
     if identity:
         olx.adopt_cone_rows(sub_rows)
     # row R pulled back along reg_of: {V : R rel reg_of[V]}
-    back = sub_rows if sub is f else [ol._successors(fibre, r) for r in sub_rows]
+    back = sub_rows if sub is f else [lat.or_rows(fibre, r) for r in sub_rows]
     rows = olx.rel_rows()
     for u in f.elements():
         diff = back[reg_of[u]] ^ rows[u]
@@ -526,7 +526,7 @@ def triangle_ideals(base_size: int, rel) -> list[PointSet]:
     succ = _rel_rows_input(base_size, rel)
     pred = lat.transpose_rows(succ)
     star = lat.transitive_closure_rows(pred)          # star[y] = {x : x R* y}
-    plus = [reduce(or_, map(star.__getitem__, bits(r)), 0) for r in pred]
+    plus = [lat.or_rows(star, r) for r in pred]
     cands = {p for z, p in enumerate(plus) if p >> z & 1}
     return [PointSet(base_size, s) for s in sorted(cands) if _is_ideal(succ, pred, s)]
 

@@ -65,7 +65,8 @@ from .errors import (
     NotAMonad,
     ValidationError,
 )
-from .lattice import FiniteFrame, FrameMap, bits, join_failure, mask_of_iter
+from .lattice import (FiniteFrame, FrameMap, bits, join_failure, mask_of_iter,
+                      or_rows)
 
 PAIR_LIMIT = 1050        # full O(m^2) pair scans allowed up to this size
 TRIPLE_LIMIT = 40        # wedge laws always by exact scan up to this size
@@ -268,7 +269,7 @@ def cones_from_rows(frame: FiniteFrame, rows: list[int]) -> tuple[list[int], lis
     below the join of column V iff some U >= j has V in its row (j is
     join-prime), so the columns are never built: O(m |J|)."""
     up_map = [frame.join_of_idmask(r) for r in rows]
-    reach = [(j, _successors(rows, frame.up_row(j))) for j in frame.coprimes()]
+    reach = [(j, or_rows(rows, frame.up_row(j))) for j in frame.coprimes()]
     down_map = [frame.join_all(j for j, r in reach if r >> v & 1)
                 for v in frame.elements()]
     return up_map, down_map
@@ -307,7 +308,7 @@ def _translation_gap(frame: FiniteFrame, rows: Sequence[int]) -> Optional[tuple]
             pre = [r & up | r >> j & ~up for r in rows]     # read at t >= J
         else:
             shift, fibre = _join_fibres(f, j)
-            pre = {t: _successors(fibre, rows[t] & up) for t in bits(up)}
+            pre = {t: or_rows(fibre, rows[t] & up) for t in bits(up)}
         tests.append((j, shift, pre))
     for u in f.elements():
         gap = None
@@ -351,7 +352,7 @@ def _translation_closure(frame: FiniteFrame, rows: list[int]) -> list[int]:
         else:
             shift, fibre = _join_fibres(f, j)
             for t in bits(up):
-                lack = _successors(rows, fibre[t]) & ~_successors(fibre, rows[t] & up)
+                lack = or_rows(rows, fibre[t]) & ~or_rows(fibre, rows[t] & up)
                 rows[t] |= mask_of_iter(shift[v] for v in bits(lack))
     return rows
 
@@ -556,7 +557,7 @@ def _check_V(ol: OrderedLocale) -> CheckReport:
     if ol._join_closed:
         preorder, gap = True, None
     else:
-        preorder = all(rows[u] >> u & 1 and _successors(rows, rows[u]) == rows[u]
+        preorder = all(rows[u] >> u & 1 and or_rows(rows, rows[u]) == rows[u]
                        for u in f.elements())
         gap = _translation_gap(f, rows) if preorder else None
     if preorder and gap is None:
@@ -574,14 +575,6 @@ def _check_V(ol: OrderedLocale) -> CheckReport:
     if gap is not None:
         return _fail("V", gap, f"translation by a join-irreducible ({npairs} pairs)")
     raise FrameTooLarge(f"V on a relation of {npairs} pairs that is not a preorder")
-
-
-def _successors(rows: Sequence[int], mask: int) -> int:
-    """The OR of rows[x] over the x in mask."""
-    out = 0
-    for x in bits(mask):
-        out |= rows[x]
-    return out
 
 
 def _check_L(ol: OrderedLocale, plus: bool) -> CheckReport:
@@ -607,11 +600,11 @@ def _check_L(ol: OrderedLocale, plus: bool) -> CheckReport:
     cols = lat.transpose_rows(rows)
     reach = {}                               # U' -> {V : V rel some V' >= U'}
     for u in f.elements():
-        below = 0 if plus else _successors(rows, f.down_row(u))
+        below = 0 if plus else or_rows(rows, f.down_row(u))
         for uq in bits(rows[u]):
             if plus:
                 if uq not in reach:
-                    reach[uq] = _successors(cols, f.up_row(uq))
+                    reach[uq] = or_rows(cols, f.up_row(uq))
                 bad = f.up_row(u) & ~reach[uq]
             else:
                 bad = f.down_row(uq) & ~below
@@ -796,7 +789,7 @@ def _wedge_scan(ol: OrderedLocale, plus: bool) -> Optional[tuple]:
     links = rows if plus else lat.transpose_rows(rows)   # successors / predecessors
     for u in range(f.m):
         above = f.up_row(u)
-        need, reach = _successors(links, above), 0
+        need, reach = or_rows(links, above), 0
         for w in bits(links[u]):
             reach |= f.up_row(w)
         bad = need & ~reach

@@ -57,23 +57,13 @@ class OrderedSpace:
     # -- cones ---------------------------------------------------------------
 
     def up_mask(self, pmask: int) -> int:
-        return _or_rows(self.up, pmask)
+        return lat.or_rows(self.up, pmask)
 
     def down_mask(self, pmask: int) -> int:
-        return _or_rows(self.down, pmask)
+        return lat.or_rows(self.down, pmask)
 
     def pretty_points(self, pmask: int) -> str:
         return "{" + ",".join(str(self.labels[p]) for p in bits(pmask)) + "}"
-
-
-def _or_rows(rows: list[int], pmask: int) -> int:
-    """OR of rows[p] over the points p of the mask."""
-    out = 0
-    while pmask:
-        low = pmask & -pmask
-        out |= rows[low.bit_length() - 1]
-        pmask ^= low
-    return out
 
 
 def topology(n, opens, labels) -> FiniteFrame:

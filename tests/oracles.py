@@ -13,8 +13,9 @@ from ordloc.errors import (AxiomVFailure, ConesDoNotPreserveJoins, FrameTooLarge
                            MissingBottomOrTop, NotALattice, NotClosedUnderJoin,
                            NotClosedUnderMeet, NotDistributive, ValidationError)
 from ordloc.lattice import (FiniteFrame, FrameMap, Value, bits, frame_from_down_rows,
-                            frame_from_topology, mask_of_iter, popcount, powerset_frame,
-                            rows_above, transitive_closure_rows, transpose_rows)
+                            frame_from_topology, mask_of_iter, or_rows, popcount,
+                            powerset_frame, rows_above, transitive_closure_rows,
+                            transpose_rows)
 from ordloc.olocale import (REL_LIMIT, CheckReport, ConePair, OrderedLocale, check_axiom,
                             cones_from_rows, ordered_locale_from_monads)
 from ordloc.ospace import OrderedSpace
@@ -207,7 +208,7 @@ def order_from_map(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
         for v, x in enumerate(cone):
             at[pre[x]] = at.get(pre[x], 0) | 1 << v
         image = mask_of_iter(at)
-        under = [(p, olocale._successors(at, src.down_row(p) & image))   # {V : g(V) <= p}
+        under = [(p, or_rows(at, src.down_row(p) & image))   # {V : g(V) <= p}
                  for p in src.primes()]
         out = []
         for row in above:
@@ -1060,7 +1061,7 @@ def double_negation_transport_general(olx: OrderedLocale) -> CheckReport:
     induced_rows, rows = induced.rel_rows(), olx.rel_rows()
     for u in f.elements():
         pulled = induced_rows[u] if sub is f else \
-            olocale._successors(fibre, induced_rows[reg_of[u]])
+            or_rows(fibre, induced_rows[reg_of[u]])
         diff = pulled ^ rows[u]
         if diff:
             return CheckReport("dn-transport", "fail", (u, next(bits(diff))),

@@ -94,8 +94,7 @@ def test_cli_check_exit_codes():
 
 def test_cli_dod(m33):
     doc_text = cli.serialize(cli.doc_of_space(m33))
-    out = run_cli(["dod", "-", "--region", "0,2", "--direction", "future",
-                   "--max-path-len", "4"], doc_text)
+    out = run_cli(["dod", "-", "--region", "0,2", "--direction", "future"], doc_text)
     assert out.returncode == 0
     assert "{(0,0),(0,2)}" in out.stdout and "exact" in out.stdout
 
@@ -125,7 +124,10 @@ def test_cli_hull_and_friends(m33):
     ({"order": [[0]]}, "parse error: expected a list of [a, b] pairs (at order)"),
     ({"opens": "weird"}, 'parse error: opens must be "discrete", "codiscrete" or a '
                          "list of point-id lists, got 'weird' (at opens)"),
-], ids=["order-out-of-range", "order-not-a-pair", "opens-not-a-list"])
+    ({"order": [[0, 1.9]]}, "parse error: 1.9 is not an integer id (at order)"),
+    ({"order": [[False, True]]}, "parse error: False is not an integer id (at order)"),
+], ids=["order-out-of-range", "order-not-a-pair", "opens-not-a-list", "order-float-id",
+        "order-bool-id"])
 def test_cli_rejects_malformed_space_documents(field, message):
     doc = json.dumps({"kind": "space", "points": ["a", "b"], **field})
     out = run_cli(["check", "-"], doc)
@@ -153,6 +155,9 @@ M22_DOC = "m22"   # stands for the serialized m22 space
     (["check", "-"], json.dumps({"kind": "locale", "rel": [],
                                  "frame": {"base": -1, "opens": "discrete"}}),
      "parse error: malformed frame: negative base -1 (at frame)"),
+    (["check", "-"], json.dumps({"kind": "locale", "rel": [],
+                                 "frame": {"base": 2.9, "opens": "discrete"}}),
+     "parse error: malformed frame: base 2.9 is not an integer (at frame)"),
     (["hull", "-", "--region", "1"],
      json.dumps({"kind": "locale", "rel": [],
                  "frame": {"base": 2, "opens": "discrete", "points": ["a"]}}),
@@ -171,9 +176,10 @@ M22_DOC = "m22"   # stands for the serialized m22 space
      "parse error: not a flag of gen suite (at --defect)"),
 ], ids=["region-not-an-id", "region-negative", "target-not-an-id",
         "defect-not-a-cell", "slope-not-a-number", "coverage-table-kind-unknown",
-        "frame-negative-base", "frame-too-few-point-names", "unknown-suite-instance",
-        "two-speed-not-discrete", "vertical-takes-no-slope", "bowtie-takes-no-size",
-        "vertical-takes-no-topology", "minkowski-takes-no-up", "suite-takes-no-defect"])
+        "frame-negative-base", "frame-float-base", "frame-too-few-point-names",
+        "unknown-suite-instance", "two-speed-not-discrete", "vertical-takes-no-slope",
+        "bowtie-takes-no-size", "vertical-takes-no-topology", "minkowski-takes-no-up",
+        "suite-takes-no-defect"])
 def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
     if stdin == M22_DOC:
         stdin = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))
@@ -462,6 +468,32 @@ MALFORMED_ARGVS = [
 ]
 
 
+# subcommand -> the shared options it reads; each also takes the document,
+# --strict and --out (gen: its generator flags and --out)
+READS = {"gen": (), "check": ("--variant", "--axiom", "--json"),
+         **dict.fromkeys(["cones", "hull", "complement", "diamond"], ("--variant", "--region")),
+         **dict.fromkeys(["points", "ips", "futures", "pasts", "grothendieck"], ("--variant",)),
+         "dod": ("--variant", "--region", "--direction"),
+         "cov": ("--variant", "--region", "--target", "--direction", "--max-path-len"),
+         "ideals": ("--strict-rel",), "dot": ("--what", "--dot-limit")}
+SHARED = {"--variant": ["upper"], "--axiom": ["V"], "--json": [], "--region": ["0"],
+          "--target": ["0"], "--direction": ["past"], "--max-path-len": ["3"],
+          "--strict-rel": [], "--what": ["cones"], "--dot-limit": ["5"]}
+
+
+def test_each_subcommand_refuses_the_options_it_does_not_read(capsys):
+    assert set(READS) == set(cli.COMMANDS)
+    for name, reads in READS.items():
+        head = [name, "bowtie" if name == "gen" else "-"]
+        for flag, value in SHARED.items():
+            argv = head + [flag, *value]
+            _, code, _, err = _parse(cli.build_parser(argv), argv, capsys)
+            if flag in reads:
+                assert code is None, argv
+            else:
+                assert code == 2 and f"unrecognized arguments: {flag}" in err, argv
+
+
 def test_lazy_parser_matches_the_fully_configured_one(monkeypatch, capsys):
     readme = _readme_argvs()
     assert readme
@@ -549,20 +581,22 @@ def mutated_doc(draw):
 @st.composite
 def doc_argv(draw):
     # check half the time, so that exits 1 of check --json come up often
+    # only the options the drawn subcommand reads; a None value leaves one out
     cmd = draw(st.just("check") | st.sampled_from([c for c in cli.COMMANDS if c != "gen"]))
-    argv = [cmd, "-", "--region", draw(st.sampled_from(REGIONS)),
-            "--target", draw(st.sampled_from(REGIONS)),
-            "--variant", draw(st.sampled_from(["em", "upper", "lower"])),
-            "--direction", draw(st.sampled_from(["future", "past"]))]
+    reads = cli.COMMANDS[cmd][2]
+    argv = [cmd, "-"]
+    for flag, values in (("--region", REGIONS), ("--target", REGIONS),
+                         ("--variant", [None, "em", "upper", "lower"]),
+                         ("--direction", ["future", "past"]),
+                         ("--max-path-len", [None, "-1", "0", "1", "3"]),
+                         ("--what", ["hasse", "cones", "hulls"])):
+        value = draw(st.sampled_from(values)) if flag in reads else None
+        if value is not None:
+            argv += [flag, value]
     for flag in ("--strict", "--json", "--strict-rel"):
-        if draw(st.booleans()):
+        if flag in ("--strict", *reads) and draw(st.booleans()):
             argv.append(flag)
-    length = draw(st.sampled_from([None, -1, 0, 1, 3]))
-    if length is not None:
-        argv += ["--max-path-len", str(length)]
-    if cmd == "dot":
-        argv += ["--what", draw(st.sampled_from(["hasse", "cones", "hulls"]))]
-    if cmd == "check" and draw(st.booleans()):
+    if "--axiom" in reads and draw(st.booleans()):
         argv += ["--axiom", draw(st.sampled_from(O.ALL_AXIOMS))]
     return argv
 
@@ -587,7 +621,8 @@ def test_cli_fuzz_on_mutated_suite_documents(text, argv):
     if code == 1 and argv[0] == "check" and "--json" in argv:
         with contextlib.redirect_stderr(io.StringIO()):
             doc = cli.parse(text, strict="--strict" in argv)
-        olx = cli._as_locale(doc, argv[argv.index("--variant") + 1])
+        variant = argv[argv.index("--variant") + 1] if "--variant" in argv else "em"
+        olx = cli._as_locale(doc, variant)
         fails = [r for r in json.loads(out)["reports"] if r["verdict"] == "fail"]
         assert fails
         for r in fails:

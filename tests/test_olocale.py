@@ -328,11 +328,11 @@ def test_relation_locale_answers_V_from_its_construction(monkeypatch):
     f = L.powerset_frame(3)
     olx = O.ordered_locale_from_relation(f, [(1, 6)])
     assert not O.check_axiom(olx, "C-order").ok
-    calls = count_calls(monkeypatch, ((O, "_translation_gap"), (O, "_successors"),
+    calls = count_calls(monkeypatch, ((O, "_translation_gap"), (O, "or_rows"),
                                       (L.FiniteFrame, "upper_covers")))
     rep = O.check_axiom(olx, "V")
     assert O._cones_monotone(olx)
-    assert calls == {"_translation_gap": 0, "_successors": 0, "upper_covers": 0}
+    assert calls == {"_translation_gap": 0, "or_rows": 0, "upper_covers": 0}
     assert rep.note == ("exact: preorder closed under translation by the 3 "
                         "join-irreducibles (15 pairs)")
     plain = rows_locale(f, olx.rel_rows())
