@@ -557,7 +557,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except OrdlocError as e:
+    except (OrdlocError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,7 @@ int bitmasks throughout.
 
 from __future__ import annotations
 
+import struct
 from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
@@ -447,18 +448,61 @@ def frame_from_topology(base_size: int, opens: Sequence[PointSet | int],
 
 
 def transitive_closure_rows(rows: list[int]) -> list[int]:
-    """Reflexive-transitive closure of a relation given as successor bitmask rows."""
+    """Reflexive-transitive closure of n successor bitmask rows, as a fresh
+    list, by Warshall's n steps (Warshall 1962): step k ORs row k into the
+    rows that hold k.  Only a k whose row and column both hold more than k
+    changes a row, and no other k comes to (a row or column holding only k
+    gains only from itself, at step k).  Up to PACK_ROWS // 4 = 128 rows
+    the matrix is one integer, bit (i, j) at i*s + j (`pack_rows`), and
+    step k is x |= (x >> k & E) * row_k, E bit 0 of every row: a sum of
+    row_k << i*s whose terms do not overlap, so it cannot carry.  Above,
+    step k ORs row k into the rows of column k and column k into the
+    columns of row k.  Measured in process on T(R*) of random pairs R on
+    powersets, packed against lists: 128 subsets 0.50 against 1.52 ms at
+    9,556 pairs, 0.12 against 0.10 ms at 248; 256 subsets 5.0 against 6.7
+    ms at 34,206, 0.50 against 0.25 ms.
+    """
     n = len(rows)
-    rows = [rows[i] | (1 << i) for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            new = or_rows(rows, rows[i])     # bit i is set, so rows[i] is in the OR
-            if new != rows[i]:
-                rows[i] = new
-                changed = True
-    return rows
+    rows = [r | 1 << i for i, r in enumerate(rows)]
+    held = reduce(or_, (r ^ 1 << i for i, r in enumerate(rows)), 0)    # by another row
+    steps = [k for k in bits(held) if rows[k] & rows[k] - 1]
+    if not steps:
+        return rows
+    if n > PACK_ROWS // 4:
+        cols = transpose_rows(rows)
+        for k in steps:
+            row, col = rows[k], cols[k]
+            for i in bits(col):
+                rows[i] |= row
+            for j in bits(row):
+                cols[j] |= col
+        return rows
+    width = (n + 7) >> 3
+    stride, full = 8 * width, (1 << n) - 1
+    x = pack_rows(rows, width)
+    ones = ((1 << stride * n) - 1) // ((1 << stride) - 1)     # bit 0 of each row
+    for k in steps:
+        x |= (x >> k & ones) * (x >> k * stride & full)
+    return unpack_rows(x, width, n)
+
+
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}   # widths `struct` converts in one call
+
+
+def pack_rows(rows: Sequence[int], width: int) -> int:
+    """The rows, each below 2^(8 width), as one integer: row i at bit 8 width i."""
+    code = _WORDS.get(width)
+    data = (struct.pack(f"<{len(rows)}{code}", *rows) if code
+            else b"".join(r.to_bytes(width, "little") for r in rows))
+    return int.from_bytes(data, "little")
+
+
+def unpack_rows(x: int, width: int, count: int) -> list[int]:
+    """The first `count` rows of a `pack_rows` integer below 2^(8 width count)."""
+    data, code = x.to_bytes(width * count, "little"), _WORDS.get(width)
+    if code:
+        return list(struct.unpack(f"<{count}{code}", data))
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, width * count, width)]
 
 
 PACK_ROWS = 512   # the side of the largest packed matrix, and of a tile above it
@@ -520,12 +564,11 @@ def _packed_columns(rows: list[int], side: int, count: int) -> list[int]:
     a power of two >= 8, by the block swaps of `transpose_rows`; the
     columns from `count` on are empty."""
     width = side >> 3
-    x = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
+    x = pack_rows(rows, width)
     for shift, mask in _block_swaps(side):
         t = (x ^ x >> shift) & mask
         x ^= t | t << shift
-    data = x.to_bytes(width * count, "little")
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, width * count, width)]
+    return unpack_rows(x, width, count)
 
 
 def _block_swaps(side: int) -> list[tuple[int, int]]:
@@ -533,13 +576,13 @@ def _block_swaps(side: int) -> list[tuple[int, int]]:
     columns {j : j & k} of one row, copied to the k rows i < k of each
     2k-row band."""
     if side not in _SWAPS:
-        _SWAPS[side] = [(k * (side - 1), _repeat(_repeat(_repeat(
+        _SWAPS[side] = [(k * (side - 1), repeat_bits(repeat_bits(repeat_bits(
             ((1 << k) - 1) << k, 2 * k, side), side, k * side), 2 * k * side, side * side))
             for k in (side >> s for s in range(1, side.bit_length()))]
     return _SWAPS[side]
 
 
-def _repeat(x: int, step: int, total: int) -> int:
+def repeat_bits(x: int, step: int, total: int) -> int:
     """x (below 2^step) copied to every multiple of step below total, a
     power-of-two multiple of step, by doubling."""
     while step < total:

@@ -2,53 +2,46 @@
 
 The causal relation of an `OrderedLocale` is either materialized as
 element-id bitmask rows (small frames, explicit user relations) or given
-definitionally by the cone formula  U <= V  iff  U below down(V) and
-V below up(U)  for locales built from a pair of monads (this covers every
-space-induced order and keeps 2^16-element frames workable).
+by the cone formula U rel V iff U <= down(V) and V <= up(U), for locales
+built from a pair of monads (every space-induced order; 2^16-element
+frames stay workable).  Rows are read in bulk from the cones, never by a
+pair scan (`cone_rows`, from `lattice.rows_above`).  The futures and
+pasts frames are built once per locale; convexity and the biframe
+predicate are decided at the join-irreducibles J.
 
-Relation rows are read in bulk from the cones, never by a pair scan:
-`cone_rows` gives row U as down_row(up(U)) & rows_above(down)[U], where
-`lattice.rows_above` builds {V : U <= down(V)} from the join-irreducibles
-(x <= y iff every join-irreducible below x is below y): O(m) ANDs on
-powersets, O(m |J|) elsewhere.  The futures and pasts frames are built
-once per locale and shared by their callers.  Convexity and the biframe
-predicate ask whether generators form a base, which holds iff they hold
-every join-irreducible (`is_convex_locale`); the biframe boxes are read
-from the cones at the join-irreducibles (`is_biframe`).
+An explicit relation R becomes the least join-closed preorder T(R*)*
+that holds it: R* is its reflexive-transitive closure (Warshall's, on
+one packed integer up to 128 elements, `lattice.transitive_closure_rows`)
+and T translation by every j in J (`_translation_closure`).  On powersets
+the relation is one integer, bit (U, V) at U*s + V, and the gap test and
+each translation are O(1) wide operations per point j: with h = x & colH,
+pre = h | h >> j and y = h | (x ^ h) << j, moved along rows by j*s
+(`_translation_gap`); other frames map join fibres.
 
 Axiom checks run in tiers and say which tier ran in the report note:
 
 * exhaustive scans over all element pairs (or triples, for the wedge laws);
-* exact theorem certificates whose premises are themselves verified
-  (the join-irreducible kernel `lattice.join_failure`, memoized per
-  cone and answered without a scan for the generator-form cones
-  `lattice.SubsetCone` of powerset frames, which preserve joins by
-  construction, certifies monotone cones, cuts monad validation to bottom and
-  the join-irreducibles J, decides C-join and cuts F+/F- to pairs over
-  bottom and J, on powersets to one transposed row test per point;
-  cone-determined relations with monotone cones are join-closed; a
-  preorder is join-closed iff it is closed under translation by J
-  (`_translation_gap`, one preimage-mask test per (U, J), bit shifts on
-  powersets); the least join-closed preorder containing an explicit
-  relation R is T(R*)*, T one translation pass per J; with monotone
-  cones the join-irreducibles decide each row of F+/F-; the wedge laws
-  follow from C-order and the Frobenius inclusions, a route taken only
-  once C-order has been verified, and decided by an exact scan otherwise);
-* construction records, theorems whose premises the constructor made
-  true: a locale built by `ordered_locale_from_relation` is a reflexive
-  join-closed preorder, so V passes after the cone certificate without a
-  gap pass, its cones are monotone without a cover walk, and, where ids
-  extend the order, they are the greatest members of its rows and
-  columns; `dual_order` keeps both records.
+* exact theorem certificates whose premises are verified: the
+  join-irreducible kernel `lattice.join_failure` (memoized per cone, and
+  unscanned for the join-preserving `lattice.SubsetCone`s of powersets)
+  certifies monotone cones, cuts monad validation to bottom and J,
+  decides C-join and cuts F+/F- to pairs over bottom and J (on powersets
+  one transposed row test per point); with monotone cones J decides each
+  row of F+/F- (on powersets one column test per point); cone-determined
+  relations with monotone cones are join-closed; a preorder is
+  join-closed iff it is closed under translation by J; the wedge laws
+  follow from C-order and F+/F- once C-order holds, else an exact scan;
+* construction records, theorems the constructor made true: a locale
+  built by `ordered_locale_from_relation` is a reflexive join-closed
+  preorder, so V passes without a gap pass, its cones are monotone
+  without a cover walk, and where ids extend the order they are the
+  greatest members of its rows and columns; `dual_order` keeps both.
 
 Nothing is sampled.  A check that no tier decides (F+/F- with cones that
-are not monotone, above PAIR_LIMIT) refuses with FrameTooLarge.
-
-A failing certificate hands over to the id-order scan it replaces
-(wherever affordable), so failing reports keep the least witness.
-
-Failing checks always carry a witness tuple; `revalidate` re-checks a
-witness against the law it claims to break.
+are not monotone, above PAIR_LIMIT) refuses with FrameTooLarge.  A failing
+certificate hands over to the id-order scan it replaces (wherever
+affordable), so failing reports keep the least witness, and `revalidate`
+re-checks a witness against the law it claims to break.
 """
 
 from __future__ import annotations
@@ -292,42 +285,45 @@ def _translation_gap(frame: FiniteFrame, rows: Sequence[int]) -> Optional[tuple]
     rows[U] & ~pre_J(t) == 0, where pre_J(t) = {V : V | J in rows[t]}
     depends on t >= J alone.  The lowest bit of rows[U] & ~pre_J(t) is the
     least V of a gap.  pre_J(t) is the OR of the fibres {V : V | J = x}
-    over the x in rows[t] & up_row(J).  On powersets J is a point {b}, ids
-    are masks and H = up_row(J) holds the subsets with b, so V | J is V on
-    H and V + J off it:  pre_J(Y) = Y & H | Y >> J & ~H.
-    Cost: O(m |J|) row tests, plus the sum over J and t >= J of
-    |rows[t] & up_row(J)| fibre ORs; on powersets O(1) wide-int operations
-    per (J, t).
+    over the x in rows[t] & up_row(J): O(m |J|) row tests, plus the sum
+    over J and t >= J of |rows[t] & up_row(J)| fibre ORs.  On powersets V | J
+    is V on H = up_row(J) and V + J off it, so pre_J(Y) = h | h >> J for
+    h = Y & H.  Packed (`_packed_powerset`), with h = x & colH that is
+    every row at once; read back at U | J, U on rowH and U + J off it, the
+    gaps of J are x & ~(g | g >> J*s) for g = pre & rowH, and the least
+    gap is their lowest bit over J in `coprimes()` order, the first J on
+    ties: O(1) wide operations per J.
     """
     f = frame
+    if f.kind == "powerset":
+        x, stride, masks = _packed_powerset(f, rows)
+        low, gap = 0, None
+        for j, (col, row) in zip(f.coprimes(), masks):
+            h = x & col
+            g = (h | h >> j) & row
+            lack = x ^ x & (g | g >> j * stride)           # x & ~(g | g >> J*s)
+            if lack:
+                pos = (lack ^ lack - 1).bit_length() - 1
+                if gap is None or pos < low:
+                    low, gap = pos, divmod(pos, stride) + (j, j)
+        return gap
     tests = []
     for j in f.coprimes():
         up = f.up_row(j)
-        if f.kind == "powerset":
-            shift = [x | j for x in f.elements()]
-            pre = [r & up | r >> j & ~up for r in rows]     # read at t >= J
-        else:
-            shift, fibre = _join_fibres(f, j)
-            pre = {t: or_rows(fibre, rows[t] & up) for t in bits(up)}
-        tests.append((j, shift, pre))
+        shift, fibre = _join_fibres(f, j)
+        tests.append((j, shift, {t: or_rows(fibre, rows[t] & up) for t in bits(up)}))
     for u in f.elements():
-        gap = None
-        for j, shift, pre in tests:
-            lack = rows[u] & ~pre[shift[u]]
-            if not lack:
-                continue
-            v = (lack & -lack).bit_length() - 1
-            if gap is None or v < gap[1]:
-                gap = (u, v, j, j)
-        if gap is not None:
-            return gap
+        lacks = [(lack & -lack, j) for j, shift, pre in tests
+                 if (lack := rows[u] & ~pre[shift[u]])]
+        if lacks:
+            low, j = min(lacks)            # the least V, then the first J
+            return u, low.bit_length() - 1, j, j
     return None
 
 
 def _translation_closure(frame: FiniteFrame, rows: list[int]) -> list[int]:
-    """Close `rows` in place under translation by every join-irreducible J
-    (U R V gives (U | J) R (V | J)), one pass per J in `coprimes()` order,
-    and return them.
+    """Close `rows` under translation by every join-irreducible J
+    (U R V gives (U | J) R (V | J)), one pass per J in `coprimes()` order.
 
     One pass per J suffices.  Translation by J is idempotent, so the pairs
     a J pass adds are their own J-images, and the pass leaves the rows
@@ -337,24 +333,47 @@ def _translation_closure(frame: FiniteFrame, rows: list[int]) -> list[int]:
     adds it.
 
     The image of row U lands in row U | J: image_J(X) = {V | J : V in X}.
-    With the notation of `_translation_gap`: on powersets
-    image_J(X) = X & H | (X & ~H) << J; elsewhere row t >= J gains the
-    images of the V that the rows of its fibre {U : U | J = t} reach
-    outside pre_J(t), so only the missing pairs are mapped bit by bit.
+    Row t >= J gains the images of the V that the rows of its fibre
+    {U : U | J = t} reach outside pre_J(t) (the notation of
+    `_translation_gap`), so only the missing pairs are mapped bit by bit,
+    in place.  On powersets, packed, y = h | (x ^ h) << J maps the columns
+    and x |= (y | y << J*s) & rowH the rows, into fresh rows.
     """
     f = frame
+    if f.kind == "powerset":
+        x, stride, masks = _packed_powerset(f, rows)
+        for j, (col, row) in zip(f.coprimes(), masks):
+            h = x & col
+            y = h | (x ^ h) << j
+            x |= (y | y << j * stride) & row
+        return lat.unpack_rows(x, stride >> 3, f.m)
     for j in f.coprimes():
         up = f.up_row(j)
-        if f.kind == "powerset":
-            for u in f.elements():
-                r = rows[u]
-                rows[u | j] |= r & up | (r & ~up) << j
-        else:
-            shift, fibre = _join_fibres(f, j)
-            for t in bits(up):
-                lack = or_rows(rows, fibre[t]) & ~or_rows(fibre, rows[t] & up)
-                rows[t] |= mask_of_iter(shift[v] for v in bits(lack))
+        shift, fibre = _join_fibres(f, j)
+        for t in bits(up):
+            lack = or_rows(rows, fibre[t]) & ~or_rows(fibre, rows[t] & up)
+            rows[t] |= mask_of_iter(shift[v] for v in bits(lack))
     return rows
+
+
+_POINT_MASKS: dict[int, list[tuple[int, int]]] = {}   # m -> (colH, rowH) per point
+
+
+def _packed_powerset(f: FiniteFrame, rows: Sequence[int]) -> tuple[int, int, list]:
+    """The rows of a powerset of m subsets as one integer, bit (U, V) at
+    U*s + V for s = max(8, m) (`lattice.pack_rows`), s, and per point
+    J = 2^b the masks colH and rowH of the bits whose V and U hold J: bits
+    b and log2(s) + b of the index.  Cached up to the 128 rows of the
+    packed closure (`lattice.transitive_closure_rows`), built per call above."""
+    m, stride = f.m, max(8, f.m)
+    masks = _POINT_MASKS.get(m)
+    if masks is None:
+        def index_bit(k):
+            return lat.repeat_bits(((1 << k) - 1) << k, 2 * k, stride * m)
+        masks = [(index_bit(j), index_bit(stride * j)) for j in f.coprimes()]
+        if m <= lat.PACK_ROWS // 4:
+            _POINT_MASKS[m] = masks
+    return lat.pack_rows(rows, stride >> 3), stride, masks
 
 
 def _join_fibres(f: FiniteFrame, j: int) -> tuple[list[int], list[int]]:
@@ -369,35 +388,28 @@ def _join_fibres(f: FiniteFrame, j: int) -> tuple[list[int], list[int]]:
 def ordered_locale_from_relation(frame: FiniteFrame, pairs: Iterable[tuple[int, int]],
                                  strict: bool = False, meta=None) -> OrderedLocale:
     """Ordered locale from generator pairs: the least join-closed preorder
-    containing them, T(R*)*, where R* is the reflexive-transitive closure
-    and T closes under translation by the join-irreducibles
-    (`_translation_closure`).
-
-    T(R*)* is a preorder, and it is translation-closed because a transitive
-    closure keeps that (U R X R V gives U|J R X|J R V|J), so it is
-    join-closed by the lemma of `_translation_gap`; every join-closed
-    preorder containing the pairs contains it.  If R* has a translation
-    gap, that least gap, a V witness against R*, is an error
-    (AxiomVFailure) in strict mode and is recorded as
-    meta["join_saturated"] otherwise; a saturated relation of more than
+    containing them, T(R*)*, R* the reflexive-transitive closure and T the
+    closure under translation by the join-irreducibles.  T(R*)* is a
+    preorder, translation-closed as a transitive closure keeps that
+    (U R X R V gives U|J R X|J R V|J), so join-closed by the lemma of
+    `_translation_gap`, and every join-closed preorder holding the pairs
+    holds it.  The least translation gap of R*, a V witness against R*, is
+    an error (AxiomVFailure) in strict mode and is recorded as
+    meta["join_saturated"] otherwise; a saturation of more than
     SATURATION_LIMIT pairs is refused.
 
-    The locale keeps what construction proved, so the law checks do not
-    decide it again:
-    * Closure: the rows are a reflexive, translation-closed preorder, the
+    The locale keeps what construction proved:
+    * Closure: the rows are a reflexive translation-closed preorder, the
       record `_check_V` answers from.
-    * Monotone cones: if U <= U' and U rel X, joining with U' rel U' gives
-      U' = U | U' rel X | U', so up(U) <= up(U'); the past cone is the
-      mirror (Y rel V <= V' gives Y | V' rel V').  So `cones.monotone` is
-      set, and `_cones_monotone` walks no cover.
+    * Monotone cones: U <= U' and U rel X give U' = U | U' rel X | U', so
+      up(U) <= up(U'), and the past cone is the mirror: `cones.monotone`
+      is set, and `_cones_monotone` walks no cover.
     * Greatest members: a row (or column) of a reflexive join-closed
-      relation is non-empty and closed under binary joins, so its join is
-      a member, the greatest one.  Where ids extend the order
-      (`FiniteFrame.ids_extend_order`: powersets, and every
-      `frame_from_topology` frame) that member has the highest id, so
-      up(U) is the top bit of rows[U] and down(V) the highest U whose row
-      holds V, one descending sweep (`_greatest_members`).  Other frames,
-      e.g. Birkhoff frames with permuted ids, take `cones_from_rows`.
+      relation is closed under binary joins, so its join is its greatest
+      member.  Where ids extend the order (`FiniteFrame.ids_extend_order`)
+      that member has the highest id, so up(U) is the top bit of rows[U]
+      and down(V) the highest U whose row holds V (`_greatest_members`);
+      other frames take `cones_from_rows`.
     """
     if frame.m > REL_LIMIT:
         raise FrameTooLarge(
@@ -721,7 +733,11 @@ def _check_F(ol: OrderedLocale, plus: bool) -> CheckReport:
     else:
         raise FrameTooLarge(f"{law} with cones that are not monotone is decided "
                             f"by a pair scan, capped at {PAIR_LIMIT} elements")
-    u = next((u for u in f.elements() if not all(holds(u, v) for v in tests)), None)
+    if f.kind == "powerset" and tests is irreducibles:
+        bad = _point_failures(f, side, other)
+        u = (bad & -bad).bit_length() - 1 if bad else None
+    else:
+        u = next((u for u in f.elements() if not all(holds(u, v) for v in tests)), None)
     if u is None:
         return _ok(law, route)
     return _fail(law, (u, next(v for v in f.elements() if not holds(u, v))), route)
@@ -737,6 +753,25 @@ def _gens_failure(f: FiniteFrame, side, other, gens, holds) -> Optional[tuple[in
     ut = getattr(other, "cols", None) or lat.transpose_rows([other[p] for p in pts])
     rows = [side[p] & ~floor & ~col for p, col in zip(pts, ut)]
     return next(((p, r & -r) for p, r in zip(pts, rows) if r), None)
+
+
+def _point_failures(f: FiniteFrame, side, other) -> int:
+    """The U, as an id-bitmask, that fail F+ (F-) at a point {b} of a
+    powerset: those in col_b = {U : b in side(U)} with U & A not in it, A =
+    other({b}).  {U : U & A in col_b} is col_b on the subsets of A doubled
+    over each point outside A; col_b is every s-th binary digit of the
+    side cone packed at stride s.  O(n) operations per point, not m n
+    `holds` calls."""
+    width = (f.base_size + 7) >> 3
+    digits = format(lat.pack_rows([side[u] for u in f.elements()], width), f"0{8 * width * f.m}b")
+    bad = 0
+    for b in range(f.base_size):
+        a, col = other[1 << b], int(digits[8 * width - 1 - b::8 * width], 2)
+        keep = col & f.down_row(a)
+        for p in bits(f.top & ~a):
+            keep |= keep << (1 << p)
+        bad |= col & ~keep
+    return bad
 
 
 def _check_wedge(ol: OrderedLocale, plus: bool) -> CheckReport:

@@ -14,8 +14,7 @@ from ordloc.errors import (AxiomVFailure, ConesDoNotPreserveJoins, FrameTooLarge
                            NotClosedUnderMeet, NotDistributive, ValidationError)
 from ordloc.lattice import (FiniteFrame, FrameMap, Value, bits, frame_from_down_rows,
                             frame_from_topology, mask_of_iter, or_rows, popcount,
-                            powerset_frame, rows_above, transitive_closure_rows,
-                            transpose_rows)
+                            powerset_frame, rows_above, transpose_rows)
 from ordloc.olocale import (REL_LIMIT, CheckReport, ConePair, OrderedLocale, check_axiom,
                             cones_from_rows, ordered_locale_from_monads)
 from ordloc.ospace import OrderedSpace
@@ -404,7 +403,7 @@ def downset_frame(rel) -> FiniteFrame:
     """Frame of the down-sets of the preorder generated by the boolean
     matrix rel (rel[i][j]: i <= j): the unions of principal down-sets."""
     n = len(rel)
-    up = transitive_closure_rows([mask_of_iter(j for j in range(n) if rel[i][j])
+    up = transitive_closure_loop([mask_of_iter(j for j in range(n) if rel[i][j])
                                   for i in range(n)])
     return frame_from_topology(n, close_family_under_union_intersection(n, transpose_rows(up)))
 
@@ -708,6 +707,23 @@ def counit_monotone_by_points_locale(olx: OrderedLocale) -> bool:
                for u in f.elements())
 
 
+def transitive_closure_loop(rows: list[int]) -> list[int]:
+    """`lattice.transitive_closure_rows` by the definition's fixpoint: make
+    every row hold its own index, then OR into each row the rows of its
+    members, bit by bit, until a sweep changes no row."""
+    rows = [r | 1 << i for i, r in enumerate(rows)]
+    changed = True
+    while changed:
+        changed = False
+        for i, r in enumerate(rows):
+            new = r
+            for j in bits(r):
+                new |= rows[j]
+            if new != r:
+                rows[i], changed = new, True
+    return rows
+
+
 def translation_gap_loop(frame: FiniteFrame, rows, fill=None):
     """`olocale._translation_gap` by building the translated image of each
     row U for each join-irreducible J, bit by bit: O(P |J|) for P related
@@ -741,7 +757,7 @@ def saturate_alternating(frame: FiniteFrame, pairs, strict=False, meta=None):
     rows = [0] * frame.m
     for u, v in pairs:
         rows[u] |= 1 << v
-    rows = transitive_closure_rows(rows)
+    rows = transitive_closure_loop(rows)
     grown = list(rows)
     gap = translation_gap_loop(frame, rows, grown)
     if gap is not None:
@@ -750,7 +766,7 @@ def saturate_alternating(frame: FiniteFrame, pairs, strict=False, meta=None):
         meta = dict(meta or {})
         meta["join_saturated"] = gap
     while gap is not None:
-        rows = transitive_closure_rows(grown)
+        rows = transitive_closure_loop(grown)
         if sum(map(popcount, rows)) > olocale.SATURATION_LIMIT:
             raise FrameTooLarge("join saturation exceeded "
                                 f"{olocale.SATURATION_LIMIT} pairs")
@@ -808,6 +824,13 @@ def frobenius_gens_loop(f: FiniteFrame, side, other, gens, holds=None):
     side = down and other = up, F- the reverse).  `holds` is not used."""
     return next(((u, v) for u in gens for v in gens
                  if not f.leq(f.meet(side[u], v), side[f.meet(u, other[v])])), None)
+
+
+def frobenius_point_failures_loop(f: FiniteFrame, side, other) -> int:
+    """`olocale._point_failures` by the pair loop: the U, as an id-bitmask,
+    with side(U) & {b} not below side(U & other({b})) for some point b."""
+    return mask_of_iter(u for u in f.elements() for b in range(f.base_size)
+                        if not f.leq(f.meet(side[u], 1 << b), side[f.meet(u, other[1 << b])]))
 
 
 def fraction_cone_rows(alive, slope, step=False):

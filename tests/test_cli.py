@@ -411,6 +411,21 @@ def test_cli_inspection_subcommands(tmp_path):
         assert out.read_text().splitlines()[0].startswith(head), cmd
 
 
+@pytest.mark.parametrize("where", ["input", "out"])
+def test_cli_file_errors_exit_2_with_one_line(where, tmp_path, capsys):
+    # a document that cannot be read, or an --out path that cannot be
+    # written, ends in one error line and exit 2, not a traceback
+    doc = tmp_path / "m22.json"
+    doc.write_text(cli.serialize(cli.doc_of_space(gen.suite_instance("m22"))))
+    missing = tmp_path / "no-such-dir" / "x.json"
+    argv = (["check", str(missing)] if where == "input"
+            else ["check", str(doc), "--out", str(missing)])
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_dot_pasts_coloring(loc22):
     # the "cones" coloring marks exactly the cone images
     doc = cli.doc_of_space(gen.suite_instance("m22"))

@@ -5,9 +5,10 @@ derived frames.  Expected values are computed against independent oracles
 
 import ast
 import functools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordloc import lattice as L
 from ordloc.errors import (
@@ -324,3 +325,38 @@ def test_random_frames_galois_law(f):
     fmap = L.FrameMap(f, f, list(f.elements()))
     fmap.validate()
     assert L.galois_law_holds(fmap)
+
+
+def random_relation(rng, n):
+    """Successor rows on n elements: a few pairs, about 2n pairs, a chain
+    with random breaks, or a few pairs among a random subset of rows."""
+    kind = rng.choice(("sparse", "dense", "chain", "clustered"))
+    rows = [0] * n
+    if n == 0:
+        return rows
+    if kind == "chain":
+        for i in range(n - 1):
+            if rng.random() < 0.9:
+                rows[i] |= 1 << i + 1
+        return rows
+    count = {"sparse": rng.randint(0, n // 4 + 2), "dense": 2 * n,
+             "clustered": rng.randint(n // 2, 2 * n)}[kind]
+    pool = rng.sample(range(n), max(1, n // 8)) if kind == "clustered" else range(n)
+    for _ in range(count):
+        rows[rng.choice(pool)] |= 1 << rng.choice(pool)
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 140), st.integers(0, 10_000))
+@example(128, 1)
+@example(129, 1)
+@example(127, 2)
+def test_transitive_closure_rows_matches_the_fixpoint(n, seed):
+    # Warshall on the packed matrix up to 128 rows and on row and column
+    # lists above, against the definition's fixpoint, on sizes that are
+    # and are not multiples of 8; the input rows are left as they are
+    rows = random_relation(random.Random(seed), n)
+    given_rows = list(rows)
+    assert L.transitive_closure_rows(rows) == oracles.transitive_closure_loop(rows)
+    assert rows == given_rows

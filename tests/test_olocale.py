@@ -384,11 +384,13 @@ def test_dual_is_memoized_both_ways_and_files_reports_under_their_laws():
 
 def random_gap_instance(rng):
     """A frame with random relation rows, taken as drawn or reflexive-
-    transitively closed.  The frame is a powerset of 1-6 points, a powerset
-    stored mask-backed, the frame of a random topology, or a Birkhoff copy
-    of one (`lattice.subframe`), whose ids do not follow masks."""
-    n = rng.randint(1, 6)
+    transitively closed.  The frame is a powerset of 1-7 points (up to the
+    128 subsets of the packed closure's crossover), a powerset of 1-5
+    points stored mask-backed, the frame of a random topology on 1-6
+    points, or a Birkhoff copy of one (`lattice.subframe`), whose ids do
+    not follow masks."""
     shape = rng.choice(("powerset", "mask-backed powerset", "topology", "birkhoff"))
+    n = rng.randint(1, 7 if shape == "powerset" else 6)
     if shape == "powerset":
         f = L.powerset_frame(n)
     elif shape == "mask-backed powerset":
@@ -401,7 +403,7 @@ def random_gap_instance(rng):
     rows = [mask_of_iter(rng.randrange(f.m) for _ in range(rng.randint(0, 3)))
             for _ in f.elements()]
     if rng.random() < 0.5:
-        rows = L.transitive_closure_rows(rows)
+        rows = oracles.transitive_closure_loop(rows)
     return f, rows
 
 
@@ -445,9 +447,10 @@ def test_relation_saturation_matches_image_loop(seed):
 def test_translation_gap_on_powersets_makes_no_join_or_mask_of_iter_call(monkeypatch):
     # the two-speed 2x3 relation on its 64-element powerset, given whole
     # (no gap) and by its 13 point pairs (saturated): each relation is one
-    # gap pass and at most two closures; each (U, J) is one row test, each
-    # (J, t) one shift and each (J, U) of the translation closure one
-    # shifted row; the per-row image loop made m |J| = 384 joins per call
+    # gap pass and at most two closures, each a few wide-integer operations
+    # per join-irreducible or per Warshall step on the packed relation, so
+    # construction ORs no row list (`or_rows`), builds no join fibre and
+    # makes no join; the per-row image loop made m |J| = 384 joins per call
     ts = gen.suite_instance("two_speed_2x3")
     f, rows = ts.frame, ts.rel_rows()
     whole = [(u, v) for u in f.elements() for v in bits(rows[u])]
@@ -478,12 +481,15 @@ def test_translation_gap_on_powersets_makes_no_join_or_mask_of_iter_call(monkeyp
                         counting("transitive", L.transitive_closure_rows, True))
     monkeypatch.setattr(L.FiniteFrame, "join", counting("join", L.FiniteFrame.join))
     monkeypatch.setattr(O, "mask_of_iter", counting("mask_of_iter", O.mask_of_iter))
+    for module in (L, O):
+        monkeypatch.setattr(module, "or_rows", counting("or_rows", L.or_rows, True))
+    monkeypatch.setattr(O, "_join_fibres", counting("fibres", O._join_fibres, True))
     for pairs, closures in ((whole, 0), (points, 1)):
         counts.update(dict.fromkeys(("gap", "closure", "transitive", "join",
-                                     "mask_of_iter"), 0))
+                                     "mask_of_iter", "or_rows", "fibres"), 0))
         olx = O.ordered_locale_from_relation(f, pairs)
         assert counts == {"gap": 1, "closure": closures, "transitive": 1 + closures,
-                          "join": 0, "mask_of_iter": 0}
+                          "join": 0, "mask_of_iter": 0, "or_rows": 0, "fibres": 0}
         assert olx.rel_rows() == oracles.saturate_alternating(f, pairs).rel_rows()
 
 
@@ -519,6 +525,47 @@ def test_frobenius_row_form_matches_gens_loop(seed):
                                          (olx.cones.u, olx.cones.d)), ("F+", "F-"), expect):
         assert (O._gens_failure(f, side, other, gens, None)
                 == oracles.frobenius_gens_loop(f, side, other, gens))
+        rep = O.check_axiom(olx, law)
+        assert (rep.verdict, rep.witness, rep.note) == (want.verdict, want.witness,
+                                                         want.note)
+        assert rep.ok or O.revalidate(olx, rep), rep
+
+
+def random_monotone_cone(rng, n):
+    """A monotone map on the powerset of n points that mostly breaks binary
+    joins: t(s) = base | OR of value_i over the random g_i inside s."""
+    base = rng.randrange(1 << n) if rng.random() < 0.3 else 0
+    terms = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(rng.randint(0, 4))]
+    return [base | L.or_rows([v for _, v in terms],
+                             mask_of_iter(i for i, (g, _) in enumerate(terms) if g & ~s == 0))
+            for s in range(1 << n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_frobenius_point_columns_match_the_holds_loop(seed):
+    # powerset locales whose cones are monotone and mostly break a binary
+    # join: random monotone lists, or a relation's cones; the failing U
+    # read from the columns of the side cone are those of the holds loop
+    # at every (U, {b}), and the reports match the loop's
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    f = L.powerset_frame(n)
+    if rng.random() < 0.5:
+        olx = O.OrderedLocale(f, up_map=random_monotone_cone(rng, n),
+                              down_map=random_monotone_cone(rng, n))
+        ref = O.OrderedLocale(f, up_map=olx.up_map, down_map=olx.down_map)
+    else:
+        pairs = [(rng.randrange(f.m), rng.randrange(f.m)) for _ in range(rng.randint(0, 4))]
+        olx, ref = (O.ordered_locale_from_relation(f, pairs) for _ in range(2))
+    assert O._cones_monotone(olx)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "_point_failures", oracles.frobenius_point_failures_loop)
+        expect = [O.check_axiom(ref, law) for law in ("F+", "F-")]
+    for (side, other), law, want in zip(((olx.cones.d, olx.cones.u),
+                                         (olx.cones.u, olx.cones.d)), ("F+", "F-"), expect):
+        assert (O._point_failures(f, side, other)
+                == oracles.frobenius_point_failures_loop(f, side, other))
         rep = O.check_axiom(olx, law)
         assert (rep.verdict, rep.witness, rep.note) == (want.verdict, want.witness,
                                                          want.note)
