@@ -71,16 +71,21 @@ def _frame_to_json(frame: FiniteFrame) -> dict:
 
 
 def _id(x, n: int, path: str) -> int:
-    """An integer id in 0..n-1, from a JSON integer or a decimal string (as
-    --region and --target give it); a bool or a float is refused, not
-    truncated."""
-    try:    # int("") raises, as a malformed string does
-        i = x if type(x) is int else int(x if type(x) is str else "")
+    """An integer id in 0..n-1 from a JSON integer; a string, a bool or a
+    float is refused, not parsed or truncated."""
+    if type(x) is not int:
+        raise ParseError(f"{x!r} is not an integer id", path)
+    if not 0 <= x < n:
+        raise ParseError(f"id {x} out of range 0..{n - 1}", path)
+    return x
+
+
+def _decimal_id(s: str, n: int, path: str) -> int:
+    """An id in 0..n-1 from a decimal string, as --region and --target give it."""
+    try:
+        return _id(int(s), n, path)
     except ValueError:
-        raise ParseError(f"{x!r} is not an integer id", path) from None
-    if not 0 <= i < n:
-        raise ParseError(f"id {i} out of range 0..{n - 1}", path)
-    return i
+        raise ParseError(f"{s!r} is not an integer id", path) from None
 
 
 def _ids(seq, n: int, path: str) -> list[int]:
@@ -257,7 +262,7 @@ def _region_elem(doc: Document, region: str, option: str = "--region") -> int:
     olx_frame = doc.payload.frame
     if not region:
         raise ValidationError(f"{option} required")
-    pts = [_id(p, olx_frame.base_size, option) for p in region.split(",") if p != ""]
+    pts = [_decimal_id(p, olx_frame.base_size, option) for p in region.split(",") if p != ""]
     mask = mask_of_iter(pts)
     if not olx_frame.has_mask(mask):
         raise ValidationError(f"point set {pts} is not an open of the frame")
@@ -559,6 +564,9 @@ def main(argv=None) -> int:
         return 2
     except (OrdlocError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -142,6 +142,10 @@ def unit_check(space: OrderedSpace) -> CheckReport:
     sober + T0-ordered + open cones.  Both monotonicities compare the
     space order with the point order pulled back along eta, one point
     mask per point, and the least excess either way is the witness.
+
+    eta(x) is the prime X - cl{x} = int(X - {x}), the largest open that
+    misses x: by the lemma of `FiniteFrame.primes` it is kappa(N(x)),
+    always a prime, read with one O(|J|) interior and no order test.
     """
     f = space.frame
     olx = osp.induced_locale(space, "em")
@@ -149,26 +153,22 @@ def unit_check(space: OrderedSpace) -> CheckReport:
     pts = points_space(olx)
     full = (1 << space.n) - 1
 
-    eta = []      # eta(x) as an index into primes, or None if not a prime
     prime_index = {p: i for i, p in enumerate(primes)}
-    for x in range(space.n):
-        cmask = full & ~osp.closure_of_point(space, x)
-        pid = f.id_of_mask(cmask) if f.has_mask(cmask) else None
-        eta.append(prime_index.get(pid))
+    eta = [prime_index[f.interior(full & ~(1 << x))] for x in range(space.n)]
 
     t0 = osp.is_T0(space)
-    injective = len({e for e in eta if e is not None}) == space.n and None not in eta
-    surjective = set(e for e in eta if e is not None) == set(range(len(primes)))
+    injective = len(set(eta)) == space.n
+    surjective = len(set(eta)) == len(primes)
     oc = osp.has_open_cones(space)
     t0o = osp.is_T0_ordered(space)
     sober = osp.is_sober(space)
 
     mono_witness = inverse_monotone = inv_witness = None
     if injective:
-        # the point order pulled back along eta: pulled[x] = {y : eta(x) <= eta(y)}
+        # the point order pulled back along eta, a bijection onto the
+        # primes: pulled[x] = {y : eta(x) <= eta(y)}
         point_of = {e: x for x, e in enumerate(eta)}
-        pulled = [lat.mask_of_iter(point_of[k] for k in bits(pts.up[e]) if k in point_of)
-                  for e in eta]
+        pulled = [lat.mask_of_iter(point_of[k] for k in bits(pts.up[e])) for e in eta]
         mono_witness = _least_excess(space.up, pulled)
         gap = _least_excess(pulled, space.up)
         inverse_monotone = gap is None

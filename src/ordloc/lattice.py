@@ -283,21 +283,25 @@ class FiniteFrame:
         return c
 
     def primes(self) -> list[int]:
-        """Meet-irreducible elements != top: on carrier frames, in id order,
-        the p whose strict up row is an up row (their unique upper cover's).
+        """The primes (p != T with a&b <= p implying a <= p or b <= p), read
+        by Birkhoff's bijection: on powersets in point order, elsewhere in
+        id order.  The quantifier form is kept as a test oracle.
 
-        In a finite distributive lattice these are exactly the primes
-        (p != T with a&b <= p implying a <= p or b <= p); the quantifier
-        form is kept as a test oracle.
+        Lemma (Davey & Priestley, ch. 5): in a finite distributive lattice,
+        j -> kappa(j) = join{x : j not<= x} maps the join-irreducibles one
+        to one onto the primes.  On a carrier frame let b be a bit of the
+        top carrier and j the least element whose carrier holds b (meets
+        are carrier ANDs).  j is join-irreducible, as joins are carrier
+        ORs and the bottom carrier is empty, and b is in car[x] iff
+        j <= x.  So kappa(j) is the largest element whose carrier misses
+        b: interior(top carrier - b), O(|J|) and no order test.  Every j
+        has such a bit, one that its lower cover's carrier lacks.  On a
+        topology b is a point p, j is N(p) and kappa(j) is int(X - {p}).
         """
         if self._primes is None:
-            if self.kind == "powerset":
-                full = self.m - 1
-                self._primes = [full & ~(1 << b) for b in range(self.base_size)]
-            else:
-                ups = {self.up_row(i) for i in self.elements()}
-                self._primes = [i for i in self.elements()
-                                if self.up_row(i) ^ 1 << i in ups]
+            full = self.top if self.kind == "powerset" else self._car[self.top]
+            ps = [self.interior(full & ~(1 << b)) for b in bits(full)]
+            self._primes = ps if self.kind == "powerset" else sorted(set(ps))
         return self._primes
 
     def coprimes(self) -> list[int]:
@@ -324,12 +328,8 @@ class FiniteFrame:
         """The minimal join-irreducibles j, in id order: O(|J|^2) order tests.
         Each covers bottom, as an x in (bottom, j] joins the j below it."""
         if self._atoms is None:
-            if self.kind == "powerset":
-                self._atoms = [1 << b for b in range(self.base_size)]
-            else:
-                js = self.coprimes()
-                self._atoms = [j for j in js
-                               if not any(k != j and self.leq(k, j) for k in js)]
+            js = self.coprimes()
+            self._atoms = [j for j in js if not any(k != j and self.leq(k, j) for k in js)]
         return self._atoms
 
     def ids_extend_order(self) -> bool:

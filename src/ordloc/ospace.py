@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 from . import lattice as lat
 from . import olocale as ol
 from .errors import ValidationError
-from .lattice import FiniteFrame, PointSet, SubsetCone, bits, mask_of_iter
+from .lattice import FiniteFrame, PointSet, SubsetCone, bits
 from .olocale import CheckReport, OrderedLocale
 
 
@@ -93,12 +93,10 @@ def has_open_cones(space: OrderedSpace) -> CheckReport:
     the join-irreducibles N(p) are.  On failure the witness is (open id,
     direction) for the smallest failing open in element-id order: the ids
     of a `frame_from_topology` frame extend the order, so a failing U
-    holds a failing N(p) with no larger id.
+    holds a failing N(p) with no larger id.  A discrete space needs no
+    case of its own: its N(p) are the n singletons, 2n mask tests.
     """
     f = space.frame
-    if f.kind == "powerset":
-        return CheckReport("open-cones", "pass", None,
-                           "discrete topology: every subset is open")
     js = f.coprimes()
     for i in js:
         e = f.mask_of(i)
@@ -205,38 +203,30 @@ def is_T0(space: OrderedSpace) -> bool:
 
 
 def closure_of_point(space: OrderedSpace, p: int) -> int:
-    """Topological closure of {p} as a point mask: the q with p in N(q)."""
-    return mask_of_iter(q for q, nq in enumerate(specialisation_order(space.frame))
-                        if nq >> p & 1)
+    """Topological closure of {p} as a point mask: the complement of
+    int(X - {p}), the largest open that misses p."""
+    f, full = space.frame, (1 << space.n) - 1
+    return full & ~f.mask_of(f.interior(full & ~(1 << p)))
 
 
 def is_sober(space: OrderedSpace) -> bool:
     """Every prime open is the complement of a unique point closure.
 
-    Implemented by the prime-open definition; the finite shortcut
-    (sober iff T0) stays a test oracle.
+    Implemented by the prime-open definition, X - cl{p} = int(X - {p});
+    the finite shortcut (sober iff T0) stays a test oracle.
     """
-    f = space.frame
-    full = (1 << space.n) - 1
-    complements = {}
-    for p in range(space.n):
-        complements.setdefault(full & ~closure_of_point(space, p), []).append(p)
-    for pr in f.primes():
-        pts = complements.get(f.mask_of(pr), [])
-        if len(pts) != 1:
-            return False
-    return True
+    f, full = space.frame, (1 << space.n) - 1
+    owners = [f.interior(full & ~(1 << p)) for p in range(space.n)]
+    return all(owners.count(pr) == 1 for pr in f.primes())
 
 
 def is_T0_ordered(space: OrderedSpace) -> CheckReport:
     """For x not<= y some open separates: U containing x with y outside
-    upcone(U), or V containing y with x outside downcone(V)."""
+    upcone(U), or V containing y with x outside downcone(V).  Cones grow
+    with the open, so the least opens decide: x, y are inseparable iff y
+    is in up(N(x)) and x in down(N(y)).  A discrete space, N(x) = {x},
+    needs no case of its own: there up(N(x)) = up(x) excludes every y."""
     f = space.frame
-    if f.kind == "powerset":
-        return CheckReport("T0-ordered", "pass", None,
-                           "discrete topology: singleton opens separate")
-    # cones grow with the open, so the least open N(x) (resp. N(y)) decides:
-    # x, y are inseparable iff y is in up(N(x)) and x is in down(N(y))
     nbhds = specialisation_order(f)
     in_past = lat.transpose_rows([space.down_mask(e) for e in nbhds])
     for x, e in enumerate(nbhds):

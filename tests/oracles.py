@@ -874,7 +874,7 @@ def unit_check_loop(space: OrderedSpace) -> CheckReport:
     eta = []      # eta(x) as an index into primes, or None if not a prime
     prime_index = {p: i for i, p in enumerate(primes)}
     for x in range(space.n):
-        cmask = full & ~ospace.closure_of_point(space, x)
+        cmask = full & ~closure_of_point(space, x)
         pid = f.id_of_mask(cmask) if f.has_mask(cmask) else None
         eta.append(prime_index.get(pid))
 

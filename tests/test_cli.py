@@ -126,8 +126,9 @@ def test_cli_hull_and_friends(m33):
                          "list of point-id lists, got 'weird' (at opens)"),
     ({"order": [[0, 1.9]]}, "parse error: 1.9 is not an integer id (at order)"),
     ({"order": [[False, True]]}, "parse error: False is not an integer id (at order)"),
+    ({"order": [["0", "1"]]}, "parse error: '0' is not an integer id (at order)"),
 ], ids=["order-out-of-range", "order-not-a-pair", "opens-not-a-list", "order-float-id",
-        "order-bool-id"])
+        "order-bool-id", "order-string-id"])
 def test_cli_rejects_malformed_space_documents(field, message):
     doc = json.dumps({"kind": "space", "points": ["a", "b"], **field})
     out = run_cli(["check", "-"], doc)
@@ -162,6 +163,9 @@ M22_DOC = "m22"   # stands for the serialized m22 space
      json.dumps({"kind": "locale", "rel": [],
                  "frame": {"base": 2, "opens": "discrete", "points": ["a"]}}),
      "parse error: malformed frame: 1 point names for base 2 (at frame)"),
+    (["check", "-"], json.dumps({"kind": "locale", "rel": [["1_0", 3]],
+                                 "frame": {"base": 2, "opens": "discrete"}}),
+     "parse error: '1_0' is not an integer id (at rel)"),
     (["gen", "suite", "--name", "nope"], None, "error: unknown suite instance 'nope'"),
     (["gen", "two-speed", "--topology", "codiscrete"], None,
      "error: two_speed_grid wants the discrete topology"),
@@ -177,8 +181,8 @@ M22_DOC = "m22"   # stands for the serialized m22 space
 ], ids=["region-not-an-id", "region-negative", "target-not-an-id",
         "defect-not-a-cell", "slope-not-a-number", "coverage-table-kind-unknown",
         "frame-negative-base", "frame-float-base", "frame-too-few-point-names",
-        "unknown-suite-instance", "two-speed-not-discrete", "vertical-takes-no-slope",
-        "bowtie-takes-no-size", "vertical-takes-no-topology", "minkowski-takes-no-up",
+        "rel-string-id", "unknown-suite-instance", "two-speed-not-discrete",
+        "vertical-takes-no-slope", "bowtie-takes-no-size", "vertical-takes-no-topology", "minkowski-takes-no-up",
         "suite-takes-no-defect"])
 def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
     if stdin == M22_DOC:
@@ -426,6 +430,19 @@ def test_cli_file_errors_exit_2_with_one_line(where, tmp_path, capsys):
     assert out.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+def test_cli_memory_error_exits_2_with_one_line(monkeypatch, capsys):
+    # a MemoryError inside a command ends in one error line and exit 2,
+    # not a traceback
+    def exhausted(*args):
+        raise MemoryError
+
+    help_text, _, reads = cli.COMMANDS["gen"]
+    monkeypatch.setitem(cli.COMMANDS, "gen", (help_text, exhausted, reads))
+    assert cli.main(["gen", "bowtie"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: out of memory\n"
+
+
 def test_dot_pasts_coloring(loc22):
     # the "cones" coloring marks exactly the cone images
     doc = cli.doc_of_space(gen.suite_instance("m22"))
@@ -564,7 +581,7 @@ FUZZ_DOCS = [cli.serialize(cli.doc_of_space(inst) if isinstance(inst, S.OrderedS
              for name, inst in gen.standard_suite() if name != "m44"]
 JUNK = [None, -1, 0, 3, 40, 1.5, True, "x", "discrete", "codiscrete", "space", "locale",
         "cones", "coverage-table", [], {}, [0], [[0]], [[0, 1]], [[1, 0]], [[0, 99]],
-        [["a", 0]], [[0, 1, 2]], {"base": 2, "opens": "discrete"}]
+        [["a", 0]], [[0, 1, 2]], {"base": 2, "opens": "discrete"}, "0", "1_0", [["0", 1]]]
 KEYS = ["kind", "points", "order", "opens", "frame", "rel", "base", "up", "down",
         "cov_minus", "cov_plus"]
 REGIONS = ["", "0", "1", "0,1", "1,2", "0,1,2", "3,4,5", "9", "-1", "a", ",", "0,,3"]

@@ -8,6 +8,7 @@ theorem routes are checked against direct scans.
 
 import ast
 import functools
+import itertools
 import random
 from collections import deque
 
@@ -1633,6 +1634,52 @@ def test_atoms_and_booleanness_match_definitions(seed):
     assert f.atoms() == oracles.atoms_by_definition(f)
     assert f.is_atomistic() == oracles.is_atomistic_by_definition(f)
     assert f.is_boolean() == oracles.is_boolean_by_definition(f) == f.is_atomistic()
+
+
+def random_sublattice(rng, f):
+    """A few random elements of f closed under its meets and joins, and
+    the subframe on them."""
+    ids = {rng.randrange(f.m) for _ in range(rng.randint(1, 4))}
+    while True:
+        more = {g(a, b) for a in ids for b in ids for g in (f.meet, f.join)} - ids
+        if not more:
+            return L.subframe(f, ids)[0]
+        ids |= more
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 100_000))
+def test_primes_match_the_quantifier_form_in_order(seed):
+    # Birkhoff's bijection against the definition, order included: point
+    # order (descending ids) on powersets, id order on every other frame
+    rng = random.Random(seed)
+    style = seed % 5
+    if style == 0:      # discrete, or generated by random opens, often not T0
+        f = random_topology_space(rng).frame
+    elif style == 1:
+        n = rng.randint(1, 5)
+        f = L.frame_from_topology(n, [0, (1 << n) - 1])
+    elif style == 2:
+        f = random_frame(rng)
+    elif style == 3:
+        f = shuffled_frame(rng, random_frame(rng))
+    else:
+        f = random_sublattice(rng, random_frame(rng))
+    want = oracles.primes_by_definition(f)
+    assert f.primes() == (want[::-1] if f.kind == "powerset" else want)
+
+
+def test_points_on_the_16_point_down_set_document_builds_only_irreducible_up_rows():
+    # the primes are read by Birkhoff's bijection: of the 6,561 opens of
+    # eight two-point chains, only the 16 join-irreducibles get an up row
+    space = S.OrderedSpace.build(16, [(2 * i, 2 * i + 1) for i in range(8)], opens=[
+        sum(c) for c in itertools.product(*[(0, 1 << 2 * i, 3 << 2 * i) for i in range(8)])])
+    olx = S.induced_locale(space, "em")
+    assert D.points_space(olx).n == 16 and D.counit_check(olx).ok
+    f = space.frame
+    assert f.m == 6561
+    assert [i for i, r in enumerate(f._up_rows) if r is not None] == f.coprimes()
+    assert len(f.coprimes()) == 16
 
 
 def assert_base_checks_match_least_non_join(loc):
