@@ -38,10 +38,19 @@ def prime_to_filter(frame: FiniteFrame, p: int) -> int:
 
 
 def pt_masks(frame: FiniteFrame, primes: Sequence[int]) -> list[int]:
-    """pt(U) for every element U, as point-index masks: the points whose
-    filter holds U, i.e. the primes p_i with U not<= p_i."""
-    full = (1 << len(primes)) - 1
-    return [full & ~r for r in lat.rows_above(frame, primes)]
+    """pt(U) for every element U, as point-index masks: the primes p_i with
+    U not<= p_i.  Birkhoff lemma (`FiniteFrame.primes`): U not<= kappa(j) iff
+    j <= U iff (on a carrier bit b of j_b) b is in car[U], so for the frame's
+    own primes pt(U) is car[U] with each bit b renamed to the index of
+    kappa(j_b) (`_fold`; U on powersets).  Other values take `rows_above`."""
+    if primes != frame.primes() or frame.m > lat.SUBSET_LIMIT:    # powersets refuse there
+        full = (1 << len(primes)) - 1
+        return [full & ~r for r in lat.rows_above(frame, primes)]
+    if frame.kind == "powerset":
+        return list(frame.elements())
+    index, kappa = {p: i for i, p in enumerate(primes)}, frame.bit_primes()
+    rename = [1 << index[kappa[b]] if b in kappa else 0 for b in range(max(kappa, default=-1) + 1)]
+    return _fold(rename, or_, 0, frame.carriers())
 
 
 def _envelopes(olx: OrderedLocale, at: Sequence[int]):
@@ -61,11 +70,9 @@ def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], l
     """The point order rows and `pt_masks` of the frame's primes, the
     order read at the join-irreducibles J.
 
-    Birkhoff lemma (Davey & Priestley, ch. 5): the filter F_i of the
-    prime p_i, {U : U not<= p_i}, is the up-set of one join-irreducible
-    j_i, its least member.  pt is monotone and injective (finite frames
-    are spatial), so pt(j_i) is strictly inside pt(j) for every other j
-    in F_i: j_i is the j with i in pt(j) and the fewest points.
+    The filter F_i = {U : U not<= p_i} is the up-set of its least member
+    j_i (`pt_masks`), and pt is monotone and injective (finite frames are
+    spatial), so j_i is the j with i in pt(j) and the fewest points.
 
     Order lemma: F_i <= F_k iff up(U) is in F_k for every U in F_i, and
     down(V) in F_i for every V in F_k.  The U in F_i are the U >= j_i, and
@@ -145,16 +152,15 @@ def unit_check(space: OrderedSpace) -> CheckReport:
 
     eta(x) is the prime X - cl{x} = int(X - {x}), the largest open that
     misses x: by the lemma of `FiniteFrame.primes` it is kappa(N(x)),
-    always a prime, read with one O(|J|) interior and no order test.
+    always a prime, read from `FiniteFrame.bit_primes` with no order test.
     """
     f = space.frame
     olx = osp.induced_locale(space, "em")
     primes = f.primes()
     pts = points_space(olx)
-    full = (1 << space.n) - 1
 
     prime_index = {p: i for i, p in enumerate(primes)}
-    eta = [prime_index[f.interior(full & ~(1 << x))] for x in range(space.n)]
+    eta = [prime_index[p] for p in f.bit_primes().values()]
 
     t0 = osp.is_T0(space)
     injective = len(set(eta)) == space.n
@@ -380,17 +386,34 @@ class IdealPointSet:
         self.negation_bijection = negation_bijection
 
 
+def _cone_frame_points(f: FiniteFrame, cone) -> tuple[list[int], list[int]]:
+    """The join-irreducibles and primes of the frame on the image of a
+    join-preserving cone c (`olocale.futures_frame`), ascending ambient ids.
+    Generator lemma: that frame (bottom adjoined where b0 = c(bottom) is not)
+    is the ambient joins of G* = {b0} + {b0 | c(j) : j in J}, so its
+    irreducibles are the x in G* but bottom that differ from the join of G*
+    below x, and the prime of one is the join of the irreducibles not above it."""
+    car, b0 = f.carriers(), cone[f.bottom]
+    gens = {car[x]: x for x in {b0} | {f.join(b0, cone[j]) for j in f.coprimes()}}
+    js = sorted(x for c, x in gens.items() if x != f.bottom and
+                c != reduce(or_, [d for d in gens if d != c and d | c == c], 0))
+    cs = [car[k] for k in js]
+    return js, sorted({f.join_all([k for k, c in zip(js, cs) if cj & ~c]) for cj in cs})
+
+
 def ideal_points(olx: OrderedLocale) -> IdealPointSet:
-    """Enumerate indecomposable past/future regions and generalized ideal
-    points; under parallel + regular cones the Heyting negation pairs them
-    bijectively and this is verified."""
-    f = olx.frame
-    fut, fut_map = ol.futures_frame(olx)
-    pas, pas_map = ol.pasts_frame(olx)
-    ips = [pas_map.preimage[c] for c in pas.coprimes()]
-    ifs = [fut_map.preimage[c] for c in fut.coprimes()]
-    future_points = [fut_map.preimage[p] for p in fut.primes()]
-    past_points = [pas_map.preimage[p] for p in pas.primes()]
+    """Indecomposable past/future regions, generalized ideal points and the
+    cone frames' points, from generator values, once per locale (a cone frame
+    that may refuse is built); under parallel + regular cones the Heyting
+    negation pairs them bijectively (verified).  Refusals are not cached."""
+    f, out = olx.frame, olx.memo.get("ideal-points")
+    if out is not None:
+        return out
+    for cone, build in ((olx.cones.u, ol.futures_frame), (olx.cones.d, ol.pasts_frame)):
+        if ol._cone_join_failure(olx) is not None or not ol._is_closure(f, cone):
+            build(olx)
+    ifs, future_points = _cone_frame_points(f, olx.cones.u)
+    ips, past_points = _cone_frame_points(f, olx.cones.d)
     out = IdealPointSet(ips, ifs, future_points, past_points)
     if ol.check_axiom(olx, "parallel").ok and ol.check_regular_cones(olx).ok:
         neg_fut = sorted(f.neg(p) for p in future_points)
@@ -403,6 +426,7 @@ def ideal_points(olx: OrderedLocale) -> IdealPointSet:
             raise ValidationError("negation bijection failed despite parallel "
                                   "+ regular cones")
         out.negation_bijection = True
+    olx.memo["ideal-points"] = out
     return out
 
 

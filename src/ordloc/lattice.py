@@ -31,6 +31,7 @@ int bitmasks throughout.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
@@ -147,6 +148,7 @@ class FiniteFrame:
         self._neg = {}
         self._covers = None
         self._primes = None
+        self._bit_primes = None
         self._coprimes = None
         self._nbhds = None
         self._atoms = None
@@ -299,10 +301,20 @@ class FiniteFrame:
         topology b is a point p, j is N(p) and kappa(j) is int(X - {p}).
         """
         if self._primes is None:
-            full = self.top if self.kind == "powerset" else self._car[self.top]
-            ps = [self.interior(full & ~(1 << b)) for b in bits(full)]
+            ps = list(self.bit_primes().values())
             self._primes = ps if self.kind == "powerset" else sorted(set(ps))
         return self._primes
+
+    def bit_primes(self) -> dict[int, int]:
+        """Bit b of the top carrier -> kappa(j_b), in bit order (`primes`)."""
+        if self._bit_primes is None:
+            full = self.carriers()[self.top]
+            self._bit_primes = {b: self.interior(full & ~(1 << b)) for b in bits(full)}
+        return self._bit_primes
+
+    def carriers(self) -> Sequence[int]:
+        """The carrier mask of every element; on powersets the ids themselves."""
+        return range(self.m) if self.kind == "powerset" else self._car
 
     def coprimes(self) -> list[int]:
         """Join-irreducible (nonzero) elements, in increasing id order.
@@ -325,11 +337,13 @@ class FiniteFrame:
         return self._nbhds
 
     def atoms(self) -> list[int]:
-        """The minimal join-irreducibles j, in id order: O(|J|^2) order tests.
-        Each covers bottom, as an x in (bottom, j] joins the j below it."""
+        """The minimal join-irreducibles j, in id order (each covers bottom): j
+        is one iff j is the least holder j_b (N(b) on a topology, b where
+        carriers are J ids) of every bit b of car[j].  O(n + |J|)."""
         if self._atoms is None:
-            js = self.coprimes()
-            self._atoms = [j for j in js if not any(k != j and self.leq(k, j) for k in js)]
+            js, car = self.coprimes(), self.carriers()
+            owned = Counter(js if self._car is not self._ext else self.neighbourhoods())
+            self._atoms = [j for j in js if car[j].bit_count() == owned[j]]
         return self._atoms
 
     def ids_extend_order(self) -> bool:

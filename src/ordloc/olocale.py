@@ -139,18 +139,18 @@ class ConePair:
         """Monad laws, raising NotAMonad at the least witness.  A map that
         preserves binary joins is monotone, and inflationary and idempotent
         once it is so at bottom and on J, as each a != bottom is a join of
-        the j below it (a `SubsetCone` preserves joins by construction, so
-        it costs O(n) reads).  Any other map gets the full scan, monotonicity
-        included: along covers (which generate <=) on powerset frames and
-        above PAIR_LIMIT, over all pairs x <= y (least in id order) otherwise.
+        the j below it and c o c preserves joins (a `SubsetCone` does so by
+        construction, so it costs O(n) reads).  Any other map gets the full
+        scan, monotonicity included: along covers (which generate <=) on
+        powerset frames and above PAIR_LIMIT, over all pairs x <= y (least
+        in id order) otherwise.
         Both maps are then monotone, so a pass sets the `monotone` memo."""
         f = self.frame
         by_covers = f.kind == "powerset" or f.m > PAIR_LIMIT
         for name, t in (("u", self.u), ("d", self.d)):
             if len(t) != f.m:
                 raise NotAMonad(f"{name} totality", (len(t),))
-            if self.join_failure(name) is None and all(
-                    f.leq(x, t[x]) and t[t[x]] == t[x] for x in (f.bottom, *f.coprimes())):
+            if self.join_failure(name) is None and _is_closure(f, t):
                 continue
             t = self.listed(name)
             for x in f.elements():
@@ -186,8 +186,8 @@ class OrderedLocale:
       `ordered_locale_from_relation`, kept by `dual_order`; this holds as
       long as no caller writes to the rows after construction);
     * `memo`: derived structures, built once each and keyed by name
-      ("futures", "pasts", "regular-cones", "points", "dual", "atom-rel",
-      "coverage-rows"), whichever module derives them.
+      ("futures", "pasts", "regular-cones", "points", "ideal-points", "dual",
+      "atom-rel", "coverage-rows"), whichever module derives them.
     """
 
     def __init__(self, frame: FiniteFrame, *, up_map, down_map, rel_rows=None,
@@ -268,7 +268,7 @@ def cones_from_rows(frame: FiniteFrame, rows: list[int]) -> tuple[list[int], lis
     return up_map, down_map
 
 
-def _translation_gap(frame: FiniteFrame, rows: Sequence[int]) -> Optional[tuple]:
+def _translation_gap(frame: FiniteFrame, rows: Sequence[int], masks=None) -> Optional[tuple]:
     """The least (U, V, J, J) with U rel V, J join-irreducible and U | J not
     rel V | J (least U, then V, then J in `coprimes()` order), or None.
 
@@ -288,17 +288,17 @@ def _translation_gap(frame: FiniteFrame, rows: Sequence[int]) -> Optional[tuple]
     over the x in rows[t] & up_row(J): O(m |J|) row tests, plus the sum
     over J and t >= J of |rows[t] & up_row(J)| fibre ORs.  On powersets V | J
     is V on H = up_row(J) and V + J off it, so pre_J(Y) = h | h >> J for
-    h = Y & H.  Packed (`_packed_powerset`), with h = x & colH that is
-    every row at once; read back at U | J, U on rowH and U + J off it, the
-    gaps of J are x & ~(g | g >> J*s) for g = pre & rowH, and the least
-    gap is their lowest bit over J in `coprimes()` order, the first J on
-    ties: O(1) wide operations per J.
-    """
+    h = Y & H.  Packed (`lattice.pack_rows`, bit (U, V) at U*s + V for
+    s = max(8, m)), with h = x & colH that is every row at once; read back
+    at U | J, U on rowH and U + J off it, the gaps of J are
+    x & ~(g | g >> J*s) for g = pre & rowH, and the least gap is their
+    lowest bit over J in `coprimes()` order, the first J on ties: O(1) wide
+    operations per J (`masks`: those of `_point_masks`)."""
     f = frame
     if f.kind == "powerset":
-        x, stride, masks = _packed_powerset(f, rows)
-        low, gap = 0, None
-        for j, (col, row) in zip(f.coprimes(), masks):
+        stride = max(8, f.m)
+        x, low, gap = lat.pack_rows(rows, stride >> 3), 0, None
+        for j, (col, row) in zip(f.coprimes(), masks or _point_masks(f)):
             h = x & col
             g = (h | h >> j) & row
             lack = x ^ x & (g | g >> j * stride)           # x & ~(g | g >> J*s)
@@ -321,7 +321,7 @@ def _translation_gap(frame: FiniteFrame, rows: Sequence[int]) -> Optional[tuple]
     return None
 
 
-def _translation_closure(frame: FiniteFrame, rows: list[int]) -> list[int]:
+def _translation_closure(frame: FiniteFrame, rows: list[int], masks=None) -> list[int]:
     """Close `rows` under translation by every join-irreducible J
     (U R V gives (U | J) R (V | J)), one pass per J in `coprimes()` order.
 
@@ -341,8 +341,9 @@ def _translation_closure(frame: FiniteFrame, rows: list[int]) -> list[int]:
     """
     f = frame
     if f.kind == "powerset":
-        x, stride, masks = _packed_powerset(f, rows)
-        for j, (col, row) in zip(f.coprimes(), masks):
+        stride = max(8, f.m)
+        x = lat.pack_rows(rows, stride >> 3)
+        for j, (col, row) in zip(f.coprimes(), masks or _point_masks(f)):
             h = x & col
             y = h | (x ^ h) << j
             x |= (y | y << j * stride) & row
@@ -359,12 +360,10 @@ def _translation_closure(frame: FiniteFrame, rows: list[int]) -> list[int]:
 _POINT_MASKS: dict[int, list[tuple[int, int]]] = {}   # m -> (colH, rowH) per point
 
 
-def _packed_powerset(f: FiniteFrame, rows: Sequence[int]) -> tuple[int, int, list]:
-    """The rows of a powerset of m subsets as one integer, bit (U, V) at
-    U*s + V for s = max(8, m) (`lattice.pack_rows`), s, and per point
-    J = 2^b the masks colH and rowH of the bits whose V and U hold J: bits
-    b and log2(s) + b of the index.  Cached up to the 128 rows of the
-    packed closure (`lattice.transitive_closure_rows`), built per call above."""
+def _point_masks(f: FiniteFrame) -> list[tuple[int, int]]:
+    """Per point J = 2^b of a packed powerset, the masks colH and rowH of the
+    bits b and log2(s) + b of the index, whose V and U hold J.  Cached up to
+    128 rows; above, built once per `ordered_locale_from_relation`."""
     m, stride = f.m, max(8, f.m)
     masks = _POINT_MASKS.get(m)
     if masks is None:
@@ -373,7 +372,7 @@ def _packed_powerset(f: FiniteFrame, rows: Sequence[int]) -> tuple[int, int, lis
         masks = [(index_bit(j), index_bit(stride * j)) for j in f.coprimes()]
         if m <= lat.PACK_ROWS // 4:
             _POINT_MASKS[m] = masks
-    return lat.pack_rows(rows, stride >> 3), stride, masks
+    return masks
 
 
 def _join_fibres(f: FiniteFrame, j: int) -> tuple[list[int], list[int]]:
@@ -421,13 +420,14 @@ def ordered_locale_from_relation(frame: FiniteFrame, pairs: Iterable[tuple[int, 
             raise ValidationError(f"relation pair {(u, v)} out of range")
         rows[u] |= 1 << v
     rows = lat.transitive_closure_rows(rows)
-    gap = _translation_gap(frame, rows)
+    masks = _point_masks(frame) if frame.kind == "powerset" else None
+    gap = _translation_gap(frame, rows, masks)
     if gap is not None:
         if strict:
             raise AxiomVFailure(gap)
         meta = dict(meta or {})
         meta["join_saturated"] = gap
-        rows = lat.transitive_closure_rows(_translation_closure(frame, rows))
+        rows = lat.transitive_closure_rows(_translation_closure(frame, rows, masks))
         if sum(map(lat.popcount, rows)) > SATURATION_LIMIT:
             raise FrameTooLarge(f"join saturation exceeded {SATURATION_LIMIT} pairs")
     up_map, down_map = (_greatest_members(rows) if frame.ids_extend_order()
@@ -1021,8 +1021,14 @@ def _cone_frame(ol: OrderedLocale, name, label) -> tuple[FiniteFrame, FrameMap]:
     has c(x) = c(bottom) | join{c(j) : j in J, j <= x}, and c(bottom)
     joined with the c(j) of any set S of j is c(join S).  So its image is
     {c(bottom)} closed under join with each c(j), built by doubling over
-    the distinct c(j): O(|image| |J|) joins, and no cone is listed.  An image above
-    SUBSET_LIMIT elements is refused (FrameTooLarge)."""
+    the distinct c(j): O(|image| |J|) joins, and no cone is listed.
+
+    Size lemma: k values c(j) each with a carrier bit that c(bottom) and the
+    other c(j) lack give 2^k joins (carrier ORs): refused (FrameTooLarge)
+    above SUBSET_LIMIT, before the closure where 2^k is.  Inclusion lemma:
+    the image is join-closed and holds bottom (adjoined where c(bottom) is
+    not); a closure c adds c(top) = top and meets, c(a & b) <= c(a) & c(b)
+    = a & b <= c(a & b), so `FrameMap.validate` runs only elsewhere."""
     cached = ol.memo.get(label)
     if cached is not None:
         return cached
@@ -1031,11 +1037,16 @@ def _cone_frame(ol: OrderedLocale, name, label) -> tuple[FiniteFrame, FrameMap]:
     if bad is not None:
         raise ConesDoNotPreserveJoins(bad[0])
     cone, join = getattr(ol.cones, name), or_ if f.kind == "powerset" else f.join
+    gens, car = {cone[j] for j in f.coprimes()}, f.carriers()
+    once = twice = car[cone[f.bottom]]          # bits of c(bottom) count as shared
+    for g in gens:
+        once, twice = once | car[g], twice | once & car[g]
+    least = 1 << sum(car[g] & ~twice != 0 for g in gens)       # the size lemma's bound
     image = {cone[f.bottom]}
-    for g in {cone[j] for j in f.coprimes()}:
+    for g in gens:
         new = {join(x, g) for x in image}
         new -= image
-        if len(image) + len(new) > lat.SUBSET_LIMIT:
+        if max(least, len(image) + len(new)) > lat.SUBSET_LIMIT:
             raise FrameTooLarge(f"{label} frame exceeds {lat.SUBSET_LIMIT} elements")
         image |= new
     meta = {"construction": label}
@@ -1044,9 +1055,15 @@ def _cone_frame(ol: OrderedLocale, name, label) -> tuple[FiniteFrame, FrameMap]:
         meta["adjoined_bottom"] = True
     sub, incl = lat.subframe(f, image, meta=meta)
     fmap = FrameMap(source=f, target=sub, preimage=list(incl))
-    fmap.validate()
+    if not _is_closure(f, cone):
+        fmap.validate()
     cached = ol.memo[label] = sub, fmap
     return cached
+
+
+def _is_closure(f: FiniteFrame, c: Sequence[int]) -> bool:
+    """Is the join-preserving c a closure?  Read at bottom and J (`ConePair.validate`)."""
+    return all(f.leq(x, c[x]) and c[c[x]] == c[x] for x in (f.bottom, *f.coprimes()))
 
 
 def is_biframe(ol: OrderedLocale) -> CheckReport:

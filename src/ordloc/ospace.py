@@ -122,8 +122,9 @@ def _cone_maps(space: OrderedSpace) -> tuple[Sequence[int], Sequence[int], dict]
     if up(U) is open for all U, then int(up(U)) = up(U) and U -> up(U)
     preserves unions, this frame's joins (and dually).  Every value is
     tested, so the memo holds {name: None} exactly for the cones whose
-    values are all open (and for a `SubsetCone`).  Cached on the space,
-    so the induced locales share them."""
+    values are all open (and for a `SubsetCone`).  On listed opens the
+    point rows' `SubsetCone`s are read where their tables are no larger than
+    the frame.  Cached on the space, so the induced locales share them."""
     cached = space._cone_cache.get("maps")
     if cached is not None:
         return cached
@@ -134,14 +135,18 @@ def _cone_maps(space: OrderedSpace) -> tuple[Sequence[int], Sequence[int], dict]
         down_map = SubsetCone(space.n, 0, space.down, cols=space.up)
     else:
         def value(name: str, c: int) -> int:
-            if f.has_mask(c):
+            try:
                 return f.id_of_mask(c)
-            joins.pop(name, None)
-            return f.interior(c)
+            except KeyError:
+                joins.pop(name, None)
+                return f.interior(c)
 
+        tabled = 1 << space.n - space.n // 2 <= f.m
         masks = [f.mask_of(i) for i in f.elements()]
-        up_map = [value("u", space.up_mask(e)) for e in masks]
-        down_map = [value("d", space.down_mask(e)) for e in masks]
+        up = SubsetCone(space.n, 0, space.up).__getitem__ if tabled else space.up_mask
+        down = SubsetCone(space.n, 0, space.down).__getitem__ if tabled else space.down_mask
+        up_map = [value("u", up(e)) for e in masks]
+        down_map = [value("d", down(e)) for e in masks]
     space._cone_cache["maps"] = up_map, down_map, joins
     return up_map, down_map, joins
 

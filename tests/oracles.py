@@ -985,6 +985,29 @@ def cone_frame_by_list(olx: OrderedLocale, name: str, label: str):
     return sub, incl
 
 
+def ideal_points_listed(olx: OrderedLocale):
+    """`duality.ideal_points` on the listed cone frames (`cone_frame_by_list`):
+    the join-irreducibles and primes of each frame as ambient ids, and the
+    negation bijection checked under parallel + regular cones."""
+    from ordloc.duality import IdealPointSet
+    f = olx.frame
+    fut, fut_in = cone_frame_by_list(olx, "u", "futures")
+    pas, pas_in = cone_frame_by_list(olx, "d", "pasts")
+    out = IdealPointSet([pas_in[c] for c in pas.coprimes()], [fut_in[c] for c in fut.coprimes()],
+                        [fut_in[p] for p in fut.primes()], [pas_in[p] for p in pas.primes()])
+    if check_axiom(olx, "parallel").ok and olocale.check_regular_cones(olx).ok:
+        neg_fut = sorted(f.neg(p) for p in out.future_points)
+        neg_pas = sorted(f.neg(p) for p in out.past_points)
+        ok = (neg_fut == sorted(out.ips) and len(set(neg_fut)) == len(out.future_points)
+              and neg_pas == sorted(out.ifs) and len(set(neg_pas)) == len(out.past_points)
+              and all(f.neg(f.neg(p)) == p for p in out.future_points + out.past_points))
+        if not ok:
+            raise ValidationError("negation bijection failed despite parallel "
+                                  "+ regular cones")
+        out.negation_bijection = True
+    return out
+
+
 def bullet_scan(olx: OrderedLocale, pcones) -> CheckReport:
     """Axiom (bullet) tested at every element in id order, with the
     `point_cones_loop` triples of every element."""
@@ -1059,9 +1082,8 @@ def counit_check_loop(olx: OrderedLocale) -> CheckReport:
 def double_negation_transport_general(olx: OrderedLocale) -> CheckReport:
     """`duality.double_negation_transport` by the definition: the regular
     order always comes from `order_from_map` along the sublocale map, the
-    cones are always compared, and the IPs of the induced locale are
-    computed again."""
-    from ordloc.duality import ideal_points
+    cones are always compared, and the IPs of both locales are read from
+    their listed cone frames (`ideal_points_listed`)."""
     from ordloc.errors import RegularConesRequired
     from ordloc.lattice import double_negation_frame
     if not olocale.check_regular_cones(olx).ok:
@@ -1096,8 +1118,8 @@ def double_negation_transport_general(olx: OrderedLocale) -> CheckReport:
         if amb_of[induced.down_map[reg_of[u]]] != olx.down_map[u]:
             return CheckReport("dn-transport", "fail", (u,),
                                "induced past cone differs from the ambient one")
-    amb_ip = sorted(ideal_points(olx).ips)
-    reg_ip = sorted(amb_of[i] for i in ideal_points(induced).ips)
+    amb_ip = sorted(ideal_points_listed(olx).ips)
+    reg_ip = sorted(amb_of[i] for i in ideal_points_listed(induced).ips)
     if amb_ip != reg_ip:
         return CheckReport("dn-transport", "fail", tuple(amb_ip[:2]),
                            "IP sets differ between the locale and its "

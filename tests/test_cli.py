@@ -11,6 +11,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -219,13 +220,13 @@ def run_discrete(n, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["points", "-"], ["futures", "-"], ["ips", "-"], ["dot", "-"],
+    ["points", "-"], ["futures", "-"], ["pasts", "-"], ["dot", "-"],
 ], ids=lambda argv: argv[0])
 def test_cli_refuses_40_point_discrete_space(argv):
     # `points` reads pt(U) for every element and `dot` draws every element,
     # so 2**40 opens are refused before any list is allocated; the cone
-    # frames of `futures` and `ips` are all 2**40 subsets, refused once
-    # their closure from the generator values passes 2**20 elements
+    # frames of `futures` and `pasts` are all 2**40 subsets, refused before
+    # their closure, as 40 generator values each hold a point of their own
     out = run_discrete(40, argv)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
@@ -246,12 +247,16 @@ def test_cli_lists_futures_frame_of_14_point_discrete_space():
     (["dod", "-", "--region", "0"], "D+({p0}) = {p0} [exact]\n"),
     (["ideals", "-"], "ideals (40):\n" + "".join(f"  {{p{i}}}\n" for i in range(40))
      + "past-semi-full: pass (exhaustive)\n"),
-], ids=["check", "hull", "dod", "ideals"])
+    (["ips", "-"], "".join(f"{name} (40):\n" + "".join(f"  {{p{i}}}\n" for i in range(40))
+                           for name in ("IPs", "IFs"))
+     + "future points: 40, past points: 40, negation bijection: True\n"),
+], ids=["check", "hull", "dod", "ideals", "ips"])
 def test_cli_answers_40_point_discrete_space(argv, expect):
     # the laws, per-element queries and the closed-form domain of
     # dependence read generator-form cones from two half tables of 2**20
     # entries each; the ideals of the relation are its greatest-member
-    # candidates, one per point
+    # candidates, one per point, and the ideal points are read from the
+    # 41 generator values of each cone frame, which is never built
     out = run_discrete(40, argv)
     assert out.returncode == 0 and out.stderr == ""
     if expect is None:
@@ -610,13 +615,22 @@ def mutated_doc(draw):
     return text
 
 
+# where the document is read from and --out writes to: stdin or stdout, a
+# file, or a path that cannot be opened (`fuzz_paths` makes them)
+INPUTS = ["-", "-", "-", "<file>", "<missing>", "<dir>"]
+OUTS = [None, None, None, "<file>", "<missing>", "<dir>"]
+
+
 @st.composite
 def doc_argv(draw):
     # check half the time, so that exits 1 of check --json come up often
     # only the options the drawn subcommand reads; a None value leaves one out
     cmd = draw(st.just("check") | st.sampled_from([c for c in cli.COMMANDS if c != "gen"]))
     reads = cli.COMMANDS[cmd][2]
-    argv = [cmd, "-"]
+    argv = [cmd, draw(st.sampled_from(INPUTS))]
+    out = draw(st.sampled_from(OUTS))
+    if out is not None:
+        argv += ["--out", out]
     for flag, values in (("--region", REGIONS), ("--target", REGIONS),
                          ("--variant", [None, "em", "upper", "lower"]),
                          ("--direction", ["future", "past"]),
@@ -642,14 +656,50 @@ def _run_in_process(argv, text):
             code = cli.main(argv)
     finally:
         sys.stdin = saved
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def fuzz_paths(argv, text, tmp):
+    """argv with each <file>, <missing> and <dir> made a path under tmp:
+    the input <file> holds the document, an output <file> is new, a
+    <missing> one lies in a directory that does not exist, <dir> is tmp."""
+    paths = {"<missing>": os.path.join(tmp, "no-such-dir", "x.json"), "<dir>": tmp}
+    out = list(argv)
+    for i, arg in enumerate(out):
+        if arg == "<file>":
+            out[i] = os.path.join(tmp, "out.txt" if out[i - 1] == "--out" else "doc.json")
+        else:
+            out[i] = paths.get(arg, arg)
+    with open(os.path.join(tmp, "doc.json"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return out
 
 
 @settings(max_examples=120, deadline=None)
 @given(mutated_doc(), doc_argv())
 def test_cli_fuzz_on_mutated_suite_documents(text, argv):
-    code, out = _run_in_process(argv, text)
+    # a document read from a file answers as from stdin, and --out writes
+    # to its file what stdout would get; a document or --out path that
+    # cannot be opened ends in exit 2, an empty stdout and one error line
+    # last on stderr, never a traceback
+    target = argv[argv.index("--out") + 1] if "--out" in argv else None
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _run_in_process(fuzz_paths(argv, text, tmp), text)
+        if argv[1] == "<file>":
+            assert (code, out, err) == _run_in_process(
+                fuzz_paths(["-" if a == "<file>" and i == 1 else a for i, a in enumerate(argv)],
+                           text, tmp), text)
+        if target == "<file>" and os.path.exists(os.path.join(tmp, "out.txt")):
+            assert out == ""
+            with open(os.path.join(tmp, "out.txt"), encoding="utf-8") as fh:
+                out = fh.read()
     assert code in (0, 1, 2, 3)
+    if argv[1] in ("<missing>", "<dir>"):
+        assert (code, out) == (2, "") and err.startswith("error: [Errno ")
+        assert err.count("\n") == 1
+    elif target in ("<missing>", "<dir>"):
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(("error: ", "parse error: "))
     if code == 1 and argv[0] == "check" and "--json" in argv:
         with contextlib.redirect_stderr(io.StringIO()):
             doc = cli.parse(text, strict="--strict" in argv)

@@ -1142,7 +1142,7 @@ def test_derived_structures_patch_no_locale():
         _derive_everything(olx)
         _derive_everything(O.dual_order(olx))
         for x in (olx, O.dual_order(olx)):
-            assert set(x.memo) == {"futures", "pasts", "regular-cones", "points", "dual",
-                                   "atom-rel", "coverage-rows"}
+            assert set(x.memo) == {"futures", "pasts", "regular-cones", "points",
+                                   "ideal-points", "dual", "atom-rel", "coverage-rows"}
             assert set(vars(x)) - {"up_map", "down_map"} == \
                 set(vars(fresh)) - {"up_map", "down_map"}

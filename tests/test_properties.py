@@ -22,7 +22,7 @@ from ordloc.errors import (ConesDoNotPreserveJoins, FrameTooLarge, NotAFrameMap,
 from ordloc.lattice import bits, mask_of_iter
 
 import oracles
-from conftest import report_outcome, rows_locale
+from conftest import count_calls, report_outcome, rows_locale
 
 
 def random_space(rng, n=None):
@@ -1262,10 +1262,11 @@ def test_frame_map_kernels_match_pair_scan(seed):
 
 
 def test_frame_map_validate_op_count_on_vertical_grid(monkeypatch):
-    # every validate of the futures and pasts frames behind ideal points and
-    # the double-negation transport stays within 2 m (|J| + |P|) meets and
-    # joins on its target; the transport's general path builds the cone
-    # frames of the induced locale, which the identity route skips
+    # the cones of an induced locale are closures, so its futures and pasts
+    # frames are subframes by the inclusion lemma of `olocale._cone_frame`,
+    # with no validate, and ideal points and the transport build neither;
+    # every validate of the listed cone frames of the transport's general
+    # path stays within 2 m (|J| + |P|) meets and joins on its target
     olx = S.induced_locale(gen.vertical_grid(3, 3), "em")
     calls, budgets = [0], []
     meet, join, validate = L.FiniteFrame.meet, L.FiniteFrame.join, L.FrameMap.validate
@@ -1286,7 +1287,8 @@ def test_frame_map_validate_op_count_on_vertical_grid(monkeypatch):
     monkeypatch.setattr(L.FrameMap, "validate", measured)
     D.ideal_points(olx)
     assert D.double_negation_transport(olx).ok
-    assert len(budgets) == 2
+    O.futures_frame(olx), O.pasts_frame(olx)
+    assert budgets == []
     assert oracles.double_negation_transport_general(olx).ok
     assert len(budgets) >= 4 and all(used <= budget for used, budget in budgets), budgets
 
@@ -1670,15 +1672,16 @@ def test_primes_match_the_quantifier_form_in_order(seed):
 
 
 def test_points_on_the_16_point_down_set_document_builds_only_irreducible_up_rows():
-    # the primes are read by Birkhoff's bijection: of the 6,561 opens of
-    # eight two-point chains, only the 16 join-irreducibles get an up row
+    # the primes and pt(U) are read by Birkhoff's bijection: of the 6,561
+    # opens of eight two-point chains, none gets an up row, the 16
+    # join-irreducibles included
     space = S.OrderedSpace.build(16, [(2 * i, 2 * i + 1) for i in range(8)], opens=[
         sum(c) for c in itertools.product(*[(0, 1 << 2 * i, 3 << 2 * i) for i in range(8)])])
     olx = S.induced_locale(space, "em")
     assert D.points_space(olx).n == 16 and D.counit_check(olx).ok
     f = space.frame
     assert f.m == 6561
-    assert [i for i, r in enumerate(f._up_rows) if r is not None] == f.coprimes()
+    assert f._up_rows is None
     assert len(f.coprimes()) == 16
 
 
@@ -1889,3 +1892,176 @@ def test_cone_frames_and_bullet_match_list_oracles_on_random_locales():
 
     check()
     assert all(routes.values()), routes
+
+
+# -- the duality layer at bottom and J ----------------------------------------------
+
+
+def pt_test_frame(rng):
+    """A random topology (T0 or not) or `random_frame`, as it is, shuffled
+    into a down-row frame whose ids do not extend the order, or replaced
+    by a subframe of it: its regular elements or a futures frame."""
+    sp = random_topology_space(rng)
+    f = sp.frame if rng.random() < 0.5 else random_frame(rng)
+    style = rng.randrange(4)
+    if style == 1:
+        return shuffled_frame(rng, f)
+    if style == 2:
+        return L.double_negation_frame(f)[0]
+    if style == 3:
+        olx = S.induced_locale(sp, "em")
+        if O.check_axiom(olx, "C-join").ok:
+            return O.futures_frame(olx)[0]
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 100_000))
+def test_pt_masks_match_rows_above_oracle(seed):
+    # pt(U) of the frame's primes by Birkhoff's bijection, the carriers
+    # renamed to prime indices (the identity on powersets), equals its
+    # definition through `rows_above` and the per-element quantifier
+    rng = random.Random(seed)
+    f = pt_test_frame(rng)
+    primes = f.primes()
+    full = (1 << len(primes)) - 1
+    got = D.pt_masks(f, primes)
+    assert got == [full & ~r for r in L.rows_above(f, primes)]
+    assert got == [oracles.pt_mask(f, primes, u) for u in f.elements()]
+
+
+def test_pt_masks_of_the_primes_read_no_rows(monkeypatch):
+    # on powersets, topologies and down-row frames alike
+    frames = [L.powerset_frame(4), gen.suite_instance("m22").frame,
+              L.frame_from_topology(3, [0, 1, 3, 7]), L.frame_from_topology(2, [0, 3])]
+    frames.append(L.subframe(frames[2], frames[2].elements())[0])
+    calls = count_calls(monkeypatch, ((L, "rows_above"), (L.FiniteFrame, "up_row"),
+                                      (L.FiniteFrame, "leq")))
+    pms = [D.pt_masks(f, f.primes()) for f in frames]
+    assert calls == {"rows_above": 0, "up_row": 0, "leq": 0}
+    assert pms[0] == list(range(16)) and pms[3] == [0, 1]
+
+
+def generator_cone_locale(f, values):
+    """The join-preserving future cone with c({b}) = values[b] on a powerset,
+    and the identity as its past cone."""
+    up = [L.or_rows(values, s) for s in f.elements()]
+    return O.ordered_locale_from_monads(O.ConePair(f, up, list(f.elements())), validated=True)
+
+
+def ideal_points_outcome(fn, olx):
+    """The four lists and the negation flag, or the refusal as (type, message)."""
+    try:
+        ips = fn(olx)
+    except OrdlocError as e:
+        return type(e).__name__, str(e)
+    return tuple(getattr(ips, name) for name in D.IdealPointSet.__slots__)
+
+
+def test_cone_frame_inclusion_lemma_and_its_fallback(monkeypatch):
+    # a closure cone's frame is a subframe by the inclusion lemma of
+    # `olocale._cone_frame`, with no validate; a join-preserving cone that
+    # is not inflationary (a swap of two points, a projection) or not
+    # idempotent is validated, and its frame, refusal and ideal points are
+    # those of the listed frame
+    f = L.powerset_frame(3)
+    cases = {"closure": [0b011, 0b010, 0b100], "swap": [0b010, 0b001, 0b100],
+             "projection": [0b001, 0, 0], "not idempotent": [0b011, 0b110, 0b110]}
+    validated = {}
+    for name, values in cases.items():
+        olx = generator_cone_locale(f, values)
+        calls = count_calls(monkeypatch, ((L.FrameMap, "validate"),))
+        got = cone_frame_outcome(O.futures_frame, olx)
+        validated[name] = calls["validate"]
+        monkeypatch.undo()
+        assert got == cone_frame_outcome(oracles.cone_frame_by_list, olx, "u", "futures"), name
+        assert ideal_points_outcome(D.ideal_points, generator_cone_locale(f, values)) == \
+            ideal_points_outcome(oracles.ideal_points_listed, olx), name
+        validated[name, "refused"] = got[0] == "NotAFrameMap"
+    assert validated == {"closure": 0, "swap": 1, "projection": 1, "not idempotent": 1,
+                         ("closure", "refused"): False, ("swap", "refused"): False,
+                         ("projection", "refused"): True,
+                         ("not idempotent", "refused"): True}
+
+
+def test_ideal_points_match_listed_frames_on_grids():
+    # the upper and lower variants have a constant-top cone, whose frame
+    # adjoins the bottom
+    adjoined = 0
+    for key, olx in grid_locales([(2, 2), (2, 3), (3, 3)]):
+        assert ideal_points_outcome(D.ideal_points, olx) == \
+            ideal_points_outcome(oracles.ideal_points_listed, olx), key
+        adjoined += key[3] != "em"
+    assert adjoined
+
+
+def test_ideal_points_match_listed_frames_on_random_locales():
+    # the generator IPs, IFs and points (`duality._cone_frame_points`), or
+    # the refusal, against those of the listed cone frames; frames with an
+    # adjoined bottom and refusals of each kind come up
+    seen = {"adjoined": 0, "answered": 0, "refused": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 100_000))
+    def check(seed):
+        rng = random.Random(seed)
+        if rng.random() < 0.6:
+            olx = duality_locale(seed)
+        else:
+            olx = random_locale(rng, shuffled_frame(rng, random_frame(rng)))
+        want = ideal_points_outcome(oracles.ideal_points_listed, olx)
+        assert ideal_points_outcome(D.ideal_points, olx) == want, seed
+        f = olx.frame
+        seen["refused" if isinstance(want[0], str) else "answered"] += 1
+        seen["adjoined"] += not isinstance(want[0], str) and \
+            (olx.up(f.bottom) != f.bottom or olx.down(f.bottom) != f.bottom)
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_ideal_points_build_no_cone_frame(m33, monkeypatch):
+    # the README tour's ideal points on M33 read the generator values only;
+    # the cone frames it builds after them skip validate (closure cones)
+    olx = S.induced_locale(m33, "em")
+    calls = count_calls(monkeypatch, ((L, "subframe"), (O, "_cone_frame"),
+                                      (L.FrameMap, "validate")))
+    ips = D.ideal_points(olx)
+    assert calls == {"subframe": 0, "_cone_frame": 0, "validate": 0}
+    assert (len(ips.ips), len(ips.ifs), ips.negation_bijection) == (9, 9, True)
+    O.futures_frame(olx), O.pasts_frame(olx)
+    assert calls == {"subframe": 2, "_cone_frame": 2, "validate": 0}
+
+
+def test_cone_frames_of_40_point_discrete_space_refuse_before_the_closure():
+    # each of the 40 generator values holds a point no other one holds, so
+    # the frame has at least 2**40 elements: refused with under 1 MB
+    # allocated, where the closure would build 2**20 sets first
+    import tracemalloc
+    olx = S.induced_locale(S.OrderedSpace.build(40, []), "em")
+    for build in (O.futures_frame, O.pasts_frame):
+        tracemalloc.start()
+        with pytest.raises(FrameTooLarge, match="exceeds 1048576 elements"):
+            build(olx)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 100_000))
+def test_cone_maps_on_listed_opens_match_interior_cones(seed):
+    # `ospace._cone_maps` reads point-set cones from SubsetCone tables on
+    # listed opens; the values and the join memo match the interiors of
+    # the unions of point cones
+    rng = random.Random(seed)
+    sp = random_topology_space(rng)
+    if sp.frame.kind == "powerset":
+        return
+    up, down, joins = S._cone_maps(sp)
+    assert (list(up), list(down)) == oracles.interior_cone_maps(sp)
+    f = sp.frame
+    masks = [f.mask_of(u) for u in f.elements()]
+    open_values = {"u": all(f.has_mask(sp.up_mask(e)) for e in masks),
+                   "d": all(f.has_mask(sp.down_mask(e)) for e in masks)}
+    assert joins == {name: None for name, ok in open_values.items() if ok}
