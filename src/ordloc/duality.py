@@ -14,7 +14,6 @@ their greatest members, one candidate per point (`triangle_ideals`).
 from __future__ import annotations
 
 from functools import reduce
-from itertools import repeat
 from operator import and_, or_
 from typing import Optional, Sequence
 
@@ -224,11 +223,9 @@ def _fold(rows: Sequence[int], op, unit: int, keys) -> list[int]:
     """For each mask s in keys, op of rows[i] over the i in s, memoized
     along the lowest bit: t[s] = op(t[s ^ low], rows[low]), so masks that
     share a prefix share its fold.  Where the keys are at least half of
-    all 2^n masks, the whole table is built, doubling it once per row."""
+    all 2^n masks, the whole table is built (`lattice.subset_table`)."""
     if 1 << len(rows) <= 2 * len(keys):
-        table = [unit]
-        for r in rows:
-            table += [*map(op, table, repeat(r))]
+        table = lat.subset_table(unit, rows, op)
         return [table[s] for s in keys]
     memo, out = {0: unit}, []
     for s in keys:
@@ -446,7 +443,8 @@ def double_negation_transport(olx: OrderedLocale) -> CheckReport:
     regular elements are closed under meets, so R rel R' iff R' <= a(R)
     and R <= c(R'), a(R) = meet{up(V) : V >= R} and c alike from down
     (`_envelopes`; a = up and c = down for monotone cones).  The rows are
-    `cone_rows(sub, a, c)`.
+    `cone_rows(sub, a, c)`, recomputed on purpose: the independent side of
+    the comparison with `olx.rel_rows()`, so rows memoized wrongly fail.
 
     Cone lemma: every R' in row R lies below a(R), and every R in column
     R' below c(R').  So where a(R) is in row R and c(R') in column R' for

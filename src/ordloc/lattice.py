@@ -31,8 +31,10 @@ int bitmasks throughout.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from collections import Counter
 from functools import reduce
+from itertools import repeat
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
@@ -70,6 +72,17 @@ def or_rows(rows: Sequence[int], mask: int) -> int:
         out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def subset_table(unit: int, rows: Sequence[int], op) -> list[int]:
+    """t[s] = op-fold of rows[b] over the bits b of s from unit, for every s
+    below 2^len(rows), by doubling: t[s + 2^b] = op(t[s], rows[b]), s < 2^b.
+    OR is inlined, OR with 0 a copy: on `SubsetCone` half tables (the
+    constant cone's rows are 0) calls of op cost about a sixth more."""
+    t = [unit]
+    for r in rows:
+        t += ([x | r for x in t] if r else t) if op is or_ else [*map(op, t, repeat(r))]
+    return t
 
 
 def mask_of_iter(ids: Iterable[int]) -> int:
@@ -240,6 +253,14 @@ class FiniteFrame:
                         r |= 1 << j
             self._down_rows[i] = r
         return r
+
+    def down_rows(self) -> list[int]:
+        """Every down row, kept by the frame: `inclusion_rows`, or on powersets
+        D[s + 2^b] = D[s] | D[s] << 2^b, s < 2^b, by `subset_table`."""
+        if self._down_rows is None or None in self._down_rows:
+            self._down_rows = inclusion_rows(self._car) if self.kind != "powerset" else \
+                subset_table(1, [1 << b for b in range(self.base_size)], lambda d, k: d | d << k)
+        return self._down_rows
 
     def up_row(self, i: int) -> int:
         if self._up_rows is None:
@@ -609,29 +630,33 @@ def rows_above(frame: FiniteFrame, values: Sequence[int]) -> list[int]:
 
     Lemma (finite lattices): x <= y iff every join-irreducible j <= x is
     below y, as x is the join of the j below it.  So row x is the AND of
-    the masks X[j] = {i : j <= values[i]} over the j <= x, and row bottom
-    holds every i.  On powersets the ANDs share prefixes along the lowest
-    point, T[s] = T[s ^ low] & X[low]: O(m) ANDs, refused (FrameTooLarge)
-    above SUBSET_LIMIT subsets, as a cone list is.  Elsewhere X[j] is
-    ANDed into the rows of up(j), one fold per join-irreducible:
-    O(m |J|).
+    X[j] = {i : j <= values[i]} over the j <= x: on powersets
+    `subset_table`(all, X, and), O(m) ANDs, refused (FrameTooLarge) above
+    SUBSET_LIMIT subsets; elsewhere X[j] is ANDed into the rows of up(j).
+    Generator lemma: where values (one per subset) equal their generator
+    form, so preserve joins (`SubsetCone`), a is in values[i] iff a is in
+    values[0] or i meets C_a = {p : a in values[{p}]}: X[a] is all i or
+    the i outside down(top - C_a), n masks from n + 1 values.
     """
-    f = frame
+    f, full = frame, (1 << len(values)) - 1
     if f.kind == "powerset" and f.m > SUBSET_LIMIT:
         raise FrameTooLarge(f"element rows on {f.m} subsets exceed {SUBSET_LIMIT}")
+    if f.kind == "powerset" and len(values) == f.m:
+        gens = [values[1 << b] for b in range(f.base_size)]
+        if subset_table(values[0], gens, or_) == list(values):
+            x = [full if values[0] >> a & 1 else full & ~f.down_row(f.top & ~c)
+                 for a, c in enumerate(transpose_rows(gens))]
+            return subset_table(full, x, and_)
     at = {}                                  # element -> positions holding it
     for i, v in enumerate(values):
         at[v] = at.get(v, 0) | 1 << i
-    rows = [(1 << len(values)) - 1] * f.m
     if f.kind == "powerset":
         x = [0] * f.base_size
         for v, pos in at.items():
             for b in bits(v):
                 x[b] |= pos
-        for s in range(1, f.m):
-            low = s & -s
-            rows[s] = rows[s ^ low] & x[low.bit_length() - 1]
-        return rows
+        return subset_table(full, x, and_)
+    rows = [full] * f.m
     for j in f.coprimes():
         up = f.up_row(j)
         xj = 0
@@ -661,7 +686,13 @@ def frame_from_down_rows(down_rows: list[int], *, ext=None, base_size=None,
     by (b), and closing 0 under | car[j] reaches the union of the car[j]
     of any set of j), so meets and joins are carrier ANDs and ORs.  Every
     finite distributive lattice passes: x is the join of car[x], and
-    car[x] | car[j] = car[x | j].  O(m |J|) mask operations.
+    car[x] | car[j] = car[x | j].
+    Prefix lemma: given (a), (b) holds iff up(x) = up(p) & up(h) for each x
+    whose carrier less its highest bit h is car[p] (induction on |car[x]|);
+    other x take the AND over car[x].  Extension lemma: where each j is the
+    highest bit of car[j], the highest bit h of a down-set d of J is maximal
+    in d and d = (d - h) | car[h], d - h < 2^h: (c) over the carriers below
+    2^j suffices, and every p exists (m - 1 lookups on a powerset).
 
     A failure re-runs the definitions of a lattice (error path only) and
     raises NotALattice with the first one broken.  A lattice can only fail
@@ -676,16 +707,23 @@ def frame_from_down_rows(down_rows: list[int], *, ext=None, base_size=None,
     jmask = mask_of_iter(irreducibles)
     car = [r & jmask for r in down_rows]
     id_of = {c: x for x, c in enumerate(car)}
-    ok = 0 in id_of and len(id_of) == m and all(
-        reduce(and_, map(up_rows.__getitem__, bits(c)), (1 << m) - 1) == u
-        for c, u in zip(car, up_rows))
-    bad = next(((x, j) for x in range(m) for j in irreducibles
-                if car[x] | car[j] not in id_of), None) if ok else None
-    if not ok or bad:
+    ok = 0 in id_of and len(id_of) == m and up_rows[id_of[0]] == (1 << m) - 1
+    for c, u in zip(car, up_rows) if ok else ():     # (b) by the prefix lemma
+        h = c.bit_length() - 1
+        p = id_of.get(c ^ 1 << h) if c else None
+        if c and u != (up_rows[p] & up_rows[h] if p is not None else
+                       reduce(and_, map(up_rows.__getitem__, bits(c)))):
+            ok = False
+            break
+    cs, ordered, keys = sorted(car), all(car[j] >> j == 1 for j in irreducibles), id_of.keys()
+    ok = ok and all({c | car[j] for c in cs[:bisect_left(cs, 1 << j) if ordered else m]} <= keys
+                    for j in irreducibles)                       # (c) by the extension lemma
+    if not ok:
         msg = _lattice_failure(down_rows, up_rows)
         if msg:
             raise NotALattice(msg)
-        x, j = bad
+        x, j = next((x, j) for x in range(m) for j in irreducibles
+                    if car[x] | car[j] not in id_of)
         z = {u: i for i, u in enumerate(up_rows)}[up_rows[x] & up_rows[j]]
         jp = next(bits(car[z] & ~(car[x] | car[j])))
         raise NotDistributive(f"a&(b|c) != (a&b)|(a&c) at {(jp, x, j)}")
@@ -715,27 +753,29 @@ def _lattice_failure(down_rows: list[int], up_rows: list[int]) -> Optional[str]:
     return None
 
 
+def inclusion_rows(car: list[int]) -> list[int]:
+    """Row k = {k' : car[k'] inside car[k]}: the complement of the OR of
+    col[b] = {k' : b in car[k']} over the bits b outside car[k], col the
+    carriers transposed (padded square): k n mask operations at most."""
+    side = max(len(car), max(car, default=0).bit_length())
+    cols = transpose_rows(car + [0] * (side - len(car)))
+    full, span = (1 << len(car)) - 1, reduce(or_, car, 0)
+    return [full & ~or_rows(cols, span & ~c) for c in car]
+
+
 def subframe(ambient: FiniteFrame, elem_ids: Iterable[int], *,
              meta=None) -> tuple[FiniteFrame, list[int]]:
     """Frame on a subset of ambient elements, ordered by the ambient order.
 
     Row k holds the kept k' whose carrier (on powersets the id itself)
-    lies inside carrier k: the complement of the OR of col[b] over the
-    carrier bits b outside carrier k, where col[b] = {k' : b in carrier k'}
-    transposes the kept carriers (padded to a square by empty rows when
-    n > k).  At most k n mask operations for k kept ids and n carrier
-    bits, and no ambient down row is read.  Meets and joins are
-    recomputed as bounds *within* the subset (never inherited blindly):
-    e.g. joins of regular elements differ from ambient joins.  Returns
-    (frame, inclusion) where inclusion[i] is the ambient id of subframe
-    element i.
+    lies inside carrier k (`inclusion_rows`), and no ambient down row is
+    read.  Meets and joins are recomputed as bounds *within* the subset
+    (never inherited blindly): e.g. joins of regular elements differ from
+    ambient joins.  Returns (frame, inclusion), inclusion[i] the ambient id
+    of subframe element i.
     """
     ids = sorted(set(elem_ids))
-    car = ids if ambient.kind == "powerset" else [ambient._car[a] for a in ids]
-    side = max(len(ids), max(car, default=0).bit_length())
-    cols = transpose_rows(car + [0] * (side - len(ids)))
-    full, span = (1 << len(ids)) - 1, reduce(or_, car, 0)
-    rows = [full & ~or_rows(cols, span & ~c) for c in car]
+    rows = inclusion_rows(ids if ambient.kind == "powerset" else [ambient._car[a] for a in ids])
     ext = [ambient.mask_of(i) for i in ids] if ambient.realized else None
     f = frame_from_down_rows(rows, ext=ext, base_size=ambient.base_size,
                              labels=ambient.labels, meta=meta)
@@ -771,8 +811,8 @@ class SubsetCone:
         if 1 << k > SUBSET_LIMIT:
             raise FrameTooLarge(f"cone tables on {1 << k} subsets exceed {SUBSET_LIMIT}")
         self.n, self._k, self._low = n, k, (1 << k) - 1
-        self._lo = _or_table(base, values[:k])
-        self._hi = _or_table(0, values[k:])
+        self._lo = subset_table(base, values[:k], or_)
+        self._hi = subset_table(0, values[k:], or_)
         self._list = None
         self.cols = cols
 
@@ -792,15 +832,6 @@ class SubsetCone:
         return self._list
 
 
-def _or_table(base: int, rows: Sequence[int]) -> list[int]:
-    """t[s] = base | OR of rows[b] over the bits b of s, by doubling: the
-    subsets whose highest bit is b are the s < 2^b plus b."""
-    t = [base]
-    for r in rows:
-        t += [x | r for x in t] if r else t
-    return t
-
-
 def join_failure(frame: FiniteFrame, t: Sequence[int],
                  into: Optional[FiniteFrame] = None) -> Optional[tuple[int, int]]:
     """A pair (a, b) with t(a | b) != t(a) | t(b), or None if there is none;
@@ -812,7 +843,7 @@ def join_failure(frame: FiniteFrame, t: Sequence[int],
     step that breaks is the pair: O(m |J|).
 
     On powersets J is the singletons, so t preserves joins iff it equals
-    its generator form g = `_or_table`(t(bottom), [t({b}) for each b]) (the
+    its generator form g = `subset_table`(t(bottom), [t({b})], or) (the
     `SubsetCone` lemma).  The first s where t and g differ is the least s
     breaking the lowest-bit condition t(s) = t(s - low) | t(low): below s,
     t agrees with g, which meets every such condition, and at s the
@@ -824,7 +855,7 @@ def join_failure(frame: FiniteFrame, t: Sequence[int],
         return None
     f, g = frame, into or frame
     if f.kind == g.kind == "powerset":
-        form = _or_table(t[0], [t[1 << b] for b in range(f.base_size)])
+        form = subset_table(t[0], [t[1 << b] for b in range(f.base_size)], or_)
         if list(t) == form:
             return None
         s = next(s for s in range(f.m) if t[s] != form[s])
@@ -944,7 +975,7 @@ def ideal_frame(frame: FiniteFrame) -> tuple[FiniteFrame, list[int]]:
     from the principal-ideal extents over the base L.
     """
     m = frame.m
-    ideals = [frame.down_row(x) for x in frame.elements()]
+    ideals = list(frame.down_rows())
     # principal ideals are ordered like their generators: each is its own down row
     f = frame_from_down_rows(ideals, ext=ideals, base_size=m,
                              labels=[f"e{i}" for i in range(m)],

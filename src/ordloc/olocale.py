@@ -253,8 +253,8 @@ class OrderedLocale:
 def cone_rows(frame: FiniteFrame, up: Sequence[int], down: Sequence[int]) -> list[int]:
     """Rows of the cone formula U rel V iff V <= up(U) and U <= down(V):
     row U is down_row(up(U)) & rows_above(frame, down)[U]."""
-    above = lat.rows_above(frame, down)
-    return [frame.down_row(up[u]) & above[u] for u in frame.elements()]
+    below = frame.down_rows()
+    return [below[v] & a for v, a in zip(up, lat.rows_above(frame, down))]
 
 
 def cones_from_rows(frame: FiniteFrame, rows: list[int]) -> tuple[list[int], list[int]]:
@@ -293,7 +293,7 @@ def _translation_gap(frame: FiniteFrame, rows: Sequence[int], masks=None) -> Opt
     at U | J, U on rowH and U + J off it, the gaps of J are
     x & ~(g | g >> J*s) for g = pre & rowH, and the least gap is their
     lowest bit over J in `coprimes()` order, the first J on ties: O(1) wide
-    operations per J (`masks`: those of `_point_masks`)."""
+    operations per J (`masks`: `_point_masks`, elsewhere `_join_fibres`)."""
     f = frame
     if f.kind == "powerset":
         stride = max(8, f.m)
@@ -308,9 +308,8 @@ def _translation_gap(frame: FiniteFrame, rows: Sequence[int], masks=None) -> Opt
                     low, gap = pos, divmod(pos, stride) + (j, j)
         return gap
     tests = []
-    for j in f.coprimes():
+    for j, (shift, fibre) in zip(f.coprimes(), masks or _join_fibres(f)):
         up = f.up_row(j)
-        shift, fibre = _join_fibres(f, j)
         tests.append((j, shift, {t: or_rows(fibre, rows[t] & up) for t in bits(up)}))
     for u in f.elements():
         lacks = [(lack & -lack, j) for j, shift, pre in tests
@@ -348,9 +347,8 @@ def _translation_closure(frame: FiniteFrame, rows: list[int], masks=None) -> lis
             y = h | (x ^ h) << j
             x |= (y | y << j * stride) & row
         return lat.unpack_rows(x, stride >> 3, f.m)
-    for j in f.coprimes():
+    for j, (shift, fibre) in zip(f.coprimes(), masks or _join_fibres(f)):
         up = f.up_row(j)
-        shift, fibre = _join_fibres(f, j)
         for t in bits(up):
             lack = or_rows(rows, fibre[t]) & ~or_rows(fibre, rows[t] & up)
             rows[t] |= mask_of_iter(shift[v] for v in bits(lack))
@@ -375,13 +373,16 @@ def _point_masks(f: FiniteFrame) -> list[tuple[int, int]]:
     return masks
 
 
-def _join_fibres(f: FiniteFrame, j: int) -> tuple[list[int], list[int]]:
-    """shift[x] = x | J, and the fibres fibre[t] = {x : x | J = t}."""
-    shift = [f.join(x, j) for x in f.elements()]
-    fibre = [0] * f.m
-    for x, t in enumerate(shift):
-        fibre[t] |= 1 << x
-    return shift, fibre
+def _join_fibres(f: FiniteFrame) -> list[tuple[list[int], list[int]]]:
+    """Per J in `coprimes()` order, shift[x] = x | J and fibre[t] = {x : x | J = t}."""
+    out = []
+    for j in f.coprimes():
+        shift = [f.join(x, j) for x in f.elements()]
+        fibre = [0] * f.m
+        for x, t in enumerate(shift):
+            fibre[t] |= 1 << x
+        out.append((shift, fibre))
+    return out
 
 
 def ordered_locale_from_relation(frame: FiniteFrame, pairs: Iterable[tuple[int, int]],
@@ -420,7 +421,7 @@ def ordered_locale_from_relation(frame: FiniteFrame, pairs: Iterable[tuple[int, 
             raise ValidationError(f"relation pair {(u, v)} out of range")
         rows[u] |= 1 << v
     rows = lat.transitive_closure_rows(rows)
-    masks = _point_masks(frame) if frame.kind == "powerset" else None
+    masks = _point_masks(frame) if frame.kind == "powerset" else _join_fibres(frame)
     gap = _translation_gap(frame, rows, masks)
     if gap is not None:
         if strict:

@@ -12,9 +12,9 @@ from ordloc.duality import points_space, prime_to_filter
 from ordloc.errors import (AxiomVFailure, ConesDoNotPreserveJoins, FrameTooLarge,
                            MissingBottomOrTop, NotALattice, NotClosedUnderJoin,
                            NotClosedUnderMeet, NotDistributive, ValidationError)
-from ordloc.lattice import (FiniteFrame, FrameMap, Value, bits, frame_from_down_rows,
-                            frame_from_topology, mask_of_iter, or_rows, popcount,
-                            powerset_frame, rows_above, transpose_rows)
+from ordloc.lattice import (FiniteFrame, FrameMap, Value, _lattice_failure, bits,
+                            frame_from_down_rows, frame_from_topology, mask_of_iter, or_rows,
+                            popcount, powerset_frame, rows_above, transpose_rows)
 from ordloc.olocale import (REL_LIMIT, CheckReport, ConePair, OrderedLocale, check_axiom,
                             cones_from_rows, ordered_locale_from_monads)
 from ordloc.ospace import OrderedSpace
@@ -406,6 +406,34 @@ def downset_frame(rel) -> FiniteFrame:
     up = transitive_closure_loop([mask_of_iter(j for j in range(n) if rel[i][j])
                                   for i in range(n)])
     return frame_from_topology(n, close_family_under_union_intersection(n, transpose_rows(up)))
+
+
+def birkhoff_check_scan(down_rows: list[int]):
+    """`lattice.frame_from_down_rows`'s acceptance test with (b) as the AND
+    of up(j) over every carrier and (c) as the scan over every (x, j):
+    (bottom, top, carriers, join-irreducibles), or the exception it raises
+    with the same message."""
+    m = len(down_rows)
+    up_rows = transpose_rows(down_rows)
+    downs = set(down_rows)
+    irreducibles = [x for x, r in enumerate(down_rows) if r ^ 1 << x in downs]
+    jmask = mask_of_iter(irreducibles)
+    car = [r & jmask for r in down_rows]
+    id_of = {c: x for x, c in enumerate(car)}
+    ok = 0 in id_of and len(id_of) == m and all(
+        reduce(and_, map(up_rows.__getitem__, bits(c)), (1 << m) - 1) == u
+        for c, u in zip(car, up_rows))
+    bad = next(((x, j) for x in range(m) for j in irreducibles
+                if car[x] | car[j] not in id_of), None) if ok else None
+    if not ok or bad:
+        msg = _lattice_failure(down_rows, up_rows)
+        if msg:
+            raise NotALattice(msg)
+        x, j = bad
+        z = {u: i for i, u in enumerate(up_rows)}[up_rows[x] & up_rows[j]]
+        jp = next(bits(car[z] & ~(car[x] | car[j])))
+        raise NotDistributive(f"a&(b|c) != (a&b)|(a&c) at {(jp, x, j)}")
+    return id_of[0], id_of[jmask], car, irreducibles
 
 
 class TableFrame:

@@ -391,6 +391,20 @@ def test_duality_checks_op_counts_on_warm_m33(m33, monkeypatch):
     assert calls == {"bits": 0, "rows_above": 1}
 
 
+def test_cone_rows_on_m33_em_read_the_generator_values(m33, monkeypatch):
+    # the em cones preserve joins, so `rows_above` builds its masks from the
+    # n + 1 generator values of the past cone: no value is split into its
+    # points by `bits`, and the rows are those of the cone formula
+    olx = S.induced_locale(m33, "em")
+    f, up, down = olx.frame, olx.up_map, olx.down_map
+    calls = count_calls(monkeypatch, ((L, "bits"),))
+    rows = O.cone_rows(f, up, down)
+    assert calls == {"bits": 0}
+    monkeypatch.undo()
+    assert rows == [L.mask_of_iter(v for v in f.elements() if f.leq(v, up[u]) and f.leq(u, down[v]))
+                    for u in f.elements()]
+
+
 def test_dn_transport_requires_regular_cones():
     chain = gen.suite_instance("chain3")
     eq = O.equality_order(chain.frame)

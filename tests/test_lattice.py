@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ordloc import lattice as L
+from ordloc import gen, lattice as L
 from ordloc.errors import (
     MissingBottomOrTop,
     NotAFrameMap,
@@ -20,6 +20,7 @@ from ordloc.errors import (
     NotDistributive,
 )
 
+from conftest import count_calls
 import oracles
 
 
@@ -293,6 +294,21 @@ def test_ideal_frame_is_isomorphic(bowtie_frame):
         # brute force: every ideal is principal
         assert sorted(oracles.all_ideals_bruteforce(f)) == \
             sorted(f.down_row(x) for x in f.elements())
+
+
+def test_ideal_frame_checks_its_order_by_prefix_sharing(monkeypatch):
+    # the punctured light cone's ids extend its order, so every carrier less
+    # its highest bit is a carrier: the order check folds no carrier with
+    # `reduce`, and the frame is the one the scans accept
+    f = gen.punctured_lightcone().frame
+    calls = count_calls(monkeypatch, ((L, "reduce"),))
+    idl, wit = L.ideal_frame(f)
+    assert calls == {"reduce": 0}
+    monkeypatch.undo()
+    rows = oracles.ideal_frame_rows(f)
+    assert (idl.bottom, idl.top, idl.carriers(), idl.coprimes()) == \
+        oracles.birkhoff_check_scan(rows)
+    assert idl.down_rows() == rows and wit == list(f.elements())
 
 
 # -- property tests on random posets -------------------------------------------------

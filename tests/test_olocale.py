@@ -493,6 +493,19 @@ def test_translation_gap_on_powersets_makes_no_join_or_mask_of_iter_call(monkeyp
         assert olx.rel_rows() == oracles.saturate_alternating(f, pairs).rel_rows()
 
 
+def test_saturation_on_a_topology_builds_its_join_fibres_once(monkeypatch):
+    # the gap pass and the translation pass of a mask-backed frame share the
+    # (shift, fibre) pairs of the join-irreducibles, built once per relation
+    f = L.frame_from_topology(3, [0b000, 0b001, 0b010, 0b011, 0b111])
+    calls = count_calls(monkeypatch, ((O, "_join_fibres"),))
+    olx = O.ordered_locale_from_relation(f, [(0, 1)])
+    assert calls == {"_join_fibres": 1}
+    monkeypatch.undo()
+    want = oracles.saturate_alternating(f, [(0, 1)])
+    assert olx.meta == want.meta == {"join_saturated": (0, 1, 2, 2)}
+    assert olx.rel_rows() == want.rel_rows()
+
+
 # -- F+/F- on powersets against the pair loop over bottom and J ------------------
 
 

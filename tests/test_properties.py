@@ -9,6 +9,7 @@ theorem routes are checked against direct scans.
 import ast
 import functools
 import itertools
+import operator
 import random
 from collections import deque
 
@@ -819,6 +820,63 @@ def test_rows_above_and_cone_rows_match_related_loop(seed):
         mask_of_iter(v for v in f.elements() if olx.related(u, v)) for u in f.elements()]
 
 
+def powerset_values(rng, f):
+    """Values on the subsets of f's points: join-preserving (base | OR of
+    point values), that list changed at one non-singleton (it breaks a
+    join), or a random list of any length; style 0, 1 or 2."""
+    n, style = f.base_size, rng.randrange(3)
+    if style == 2:
+        return style, [rng.randrange(f.m) for _ in range(rng.randint(0, f.m + 2))]
+    gens = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+    values = L.subset_table(rng.getrandbits(n) if rng.random() < 0.5 else 0, gens, operator.or_)
+    if style == 1:
+        s = rng.choice([s for s in f.elements() if L.popcount(s) > 1])
+        values[s] = rng.choice([v for v in f.elements() if v != values[s]])
+    return style, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_rows_above_matches_the_quantifier_form(seed):
+    # powersets of up to 8 points: join-preserving values take the generator
+    # route (no value is split by `bits`), values that break a join and
+    # other lists the per-value route; other frames their own
+    rng = random.Random(seed)
+    if seed % 4:
+        f = L.powerset_frame(rng.randint(2, 8))
+        style, values = powerset_values(rng, f)
+    else:
+        f = random_frame(rng)
+        style, values = None, [rng.randrange(f.m) for _ in range(rng.randint(0, f.m + 2))]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, ((L, "bits"),))
+        rows = L.rows_above(f, values)
+    assert rows == [mask_of_iter(i for i, v in enumerate(values) if f.leq(x, v))
+                    for x in f.elements()]
+    if style is not None:
+        generated = len(values) == f.m and all(
+            v == functools.reduce(operator.or_, (values[1 << p] for p in bits(s)), values[0])
+            for s, v in enumerate(values))
+        assert generated == (style == 0) or style == 2
+        assert (calls["bits"] == 0) == generated or not values, (style, calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_subset_table_and_down_rows_match_definitions(seed):
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(10) for _ in range(rng.randint(0, 7))]
+    unit = rng.getrandbits(10)
+    for op in (operator.or_, operator.and_, operator.xor):
+        assert L.subset_table(unit, rows, op) == [
+            functools.reduce(op, (rows[b] for b in bits(s)), unit) for s in range(1 << len(rows))]
+    f = random_frame(rng) if rng.random() < 0.5 else L.powerset_frame(rng.randint(0, 7))
+    for x in rng.sample(range(f.m), rng.randint(0, min(3, f.m))):
+        f.down_row(x)                        # some rows built one by one first
+    assert f.down_rows() == [mask_of_iter(y for y in f.elements() if f.leq(y, x))
+                             for x in f.elements()]
+
+
 def random_locale(rng, f):
     """Explicit rows, a relation locale, or a monad locale on f."""
     style = rng.randrange(3)
@@ -1137,11 +1195,12 @@ def glued_rows(rng):
     return oracles.order_rows(items, leq)
 
 
-def random_order_rows(rng):
-    """Reflexive down rows of at most 8 elements, ids shuffled: a distributive
-    lattice, one with M3 or N5 glued on, a bounded two-layer order, a random
-    relation (mostly not antisymmetric or not transitive), or a distributive
-    lattice with one off-diagonal entry flipped."""
+def random_order_rows(rng, shuffle=True):
+    """Reflexive down rows of at most 8 elements, ids shuffled unless asked
+    not to: a distributive lattice, one with M3 or N5 glued on, a bounded
+    two-layer order, a random relation (mostly not antisymmetric or not
+    transitive), or a distributive lattice with one off-diagonal entry
+    flipped."""
     style = rng.randrange(5)
     if style == 1:
         rows = glued_rows(rng)
@@ -1166,6 +1225,11 @@ def random_order_rows(rng):
         if style == 4 and f.m > 1:
             i, j = rng.sample(range(f.m), 2)
             rows[i] ^= 1 << j
+    return permuted_rows(rng, rows) if shuffle else rows
+
+
+def permuted_rows(rng, rows):
+    """The order of `rows` with its element ids permuted at random."""
     perm = list(range(len(rows)))
     rng.shuffle(perm)
     moved = [0] * len(rows)
@@ -1222,6 +1286,31 @@ def test_birkhoff_rows_cover_every_outcome():
         except ValidationError as e:
             seen.add(type(e).__name__)
     assert seen == {"frame", "NotALattice", "NotDistributive"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_birkhoff_check_matches_the_scans_it_replaces(seed, shuffle):
+    # (b) by prefix sharing and (c) by the extension lemma, against the AND
+    # over every carrier and the scan over every (x, j): the same frame, or
+    # the same exception and message.  Unshuffled rows and the rows of
+    # powersets and topologies mostly have ids that extend the order
+    rng = random.Random(seed)
+    if seed % 4:
+        rows = random_order_rows(rng, shuffle)
+    else:
+        f = random_frame(rng) if rng.random() < 0.7 else L.powerset_frame(rng.randint(0, 6))
+        rows = permuted_rows(rng, f.down_rows()) if shuffle else list(f.down_rows())
+    try:
+        want = oracles.birkhoff_check_scan(rows)
+    except ValidationError as e:
+        with pytest.raises(ValidationError) as got:
+            L.frame_from_down_rows(rows)
+        assert (type(got.value), str(got.value)) == (type(e), str(e))
+        return
+    f = L.frame_from_down_rows(rows)
+    assert (f.bottom, f.top, f.carriers(), f.coprimes()) == want
+    assert f.down_rows() == rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -1434,10 +1523,10 @@ def test_laws_on_grids_build_no_cone_list_and_run_no_level_scan(monkeypatch):
     space = gen.minkowski_grid(gen.GridSpec(4, 4))
     full = 1 << space.n
     calls = {"full_table": 0, "tolist": 0}
-    or_table, tolist = L._or_table, L.SubsetCone.tolist
+    subset_table, tolist = L.subset_table, L.SubsetCone.tolist
 
-    def counted_or_table(base, rows):
-        table = or_table(base, rows)
+    def counted_subset_table(unit, rows, op):
+        table = subset_table(unit, rows, op)
         calls["full_table"] += len(table) == full
         return table
 
@@ -1445,7 +1534,7 @@ def test_laws_on_grids_build_no_cone_list_and_run_no_level_scan(monkeypatch):
         calls["tolist"] += 1
         return tolist(cone)
 
-    monkeypatch.setattr(L, "_or_table", counted_or_table)
+    monkeypatch.setattr(L, "subset_table", counted_subset_table)
     monkeypatch.setattr(L.SubsetCone, "tolist", counted_tolist)
     for variant in ("em", "upper", "lower"):
         loc = S.induced_locale(space, variant)
