@@ -179,7 +179,8 @@ class OrderedLocale:
     * cones: `cones`, the monad pair with its join-failure and monotone
       memos, and the lists `up_map`/`down_map`;
     * rows: the relation as element-id bitmask rows, given or built from
-      the cones on first use (`rel_rows`);
+      the cones on first use (`rel_rows`), and their transpose, built on
+      first use or given by `dual_order` (`rel_cols`);
     * law cache: one `CheckReport` per law (`check_axiom`);
     * construction records: `cone_definitional`, `meta`, and whether the
       rows are a reflexive, translation-closed preorder (set by
@@ -195,6 +196,7 @@ class OrderedLocale:
         self.frame = frame
         self.cones = ConePair(frame, up_map, down_map, dict(joins or {}))
         self._rel_rows = rel_rows
+        self._rel_cols = None
         self.cone_definitional = cone_definitional
         self.meta = dict(meta or {})
         self._axiom_cache: dict[str, CheckReport] = {}
@@ -226,6 +228,13 @@ class OrderedLocale:
                     f"will not materialize a relation on {self.frame.m} elements")
             self._rel_rows = cone_rows(self.frame, self.up_map, self.down_map)
         return self._rel_rows
+
+    def rel_cols(self) -> list[int]:
+        """The columns {U : U rel V} of `rel_rows()`, transposed once and kept
+        for the L+ scan, wedge- and the dual's rows."""
+        if self._rel_cols is None:
+            self._rel_cols = lat.transpose_rows(self.rel_rows())
+        return self._rel_cols
 
     def adopt_cone_rows(self, rows: list[int]) -> None:
         """Keep `rows`, which a caller built as `cone_rows` of this locale's
@@ -481,8 +490,10 @@ def inclusion_order(frame: FiniteFrame) -> OrderedLocale:
 
 def dual_order(ol: OrderedLocale) -> OrderedLocale:
     """The opposite causal order; cones swap, and so does their join memo.
-    Rows are transposed only for a locale they define: the dual of a
-    cone-definitional one derives its own rows from the swapped cones.
+    Rows are transposed only for a locale they define: the dual's rows are
+    the locale's columns (`rel_cols`), and its columns the locale's rows.
+    The dual of a cone-definitional one derives its own rows from the
+    swapped cones.
     Built once per locale and memoized both ways, so the dual's dual is
     `ol` itself.
 
@@ -499,10 +510,11 @@ def dual_order(ol: OrderedLocale) -> OrderedLocale:
     rows = None if ol.cone_definitional else ol._rel_rows
     swap = {"u": "d", "d": "u"}
     dual = OrderedLocale(ol.frame, up_map=ol.cones.d, down_map=ol.cones.u,
-                         rel_rows=None if rows is None else lat.transpose_rows(rows),
+                         rel_rows=None if rows is None else ol.rel_cols(),
                          cone_definitional=ol.cone_definitional,
                          joins={swap[k]: w for k, w in ol.cones.joins.items()})
     dual.cones.monotone, dual._join_closed = ol.cones.monotone, ol._join_closed
+    dual._rel_cols = rows
     for law in ("C-order", "C-join", "empty", "parallel"):
         rep = ol._axiom_cache.get(law)
         if rep is not None and rep.ok:
@@ -594,23 +606,23 @@ def _check_L(ol: OrderedLocale, plus: bool) -> CheckReport:
     """L+ : U rel U' and U <= V give some V' with V rel V' and U' <= V';
     L- : U rel U' and V <= U' give some W with W rel V and W <= U.
 
-    Above 24 elements a passing V on a reflexive relation certifies L+:
-    joining U rel U' with V rel V gives V = U v V rel U' v V >= U'.  A
+    Tiers.  At every size a passing V on a reflexive relation certifies
+    L+: joining U rel U' with V rel V gives V = U v V rel U' v V >= U'.  A
     cone-definitional relation is reflexive, as its monads are
-    inflationary; other rows cost m bit tests.  A passing V still
-    certifies L- too, unsoundly: joins give L+, not L-.  Everywhere else
-    the exact scan grouped by U names the least (U, U', V): L+ fails on
-    up(U) minus the V that reach above U', L- on down(U') minus the
-    successors of the W below U.
+    inflationary; other rows cost m bit tests.  Above 24 elements a passing
+    V still certifies L- too, unsoundly: joins give L+, not L-.  Everywhere
+    else the exact scan grouped by U names the least (U, U', V): L+ fails
+    on up(U) minus the V that reach above U' (read from the kept columns,
+    `rel_cols`), L- on down(U') minus the successors of the W below U.
     """
     law = "L+" if plus else "L-"
     f = ol.frame
-    if f.m > 24 and check_axiom(ol, "V").ok and (
-            not plus or ol.cone_definitional
-            or all(r >> u & 1 for u, r in enumerate(ol.rel_rows()))):
+    certified = (ol.cone_definitional or all(r >> u & 1 for u, r in enumerate(ol.rel_rows()))
+                 if plus else f.m > 24)
+    if certified and check_axiom(ol, "V").ok:
         return _ok(law, "exact: follows from join closure with witness U'vV / UvV'")
     rows = ol.rel_rows()
-    cols = lat.transpose_rows(rows)
+    cols = ol.rel_cols() if plus else None
     reach = {}                               # U' -> {V : V rel some V' >= U'}
     for u in f.elements():
         below = 0 if plus else or_rows(rows, f.down_row(u))
@@ -822,7 +834,7 @@ def _wedge_scan(ol: OrderedLocale, plus: bool) -> Optional[tuple]:
     """
     f = ol.frame
     rows = ol.rel_rows()
-    links = rows if plus else lat.transpose_rows(rows)   # successors / predecessors
+    links = rows if plus else ol.rel_cols()   # successors / predecessors
     for u in range(f.m):
         above = f.up_row(u)
         need, reach = or_rows(links, above), 0

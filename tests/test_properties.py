@@ -9,7 +9,9 @@ theorem routes are checked against direct scans.
 import ast
 import functools
 import itertools
+import json
 import operator
+import os
 import random
 from collections import deque
 
@@ -763,6 +765,37 @@ def test_random_rows_locales_V_and_L_match_oracles(seed):
             assert O.revalidate(olx, rep), (rows, rep)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_L_plus_certificate_matches_the_oracle_up_to_24_elements(seed):
+    # rows locales of at most 24 elements: relation locales (V passes by
+    # their record), preorders and arbitrary rows, some with diagonal bits
+    # dropped; L+ equals the definitional oracle, is certified exactly
+    # where V passes on reflexive rows, and reflexive or not every other
+    # locale keeps the scan and its least witness
+    rng = random.Random(seed)
+    f = random_frame(rng) if rng.random() < 0.7 else downset_frame_sized(rng, 17, 24)
+    pairs = [(rng.randrange(f.m), rng.randrange(f.m)) for _ in range(rng.randint(0, 4))]
+    style = rng.randrange(3)
+    if style == 0:
+        rows = O.ordered_locale_from_relation(f, pairs).rel_rows()
+    elif style == 1:
+        rows = L.transitive_closure_rows(rows_of(f, pairs))
+    else:
+        rows = [mask_of_iter(v for v in f.elements() if rng.random() < 0.2)
+                for _ in f.elements()]
+    if rng.random() < 0.3:
+        rows = [r & ~(1 << u) if rng.random() < 0.3 else r for u, r in enumerate(rows)]
+    olx = rows_locale(f, rows)
+    rep, least = O.check_axiom(olx, "L+"), l_oracle(olx, True)
+    assert (rep.ok, rep.witness) == (least is None, least), (rows, rep)
+    certified = all(r >> u & 1 for u, r in enumerate(rows)) and O.check_axiom(olx, "V").ok
+    assert rep.note == ("exact: follows from join closure with witness U'vV / UvV'"
+                        if certified else "exhaustive"), (rows, rep)
+    if not rep.ok:
+        assert O.revalidate(olx, rep)
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_non_reflexive_join_closed_rows_fail_L_plus(n):
     # (bottom, top) alone passes V, but V certifies L+ only on reflexive rows
@@ -839,8 +872,9 @@ def powerset_values(rng, f):
 @given(st.integers(0, 10_000))
 def test_rows_above_matches_the_quantifier_form(seed):
     # powersets of up to 8 points: join-preserving values take the generator
-    # route (no value is split by `bits`), values that break a join and
-    # other lists the per-value route; other frames their own
+    # route (no value is split by `bits`), other lists of up to 128 values
+    # on up to 128 elements the transposed route (no `bits` either), and
+    # the rest the per-value route; other frames their own
     rng = random.Random(seed)
     if seed % 4:
         f = L.powerset_frame(rng.randint(2, 8))
@@ -858,7 +892,75 @@ def test_rows_above_matches_the_quantifier_form(seed):
             v == functools.reduce(operator.or_, (values[1 << p] for p in bits(s)), values[0])
             for s, v in enumerate(values))
         assert generated == (style == 0) or style == 2
-        assert (calls["bits"] == 0) == generated or not values, (style, calls)
+        transposed = max(len(values), f.m) <= L.PACK_ROWS // 4
+        assert (calls["bits"] == 0) == (generated or transposed) or not values, (style, calls)
+
+
+def downset_frame_sized(rng, low, high):
+    """A down-set frame with between low and high elements."""
+    while True:
+        n = rng.randint(max(1, low.bit_length() - 1), max(1, high.bit_length()))
+        fam = downset_family(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5]))
+        if low <= len(fam) <= high:
+            return L.frame_from_topology(n, fam)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_rows_above_routes_match_the_quantifier_form(seed):
+    # value lists not in generator form: m values on powersets and on
+    # down-set frames of 2-128 elements (one transpose, no per-value fold),
+    # just above the crossover (the per-value fold), and |P|-long lists
+    rng = random.Random(seed)
+    style = rng.choice(["powerset", "mask", "above"])
+    if style == "powerset":
+        f = L.powerset_frame(rng.randint(1, 7))
+    else:
+        f = downset_frame_sized(rng, *((2, 128) if style == "mask" else (129, 200)))
+    count = f.m if rng.random() < 0.6 else f.base_size
+    values = [rng.randrange(f.m) for _ in range(count)]
+    if count == f.base_size and rng.random() < 0.5:
+        values = sorted(f.primes())
+    f.down_rows()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, ((L, "bits"), (L, "transpose_rows"),
+                                 (L.FiniteFrame, "up_row")))
+        rows = L.rows_above(f, values)
+    assert rows == [mask_of_iter(i for i, v in enumerate(values) if f.leq(x, v))
+                    for x in f.elements()]
+    generated = f.kind == "powerset" and len(values) == f.m and all(
+        v == functools.reduce(operator.or_, (values[1 << p] for p in bits(s)), values[0])
+        for s, v in enumerate(values))
+    if generated:
+        return
+    if max(len(values), f.m) <= L.PACK_ROWS // 4:
+        assert calls == {"bits": 0, "transpose_rows": 1, "up_row": 0}, (style, calls)
+    else:
+        assert calls["transpose_rows"] == 0 and calls["bits"] > 0, (style, calls)
+
+
+def test_cone_rows_of_explicit_relations_run_no_per_value_fold(monkeypatch):
+    # C-order of every relation locale of the benchmark's explicit-document
+    # pool reads `cone_rows`: its rows come from one transpose of the down
+    # cone's down rows or from the generator values, never value by value
+    refs = os.path.join(os.path.dirname(__file__), "..", "perfbench", "refs",
+                        "explicit-docs.json")
+    with open(refs) as fh:
+        pool = json.load(fh)["pool"]
+    docs = [doc for docs in pool.values() for doc in docs]
+    locales = []
+    for doc in docs:
+        base = doc["base"]
+        opens = range(1 << base) if doc["opens"] == "discrete" else doc["opens"]
+        olx = O.ordered_locale_from_relation(L.frame_from_topology(base, opens),
+                                             [tuple(p) for p in doc["rel"]])
+        olx.frame.down_rows()
+        locales.append(olx)
+    assert any(olx.frame.kind == "mask" for olx in locales)
+    calls = count_calls(monkeypatch, ((L, "bits"), (L.FiniteFrame, "up_row")))
+    for olx in locales:
+        O.cone_rows(olx.frame, olx.up_map, olx.down_map)
+    assert calls == {"bits": 0, "up_row": 0}
 
 
 @settings(max_examples=60, deadline=None)
@@ -1091,6 +1193,98 @@ def test_frame_from_topology_matches_pair_loop(seed):
         assert a & b not in fam
     else:
         assert isinstance(got, NotClosedUnderJoin) and a | b not in fam
+
+
+def downset_family(rng, n, density=0.25):
+    """The down-sets of a random order on n points, each q < p below p with
+    the given chance, closed transitively: N(p) is the down-set of p."""
+    below = L.transitive_closure_rows(
+        [mask_of_iter(q for q in range(p) if rng.random() < density) for p in range(n)])
+    return [s for s in range(1 << n) if all(below[p] & ~s == 0 for p in bits(s))]
+
+
+def chain_downsets(chains: int) -> list[int]:
+    """The down-sets of `chains` two-point chains 2i < 2i + 1: 3^chains opens."""
+    return [sum(c) for c in itertools.product(*[(0, 1 << 2 * i, 3 << 2 * i)
+                                                 for i in range(chains)])]
+
+
+def broken_family(rng, fam, op):
+    """A closed family less one op-image (a & b or a | b) of two other
+    members, not the empty set or the full base, so not closed; None where
+    there is no such image."""
+    images = sorted({c for a in fam for b in fam if (c := op(a, b)) not in (a, b)}
+                    - {0, max(fam)})
+    return sorted(set(fam) - {rng.choice(images)}) if images else None
+
+
+def scan_outcome(n, opens):
+    """The per-open scan's N(p) ids, or its refusal, on a family holding the
+    empty set and the full base."""
+    masks = sorted(set(opens))
+    try:
+        return L._scan_nbhds(n, masks, {e: i for i, e in enumerate(masks)})
+    except ValidationError as e:
+        return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_frame_from_topology_indicator_matches_scan_and_pair_loop(seed):
+    # random topologies (T0 or not), codiscrete ones, down-set families of
+    # 1-12 points, and closed families less one intersection or one union:
+    # the indicator route accepts exactly the closed families, with the
+    # pair loop's masks, ids and neighbourhoods, and every refusal is the
+    # per-open scan's, with its message and witness
+    rng = random.Random(seed)
+    style = rng.choice(["random", "codiscrete", "downsets", "no meet", "no join"])
+    n = rng.randint(1, 12 if style == "downsets" else 7)
+    if style == "codiscrete":
+        fam = [0, (1 << n) - 1]
+    elif style == "downsets" or rng.random() < 0.5:
+        fam = downset_family(rng, n, rng.choice([0.1, 0.3, 0.6]))
+    else:
+        fam = oracles.close_family_under_union_intersection(
+            n, [rng.getrandbits(n) for _ in range(rng.randint(0, 4))])
+    broken = style in ("no meet", "no join") and broken_family(
+        rng, fam, operator.and_ if style == "no meet" else operator.or_)
+    fam = broken or fam
+    got = topology_outcome(L.frame_from_topology, n, fam)
+    scanned = scan_outcome(n, fam)
+    masks = sorted(set(fam))
+    indicator = L._indicator_nbhds(n, masks)
+    if isinstance(got, Exception):
+        assert isinstance(scanned, Exception) and indicator is None
+        assert (type(got), str(got), got.pair) == (type(scanned), str(scanned), scanned.pair)
+        assert broken
+        return
+    assert not broken
+    assert got[3] == scanned and indicator == [masks[i] for i in scanned]
+    assert indicator == [oracles.least_neighbourhood(n, masks, p) for p in range(n)]
+    if got[0] == "mask":
+        f = L.frame_from_topology(n, fam)
+        assert got[2] == masks and all(f.id_of_mask(e) == i for i, e in enumerate(masks))
+    if len(masks) <= 300:
+        assert got == topology_outcome(oracles.frame_from_topology_pairs, n, fam)
+
+
+def test_listed_topologies_run_no_per_open_scan(monkeypatch):
+    # the 729 down-sets of the vertical 2x6 grid and the 59,049 of ten
+    # two-point chains are validated on their indicators alone; a family
+    # missing one union still gets the scan's witness
+    g = gen.vertical_grid(2, 6)
+    v26 = [s for s in range(1 << g.n) if all(g.down[p] & ~s == 0 for p in bits(s))]
+    calls = count_calls(monkeypatch, ((L, "_scan_nbhds"),))
+    f = L.frame_from_topology(g.n, v26)
+    assert f.m == 729 and [f.mask_of(e) for e in f.neighbourhoods()] == g.down
+    f = L.frame_from_topology(20, chain_downsets(10))
+    assert f.m == 59_049
+    assert [f.mask_of(e) for e in f.neighbourhoods()] == \
+        [(1 if p % 2 == 0 else 3) << (p & ~1) for p in range(20)]
+    assert calls == {"_scan_nbhds": 0}
+    with pytest.raises(NotClosedUnderJoin) as e:
+        L.frame_from_topology(6, sorted(set(chain_downsets(3)) - {0b101}))
+    assert e.value.pair == (0b100, 0b1) and calls == {"_scan_nbhds": 1}
 
 
 @settings(max_examples=100, deadline=None)
