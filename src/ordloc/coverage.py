@@ -41,7 +41,6 @@ from typing import Optional, Sequence
 from . import olocale as ol
 from .errors import (
     BottomStep,
-    ConcatMismatch,
     EmptyRestriction,
     FrameTooLarge,
     NotASubregion,
@@ -92,13 +91,6 @@ def refines(olx: OrderedLocale, q: Path, p: Path) -> bool:
     return all(any(f.leq(qs, ps) for qs in q.steps) for ps in p.steps)
 
 
-def concat(olx: OrderedLocale, q: Path, p: Path) -> Path:
-    """Concatenation q.p: first travel p, then q; shares the joint step."""
-    if p.end != q.start:
-        raise ConcatMismatch(f"endpoint {p.end} differs from start {q.start}")
-    return Path(p.steps + q.steps[1:])
-
-
 def restrict_path(olx: OrderedLocale, p: Path, w: int) -> Path:
     """Past restriction p|_w: same flow, forced to end in w."""
     f = olx.frame
@@ -112,21 +104,6 @@ def restrict_path(olx: OrderedLocale, p: Path, w: int) -> Path:
     for n in range(len(p.steps) - 2, -1, -1):
         steps.append(f.meet(p.steps[n], olx.down(steps[-1])))
     steps.reverse()
-    return validate_path(olx, steps)
-
-
-def restrict_path_future(olx: OrderedLocale, p: Path, v: int) -> Path:
-    """Future restriction p|^v: same flow, forced to start in v."""
-    f = olx.frame
-    if not f.leq(v, p.start):
-        raise NotASubregion("restriction source must sit inside the start")
-    if v == f.bottom:
-        raise EmptyRestriction("restriction to the empty region")
-    if not ol.check_axiom(olx, "parallel").ok:
-        raise NotParallelOrdered("path restriction needs a parallel order")
-    steps = [v]
-    for n in range(1, len(p.steps)):
-        steps.append(f.meet(p.steps[n], olx.up(steps[-1])))
     return validate_path(olx, steps)
 
 

@@ -2,9 +2,9 @@
 boundary layer: localic points, axiom (bullet), indecomposable past and
 future regions, the negation bijection, and ideals of raw relations.
 
-Points are computed in prime-element form and converted to completely
-prime filters on demand (a filter is the id-bitmask of the opens not
-below the prime).  Each filter is the up-set of one join-irreducible, so
+Points are computed in prime-element form; the completely prime filter
+of a prime is the set of opens not below it.  Each filter is the up-set
+of one join-irreducible, so
 the point order is read from the cones there (`_point_data`); the
 double-negation transport restricts the cones to the regular elements
 (`double_negation_transport`).  The ideals of a relation are read from
@@ -26,13 +26,6 @@ from .olocale import CheckReport, OrderedLocale
 from .ospace import OrderedSpace
 
 
-def prime_to_filter(frame: FiniteFrame, p: int) -> int:
-    """F = {U : U not<= P}, as an id-bitmask."""
-    if frame.m > ol.REL_LIMIT:
-        raise FrameTooLarge("filters materialized only on small frames")
-    return (1 << frame.m) - 1 & ~frame.down_row(p)
-
-
 # -- the points space ----------------------------------------------------------
 
 
@@ -41,8 +34,10 @@ def pt_masks(frame: FiniteFrame, primes: Sequence[int]) -> list[int]:
     U not<= p_i.  Birkhoff lemma (`FiniteFrame.primes`): U not<= kappa(j) iff
     j <= U iff (on a carrier bit b of j_b) b is in car[U], so for the frame's
     own primes pt(U) is car[U] with each bit b renamed to the index of
-    kappa(j_b) (`_fold`; U on powersets).  Other values take `rows_above`."""
-    if primes != frame.primes() or frame.m > lat.SUBSET_LIMIT:    # powersets refuse there
+    kappa(j_b) (`_fold`, on mask frames of every size; U on powersets).
+    Other values, and powersets above SUBSET_LIMIT (refused there), take
+    `rows_above`: one transpose of the values' down rows."""
+    if primes != frame.primes() or frame.kind == "powerset" and frame.m > lat.SUBSET_LIMIT:
         full = (1 << len(primes)) - 1
         return [full & ~r for r in lat.rows_above(frame, primes)]
     if frame.kind == "powerset":
@@ -572,16 +567,3 @@ def is_past_semi_full(base_size: int, rel) -> CheckReport:
     rep.witness_i = witness_i
     rep.witness_ii = witness_ii
     return rep
-
-
-def ideals_have_directed_joins(base_size: int, rel, ideals: list[PointSet]) -> bool:
-    """Is the union of every directed subfamily of `ideals` an ideal of rel?
-
-    Greatest-member lemma: a finite directed family (nonempty, any two
-    members inside some member) has a greatest member, by folding those
-    pairwise bounds, and it is the family's union.  Singleton families are
-    directed, so the claim holds iff every given set is an ideal of rel.
-    """
-    succ = _rel_rows_input(base_size, rel)
-    pred = lat.transpose_rows(succ)
-    return all(_is_ideal(succ, pred, i.mask) for i in ideals)

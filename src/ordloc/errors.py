@@ -81,10 +81,6 @@ class NotRelated(OrdlocError):
         super().__init__(f"steps {index} and {index + 1} are not causally related")
 
 
-class ConcatMismatch(OrdlocError):
-    pass
-
-
 class NotASubregion(OrdlocError):
     pass
 

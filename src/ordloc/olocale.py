@@ -1120,37 +1120,6 @@ def causal_heyting(ol: OrderedLocale, u: int, v: int, direction: str) -> int:
     return f.join_all(w for w in f.elements() if f.leq(f.meet(u, cone[w]), v))
 
 
-# -- new orders from old -------------------------------------------------------
-
-
-def meet_of_orders(ols: Sequence[OrderedLocale],
-                   frame: Optional[FiniteFrame] = None) -> OrderedLocale:
-    """Intersection of causal orders over a common frame.
-
-    The empty meet is the total relation (every pair related).
-    """
-    if not ols:
-        if frame is None:
-            raise ValidationError("empty meet needs an explicit frame")
-        full = (1 << frame.m) - 1
-        rows = [full] * frame.m
-        up_map, down_map = cones_from_rows(frame, rows)
-        return OrderedLocale(frame, up_map=up_map, down_map=down_map, rel_rows=rows)
-    frame = ols[0].frame
-    for o in ols:
-        if o.frame is not frame:
-            raise ValidationError("meet of orders needs a common frame")
-    if frame.m <= REL_LIMIT:
-        rows_list = [o.rel_rows() for o in ols]
-        rows = [rows_list[0][u] for u in range(frame.m)]
-        for rl in rows_list[1:]:
-            for u in range(frame.m):
-                rows[u] &= rl[u]
-        up_map, down_map = cones_from_rows(frame, rows)
-        return OrderedLocale(frame, up_map=up_map, down_map=down_map, rel_rows=rows)
-    raise FrameTooLarge("meet of orders capped at materializable relations")
-
-
 def check_regular_cones(ol: OrderedLocale) -> CheckReport:
     """not not up(U) == up(U) == up(not not U), and dually, for every U.
     One scan per locale; the report is memoized on it."""
@@ -1175,23 +1144,3 @@ def _regular_cones(ol: OrderedLocale) -> CheckReport:
                              f"{name} cone changes under double negation of "
                              "the argument")
     return _ok("regular-cones", "exhaustive")
-
-
-def ideal_completion(ol: OrderedLocale) -> tuple[OrderedLocale, FrameMap]:
-    """Ordered locale of ideals; trivial for finite frames.
-
-    Every ideal of a finite lattice is principal, so the ideal frame is
-    isomorphic to the original and the cones transport along principal
-    ideals.  The returned map is the sublocale embedding X -> Idl(X),
-    monotone whenever cones preserve joins.
-    """
-    f = ol.frame
-    idl, witness = lat.ideal_frame(f)
-    # witness is the identity on ids: ideal i corresponds to down(i)
-    cones = ConePair(idl, [ol.up_map[i] for i in range(f.m)],
-                     [ol.down_map[i] for i in range(f.m)])
-    ol_idl = ordered_locale_from_monads(cones, validated=True,
-                                        meta={"construction": "ideal-completion"})
-    fmap = FrameMap(source=f, target=idl, preimage=list(witness))
-    fmap.validate()
-    return ol_idl, fmap

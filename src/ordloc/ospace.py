@@ -76,15 +76,6 @@ def topology(n, opens, labels) -> FiniteFrame:
     return lat.frame_from_topology(n, masks, labels=labels)
 
 
-def up_cone(space: OrderedSpace, a: PointSet) -> PointSet:
-    """Future cone of a point set: everything above some point of it."""
-    return PointSet(space.n, space.up_mask(a.mask))
-
-
-def down_cone(space: OrderedSpace, a: PointSet) -> PointSet:
-    return PointSet(space.n, space.down_mask(a.mask))
-
-
 def has_open_cones(space: OrderedSpace) -> CheckReport:
     """Are the pointwise cones of every open again open?
 
@@ -356,8 +347,3 @@ def pointwise_domain_of_dependence(space: OrderedSpace, a: PointSet | int,
         if _bad_chain(space, amask, 1 << y) is None:
             out |= 1 << y
     return PointSet(space.n, out)
-
-
-def is_monotone_fn(src: OrderedSpace, tgt: OrderedSpace, g: Sequence[int]) -> bool:
-    return all(tgt.leq_points(g[x], g[y])
-               for x in range(src.n) for y in bits(src.up[x]))

@@ -8,7 +8,7 @@ from functools import reduce
 from operator import and_
 
 from ordloc import coverage, olocale, ospace
-from ordloc.duality import points_space, prime_to_filter
+from ordloc.duality import points_space
 from ordloc.errors import (AxiomVFailure, ConesDoNotPreserveJoins, FrameTooLarge,
                            MissingBottomOrTop, NotALattice, NotClosedUnderJoin,
                            NotClosedUnderMeet, NotDistributive, ValidationError)
@@ -164,6 +164,11 @@ class LocalePoint(Value):
 def filter_to_prime(frame: FiniteFrame, filt: int) -> int:
     """P = join{U : U not in F}."""
     return frame.join_all(u for u in frame.elements() if not filt >> u & 1)
+
+
+def prime_to_filter(frame: FiniteFrame, p: int) -> int:
+    """The completely prime filter F = {U : U not<= P}, as an id-bitmask."""
+    return (1 << frame.m) - 1 & ~frame.down_row(p)
 
 
 def locale_points(frame: FiniteFrame) -> list[LocalePoint]:
@@ -348,11 +353,12 @@ def specialisation_order(frame: FiniteFrame) -> list[int]:
             for cx in containing]
 
 
-def closure_of_point(space: OrderedSpace, p: int) -> int:
-    """The points q every open neighbourhood of which contains p."""
-    mine = open_ids_containing(space.frame, p)
-    return mask_of_iter(q for q in range(space.n)
-                        if open_ids_containing(space.frame, q) & ~mine == 0)
+def point_closures(space: OrderedSpace) -> list[int]:
+    """For each point p, the points q every open neighbourhood of which
+    contains p; the opens containing each point are listed once."""
+    containing = [open_ids_containing(space.frame, q) for q in range(space.n)]
+    return [mask_of_iter(q for q, cq in enumerate(containing) if cq & ~mine == 0)
+            for mine in containing]
 
 
 def is_T0_ordered(space: OrderedSpace) -> CheckReport:
@@ -830,22 +836,6 @@ def coverage_column_loop(olx: OrderedLocale, work: OrderedLocale, a: int):
     return [u for u in inside if f.meet(u, bad) == f.bottom], []
 
 
-def monotone_via_cones(src: OrderedSpace, tgt: OrderedSpace, g) -> bool:
-    """`ospace.is_monotone_fn` by its cone characterization:
-    upcone(g^{-1}(A)) inside g^{-1}(upcone(A)) for all subsets A (and dual)."""
-    for amask in range(1 << tgt.n):
-        pre = mask_of_iter(x for x in range(src.n) if amask >> g[x] & 1)
-        pre_up = mask_of_iter(x for x in range(src.n)
-                              if tgt.up_mask(amask) >> g[x] & 1)
-        if src.up_mask(pre) & ~pre_up:
-            return False
-        pre_dn = mask_of_iter(x for x in range(src.n)
-                              if tgt.down_mask(amask) >> g[x] & 1)
-        if src.down_mask(pre) & ~pre_dn:
-            return False
-    return True
-
-
 def frobenius_gens_loop(f: FiniteFrame, side, other, gens, holds=None):
     """`olocale._gens_failure` by the pair loop: the least (u, v) over gens,
     u first, with side(u) & v not below side(u & other(v)) (F+ takes
@@ -901,8 +891,8 @@ def unit_check_loop(space: OrderedSpace) -> CheckReport:
 
     eta = []      # eta(x) as an index into primes, or None if not a prime
     prime_index = {p: i for i, p in enumerate(primes)}
-    for x in range(space.n):
-        cmask = full & ~closure_of_point(space, x)
+    for closure in point_closures(space):
+        cmask = full & ~closure
         pid = f.id_of_mask(cmask) if f.has_mask(cmask) else None
         eta.append(prime_index.get(pid))
 

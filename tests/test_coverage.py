@@ -7,7 +7,6 @@ import pytest
 
 from ordloc import coverage as C, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import (
-    ConcatMismatch,
     EmptyRestriction,
     FrameTooLarge,
     NotASubregion,
@@ -51,16 +50,6 @@ def test_refinement_relation(m33, loc33):
     assert C.refines(loc33, q2, big) and C.refines(loc33, r, big)
 
 
-def test_concat(m33, loc33):
-    p = C.validate_path(loc33, [grid(m33, (0, 1)), grid(m33, (1, 1))])
-    q = C.validate_path(loc33, [grid(m33, (1, 1)), grid(m33, (2, 1))])
-    joined = C.concat(loc33, q, p)
-    assert joined.steps == (grid(m33, (0, 1)), grid(m33, (1, 1)),
-                            grid(m33, (2, 1)))
-    with pytest.raises(ConcatMismatch):
-        C.concat(loc33, p, q)
-
-
 def test_restriction_example(m33, loc33):
     p = C.validate_path(loc33, [grid(m33, (0, 0), (0, 2)),
                                 grid(m33, (1, 0), (1, 1), (1, 2))])
@@ -86,15 +75,6 @@ def test_restriction_errors(m33, loc33, b4=None):
     ip = C.validate_path(inc, [1, 3])
     with pytest.raises(NotParallelOrdered):
         C.restrict_path(inc, ip, 1)
-
-
-def test_future_restriction(m33, loc33):
-    p = C.validate_path(loc33, [grid(m33, (0, 0), (0, 2)),
-                                grid(m33, (1, 0), (1, 1), (1, 2))])
-    v = grid(m33, (0, 0))
-    r = C.restrict_path_future(loc33, p, v)
-    assert r.start == v
-    assert C.refines(loc33, r, p)
 
 
 def _all_paths(olx, max_len, land_in=None):

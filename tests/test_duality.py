@@ -8,7 +8,7 @@ import pytest
 
 from ordloc import cli, duality as D, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import RegularConesRequired
-from ordloc.lattice import PointSet, bits
+from ordloc.lattice import bits
 
 from conftest import count_calls, grid, report_outcome
 import oracles
@@ -19,10 +19,14 @@ import oracles
 
 def test_filter_prime_round_trip(bowtie):
     f = bowtie.frame
-    for pt in oracles.locale_points(f):
+    primes = f.primes()
+    pms = D.pt_masks(f, primes)
+    for i, pt in enumerate(oracles.locale_points(f)):
         assert oracles.is_completely_prime_filter(f, pt.as_filter)
         assert oracles.filter_to_prime(f, pt.as_filter) == pt.as_prime
-        assert D.prime_to_filter(f, pt.as_prime) == pt.as_filter
+        # pt(U) holds point i iff U is in its filter
+        assert pt.as_prime == primes[i]
+        assert pt.as_filter == L.mask_of_iter(u for u in f.elements() if pms[u] >> i & 1)
 
 
 def test_points_space_m33(m33, loc33):
@@ -52,7 +56,7 @@ def test_points_space_bowtie(bowtie):
 def test_points_space_inclusion_order_reverses_filters(bowtie):
     inc = O.inclusion_order(bowtie.frame)
     pts = D.points_space(inc)
-    filters = [D.prime_to_filter(bowtie.frame, p) for p in pts.prime_ids]
+    filters = [oracles.prime_to_filter(bowtie.frame, p) for p in pts.prime_ids]
     for i in range(pts.n):
         for j in range(pts.n):
             assert pts.leq_points(i, j) == (filters[j] & ~filters[i] == 0)
@@ -452,18 +456,18 @@ def test_preorder_ideals_m33(m33):
             for y in bits(i.mask):
                 assert m33.up[x] & m33.up[y] & i.mask
     assert D.is_past_semi_full(m33.n, list(m33.up)).ok
-    assert D.ideals_have_directed_joins(m33.n, list(m33.up), ideals)
 
 
 def test_directed_joins_need_every_member_to_be_an_ideal():
-    # the chain 0 <= 1 <= 2: {1} is not down-closed, and the singleton
-    # family { {1} } is directed, so its union {1} must be an ideal
+    # a finite directed family has a greatest member, its union, and every
+    # singleton family is directed: so a family has directed joins iff each
+    # member is an ideal.  On the chain 0 <= 1 <= 2, {1} is not down-closed
     chain = [0b111, 0b110, 0b100]
     ideals = D.triangle_ideals(3, chain)
     assert [i.mask for i in ideals] == [0b001, 0b011, 0b111]
-    assert D.ideals_have_directed_joins(3, chain, ideals)
-    assert not D.ideals_have_directed_joins(3, chain, ideals + [PointSet(3, 0b010)])
-    assert D.ideals_have_directed_joins(3, chain, ideals[:1])
+    pred = L.transpose_rows(chain)
+    assert all(D._is_ideal(chain, pred, i.mask) for i in ideals)
+    assert not D._is_ideal(chain, pred, 0b010)
 
 
 def test_strict_chronology_has_no_ideals(m33):

@@ -985,30 +985,15 @@ def test_causal_heyting_on_equality_is_ordinary(b4):
 # -- meets of orders -------------------------------------------------------------------
 
 
-def test_meet_with_equality_is_equality(loc22):
-    f = loc22.frame
-    eq = O.equality_order(f)
-    met = O.meet_of_orders([loc22, eq])
-    for u in f.elements():
-        for v in f.elements():
-            assert met.related(u, v) == (u == v)
-
-
-def test_empty_meet_is_total(b4):
-    total = O.meet_of_orders([], frame=b4)
-    assert all(total.related(u, v) for u in b4.elements() for v in b4.elements())
-
-
 def test_meet_of_upper_and_lower_is_em(m33, loc33):
     up = S.induced_locale(m33, "upper")
     low = S.induced_locale(m33, "lower")
-    met = O.meet_of_orders([up, low])
-    assert met.rel_rows() == loc33.rel_rows()
-    # cones of the meet are the meets of the cones (all inputs cone-determined)
+    assert [a & b for a, b in zip(up.rel_rows(), low.rel_rows())] == loc33.rel_rows()
+    # the em cones are the meets of the upper and lower cones
     f = m33.frame
     for u in f.elements():
-        assert met.up_map[u] == f.meet(up.up_map[u], low.up_map[u])
-        assert met.down_map[u] == f.meet(up.down_map[u], low.down_map[u])
+        assert loc33.up_map[u] == f.meet(up.up_map[u], low.up_map[u])
+        assert loc33.down_map[u] == f.meet(up.down_map[u], low.down_map[u])
 
 
 # -- orders from maps ------------------------------------------------------------------
@@ -1094,22 +1079,6 @@ def test_regular_cones_on_a_boolean_frame_list_no_cone(monkeypatch):
     assert calls == []
 
 
-# -- ideal completion ----------------------------------------------------------------------
-
-
-def test_ideal_completion_instances(b4, loc22):
-    for olx in (O.equality_order(b4), O.inclusion_order(b4), loc22):
-        idl, fmap = O.ideal_completion(olx)
-        f = olx.frame
-        assert idl.frame.m == f.m
-        for u in f.elements():
-            assert idl.up_map[u] == olx.up_map[u]
-            for v in f.elements():
-                assert f.leq(u, v) == idl.frame.leq(u, v)
-        if O.check_axiom(olx, "C-join").ok:
-            assert O.is_monotone(fmap, olx, idl).ok
-
-
 # -- derived state ---------------------------------------------------------------------
 
 
@@ -1120,7 +1089,7 @@ def _derive_everything(olx):
     calls = [lambda: [O.check_axiom(olx, law) for law in O.ALL_AXIOMS],
              lambda: O.futures_frame(olx), lambda: O.pasts_frame(olx),
              lambda: O.is_convex_locale(olx), lambda: O.is_biframe(olx),
-             lambda: O.check_regular_cones(olx), lambda: O.ideal_completion(olx),
+             lambda: O.check_regular_cones(olx),
              lambda: [(O.convex_hull(olx, u), O.diamond(olx, u)) for u in f.elements()],
              lambda: [O.causal_heyting(olx, f.top, u, d) for u in f.elements()
                       for d in ("future", "past")],

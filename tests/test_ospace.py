@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from ordloc import gen, lattice as L, olocale as O, ospace as S
-from ordloc.lattice import PointSet, bits, mask_of_iter
+from ordloc.lattice import bits, mask_of_iter
 
 from conftest import count_calls, grid
 import oracles
@@ -20,16 +20,15 @@ def pmask(space, *pts):
 
 
 def test_up_cone_m33(m33):
-    a = PointSet(m33.n, pmask(m33, (0, 1)))
-    up = S.up_cone(m33, a)
+    up = m33.up_mask(pmask(m33, (0, 1)))
     # |dx| <= dt scan, written out independently
     expect = {(0, 1), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)}
-    assert up.mask == pmask(m33, *expect)
+    assert up == pmask(m33, *expect)
 
 
 def test_cone_of_empty(m33):
-    assert S.up_cone(m33, PointSet(m33.n, 0)).mask == 0
-    assert S.down_cone(m33, PointSet(m33.n, 0)).mask == 0
+    assert m33.up_mask(0) == 0
+    assert m33.down_mask(0) == 0
 
 
 def test_equality_order_cones_are_identity():
@@ -295,21 +294,3 @@ def test_vertical_grid_domains():
     col0 = mask_of_iter([i for i, l in enumerate(v.labels)
                          if l.startswith("(0,")])
     assert S.pointwise_domain_of_dependence(v, col0_bottom).mask == col0
-
-
-# -- monotone maps ----------------------------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_monotone_iff_cone_characterization(seed):
-    rng = random.Random(seed)
-    n_s, n_t = rng.randint(1, 4), rng.randint(1, 4)
-    src = S.OrderedSpace.build(
-        n_s, [(rng.randrange(n_s), rng.randrange(n_s)) for _ in range(n_s)],
-        opens="discrete")
-    tgt = S.OrderedSpace.build(
-        n_t, [(rng.randrange(n_t), rng.randrange(n_t)) for _ in range(n_t)],
-        opens="discrete")
-    g = [rng.randrange(n_t) for _ in range(n_s)]
-    assert S.is_monotone_fn(src, tgt, g) == oracles.monotone_via_cones(src, tgt, g)
