@@ -29,20 +29,18 @@ from .ospace import OrderedSpace
 # -- the points space ----------------------------------------------------------
 
 
-def pt_masks(frame: FiniteFrame, primes: Sequence[int]) -> list[int]:
-    """pt(U) for every element U, as point-index masks: the primes p_i with
-    U not<= p_i.  Birkhoff lemma (`FiniteFrame.primes`): U not<= kappa(j) iff
-    j <= U iff (on a carrier bit b of j_b) b is in car[U], so for the frame's
-    own primes pt(U) is car[U] with each bit b renamed to the index of
-    kappa(j_b) (`_fold`, on mask frames of every size; U on powersets).
-    Other values, and powersets above SUBSET_LIMIT (refused there), take
-    `rows_above`: one transpose of the values' down rows."""
-    if primes != frame.primes() or frame.kind == "powerset" and frame.m > lat.SUBSET_LIMIT:
-        full = (1 << len(primes)) - 1
-        return [full & ~r for r in lat.rows_above(frame, primes)]
+def pt_masks(frame: FiniteFrame) -> list[int]:
+    """pt(U) for every element U, as masks over the frame's primes p_i
+    (`FiniteFrame.primes`): the i with U not<= p_i.  Birkhoff lemma
+    (`FiniteFrame.primes`): U not<= kappa(j) iff j <= U iff (on a carrier
+    bit b of j_b) b is in car[U], so pt(U) is car[U] with each bit b
+    renamed to the index of kappa(j_b) (`_fold`), and U itself on
+    powersets, refused (FrameTooLarge) above SUBSET_LIMIT subsets."""
     if frame.kind == "powerset":
+        if frame.m > lat.SUBSET_LIMIT:
+            raise FrameTooLarge(f"element rows on {frame.m} subsets exceed {lat.SUBSET_LIMIT}")
         return list(frame.elements())
-    index, kappa = {p: i for i, p in enumerate(primes)}, frame.bit_primes()
+    index, kappa = {p: i for i, p in enumerate(frame.primes())}, frame.bit_primes()
     rename = [1 << index[kappa[b]] if b in kappa else 0 for b in range(max(kappa, default=-1) + 1)]
     return _fold(rename, or_, 0, frame.carriers())
 
@@ -60,9 +58,11 @@ def _envelopes(olx: OrderedLocale, at: Sequence[int]):
                  for cone in (olx.up_map, olx.down_map))
 
 
-def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], list[int]]:
+def _point_data(olx: OrderedLocale) -> tuple[list[int], list[int]]:
     """The point order rows and `pt_masks` of the frame's primes, the
-    order read at the join-irreducibles J.
+    order read at the join-irreducibles J; built once per locale and
+    shared by `points_space`, `counit_check`, `check_axiom_P` and
+    `point_cone_inclusions_hold` (none of them writes to it).
 
     The filter F_i = {U : U not<= p_i} is the up-set of its least member
     j_i (`pt_masks`), and pt is monotone and injective (finite frames are
@@ -77,9 +77,11 @@ def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], l
     and d = down for monotone cones).  Row i is pt(a(j_i)) &
     {k : i in pt(d(j_k))}: |J| cone reads per cone, and |J|^2 bits.
     """
+    if "points" in olx.memo:
+        return olx.memo["points"]
     f = olx.frame
-    n = len(primes)
-    pms = pt_masks(f, primes)
+    n = len(f.primes())
+    pms = pt_masks(f)
     least, free = [0] * n, (1 << n) - 1          # least[i] = j_i
     for j in sorted(f.coprimes(), key=lambda j: lat.popcount(pms[j])):
         for i in bits(pms[j] & free):
@@ -87,15 +89,7 @@ def _point_data(olx: OrderedLocale, primes: Sequence[int]) -> tuple[list[int], l
         free &= ~pms[j]
     up, down = _envelopes(olx, least)
     cols = lat.transpose_rows([pms[down[j]] for j in least])
-    return [pms[up[j]] & col for j, col in zip(least, cols)], pms
-
-
-def _locale_point_data(olx: OrderedLocale) -> tuple[list[int], list[int]]:
-    """`_point_data` of the frame's primes, built once per locale and
-    shared by `points_space`, `counit_check`, `check_axiom_P` and
-    `point_cone_inclusions_hold` (none of them writes to it)."""
-    if "points" not in olx.memo:
-        olx.memo["points"] = _point_data(olx, olx.frame.primes())
+    olx.memo["points"] = [pms[up[j]] & col for j, col in zip(least, cols)], pms
     return olx.memo["points"]
 
 
@@ -106,7 +100,7 @@ def points_space(olx: OrderedLocale) -> OrderedSpace:
     order is the cone characterization of the filter order.  The result is
     always T0-ordered; this is asserted.
     """
-    return _points_space(olx.frame.primes(), *_locale_point_data(olx))
+    return _points_space(olx.frame.primes(), *_point_data(olx))
 
 
 def _points_space(primes: list[int], rows: list[int], pms: list[int]) -> OrderedSpace:
@@ -215,23 +209,24 @@ def unit_check(space: OrderedSpace) -> CheckReport:
 
 
 def _fold(rows: Sequence[int], op, unit: int, keys) -> list[int]:
-    """For each mask s in keys, op of rows[i] over the i in s, memoized
-    along the lowest bit: t[s] = op(t[s ^ low], rows[low]), so masks that
-    share a prefix share its fold.  Where the keys are at least half of
-    all 2^n masks, the whole table is built (`lattice.subset_table`)."""
-    if 1 << len(rows) <= 2 * len(keys):
-        table = lat.subset_table(unit, rows, op)
+    """For each mask s in keys, op of rows[i] over the i in s, from unit;
+    op is OR or AND, so a fold may repeat unit and split s anywhere.
+
+    The rows are cut into chunks of k bits, k = min(n, 12, log2(2|keys|))
+    and at least 1, each chunk's fold table is built by doubling
+    (`lattice.subset_table`), and s is read as op of its chunks' entries:
+    about 2^k n/k table entries and n/k reads per key, on any n.  Where 2^n
+    <= 2|keys| the one table holds every s, read as it is (masking each s
+    there cost a sixth more on the workloads' calls)."""
+    k = max(1, min(len(rows), 12, (2 * len(keys)).bit_length() - 1))
+    low, tables = (1 << k) - 1, [lat.subset_table(unit, rows[i:i + k], op)
+                                  for i in range(0, len(rows), k)]
+    if len(tables) <= 1:
+        table = tables[0] if tables else [unit]
         return [table[s] for s in keys]
-    memo, out = {0: unit}, []
-    for s in keys:
-        chain = []
-        while s not in memo:
-            chain.append(s)
-            s &= s - 1
-        acc = memo[s]
-        for t in reversed(chain):
-            acc = memo[t] = op(acc, rows[(t & -t).bit_length() - 1])
-        out.append(acc)
+    out = [tables[0][s & low] for s in keys]
+    for shift, table in zip(range(k, len(rows), k), tables[1:]):
+        out = list(map(op, out, [table[s >> shift & low] for s in keys]))
     return out
 
 
@@ -287,7 +282,7 @@ def _bullet_report(olx: OrderedLocale, rows: list[int], pms: list[int]) -> Check
 def check_axiom_P(olx: OrderedLocale) -> CheckReport:
     """Axiom (bullet): cones commute with taking points,
     upcone(pt(U)) == pt(up(U)) and downcone(pt(U)) == pt(down(U))."""
-    return _bullet_report(olx, *_locale_point_data(olx))
+    return _bullet_report(olx, *_point_data(olx))
 
 
 def _cone_inclusions(olx: OrderedLocale, rows: list[int], pms: list[int]) -> bool:
@@ -303,7 +298,7 @@ def point_cone_inclusions_hold(olx: OrderedLocale) -> bool:
     locale's cone of pt(U) is the interior of upcone(pt(U)), which lies
     inside the open pt(up(U)) (dually for pasts).  So counit monotonicity
     is this check."""
-    return _cone_inclusions(olx, *_locale_point_data(olx))
+    return _cone_inclusions(olx, *_point_data(olx))
 
 
 def counit_check(olx: OrderedLocale) -> CheckReport:
@@ -323,7 +318,7 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     the complement of the AND of lacking[k] over k in that row."""
     f = olx.frame
     primes = f.primes()
-    rows, pms = _locale_point_data(olx)
+    rows, pms = _point_data(olx)
     spatial = len(set(pms)) == len(pms)          # pt(U) = pt(V) implies U = V
     brep = _bullet_report(olx, rows, pms)
     corder = ol.check_axiom(olx, "C-order")

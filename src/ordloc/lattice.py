@@ -52,8 +52,7 @@ from .errors import (
 SUBSET_LIMIT = 1 << 20   # entries of a cone table or list on a powerset frame
 
 
-def popcount(x: int) -> int:
-    return bin(x).count("1")
+popcount = int.bit_count
 
 
 def bits(x: int):
@@ -458,7 +457,8 @@ def frame_from_topology(base_size: int, opens: Sequence[PointSet | int],
     where F says no, the per-open scan (`_scan_nbhds`), O(m n) mask
     operations, decides and names the witness: a fold step acc & e that
     leaves the family raises NotClosedUnderMeet(acc, e), a missing
-    e | N(p) NotClosedUnderJoin(e, N(p)).  The frame keeps the N(p) as its
+    e | N(p) NotClosedUnderJoin(e, N(p)); no benchmark workload runs it
+    (two passes each, seeds 101 and 102).  The frame keeps the N(p) as its
     `neighbourhoods`; the full powerset is built by `powerset_frame`.
     """
     masks = sorted({o.mask if isinstance(o, PointSet) else int(o) for o in opens})
@@ -537,7 +537,8 @@ def transitive_closure_rows(rows: list[int]) -> list[int]:
     columns of row k.  Measured in process on T(R*) of random pairs R on
     powersets, packed against lists: 128 subsets 0.50 against 1.52 ms at
     9,556 pairs, 0.12 against 0.10 ms at 248; 256 subsets 5.0 against 6.7
-    ms at 34,206, 0.50 against 0.25 ms.
+    ms at 34,206, 0.50 against 0.25 ms.  No benchmark workload closes more
+    than 128 rows (two passes each, seeds 101 and 102).
     """
     n = len(rows)
     rows = [r | 1 << i for i, r in enumerate(rows)]
@@ -590,38 +591,29 @@ def transpose_rows(rows: list[int]) -> list[int]:
     """Predecessor rows of a relation given by successor bitmask rows, as a
     fresh list; the input is square (every row below 2^len(rows)).
 
-    A sparse matrix, at most 3n + 16 set bits in n rows, is transposed bit
-    by bit.  Any other of at most PACK_ROWS rows is packed into one
-    integer, bit (i, j) at i*N + j for the power of two N >= max(n, 8), and
-    transposed by log2 N masked block swaps (Warren, Hacker's Delight,
-    7-3).  Lemma: the swap for k (k = N/2, .., 1) moves bit (i, j) to
-    (i + k, j - k) where bit k of i is 0 and bit k of j is 1, and back, so
-    it exchanges bit k of the row and column indices where they differ;
-    after every k, (i, j) is at (j, i).  The partner lies k(N - 1) bits
-    up, under the mask {i*N + j : i & k == 0, j & k != 0} (`_block_swaps`,
-    cached per N).  A larger matrix is cut into PACK_ROWS-square tiles:
-    tile (I, J) of the transpose is the transpose of tile (J, I), and a
-    tile with no set bit is skipped.  So no mask or packed integer exceeds
-    PACK_ROWS^2 bits: the masks of every side up to 512 take 0.4 MB, where
-    those of N = 16,384 would take 448 MB.
-    The rule is measured in process: the loop costs about 0.3 us per set
-    bit on rows of up to 512 bits, the packed route about 6 us plus 0.75
-    us per row up to 64 rows (9 rows, 39 bits: 8.6 against 9.9 us; 24
-    rows, 127 bits: 26 against 20 us; 256 rows, 13,107 bits: 4.2 against
-    0.32 ms).  On wider rows each loop step copies the row: the 16,384
-    down rows of a 14-point powerset (4.8 million bits) took 8.3 s bit by
-    bit and 0.34 s in tiles.
+    The matrix is packed into one integer, bit (i, j) at i*N + j for the
+    power of two N >= max(n, 8), and transposed by log2 N masked block
+    swaps (Warren, Hacker's Delight, 7-3).  Lemma: the swap for k (k = N/2,
+    .., 1) moves bit (i, j) to (i + k, j - k) where bit k of i is 0 and bit
+    k of j is 1, and back, so it exchanges bit k of the row and column
+    indices where they differ; after every k, (i, j) is at (j, i).  The
+    partner lies k(N - 1) bits up, under the mask {i*N + j : i & k == 0,
+    j & k != 0} (`_block_swaps`, cached per N).  Above PACK_ROWS rows the
+    matrix is cut into PACK_ROWS-square tiles: tile (I, J) of the
+    transpose is the transpose of tile (J, I), and a tile with no set bit
+    is skipped.  So no mask or packed integer exceeds PACK_ROWS^2 bits:
+    the masks of every side up to 512 take 0.4 MB, where those of N =
+    16,384 would take 448 MB; the 16,384 down rows of a 14-point powerset
+    (4.8 million bits) take 0.34 s in tiles.
+    Packing every matrix was measured against a bit loop for sparse ones
+    (at most 3n + 16 set bits) on the calls of one pass of each benchmark
+    workload (seed 101, in process, median of 41 alternating reps), and
+    won on all four: grid-laws 0.133 against 0.183 ms (27 calls, 15
+    sparse), derived-structures 0.487 against 0.558 ms (47, 33 sparse),
+    explicit-docs 1.81 against 2.69 ms (272, 120 sparse), cli-session
+    0.445 against 0.494 ms (100, 93 sparse).
     """
     n = len(rows)
-    if sum(map(int.bit_count, rows)) <= 3 * n + 16:
-        cols = [0] * n
-        for i, r in enumerate(rows):
-            bit = 1 << i
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= bit
-                r ^= low
-        return cols
     if n <= PACK_ROWS:
         return _packed_columns(rows, max(8, 1 << (n - 1).bit_length()), n)
     cols, low = [0] * n, (1 << PACK_ROWS) - 1
@@ -668,38 +660,32 @@ def repeat_bits(x: int, step: int, total: int) -> int:
 
 
 def rows_above(frame: FiniteFrame, values: Sequence[int]) -> list[int]:
-    """For every element x, the id-bitmask {i : x <= values[i]}.
+    """For every element x, the id-bitmask {i : x <= values[i]}, for a list
+    of one value per element.
 
     Lemma (finite lattices): x <= y iff every join-irreducible j <= x is
     below y, as x is the join of the j below it.  On a powerset, where
-    values (one per subset) equal their generator form, so preserve joins
-    (`SubsetCone`), a is in values[i] iff a is in values[0] or i meets
-    C_a = {p : a in values[{p}]}: row x is the AND of X[a] over the points
-    a in x, X[a] all i or the i outside down(top - C_a), n masks from
-    n + 1 values, and the rows are `subset_table`(all, X, and), O(m) ANDs.
-    Powersets are refused (FrameTooLarge) above SUBSET_LIMIT subsets.
-    Any other list is read as column x of the values' down rows, padded
-    square (`duality.pt_masks` passes |P| values, fewer than elements), by
-    one `transpose_rows` (tiled above 512 rows).  Measured in process on m
-    random values, against the per-value folds it replaced (best of 7):
-    down-set frames 0.42 against 0.15 ms at 243 elements and 0.64-0.70
-    against 0.14-0.24 ms at 208; powersets 0.35 against 0.46 ms at 512
-    elements, 0.79 against 2.20 at 1,024 and 1.80 against 8.71 at 2,048,
-    where explicit relations stop (`olocale.REL_LIMIT`).  No benchmark
-    workload reads such a list above 64 elements.
+    values equal their generator form, so preserve joins (`SubsetCone`),
+    a is in values[i] iff a is in values[0] or i meets C_a = {p : a in
+    values[{p}]}: row x is the AND of X[a] over the points a in x, X[a] all
+    i or the i outside down(top - C_a), n masks from n + 1 values, and the
+    rows are `subset_table`(all, X, and), O(m) ANDs.  Any other list is
+    read as column x of the values' down rows, by one `transpose_rows`.
+    The generator route was measured against transposing its lists too, on
+    the calls of one pass of each workload (seed 101, in process, median of
+    41 alternating reps): derived-structures 0.30 against 1.88 ms, the
+    cli-session 0.19 against 0.86 ms; explicit-docs, whose 31 such lists
+    are on powersets of at most 64 elements, 0.28 against 0.16 ms.
     """
-    f, full = frame, (1 << len(values)) - 1
-    if f.kind == "powerset" and f.m > SUBSET_LIMIT:
-        raise FrameTooLarge(f"element rows on {f.m} subsets exceed {SUBSET_LIMIT}")
-    if f.kind == "powerset" and len(values) == f.m:
+    f, full = frame, (1 << frame.m) - 1
+    if f.kind == "powerset":
         gens = [values[1 << b] for b in range(f.base_size)]
         if subset_table(values[0], gens, or_) == list(values):
             x = [full if values[0] >> a & 1 else full & ~f.down_row(f.top & ~c)
                  for a, c in enumerate(transpose_rows(gens))]
             return subset_table(full, x, and_)
     below = f.down_rows()
-    pad = [0] * (f.m - len(values))
-    return transpose_rows([below[v] for v in values] + pad)[:f.m]
+    return transpose_rows([below[v] for v in values])
 
 
 def frame_from_down_rows(down_rows: list[int], *, ext=None, base_size=None,

@@ -14,7 +14,7 @@ from ordloc.errors import (AxiomVFailure, ConesDoNotPreserveJoins, FrameTooLarge
                            NotClosedUnderMeet, NotDistributive, ValidationError)
 from ordloc.lattice import (FiniteFrame, FrameMap, Value, _lattice_failure, bits,
                             frame_from_down_rows, frame_from_topology, mask_of_iter, or_rows,
-                            popcount, powerset_frame, rows_above, transpose_rows)
+                            popcount, powerset_frame, transpose_rows)
 from ordloc.olocale import (REL_LIMIT, CheckReport, ConePair, OrderedLocale, check_axiom,
                             cones_from_rows, ordered_locale_from_monads)
 from ordloc.ospace import OrderedSpace
@@ -205,7 +205,10 @@ def order_from_map(fmap: FrameMap, target_ol: OrderedLocale) -> OrderedLocale:
     src, pre = fmap.source, fmap.preimage
     if src.m > REL_LIMIT:
         raise FrameTooLarge("order_from_map capped at materializable relations")
-    above = rows_above(src, pre)                 # {V : U <= f^{-1}(V)}
+    above = [0] * src.m                          # {V : U <= f^{-1}(V)}
+    for v, p in enumerate(pre):
+        for u in bits(src.down_row(p)):
+            above[u] |= 1 << v
 
     def meets(cone):
         at = {}                                      # g(V) -> {V}, g = f^{-1} cone
@@ -864,10 +867,10 @@ def fraction_cone_rows(alive, slope, step=False):
 
 
 def point_data_loop(olx: OrderedLocale, primes) -> tuple[list[int], list[int]]:
-    """The point order rows and pt masks, walking the rows {i : x <= p_i}
-    once per element and cone."""
+    """The point order rows and pt masks, walking the rows {i : x <= p_i},
+    read by `leq`, once per element and cone."""
     f, up, down = olx.frame, olx.up_map, olx.down_map
-    below = rows_above(f, primes)
+    below = [mask_of_iter(i for i, p in enumerate(primes) if f.leq(x, p)) for x in f.elements()]
     n = len(primes)
     under_up, under_down = [0] * n, [0] * n    # {U : up(U) <= p_i}, {V : down(V) <= p_i}
     for u in f.elements():

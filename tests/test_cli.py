@@ -234,8 +234,8 @@ def test_cli_refuses_40_point_discrete_space(argv):
 
 def test_cli_lists_futures_frame_of_14_point_discrete_space():
     # the futures frame is the whole powerset, 2**14 elements: its tables
-    # are transposed bit by bit above lattice.PACK_ROWS rows, so no packed
-    # matrix or block-swap mask of 2**28 bits is built under the 512 MB cap
+    # are transposed in lattice.PACK_ROWS-square tiles, so no packed matrix
+    # or block-swap mask of 2**28 bits is built under the 512 MB cap
     out = run_discrete(14, ["futures", "-"])
     assert (out.returncode, out.stderr) == (0, "")
     lines = out.stdout.splitlines()

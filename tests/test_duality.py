@@ -20,7 +20,7 @@ import oracles
 def test_filter_prime_round_trip(bowtie):
     f = bowtie.frame
     primes = f.primes()
-    pms = D.pt_masks(f, primes)
+    pms = D.pt_masks(f)
     for i, pt in enumerate(oracles.locale_points(f)):
         assert oracles.is_completely_prime_filter(f, pt.as_filter)
         assert oracles.filter_to_prime(f, pt.as_filter) == pt.as_prime
@@ -89,17 +89,21 @@ def run_points_on_m44(monkeypatch, capsys) -> str:
 
 def test_points_command_builds_the_point_data_once(monkeypatch, capsys):
     # `ordloc points` reads the point data in points_space and again in
-    # counit_check: one copy is built per locale, with the output of a
-    # run that builds it for each caller; pt(U) of the frame's own primes
-    # is read by Birkhoff's bijection, with no `rows_above`
-    calls = count_calls(monkeypatch, ((D, "_point_data"), (L, "rows_above")))
+    # counit_check: one copy is built per locale (one `pt_masks`), with the
+    # output of a run that builds it for each caller; pt(U) of the frame's
+    # own primes is read by Birkhoff's bijection, with no `rows_above`
+    calls = count_calls(monkeypatch, ((D, "pt_masks"), (L, "rows_above")))
     out = run_points_on_m44(monkeypatch, capsys)
-    assert calls == {"_point_data": 1, "rows_above": 0}
+    assert calls == {"pt_masks": 1, "rows_above": 0}
     point_data = D._point_data
-    monkeypatch.setattr(D, "_locale_point_data",
-                        lambda olx: point_data(olx, olx.frame.primes()))
+
+    def unmemoized(olx):
+        olx.memo.pop("points", None)
+        return point_data(olx)
+
+    monkeypatch.setattr(D, "_point_data", unmemoized)
     assert run_points_on_m44(monkeypatch, capsys) == out
-    assert calls == {"_point_data": 3, "rows_above": 0}
+    assert calls == {"pt_masks": 3, "rows_above": 0}
 
 
 # -- unit --------------------------------------------------------------------------
@@ -160,7 +164,7 @@ def test_bullet_fails_on_constructed_instance(bowtie):
     u = rep.witness[0]
     primes = f.primes()
     rows = oracles.point_order_rows(olx, primes)
-    pms = D.pt_masks(f, primes)
+    pms = D.pt_masks(f)
     pm = pms[u]
     upc = 0
     for i in bits(pm):
@@ -183,7 +187,7 @@ def test_bullet_matches_per_element_scans_report_for_report(bowtie):
     failing = O.ordered_locale_from_relation(f, [(f.id_of_mask(0b1011), f.top)])
     verdicts = set()
     for name, olx in [("bowtie/relation", failing)] + [(n, make()) for n, make in duality_cases()]:
-        pcones = oracles.point_cones_loop(*D._point_data(olx, olx.frame.primes()))
+        pcones = oracles.point_cones_loop(*D._point_data(olx))
         got, want = D.check_axiom_P(olx), oracles.bullet_scan(olx, pcones)
         assert (got.verdict, got.witness, got.note) == \
             (want.verdict, want.witness, want.note), name
@@ -242,7 +246,7 @@ def test_finite_frames_spatial():
     for name, inst in gen.standard_suite():
         frame = inst.frame
         if frame.m <= 1024:
-            pms = D.pt_masks(frame, frame.primes())
+            pms = D.pt_masks(frame)
             assert len(set(pms)) == len(pms), name      # pt(U) = pt(V) implies U = V
 
 

@@ -2,6 +2,7 @@
 derived causal structure, order constructions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +115,30 @@ def test_non_oc_fails_Fplus(non_oc):
     # the stated computation: down(U) & V = {*}, down(U & up(V)) = empty
     assert f.mask_of(f.meet(loc.down_map[u], v)) == pts(0)
     assert loc.down_map[f.meet(u, loc.up_map[v])] == f.bottom
+
+
+def test_C_join_fails_by_the_kernel_above_pair_limit():
+    # 2,048 elements, above PAIR_LIMIT, so no pair scan looks for the least
+    # pair: C-join fails with the past cone's join-irreducible kernel witness
+    loc = O.ordered_locale_from_relation(L.powerset_frame(11), [(1, 6), (2, 1024), (5, 40)])
+    assert loc.frame.m > O.PAIR_LIMIT
+    rep = O.check_axiom(loc, "C-join")
+    assert (rep.verdict, rep.witness, rep.note) == \
+        ("fail", (4, 2), "join-irreducible kernel (past cone)")
+    assert O.revalidate(loc, rep)
+
+
+def test_two_speed_3x4_fails_F_plus_on_the_generators_above_pair_limit():
+    # 4,096 elements and join-preserving cones: the pair over bottom and J
+    # that breaks F+ is the witness, with no row scan for the least pair,
+    # and wedge+ fails through F+ with the same pair
+    ts = gen.two_speed_grid(gen.GridSpec(3, 4, Fraction(1), Fraction(2)))
+    assert ts.frame.m > O.PAIR_LIMIT
+    f_plus, wedge = O.check_axiom(ts, "F+"), O.check_axiom(ts, "wedge+")
+    note = "pairs over bottom and the join-irreducibles"
+    assert (f_plus.verdict, f_plus.witness, f_plus.note) == ("fail", (16, 4), note)
+    assert (wedge.verdict, wedge.witness, wedge.note) == ("fail", (16, 4), "via F+: " + note)
+    assert O.revalidate(ts, f_plus) and O.revalidate(ts, wedge)
 
 
 def test_two_speed_parallel_witness():

@@ -844,7 +844,7 @@ def test_frame_rows_and_joins_match_definitions(seed):
 def test_rows_above_and_cone_rows_match_related_loop(seed):
     rng = random.Random(seed)
     f = random_frame(rng)
-    values = [rng.randrange(f.m) for _ in range(rng.randint(0, f.m + 2))]
+    values = [rng.randrange(f.m) for _ in f.elements()]
     assert L.rows_above(f, values) == [
         mask_of_iter(i for i, v in enumerate(values) if f.leq(x, v)) for x in f.elements()]
     up, down = random_map(rng, f), random_map(rng, f)
@@ -856,10 +856,10 @@ def test_rows_above_and_cone_rows_match_related_loop(seed):
 def powerset_values(rng, f):
     """Values on the subsets of f's points: join-preserving (base | OR of
     point values), that list changed at one non-singleton (it breaks a
-    join), or a random list of any length; style 0, 1 or 2."""
+    join), or a random list; style 0, 1 or 2.  One value per subset."""
     n, style = f.base_size, rng.randrange(3)
     if style == 2:
-        return style, [rng.randrange(f.m) for _ in range(rng.randint(0, f.m + 2))]
+        return style, [rng.randrange(f.m) for _ in f.elements()]
     gens = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
     values = L.subset_table(rng.getrandbits(n) if rng.random() < 0.5 else 0, gens, operator.or_)
     if style == 1:
@@ -880,7 +880,7 @@ def test_rows_above_matches_the_quantifier_form(seed):
         style, values = powerset_values(rng, f)
     else:
         f = random_frame(rng)
-        style, values = None, [rng.randrange(f.m) for _ in range(rng.randint(0, f.m + 2))]
+        style, values = None, [rng.randrange(f.m) for _ in f.elements()]
     with pytest.MonkeyPatch.context() as mp:
         calls = count_calls(mp, ((L, "bits"),))
         rows = L.rows_above(f, values)
@@ -908,18 +908,14 @@ def downset_frame_sized(rng, low, high):
 def test_rows_above_routes_match_the_quantifier_form(seed):
     # value lists not in generator form, on either side of 128 elements:
     # m values on powersets of 1-9 points and on down-set frames of 2-512
-    # elements, and |P|-long lists; each is one transpose, with no per-value
-    # fold, at every size
+    # elements; each is one transpose, with no per-value fold, at every size
     rng = random.Random(seed)
     style = rng.choice(["powerset", "mask", "large"])
     if style == "powerset":
         f = L.powerset_frame(rng.randint(1, 9))
     else:
         f = downset_frame_sized(rng, *((2, 128) if style == "mask" else (129, 512)))
-    count = f.m if rng.random() < 0.6 else f.base_size
-    values = [rng.randrange(f.m) for _ in range(count)]
-    if count == f.base_size and rng.random() < 0.5:
-        values = sorted(f.primes())
+    values = [rng.randrange(f.m) for _ in f.elements()]
     f.down_rows()
     with pytest.MonkeyPatch.context() as mp:
         calls = count_calls(mp, ((L, "bits"), (L, "transpose_rows"),
@@ -1163,7 +1159,7 @@ def test_counit_and_transport_rows_match_pair_scans(seed):
     rows = olx.rel_rows()
     if rng.random() < 0.5:
         rows[rng.randrange(f.m)] ^= 1 << rng.randrange(f.m)
-    pcones = oracles.point_cones_loop(*D._point_data(olx, f.primes()))
+    pcones = oracles.point_cones_loop(*D._point_data(olx))
     rep = D.counit_check(olx)
     if rep.details["biconditional"] is not None:
         least = next(((a, b) for a, (pa, upa, _) in enumerate(pcones)
@@ -1378,10 +1374,8 @@ def test_point_structures_match_per_open_scans(seed):
             olx = rows_locale(L.subframe(olx.frame, olx.frame.elements())[0],
                               olx.rel_rows())
     g = olx.frame
-    primes = g.primes() if rng.random() < 0.8 else \
-        [rng.randrange(g.m) for _ in range(rng.randint(0, 4))]
-    assert D.pt_masks(g, primes) == [oracles.pt_mask(g, primes, u) for u in g.elements()]
-    assert D._point_data(olx, g.primes())[0] == oracles.point_order_rows(olx, g.primes())
+    assert D.pt_masks(g) == [oracles.pt_mask(g, g.primes(), u) for u in g.elements()]
+    assert D._point_data(olx)[0] == oracles.point_order_rows(olx, g.primes())
 
 
 def test_points_space_makes_no_leq_calls(monkeypatch):
@@ -1902,8 +1896,7 @@ def test_point_data_matches_per_element_loop(seed):
     if seed % 4 == 0:
         rng = random.Random(seed)
         olx = random_locale(rng, shuffled_frame(rng, random_frame(rng)))
-    primes = olx.frame.primes()
-    assert D._point_data(olx, primes) == oracles.point_data_loop(olx, primes)
+    assert D._point_data(olx) == oracles.point_data_loop(olx, olx.frame.primes())
 
 
 # -- generator lemmas against their definitional scans --------------------------------------
@@ -2181,7 +2174,7 @@ def bullet_route(olx) -> str:
 def assert_bullet_matches_scans(key, olx):
     """(bullet) and the point-cone inclusions against the per-element scans,
     report for report."""
-    rows, pms = D._point_data(olx, olx.frame.primes())
+    rows, pms = D._point_data(olx)
     pcones = oracles.point_cones_loop(rows, pms)
     got, want = D.check_axiom_P(olx), oracles.bullet_scan(olx, pcones)
     assert (got.verdict, got.witness, got.note) == (want.verdict, want.witness, want.note), key
@@ -2256,8 +2249,10 @@ def test_pt_masks_match_rows_above_oracle(seed):
     f = pt_test_frame(rng)
     primes = f.primes()
     full = (1 << len(primes)) - 1
-    got = D.pt_masks(f, primes)
-    assert got == [full & ~r for r in L.rows_above(f, primes)]
+    got = D.pt_masks(f)
+    # one value per element: the primes, then top, which every x is below
+    above = L.rows_above(f, primes + [f.top] * (f.m - len(primes)))
+    assert got == [full & ~r for r in above]
     assert got == [oracles.pt_mask(f, primes, u) for u in f.elements()]
 
 
@@ -2268,9 +2263,34 @@ def test_pt_masks_of_the_primes_read_no_rows(monkeypatch):
     frames.append(L.subframe(frames[2], frames[2].elements())[0])
     calls = count_calls(monkeypatch, ((L, "rows_above"), (L.FiniteFrame, "up_row"),
                                       (L.FiniteFrame, "leq")))
-    pms = [D.pt_masks(f, f.primes()) for f in frames]
+    pms = [D.pt_masks(f) for f in frames]
     assert calls == {"rows_above": 0, "up_row": 0, "leq": 0}
     assert pms[0] == list(range(16)) and pms[3] == [0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 100_000))
+def test_fold_matches_the_per_key_fold(seed):
+    # `duality._fold` reads each key from k-bit chunk tables: it equals the
+    # fold of the rows over each key's bits, OR from a nonzero unit and AND
+    # from the full one, with no keys, one table (2^n <= 2|keys|) or many
+    # chunks, on 0 to 45 rows
+    rng = random.Random(seed)
+    n = rng.choice([0, 1, rng.randint(2, 12), rng.randint(13, 45)])
+    width = rng.randint(1, 64)
+    rows = [rng.getrandbits(width) for _ in range(n)]
+    keys = [rng.getrandbits(n) for _ in range(rng.choice([0, 1, rng.randint(2, 300)]))]
+    if n <= 10 and rng.random() < 0.3:
+        keys = list(range(1 << n))
+    for op, unit in ((operator.or_, rng.getrandbits(width) | 1), (operator.and_, (1 << width) - 1)):
+        want = [functools.reduce(op, (rows[i] for i in bits(s)), unit) for s in keys]
+        assert D._fold(rows, op, unit, keys) == want, (n, len(keys), op)
+
+
+def test_pt_masks_refuse_powersets_above_subset_limit():
+    # pt(U) of every subset is U itself, listed only up to SUBSET_LIMIT
+    with pytest.raises(FrameTooLarge, match=r"^element rows on 2097152 subsets exceed 1048576$"):
+        D.pt_masks(L.powerset_frame(21))
 
 
 def generator_cone_locale(f, values):
