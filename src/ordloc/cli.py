@@ -1,13 +1,13 @@
-"""Command line front end: instance (de)serialization, check orchestration,
-reports, DOT export.
+"""Command line front end: instance (de)serialization, check orchestration
+and reports.
 
 Exit codes: 0 all checks passed / computation done, 1 a check failed
 (witness printed), 2 invalid input, 3 inconclusive (coverage bound or
 certification exhausted).
 
-A process loads only what its subcommand runs: `gen`, `duality` and
-`coverage` are imported by the subcommands that call them, and only the
-invoked subparser is given its options (see `build_parser`).
+A process loads only what its subcommand runs: `gen`, `derived`,
+`duality` and `coverage` are imported by the subcommands that call them,
+and only the invoked subparser is given its options (see `build_parser`).
 """
 
 from __future__ import annotations
@@ -200,47 +200,6 @@ def serialize(doc: Document) -> str:
                       separators=(",", ": ")) + "\n"
 
 
-# -- dot export ---------------------------------------------------------------
-
-
-def export_dot(doc: Document, what: str = "hasse", limit: int = 128) -> str:
-    """Hasse diagram of the frame as a DOT digraph, with optional coloring
-    of cone images (what=cones) or convex elements (what=hulls).  The size
-    limit is read from the document's frame before any locale is built."""
-    frame = doc.payload.frame       # a space's or a locale's
-    if frame.m > limit:
-        raise ValidationError(
-            f"frame has {frame.m} elements; DOT export limited to {limit} "
-            "(raise with --dot-limit)")
-    olx = _as_locale(doc, "em")
-    frame = olx.frame
-    color = {}
-    if what == "cones":
-        for u in frame.elements():
-            color.setdefault(olx.up_map[u], []).append("up")
-            color.setdefault(olx.down_map[u], []).append("down")
-    elif what == "hulls":
-        for u in frame.elements():
-            if ol.is_convex_open(olx, u):
-                color.setdefault(u, []).append("convex")
-    lines = ["digraph frame {", "  rankdir=BT;", "  node [shape=box];"]
-    palette = {"up": "#ffd0d0", "down": "#d0d0ff", "updown": "#e8c8f0",
-               "convex": "#d0ffd0"}
-    for i in frame.elements():
-        label = frame.pretty(i).replace('"', "'")
-        attrs = [f'label="{label}"']
-        tags = sorted(set(color.get(i, [])))
-        if tags:
-            key = "updown" if tags == ["down", "up"] else tags[0]
-            attrs.append(f'style=filled fillcolor="{palette[key]}"')
-        lines.append(f"  e{i} [{' '.join(attrs)}];")
-    for i in frame.elements():
-        for j in frame.upper_covers(i):
-            lines.append(f"  e{i} -> e{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 # -- command plumbing -----------------------------------------------------------
 
 
@@ -357,10 +316,11 @@ def _cmd_check(args, doc: Document) -> int:
     return _finish(args, olx.frame, reports)
 
 
-def _cmd_unary(args, doc: Document, fn) -> int:
+def _cmd_unary(args, doc: Document, name: str) -> int:
+    from . import derived
     olx = _as_locale(doc, args.variant)
     u = _region_elem(doc, args.region)
-    res = fn(olx, u)
+    res = getattr(derived, name)(olx, u)
     _emit(args, f"{olx.frame.pretty(res)}\n")
     return 0
 
@@ -396,9 +356,10 @@ def _cmd_ips(args, doc: Document) -> int:
 
 
 def _cmd_cone_frames(args, doc: Document, which) -> int:
+    from . import derived
     olx = _as_locale(doc, args.variant)
-    frame, _ = (ol.futures_frame(olx) if which == "futures"
-                else ol.pasts_frame(olx))
+    frame, _ = (derived.futures_frame(olx) if which == "futures"
+                else derived.pasts_frame(olx))
     lines = [f"{which} frame: {frame.m} elements"
              + (" (ambient bottom adjoined)" if frame.meta.get("adjoined_bottom")
                 else "")]
@@ -458,7 +419,12 @@ def _cmd_ideals(args, doc: Document) -> int:
 
 
 def _cmd_dot(args, doc: Document) -> int:
-    _emit(args, export_dot(doc, what=args.what, limit=args.dot_limit))
+    from . import derived
+    m = doc.payload.frame.m         # known before the em locale is built
+    if m > args.dot_limit:
+        raise ValidationError(f"frame has {m} elements; DOT export limited to "
+                              f"{args.dot_limit} (raise with --dot-limit)")
+    _emit(args, derived.export_dot(_as_locale(doc, "em"), args.what))
     return 0
 
 
@@ -477,12 +443,12 @@ COMMANDS = {
     "gen": ("generate a standard instance", _cmd_gen, ()),
     "check": ("run axiom checks", _cmd_check, ("--variant", "--axiom", "--json")),
     "cones": ("compute cones of --region", _cmd_cones, ("--variant", "--region")),
-    "hull": ("compute hull of --region", lambda a, d: _cmd_unary(a, d, ol.convex_hull),
+    "hull": ("compute hull of --region", lambda a, d: _cmd_unary(a, d, "convex_hull"),
              ("--variant", "--region")),
     "complement": ("compute complement of --region",
-                   lambda a, d: _cmd_unary(a, d, ol.causal_complement),
+                   lambda a, d: _cmd_unary(a, d, "causal_complement"),
                    ("--variant", "--region")),
-    "diamond": ("compute diamond of --region", lambda a, d: _cmd_unary(a, d, ol.diamond),
+    "diamond": ("compute diamond of --region", lambda a, d: _cmd_unary(a, d, "diamond"),
                 ("--variant", "--region")),
     "points": ("space of points + counit report", _cmd_points, ("--variant",)),
     "ips": ("ideal points", _cmd_ips, ("--variant",)),

@@ -17,6 +17,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Optional, Sequence
 
+from . import derived
 from . import lattice as lat
 from . import olocale as ol
 from . import ospace as osp
@@ -110,7 +111,7 @@ def _points_space(primes: list[int], rows: list[int], pms: list[int]) -> Ordered
     space = OrderedSpace(n, rows, topo, labels=[f"F{i}" for i in range(n)],
                          name="pt")
     space.prime_ids = list(primes)
-    rep = osp.is_T0_ordered(space)
+    rep = derived.is_T0_ordered(space)
     if not rep.ok:
         raise ValidationError(f"points space lost T0-orderedness: {rep.note}")
     return space
@@ -150,12 +151,12 @@ def unit_check(space: OrderedSpace) -> CheckReport:
     prime_index = {p: i for i, p in enumerate(primes)}
     eta = [prime_index[p] for p in f.bit_primes().values()]
 
-    t0 = osp.is_T0(space)
+    t0 = derived.is_T0(space)
     injective = len(set(eta)) == space.n
     surjective = len(set(eta)) == len(primes)
-    oc = osp.has_open_cones(space)
-    t0o = osp.is_T0_ordered(space)
-    sober = osp.is_sober(space)
+    oc = derived.has_open_cones(space)
+    t0o = derived.is_T0_ordered(space)
+    sober = derived.is_sober(space)
 
     mono_witness = inverse_monotone = inv_witness = None
     if injective:
@@ -184,7 +185,7 @@ def unit_check(space: OrderedSpace) -> CheckReport:
         "T0_ordered": t0o.ok, "sober": sober, "fixed_point": fixed,
         "unit_monotone": monotone if injective else oc.ok,
         "inverse_monotone": inverse_monotone,
-        "points_open_cones": osp.has_open_cones(pts).ok,
+        "points_open_cones": derived.has_open_cones(pts).ok,
     }
     note = ", ".join(f"{k}={v}" for k, v in details.items())
     witness = None
@@ -375,7 +376,7 @@ class IdealPointSet:
 
 def _cone_frame_points(f: FiniteFrame, cone) -> tuple[list[int], list[int]]:
     """The join-irreducibles and primes of the frame on the image of a
-    join-preserving cone c (`olocale.futures_frame`), ascending ambient ids.
+    join-preserving cone c (`derived.futures_frame`), ascending ambient ids.
     Generator lemma: that frame (bottom adjoined where b0 = c(bottom) is not)
     is the ambient joins of G* = {b0} + {b0 | c(j) : j in J}, so its
     irreducibles are the x in G* but bottom that differ from the join of G*
@@ -396,13 +397,14 @@ def ideal_points(olx: OrderedLocale) -> IdealPointSet:
     f, out = olx.frame, olx.memo.get("ideal-points")
     if out is not None:
         return out
-    for cone, build in ((olx.cones.u, ol.futures_frame), (olx.cones.d, ol.pasts_frame)):
+    for cone, build in ((olx.cones.u, derived.futures_frame),
+                        (olx.cones.d, derived.pasts_frame)):
         if ol._cone_join_failure(olx) is not None or not ol._is_closure(f, cone):
             build(olx)
     ifs, future_points = _cone_frame_points(f, olx.cones.u)
     ips, past_points = _cone_frame_points(f, olx.cones.d)
     out = IdealPointSet(ips, ifs, future_points, past_points)
-    if ol.check_axiom(olx, "parallel").ok and ol.check_regular_cones(olx).ok:
+    if ol.check_axiom(olx, "parallel").ok and derived.check_regular_cones(olx).ok:
         neg_fut = sorted(f.neg(p) for p in future_points)
         neg_pas = sorted(f.neg(p) for p in past_points)
         ok = (neg_fut == sorted(ips) and len(set(neg_fut)) == len(future_points)
@@ -448,12 +450,12 @@ def double_negation_transport(olx: OrderedLocale) -> CheckReport:
     read once.  The ambient IPs are still computed: they refuse cones
     that do not preserve joins.
     """
-    if not ol.check_regular_cones(olx).ok:
+    if not derived.check_regular_cones(olx).ok:
         raise RegularConesRequired("double-negation transport needs regular cones")
     if not ol.check_axiom(olx, "C-order").ok:
         raise RegularConesRequired("double-negation transport needs C-order")
     f = olx.frame
-    sub, dn_map = lat.double_negation_frame(f)
+    sub, dn_map = derived.double_negation_frame(f)
     if sub.m > ol.REL_LIMIT:
         raise FrameTooLarge("double-negation transport capped at materializable relations")
     reg_of = amb_of = dn_map.preimage      # ambient U -> regular id of not-not-U

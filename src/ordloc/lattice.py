@@ -1,4 +1,4 @@
-"""Finite frames (complete Heyting algebras) and frame maps.
+"""Finite frames (complete Heyting algebras) and join-preserving maps.
 
 Elements are dense integer ids 0..m-1.  Two storage strategies share one
 interface:
@@ -13,12 +13,13 @@ interface:
   carries J & down(x), its join-irreducibles below x (Birkhoff's
   representation); there the extent, if any, only names the element.
 
-Frames come from four constructors: `powerset_frame` (all subsets of n
-points), `frame_from_topology` (a family of opens), `frame_from_down_rows`
-(a Birkhoff frame from its down rows) and `subframe` (ambient elements,
-ordered by the ambient down rows).  Each element is the join of the
-join-irreducibles J below it, so the atoms are the minimal j, and the
-frame is atomistic, and Boolean, iff J is an antichain.
+Frames come from `powerset_frame` (all subsets of n points) and
+`frame_from_topology` (a family of opens); the Birkhoff frames of
+`derived.frame_from_down_rows` and `derived.subframe` are built only by
+derived structures, and so are frame maps (`derived.FrameMap`).  Each
+element is the join of the join-irreducibles J below it, so the atoms are
+the minimal j, and the frame is atomistic, and Boolean, iff J is an
+antichain.
 
 Cones on powerset frames are `SubsetCone`s: a join-preserving map is
 fixed by its value at the empty set and its n singleton values, and is
@@ -31,7 +32,6 @@ int bitmasks throughout.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from collections import Counter
 from functools import reduce
 from itertools import repeat
@@ -41,11 +41,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     FrameTooLarge,
     MissingBottomOrTop,
-    NotAFrameMap,
-    NotALattice,
     NotClosedUnderJoin,
     NotClosedUnderMeet,
-    NotDistributive,
     ValidationError,
 )
 
@@ -139,7 +136,8 @@ class FiniteFrame:
     """A finite frame: bounded distributive lattice with all (finite) joins.
 
     Do not call the constructor directly; use `powerset_frame`,
-    `frame_from_topology`, `frame_from_down_rows` or `subframe`.
+    `frame_from_topology`, `derived.frame_from_down_rows` or
+    `derived.subframe`.
     """
 
     def __init__(self, *, kind, m, bottom, top, ext=None, car=None, base_size=None,
@@ -340,7 +338,7 @@ class FiniteFrame:
         """Join-irreducible (nonzero) elements, in increasing id order.
 
         In a finite topology, the distinct least open neighbourhoods of
-        the points; `frame_from_down_rows` reads them off the rows.
+        the points; `derived.frame_from_down_rows` reads them off the rows.
         """
         if self._coprimes is None:
             self._coprimes = sorted(set(self.neighbourhoods()))
@@ -688,91 +686,6 @@ def rows_above(frame: FiniteFrame, values: Sequence[int]) -> list[int]:
     return transpose_rows([below[v] for v in values])
 
 
-def frame_from_down_rows(down_rows: list[int], *, ext=None, base_size=None,
-                         labels=None, meta=None) -> FiniteFrame:
-    """Frame of the order whose row i is the id-bitmask {j : j <= i}, carried
-    by car[x] = J & down(x), the join-irreducibles below x.
-
-    Birkhoff: a finite poset is a distributive lattice iff x -> J & down(x)
-    is an order isomorphism onto the down-sets of J (Davey & Priestley,
-    ch. 5).  In a lattice x is in J iff its strict down row is a down row
-    (its unique lower cover's): m dict lookups.  The order is accepted iff
-    (a) car is injective and takes the value 0;
-    (b) up(x) is the AND of up(j) over j in car[x], i.e. x <= y iff
-        car[x] <= car[y] (the lemma of `rows_above`), so the order is a
-        partial order isomorphic to the carriers under inclusion;
-    (c) car[x] | car[j] is a carrier for every x and every j in J.
-    Lemma: the carriers are then exactly the down-sets of J (each is one
-    by (b), and closing 0 under | car[j] reaches the union of the car[j]
-    of any set of j), so meets and joins are carrier ANDs and ORs.  Every
-    finite distributive lattice passes: x is the join of car[x], and
-    car[x] | car[j] = car[x | j].
-    Prefix lemma: given (a), (b) holds iff up(x) = up(p) & up(h) for each x
-    whose carrier less its highest bit h is car[p] (induction on |car[x]|);
-    other x take the AND over car[x].  Extension lemma: where each j is the
-    highest bit of car[j], the highest bit h of a down-set d of J is maximal
-    in d and d = (d - h) | car[h], d - h < 2^h: (c) over the carriers below
-    2^j suffices, and every p exists (m - 1 lookups on a powerset).
-
-    A failure re-runs the definitions of a lattice (error path only) and
-    raises NotALattice with the first one broken.  A lattice can only fail
-    (c), at some (x, j): then some j' in car[x | j] is below neither x nor
-    j, and j' & (x | j) = j' is not (j' & x) | (j' & j), which lies below
-    the join-irreducible j' strictly: NotDistributive names (j', x, j).
-    """
-    m = len(down_rows)
-    up_rows = transpose_rows(down_rows)
-    downs = set(down_rows)
-    irreducibles = [x for x, r in enumerate(down_rows) if r ^ 1 << x in downs]
-    jmask = mask_of_iter(irreducibles)
-    car = [r & jmask for r in down_rows]
-    id_of = {c: x for x, c in enumerate(car)}
-    ok = 0 in id_of and len(id_of) == m and up_rows[id_of[0]] == (1 << m) - 1
-    for c, u in zip(car, up_rows) if ok else ():     # (b) by the prefix lemma
-        h = c.bit_length() - 1
-        p = id_of.get(c ^ 1 << h) if c else None
-        if c and u != (up_rows[p] & up_rows[h] if p is not None else
-                       reduce(and_, map(up_rows.__getitem__, bits(c)))):
-            ok = False
-            break
-    cs, ordered, keys = sorted(car), all(car[j] >> j == 1 for j in irreducibles), id_of.keys()
-    ok = ok and all({c | car[j] for c in cs[:bisect_left(cs, 1 << j) if ordered else m]} <= keys
-                    for j in irreducibles)                       # (c) by the extension lemma
-    if not ok:
-        msg = _lattice_failure(down_rows, up_rows)
-        if msg:
-            raise NotALattice(msg)
-        x, j = next((x, j) for x in range(m) for j in irreducibles
-                    if car[x] | car[j] not in id_of)
-        z = {u: i for i, u in enumerate(up_rows)}[up_rows[x] & up_rows[j]]
-        jp = next(bits(car[z] & ~(car[x] | car[j])))
-        raise NotDistributive(f"a&(b|c) != (a&b)|(a&c) at {(jp, x, j)}")
-    f = FiniteFrame(kind="mask", m=m, bottom=id_of[0], top=id_of[jmask], ext=ext, car=car,
-                    base_size=base_size, down_rows=list(down_rows), labels=labels, meta=meta)
-    f._up_rows, f._coprimes = up_rows, irreducibles
-    return f
-
-
-def _lattice_failure(down_rows: list[int], up_rows: list[int]) -> Optional[str]:
-    """The first lattice law the order breaks, checked by definition: O(m^2)."""
-    m = len(down_rows)
-    for i in range(m):
-        for j in bits(down_rows[i]):
-            if j != i and down_rows[j] >> i & 1:
-                return f"order not antisymmetric at ({i},{j})"
-    if sum(r == 1 << i for i, r in enumerate(down_rows)) != 1 or \
-            sum(popcount(r) == m for r in down_rows) != 1:
-        return "order lacks a unique bottom or top"
-    downs, ups = set(down_rows), set(up_rows)
-    for i in range(m):
-        for j in range(m):
-            if down_rows[i] & down_rows[j] not in downs:
-                return f"no meet for ({i},{j})"
-            if up_rows[i] & up_rows[j] not in ups:
-                return f"no join for ({i},{j})"
-    return None
-
-
 def inclusion_rows(car: list[int]) -> list[int]:
     """Row k = {k' : car[k'] inside car[k]}: the complement of the OR of
     col[b] = {k' : b in car[k']} over the bits b outside car[k], col the
@@ -783,26 +696,7 @@ def inclusion_rows(car: list[int]) -> list[int]:
     return [full & ~or_rows(cols, span & ~c) for c in car]
 
 
-def subframe(ambient: FiniteFrame, elem_ids: Iterable[int], *,
-             meta=None) -> tuple[FiniteFrame, list[int]]:
-    """Frame on a subset of ambient elements, ordered by the ambient order.
-
-    Row k holds the kept k' whose carrier (on powersets the id itself)
-    lies inside carrier k (`inclusion_rows`), and no ambient down row is
-    read.  Meets and joins are recomputed as bounds *within* the subset
-    (never inherited blindly): e.g. joins of regular elements differ from
-    ambient joins.  Returns (frame, inclusion), inclusion[i] the ambient id
-    of subframe element i.
-    """
-    ids = sorted(set(elem_ids))
-    rows = inclusion_rows(ids if ambient.kind == "powerset" else [ambient._car[a] for a in ids])
-    ext = [ambient.mask_of(i) for i in ids] if ambient.realized else None
-    f = frame_from_down_rows(rows, ext=ext, base_size=ambient.base_size,
-                             labels=ambient.labels, meta=meta)
-    return f, ids
-
-
-# -- frame maps ---------------------------------------------------------------
+# -- join-preserving maps -----------------------------------------------------
 
 
 class SubsetCone:
@@ -883,16 +777,6 @@ def join_failure(frame: FiniteFrame, t: Sequence[int],
     return _fold_failure(t, [(j, f.up_row(j)) for j in f.coprimes()], f.bottom, f.join, g.join)
 
 
-def meet_failure(frame: FiniteFrame, t: Sequence[int],
-                 into: FiniteFrame) -> Optional[tuple[int, int]]:
-    """A pair (a, b) with t(a & b) != t(a) & t(b), or None: the dual of
-    `join_failure`.  The primes P of a finite frame are meet-prime and every
-    a is the meet of the p above it, so t preserves binary meets iff
-    t(a) = t(top) & meet{t(p) : p in P, a <= p} for every a: O(m |P|)."""
-    gens = [(p, frame.down_row(p)) for p in frame.primes()]
-    return _fold_failure(t, gens, frame.top, frame.meet, into.meet)
-
-
 def _fold_failure(t, gens, start, op, into_op) -> Optional[tuple[int, int]]:
     """Fold op from start over the generators whose id-bitmask row holds a,
     for each a; the first step acc -> op(acc, g) that t breaks is the pair."""
@@ -907,97 +791,12 @@ def _fold_failure(t, gens, start, op, into_op) -> Optional[tuple[int, int]]:
     return None
 
 
-class FrameMap:
-    """A locale map source -> target carried by its frame map `preimage`.
-
-    preimage[v] is the source element f^{-1}(V) for each target element V.
-    """
-
-    __slots__ = ("source", "target", "preimage")
-
-    def __init__(self, source: FiniteFrame, target: FiniteFrame, preimage: list[int]):
-        self.source = source
-        self.target = target
-        self.preimage = preimage
-
-    def validate(self) -> None:
-        """NotAFrameMap unless bottom, top, binary meets and joins are kept:
-        `join_failure` and `meet_failure` on the target, O(m (|J| + |P|));
-        only a failure scans the pairs a <= b in id order, for the least one."""
-        src, tgt, pre = self.source, self.target, self.preimage
-        if len(pre) != tgt.m:
-            raise NotAFrameMap("preimage must be total on the target frame")
-        if pre[tgt.bottom] != src.bottom:
-            raise NotAFrameMap("preimage does not preserve bottom")
-        if pre[tgt.top] != src.top:
-            raise NotAFrameMap("preimage does not preserve top")
-        if join_failure(tgt, pre, src) is None and meet_failure(tgt, pre, src) is None:
-            return
-        for a in range(tgt.m):
-            for b in range(a, tgt.m):
-                if pre[tgt.meet(a, b)] != src.meet(pre[a], pre[b]):
-                    raise NotAFrameMap(f"meet not preserved at {(a, b)}")
-                if pre[tgt.join(a, b)] != src.join(pre[a], pre[b]):
-                    raise NotAFrameMap(f"join not preserved at {(a, b)}")
-
-
-def identity_map(frame: FiniteFrame) -> FrameMap:
-    return FrameMap(frame, frame, list(frame.elements()))
-
-
-def right_adjoint(fmap: FrameMap, u: int) -> int:
-    """f_*(u) = join{V in target : f^{-1}(V) <= u}."""
-    tgt, src, pre = fmap.target, fmap.source, fmap.preimage
-    return tgt.join_all(v for v in tgt.elements() if src.leq(pre[v], u))
-
-
-def galois_law_holds(fmap: FrameMap) -> bool:
-    """f^{-1}(V) <= U  iff  V <= f_*(U), over all pairs."""
-    src, tgt = fmap.source, fmap.target
-    for u in src.elements():
-        fu = right_adjoint(fmap, u)
-        for v in tgt.elements():
-            if src.leq(fmap.preimage[v], u) != tgt.leq(v, fu):
-                return False
-    return True
-
-
-# -- derived frames -----------------------------------------------------------
-
-
-def double_negation_frame(frame: FiniteFrame) -> tuple[FiniteFrame, FrameMap]:
-    """Frame of regular elements (fixed points of double negation).
-
-    Returns the Boolean subframe together with the sublocale map
-    X_regular >-> X, whose frame map sends U to not-not-U.
-    """
-    if frame.is_boolean():
-        # every element is regular: the sublocale is the identity
-        return frame, identity_map(frame)
-    regular = [x for x in frame.elements() if frame.neg(frame.neg(x)) == x]
-    sub, incl = subframe(frame, regular, meta={"construction": "double-negation"})
-    pos = {amb: i for i, amb in enumerate(incl)}
-    pre = [pos[frame.neg(frame.neg(u))] for u in frame.elements()]
-    fmap = FrameMap(source=sub, target=frame, preimage=pre)
-    fmap.validate()
-    if not sub.is_boolean():
-        raise ValidationError("double-negation frame failed to be Boolean")
-    return sub, fmap
-
-
-def ideal_frame(frame: FiniteFrame) -> tuple[FiniteFrame, list[int]]:
-    """Frame of ideals of a finite frame, with the principal-ideal iso.
-
-    In a finite lattice every ideal is principal (an ideal is closed under
-    finite joins, so it contains its own join), hence Idl(L) is just L
-    again; the returned witness maps x to the element of Idl(L) carrying
-    the ideal down(x).  Verified by construction: the ideal frame is built
-    from the principal-ideal extents over the base L.
-    """
-    m = frame.m
-    ideals = list(frame.down_rows())
-    # principal ideals are ordered like their generators: each is its own down row
-    f = frame_from_down_rows(ideals, ext=ideals, base_size=m,
-                             labels=[f"e{i}" for i in range(m)],
-                             meta={"construction": "ideals"})
-    return f, list(range(m))
+def __getattr__(name: str):
+    """`ideal_frame` lives in `derived`, which this module never imports at
+    load; the benchmark reads it here.  The first read imports `derived` and
+    binds the name in this module, so later reads are plain attributes."""
+    if name == "ideal_frame":
+        from . import derived
+        globals()[name] = value = derived.ideal_frame
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

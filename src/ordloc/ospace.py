@@ -2,21 +2,20 @@
 
 An `OrderedSpace` is a finite point set with a preorder (stored reflexive-
 transitively closed, as per-point cone bitmasks) and a finite topology
-(a realized `FiniteFrame`).  Pointwise cones, separation predicates, the
-three induced orders on opens, and the chain-based causal coverage live
-here; everything localic is in `olocale`.
+(a realized `FiniteFrame`).  Pointwise cones and the three induced orders
+on opens live here; everything localic is in `olocale`, and the properties
+of a space (open cones, separation, convexity, chain coverage) in `derived`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import lattice as lat
 from . import olocale as ol
 from .errors import ValidationError
 from .lattice import FiniteFrame, PointSet, SubsetCone, bits
-from .olocale import CheckReport, OrderedLocale
+from .olocale import OrderedLocale
 
 
 class OrderedSpace:
@@ -74,32 +73,6 @@ def topology(n, opens, labels) -> FiniteFrame:
         return lat.frame_from_topology(n, [0, (1 << n) - 1], labels=labels)
     masks = [o.mask if isinstance(o, PointSet) else int(o) for o in opens]
     return lat.frame_from_topology(n, masks, labels=labels)
-
-
-def has_open_cones(space: OrderedSpace) -> CheckReport:
-    """Are the pointwise cones of every open again open?
-
-    Every open U is the union of the least neighbourhoods N(p) of its
-    points, and cones preserve unions, so all cones are open iff those of
-    the join-irreducibles N(p) are.  On failure the witness is (open id,
-    direction) for the smallest failing open in element-id order: the ids
-    of a `frame_from_topology` frame extend the order, so a failing U
-    holds a failing N(p) with no larger id.  A discrete space needs no
-    case of its own: its N(p) are the n singletons, 2n mask tests.
-    """
-    f = space.frame
-    js = f.coprimes()
-    for i in js:
-        e = f.mask_of(i)
-        if not f.has_mask(space.up_mask(e)):
-            return CheckReport("open-cones", "fail", (i, "up"),
-                               f"up cone of {f.pretty(i)} is "
-                               f"{space.pretty_points(space.up_mask(e))}, not open")
-        if not f.has_mask(space.down_mask(e)):
-            return CheckReport("open-cones", "fail", (i, "down"),
-                               f"down cone of {f.pretty(i)} is not open")
-    return CheckReport("open-cones", "pass", None,
-                       f"exact: the cones of the {len(js)} join-irreducibles are open")
 
 
 def _cone_maps(space: OrderedSpace) -> tuple[Sequence[int], Sequence[int], dict]:
@@ -185,168 +158,3 @@ def induced_locale(space: OrderedSpace, variant: str = "em") -> OrderedLocale:
     if not rep.ok:
         raise ValidationError(f"induced locale lost join closure: {rep.pretty(f)}")
     return loc
-
-
-# -- separation ---------------------------------------------------------------
-
-
-def specialisation_order(frame: FiniteFrame) -> list[int]:
-    """x <= y iff every open containing x contains y; rows of point masks.
-    The opens containing x are those above N(x), so row x is N(x)."""
-    return [frame.mask_of(i) for i in frame.neighbourhoods()]
-
-
-def is_T0(space: OrderedSpace) -> bool:
-    nbhds = space.frame.neighbourhoods()
-    return len(set(nbhds)) == len(nbhds)
-
-
-def closure_of_point(space: OrderedSpace, p: int) -> int:
-    """Topological closure of {p} as a point mask: the complement of
-    int(X - {p}), the largest open that misses p."""
-    f, full = space.frame, (1 << space.n) - 1
-    return full & ~f.mask_of(f.interior(full & ~(1 << p)))
-
-
-def is_sober(space: OrderedSpace) -> bool:
-    """Every prime open is the complement of a unique point closure.
-
-    Implemented by the prime-open definition, X - cl{p} = int(X - {p});
-    the finite shortcut (sober iff T0) stays a test oracle.
-    """
-    f, full = space.frame, (1 << space.n) - 1
-    owners = [f.interior(full & ~(1 << p)) for p in range(space.n)]
-    return all(owners.count(pr) == 1 for pr in f.primes())
-
-
-def is_T0_ordered(space: OrderedSpace) -> CheckReport:
-    """For x not<= y some open separates: U containing x with y outside
-    upcone(U), or V containing y with x outside downcone(V).  Cones grow
-    with the open, so the least opens decide: x, y are inseparable iff y
-    is in up(N(x)) and x in down(N(y)).  A discrete space, N(x) = {x},
-    needs no case of its own: there up(N(x)) = up(x) excludes every y."""
-    f = space.frame
-    nbhds = specialisation_order(f)
-    in_past = lat.transpose_rows([space.down_mask(e) for e in nbhds])
-    for x, e in enumerate(nbhds):
-        bad = space.up_mask(e) & in_past[x] & ~space.up[x]
-        if bad:
-            y = next(bits(bad))
-            return CheckReport("T0-ordered", "fail", (x, y),
-                               f"points {space.labels[x]} and {space.labels[y]} "
-                               "are order-inseparable")
-    return CheckReport("T0-ordered", "pass", None, "exhaustive over point pairs")
-
-
-# -- convexity ----------------------------------------------------------------
-
-
-def is_pointwise_convex(space: OrderedSpace, c: PointSet | int) -> bool:
-    mask = c.mask if isinstance(c, PointSet) else c
-    return space.up_mask(mask) & space.down_mask(mask) & ~mask == 0
-
-
-def is_convex_space(space: OrderedSpace) -> CheckReport:
-    """Pointwise convex opens form a basis.
-
-    An open holding p holds its least neighbourhood N(p), so N(p) is the
-    only open inside N(p) that holds p: the convex opens form a basis iff
-    every N(p) is convex, and then every open is the union of the N(p) of
-    its points.  An open that is not a union of convex opens holds a point
-    whose N(p) is not convex, and element ids follow the masks, so the
-    least such open is the least N(p) that is not convex.
-    """
-    f = space.frame
-    bad = [e for e in f.neighbourhoods() if not is_pointwise_convex(space, f.mask_of(e))]
-    if bad:
-        i = min(bad)
-        return CheckReport("convex-space", "fail", (i,),
-                           f"{f.pretty(i)} is not a union of convex opens")
-    return CheckReport("convex-space", "pass", None,
-                       f"exact: the least neighbourhoods of all {space.n} points "
-                       "are convex")
-
-
-# -- chain coverage -----------------------------------------------------------
-
-
-def _bad_chain(space: OrderedSpace, amask: int, umask: int) -> Optional[list[int]]:
-    """A <=-chain ending in U that avoids A and cannot be extended into A.
-
-    Exact digraph search: start points have pasts disjoint from A; edges
-    stay inside the complement of A.
-    """
-    full = (1 << space.n) - 1
-    comp = full & ~amask
-    starts = [p for p in bits(comp) if space.down[p] & amask == 0]
-    parent = {}
-    queue = deque()
-    for s in starts:
-        if s not in parent:
-            parent[s] = None
-            queue.append(s)
-    target = umask & comp
-    hit = None
-    for s in starts:
-        if target >> s & 1:
-            hit = s
-            break
-    while hit is None and queue:
-        x = queue.popleft()
-        for y in bits(space.up[x] & comp):
-            if y not in parent:
-                parent[y] = x
-                if target >> y & 1:
-                    hit = y
-                    queue.clear()
-                    break
-                queue.append(y)
-    if hit is None:
-        return None
-    chain = [hit]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    chain.reverse()
-    return chain
-
-
-def chain_covers_below(space: OrderedSpace, a: PointSet | int,
-                       u: PointSet | int) -> CheckReport:
-    """Does A cover U from below along <=-chains?
-
-    Fails when some chain ending in U avoids A and starts at a point whose
-    past misses A, with such a chain as witness, or else when A is not
-    inside the past of U, with A's points outside it.
-    """
-    amask = a.mask if isinstance(a, PointSet) else a
-    umask = u.mask if isinstance(u, PointSet) else u
-    extra = amask & ~space.down_mask(umask)
-    chain = _bad_chain(space, amask, umask)
-    if chain is not None:
-        note = "witness chain avoids A with past-blind start"
-        if extra:
-            note = "precondition: A is not inside the past of U; " + note
-        return CheckReport("chain-cover", "fail", tuple(chain), note)
-    if extra:
-        return CheckReport("chain-cover", "fail", tuple(bits(extra)),
-                           "precondition: A is not inside the past of U")
-    return CheckReport("chain-cover", "pass", None, "digraph reachability, exact")
-
-
-def pointwise_domain_of_dependence(space: OrderedSpace, a: PointSet | int,
-                                   direction: str = "future") -> PointSet:
-    """Largest point set every chain into which must come from A."""
-    amask = a.mask if isinstance(a, PointSet) else a
-    if direction == "past":
-        flipped = OrderedSpace(space.n, list(space.down), space.frame,
-                               labels=space.labels)
-        return PointSet(space.n,
-                        pointwise_domain_of_dependence(flipped, amask, "future").mask)
-    out = 0
-    reach = space.up_mask(amask) | amask
-    for y in range(space.n):
-        if not reach >> y & 1:
-            continue
-        if _bad_chain(space, amask, 1 << y) is None:
-            out |= 1 << y
-    return PointSet(space.n, out)

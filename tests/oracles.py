@@ -7,14 +7,14 @@ triples of elements), so it is slow and only used on small frames.
 from functools import reduce
 from operator import and_
 
-from ordloc import coverage, olocale, ospace
+from ordloc import coverage, derived, olocale, ospace
+from ordloc.derived import FrameMap, _lattice_failure, frame_from_down_rows
 from ordloc.duality import points_space
 from ordloc.errors import (AxiomVFailure, ConesDoNotPreserveJoins, FrameTooLarge,
                            MissingBottomOrTop, NotALattice, NotClosedUnderJoin,
                            NotClosedUnderMeet, NotDistributive, ValidationError)
-from ordloc.lattice import (FiniteFrame, FrameMap, Value, _lattice_failure, bits,
-                            frame_from_down_rows, frame_from_topology, mask_of_iter, or_rows,
-                            popcount, powerset_frame, transpose_rows)
+from ordloc.lattice import (FiniteFrame, Value, bits, frame_from_topology, mask_of_iter,
+                            or_rows, popcount, powerset_frame, transpose_rows)
 from ordloc.olocale import (REL_LIMIT, CheckReport, ConePair, OrderedLocale, check_axiom,
                             cones_from_rows, ordered_locale_from_monads)
 from ordloc.ospace import OrderedSpace
@@ -418,7 +418,7 @@ def downset_frame(rel) -> FiniteFrame:
 
 
 def birkhoff_check_scan(down_rows: list[int]):
-    """`lattice.frame_from_down_rows`'s acceptance test with (b) as the AND
+    """`derived.frame_from_down_rows`'s acceptance test with (b) as the AND
     of up(j) over every carrier and (c) as the scan over every (x, j):
     (bottom, top, carriers, join-irreducibles), or the exception it raises
     with the same message."""
@@ -544,7 +544,7 @@ def frame_map_failure_by_pairs(fmap: FrameMap):
 
 
 def subframe_by_pairs(ambient: FiniteFrame, elem_ids, meta=None):
-    """`lattice.subframe` with one ambient `leq` call per pair of kept ids."""
+    """`derived.subframe` with one ambient `leq` call per pair of kept ids."""
     ids = sorted(set(elem_ids))
     ext = [ambient.mask_of(i) for i in ids] if ambient.realized else None
     f = frame_from_down_rows(order_rows(ids, ambient.leq), ext=ext,
@@ -899,12 +899,12 @@ def unit_check_loop(space: OrderedSpace) -> CheckReport:
         pid = f.id_of_mask(cmask) if f.has_mask(cmask) else None
         eta.append(prime_index.get(pid))
 
-    t0 = ospace.is_T0(space)
+    t0 = derived.is_T0(space)
     injective = len({e for e in eta if e is not None}) == space.n and None not in eta
     surjective = set(e for e in eta if e is not None) == set(range(len(primes)))
-    oc = ospace.has_open_cones(space)
-    t0o = ospace.is_T0_ordered(space)
-    sober = ospace.is_sober(space)
+    oc = derived.has_open_cones(space)
+    t0o = derived.is_T0_ordered(space)
+    sober = derived.is_sober(space)
 
     monotone = True
     mono_witness = None
@@ -945,7 +945,7 @@ def unit_check_loop(space: OrderedSpace) -> CheckReport:
         "T0_ordered": t0o.ok, "sober": sober, "fixed_point": fixed,
         "unit_monotone": monotone if injective else oc.ok,
         "inverse_monotone": inverse_monotone,
-        "points_open_cones": ospace.has_open_cones(pts).ok,
+        "points_open_cones": derived.has_open_cones(pts).ok,
     }
     note = ", ".join(f"{k}={v}" for k, v in details.items())
     witness = None
@@ -991,7 +991,7 @@ def transpose_by_bits(rows: list[int]) -> list[int]:
 def cone_frame_by_list(olx: OrderedLocale, name: str, label: str):
     """The cone frame on the listed image of cone `name`, with the ambient
     bottom adjoined if missing, by `subframe_by_pairs`, and its inclusion;
-    refused as `olocale.futures_frame` refuses."""
+    refused as `derived.futures_frame` refuses."""
     bad = olocale._cone_join_failure(olx)
     if bad is not None:
         raise ConesDoNotPreserveJoins(bad[0])
@@ -1016,7 +1016,7 @@ def ideal_points_listed(olx: OrderedLocale):
     pas, pas_in = cone_frame_by_list(olx, "d", "pasts")
     out = IdealPointSet([pas_in[c] for c in pas.coprimes()], [fut_in[c] for c in fut.coprimes()],
                         [fut_in[p] for p in fut.primes()], [pas_in[p] for p in pas.primes()])
-    if check_axiom(olx, "parallel").ok and olocale.check_regular_cones(olx).ok:
+    if check_axiom(olx, "parallel").ok and derived.check_regular_cones(olx).ok:
         neg_fut = sorted(f.neg(p) for p in out.future_points)
         neg_pas = sorted(f.neg(p) for p in out.past_points)
         ok = (neg_fut == sorted(out.ips) and len(set(neg_fut)) == len(out.future_points)
@@ -1106,13 +1106,12 @@ def double_negation_transport_general(olx: OrderedLocale) -> CheckReport:
     cones are always compared, and the IPs of both locales are read from
     their listed cone frames (`ideal_points_listed`)."""
     from ordloc.errors import RegularConesRequired
-    from ordloc.lattice import double_negation_frame
-    if not olocale.check_regular_cones(olx).ok:
+    if not derived.check_regular_cones(olx).ok:
         raise RegularConesRequired("double-negation transport needs regular cones")
     if not check_axiom(olx, "C-order").ok:
         raise RegularConesRequired("double-negation transport needs C-order")
     f = olx.frame
-    sub, dn_map = double_negation_frame(f)
+    sub, dn_map = derived.double_negation_frame(f)
     if sub.m > REL_LIMIT:
         raise FrameTooLarge("double-negation transport capped at materializable relations")
     induced = order_from_map(dn_map, olx)

@@ -9,9 +9,7 @@ laws checked exhaustively on M22.
 
 import random
 
-import pytest
-
-from ordloc import cli, coverage as C, duality as D, gen, lattice as L, \
+from ordloc import cli, coverage as C, derived, duality as D, gen, lattice as L, \
     olocale as O, ospace as S
 from ordloc.lattice import bits, mask_of_iter
 
@@ -97,13 +95,13 @@ def test_criterion_03_monad_round_trips():
 
 def test_criterion_04_secondary_structure(m33, loc33):
     f = loc33.frame
-    assert O.convex_hull(loc33, grid(m33, (0, 0), (2, 0))) == \
+    assert derived.convex_hull(loc33, grid(m33, (0, 0), (2, 0))) == \
         grid(m33, (0, 0), (1, 0), (1, 1), (2, 0))
     c = grid(m33, (1, 1))
-    assert O.causal_complement(loc33, c) == grid(m33, (1, 0), (1, 2))
-    assert O.diamond(loc33, c) == c
-    hull = [O.convex_hull(loc33, u) for u in f.elements()]
-    compl = [O.causal_complement(loc33, u) for u in f.elements()]
+    assert derived.causal_complement(loc33, c) == grid(m33, (1, 0), (1, 2))
+    assert derived.diamond(loc33, c) == c
+    hull = [derived.convex_hull(loc33, u) for u in f.elements()]
+    compl = [derived.causal_complement(loc33, u) for u in f.elements()]
     for u in f.elements():
         assert f.leq(u, hull[u])                            # inflationary
         assert hull[hull[u]] == hull[u]                     # idempotent
@@ -162,7 +160,7 @@ def test_criterion_06_duality_suite(m33, bowtie):
         olx = inst if isinstance(inst, O.OrderedLocale) \
             else S.induced_locale(inst, "em")
         if olx.frame.m <= 1024:
-            assert S.is_T0_ordered(D.points_space(olx)).ok, name
+            assert derived.is_T0_ordered(D.points_space(olx)).ok, name
     report(6, "duality fixed points, bowtie witness, pt always T0-ordered")
 
 
@@ -181,7 +179,7 @@ def test_criterion_07_coverage_suite(m22, loc22, m33, loc33):
     d_a2 = C.domain_of_dependence(loc33, a2, "future")
     assert d_a2.region == a2 and d_a2.exact
     assert f.mask_of(d_a2.region) == \
-        S.pointwise_domain_of_dependence(m33, f.mask_of(a2), "future").mask
+        derived.pointwise_domain_of_dependence(m33, f.mask_of(a2), "future").mask
 
     rng = random.Random(77)
     for olx, space, exhaustive in ((loc22, m22, True), (loc33, m33, False)):
@@ -236,7 +234,7 @@ def test_criterion_07_coverage_suite(m22, loc22, m33, loc33):
             if exhaustive else (
                 (rng.randrange(fr.m), rng.randrange(fr.m)) for _ in range(2500))
         for a, u in chain_iter:
-            if S.chain_covers_below(space, fr.mask_of(a), fr.mask_of(u)).ok:
+            if derived.chain_covers_below(space, fr.mask_of(a), fr.mask_of(u)).ok:
                 assert rows[u] >> a & 1, (a, u)
     report(7, "coverage suite: certified verdicts, domains, laws (a)-(f), "
               "Cov-v, L/D identities, chain vs localic")
@@ -305,10 +303,10 @@ def _suite_frames_upto_64():
         if inst.frame.m <= 64:
             frames.append((name, inst.frame))
     loc22 = gen.em_locale("m22")
-    frames.append(("m22-pasts", O.pasts_frame(loc22)[0]))
-    frames.append(("m22-futures", O.futures_frame(loc22)[0]))
+    frames.append(("m22-pasts", derived.pasts_frame(loc22)[0]))
+    frames.append(("m22-futures", derived.futures_frame(loc22)[0]))
     bow = gen.suite_instance("bowtie").frame
-    frames.append(("bowtie-dn", L.double_negation_frame(bow)[0]))
+    frames.append(("bowtie-dn", derived.double_negation_frame(bow)[0]))
     frames.append(("m22-diamond",
                    gen.minkowski_grid(gen.GridSpec(2, 2,
                                                    topology="diamond_basis")).frame))
@@ -326,14 +324,14 @@ def test_criterion_10_lattice_suite():
                     f.meet(f.neg(f.neg(x)), f.neg(f.neg(y)))
                 assert f.neg(f.join(x, y)) == f.meet(f.neg(x), f.neg(y))
                 assert (f.meet(x, y) == f.bottom) == f.leq(x, f.neg(y))
-        fmap = L.identity_map(f)
-        assert L.galois_law_holds(fmap)
+        fmap = derived.identity_map(f)
+        assert derived.galois_law_holds(fmap)
         assert sorted(f.primes()) == sorted(oracles.primes_by_definition(f)), name
         assert sorted(f.coprimes()) == sorted(oracles.coprimes_by_definition(f))
         if f.is_boolean():
             # Boolean primes are exactly the Heyting complements of atoms
             assert sorted(f.primes()) == sorted(f.neg(a) for a in f.atoms())
-        idl, wit = L.ideal_frame(f)
+        idl, wit = derived.ideal_frame(f)
         assert idl.m == f.m
         for x in f.elements():
             for y in f.elements():
@@ -341,7 +339,7 @@ def test_criterion_10_lattice_suite():
     # primes of a T0 topology biject with the points
     for name in ("m22", "bowtie", "non_oc", "total3", "chain3"):
         sp = gen.suite_instance(name)
-        if S.is_T0(sp) and sp.frame.m <= 64:
+        if derived.is_T0(sp) and sp.frame.m <= 64:
             assert len(sp.frame.primes()) == sp.n, name
     report(10, "lattice suite exhaustive on all suite frames <= 64 elements")
 
@@ -402,13 +400,16 @@ def test_criterion_12_cli():
     # rejected by the size flag)
     import os
     golden = os.path.join(os.path.dirname(__file__), "golden")
-    bow = cli.export_dot(cli.doc_of_space(gen.suite_instance("bowtie")), "hasse")
+    bow = derived.export_dot(S.induced_locale(gen.suite_instance("bowtie"), "em"), "hasse")
     with open(os.path.join(golden, "bowtie_hasse.dot")) as fh:
         assert bow == fh.read()
     m22d = gen.minkowski_grid(gen.GridSpec(2, 2, topology="diamond_basis"))
-    dot = cli.export_dot(cli.doc_of_space(m22d), "cones")
+    dot = derived.export_dot(S.induced_locale(m22d, "em"), "cones")
     with open(os.path.join(golden, "m22_diamond_cones.dot")) as fh:
         assert dot == fh.read()
-    with pytest.raises(Exception):
-        cli.export_dot(cli.doc_of_space(gen.suite_instance("m33")))
+    with tempfile.TemporaryDirectory() as td:
+        mp = os.path.join(td, "m33.json")
+        with open(mp, "w") as fh:
+            fh.write(cli.serialize(cli.doc_of_space(gen.suite_instance("m33"))))
+        assert cli.main(["dot", mp]) == 2
     report(12, "CLI round trips, exit codes, golden DOT files")

@@ -17,8 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordloc import cli, duality as D, gen, olocale as O, ospace as S
-from ordloc.errors import ValidationError
+from ordloc import cli, derived, duality as D, gen, lattice as L, olocale as O, ospace as S
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -30,6 +29,13 @@ def run_cli(argv, stdin_text=None):
         [sys.executable, "-m", "ordloc.cli", *argv],
         input=stdin_text, capture_output=True, text=True)
     return proc
+
+
+def run_in_process(argv, stdin_text=None):
+    """`run_cli` through `cli.main` in this process: for the tests that
+    assert only stdout, stderr and the exit code."""
+    code, out, err = _run_in_process(argv, stdin_text or "")
+    return subprocess.CompletedProcess(argv, code, out, err)
 
 
 def doc_for(name, inst):
@@ -80,31 +86,31 @@ def test_parse_two_speed_3x3_document():
 
 
 def test_cli_check_exit_codes():
-    gen_out = run_cli(["gen", "minkowski", "--t", "2", "--x", "2"])
+    gen_out = run_in_process(["gen", "minkowski", "--t", "2", "--x", "2"])
     assert gen_out.returncode == 0
-    ok = run_cli(["check", "-", "--axiom", "all"], gen_out.stdout)
+    ok = run_in_process(["check", "-", "--axiom", "all"], gen_out.stdout)
     assert ok.returncode == 0
-    two = run_cli(["gen", "two-speed", "--t", "2", "--x", "3",
-                   "--up", "1", "--down", "2"])
-    bad = run_cli(["check", "-", "--axiom", "parallel"], two.stdout)
+    two = run_in_process(["gen", "two-speed", "--t", "2", "--x", "3",
+                          "--up", "1", "--down", "2"])
+    bad = run_in_process(["check", "-", "--axiom", "parallel"], two.stdout)
     assert bad.returncode == 1
     assert "witness" in bad.stdout
-    garbage = run_cli(["check", "-", "--axiom", "all"], "{not json")
+    garbage = run_in_process(["check", "-", "--axiom", "all"], "{not json")
     assert garbage.returncode == 2
 
 
 def test_cli_dod(m33):
     doc_text = cli.serialize(cli.doc_of_space(m33))
-    out = run_cli(["dod", "-", "--region", "0,2", "--direction", "future"], doc_text)
+    out = run_in_process(["dod", "-", "--region", "0,2", "--direction", "future"], doc_text)
     assert out.returncode == 0
     assert "{(0,0),(0,2)}" in out.stdout and "exact" in out.stdout
 
 
 def test_cli_cov_codes(m33):
     doc_text = cli.serialize(cli.doc_of_space(m33))
-    yes = run_cli(["cov", "-", "--region", "0,1,2", "--target", "7"], doc_text)
+    yes = run_in_process(["cov", "-", "--region", "0,1,2", "--target", "7"], doc_text)
     assert yes.returncode == 0 and yes.stdout.startswith("yes")
-    no = run_cli(["cov", "-", "--region", "0,2", "--target", "3"], doc_text)
+    no = run_in_process(["cov", "-", "--region", "0,2", "--target", "3"], doc_text)
     assert no.returncode == 1 and no.stdout.startswith("no")
 
 
@@ -132,7 +138,7 @@ def test_cli_hull_and_friends(m33):
         "order-bool-id", "order-string-id"])
 def test_cli_rejects_malformed_space_documents(field, message):
     doc = json.dumps({"kind": "space", "points": ["a", "b"], **field})
-    out = run_cli(["check", "-"], doc)
+    out = run_in_process(["check", "-"], doc)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == message + "\n"
 
@@ -188,7 +194,7 @@ M22_DOC = "m22"   # stands for the serialized m22 space
 def test_cli_bad_input_exits_2_with_one_line(argv, stdin, message):
     if stdin == M22_DOC:
         stdin = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))
-    out = run_cli(argv, stdin)
+    out = run_in_process(argv, stdin)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == message + "\n"
 
@@ -326,15 +332,15 @@ def test_cli_ideals_on_m66_and_above_the_guard():
 def test_cli_json_report(m33):
     import jsonschema
     doc_text = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))
-    out = run_cli(["check", "-", "--axiom", "parallel", "--json"], doc_text)
+    out = run_in_process(["check", "-", "--axiom", "parallel", "--json"], doc_text)
     blob = json.loads(out.stdout)
     jsonschema.validate(blob, cli.REPORT_SCHEMA)
     assert blob["exit"] == 0
     assert blob["reports"][0]["law"] == "parallel"
     assert blob["reports"][0]["verdict"] == "pass"
-    two = run_cli(["gen", "two-speed", "--t", "2", "--x", "3",
-                   "--up", "1", "--down", "2"])
-    bad = run_cli(["check", "-", "--axiom", "all", "--json"], two.stdout)
+    two = run_in_process(["gen", "two-speed", "--t", "2", "--x", "3",
+                          "--up", "1", "--down", "2"])
+    bad = run_in_process(["check", "-", "--axiom", "all", "--json"], two.stdout)
     blob2 = json.loads(bad.stdout)
     jsonschema.validate(blob2, cli.REPORT_SCHEMA)
     assert blob2["exit"] == 1
@@ -349,32 +355,36 @@ def test_cli_grothendieck_and_ideals():
     # the membership rows refuse (M34 has 4,096 elements); an upper locale
     # of M23 fails the coverage's required axioms first
     m23_text = cli.serialize(cli.doc_of_space(gen.minkowski_grid(gen.GridSpec(2, 3))))
-    g = run_cli(["grothendieck", "-"], m23_text)
+    g = run_in_process(["grothendieck", "-"], m23_text)
     assert g.returncode == 0
     assert g.stdout == "grothendieck: pass (exhaustive sieve enumeration; 0 abstentions)\n"
     m34_text = cli.serialize(cli.doc_of_space(gen.minkowski_grid(gen.GridSpec(3, 4))))
-    g = run_cli(["grothendieck", "-"], m34_text)
+    g = run_in_process(["grothendieck", "-"], m34_text)
     assert g.returncode == 2 and g.stdout == ""
     assert g.stderr == "error: bulk coverage capped at materializable sizes\n"
-    g = run_cli(["grothendieck", "-", "--variant", "upper"], m23_text)
+    g = run_in_process(["grothendieck", "-", "--variant", "upper"], m23_text)
     assert g.returncode == 2 and g.stdout == ""
     assert g.stderr == "error: required axiom parallel does not hold\n"
-    ide = run_cli(["ideals", "-"], m22_text)
+    ide = run_in_process(["ideals", "-"], m22_text)
     assert ide.returncode == 0 and "ideals (" in ide.stdout
 
 
+def em(space):
+    return S.induced_locale(space, "em")
+
+
 def test_dot_small_exports():
-    two = cli.doc_of_space(S.OrderedSpace.build(1, [], opens="discrete"))
-    dot = cli.export_dot(two)
+    dot = derived.export_dot(em(S.OrderedSpace.build(1, [], opens="discrete")))
     assert dot.count("->") == 1 and dot.count("[label=") == 2
-    square = cli.doc_of_space(S.OrderedSpace.build(2, [], opens="discrete"))
-    dot4 = cli.export_dot(square)
+    dot4 = derived.export_dot(em(S.OrderedSpace.build(2, [], opens="discrete")))
     assert dot4.count("->") == 4 and dot4.count("[label=") == 4
 
 
 def test_dot_limit(m33):
-    with pytest.raises(ValidationError):
-        cli.export_dot(cli.doc_of_space(m33))          # 512 > 128
+    out = run_in_process(["dot", "-"], cli.serialize(cli.doc_of_space(m33)))   # 512 > 128
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: frame has 512 elements; DOT export limited to 128 "
+                          "(raise with --dot-limit)\n")
 
 
 def test_dot_limit_is_checked_before_the_locale_is_built(monkeypatch):
@@ -383,21 +393,20 @@ def test_dot_limit_is_checked_before_the_locale_is_built(monkeypatch):
     calls = []
     induced = S.induced_locale
     monkeypatch.setattr(S, "induced_locale", lambda *a: calls.append(a) or induced(*a))
-    doc = cli.parse(json.dumps({"kind": "space", "points": [f"p{i}" for i in range(40)],
-                                "order": []}))
-    with pytest.raises(ValidationError) as e:
-        cli.export_dot(doc)
-    assert str(e.value) == ("frame has 1099511627776 elements; DOT export limited to "
-                            "128 (raise with --dot-limit)")
+    doc = json.dumps({"kind": "space", "points": [f"p{i}" for i in range(40)], "order": []})
+    out = run_in_process(["dot", "-"], doc)
+    assert out.returncode == 2
+    assert out.stderr == ("error: frame has 1099511627776 elements; DOT export limited to "
+                          "128 (raise with --dot-limit)\n")
     assert calls == []
 
 
 def test_dot_golden_files():
-    bow = cli.export_dot(cli.doc_of_space(gen.suite_instance("bowtie")), "hasse")
+    bow = derived.export_dot(em(gen.suite_instance("bowtie")), "hasse")
     with open(os.path.join(GOLDEN, "bowtie_hasse.dot")) as fh:
         assert bow == fh.read()
     m22d = gen.minkowski_grid(gen.GridSpec(2, 2, topology="diamond_basis"))
-    dot = cli.export_dot(cli.doc_of_space(m22d), "cones")
+    dot = derived.export_dot(em(m22d), "cones")
     with open(os.path.join(GOLDEN, "m22_diamond_cones.dot")) as fh:
         assert dot == fh.read()
 
@@ -450,8 +459,7 @@ def test_cli_memory_error_exits_2_with_one_line(monkeypatch, capsys):
 
 def test_dot_pasts_coloring(loc22):
     # the "cones" coloring marks exactly the cone images
-    doc = cli.doc_of_space(gen.suite_instance("m22"))
-    dot = cli.export_dot(doc, "cones")
+    dot = derived.export_dot(em(gen.suite_instance("m22")), "cones")
     filled = {line.split()[0] for line in dot.splitlines() if "filled" in line}
     expect = {f"e{u}" for u in set(loc22.up_map) | set(loc22.down_map)}
     assert filled == expect
@@ -548,34 +556,74 @@ def test_lazy_parser_matches_the_fully_configured_one(monkeypatch, capsys):
 
 # -- import footprint ---------------------------------------------------------------
 
+# one interpreter imports cli, then forks a child per request, so each
+# request starts from the modules `import ordloc.cli` loads
 FOOTPRINT = """
-import io, json, sys
+import io, json, os, sys
 from ordloc import cli
-sys.stdin, sys.stdout = io.StringIO(sys.argv[1]), io.StringIO()
-code = cli.main(sys.argv[2:])
-sys.stdout = sys.__stdout__
-print(json.dumps([code, sorted(sys.modules)]))
+for argv, doc in json.load(sys.stdin):
+    pid = os.fork()
+    if pid == 0:
+        sys.stdin, sys.stdout = io.StringIO(doc), io.StringIO()
+        code = cli.main(argv)
+        print(json.dumps([code, sorted(sys.modules)]), file=sys.__stdout__, flush=True)
+        os._exit(0)
+    os.waitpid(pid, 0)
 """
 
-
-def _loaded_modules(argv, doc):
-    # -S: no site hooks, so only what ordloc imports shows up
-    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, doc, *argv],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
-    code, modules = json.loads(proc.stdout)
-    return code, set(modules)
+# what `import ordloc.cli` loads, and every request with it
+CLI_MODULES = {"ordloc", "ordloc.cli", "ordloc.errors", "ordloc.lattice", "ordloc.olocale",
+               "ordloc.ospace"}
+COVERAGE, DERIVED = {"ordloc.coverage"}, {"ordloc.derived"}
+DUALITY = {"ordloc.derived", "ordloc.duality"}
+# (argv, document, exit code, the other ordloc modules its process loads):
+# the law path, gen and the coverage never load the derived structures
+IMPORTS = [
+    (["check", "-", "--axiom", "all"], "m22", 0, set()),
+    (["check", "-", "--axiom", "all", "--json"], "two_speed_2x3", 1, set()),
+    (["gen", "minkowski", "--t", "2", "--x", "2"], None, 0, {"ordloc.gen"}),
+    (["cones", "-", "--region", "0"], "m22", 0, set()),
+    (["dod", "-", "--region", "0"], "m22", 0, COVERAGE),
+    (["cov", "-", "--region", "0", "--target", "1"], "m22", 1, COVERAGE),
+    (["grothendieck", "-"], "m22", 0, COVERAGE),
+    (["hull", "-", "--region", "0"], "m22", 0, DERIVED),
+    (["complement", "-", "--region", "0"], "m22", 0, DERIVED),
+    (["diamond", "-", "--region", "0"], "m22", 0, DERIVED),
+    (["futures", "-"], "m22", 0, DERIVED),
+    (["pasts", "-"], "m22", 0, DERIVED),
+    (["dot", "-"], "m22", 0, DERIVED),
+    (["points", "-"], "m22", 0, DUALITY),
+    (["ips", "-"], "m22", 0, DUALITY),
+    (["ideals", "-"], "m22", 0, DUALITY),
+]
 
 
 def test_each_subcommand_imports_only_what_it_runs():
-    doc = cli.serialize(cli.doc_of_space(gen.suite_instance("m22")))
-    code, modules = _loaded_modules(["check", "-", "--axiom", "all"], doc)
-    assert code == 0
-    assert not modules & {"ordloc.coverage", "ordloc.duality", "ordloc.gen", "fractions",
-                          "dataclasses", "inspect"}
-    code, modules = _loaded_modules(["dod", "-", "--region", "0"], doc)
-    assert code == 0
-    assert "ordloc.coverage" in modules and "ordloc.duality" not in modules
+    # -S: no site hooks, so only what ordloc imports shows up
+    assert {argv[0] for argv, _, _, _ in IMPORTS} == set(cli.COMMANDS)
+    docs = {name: cli.serialize(doc_for(name, gen.suite_instance(name)))
+            for name in ("m22", "two_speed_2x3")}
+    requests = [(argv, docs[doc] if doc else "") for argv, doc, _, _ in IMPORTS]
+    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT], input=json.dumps(requests),
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+    answers = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(answers) == len(IMPORTS), proc.stderr
+    for (argv, _, expected, loads), (code, modules) in zip(IMPORTS, answers):
+        assert code == expected, argv
+        assert {m for m in modules if m.startswith("ordloc")} == CLI_MODULES | loads, argv
+        if argv[0] == "check":
+            assert not set(modules) & {"fractions", "dataclasses", "inspect"}, argv
+
+
+def test_olocale_and_lattice_forward_the_benchmark_names_to_derived():
+    for module, name in ((O, "futures_frame"), (O, "pasts_frame"), (O, "is_biframe"),
+                         (L, "ideal_frame")):
+        assert getattr(module, name) is getattr(derived, name)
+        assert vars(module)[name] is getattr(derived, name)      # bound on first read
+    for module, name in ((O, "convex_hull"), (O, "no_such_name"), (L, "subframe")):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 
 
 # -- fuzz: mutated suite documents through cli.main ---------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ordloc import coverage as C, gen, lattice as L, olocale as O, ospace as S
+from ordloc import coverage as C, derived, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import (
     EmptyRestriction,
     FrameTooLarge,
@@ -250,7 +250,7 @@ def test_domain_examples(m33, loc33):
     assert res2.region == a and res2.exact
     assert C.domain_of_dependence(loc33, f.bottom, "future").region == f.bottom
     # agrees with the pointwise chain-based domain
-    pd = S.pointwise_domain_of_dependence(m33, m33.frame.mask_of(a), "future")
+    pd = derived.pointwise_domain_of_dependence(m33, m33.frame.mask_of(a), "future")
     assert m33.frame.mask_of(res2.region) == pd.mask
 
 
@@ -350,7 +350,7 @@ def test_chain_coverage_never_contradicts_localic(m22, loc22, m33, loc33):
     f = loc22.frame
     for a in f.elements():
         for u in f.elements():
-            chain = S.chain_covers_below(m22, f.mask_of(a), f.mask_of(u))
+            chain = derived.chain_covers_below(m22, f.mask_of(a), f.mask_of(u))
             if chain.ok:
                 assert rows[u] >> a & 1, (a, u)
     rows33 = C.coverage_rows(loc33, "past")
@@ -358,7 +358,7 @@ def test_chain_coverage_never_contradicts_localic(m22, loc22, m33, loc33):
     rng = random.Random(9)
     for _ in range(2500):
         a, u = rng.randrange(f33.m), rng.randrange(f33.m)
-        chain = S.chain_covers_below(m33, f33.mask_of(a), f33.mask_of(u))
+        chain = derived.chain_covers_below(m33, f33.mask_of(a), f33.mask_of(u))
         if chain.ok:
             assert rows33[u] >> a & 1, (a, u)
 

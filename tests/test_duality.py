@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from ordloc import cli, duality as D, gen, lattice as L, olocale as O, ospace as S
+from ordloc import cli, derived, duality as D, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import RegularConesRequired
 from ordloc.lattice import bits
 
@@ -77,7 +77,7 @@ def test_points_space_always_T0_ordered():
         if olx.frame.m > 1024:
             continue
         pts = D.points_space(olx)   # raises if T0-orderedness fails
-        assert S.is_T0_ordered(pts).ok, name
+        assert derived.is_T0_ordered(pts).ok, name
 
 
 def run_points_on_m44(monkeypatch, capsys) -> str:
@@ -202,7 +202,7 @@ def test_cone_frames_ideal_points_and_counit_on_m44_list_no_cone(monkeypatch):
     # and `points` on M44 (2**16 opens) list neither cone
     olx = S.induced_locale(gen.minkowski_grid(gen.GridSpec(4, 4)), "em")
     calls = count_calls(monkeypatch, ((L.SubsetCone, "tolist"),))
-    fut, pas, ips = O.futures_frame(olx)[0], O.pasts_frame(olx)[0], D.ideal_points(olx)
+    fut, pas, ips = derived.futures_frame(olx)[0], derived.pasts_frame(olx)[0], D.ideal_points(olx)
     pts, counit = D.points_space(olx), D.counit_check(olx)
     assert calls == {"tolist": 0}
     assert (fut.m, pas.m, len(ips.ips), len(ips.ifs)) == (95, 95, 16, 16)
@@ -324,10 +324,10 @@ def test_warm_transport_reuses_cones_and_cone_frames(m33, monkeypatch):
     # points are read once, and the induced rows, built by one `rows_above`,
     # are memoized as the locale's rows
     olx, cold = S.induced_locale(m33, "em"), S.induced_locale(m33, "em")
-    fut, pas = O.futures_frame(olx), O.pasts_frame(olx)
-    assert O.futures_frame(olx) is fut and O.pasts_frame(olx) is pas
+    fut, pas = derived.futures_frame(olx), derived.pasts_frame(olx)
+    assert derived.futures_frame(olx) is fut and derived.pasts_frame(olx) is pas
     ips = D.ideal_points(olx)
-    calls = count_calls(monkeypatch, ((O, "cones_from_rows"), (L, "subframe"),
+    calls = count_calls(monkeypatch, ((O, "cones_from_rows"), (derived, "subframe"),
                                       (oracles, "order_from_map"), (D, "ideal_points"),
                                       (L, "rows_above")))
     rep = D.double_negation_transport(olx)
@@ -340,7 +340,7 @@ def test_warm_transport_reuses_cones_and_cone_frames(m33, monkeypatch):
     again, fresh = D.ideal_points(olx), D.ideal_points(cold)
     for name in D.IdealPointSet.__slots__:
         assert getattr(again, name) == getattr(ips, name) == getattr(fresh, name)
-    assert O.futures_frame(olx) is fut and O.pasts_frame(olx) is pas
+    assert derived.futures_frame(olx) is fut and derived.pasts_frame(olx) is pas
 
 
 def duality_cases():
@@ -390,7 +390,7 @@ def test_duality_checks_op_counts_on_warm_m33(m33, monkeypatch):
     # after it has memoized the rows, the transport's one `rows_above`
     # builds the rows the identity induces, to compare them with those
     olx = S.induced_locale(m33, "em")
-    O.futures_frame(olx), O.pasts_frame(olx), D.ideal_points(olx)
+    derived.futures_frame(olx), derived.pasts_frame(olx), D.ideal_points(olx)
     calls = count_calls(monkeypatch, ((D, "bits"), (L, "rows_above")))
     assert D.counit_check(olx).ok
     assert calls["bits"] <= 100, calls
@@ -440,7 +440,7 @@ def test_dn_transport_nonboolean_regular():
             for u in f.elements()]
     pair = O.ConePair(f, up, down)
     olx = O.ordered_locale_from_monads(pair)
-    if not O.check_regular_cones(olx).ok:
+    if not derived.check_regular_cones(olx).ok:
         pytest.skip("constructed cones not regular")
     rep = D.double_negation_transport(olx)
     assert rep.ok

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordloc import cli, gen, lattice as L, olocale as O, ospace as S
+from ordloc import cli, derived, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import SlopesUnequal, ValidationError
 from ordloc.lattice import bits, mask_of_iter, popcount
 
@@ -106,10 +106,10 @@ def test_vertical_grid_columns():
 
 
 def test_fixed_instances(non_oc, bowtie):
-    assert not S.has_open_cones(non_oc).ok
-    assert S.has_open_cones(bowtie).ok
-    assert not S.is_T0_ordered(bowtie).ok
-    assert S.is_sober(bowtie)
+    assert not derived.has_open_cones(non_oc).ok
+    assert derived.has_open_cones(bowtie).ok
+    assert not derived.is_T0_ordered(bowtie).ok
+    assert derived.is_sober(bowtie)
 
 
 def test_suite_catalogue():

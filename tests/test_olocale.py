@@ -7,13 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordloc import coverage as C, duality as D, gen, lattice as L, olocale as O, ospace as S
+from ordloc import (coverage as C, derived, duality as D, gen, lattice as L, olocale as O,
+                    ospace as S)
 from ordloc.errors import (
     AxiomVFailure,
     ConesDoNotPreserveJoins,
     FrameTooLarge,
     NotAMonad,
     OrdlocError,
+    ValidationError,
 )
 from ordloc.lattice import bits, mask_of_iter
 
@@ -152,6 +154,20 @@ def test_two_speed_parallel_witness():
     assert masks == {1 << lbl["(0,2)"], 1 << lbl["(1,0)"]}
 
 
+def test_revalidate_reads_the_parallel_sub_law_from_the_note_prefix():
+    # parallel's note is "fails <sub-law>: <its note>"; a wedge+ note that
+    # mentions "empty" is still re-checked as wedge+, not as the empty law
+    ts = gen.suite_instance("two_speed_2x3")
+    rep = O.check_axiom(ts, "parallel")
+    assert rep.note.startswith("fails wedge+: ")
+    noted = O.CheckReport("parallel", "fail", rep.witness, rep.note + "; empty holds")
+    assert O.revalidate(ts, noted)
+    as_empty = O.CheckReport("parallel", "fail", rep.witness, "fails empty: wedge+ broke")
+    assert not O.revalidate(ts, as_empty)
+    with pytest.raises(ValidationError):
+        O.revalidate(ts, O.CheckReport("parallel", "fail", rep.witness, "empty, wedge+"))
+
+
 def test_wedge_equals_corder_plus_frobenius_small():
     # both routes computed and compared, on frames small enough for triples
     insts = [S.induced_locale(gen.suite_instance("bowtie"), "em"),
@@ -223,7 +239,7 @@ def test_pasts_frame_of_upper_locale_adjoins_bottom(size):
     # join: the pasts frame is {bottom, top} with bottom adjoined, on either
     # side of PAIR_LIMIT
     loc = S.induced_locale(gen.minkowski_grid(gen.GridSpec(*size)), "upper")
-    sub, fmap = O.pasts_frame(loc)
+    sub, fmap = derived.pasts_frame(loc)
     assert sub.m == 2 and sub.meta["adjoined_bottom"]
     assert fmap.preimage == [loc.frame.bottom, loc.frame.top]
 
@@ -412,7 +428,7 @@ def random_gap_instance(rng):
     transitively closed.  The frame is a powerset of 1-7 points (up to the
     128 subsets of the packed closure's crossover), a powerset of 1-5
     points stored mask-backed, the frame of a random topology on 1-6
-    points, or a Birkhoff copy of one (`lattice.subframe`), whose ids do
+    points, or a Birkhoff copy of one (`derived.subframe`), whose ids do
     not follow masks."""
     shape = rng.choice(("powerset", "mask-backed powerset", "topology", "birkhoff"))
     n = rng.randint(1, 7 if shape == "powerset" else 6)
@@ -424,7 +440,7 @@ def random_gap_instance(rng):
         gens = [rng.randrange(1 << n) for _ in range(rng.randint(1, 2 * n))]
         f = L.frame_from_topology(n, oracles.close_family_under_union_intersection(n, gens))
         if shape == "birkhoff":
-            f = L.subframe(f, f.elements())[0]
+            f = derived.subframe(f, f.elements())[0]
     rows = [mask_of_iter(rng.randrange(f.m) for _ in range(rng.randint(0, 3)))
             for _ in f.elements()]
     if rng.random() < 0.5:
@@ -740,20 +756,20 @@ def test_order_to_monads_round_trip_iff_corder(b4):
 
 
 def test_identity_is_monotone(loc22):
-    fmap = L.identity_map(loc22.frame)
-    assert O.is_monotone(fmap, loc22, loc22).ok
+    fmap = derived.identity_map(loc22.frame)
+    assert derived.is_monotone(fmap, loc22, loc22).ok
 
 
 def test_pasts_inclusion_monotonicity(m33, loc33):
     # quotient onto im(down) with the restricted order: monotone iff the
     # subframe is closed under both cones; it is not closed under up
-    sub, fmap = O.pasts_frame(loc33)
+    sub, fmap = derived.pasts_frame(loc33)
     f = loc33.frame
     pos = {amb: i for i, amb in enumerate(fmap.preimage)}
     pairs = [(i, j) for i in sub.elements() for j in sub.elements()
              if loc33.related(fmap.preimage[i], fmap.preimage[j])]
     subord = O.ordered_locale_from_relation(sub, pairs)
-    rep = O.is_monotone(fmap, loc33, subord)
+    rep = derived.is_monotone(fmap, loc33, subord)
     assert not rep.ok
     # the reported witness genuinely violates the cone inclusion: the
     # ambient up cone of a small down-set escapes every down-set candidate
@@ -771,9 +787,9 @@ def test_collapsing_map_not_monotone(b4):
     a, b = b4.id_of_mask(1), b4.id_of_mask(2)
     related = O.ordered_locale_from_relation(b4, [(a, b)])
     unrelated = O.equality_order(b4)
-    fmap = L.identity_map(b4)
-    assert O.is_monotone(fmap, related, related).ok
-    rep = O.is_monotone(fmap, related, unrelated)
+    fmap = derived.identity_map(b4)
+    assert derived.is_monotone(fmap, related, related).ok
+    rep = derived.is_monotone(fmap, related, unrelated)
     assert not rep.ok
 
 
@@ -782,7 +798,7 @@ def test_collapsing_map_not_monotone(b4):
 
 def test_hull_example(m33, loc33):
     u = grid(m33, (0, 0), (2, 0))
-    h = O.convex_hull(loc33, u)
+    h = derived.convex_hull(loc33, u)
     assert h == grid(m33, (0, 0), (1, 0), (1, 1), (2, 0))
 
 
@@ -791,16 +807,16 @@ def test_hull_laws(m33, loc33):
     rng = random.Random(5)
     elems = [rng.randrange(f.m) for _ in range(300)]
     for u in elems:
-        h = O.convex_hull(loc33, u)
+        h = derived.convex_hull(loc33, u)
         assert f.leq(u, h)
-        assert O.convex_hull(loc33, h) == h
+        assert derived.convex_hull(loc33, h) == h
         assert loc33.up_map[h] == loc33.up_map[u]
         assert loc33.down_map[h] == loc33.down_map[u]
         up = loc33.up_map[u]
-        assert O.convex_hull(loc33, up) == up      # cones are convex
+        assert derived.convex_hull(loc33, up) == up      # cones are convex
         v = rng.randrange(f.m)
         if f.leq(u, v):
-            assert f.leq(h, O.convex_hull(loc33, v))
+            assert f.leq(h, derived.convex_hull(loc33, v))
 
 
 def test_hull_antisymmetry_lemma(loc22):
@@ -808,39 +824,39 @@ def test_hull_antisymmetry_lemma(loc22):
     for u in f.elements():
         for v in f.elements():
             both = loc22.related(u, v) and loc22.related(v, u)
-            hulls_equal = O.convex_hull(loc22, u) == O.convex_hull(loc22, v)
+            hulls_equal = derived.convex_hull(loc22, u) == derived.convex_hull(loc22, v)
             assert both == hulls_equal  # C-order holds here
 
 
 def test_convex_locale_m33_discrete(loc33):
-    assert O.is_convex_locale(loc33).ok
+    assert derived.is_convex_locale(loc33).ok
 
 
 def test_complement_and_diamond_examples(m33, loc33):
     c = grid(m33, (1, 1))
-    assert O.causal_complement(loc33, c) == grid(m33, (1, 0), (1, 2))
-    assert O.diamond(loc33, c) == c
-    assert O.causal_complement(loc33, loc33.frame.top) == loc33.frame.bottom
+    assert derived.causal_complement(loc33, c) == grid(m33, (1, 0), (1, 2))
+    assert derived.diamond(loc33, c) == c
+    assert derived.causal_complement(loc33, loc33.frame.top) == loc33.frame.bottom
 
 
 def test_complement_laws(loc22):
     f = loc22.frame
     X, bot = f.top, f.bottom
-    assert O.causal_complement(loc22, bot) == X          # (d) under empty-axiom
+    assert derived.causal_complement(loc22, bot) == X          # (d) under empty-axiom
     for u in f.elements():
-        cu = O.causal_complement(loc22, u)
+        cu = derived.causal_complement(loc22, u)
         assert f.meet(u, cu) == bot                       # (a)
-        assert f.leq(u, O.diamond(loc22, u))              # (e)
-        assert f.leq(O.convex_hull(loc22, u), O.diamond(loc22, u))
-        d = O.diamond(loc22, u)
-        assert O.convex_hull(loc22, d) == d               # diamonds convex
+        assert f.leq(u, derived.diamond(loc22, u))              # (e)
+        assert f.leq(derived.convex_hull(loc22, u), derived.diamond(loc22, u))
+        d = derived.diamond(loc22, u)
+        assert derived.convex_hull(loc22, d) == d               # diamonds convex
         for v in f.elements():
             if f.leq(u, v):                               # (b) antitone
-                assert f.leq(O.causal_complement(loc22, v), cu)
-            assert f.leq(u, O.causal_complement(loc22, v)) == \
+                assert f.leq(derived.causal_complement(loc22, v), cu)
+            assert f.leq(u, derived.causal_complement(loc22, v)) == \
                 f.leq(v, cu)                              # (f)
-            j = O.causal_complement(loc22, f.join(u, v))  # (g) under C-join
-            assert j == f.meet(cu, O.causal_complement(loc22, v))
+            j = derived.causal_complement(loc22, f.join(u, v))  # (g) under C-join
+            assert j == f.meet(cu, derived.causal_complement(loc22, v))
     # parallel: negation swaps cone images
     for u in f.elements():
         ndn = f.neg(loc22.down_map[u])
@@ -851,7 +867,7 @@ def test_complement_laws(loc22):
 
 def test_negation_order_iso_on_cone_images(loc22):
     # parallel + regular cones: negation is an order iso im(down) -> im(up)^op
-    assert O.check_regular_cones(loc22).ok
+    assert derived.check_regular_cones(loc22).ok
     f = loc22.frame
     downs = sorted(set(loc22.down_map))
     ups = sorted(set(loc22.up_map))
@@ -883,7 +899,7 @@ def _downsets_of_points(space):
 
 
 def test_pasts_frame_m33_is_downset_lattice(m33, loc33):
-    pas, fmap = O.pasts_frame(loc33)
+    pas, fmap = derived.pasts_frame(loc33)
     expected = _downsets_of_points(m33)
     got = {pas.mask_of(i) for i in pas.elements()}
     assert got == expected
@@ -892,21 +908,21 @@ def test_pasts_frame_m33_is_downset_lattice(m33, loc33):
 
 
 def test_pasts_adjoint_example(m33, loc33):
-    sub, fmap = O.pasts_frame(loc33)
+    sub, fmap = derived.pasts_frame(loc33)
     u = grid(m33, (0, 0), (1, 1))
-    star = L.right_adjoint(fmap, u)
+    star = derived.right_adjoint(fmap, u)
     assert sub.mask_of(star) == m33.frame.mask_of(grid(m33, (0, 0)))
 
 
 def test_futures_frame_equality_is_whole(b4):
     eq = O.equality_order(b4)
-    fut, fmap = O.futures_frame(eq)
+    fut, fmap = derived.futures_frame(eq)
     assert fut.m == b4.m
 
 
 def test_futures_frame_inclusion_degenerate(b4):
     inc = O.inclusion_order(b4)
-    fut, fmap = O.futures_frame(inc)
+    fut, fmap = derived.futures_frame(inc)
     assert fut.m == 2
     assert fut.meta.get("adjoined_bottom")
     assert fmap.preimage == [b4.bottom, b4.top]
@@ -924,16 +940,16 @@ def test_cones_must_preserve_joins_for_cone_frames():
     rep = O.check_axiom(olx, "C-join")
     assert not rep.ok and O.revalidate(olx, rep)
     with pytest.raises(ConesDoNotPreserveJoins):
-        O.futures_frame(olx)
+        derived.futures_frame(olx)
 
 
 # -- biframe ----------------------------------------------------------------------------
 
 
 def test_biframe_m33_and_vertical(loc33):
-    assert O.is_biframe(loc33).ok
+    assert derived.is_biframe(loc33).ok
     lv = gen.em_locale("vertical33")
-    assert O.is_biframe(lv).ok
+    assert derived.is_biframe(lv).ok
 
 
 def test_biframe_folds_no_joins_on_m33(m33, monkeypatch):
@@ -944,7 +960,7 @@ def test_biframe_folds_no_joins_on_m33(m33, monkeypatch):
     join_of_idmask = L.FiniteFrame.join_of_idmask
     monkeypatch.setattr(L.FiniteFrame, "join_of_idmask",
                         lambda f, s: calls.append(s) or join_of_idmask(f, s))
-    assert O.is_biframe(loc).ok
+    assert derived.is_biframe(loc).ok
     assert calls == []
 
 
@@ -956,15 +972,15 @@ def test_biframe_at_generator_scale(monkeypatch):
     calls = []
     tolist = L.SubsetCone.tolist
     monkeypatch.setattr(L.SubsetCone, "tolist", lambda cone: calls.append(cone) or tolist(cone))
-    assert O.is_biframe(loc).ok and calls == []
-    rep = O.is_convex_locale(loc)
+    assert derived.is_biframe(loc).ok and calls == []
+    rep = derived.is_convex_locale(loc)
     assert rep.ok and calls == []
     assert rep.note == "exact: the 21 join-irreducibles are convex"
 
 
 def test_biframe_bowtie_fails(bowtie):
     loc = S.induced_locale(bowtie, "em")
-    rep = O.is_biframe(loc)
+    rep = derived.is_biframe(loc)
     assert not rep.ok
     f = bowtie.frame
     assert f.mask_of(rep.witness[0]) == pts(0, 1, 3)   # {x,z,t}
@@ -976,26 +992,26 @@ def test_biframe_bowtie_fails(bowtie):
 def test_causal_heyting_vacuous(loc33):
     f = loc33.frame
     v = grid(gen.suite_instance("m33"), (1, 1))
-    assert O.causal_heyting(loc33, f.bottom, v, "past") == f.top
+    assert derived.causal_heyting(loc33, f.bottom, v, "past") == f.top
 
 
 def test_causal_heyting_example(m33, loc33):
     u = grid(m33, (1, 1))
     v = grid(m33, (0, 1))
-    w = O.causal_heyting(loc33, u, v, "past")
+    w = derived.causal_heyting(loc33, u, v, "past")
     assert w == grid(m33, (0, 0), (0, 1), (0, 2), (1, 0), (1, 2))
 
 
 def test_causal_heyting_adjunction_and_direct_image(loc22):
     f = loc22.frame
-    _, pmap = O.pasts_frame(loc22)
+    _, pmap = derived.pasts_frame(loc22)
     for u in f.elements():
         for v in f.elements():
-            h = O.causal_heyting(loc22, u, v, "past")
+            h = derived.causal_heyting(loc22, u, v, "past")
             for w in f.elements():
                 assert f.leq(f.meet(u, loc22.down_map[w]), v) == f.leq(w, h)
             # eta_* identity: h equals the largest past set under u -> v
-            star = pmap.preimage[L.right_adjoint(pmap, f.heyting(u, v))]
+            star = pmap.preimage[derived.right_adjoint(pmap, f.heyting(u, v))]
             assert star == loc22.down_map[h]
 
 
@@ -1003,8 +1019,8 @@ def test_causal_heyting_on_equality_is_ordinary(b4):
     eq = O.equality_order(b4)
     for u in b4.elements():
         for v in b4.elements():
-            assert O.causal_heyting(eq, u, v, "past") == b4.heyting(u, v)
-            assert O.causal_heyting(eq, u, v, "future") == b4.heyting(u, v)
+            assert derived.causal_heyting(eq, u, v, "past") == b4.heyting(u, v)
+            assert derived.causal_heyting(eq, u, v, "future") == b4.heyting(u, v)
 
 
 # -- meets of orders -------------------------------------------------------------------
@@ -1027,25 +1043,25 @@ def test_meet_of_upper_and_lower_is_em(m33, loc33):
 def test_order_from_identity_is_cone_closure(b4):
     a, b = b4.id_of_mask(1), b4.id_of_mask(2)
     olx = O.ordered_locale_from_relation(b4, [(a, b4.top), (b4.bottom, a)])
-    fmap = L.identity_map(b4)
-    derived = oracles.order_from_map(fmap, olx)
-    # the derived order is the cone-determined closure of the original
+    fmap = derived.identity_map(b4)
+    pulled = oracles.order_from_map(fmap, olx)
+    # the pulled-back order is the cone-determined closure of the original
     pair = O.ConePair(b4, list(olx.up_map), list(olx.down_map))
     closure = O.ordered_locale_from_monads(pair)
     for u in b4.elements():
         for v in b4.elements():
-            assert derived.related(u, v) == closure.related(u, v)
+            assert pulled.related(u, v) == closure.related(u, v)
     if O.check_axiom(olx, "C-order").ok:
-        assert derived.rel_rows() == olx.rel_rows()
+        assert pulled.rel_rows() == olx.rel_rows()
 
 
 def test_order_from_map_is_largest_monotone(b4):
     tgt = O.ordered_locale_from_relation(
         b4, [(b4.id_of_mask(1), b4.top)])
-    fmap = L.identity_map(b4)
-    derived = oracles.order_from_map(fmap, tgt)
-    assert O.is_monotone(fmap, derived, tgt).ok
-    rows = derived.rel_rows()
+    fmap = derived.identity_map(b4)
+    pulled = oracles.order_from_map(fmap, tgt)
+    assert derived.is_monotone(fmap, pulled, tgt).ok
+    rows = pulled.rel_rows()
     for u in b4.elements():
         for v in b4.elements():
             if rows[u] >> v & 1:
@@ -1054,23 +1070,23 @@ def test_order_from_map_is_largest_monotone(b4):
             bigger[u] |= 1 << v
             enlarged = O.ordered_locale_from_relation(
                 b4, [(x, y) for x in b4.elements() for y in bits(bigger[x])])
-            assert not O.is_monotone(fmap, enlarged, tgt).ok, (u, v)
+            assert not derived.is_monotone(fmap, enlarged, tgt).ok, (u, v)
 
 
 def test_order_from_dn_inclusion_boolean(m33, loc33):
     # Boolean frame: the double negation sublocale is the identity
-    sub, dn_map = L.double_negation_frame(loc33.frame)
-    derived = oracles.order_from_map(dn_map, loc33)
-    assert derived.rel_rows() == loc33.rel_rows()
+    sub, dn_map = derived.double_negation_frame(loc33.frame)
+    pulled = oracles.order_from_map(dn_map, loc33)
+    assert pulled.rel_rows() == loc33.rel_rows()
 
 
 # -- regular cones -----------------------------------------------------------------------
 
 
 def test_regular_cones(loc33, bowtie):
-    assert O.check_regular_cones(loc33).ok          # Boolean frame
+    assert derived.check_regular_cones(loc33).ok          # Boolean frame
     eqb = O.equality_order(bowtie.frame)
-    rep = O.check_regular_cones(eqb)
+    rep = derived.check_regular_cones(eqb)
     assert not rep.ok
     u = rep.witness[0]
     f = bowtie.frame
@@ -1082,10 +1098,10 @@ def test_regular_cones_scan_once_per_locale(bowtie, monkeypatch):
     calls = []
     neg = olx.frame.neg
     monkeypatch.setattr(olx.frame, "neg", lambda a: calls.append(a) or neg(a))
-    first = O.check_regular_cones(olx)
+    first = derived.check_regular_cones(olx)
     scanned = len(calls)
     assert scanned > 0
-    assert O.check_regular_cones(olx) is first and len(calls) == scanned
+    assert derived.check_regular_cones(olx) is first and len(calls) == scanned
 
 
 def test_regular_cones_on_a_boolean_frame_list_no_cone(monkeypatch):
@@ -1096,7 +1112,7 @@ def test_regular_cones_on_a_boolean_frame_list_no_cone(monkeypatch):
     calls = []
     tolist = L.SubsetCone.tolist
     monkeypatch.setattr(L.SubsetCone, "tolist", lambda cone: calls.append(cone) or tolist(cone))
-    rep = O.check_regular_cones(loc)
+    rep = derived.check_regular_cones(loc)
     assert rep.ok and calls == []
     assert rep.note == "exact: the frame is Boolean, so not not is the identity"
     with pytest.raises(FrameTooLarge, match="capped at materializable relations"):
@@ -1112,11 +1128,11 @@ def _derive_everything(olx):
     locale that lacks a precondition are passed over."""
     f = olx.frame
     calls = [lambda: [O.check_axiom(olx, law) for law in O.ALL_AXIOMS],
-             lambda: O.futures_frame(olx), lambda: O.pasts_frame(olx),
-             lambda: O.is_convex_locale(olx), lambda: O.is_biframe(olx),
-             lambda: O.check_regular_cones(olx),
-             lambda: [(O.convex_hull(olx, u), O.diamond(olx, u)) for u in f.elements()],
-             lambda: [O.causal_heyting(olx, f.top, u, d) for u in f.elements()
+             lambda: derived.futures_frame(olx), lambda: derived.pasts_frame(olx),
+             lambda: derived.is_convex_locale(olx), lambda: derived.is_biframe(olx),
+             lambda: derived.check_regular_cones(olx),
+             lambda: [(derived.convex_hull(olx, u), derived.diamond(olx, u)) for u in f.elements()],
+             lambda: [derived.causal_heyting(olx, f.top, u, d) for u in f.elements()
                       for d in ("future", "past")],
              lambda: D.points_space(olx), lambda: D.counit_check(olx),
              lambda: D.check_axiom_P(olx), lambda: D.ideal_points(olx),

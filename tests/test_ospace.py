@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from ordloc import gen, lattice as L, olocale as O, ospace as S
+from ordloc import derived, gen, lattice as L, ospace as S
 from ordloc.lattice import bits, mask_of_iter
 
 from conftest import count_calls, grid
@@ -54,9 +54,9 @@ def test_cone_monad_laws_pointwise(m33):
 
 
 def test_open_cones(m33, bowtie, non_oc):
-    assert S.has_open_cones(m33).ok
-    assert S.has_open_cones(bowtie).ok
-    rep = S.has_open_cones(non_oc)
+    assert derived.has_open_cones(m33).ok
+    assert derived.has_open_cones(bowtie).ok
+    rep = derived.has_open_cones(non_oc)
     assert not rep.ok
     fid, direction = rep.witness
     assert non_oc.frame.mask_of(fid) == mask_of_iter([0])  # the open {*}
@@ -155,29 +155,29 @@ def test_cone_with_a_value_that_is_not_open_keeps_interior_and_fold(monkeypatch)
 
 
 def test_T0_and_sober(m33, bowtie):
-    assert S.is_T0(m33) and S.is_sober(m33)
-    assert S.is_T0_ordered(m33).ok
-    assert S.is_T0(bowtie) and S.is_sober(bowtie)
-    rep = S.is_T0_ordered(bowtie)
+    assert derived.is_T0(m33) and derived.is_sober(m33)
+    assert derived.is_T0_ordered(m33).ok
+    assert derived.is_T0(bowtie) and derived.is_sober(bowtie)
+    rep = derived.is_T0_ordered(bowtie)
     assert not rep.ok
     assert {bowtie.labels[p] for p in rep.witness} == {"x", "y"}
 
 
 def test_codiscrete_not_T0():
     sp = gen.suite_instance("codiscrete2")
-    assert not S.is_T0(sp)
-    assert not S.is_sober(sp)
+    assert not derived.is_T0(sp)
+    assert not derived.is_sober(sp)
 
 
 def test_sober_iff_T0_oracle_on_suite():
     # finite shortcut used only as an oracle here
     for name, inst in gen.standard_suite():
         if isinstance(inst, S.OrderedSpace) and inst.frame.m <= 1024:
-            assert S.is_sober(inst) == S.is_T0(inst), name
+            assert derived.is_sober(inst) == derived.is_T0(inst), name
 
 
 def test_specialisation_order(bowtie):
-    rows = S.specialisation_order(bowtie.frame)
+    rows = derived.specialisation_order(bowtie.frame)
     lbl = {l: i for i, l in enumerate(bowtie.labels)}
     x, y, z, t = lbl["x"], lbl["y"], lbl["z"], lbl["t"]
     assert rows[x] >> z & 1 and rows[x] >> t & 1
@@ -185,29 +185,29 @@ def test_specialisation_order(bowtie):
     assert rows[z] == 1 << z
     # discrete: equality; codiscrete: total
     disc = gen.suite_instance("discrete2")
-    assert S.specialisation_order(disc.frame) == [1, 2]
+    assert derived.specialisation_order(disc.frame) == [1, 2]
     codisc = gen.suite_instance("codiscrete2")
-    assert S.specialisation_order(codisc.frame) == [3, 3]
+    assert derived.specialisation_order(codisc.frame) == [3, 3]
 
 
 # -- convexity ------------------------------------------------------------------------
 
 
 def test_pointwise_convexity_m33(m33):
-    assert S.is_pointwise_convex(m33, pmask(m33, (0, 0), (1, 0), (1, 1), (2, 0)))
-    assert not S.is_pointwise_convex(m33, pmask(m33, (0, 0), (2, 0)))
-    assert S.is_pointwise_convex(m33, (1 << m33.n) - 1)
+    assert derived.is_pointwise_convex(m33, pmask(m33, (0, 0), (1, 0), (1, 1), (2, 0)))
+    assert not derived.is_pointwise_convex(m33, pmask(m33, (0, 0), (2, 0)))
+    assert derived.is_pointwise_convex(m33, (1 << m33.n) - 1)
 
 
 def test_bowtie_open_not_convex(bowtie):
     lbl = {l: i for i, l in enumerate(bowtie.labels)}
     open_xzt = mask_of_iter([lbl["x"], lbl["z"], lbl["t"]])
-    assert not S.is_pointwise_convex(bowtie, open_xzt)  # z <= y <= t escapes
+    assert not derived.is_pointwise_convex(bowtie, open_xzt)  # z <= y <= t escapes
 
 
 def test_convex_space_reports(m33, bowtie):
-    assert S.is_convex_space(m33).ok
-    assert not S.is_convex_space(bowtie).ok
+    assert derived.is_convex_space(m33).ok
+    assert not derived.is_convex_space(bowtie).ok
 
 
 def test_convex_space_reads_neighbourhoods_above_4096_opens():
@@ -217,7 +217,7 @@ def test_convex_space_reads_neighbourhoods_above_4096_opens():
     for n in (6, 13):
         opens = [s for s in range(1 << n) if not (s & 1 and not s & 2)]
         sp = S.OrderedSpace.build(n, [(0, 2), (2, 1)], opens=opens)
-        rep = S.is_convex_space(sp)
+        rep = derived.is_convex_space(sp)
         assert (rep.verdict, rep.witness) == ("fail", (sp.frame.id_of_mask(0b11),)), n
         if n == 6:
             assert oracles.convex_space_loop(sp).witness == rep.witness
@@ -232,16 +232,16 @@ def test_convex_space_matches_union_loop(seed):
     opens = "discrete" if rng.random() < 0.2 else oracles.close_family_under_union_intersection(
         n, [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))])
     sp = S.OrderedSpace.build(n, pairs, opens=opens)
-    rep, want = S.is_convex_space(sp), oracles.convex_space_loop(sp)
+    rep, want = derived.is_convex_space(sp), oracles.convex_space_loop(sp)
     assert (rep.verdict, rep.witness) == (want.verdict, want.witness), (pairs, opens)
 
 
 def test_convex_space_iff_convex_locale_with_open_cones(m22, bowtie):
     for sp in (m22, bowtie, gen.suite_instance("vertical33")):
-        if not S.has_open_cones(sp).ok:
+        if not derived.has_open_cones(sp).ok:
             continue
         loc = S.induced_locale(sp, "em")
-        assert S.is_convex_space(sp).ok == O.is_convex_locale(loc).ok, sp.name
+        assert derived.is_convex_space(sp).ok == derived.is_convex_locale(loc).ok, sp.name
 
 
 # -- chain coverage --------------------------------------------------------------------
@@ -250,13 +250,13 @@ def test_convex_space_iff_convex_locale_with_open_cones(m22, bowtie):
 def test_chain_cover_row0(m33):
     row0 = pmask(m33, (0, 0), (0, 1), (0, 2))
     u = pmask(m33, (2, 1))
-    assert S.chain_covers_below(m33, row0, u).ok
+    assert derived.chain_covers_below(m33, row0, u).ok
 
 
 def test_chain_cover_witness(m33):
     a = pmask(m33, (0, 0), (0, 2))
     u = pmask(m33, (1, 0))
-    rep = S.chain_covers_below(m33, a, u)
+    rep = derived.chain_covers_below(m33, a, u)
     assert not rep.ok
     chain = [m33.labels[p] for p in rep.witness]
     assert chain == ["(0,1)", "(1,0)"]
@@ -264,27 +264,27 @@ def test_chain_cover_witness(m33):
 
 def test_chain_cover_self(m33):
     a = pmask(m33, (1, 1))
-    assert S.chain_covers_below(m33, a, a).ok
+    assert derived.chain_covers_below(m33, a, a).ok
 
 
 def test_chain_cover_precondition(m33):
     a = pmask(m33, (2, 2))     # not in the past of (0,0)
     u = pmask(m33, (0, 0))
-    rep = S.chain_covers_below(m33, a, u)
+    rep = derived.chain_covers_below(m33, a, u)
     assert not rep.ok and "precondition" in rep.note
 
 
 def test_pointwise_domains(m33):
     row0 = pmask(m33, (0, 0), (0, 1), (0, 2))
-    assert S.pointwise_domain_of_dependence(m33, row0).mask == (1 << m33.n) - 1
+    assert derived.pointwise_domain_of_dependence(m33, row0).mask == (1 << m33.n) - 1
     a = pmask(m33, (0, 0), (0, 2))
-    assert S.pointwise_domain_of_dependence(m33, a).mask == a
-    assert S.pointwise_domain_of_dependence(m33, 0).mask == 0
+    assert derived.pointwise_domain_of_dependence(m33, a).mask == a
+    assert derived.pointwise_domain_of_dependence(m33, 0).mask == 0
 
 
 def test_pointwise_domain_past(m33):
     row2 = pmask(m33, (2, 0), (2, 1), (2, 2))
-    res = S.pointwise_domain_of_dependence(m33, row2, "past")
+    res = derived.pointwise_domain_of_dependence(m33, row2, "past")
     assert res.mask == (1 << m33.n) - 1
 
 
@@ -293,4 +293,4 @@ def test_vertical_grid_domains():
     col0_bottom = mask_of_iter([i for i, l in enumerate(v.labels) if l == "(0,0)"])
     col0 = mask_of_iter([i for i, l in enumerate(v.labels)
                          if l.startswith("(0,")])
-    assert S.pointwise_domain_of_dependence(v, col0_bottom).mask == col0
+    assert derived.pointwise_domain_of_dependence(v, col0_bottom).mask == col0

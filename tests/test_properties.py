@@ -18,7 +18,8 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordloc import coverage as C, duality as D, gen, lattice as L, olocale as O, ospace as S
+from ordloc import (coverage as C, derived, duality as D, gen, lattice as L, olocale as O,
+                    ospace as S)
 from ordloc.errors import (ConesDoNotPreserveJoins, FrameTooLarge, NotAFrameMap, NotAMonad,
                            NotClosedUnderJoin, NotClosedUnderMeet, NotDistributive,
                            OrdlocError, PreconditionAxioms, ValidationError)
@@ -320,7 +321,7 @@ def test_open_cone_certificate_matches_interior_oracle():
     spaces = [random_topology_space(random.Random(seed)) for seed in range(200)]
     flipped = [S.OrderedSpace(sp.n, list(sp.down), sp.frame) for sp in spaces]
     for sp in spaces + flipped + [gen.non_OC_example()]:
-        assert report_outcome(S.has_open_cones, sp)[:2] == \
+        assert report_outcome(derived.has_open_cones, sp)[:2] == \
             report_outcome(oracles.open_cones_element_scan, sp)[:2], sp.up
     for sp in spaces:
         f = sp.frame
@@ -453,7 +454,7 @@ def random_frame(rng):
         return S.OrderedSpace.build(n, [], opens="discrete").frame
     gens_ = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
     f = L.frame_from_topology(n, oracles.close_family_under_union_intersection(n, gens_))
-    return f if kind == "mask" else L.subframe(f, f.elements())[0]
+    return f if kind == "mask" else derived.subframe(f, f.elements())[0]
 
 
 def random_map(rng, f):
@@ -1024,7 +1025,7 @@ def test_law_reports_agree_across_encodings(seed):
         n = rng.randint(1, 5)
         gens_ = [rng.randrange(1 << n) for _ in range(rng.randint(1, 5))]
         f = L.frame_from_topology(n, oracles.close_family_under_union_intersection(n, gens_))
-    g, incl = L.subframe(f, f.elements())
+    g, incl = derived.subframe(f, f.elements())
     assert g.kind == "mask" and [g.mask_of(i) for i in g.elements()] == list(map(f.mask_of, incl))
     iso = [0] * f.m
     for i, x in enumerate(incl):
@@ -1058,9 +1059,9 @@ def test_order_from_map_matches_pair_loop(monkeypatch):
         rng = random.Random(seed)
         if rng.random() < 0.8:
             f = random_frame(rng) if rng.random() < 0.7 else gen.bowtie().frame
-            fmap = L.double_negation_frame(f)[1]
+            fmap = derived.double_negation_frame(f)[1]
         else:
-            fmap = O.futures_frame(S.induced_locale(random_space(rng), "em"))[1]
+            fmap = derived.futures_frame(S.induced_locale(random_space(rng), "em"))[1]
         target = random_locale(rng, fmap.target)
         joins[0] = 0
         got = oracles.order_from_map(fmap, target)
@@ -1168,9 +1169,9 @@ def test_counit_and_transport_rows_match_pair_scans(seed):
         assert rep.details["biconditional"] == (least is None)
         if least is not None:
             assert rep.witness == least
-    if not O.check_regular_cones(olx).ok:
+    if not derived.check_regular_cones(olx).ok:
         return
-    sub, dn_map = L.double_negation_frame(f)
+    sub, dn_map = derived.double_negation_frame(f)
     induced = oracles.order_from_map(dn_map, olx)
     reg_of = dn_map.preimage
     least = next(((u, v) for u in f.elements() for v in f.elements()
@@ -1357,13 +1358,13 @@ def test_point_structures_match_per_open_scans(seed):
     else:
         sp = random_topology_space(rng)
     f = sp.frame
-    assert S.specialisation_order(f) == oracles.specialisation_order(f)
-    assert [S.closure_of_point(sp, p) for p in range(sp.n)] == oracles.point_closures(sp)
-    assert S.is_T0(sp) == \
+    assert derived.specialisation_order(f) == oracles.specialisation_order(f)
+    assert [derived.closure_of_point(sp, p) for p in range(sp.n)] == oracles.point_closures(sp)
+    assert derived.is_T0(sp) == \
         (len({oracles.open_ids_containing(f, p) for p in range(sp.n)}) == sp.n)
-    got, want = S.is_T0_ordered(sp), oracles.is_T0_ordered(sp)
+    got, want = derived.is_T0_ordered(sp), oracles.is_T0_ordered(sp)
     assert (got.verdict, got.witness) == (want.verdict, want.witness)
-    idl = L.ideal_frame(f)[0]
+    idl = derived.ideal_frame(f)[0]
     assert [idl.down_row(i) for i in idl.elements()] == oracles.ideal_frame_rows(f)
     style = rng.randrange(3)
     if style == 2:
@@ -1371,7 +1372,7 @@ def test_point_structures_match_per_open_scans(seed):
     else:
         olx = S.induced_locale(sp, rng.choice(["em", "upper", "lower"]))
         if style == 1:
-            olx = rows_locale(L.subframe(olx.frame, olx.frame.elements())[0],
+            olx = rows_locale(derived.subframe(olx.frame, olx.frame.elements())[0],
                               olx.rel_rows())
     g = olx.frame
     assert D.pt_masks(g) == [oracles.pt_mask(g, g.primes(), u) for u in g.elements()]
@@ -1485,7 +1486,7 @@ def test_birkhoff_frames_match_table_construction(seed):
         except ValidationError as e:
             return e
 
-    got, want = build(L.frame_from_down_rows), build(oracles.frame_by_tables)
+    got, want = build(derived.frame_from_down_rows), build(oracles.frame_by_tables)
     if isinstance(want, ValidationError):
         assert type(got) is type(want), (rows, got, want)
         if isinstance(want, NotDistributive):
@@ -1517,7 +1518,7 @@ def test_birkhoff_rows_cover_every_outcome():
     seen = set()
     for seed in range(300):
         try:
-            L.frame_from_down_rows(random_order_rows(random.Random(seed)))
+            derived.frame_from_down_rows(random_order_rows(random.Random(seed)))
             seen.add("frame")
         except ValidationError as e:
             seen.add(type(e).__name__)
@@ -1541,10 +1542,10 @@ def test_birkhoff_check_matches_the_scans_it_replaces(seed, shuffle):
         want = oracles.birkhoff_check_scan(rows)
     except ValidationError as e:
         with pytest.raises(ValidationError) as got:
-            L.frame_from_down_rows(rows)
+            derived.frame_from_down_rows(rows)
         assert (type(got.value), str(got.value)) == (type(e), str(e))
         return
-    f = L.frame_from_down_rows(rows)
+    f = derived.frame_from_down_rows(rows)
     assert (f.bottom, f.top, f.carriers(), f.coprimes()) == want
     assert f.down_rows() == rows
 
@@ -1561,7 +1562,7 @@ def test_frame_map_kernels_match_pair_scan(seed):
     t = random_map(rng, f)
     if rng.random() < 0.8:
         t[f.bottom], t[f.top] = f.bottom, f.top
-    fmap = L.FrameMap(f, f, t)
+    fmap = derived.FrameMap(f, f, t)
     style = rng.randrange(3)
     if style:
         ids = {f.bottom, f.top}
@@ -1571,8 +1572,8 @@ def test_frame_map_kernels_match_pair_scan(seed):
             for x in rng.sample(range(f.m), min(f.m, rng.randint(1, 3))):
                 ids |= {f.join(x, y) for y in ids}
         try:
-            sub, incl = L.subframe(f, ids)
-            fmap = L.FrameMap(f, sub, incl)
+            sub, incl = derived.subframe(f, ids)
+            fmap = derived.FrameMap(f, sub, incl)
         except ValidationError:
             pass
         if rng.random() < 0.3:
@@ -1588,13 +1589,13 @@ def test_frame_map_kernels_match_pair_scan(seed):
 
 def test_frame_map_validate_op_count_on_vertical_grid(monkeypatch):
     # the cones of an induced locale are closures, so its futures and pasts
-    # frames are subframes by the inclusion lemma of `olocale._cone_frame`,
+    # frames are subframes by the inclusion lemma of `derived._cone_frame`,
     # with no validate, and ideal points and the transport build neither;
     # every validate of the listed cone frames of the transport's general
     # path stays within 2 m (|J| + |P|) meets and joins on its target
     olx = S.induced_locale(gen.vertical_grid(3, 3), "em")
     calls, budgets = [0], []
-    meet, join, validate = L.FiniteFrame.meet, L.FiniteFrame.join, L.FrameMap.validate
+    meet, join, validate = L.FiniteFrame.meet, L.FiniteFrame.join, derived.FrameMap.validate
 
     def counted(op):
         def run(self, i, j):
@@ -1609,10 +1610,10 @@ def test_frame_map_validate_op_count_on_vertical_grid(monkeypatch):
 
     monkeypatch.setattr(L.FiniteFrame, "meet", counted(meet))
     monkeypatch.setattr(L.FiniteFrame, "join", counted(join))
-    monkeypatch.setattr(L.FrameMap, "validate", measured)
+    monkeypatch.setattr(derived.FrameMap, "validate", measured)
     D.ideal_points(olx)
     assert D.double_negation_transport(olx).ok
-    O.futures_frame(olx), O.pasts_frame(olx)
+    derived.futures_frame(olx), derived.pasts_frame(olx)
     assert budgets == []
     assert oracles.double_negation_transport_general(olx).ok
     assert len(budgets) >= 4 and all(used <= budget for used, budget in budgets), budgets
@@ -1636,7 +1637,7 @@ def test_subframe_matches_pair_loop(seed):
         except ValidationError as e:
             return type(e)
 
-    got, want = build(L.subframe), build(oracles.subframe_by_pairs)
+    got, want = build(derived.subframe), build(oracles.subframe_by_pairs)
     if isinstance(want, type):
         assert got is want
         return
@@ -1675,7 +1676,7 @@ def test_subframe_makes_no_ambient_leq_calls(monkeypatch):
         return leq(self, i, j)
 
     monkeypatch.setattr(L.FiniteFrame, "leq", counted)
-    sub, incl = L.subframe(f, olx.up_map, meta={"construction": "futures"})
+    sub, incl = derived.subframe(f, olx.up_map, meta={"construction": "futures"})
     assert sub.m == len(set(olx.up_map)) and calls == []
 
 
@@ -1853,7 +1854,7 @@ def transport_class(olx) -> str:
     whose rows miss the cone premise, or the identity (the transported
     cones are the ambient ones)."""
     f = olx.frame
-    if L.double_negation_frame(f)[0] is not f:
+    if derived.double_negation_frame(f)[0] is not f:
         return "not Boolean"
     if not O._cones_monotone(olx):
         return "not monotone"
@@ -1941,7 +1942,7 @@ def shuffled_frame(rng, f):
     rows = [0] * f.m
     for i in f.elements():
         rows[perm[i]] = mask_of_iter(perm[j] for j in bits(f.down_row(i)))
-    return L.frame_from_down_rows(rows)
+    return derived.frame_from_down_rows(rows)
 
 
 def ids_extend_order(f):
@@ -1969,7 +1970,7 @@ def random_sublattice(rng, f):
     while True:
         more = {g(a, b) for a in ids for b in ids for g in (f.meet, f.join)} - ids
         if not more:
-            return L.subframe(f, ids)[0]
+            return derived.subframe(f, ids)[0]
         ids |= more
 
 
@@ -2015,12 +2016,12 @@ def assert_base_checks_match_least_non_join(loc):
     elsewhere a join-irreducible that is no join of the generators."""
     f = loc.frame
     convex = oracles.convex_generators(loc)
-    cases = [(O.is_convex_locale(loc), convex)]
+    cases = [(derived.is_convex_locale(loc), convex)]
     cj = O.check_axiom(loc, "C-join")
     if cj.ok:
-        cases.append((O.is_biframe(loc), oracles.box_generators(loc)))
+        cases.append((derived.is_biframe(loc), oracles.box_generators(loc)))
     else:
-        assert O.is_biframe(loc).witness == cj.witness
+        assert derived.is_biframe(loc).witness == cj.witness
     extends = ids_extend_order(f)
     for rep, gens in cases:
         want = oracles.least_non_join(f, gens)
@@ -2156,8 +2157,8 @@ def cone_frame_outcome(build, *args):
 def assert_cone_frames_match_listed_images(key, olx):
     """Both cone frames, or their refusals, against the listed images and
     `subframe_by_pairs`."""
-    for name, label, build in (("u", "futures", O.futures_frame),
-                               ("d", "pasts", O.pasts_frame)):
+    for name, label, build in (("u", "futures", derived.futures_frame),
+                               ("d", "pasts", derived.pasts_frame)):
         assert cone_frame_outcome(build, olx) == \
             cone_frame_outcome(oracles.cone_frame_by_list, olx, name, label), (key, label)
 
@@ -2231,11 +2232,11 @@ def pt_test_frame(rng):
     if style == 1:
         return shuffled_frame(rng, f)
     if style == 2:
-        return L.double_negation_frame(f)[0]
+        return derived.double_negation_frame(f)[0]
     if style == 3:
         olx = S.induced_locale(sp, "em")
         if O.check_axiom(olx, "C-join").ok:
-            return O.futures_frame(olx)[0]
+            return derived.futures_frame(olx)[0]
     return f
 
 
@@ -2260,7 +2261,7 @@ def test_pt_masks_of_the_primes_read_no_rows(monkeypatch):
     # on powersets, topologies and down-row frames alike
     frames = [L.powerset_frame(4), gen.suite_instance("m22").frame,
               L.frame_from_topology(3, [0, 1, 3, 7]), L.frame_from_topology(2, [0, 3])]
-    frames.append(L.subframe(frames[2], frames[2].elements())[0])
+    frames.append(derived.subframe(frames[2], frames[2].elements())[0])
     calls = count_calls(monkeypatch, ((L, "rows_above"), (L.FiniteFrame, "up_row"),
                                       (L.FiniteFrame, "leq")))
     pms = [D.pt_masks(f) for f in frames]
@@ -2311,7 +2312,7 @@ def ideal_points_outcome(fn, olx):
 
 def test_cone_frame_inclusion_lemma_and_its_fallback(monkeypatch):
     # a closure cone's frame is a subframe by the inclusion lemma of
-    # `olocale._cone_frame`, with no validate; a join-preserving cone that
+    # `derived._cone_frame`, with no validate; a join-preserving cone that
     # is not inflationary (a swap of two points, a projection) or not
     # idempotent is validated, and its frame, refusal and ideal points are
     # those of the listed frame
@@ -2321,8 +2322,8 @@ def test_cone_frame_inclusion_lemma_and_its_fallback(monkeypatch):
     validated = {}
     for name, values in cases.items():
         olx = generator_cone_locale(f, values)
-        calls = count_calls(monkeypatch, ((L.FrameMap, "validate"),))
-        got = cone_frame_outcome(O.futures_frame, olx)
+        calls = count_calls(monkeypatch, ((derived.FrameMap, "validate"),))
+        got = cone_frame_outcome(derived.futures_frame, olx)
         validated[name] = calls["validate"]
         monkeypatch.undo()
         assert got == cone_frame_outcome(oracles.cone_frame_by_list, olx, "u", "futures"), name
@@ -2375,12 +2376,12 @@ def test_ideal_points_build_no_cone_frame(m33, monkeypatch):
     # the README tour's ideal points on M33 read the generator values only;
     # the cone frames it builds after them skip validate (closure cones)
     olx = S.induced_locale(m33, "em")
-    calls = count_calls(monkeypatch, ((L, "subframe"), (O, "_cone_frame"),
-                                      (L.FrameMap, "validate")))
+    calls = count_calls(monkeypatch, ((derived, "subframe"), (derived, "_cone_frame"),
+                                      (derived.FrameMap, "validate")))
     ips = D.ideal_points(olx)
     assert calls == {"subframe": 0, "_cone_frame": 0, "validate": 0}
     assert (len(ips.ips), len(ips.ifs), ips.negation_bijection) == (9, 9, True)
-    O.futures_frame(olx), O.pasts_frame(olx)
+    derived.futures_frame(olx), derived.pasts_frame(olx)
     assert calls == {"subframe": 2, "_cone_frame": 2, "validate": 0}
 
 
@@ -2390,7 +2391,7 @@ def test_cone_frames_of_40_point_discrete_space_refuse_before_the_closure():
     # allocated, where the closure would build 2**20 sets first
     import tracemalloc
     olx = S.induced_locale(S.OrderedSpace.build(40, []), "em")
-    for build in (O.futures_frame, O.pasts_frame):
+    for build in (derived.futures_frame, derived.pasts_frame):
         tracemalloc.start()
         with pytest.raises(FrameTooLarge, match="exceeds 1048576 elements"):
             build(olx)
