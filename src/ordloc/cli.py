@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import olocale as ol
 from . import ospace as osp
@@ -102,12 +103,18 @@ def _pairs(seq, n: int, path: str) -> list[tuple[int, int]]:
 
 
 def _opens(opens, n: int, path: str):
-    """"discrete", "codiscrete", or point masks from lists of point ids."""
+    """"discrete", "codiscrete", or point masks from lists of point ids.
+    The ids of all opens are checked at once, `type`, `min` and `max` at C
+    speed; the per-id check of `_ids` runs only to raise the first error."""
     if opens in ("discrete", "codiscrete"):
         return opens
     if not isinstance(opens, list):
         raise ParseError('opens must be "discrete", "codiscrete" or a list of '
                          f"point-id lists, got {opens!r}", path)
+    if set(map(type, opens)) <= {list}:
+        ids = list(chain.from_iterable(opens))
+        if set(map(type, ids)) <= {int} and (not ids or 0 <= min(ids) and max(ids) < n):
+            return [mask_of_iter(fam) for fam in opens]
     return [mask_of_iter(_ids(fam, n, path)) for fam in opens]
 
 

@@ -47,23 +47,38 @@ class GridSpec(lat.Value):
         self.defects = defects
 
 
-def _grid_labels(spec: GridSpec, alive) -> list[str]:
-    return [f"({t},{x})" for t in range(spec.t_size) for x in range(spec.x_size)
-            if (t, x) in alive]
+def _grid_rows(spec: GridSpec, slope: Fraction, steps) -> tuple[list[int], list[str]]:
+    """Band rows of the grid's alive points, and their labels.
 
-
-def _grid_points(spec: GridSpec):
-    dead = set(spec.defects)
-    alive = [(t, x) for t in range(spec.t_size) for x in range(spec.x_size)
-             if (t, x) not in dead]
-    index = {p: i for i, p in enumerate(alive)}
-    return alive, index
-
-
-def _cone_reaches(p: int, q: int, dt: int, dx: int) -> bool:
-    """|dx| <= (p/q) dt for dt >= 0, compared exactly in integers (q > 0),
-    with (p, q) the slope's `as_integer_ratio()`."""
-    return dt >= 0 and abs(dx) * q <= p * dt
+    Row (t, x) holds (t + d, x') for each d in `steps` with |x' - x| q <= p d,
+    (p, q) the slope's `as_integer_ratio()`, i.e. |x' - x| <= floor(p d / q).
+    Point (t, x) sits at bit t X + x of the full T x X grid, so row (0, x) is
+    the OR over d of one interval mask per time row, the 2r + 1 bits of the
+    band shifted up by x and down by r (r = floor(p d / q), capped at X) and
+    cut to the row, and row (t, x) is row (0, x) shifted by t X and cut at
+    the grid's end.  Each dead position is then squeezed out of every row
+    (the bits above it move down by one), and its own row dropped: the rows
+    restricted to the alive points.
+    """
+    t_size, x_size = spec.t_size, spec.x_size
+    p, q = slope.as_integer_ratio()
+    line = (1 << x_size) - 1
+    first = [0] * x_size
+    for d in steps:
+        r = min(p * d // q, x_size)
+        band, at = (2 << 2 * r) - 1, d * x_size
+        first = [row | (band << x >> r & line) << at for x, row in enumerate(first)]
+    full = (1 << t_size * x_size) - 1
+    rows = [r << t * x_size & full for t in range(t_size) for r in first]
+    labels = [f"({t},{x})" for t in range(t_size) for x in range(x_size)]
+    if spec.defects:
+        dead = sorted({t * x_size + x for t, x in spec.defects}, reverse=True)
+        for i in dead:
+            del rows[i], labels[i]
+        for i in dead:
+            low = (1 << i) - 1
+            rows = [r & low | r >> 1 & ~low for r in rows]
+    return rows, labels
 
 
 def minkowski_grid(spec: GridSpec) -> OrderedSpace:
@@ -72,6 +87,16 @@ def minkowski_grid(spec: GridSpec) -> OrderedSpace:
     Removed points recompute the order as reachability through survivors
     along single-step moves (the covering relation), so defects genuinely
     break causal chains instead of keeping long-range shortcuts.
+
+    Lemma: the rows are band masks (`_grid_rows`).  (t, x) <= (t', x')
+    depends only on (t' - t, x' - x), so row (t, x) is row (0, x) shifted by
+    t X and cut at the grid's end.  Without defects the cone relation is
+    reflexive (d = 0) and transitive (|dx| q <= p d and |dx'| q <= p e give
+    |dx + dx'| q <= p (d + e)), so the band rows are closed.  With defects
+    the rows are the single steps (d = 1, reach floor(p / q)); squeezing
+    the dead positions out removes every step into or out of a dead point,
+    and `lattice.transitive_closure_rows` closes the steps between alive
+    points.
 
     Lemma: `diamond_basis` is the discrete topology.  A diamond
     up(a) & down(b) holds p iff a <= p <= b, and then it contains
@@ -82,23 +107,10 @@ def minkowski_grid(spec: GridSpec) -> OrderedSpace:
     """
     if spec.up_slope != spec.down_slope:
         raise SlopesUnequal("minkowski_grid needs equal slopes; use two_speed_grid")
-    alive, index = _grid_points(spec)
-    n = len(alive)
-    p, q = spec.up_slope.as_integer_ratio()
-    rows = [0] * n
+    rows, labels = _grid_rows(spec, spec.up_slope, (1,) if spec.defects else range(spec.t_size))
     if spec.defects:
-        for i, (t, x) in enumerate(alive):
-            for x2 in range(spec.x_size):
-                if _cone_reaches(p, q, 1, x2 - x) and (t + 1, x2) in index:
-                    rows[i] |= 1 << index[(t + 1, x2)]
         rows = lat.transitive_closure_rows(rows)
-    else:
-        # the cone relation is reflexive and transitive: the rows are closed
-        for i, (t, x) in enumerate(alive):
-            for j, (t2, x2) in enumerate(alive):
-                if _cone_reaches(p, q, t2 - t, x2 - x):
-                    rows[i] |= 1 << j
-    labels = _grid_labels(spec, set(alive))
+    n = len(rows)
     name = f"M{spec.t_size}{spec.x_size}" + ("-defects" if spec.defects else "")
     opens = "codiscrete" if spec.topology == "codiscrete" else "discrete"
     return OrderedSpace(n, rows, osp.topology(n, opens, labels), labels=labels, name=name)
@@ -109,24 +121,15 @@ def two_speed_grid(spec: GridSpec) -> OrderedLocale:
 
     Returns the ordered locale from the two cone monads on the discrete
     topology; parallel orderedness is expected to fail iff the slopes
-    differ.
+    differ.  The future rows are the band rows at the up slope, the past
+    rows the transpose of the band rows at the down slope (`_grid_rows`).
     """
     if spec.topology != "discrete":
         raise ValidationError("two_speed_grid wants the discrete topology")
-    alive, _ = _grid_points(spec)
-    n = len(alive)
-    up_rows = [0] * n
-    down_rows = [0] * n
-    up = spec.up_slope.as_integer_ratio()
-    down = spec.down_slope.as_integer_ratio()
-    for i, (t, x) in enumerate(alive):
-        for j, (t2, x2) in enumerate(alive):
-            if _cone_reaches(*up, t2 - t, x2 - x):
-                up_rows[i] |= 1 << j
-            if _cone_reaches(*down, t - t2, x - x2):
-                down_rows[i] |= 1 << j
-    space = OrderedSpace.build(n, [], opens="discrete",
-                               labels=_grid_labels(spec, set(alive)),
+    up_rows, labels = _grid_rows(spec, spec.up_slope, range(spec.t_size))
+    down_rows = lat.transpose_rows(_grid_rows(spec, spec.down_slope, range(spec.t_size))[0])
+    n = len(up_rows)
+    space = OrderedSpace.build(n, [], opens="discrete", labels=labels,
                                name=f"two_speed_{spec.t_size}x{spec.x_size}")
     pair = ol.ConePair(space.frame, lat.SubsetCone(n, 0, up_rows),
                        lat.SubsetCone(n, 0, down_rows))

@@ -562,6 +562,28 @@ def transitive_closure_rows(rows: list[int]) -> list[int]:
     return unpack_rows(x, width, n)
 
 
+def is_preorder(rows: Sequence[int]) -> bool:
+    """Are n square successor bitmask rows reflexive and transitive?
+
+    The rows are packed at stride n + 1, row i at bit (n + 1) i, so the
+    diagonal bits (i, i) sit at stride n + 2 and each row keeps a clear top
+    bit.  Transitivity is R o R inside R: row k inside every row holding k.
+    For each k, (x >> k & E) * row_k, E bit 0 of every row, is the sum of
+    row_k << (n + 1) i over the rows i holding k; its terms do not overlap,
+    so the product is carry-free, and it must lie inside x.  n products of
+    n (n + 1) bits, with no per-pair work.
+    """
+    n = len(rows)
+    s, x = n + 1, 0
+    for r in reversed(rows):
+        x = x << s | r
+    diagonal = ((1 << (s + 1) * n) - 1) // ((1 << s + 1) - 1)
+    if x & diagonal != diagonal:
+        return False
+    ones = ((1 << s * n) - 1) // ((1 << s) - 1)
+    return not any((x >> k & ones) * r & ~x for k, r in enumerate(rows))
+
+
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}   # widths `struct` converts in one call
 
 

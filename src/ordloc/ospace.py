@@ -9,6 +9,7 @@ of a space (open cones, separation, convexity, chain coverage) in `derived`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Sequence
 
 from . import lattice as lat
@@ -19,7 +20,15 @@ from .olocale import OrderedLocale
 
 
 class OrderedSpace:
-    """Finite point set + preorder + topology."""
+    """Finite point set + preorder + topology.
+
+    The constructor takes the point rows as given and does not check that
+    they are a preorder: `build` closes its pairs, and `gen` builds closed
+    rows.  The check is made where the rows become cones: `induced_locale`
+    tests the rows of a discrete space once (`lattice.is_preorder`, memoized
+    in `_cone_cache`), and rows that fail reach `ConePair.validate`, which
+    names the monad law that breaks; on listed opens `validate` decides.
+    """
 
     def __init__(self, n: int, up_rows: list[int], frame: FiniteFrame,
                  labels=None, name: str = ""):
@@ -75,47 +84,46 @@ def topology(n, opens, labels) -> FiniteFrame:
     return lat.frame_from_topology(n, masks, labels=labels)
 
 
-def _cone_maps(space: OrderedSpace) -> tuple[Sequence[int], Sequence[int], dict]:
-    """Pointwise cone of every open, as frame elements (interiors taken),
-    and the join memo of each cone known to preserve joins: generator-form
-    `SubsetCone`s on powerset frames (every subset is open, and the cone of
-    a subset is the OR of its points' cones, so the transposed point rows
-    of one cone are the other's), lists elsewhere.
+def _cone(space: OrderedSpace, name: str) -> tuple[Sequence[int], bool]:
+    """The pointwise cone `name` ("u" future, "d" past) of every open, as
+    frame elements (interiors taken), and whether it is known to preserve
+    joins: a generator-form `SubsetCone` on a powerset frame (every subset
+    is open, and the cone of a subset is the OR of its points' cones, so the
+    transposed point rows of one cone are the other's), a list elsewhere.
 
     Lemma: for every open U, up(U) is the union of up(p) over p in U, so
     if up(U) is open for all U, then int(up(U)) = up(U) and U -> up(U)
     preserves unions, this frame's joins (and dually).  Every value is
-    tested, so the memo holds {name: None} exactly for the cones whose
-    values are all open (and for a `SubsetCone`).  On listed opens the
-    point rows' `SubsetCone`s are read where their tables are no larger than
-    the frame: on the six explicit-docs spaces (256 and 729 opens) the
-    cone maps take 1.36 ms from the tables and 4.38 ms by point-cone ORs
-    (median of 41, in process).  Cached on the space, so the induced
-    locales share them."""
-    cached = space._cone_cache.get("maps")
+    tested, so the flag is True exactly for a cone whose values are all
+    open (and for a `SubsetCone`).  On listed opens the point rows'
+    `SubsetCone` is read where its tables are no larger than the frame: on
+    the six explicit-docs spaces (256 and 729 opens) the cone maps take
+    1.36 ms from the tables and 4.38 ms by point-cone ORs (median of 41, in
+    process).  Cached on the space per side, so the induced locales share
+    them and the upper and lower variants build only the side they read."""
+    cached = space._cone_cache.get(name)
     if cached is not None:
         return cached
     f = space.frame
-    joins = {"u": None, "d": None}
+    rows, cols = (space.up, space.down) if name == "u" else (space.down, space.up)
     if f.kind == "powerset":
-        up_map = SubsetCone(space.n, 0, space.up, cols=space.down)
-        down_map = SubsetCone(space.n, 0, space.down, cols=space.up)
+        cached = SubsetCone(space.n, 0, rows, cols=cols), True
     else:
-        def value(name: str, c: int) -> int:
+        joins = True
+
+        def value(c: int) -> int:
+            nonlocal joins
             try:
                 return f.id_of_mask(c)
             except KeyError:
-                joins.pop(name, None)
+                joins = False
                 return f.interior(c)
 
         tabled = 1 << space.n - space.n // 2 <= f.m
-        masks = [f.mask_of(i) for i in f.elements()]
-        up = SubsetCone(space.n, 0, space.up).__getitem__ if tabled else space.up_mask
-        down = SubsetCone(space.n, 0, space.down).__getitem__ if tabled else space.down_mask
-        up_map = [value("u", up(e)) for e in masks]
-        down_map = [value("d", down(e)) for e in masks]
-    space._cone_cache["maps"] = up_map, down_map, joins
-    return up_map, down_map, joins
+        cone = SubsetCone(space.n, 0, rows).__getitem__ if tabled else partial(lat.or_rows, rows)
+        cached = [value(cone(f.mask_of(i))) for i in f.elements()], joins
+    space._cone_cache[name] = cached
+    return cached
 
 
 def _top_cone(space: OrderedSpace) -> Sequence[int]:
@@ -138,23 +146,38 @@ def induced_locale(space: OrderedSpace, variant: str = "em") -> OrderedLocale:
       em:    U <= V  iff  V inside upcone(U) and U inside downcone(V)
       upper: U <= V  iff  V inside upcone(U)
       lower: U <= V  iff  U inside downcone(V)
+
+    Lemma: on a powerset frame whose point rows are a preorder the pair is
+    a monad pair, certified by one packed test of the rows
+    (`lattice.is_preorder`, memoized on the space).  The point-cone map
+    s -> OR{up[b] : b in s} is inflationary, as the rows are reflexive;
+    idempotent, as they are transitive; and it preserves joins by the
+    `SubsetCone` lemma, so it is monotone.  The transposed rows are a
+    preorder too, and the constant-top map is a closure.  Where the test
+    fails, or on listed opens, `ConePair.validate` decides and names the
+    least witness.
     """
     f = space.frame
-    up_map, down_map, joins = _cone_maps(space)
-    if variant == "em":
-        pair = ol.ConePair(f, up_map, down_map, dict(joins))
-    elif variant == "upper":
-        pair = ol.ConePair(f, up_map, _top_cone(space), {**joins, "d": None})
-    elif variant == "lower":
-        pair = ol.ConePair(f, _top_cone(space), down_map, {**joins, "u": None})
-    else:
+    if variant not in ("em", "upper", "lower"):
         raise ValidationError(f"unknown variant {variant!r}")
-    # interiors of pointwise cones are always monads on the open-set lattice;
-    # the constant-top cone and a list cone of open values (`_cone_maps`)
-    # preserve joins, so validation checks them at bottom and J only
-    loc = ol.ordered_locale_from_monads(pair, meta={"variant": variant,
-                                                    "space": space.name})
+    top = None if variant == "em" else (_top_cone(space), True)
+    up = top if variant == "lower" else _cone(space, "u")
+    down = top if variant == "upper" else _cone(space, "d")
+    pair = ol.ConePair(f, up[0], down[0],
+                       {name: None for name, (_, joins) in (("u", up), ("d", down)) if joins})
+    certified = f.kind == "powerset" and _is_preorder(space)
+    pair.monotone = certified or None
+    loc = ol.ordered_locale_from_monads(pair, validated=certified,
+                                        meta={"variant": variant, "space": space.name})
     rep = ol.check_axiom(loc, "V")
     if not rep.ok:
         raise ValidationError(f"induced locale lost join closure: {rep.pretty(f)}")
     return loc
+
+
+def _is_preorder(space: OrderedSpace) -> bool:
+    """`lattice.is_preorder` of the point rows, memoized on the space."""
+    ok = space._cone_cache.get("preorder")
+    if ok is None:
+        ok = space._cone_cache["preorder"] = lat.is_preorder(space.up)
+    return ok

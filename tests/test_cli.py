@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordloc import cli, derived, duality as D, gen, lattice as L, olocale as O, ospace as S
+from ordloc.errors import ParseError
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -141,6 +142,35 @@ def test_cli_rejects_malformed_space_documents(field, message):
     out = run_in_process(["check", "-"], doc)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("opens, message", [
+    ([[0], [1, True]], "True is not an integer id"),
+    ([[0], [1.0]], "1.0 is not an integer id"),
+    ([[0, "1"], [2]], "'1' is not an integer id"),
+    ([[0], [], [1, -1]], "id -1 out of range 0..2"),
+    ([[1], [0, 3, "x"]], "id 3 out of range 0..2"),
+    ([[0], [2, None]], "None is not an integer id"),
+    ([[0], {"1": 1}], "expected a list of ids, got {'1': 1}"),
+    ([[0], "", [5]], "expected a list of ids, got ''"),
+    ([[0], 7], "expected a list of ids, got 7"),
+    ([[0], [2 ** 70]], f"id {2 ** 70} out of range 0..2"),
+], ids=["bool", "float", "string", "negative", "too-large", "null", "object",
+        "empty-string", "number", "huge"])
+def test_opens_are_checked_in_bulk_with_the_first_error_of_the_per_id_check(opens, message):
+    # the ids of all opens are checked at once; a bad one sends the family
+    # through the per-id check, whose first error is raised unchanged
+    with pytest.raises(ParseError) as bulk:
+        cli._opens(opens, 3, "opens")
+    with pytest.raises(ParseError) as per_id:
+        [cli._ids(fam, 3, "opens") for fam in opens]
+    assert str(bulk.value) == str(per_id.value) == f"{message} (at opens)"
+
+
+def test_opens_in_bulk_give_the_masks_of_the_per_id_check():
+    opens = [[], [0], [2, 0, 2], [1, 2, 0], [1]]
+    assert cli._opens(opens, 3, "opens") == [0, 1, 5, 7, 2]
+    assert cli._opens([], 3, "opens") == []
 
 
 M22_DOC = "m22"   # stands for the serialized m22 space

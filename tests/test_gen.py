@@ -185,6 +185,48 @@ def test_integer_slopes_match_fraction_rows(t, x, up, down, topology, cells):
         oracles.fraction_cone_rows(alive, down))
 
 
+def _all_but(t, x, keep):
+    return tuple((a, b) for a in range(t) for b in range(x) if (a, b) != keep)
+
+
+# (t, x, slope, defects): one-row and one-column grids, reaches wider than
+# the grid (slopes 3 and 5/2), defects in the first and last time rows, and
+# grids where every cell but one is dead
+BAND_EDGES = [
+    (1, 5, "1", ()), (1, 1, "2", ()), (4, 1, "1/2", ()), (5, 1, "3", ()),
+    (3, 3, "3", ()), (2, 5, "5/2", ()), (4, 3, "5/2", ()), (3, 2, "3", ((1, 0),)),
+    (1, 4, "1", ((0, 2),)), (4, 1, "1/2", ((3, 0),)), (3, 4, "1", ((0, 0), (2, 3))),
+    (3, 4, "5/2", ((0, 3), (2, 0))), (4, 4, "3", ((0, 1), (3, 2), (3, 3))),
+    (3, 3, "1", _all_but(3, 3, (1, 1))), (2, 4, "5/2", _all_but(2, 4, (0, 0))),
+    (4, 2, "1/2", _all_but(4, 2, (3, 1))), (1, 1, "3", ()),
+]
+
+
+@pytest.mark.parametrize("t, x, slope, defects", BAND_EDGES)
+def test_band_rows_match_fraction_rows_at_the_edges(t, x, slope, defects):
+    # the band form (gen._grid_rows): rows, labels and name as the
+    # Fraction-arithmetic rows give them, for minkowski_grid and for both
+    # cones of two_speed_grid (whose rows are the cones restricted to the
+    # alive points, with no closure)
+    slope = Fraction(slope)
+    alive = _alive(t, x, defects)
+    labels = [f"({a},{b})" for a, b in alive]
+    if defects:
+        rows = L.transitive_closure_rows(oracles.fraction_cone_rows(alive, slope, step=True))
+    else:
+        rows = oracles.fraction_cone_rows(alive, slope)
+    sp = gen.minkowski_grid(gen.GridSpec(t, x, slope, slope, defects=defects))
+    assert (list(sp.up), sp.labels, sp.name) == \
+        (rows, labels, f"M{t}{x}" + ("-defects" if defects else ""))
+    other = 1 / slope
+    ts = gen.two_speed_grid(gen.GridSpec(t, x, slope, other, defects=defects))
+    points = [1 << i for i in range(len(alive))]
+    assert [ts.cones.u[p] for p in points] == oracles.fraction_cone_rows(alive, slope)
+    assert [ts.cones.d[p] for p in points] == L.transpose_rows(
+        oracles.fraction_cone_rows(alive, other))
+    assert ts.frame.labels == labels
+
+
 def _space_key(sp):
     f = sp.frame
     opens = None if f.kind == "powerset" else [f.mask_of(i) for i in f.elements()]

@@ -376,3 +376,20 @@ def test_transitive_closure_rows_matches_the_fixpoint(n, seed):
     given_rows = list(rows)
     assert L.transitive_closure_rows(rows) == oracles.transitive_closure_loop(rows)
     assert rows == given_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 10_000), st.sampled_from(("raw", "closed", "flipped")))
+def test_is_preorder_matches_its_definition(n, seed, kind):
+    # reflexive (i in row i) and transitive (k in row j, j in row i give k
+    # in row i), by the triple loop, on raw relations, their closures and
+    # closures with one bit flipped
+    rng = random.Random(seed)
+    rows = random_relation(rng, n)
+    if kind != "raw":
+        rows = L.transitive_closure_rows(rows)
+    if kind == "flipped" and n:
+        rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    definition = all(rows[i] >> i & 1 for i in range(n)) and all(
+        rows[i] >> k & 1 for i in range(n) for j in L.bits(rows[i]) for k in L.bits(rows[j]))
+    assert L.is_preorder(rows) == definition

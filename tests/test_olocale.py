@@ -657,7 +657,7 @@ def test_frobenius_on_grids_reads_the_carried_point_columns(monkeypatch):
     spaces = [gen.minkowski_grid(gen.GridSpec(4, 4)), gen.vertical_grid(3, 3),
               gen.minkowski_grid(gen.GridSpec(3, 4, defects=((1, 2),)))]
     for sp in spaces:
-        for cone in (*S._cone_maps(sp)[:2], S._top_cone(sp)):
+        for cone in (S._cone(sp, "u")[0], S._cone(sp, "d")[0], S._top_cone(sp)):
             assert cone.cols == L.transpose_rows([cone[1 << b] for b in range(sp.n)])
     expect = []
     with pytest.MonkeyPatch.context() as mp:

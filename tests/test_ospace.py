@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from ordloc import derived, gen, lattice as L, ospace as S
+from ordloc import derived, gen, lattice as L, olocale as O, ospace as S
 from ordloc.lattice import bits, mask_of_iter
 
 from conftest import count_calls, grid
@@ -140,13 +140,40 @@ def test_open_cones_take_no_interior_and_no_join_fold(monkeypatch):
     assert calls == {"interior": 0, "_fold_failure": 0}
 
 
+def test_grid_requests_build_one_point_cone_and_certify_once(monkeypatch):
+    # a one-sided variant builds only the point cone it reads (the other is
+    # the constant top), and the packed preorder test certifies the pair:
+    # no cone is tested at J, and the test runs once per space
+    built = []
+    init = L.SubsetCone.__init__
+
+    def counted(self, n, base, values, cols=None):
+        built.append(values)
+        init(self, n, base, values, cols)
+
+    monkeypatch.setattr(L.SubsetCone, "__init__", counted)
+    calls = count_calls(monkeypatch, ((O, "_is_closure"), (L, "is_preorder")))
+    sp = gen.minkowski_grid(gen.GridSpec(4, 4))
+    loc = S.induced_locale(sp, "upper")
+    for law in O.ALL_AXIOMS:
+        O.check_axiom(loc, law)
+    point_cones = [v for v in built if v is sp.up or v is sp.down]
+    assert point_cones == [sp.up] and calls == {"_is_closure": 0, "is_preorder": 1}
+    for v in ("em", "upper", "lower"):
+        S.induced_locale(sp, v)
+    assert calls == {"_is_closure": 0, "is_preorder": 1}
+    assert len([v for v in built if v is sp.up or v is sp.down]) == 2
+    S.induced_locale(gen.minkowski_grid(gen.GridSpec(3, 3)), "em")
+    assert calls == {"_is_closure": 0, "is_preorder": 2}
+
+
 def test_cone_with_a_value_that_is_not_open_keeps_interior_and_fold(monkeypatch):
     # the up cone of {*} is {*, 0}, not open: the up cone takes its interior
     # and is folded; the down cone's values are all open
     non_oc = gen.non_OC_example()
     calls = count_calls(monkeypatch, ((L.FiniteFrame, "interior"), (L, "_fold_failure")))
     loc = S.induced_locale(non_oc, "em")
-    assert S._cone_maps(non_oc)[2] == {"d": None}
+    assert [S._cone(non_oc, name)[1] for name in "ud"] == [False, True]
     assert calls == {"interior": 1, "_fold_failure": 1}
     assert loc.cones.join_failure("u") == L.join_failure(non_oc.frame, loc.up_map)
 

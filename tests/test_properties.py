@@ -311,6 +311,55 @@ def test_dod_closed_form_matches_column_loop_on_grids(size, data):
 # -- axiom checker cross-routes ---------------------------------------------------------
 
 
+def _monad_route_outcome(build):
+    """The 11 law reports of the locale `build()` gives, or its refusal as
+    (type, law, witness, message)."""
+    try:
+        loc = build()
+    except OrdlocError as e:
+        return type(e).__name__, getattr(e, "law", None), getattr(e, "witness", None), str(e)
+    return [report_outcome(lambda x: O.check_axiom(x, law), loc) for law in O.ALL_AXIOMS]
+
+
+def _validated_route(sp, variant):
+    """The induced locale with both cones tested by `ConePair.validate`."""
+    f, n = sp.frame, sp.n
+    up = L.SubsetCone(n, 0, sp.up, cols=sp.down)
+    down = L.SubsetCone(n, 0, sp.down, cols=sp.up)
+    top = L.SubsetCone(n, f.top, [0] * n, cols=[f.top] * n)
+    pair = O.ConePair(f, top if variant == "lower" else up, top if variant == "upper" else down,
+                      {"u": None, "d": None})
+    loc = O.ordered_locale_from_monads(pair, meta={"variant": variant, "space": sp.name})
+    rep = O.check_axiom(loc, "V")
+    if not rep.ok:
+        raise ValidationError(f"induced locale lost join closure: {rep.pretty(f)}")
+    return loc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1),
+                                                    min_size=n, max_size=n)),
+       st.sampled_from(("raw", "closed", "closed, one bit flipped")), st.data())
+def test_preorder_certificate_matches_validate(rows, kind, data):
+    # on a powerset frame induced_locale certifies the monad pair by one
+    # packed preorder test of the point rows; preorders or not, every
+    # variant gives the 11 reports of the pair tested by ConePair.validate,
+    # or the same NotAMonad (law and witness)
+    n = len(rows)
+    if kind != "raw":
+        rows = L.transitive_closure_rows(rows)
+    if kind == "closed, one bit flipped":
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i] ^= 1 << j
+    for variant in ("em", "upper", "lower"):
+        sp = S.OrderedSpace(n, list(rows), L.powerset_frame(n), name="random")
+        got = _monad_route_outcome(lambda: S.induced_locale(sp, variant))
+        want = _monad_route_outcome(lambda: _validated_route(sp, variant))
+        assert got == want, (rows, variant)
+        # the cone of a point set is a closure iff the rows are a preorder
+        assert isinstance(got, list) == L.is_preorder(rows), (rows, variant, got)
+
+
 def test_open_cone_certificate_matches_interior_oracle():
     # induced locales take a cone value without an interior where it is open
     # and skip the join fold of a cone whose values are all open: their cone
@@ -337,7 +386,7 @@ def test_open_cone_certificate_matches_interior_oracle():
                 assert loc.cones.join_failure(name) == want.cones.join_failure(name)
             assert (loc.up_map, loc.down_map) == pair, (sp.up, v)
         if f.kind != "powerset":
-            cases.add(tuple(sorted(S._cone_maps(sp)[2])))
+            cases.add(tuple(name for name in "du" if S._cone(sp, name)[1]))
     assert cases == {(), ("u",), ("d",), ("d", "u")}
 
 
@@ -2403,17 +2452,17 @@ def test_cone_frames_of_40_point_discrete_space_refuse_before_the_closure():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 100_000))
 def test_cone_maps_on_listed_opens_match_interior_cones(seed):
-    # `ospace._cone_maps` reads point-set cones from SubsetCone tables on
-    # listed opens; the values and the join memo match the interiors of
+    # `ospace._cone` reads point-set cones from SubsetCone tables on
+    # listed opens; the values and the join flags match the interiors of
     # the unions of point cones
     rng = random.Random(seed)
     sp = random_topology_space(rng)
     if sp.frame.kind == "powerset":
         return
-    up, down, joins = S._cone_maps(sp)
+    (up, up_joins), (down, down_joins) = S._cone(sp, "u"), S._cone(sp, "d")
     assert (list(up), list(down)) == oracles.interior_cone_maps(sp)
     f = sp.frame
     masks = [f.mask_of(u) for u in f.elements()]
     open_values = {"u": all(f.has_mask(sp.up_mask(e)) for e in masks),
                    "d": all(f.has_mask(sp.down_mask(e)) for e in masks)}
-    assert joins == {name: None for name, ok in open_values.items() if ok}
+    assert {"u": up_joins, "d": down_joins} == open_values
