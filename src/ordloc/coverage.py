@@ -421,7 +421,9 @@ class DependenceResult:
 
 
 def region_of_influence(frame: FiniteFrame, cov_rows: list[int], u: int) -> int:
-    """L(U) = join of the covering regions of U (rows of `coverage_rows`)."""
+    """L(U) = join of the covering regions of U (rows of `coverage_rows`):
+    the paper's region of influence of U under a causal coverage, which
+    the tests compare with the cones (L- = down, L+ = up)."""
     return frame.join_of_idmask(cov_rows[u])
 
 
@@ -454,76 +456,6 @@ def domain_of_dependence(olx: OrderedLocale, a: int,
     members = [u for u in inside if a == u or a == down[u]]
     pending = len(inside) - len(members)
     return DependenceResult(f.join_all(members), not pending, pending)
-
-
-# -- abstract coverage axioms ----------------------------------------------------
-
-
-def _norm_table(frame: FiniteFrame, cov) -> list[int]:
-    rows = [0] * frame.m
-    if isinstance(cov, dict):
-        items = cov.items()
-    else:
-        items = enumerate(cov)
-    for u, members in items:
-        if isinstance(members, int):
-            rows[u] = members
-        else:
-            rows[u] = mask_of_iter(members)
-    return rows
-
-
-def abstract_coverage_check(frame: FiniteFrame, cov_minus, cov_plus) -> list[CheckReport]:
-    """Verify the causal-coverage axioms (C1)-(C5) on explicit tables.  A
-    failure names the least witness of the scan over Cov-, then Cov+."""
-    f = frame
-    minus, plus = _norm_table(f, cov_minus), _norm_table(f, cov_plus)
-
-    def c2(rows):
-        # Cov(U1 v U2) == {A1 v A2}; nullary join forces Cov(bottom)={bottom}
-        if rows[f.bottom] != 1 << f.bottom:
-            return (f.bottom,)
-        return next(((u1, u2) for u1 in f.elements() for u2 in f.elements()
-                     if rows[f.join(u1, u2)] != mask_of_iter(
-                         f.join(a1, a2) for a1 in bits(rows[u1]) for a2 in bits(rows[u2]))),
-                    None)
-
-    def c3(rows):
-        # transitivity: the least b of a member a's cover outside Cov(U)
-        return next(((next(bits(rows[a] & ~rows[u])), a, u) for u in f.elements()
-                     for a in bits(rows[u]) if rows[a] & ~rows[u]), None)
-
-    def c4(rows):
-        # interval closure: members a <= c <= b exist iff c is in up_row(a)
-        # and below some member; the least such a, then b, then c is the
-        # least (a, c, b, u) of the member-pair scan
-        for u in f.elements():
-            below = 0
-            for b in bits(rows[u]):
-                below |= f.down_row(b)
-            for a in bits(rows[u]):
-                out = f.up_row(a) & ~rows[u]
-                if out & below:
-                    b = next(b for b in bits(rows[u]) if f.down_row(b) & out)
-                    gap = f.down_row(b) & out
-                    return a, (gap & -gap).bit_length() - 1, b, u
-        return None
-
-    def c5(rows, other):
-        # flip: each member A of Cov(U) has some W >= U in the other Cov(A)
-        return next(((a, u) for u in f.elements() for a in bits(rows[u])
-                     if not any(f.leq(u, w) for w in bits(other[a]))), None)
-
-    witnesses = {
-        "C1": next(((u,) for u in f.elements()
-                    if not (minus[u] >> u & 1 and plus[u] >> u & 1)), None),
-        "C2": c2(minus) or c2(plus),
-        "C3": c3(minus) or c3(plus),
-        "C4": c4(minus) or c4(plus),
-        "C5": c5(minus, plus) or c5(plus, minus),
-    }
-    return [CheckReport(law, "pass", None, "exhaustive") if w is None
-            else CheckReport(law, "fail", w, "") for law, w in witnesses.items()]
 
 
 # -- Grothendieck axioms ----------------------------------------------------------

@@ -2,13 +2,13 @@
 
 The paper's layer above the laws (L3), and the builders only it uses:
 
-* frames from down rows (Birkhoff), subframes, frame maps and their
-  right adjoints, the double-negation and ideal frames;
+* subframes built on their join-irreducibles (Birkhoff), frame maps and
+  their right adjoints, the double-negation and ideal frames;
 * monotone locale maps, convex hulls, causal complements and diamonds,
   the futures and pasts frames, the biframe and convexity predicates,
   the causal Heyting implication and the regular-cones check;
-* space properties: open cones, T0 and sober, ordered T0, pointwise
-  convexity, chain coverage and pointwise domains of dependence;
+* space properties: open cones, T0 and sober, ordered T0 and pointwise
+  convexity;
 * the DOT export of a locale's frame.
 
 `lattice`, `olocale` and `ospace` hold what `check` runs, and none of
@@ -20,8 +20,6 @@ at load.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import deque
 from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
@@ -31,122 +29,77 @@ from .errors import (
     ConesDoNotPreserveJoins,
     FrameTooLarge,
     NotAFrameMap,
-    NotALattice,
+    NotClosedUnderJoin,
+    NotClosedUnderMeet,
     NotDistributive,
     ValidationError,
 )
-from .lattice import (SUBSET_LIMIT, FiniteFrame, PointSet, _fold_failure, bits,
-                      inclusion_rows, join_failure, mask_of_iter, popcount,
-                      transpose_rows)
+from .lattice import (SUBSET_LIMIT, FiniteFrame, PointSet, _closed_nbhds, _fold_failure, bits,
+                      inclusion_rows, join_failure, transpose_rows)
 from .olocale import CheckReport, OrderedLocale, _fail, _ok, check_axiom
 from .ospace import OrderedSpace
 
 
-# -- frames from down rows ---------------------------------------------------
+# -- frames on their join-irreducibles ----------------------------------------
 
 
-def frame_from_down_rows(down_rows: list[int], *, ext=None, base_size=None,
-                         labels=None, meta=None) -> FiniteFrame:
-    """Frame of the order whose row i is the id-bitmask {j : j <= i}, carried
-    by car[x] = J & down(x), the join-irreducibles below x.
-
-    Birkhoff: a finite poset is a distributive lattice iff x -> J & down(x)
-    is an order isomorphism onto the down-sets of J (Davey & Priestley,
-    ch. 5).  In a lattice x is in J iff its strict down row is a down row
-    (its unique lower cover's): m dict lookups.  The order is accepted iff
-    (a) car is injective and takes the value 0;
-    (b) up(x) is the AND of up(j) over j in car[x], i.e. x <= y iff
-        car[x] <= car[y] (the lemma of `lattice.rows_above`), so the order is a
-        partial order isomorphic to the carriers under inclusion;
-    (c) car[x] | car[j] is a carrier for every x and every j in J.
-    Lemma: the carriers are then exactly the down-sets of J (each is one
-    by (b), and closing 0 under | car[j] reaches the union of the car[j]
-    of any set of j), so meets and joins are carrier ANDs and ORs.  Every
-    finite distributive lattice passes: x is the join of car[x], and
-    car[x] | car[j] = car[x | j].
-    Prefix lemma: given (a), (b) holds iff up(x) = up(p) & up(h) for each x
-    whose carrier less its highest bit h is car[p] (induction on |car[x]|);
-    other x take the AND over car[x].  Extension lemma: where each j is the
-    highest bit of car[j], the highest bit h of a down-set d of J is maximal
-    in d and d = (d - h) | car[h], d - h < 2^h: (c) over the carriers below
-    2^j suffices, and every p exists (m - 1 lookups on a powerset).
-
-    A failure re-runs the definitions of a lattice (error path only) and
-    raises NotALattice with the first one broken.  A lattice can only fail
-    (c), at some (x, j): then some j' in car[x | j] is below neither x nor
-    j, and j' & (x | j) = j' is not (j' & x) | (j' & j), which lies below
-    the join-irreducible j' strictly: NotDistributive names (j', x, j).
-    """
-    m = len(down_rows)
-    up_rows = transpose_rows(down_rows)
-    downs = set(down_rows)
-    irreducibles = [x for x, r in enumerate(down_rows) if r ^ 1 << x in downs]
-    jmask = mask_of_iter(irreducibles)
-    car = [r & jmask for r in down_rows]
-    id_of = {c: x for x, c in enumerate(car)}
-    ok = 0 in id_of and len(id_of) == m and up_rows[id_of[0]] == (1 << m) - 1
-    for c, u in zip(car, up_rows) if ok else ():     # (b) by the prefix lemma
-        h = c.bit_length() - 1
-        p = id_of.get(c ^ 1 << h) if c else None
-        if c and u != (up_rows[p] & up_rows[h] if p is not None else
-                       reduce(and_, map(up_rows.__getitem__, bits(c)))):
-            ok = False
-            break
-    cs, ordered, keys = sorted(car), all(car[j] >> j == 1 for j in irreducibles), id_of.keys()
-    ok = ok and all({c | car[j] for c in cs[:bisect_left(cs, 1 << j) if ordered else m]} <= keys
-                    for j in irreducibles)                       # (c) by the extension lemma
-    if not ok:
-        msg = _lattice_failure(down_rows, up_rows)
-        if msg:
-            raise NotALattice(msg)
-        x, j = next((x, j) for x in range(m) for j in irreducibles
-                    if car[x] | car[j] not in id_of)
-        z = {u: i for i, u in enumerate(up_rows)}[up_rows[x] & up_rows[j]]
-        jp = next(bits(car[z] & ~(car[x] | car[j])))
-        raise NotDistributive(f"a&(b|c) != (a&b)|(a&c) at {(jp, x, j)}")
-    f = FiniteFrame(kind="mask", m=m, bottom=id_of[0], top=id_of[jmask], ext=ext, car=car,
-                    base_size=base_size, down_rows=list(down_rows), labels=labels, meta=meta)
-    f._up_rows, f._coprimes = up_rows, irreducibles
-    return f
-
-
-def _lattice_failure(down_rows: list[int], up_rows: list[int]) -> Optional[str]:
-    """The first lattice law the order breaks, checked by definition: O(m^2)."""
-    m = len(down_rows)
-    for i in range(m):
-        for j in bits(down_rows[i]):
-            if j != i and down_rows[j] >> i & 1:
-                return f"order not antisymmetric at ({i},{j})"
-    if sum(r == 1 << i for i, r in enumerate(down_rows)) != 1 or \
-            sum(popcount(r) == m for r in down_rows) != 1:
-        return "order lacks a unique bottom or top"
-    downs, ups = set(down_rows), set(up_rows)
-    for i in range(m):
-        for j in range(m):
-            if down_rows[i] & down_rows[j] not in downs:
-                return f"no meet for ({i},{j})"
-            if up_rows[i] & up_rows[j] not in ups:
-                return f"no join for ({i},{j})"
-    return None
-
-
-def subframe(ambient: FiniteFrame, elem_ids: Iterable[int], *,
+def subframe(ambient: FiniteFrame, elem_ids: Iterable[int], irreducibles: Iterable[int], *,
              meta=None) -> tuple[FiniteFrame, list[int]]:
-    """Frame on a subset of ambient elements, ordered by the ambient order.
+    """Frame on a set of ambient elements, ordered by the ambient order,
+    given its join-irreducibles J' (ambient ids, all kept).  Returns (frame,
+    inclusion), inclusion[i] the ambient id of subframe element i.
 
-    Row k holds the kept k' whose carrier (on powersets the id itself)
-    lies inside carrier k (`inclusion_rows`), and no ambient down row is
-    read.  Meets and joins are recomputed as bounds *within* the subset
-    (never inherited blindly): e.g. joins of regular elements differ from
-    ambient joins.  Returns (frame, inclusion), inclusion[i] the ambient id
-    of subframe element i.
+    Kept element x is carried by car[x] = {b : J'[b] <= x}, k = |J'| bits,
+    J' in id order.  J' lemma: in a finite lattice every x is the join of
+    the J' below it, so x <= y iff car[x] <= car[y], and car is one to one;
+    meets and joins are those of the kept set, not the ambient ones (the
+    join of two regular elements is not their ambient join).  Topology
+    lemma (Birkhoff; Davey & Priestley, ch. 5): the lattice is distributive
+    iff every j in J' is join-prime iff the carriers are closed under
+    union, and then they are exactly the down-sets of J' under the induced
+    order: the opens of a topology on k points.  So the frame is checked by
+    `frame_from_topology`'s closure check on the carriers
+    (`lattice._closed_nbhds`: the indicator up to 2^20 subsets, the
+    per-open scan above), and meets and joins are carrier ANDs and ORs.
+    The caller supplies J' by a lemma of its own; distinct carriers and
+    bottom's carrier 0 are checked.  The carriers are the rows of
+    `lattice.inclusion_rows` of the J' carriers in the kept ones, so no
+    m x m order matrix is built.
+
+    Where the carriers are not closed, some car[x] | car[j] (j in J') is not
+    a carrier; at the first such (x, j) some j' in car[x | j] lies below
+    neither x nor j, and j' & (x | j) = j' is not (j' & x) | (j' & j),
+    which lies below the join-irreducible j' strictly: NotDistributive
+    names (j', x, j), kept ids.
     """
-    ids, car = sorted(set(elem_ids)), ambient.carriers()
-    rows = inclusion_rows([car[a] for a in ids])
+    ids = sorted(set(elem_ids))
     ext = [ambient.mask_of(i) for i in ids] if ambient.realized else None
-    f = frame_from_down_rows(rows, ext=ext, base_size=ambient.base_size,
-                             labels=ambient.labels, meta=meta)
-    return f, ids
+    return _carrier_frame(ambient, ids, irreducibles, ext, ambient.base_size,
+                          ambient.labels, meta), ids
+
+
+def _carrier_frame(ambient, ids, irreducibles, ext, base_size, labels, meta) -> FiniteFrame:
+    """`subframe`'s frame on the kept ids, with the given extents."""
+    car, pos = ambient.carriers(), {a: i for i, a in enumerate(ids)}
+    js = sorted(pos[a] for a in irreducibles)
+    full = (1 << len(js)) - 1
+    cars = inclusion_rows([car[ids[j]] for j in js], [car[a] for a in ids])
+    id_of = {c: x for x, c in enumerate(cars)}
+    if len(id_of) != len(ids) or 0 not in id_of:
+        raise ValidationError("the join-irreducibles do not carry the kept elements "
+                              "one to one with bottom empty")
+    try:
+        _closed_nbhds(len(js), sorted(id_of), id_of)
+    except (NotClosedUnderJoin, NotClosedUnderMeet):
+        x, j = next((x, j) for x, c in enumerate(cars) for j in js if c | cars[j] not in id_of)
+        u = cars[x] | cars[j]
+        z = reduce(and_, (c for c in cars if u & ~c == 0), full)      # car[x | j]
+        raise NotDistributive(f"a&(b|c) != (a&b)|(a&c) at {(js[next(bits(z & ~u))], x, j)}") \
+            from None
+    f = FiniteFrame(kind="mask", m=len(ids), bottom=id_of[0], top=id_of[full], ext=ext,
+                    car=cars, base_size=base_size, labels=labels, meta=meta)
+    f._coprimes = js
+    return f
 
 
 # -- frame maps ---------------------------------------------------------------
@@ -224,13 +177,16 @@ def double_negation_frame(frame: FiniteFrame) -> tuple[FiniteFrame, FrameMap]:
     """Frame of regular elements (fixed points of double negation).
 
     Returns the Boolean subframe together with the sublocale map
-    X_regular >-> X, whose frame map sends U to not-not-U.
+    X_regular >-> X, whose frame map sends U to not-not-U.  Its
+    join-irreducibles are its atoms, the minimal nonzero not-not-j over the
+    ambient j in J (`_regular_atoms`).
     """
     if frame.is_boolean():
         # every element is regular: the sublocale is the identity
         return frame, identity_map(frame)
     regular = [x for x in frame.elements() if frame.neg(frame.neg(x)) == x]
-    sub, incl = subframe(frame, regular, meta={"construction": "double-negation"})
+    sub, incl = subframe(frame, regular, _regular_atoms(frame),
+                         meta={"construction": "double-negation"})
     pos = {amb: i for i, amb in enumerate(incl)}
     pre = [pos[frame.neg(frame.neg(u))] for u in frame.elements()]
     fmap = FrameMap(source=sub, target=frame, preimage=pre)
@@ -240,21 +196,30 @@ def double_negation_frame(frame: FiniteFrame) -> tuple[FiniteFrame, FrameMap]:
     return sub, fmap
 
 
+def _regular_atoms(frame: FiniteFrame) -> list[int]:
+    """The atoms of the regular elements: the minimal nonzero not-not-j, j in J.
+
+    Not-not preserves order, and every regular r is the regular join of the
+    not-not-j over the j <= r (r = not-not r and r is the join of those j).
+    So an atom a is some not-not-j, as a nonzero r has a j below it, and
+    not-not-j <= a; and a minimal nonzero not-not-j lies above an atom,
+    which is one of them.  No j has not-not-j = bottom, as j != bottom."""
+    nn = {frame.neg(frame.neg(j)) for j in frame.coprimes()}
+    return [a for a in nn if not any(b != a and frame.leq(b, a) for b in nn)]
+
+
 def ideal_frame(frame: FiniteFrame) -> tuple[FiniteFrame, list[int]]:
     """Frame of ideals of a finite frame, with the principal-ideal iso.
 
     In a finite lattice every ideal is principal (an ideal is closed under
     finite joins, so it contains its own join), hence Idl(L) is just L
     again; the returned witness maps x to the element of Idl(L) carrying
-    the ideal down(x).  Verified by construction: the ideal frame is built
-    from the principal-ideal extents over the base L.
+    the ideal down(x).  Built as the subframe on every element and J, with
+    the principal ideals as extents over the base L.
     """
     m = frame.m
-    ideals = list(frame.down_rows())
-    # principal ideals are ordered like their generators: each is its own down row
-    f = frame_from_down_rows(ideals, ext=ideals, base_size=m,
-                             labels=[f"e{i}" for i in range(m)],
-                             meta={"construction": "ideals"})
+    f = _carrier_frame(frame, frame.elements(), frame.coprimes(), list(frame.down_rows()), m,
+                       [f"e{i}" for i in range(m)], {"construction": "ideals"})
     return f, list(range(m))
 
 
@@ -343,7 +308,9 @@ def _cone_frame(olx: OrderedLocale, name, label) -> tuple[FiniteFrame, FrameMap]
     above SUBSET_LIMIT, before the closure where 2^k is.  Inclusion lemma:
     the image is join-closed and holds bottom (adjoined where c(bottom) is
     not); a closure c adds c(top) = top and meets, c(a & b) <= c(a) & c(b)
-    = a & b <= c(a & b), so `FrameMap.validate` runs only elsewhere."""
+    = a & b <= c(a & b), so `FrameMap.validate` runs only elsewhere.  The
+    frame is `subframe` on the image and its join-irreducibles, read from
+    the generator values (`_cone_frame_points`)."""
     cached = olx.memo.get(label)
     if cached is not None:
         return cached
@@ -368,12 +335,29 @@ def _cone_frame(olx: OrderedLocale, name, label) -> tuple[FiniteFrame, FrameMap]
     if f.bottom not in image:
         image.add(f.bottom)
         meta["adjoined_bottom"] = True
-    sub, incl = subframe(f, image, meta=meta)
+    sub, incl = subframe(f, image, _cone_frame_points(f, cone)[0], meta=meta)
     fmap = FrameMap(source=f, target=sub, preimage=list(incl))
     if not ol._is_closure(f, cone):
         fmap.validate()
     cached = olx.memo[label] = sub, fmap
     return cached
+
+
+def _cone_frame_points(f: FiniteFrame, cone) -> tuple[list[int], list[int]]:
+    """The join-irreducibles and primes of the frame on the image of a
+    join-preserving cone c (`_cone_frame`), ascending ambient ids; the
+    join-irreducibles are `subframe`'s J' there, and `duality.ideal_points`
+    reads both.
+    Generator lemma: that frame (bottom adjoined where b0 = c(bottom) is not)
+    is the ambient joins of G* = {b0} + {b0 | c(j) : j in J}, so its
+    irreducibles are the x in G* but bottom that differ from the join of G*
+    below x, and the prime of one is the join of the irreducibles not above it."""
+    car, b0 = f.carriers(), cone[f.bottom]
+    gens = {car[x]: x for x in {b0} | {f.join(b0, cone[j]) for j in f.coprimes()}}
+    js = sorted(x for c, x in gens.items() if x != f.bottom and
+                c != reduce(or_, [d for d in gens if d != c and d | c == c], 0))
+    cs = [car[k] for k in js]
+    return js, sorted({f.join_all([k for k, c in zip(js, cs) if cj & ~c]) for cj in cs})
 
 
 def is_biframe(olx: OrderedLocale) -> CheckReport:
@@ -485,7 +469,9 @@ def is_T0(space: OrderedSpace) -> bool:
 
 def closure_of_point(space: OrderedSpace, p: int) -> int:
     """Topological closure of {p} as a point mask: the complement of
-    int(X - {p}), the largest open that misses p."""
+    int(X - {p}), the largest open that misses p.  It states cl{p} of the
+    sobriety definition that `is_sober` decides: every prime open is
+    X - cl{p} for exactly one point p."""
     f, full = space.frame, (1 << space.n) - 1
     return full & ~f.mask_of(f.interior(full & ~(1 << p)))
 
@@ -547,91 +533,6 @@ def is_convex_space(space: OrderedSpace) -> CheckReport:
     return CheckReport("convex-space", "pass", None,
                        f"exact: the least neighbourhoods of all {space.n} points "
                        "are convex")
-
-
-# -- chain coverage -----------------------------------------------------------
-
-
-def _bad_chain(space: OrderedSpace, amask: int, umask: int) -> Optional[list[int]]:
-    """A <=-chain ending in U that avoids A and cannot be extended into A.
-
-    Exact digraph search: start points have pasts disjoint from A; edges
-    stay inside the complement of A.
-    """
-    full = (1 << space.n) - 1
-    comp = full & ~amask
-    starts = [p for p in bits(comp) if space.down[p] & amask == 0]
-    parent = {}
-    queue = deque()
-    for s in starts:
-        if s not in parent:
-            parent[s] = None
-            queue.append(s)
-    target = umask & comp
-    hit = None
-    for s in starts:
-        if target >> s & 1:
-            hit = s
-            break
-    while hit is None and queue:
-        x = queue.popleft()
-        for y in bits(space.up[x] & comp):
-            if y not in parent:
-                parent[y] = x
-                if target >> y & 1:
-                    hit = y
-                    queue.clear()
-                    break
-                queue.append(y)
-    if hit is None:
-        return None
-    chain = [hit]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    chain.reverse()
-    return chain
-
-
-def chain_covers_below(space: OrderedSpace, a: PointSet | int,
-                       u: PointSet | int) -> CheckReport:
-    """Does A cover U from below along <=-chains?
-
-    Fails when some chain ending in U avoids A and starts at a point whose
-    past misses A, with such a chain as witness, or else when A is not
-    inside the past of U, with A's points outside it.
-    """
-    amask = a.mask if isinstance(a, PointSet) else a
-    umask = u.mask if isinstance(u, PointSet) else u
-    extra = amask & ~space.down_mask(umask)
-    chain = _bad_chain(space, amask, umask)
-    if chain is not None:
-        note = "witness chain avoids A with past-blind start"
-        if extra:
-            note = "precondition: A is not inside the past of U; " + note
-        return CheckReport("chain-cover", "fail", tuple(chain), note)
-    if extra:
-        return CheckReport("chain-cover", "fail", tuple(bits(extra)),
-                           "precondition: A is not inside the past of U")
-    return CheckReport("chain-cover", "pass", None, "digraph reachability, exact")
-
-
-def pointwise_domain_of_dependence(space: OrderedSpace, a: PointSet | int,
-                                   direction: str = "future") -> PointSet:
-    """Largest point set every chain into which must come from A."""
-    amask = a.mask if isinstance(a, PointSet) else a
-    if direction == "past":
-        flipped = OrderedSpace(space.n, list(space.down), space.frame,
-                               labels=space.labels)
-        return PointSet(space.n,
-                        pointwise_domain_of_dependence(flipped, amask, "future").mask)
-    out = 0
-    reach = space.up_mask(amask) | amask
-    for y in range(space.n):
-        if not reach >> y & 1:
-            continue
-        if _bad_chain(space, amask, 1 << y) is None:
-            out |= 1 << y
-    return PointSet(space.n, out)
 
 
 # -- dot export ---------------------------------------------------------------

@@ -35,7 +35,7 @@ def pt_masks(frame: FiniteFrame) -> list[int]:
     (`FiniteFrame.primes`): the i with U not<= p_i.  Birkhoff lemma
     (`FiniteFrame.primes`): U not<= kappa(j) iff j <= U iff (on a carrier
     bit b of j_b) b is in car[U], so pt(U) is car[U] with each bit b
-    renamed to the index of kappa(j_b) (`_fold`), and U itself on
+    renamed to the index of kappa(j_b) (`lattice.fold_rows`), and U itself on
     powersets, refused (FrameTooLarge) above SUBSET_LIMIT subsets."""
     if frame.kind == "powerset":
         if frame.m > lat.SUBSET_LIMIT:
@@ -43,7 +43,7 @@ def pt_masks(frame: FiniteFrame) -> list[int]:
         return list(frame.elements())
     index, kappa = {p: i for i, p in enumerate(frame.primes())}, frame.bit_primes()
     rename = [1 << index[kappa[b]] if b in kappa else 0 for b in range(max(kappa, default=-1) + 1)]
-    return _fold(rename, or_, 0, frame.carriers())
+    return lat.fold_rows(rename, or_, 0, frame.carriers())
 
 
 def _envelopes(olx: OrderedLocale, at: Sequence[int]):
@@ -209,35 +209,14 @@ def unit_check(space: OrderedSpace) -> CheckReport:
 # -- counit and axiom (bullet) ---------------------------------------------------
 
 
-def _fold(rows: Sequence[int], op, unit: int, keys) -> list[int]:
-    """For each mask s in keys, op of rows[i] over the i in s, from unit;
-    op is OR or AND, so a fold may repeat unit and split s anywhere.
-
-    The rows are cut into chunks of k bits, k = min(n, 12, log2(2|keys|))
-    and at least 1, each chunk's fold table is built by doubling
-    (`lattice.subset_table`), and s is read as op of its chunks' entries:
-    about 2^k n/k table entries and n/k reads per key, on any n.  Where 2^n
-    <= 2|keys| the one table holds every s, read as it is (masking each s
-    there cost a sixth more on the workloads' calls)."""
-    k = max(1, min(len(rows), 12, (2 * len(keys)).bit_length() - 1))
-    low, tables = (1 << k) - 1, [lat.subset_table(unit, rows[i:i + k], op)
-                                  for i in range(0, len(rows), k)]
-    if len(tables) <= 1:
-        table = tables[0] if tables else [unit]
-        return [table[s] for s in keys]
-    out = [tables[0][s & low] for s in keys]
-    for shift, table in zip(range(k, len(rows), k), tables[1:]):
-        out = list(map(op, out, [table[s >> shift & low] for s in keys]))
-    return out
-
-
 def _cone_sides(olx: OrderedLocale, rows: list[int], pms: list[int], us):
     """(U, upcone(pt(U)), pt(up(U)), downcone(pt(U)), pt(down(U))) for
     each U in `us`, as point masks over the primes, from the point order
     rows and pt masks."""
     up, down, keys = olx.cones.u, olx.cones.d, [pms[u] for u in us]
-    return zip(us, _fold(rows, or_, 0, keys), [pms[up[u]] for u in us],
-               _fold(lat.transpose_rows(rows), or_, 0, keys), [pms[down[u]] for u in us])
+    return zip(us, lat.fold_rows(rows, or_, 0, keys), [pms[up[u]] for u in us],
+               lat.fold_rows(lat.transpose_rows(rows), or_, 0, keys),
+               [pms[down[u]] for u in us])
 
 
 def _deciding(olx: OrderedLocale):
@@ -335,9 +314,9 @@ def counit_check(olx: OrderedLocale) -> CheckReport:
     if spatial and brep.ok and corder.ok:
         if f.m <= ol.PAIR_LIMIT:
             n, full, up = len(primes), (1 << f.m) - 1, olx.up_map
-            lacking = _fold([f.down_row(p) for p in primes], and_, full,
+            lacking = lat.fold_rows([f.down_row(p) for p in primes], and_, full,
                             rows + [(1 << n) - 1 & ~pms[up[u]] for u in f.elements()])
-            reached = _fold([full & ~r for r in lacking[:n]], and_, full, pms)
+            reached = lat.fold_rows([full & ~r for r in lacking[:n]], and_, full, pms)
             rel = olx.rel_rows()
             for a, em in enumerate(map(and_, lacking[n:], reached)):
                 diff = em ^ rel[a]
@@ -374,21 +353,6 @@ class IdealPointSet:
         self.negation_bijection = negation_bijection
 
 
-def _cone_frame_points(f: FiniteFrame, cone) -> tuple[list[int], list[int]]:
-    """The join-irreducibles and primes of the frame on the image of a
-    join-preserving cone c (`derived.futures_frame`), ascending ambient ids.
-    Generator lemma: that frame (bottom adjoined where b0 = c(bottom) is not)
-    is the ambient joins of G* = {b0} + {b0 | c(j) : j in J}, so its
-    irreducibles are the x in G* but bottom that differ from the join of G*
-    below x, and the prime of one is the join of the irreducibles not above it."""
-    car, b0 = f.carriers(), cone[f.bottom]
-    gens = {car[x]: x for x in {b0} | {f.join(b0, cone[j]) for j in f.coprimes()}}
-    js = sorted(x for c, x in gens.items() if x != f.bottom and
-                c != reduce(or_, [d for d in gens if d != c and d | c == c], 0))
-    cs = [car[k] for k in js]
-    return js, sorted({f.join_all([k for k, c in zip(js, cs) if cj & ~c]) for cj in cs})
-
-
 def ideal_points(olx: OrderedLocale) -> IdealPointSet:
     """Indecomposable past/future regions, generalized ideal points and the
     cone frames' points, from generator values, once per locale (a cone frame
@@ -401,8 +365,8 @@ def ideal_points(olx: OrderedLocale) -> IdealPointSet:
                         (olx.cones.d, derived.pasts_frame)):
         if ol._cone_join_failure(olx) is not None or not ol._is_closure(f, cone):
             build(olx)
-    ifs, future_points = _cone_frame_points(f, olx.cones.u)
-    ips, past_points = _cone_frame_points(f, olx.cones.d)
+    ifs, future_points = derived._cone_frame_points(f, olx.cones.u)
+    ips, past_points = derived._cone_frame_points(f, olx.cones.d)
     out = IdealPointSet(ips, ifs, future_points, past_points)
     if ol.check_axiom(olx, "parallel").ok and derived.check_regular_cones(olx).ok:
         neg_fut = sorted(f.neg(p) for p in future_points)

@@ -31,10 +31,6 @@ class MissingBottomOrTop(ValidationError):
         super().__init__(f"family misses {what}")
 
 
-class NotALattice(ValidationError):
-    pass
-
-
 class NotDistributive(ValidationError):
     pass
 

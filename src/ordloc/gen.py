@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from . import lattice as lat
 from . import olocale as ol
@@ -138,16 +137,15 @@ def two_speed_grid(spec: GridSpec) -> OrderedLocale:
 
 
 def vertical_grid(t_size: int, x_size: int) -> OrderedSpace:
-    """Columns are chains: (x,y) <= (a,b) iff x == a and y <= b."""
-    pts = [(x, y) for x in range(x_size) for y in range(t_size)]
-    idx = {p: i for i, p in enumerate(pts)}
-    pairs = []
-    for (x, y) in pts:
-        if (x, y + 1) in idx:
-            pairs.append((idx[(x, y)], idx[(x, y + 1)]))
-    return OrderedSpace.build(len(pts), pairs, opens="discrete",
-                              labels=[f"({x},{y})" for x, y in pts],
-                              name=f"vertical{x_size}x{t_size}")
+    """Columns are chains: (x,y) <= (a,b) iff x == a and y <= b.  Point
+    (x, y) sits at bit x T + y, so its row is bits y..T-1 of column x,
+    written down closed."""
+    t = t_size
+    rows = [((1 << t) - (1 << y)) << x * t for x in range(x_size) for y in range(t)]
+    labels = [f"({x},{y})" for x in range(x_size) for y in range(t)]
+    n = len(rows)
+    return OrderedSpace(n, rows, osp.topology(n, "discrete", labels), labels=labels,
+                        name=f"vertical{x_size}x{t_size}")
 
 
 def non_OC_example() -> OrderedSpace:
@@ -239,12 +237,3 @@ def em_locale(name: str) -> OrderedLocale:
     if isinstance(inst, OrderedLocale):
         return inst
     return osp.induced_locale(inst, "em")
-
-
-def grid_open(space: OrderedSpace, pts: Sequence[tuple[int, int]]) -> int:
-    """Frame element for a set of (t,x) grid labels; convenience for tests."""
-    wanted = {f"({t},{x})" for (t, x) in pts}
-    mask = mask_of_iter(i for i, lbl in enumerate(space.labels) if lbl in wanted)
-    if len(wanted) != lat.popcount(mask):
-        raise ValidationError(f"unknown grid points in {pts}")
-    return space.frame.id_of_mask(mask)

@@ -9,17 +9,17 @@ interface:
 * mask-backed: each element has a carrier mask, and the carriers form a
   family closed under union and intersection, ordered by inclusion, so
   meets/joins are bit operations on the carriers.  A finite topology
-  carries its opens' extents.  A frame given by the down rows of its order
-  carries J & down(x), its join-irreducibles below x (Birkhoff's
-  representation); there the extent, if any, only names the element.
+  carries its opens' extents.  A frame built on its join-irreducibles J
+  (`derived.subframe`) carries {b : J[b] <= x}, bit b for the b-th
+  member of J in id order (Birkhoff's representation: the carriers are the
+  down-sets of J); there the extent only names the element.
 
 Frames come from `powerset_frame` (all subsets of n points) and
 `frame_from_topology` (a family of opens); the Birkhoff frames of
-`derived.frame_from_down_rows` and `derived.subframe` are built only by
-derived structures, and so are frame maps (`derived.FrameMap`).  Each
-element is the join of the join-irreducibles J below it, so the atoms are
-the minimal j, and the frame is atomistic, and Boolean, iff J is an
-antichain.
+`derived.subframe` are built only by derived structures, and so are frame
+maps (`derived.FrameMap`).  Each element is the join of the
+join-irreducibles J below it, so the atoms are the minimal j, and the
+frame is atomistic, and Boolean, iff J is an antichain.
 
 Cones on powerset frames are `SubsetCone`s: a join-preserving map is
 fixed by its value at the empty set and its n singleton values, and is
@@ -136,12 +136,13 @@ class FiniteFrame:
     """A finite frame: bounded distributive lattice with all (finite) joins.
 
     Do not call the constructor directly; use `powerset_frame`,
-    `frame_from_topology`, `derived.frame_from_down_rows` or
-    `derived.subframe`.
+    `frame_from_topology` or `derived.subframe`.  A carrier is a mask of
+    points on a topology, and of join-irreducibles (bit b for the b-th
+    one in id order, not an element id) on a `derived.subframe` frame.
     """
 
     def __init__(self, *, kind, m, bottom, top, ext=None, car=None, base_size=None,
-                 down_rows=None, labels=None, meta=None):
+                 labels=None, meta=None):
         self.kind = kind                  # "powerset" | "mask"
         self.m = m
         self.bottom = bottom
@@ -153,7 +154,7 @@ class FiniteFrame:
         self._id_of_ext = self._id_of     # point mask -> element id
         if car is not None:
             self._id_of_ext = None if ext is None else {v: i for i, v in enumerate(ext)}
-        self._down_rows = down_rows       # element-id bitmask rows, lazy for topologies
+        self._down_rows = None            # element-id bitmask rows, lazy
         self._up_rows = None
         self._neg = {}
         self._covers = None
@@ -255,7 +256,7 @@ class FiniteFrame:
         """Every down row, kept by the frame: `inclusion_rows`, or on powersets
         D[s + 2^b] = D[s] | D[s] << 2^b, s < 2^b, by `subset_table`."""
         if self._down_rows is None or None in self._down_rows:
-            self._down_rows = inclusion_rows(self._car) if self.kind != "powerset" else \
+            self._down_rows = inclusion_rows(self._car, self._car) if self.kind != "powerset" else \
                 subset_table(1, [1 << b for b in range(self.base_size)], lambda d, k: d | d << k)
         return self._down_rows
 
@@ -338,7 +339,8 @@ class FiniteFrame:
         """Join-irreducible (nonzero) elements, in increasing id order.
 
         In a finite topology, the distinct least open neighbourhoods of
-        the points; `derived.frame_from_down_rows` reads them off the rows.
+        the points; `derived.subframe` is given them, and carrier bit b is
+        the b-th of them.
         """
         if self._coprimes is None:
             self._coprimes = sorted(set(self.neighbourhoods()))
@@ -356,8 +358,9 @@ class FiniteFrame:
 
     def atoms(self) -> list[int]:
         """The minimal join-irreducibles j, in id order (each covers bottom): j
-        is one iff j is the least holder j_b (N(b) on a topology, b where
-        carriers are J ids) of every bit b of car[j].  O(n + |J|)."""
+        is one iff j is the least holder j_b (N(b) on a topology, the b-th
+        join-irreducible where carrier bits index J) of every bit b of
+        car[j].  O(n + |J|)."""
         if self._atoms is None:
             js, car = self.coprimes(), self.carriers()
             owned = Counter(js if self._car is not self._ext else self.neighbourhoods())
@@ -469,10 +472,18 @@ def frame_from_topology(base_size: int, opens: Sequence[PointSet | int],
         return powerset_frame(base_size, labels)
     f = FiniteFrame(kind="mask", m=len(masks), bottom=0, top=len(masks) - 1,
                     ext=masks, base_size=base_size, labels=labels)
-    nbhds = _indicator_nbhds(base_size, masks) if 1 << base_size <= SUBSET_LIMIT else None
-    f._nbhds = ([f._id_of[e] for e in nbhds] if nbhds is not None
-                else _scan_nbhds(base_size, masks, f._id_of))
+    f._nbhds = _closed_nbhds(base_size, masks, f._id_of)
     return f
+
+
+def _closed_nbhds(n: int, masks: list[int], id_of: dict[int, int]) -> list[int]:
+    """The ids of the N(p) of a family of subsets of n points that holds the
+    empty set, listed ascending, by `frame_from_topology`'s closure check:
+    the indicator up to 2^n = SUBSET_LIMIT, the per-open scan above it or
+    where the indicator says no, which raises NotClosedUnderMeet or
+    NotClosedUnderJoin with its witness."""
+    nbhds = _indicator_nbhds(n, masks) if 1 << n <= SUBSET_LIMIT else None
+    return [id_of[e] for e in nbhds] if nbhds is not None else _scan_nbhds(n, masks, id_of)
 
 
 def _indicator_nbhds(n: int, masks: list[int]) -> Optional[list[int]]:
@@ -708,14 +719,39 @@ def rows_above(frame: FiniteFrame, values: Sequence[int]) -> list[int]:
     return transpose_rows([below[v] for v in values])
 
 
-def inclusion_rows(car: list[int]) -> list[int]:
-    """Row k = {k' : car[k'] inside car[k]}: the complement of the OR of
-    col[b] = {k' : b in car[k']} over the bits b outside car[k], col the
-    carriers transposed (padded square): k n mask operations at most."""
-    side = max(len(car), max(car, default=0).bit_length())
-    cols = transpose_rows(car + [0] * (side - len(car)))
-    full, span = (1 << len(car)) - 1, reduce(or_, car, 0)
-    return [full & ~or_rows(cols, span & ~c) for c in car]
+def inclusion_rows(car: Sequence[int], sets: Sequence[int]) -> list[int]:
+    """For each s in sets, the id-bitmask {i : car[i] inside s}: the
+    complement of the OR of col[b] = {i : b in car[i]} over the bits b of
+    the carriers' span outside s, col the carriers transposed (padded
+    square), by one `fold_rows`.  A frame's down rows are its carriers'
+    inclusions in themselves."""
+    span = reduce(or_, car, 0)
+    cols = transpose_rows(list(car) + [0] * (span.bit_length() - len(car)))
+    full = (1 << len(car)) - 1
+    return [full & ~r for r in fold_rows(cols[:span.bit_length()], or_, 0,
+                                         [span & ~s for s in sets])]
+
+
+def fold_rows(rows: Sequence[int], op, unit: int, keys) -> list[int]:
+    """For each mask s in keys, op of rows[i] over the i in s, from unit;
+    op is OR or AND, so a fold may repeat unit and split s anywhere.
+
+    The rows are cut into chunks of k bits, k = min(n, 12, log2(2|keys|))
+    and at least 1, each chunk's fold table is built by doubling
+    (`subset_table`), and s is read as op of its chunks' entries:
+    about 2^k n/k table entries and n/k reads per key, on any n.  Where 2^n
+    <= 2|keys| the one table holds every s, read as it is (masking each s
+    there cost a sixth more on the workloads' calls)."""
+    k = max(1, min(len(rows), 12, (2 * len(keys)).bit_length() - 1))
+    low, tables = (1 << k) - 1, [subset_table(unit, rows[i:i + k], op)
+                                  for i in range(0, len(rows), k)]
+    if len(tables) <= 1:
+        table = tables[0] if tables else [unit]
+        return [table[s] for s in keys]
+    out = [tables[0][s & low] for s in keys]
+    for shift, table in zip(range(k, len(rows), k), tables[1:]):
+        out = list(map(op, out, [table[s >> shift & low] for s in keys]))
+    return out
 
 
 # -- join-preserving maps -----------------------------------------------------

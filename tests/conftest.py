@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from ordloc import gen, olocale as O
 from ordloc.errors import OrdlocError
 
@@ -36,7 +37,7 @@ def loc33():
 
 def grid(space, *pts):
     """Frame element for grid points given as (t, x) tuples."""
-    return gen.grid_open(space, list(pts))
+    return oracles.grid_open(space, list(pts))
 
 
 def rows_locale(frame, rows):

@@ -4,17 +4,19 @@ Each one scans the definition directly (all subsets, or all pairs or
 triples of elements), so it is slow and only used on small frames.
 """
 
+from collections import deque
 from functools import reduce
 from operator import and_
+from typing import Optional, Sequence
 
 from ordloc import coverage, derived, olocale, ospace
-from ordloc.derived import FrameMap, _lattice_failure, frame_from_down_rows
+from ordloc.derived import FrameMap
 from ordloc.duality import points_space
 from ordloc.errors import (AxiomVFailure, ConesDoNotPreserveJoins, FrameTooLarge,
-                           MissingBottomOrTop, NotALattice, NotClosedUnderJoin,
+                           MissingBottomOrTop, NotClosedUnderJoin,
                            NotClosedUnderMeet, NotDistributive, ValidationError)
-from ordloc.lattice import (FiniteFrame, Value, bits, frame_from_topology, mask_of_iter,
-                            or_rows, popcount, powerset_frame, transpose_rows)
+from ordloc.lattice import (FiniteFrame, PointSet, Value, bits, frame_from_topology,
+                            mask_of_iter, or_rows, popcount, powerset_frame, transpose_rows)
 from ordloc.olocale import (REL_LIMIT, CheckReport, ConePair, OrderedLocale, check_axiom,
                             cones_from_rows, ordered_locale_from_monads)
 from ordloc.ospace import OrderedSpace
@@ -417,11 +419,26 @@ def downset_frame(rel) -> FiniteFrame:
     return frame_from_topology(n, close_family_under_union_intersection(n, transpose_rows(up)))
 
 
-def birkhoff_check_scan(down_rows: list[int]):
-    """`derived.frame_from_down_rows`'s acceptance test with (b) as the AND
-    of up(j) over every carrier and (c) as the scan over every (x, j):
-    (bottom, top, carriers, join-irreducibles), or the exception it raises
-    with the same message."""
+class NotALattice(ValidationError):
+    """The order of `frame_from_down_rows` or `frame_by_tables` is no lattice."""
+
+
+def frame_from_down_rows(down_rows: list[int], *, ext=None, base_size=None,
+                         labels=None, meta=None) -> FiniteFrame:
+    """Frame of the order whose row i is the id-bitmask {j : j <= i}, carried
+    by car[x] = J & down(x), the join-irreducibles below x as element ids.
+
+    Birkhoff: a finite poset is a distributive lattice iff x -> J & down(x)
+    is an order isomorphism onto the down-sets of J.  In a lattice x is in J
+    iff its strict down row is a down row (its unique lower cover's).  The
+    order is accepted iff (a) car is injective and takes the value 0, (b)
+    up(x) is the AND of up(j) over j in car[x], and (c) car[x] | car[j] is a
+    carrier for every x and every j in J, each scanned in full.  A failure
+    re-runs the definitions of a lattice (`_lattice_failure`) and raises
+    NotALattice with the first one broken; a lattice can only fail (c), at
+    some (x, j), and NotDistributive names (j', x, j), j' the least
+    join-irreducible below x | j and neither x nor j.
+    """
     m = len(down_rows)
     up_rows = transpose_rows(down_rows)
     downs = set(down_rows)
@@ -442,7 +459,30 @@ def birkhoff_check_scan(down_rows: list[int]):
         z = {u: i for i, u in enumerate(up_rows)}[up_rows[x] & up_rows[j]]
         jp = next(bits(car[z] & ~(car[x] | car[j])))
         raise NotDistributive(f"a&(b|c) != (a&b)|(a&c) at {(jp, x, j)}")
-    return id_of[0], id_of[jmask], car, irreducibles
+    f = FiniteFrame(kind="mask", m=m, bottom=id_of[0], top=id_of[jmask], ext=ext, car=car,
+                    base_size=base_size, labels=labels, meta=meta)
+    f._down_rows, f._up_rows, f._coprimes = list(down_rows), up_rows, irreducibles
+    return f
+
+
+def _lattice_failure(down_rows: list[int], up_rows: list[int]):
+    """The first lattice law the order breaks, checked by definition: O(m^2)."""
+    m = len(down_rows)
+    for i in range(m):
+        for j in bits(down_rows[i]):
+            if j != i and down_rows[j] >> i & 1:
+                return f"order not antisymmetric at ({i},{j})"
+    if sum(r == 1 << i for i, r in enumerate(down_rows)) != 1 or \
+            sum(popcount(r) == m for r in down_rows) != 1:
+        return "order lacks a unique bottom or top"
+    downs, ups = set(down_rows), set(up_rows)
+    for i in range(m):
+        for j in range(m):
+            if down_rows[i] & down_rows[j] not in downs:
+                return f"no meet for ({i},{j})"
+            if up_rows[i] & up_rows[j] not in ups:
+                return f"no join for ({i},{j})"
+    return None
 
 
 class TableFrame:
@@ -543,8 +583,19 @@ def frame_map_failure_by_pairs(fmap: FrameMap):
     return None
 
 
+def join_irreducibles_of(ambient: FiniteFrame, elem_ids) -> list[int]:
+    """The kept ids with exactly one lower cover in the ambient order on
+    them, ascending: one ambient `leq` call per pair of kept ids."""
+    ids = sorted(set(elem_ids))
+    rows = order_rows(ids, ambient.leq)
+    ups = transpose_rows(rows)
+    return [a for i, a in enumerate(ids) if len(_covers(rows, ups, i)) == 1]
+
+
 def subframe_by_pairs(ambient: FiniteFrame, elem_ids, meta=None):
-    """`derived.subframe` with one ambient `leq` call per pair of kept ids."""
+    """`derived.subframe`'s reference: the kept ids ordered by one ambient
+    `leq` call per pair, built by `frame_from_down_rows` (carriers of
+    element ids), which finds the join-irreducibles itself."""
     ids = sorted(set(elem_ids))
     ext = [ambient.mask_of(i) for i in ids] if ambient.realized else None
     f = frame_from_down_rows(order_rows(ids, ambient.leq), ext=ext,
@@ -1147,3 +1198,170 @@ def double_negation_transport_general(olx: OrderedLocale) -> CheckReport:
     return CheckReport("dn-transport", "pass", None,
                        "order biconditional, cone identities and IP "
                        "bijection all verified")
+
+
+# -- abstract coverage axioms, on explicit tables --------------------------------
+
+
+def _norm_table(frame: FiniteFrame, cov) -> list[int]:
+    rows = [0] * frame.m
+    if isinstance(cov, dict):
+        items = cov.items()
+    else:
+        items = enumerate(cov)
+    for u, members in items:
+        if isinstance(members, int):
+            rows[u] = members
+        else:
+            rows[u] = mask_of_iter(members)
+    return rows
+
+
+def abstract_coverage_check(frame: FiniteFrame, cov_minus, cov_plus) -> list[CheckReport]:
+    """Verify the causal-coverage axioms (C1)-(C5) on explicit tables.  A
+    failure names the least witness of the scan over Cov-, then Cov+."""
+    f = frame
+    minus, plus = _norm_table(f, cov_minus), _norm_table(f, cov_plus)
+
+    def c2(rows):
+        # Cov(U1 v U2) == {A1 v A2}; nullary join forces Cov(bottom)={bottom}
+        if rows[f.bottom] != 1 << f.bottom:
+            return (f.bottom,)
+        return next(((u1, u2) for u1 in f.elements() for u2 in f.elements()
+                     if rows[f.join(u1, u2)] != mask_of_iter(
+                         f.join(a1, a2) for a1 in bits(rows[u1]) for a2 in bits(rows[u2]))),
+                    None)
+
+    def c3(rows):
+        # transitivity: the least b of a member a's cover outside Cov(U)
+        return next(((next(bits(rows[a] & ~rows[u])), a, u) for u in f.elements()
+                     for a in bits(rows[u]) if rows[a] & ~rows[u]), None)
+
+    def c4(rows):
+        # interval closure: members a <= c <= b exist iff c is in up_row(a)
+        # and below some member; the least such a, then b, then c is the
+        # least (a, c, b, u) of the member-pair scan
+        for u in f.elements():
+            below = 0
+            for b in bits(rows[u]):
+                below |= f.down_row(b)
+            for a in bits(rows[u]):
+                out = f.up_row(a) & ~rows[u]
+                if out & below:
+                    b = next(b for b in bits(rows[u]) if f.down_row(b) & out)
+                    gap = f.down_row(b) & out
+                    return a, (gap & -gap).bit_length() - 1, b, u
+        return None
+
+    def c5(rows, other):
+        # flip: each member A of Cov(U) has some W >= U in the other Cov(A)
+        return next(((a, u) for u in f.elements() for a in bits(rows[u])
+                     if not any(f.leq(u, w) for w in bits(other[a]))), None)
+
+    witnesses = {
+        "C1": next(((u,) for u in f.elements()
+                    if not (minus[u] >> u & 1 and plus[u] >> u & 1)), None),
+        "C2": c2(minus) or c2(plus),
+        "C3": c3(minus) or c3(plus),
+        "C4": c4(minus) or c4(plus),
+        "C5": c5(minus, plus) or c5(plus, minus),
+    }
+    return [CheckReport(law, "pass", None, "exhaustive") if w is None
+            else CheckReport(law, "fail", w, "") for law, w in witnesses.items()]
+
+
+# -- chain coverage -----------------------------------------------------------
+
+
+def _bad_chain(space: OrderedSpace, amask: int, umask: int) -> Optional[list[int]]:
+    """A <=-chain ending in U that avoids A and cannot be extended into A.
+
+    Exact digraph search: start points have pasts disjoint from A; edges
+    stay inside the complement of A.
+    """
+    full = (1 << space.n) - 1
+    comp = full & ~amask
+    starts = [p for p in bits(comp) if space.down[p] & amask == 0]
+    parent = {}
+    queue = deque()
+    for s in starts:
+        if s not in parent:
+            parent[s] = None
+            queue.append(s)
+    target = umask & comp
+    hit = None
+    for s in starts:
+        if target >> s & 1:
+            hit = s
+            break
+    while hit is None and queue:
+        x = queue.popleft()
+        for y in bits(space.up[x] & comp):
+            if y not in parent:
+                parent[y] = x
+                if target >> y & 1:
+                    hit = y
+                    queue.clear()
+                    break
+                queue.append(y)
+    if hit is None:
+        return None
+    chain = [hit]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
+    return chain
+
+
+def chain_covers_below(space: OrderedSpace, a: PointSet | int,
+                       u: PointSet | int) -> CheckReport:
+    """Does A cover U from below along <=-chains?
+
+    Fails when some chain ending in U avoids A and starts at a point whose
+    past misses A, with such a chain as witness, or else when A is not
+    inside the past of U, with A's points outside it.
+    """
+    amask = a.mask if isinstance(a, PointSet) else a
+    umask = u.mask if isinstance(u, PointSet) else u
+    extra = amask & ~space.down_mask(umask)
+    chain = _bad_chain(space, amask, umask)
+    if chain is not None:
+        note = "witness chain avoids A with past-blind start"
+        if extra:
+            note = "precondition: A is not inside the past of U; " + note
+        return CheckReport("chain-cover", "fail", tuple(chain), note)
+    if extra:
+        return CheckReport("chain-cover", "fail", tuple(bits(extra)),
+                           "precondition: A is not inside the past of U")
+    return CheckReport("chain-cover", "pass", None, "digraph reachability, exact")
+
+
+def pointwise_domain_of_dependence(space: OrderedSpace, a: PointSet | int,
+                                   direction: str = "future") -> PointSet:
+    """Largest point set every chain into which must come from A."""
+    amask = a.mask if isinstance(a, PointSet) else a
+    if direction == "past":
+        flipped = OrderedSpace(space.n, list(space.down), space.frame,
+                               labels=space.labels)
+        return PointSet(space.n,
+                        pointwise_domain_of_dependence(flipped, amask, "future").mask)
+    out = 0
+    reach = space.up_mask(amask) | amask
+    for y in range(space.n):
+        if not reach >> y & 1:
+            continue
+        if _bad_chain(space, amask, 1 << y) is None:
+            out |= 1 << y
+    return PointSet(space.n, out)
+
+
+# -- grids ---------------------------------------------------------------------------
+
+
+def grid_open(space: OrderedSpace, pts: Sequence[tuple[int, int]]) -> int:
+    """Frame element for a set of (t,x) grid labels."""
+    wanted = {f"({t},{x})" for (t, x) in pts}
+    mask = mask_of_iter(i for i, lbl in enumerate(space.labels) if lbl in wanted)
+    if len(wanted) != popcount(mask):
+        raise ValidationError(f"unknown grid points in {pts}")
+    return space.frame.id_of_mask(mask)

@@ -179,7 +179,7 @@ def test_criterion_07_coverage_suite(m22, loc22, m33, loc33):
     d_a2 = C.domain_of_dependence(loc33, a2, "future")
     assert d_a2.region == a2 and d_a2.exact
     assert f.mask_of(d_a2.region) == \
-        derived.pointwise_domain_of_dependence(m33, f.mask_of(a2), "future").mask
+        oracles.pointwise_domain_of_dependence(m33, f.mask_of(a2), "future").mask
 
     rng = random.Random(77)
     for olx, space, exhaustive in ((loc22, m22, True), (loc33, m33, False)):
@@ -234,7 +234,7 @@ def test_criterion_07_coverage_suite(m22, loc22, m33, loc33):
             if exhaustive else (
                 (rng.randrange(fr.m), rng.randrange(fr.m)) for _ in range(2500))
         for a, u in chain_iter:
-            if derived.chain_covers_below(space, fr.mask_of(a), fr.mask_of(u)).ok:
+            if oracles.chain_covers_below(space, fr.mask_of(a), fr.mask_of(u)).ok:
                 assert rows[u] >> a & 1, (a, u)
     report(7, "coverage suite: certified verdicts, domains, laws (a)-(f), "
               "Cov-v, L/D identities, chain vs localic")

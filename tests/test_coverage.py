@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ordloc import coverage as C, derived, gen, lattice as L, olocale as O, ospace as S
+from ordloc import coverage as C, gen, lattice as L, olocale as O, ospace as S
 from ordloc.errors import (
     EmptyRestriction,
     FrameTooLarge,
@@ -250,14 +250,14 @@ def test_domain_examples(m33, loc33):
     assert res2.region == a and res2.exact
     assert C.domain_of_dependence(loc33, f.bottom, "future").region == f.bottom
     # agrees with the pointwise chain-based domain
-    pd = derived.pointwise_domain_of_dependence(m33, m33.frame.mask_of(a), "future")
+    pd = oracles.pointwise_domain_of_dependence(m33, m33.frame.mask_of(a), "future")
     assert m33.frame.mask_of(res2.region) == pd.mask
 
 
 def test_vertical_domains():
     lv = gen.em_locale("vertical33")
     v = gen.suite_instance("vertical33")
-    bottom0 = gen.grid_open(v, [(0, 0)])
+    bottom0 = oracles.grid_open(v, [(0, 0)])
     col0 = v.frame.id_of_mask(mask_of_iter(
         i for i, l in enumerate(v.labels) if l.startswith("(0,")))
     res = C.domain_of_dependence(lv, bottom0, "future")
@@ -350,7 +350,7 @@ def test_chain_coverage_never_contradicts_localic(m22, loc22, m33, loc33):
     f = loc22.frame
     for a in f.elements():
         for u in f.elements():
-            chain = derived.chain_covers_below(m22, f.mask_of(a), f.mask_of(u))
+            chain = oracles.chain_covers_below(m22, f.mask_of(a), f.mask_of(u))
             if chain.ok:
                 assert rows[u] >> a & 1, (a, u)
     rows33 = C.coverage_rows(loc33, "past")
@@ -358,7 +358,7 @@ def test_chain_coverage_never_contradicts_localic(m22, loc22, m33, loc33):
     rng = random.Random(9)
     for _ in range(2500):
         a, u = rng.randrange(f33.m), rng.randrange(f33.m)
-        chain = derived.chain_covers_below(m33, f33.mask_of(a), f33.mask_of(u))
+        chain = oracles.chain_covers_below(m33, f33.mask_of(a), f33.mask_of(u))
         if chain.ok:
             assert rows33[u] >> a & 1, (a, u)
 
@@ -372,7 +372,7 @@ def test_abstract_identity_coverage_is_the_equality_coverage():
     # back the join)
     f = L.frame_from_topology(2, [0, 1, 2, 3])
     table = {u: [u] for u in f.elements()}
-    reps = {r.law: r for r in C.abstract_coverage_check(f, table, table)}
+    reps = {r.law: r for r in oracles.abstract_coverage_check(f, table, table)}
     for law, r in reps.items():
         assert r.ok, law
     eq_rows = C.coverage_rows(O.equality_order(f), "past")
@@ -384,7 +384,7 @@ def test_abstract_padded_coverage_fails_C2():
     # a proper part U1 of U1 v U2 appears as U1 v bottom on the right
     f = L.frame_from_topology(2, [0, 1, 2, 3])
     table = {u: sorted({u, f.bottom}) for u in f.elements()}
-    reps = {r.law: r for r in C.abstract_coverage_check(f, table, table)}
+    reps = {r.law: r for r in oracles.abstract_coverage_check(f, table, table)}
     assert reps["C1"].ok
     assert not reps["C2"].ok
     u1, u2 = reps["C2"].witness
@@ -404,7 +404,7 @@ def test_abstract_padded_coverage_fails_C2():
 def test_abstract_coverage_fails_with_least_witness(law, minus, witness):
     f = L.frame_from_topology(2, [0, 1, 2, 3])
     plus = {u: [u] for u in f.elements()}
-    rep = {r.law: r for r in C.abstract_coverage_check(f, minus, plus)}[law]
+    rep = {r.law: r for r in oracles.abstract_coverage_check(f, minus, plus)}[law]
     assert (rep.verdict, rep.witness) == ("fail", witness)
 
 
@@ -417,7 +417,7 @@ def test_abstract_coverage_fails_C4_with_least_witness(side):
     ident = {u: [u] for u in f.elements()}
     odd = {**ident, 7: [3, 4, 5, 7]}
     minus, plus = (odd, ident) if side == "minus" else (ident, odd)
-    rep = {r.law: r for r in C.abstract_coverage_check(f, minus, plus)}["C4"]
+    rep = {r.law: r for r in oracles.abstract_coverage_check(f, minus, plus)}["C4"]
     assert (rep.verdict, rep.witness) == ("fail", (4, 6, 7, 7))
 
 
@@ -427,7 +427,7 @@ def test_abstract_downset_coverage_fails_C5():
     # Cov-(U) = {V : V <= down(U)} = {V <= U} on the equality order
     down_t = {u: [v for v in f.elements() if f.leq(v, u)] for u in f.elements()}
     up_t = {u: [v for v in f.elements() if f.leq(v, u)] for u in f.elements()}
-    reps = {r.law: r for r in C.abstract_coverage_check(f, down_t, up_t)}
+    reps = {r.law: r for r in oracles.abstract_coverage_check(f, down_t, up_t)}
     assert not reps["C5"].ok
     a, u = reps["C5"].witness
     assert f.leq(a, u) and a != u
@@ -437,7 +437,7 @@ def test_real_coverage_tables_pass_abstract_axioms(loc22):
     f = loc22.frame
     minus = C.coverage_rows(loc22, "past")
     plus = C.coverage_rows(loc22, "future")
-    reps = C.abstract_coverage_check(f, list(minus), list(plus))
+    reps = oracles.abstract_coverage_check(f, list(minus), list(plus))
     for r in reps:
         assert r.ok, (r.law, r.witness)
 

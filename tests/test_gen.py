@@ -105,6 +105,21 @@ def test_vertical_grid_columns():
     assert v.up_mask(1 << lbl["(0,0)"]) == col0
 
 
+@pytest.mark.parametrize("t", range(1, 6))
+@pytest.mark.parametrize("x", range(1, 6))
+def test_vertical_grid_rows_match_the_closed_chain_pairs(t, x):
+    # the rows written down closed against `OrderedSpace.build` on the pairs
+    # (x, y) < (x, y + 1) of each column, point (x, y) at index x t + y
+    pts = [(a, b) for a in range(x) for b in range(t)]
+    pairs = [(pts.index(p), pts.index((p[0], p[1] + 1))) for p in pts if p[1] + 1 < t]
+    want = S.OrderedSpace.build(len(pts), pairs, opens="discrete",
+                                labels=[f"({a},{b})" for a, b in pts], name=f"vertical{x}x{t}")
+    got = gen.vertical_grid(t, x)
+    assert (got.n, got.up, got.down) == (want.n, want.up, want.down)
+    assert (got.labels, got.name, got.frame.kind, got.frame.m) == \
+        (want.labels, want.name, want.frame.kind, want.frame.m)
+
+
 def test_fixed_instances(non_oc, bowtie):
     assert not derived.has_open_cones(non_oc).ok
     assert derived.has_open_cones(bowtie).ok

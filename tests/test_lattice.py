@@ -14,13 +14,12 @@ from ordloc import derived, gen, lattice as L
 from ordloc.errors import (
     MissingBottomOrTop,
     NotAFrameMap,
-    NotALattice,
     NotClosedUnderJoin,
     NotClosedUnderMeet,
     NotDistributive,
+    ValidationError,
 )
 
-from conftest import count_calls
 import oracles
 
 
@@ -90,52 +89,69 @@ def test_missing_meet_and_bounds():
         L.frame_from_topology(3, [0, pts(0, 1), pts(1, 2), pts(0, 1, 2)])
 
 
-def _m3_leq(a, b):
-    # 0 below the three atoms 1, 2, 3, all below 4
-    return a == b or a == 0 or b == 4
-
-
-def _n5_leq(a, b):
-    # 0 < 1 < 3 < 4, with 2 beside the chain 1 < 3
-    return a == b or a == 0 or b == 4 or (a, b) == (1, 3)
-
-
-@pytest.mark.parametrize("leq", [_m3_leq, _n5_leq], ids=["M3", "N5"])
-def test_nondistributive_lattices_are_rejected(leq):
-    items = range(5)
+@pytest.mark.parametrize("kept", [[0, 3, 5, 6, 7], [0, 1, 3, 4, 7],
+                                  [0, 1, 6, 7, 10, 11, 12, 13, 14, 15]], ids=["M3", "N5", "2xM3"])
+def test_nondistributive_lattices_are_rejected(kept):
+    # subsets of {0, 1, 2, 3} under inclusion: M3 is {}, 01, 12, 02, 012
+    # (three atoms under the top), N5 is {}, 0, 01, 2, 012 (2 beside the
+    # chain 0 < 01), and 2xM3 is M3 on {1, 2, 3} with and without 0, where
+    # the join 123 of the first failing pair lies below the top; the
+    # subframe on their join-irreducibles names the triple of the Birkhoff
+    # table oracle
+    f = L.powerset_frame(4)
     with pytest.raises(NotDistributive) as e:
-        derived.frame_from_down_rows(oracles.order_rows(items, leq))
+        derived.subframe(f, kept, oracles.join_irreducibles_of(f, kept))
+    with pytest.raises(NotDistributive) as want:
+        oracles.frame_from_down_rows(oracles.order_rows(kept, f.leq))
+    assert str(e.value) == str(want.value)
     # the named triple really breaks a & (b | c) == (a & b) | (a & c)
     a, b, c = ast.literal_eval(str(e.value).rsplit(" at ", 1)[1])
-    meet = functools.partial(oracles.order_meet, items, leq)
-    join = functools.partial(oracles.order_join, items, leq)
+    meet = functools.partial(oracles.order_meet, kept, f.leq)
+    join = functools.partial(oracles.order_join, kept, f.leq)
     assert meet(a, join(b, c)) != join(meet(a, b), meet(a, c))
+
+
+@pytest.mark.parametrize("irreducibles", [[3], [1, 3, 7]], ids=["one-missed", "bottom-given"])
+def test_subframe_refuses_join_irreducibles_that_carry_no_lattice(irreducibles):
+    # the chain {0} < {0,1} < {0,1,2} of subsets of {0, 1, 2} has the
+    # join-irreducibles 3 and 7: without 7 two elements share a carrier, and
+    # with its bottom 1 among them no carrier is empty
+    with pytest.raises(ValidationError, match="one to one with bottom empty"):
+        derived.subframe(L.powerset_frame(3), [1, 3, 7], irreducibles)
+    assert derived.subframe(L.powerset_frame(3), [1, 3, 7], [3, 7])[0].carriers() == [0, 1, 3]
 
 
 def test_non_lattice_is_not_reported_as_non_distributive():
     # atoms a, c, b, d (masks 1, 4, 2, 8) under abc and abd: a | c has a
     # join (abc), so closing the carriers first fails with a join at hand,
-    # yet a | b has two minimal upper bounds and the order is no lattice
+    # yet a | b has two minimal upper bounds and the order is no lattice;
+    # the Birkhoff table oracle names the first lattice law broken
     items = [0, 1, 4, 2, 8, 7, 11, 15]
     rows = oracles.order_rows(items, lambda x, y: x & ~y == 0)
-    with pytest.raises(NotALattice) as e:
-        derived.frame_from_down_rows(rows)
-    with pytest.raises(NotALattice) as want:
+    with pytest.raises(oracles.NotALattice) as e:
+        oracles.frame_from_down_rows(rows)
+    with pytest.raises(oracles.NotALattice) as want:
         oracles.frame_by_tables(rows)
     assert str(e.value) == str(want.value) == "no join for (1,3)"
 
 
 def test_distributive_table_frame_passes():
-    # the product of a 2-chain and a 3-chain, ordered componentwise
+    # the product of a 2-chain and a 3-chain, ordered componentwise, as the
+    # subsets x | 2y' of {0, 1, 2}, y' the y-th of {}, {1}, {1, 2}: each
+    # carrier holds bit b iff the b-th join-irreducible lies below
     items = [(x, y) for x in range(2) for y in range(3)]
-    f = derived.frame_from_down_rows(
-        oracles.order_rows(items, lambda p, q: p[0] <= q[0] and p[1] <= q[1]))
-    assert f.kind == "mask" and f.m == 6 and not f.realized
-    for i, p in enumerate(items):
-        for j, q in enumerate(items):
-            assert items[f.meet(i, j)] == (min(p[0], q[0]), min(p[1], q[1]))
-            assert items[f.join(i, j)] == (max(p[0], q[0]), max(p[1], q[1]))
-    assert sorted(items[j] for j in f.coprimes()) == [(0, 1), (0, 2), (1, 0)]
+    kept = [x | (0, 2, 6)[y] for x, y in items]
+    f, incl = derived.subframe(L.powerset_frame(3), kept, [2, 6, 1])
+    assert f.kind == "mask" and f.m == 6 and incl == sorted(kept)
+    at = [items[kept.index(a)] for a in incl]
+    for i, p in enumerate(at):
+        for j, q in enumerate(at):
+            assert at[f.meet(i, j)] == (min(p[0], q[0]), min(p[1], q[1]))
+            assert at[f.join(i, j)] == (max(p[0], q[0]), max(p[1], q[1]))
+    js = f.coprimes()
+    assert [at[j] for j in js] == [(1, 0), (0, 1), (0, 2)]
+    assert list(f.carriers()) == [sum(1 << b for b, j in enumerate(js)
+                                      if at[j][0] <= p[0] and at[j][1] <= p[1]) for p in at]
 
 
 def test_downset_frames():
@@ -296,18 +312,23 @@ def test_ideal_frame_is_isomorphic(bowtie_frame):
             sorted(f.down_row(x) for x in f.elements())
 
 
-def test_ideal_frame_checks_its_order_by_prefix_sharing(monkeypatch):
-    # the punctured light cone's ids extend its order, so every carrier less
-    # its highest bit is a carrier: the order check folds no carrier with
-    # `reduce`, and the frame is the one the scans accept
+def test_ideal_frame_is_the_subframe_on_every_element_and_J():
+    # the punctured light cone's ideal frame: carrier bit b is the b-th
+    # join-irreducible, and the frame is that of the Birkhoff table oracle
+    # on the principal ideals, extents, labels and meta included
     f = gen.punctured_lightcone().frame
-    calls = count_calls(monkeypatch, ((derived, "reduce"),))
     idl, wit = derived.ideal_frame(f)
-    assert calls == {"reduce": 0}
-    monkeypatch.undo()
+    js = f.coprimes()
+    assert list(idl.carriers()) == [sum(1 << b for b, j in enumerate(js) if f.leq(j, x))
+                                    for x in f.elements()]
     rows = oracles.ideal_frame_rows(f)
-    assert (idl.bottom, idl.top, idl.carriers(), idl.coprimes()) == \
-        oracles.birkhoff_check_scan(rows)
+    want = oracles.frame_from_down_rows(rows, ext=rows, base_size=f.m,
+                                        labels=[f"e{i}" for i in f.elements()],
+                                        meta={"construction": "ideals"})
+    assert (idl.bottom, idl.top, idl.coprimes(), idl.primes(), idl.atoms()) == \
+        (want.bottom, want.top, want.coprimes(), want.primes(), want.atoms())
+    assert [idl.mask_of(i) for i in idl.elements()] == rows
+    assert (idl.base_size, idl.labels, idl.meta) == (want.base_size, want.labels, want.meta)
     assert idl.down_rows() == rows and wit == list(f.elements())
 
 

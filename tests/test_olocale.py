@@ -440,7 +440,7 @@ def random_gap_instance(rng):
         gens = [rng.randrange(1 << n) for _ in range(rng.randint(1, 2 * n))]
         f = L.frame_from_topology(n, oracles.close_family_under_union_intersection(n, gens))
         if shape == "birkhoff":
-            f = derived.subframe(f, f.elements())[0]
+            f = derived.subframe(f, f.elements(), f.coprimes())[0]
     rows = [mask_of_iter(rng.randrange(f.m) for _ in range(rng.randint(0, 3)))
             for _ in f.elements()]
     if rng.random() < 0.5:

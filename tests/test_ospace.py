@@ -277,13 +277,13 @@ def test_convex_space_iff_convex_locale_with_open_cones(m22, bowtie):
 def test_chain_cover_row0(m33):
     row0 = pmask(m33, (0, 0), (0, 1), (0, 2))
     u = pmask(m33, (2, 1))
-    assert derived.chain_covers_below(m33, row0, u).ok
+    assert oracles.chain_covers_below(m33, row0, u).ok
 
 
 def test_chain_cover_witness(m33):
     a = pmask(m33, (0, 0), (0, 2))
     u = pmask(m33, (1, 0))
-    rep = derived.chain_covers_below(m33, a, u)
+    rep = oracles.chain_covers_below(m33, a, u)
     assert not rep.ok
     chain = [m33.labels[p] for p in rep.witness]
     assert chain == ["(0,1)", "(1,0)"]
@@ -291,27 +291,27 @@ def test_chain_cover_witness(m33):
 
 def test_chain_cover_self(m33):
     a = pmask(m33, (1, 1))
-    assert derived.chain_covers_below(m33, a, a).ok
+    assert oracles.chain_covers_below(m33, a, a).ok
 
 
 def test_chain_cover_precondition(m33):
     a = pmask(m33, (2, 2))     # not in the past of (0,0)
     u = pmask(m33, (0, 0))
-    rep = derived.chain_covers_below(m33, a, u)
+    rep = oracles.chain_covers_below(m33, a, u)
     assert not rep.ok and "precondition" in rep.note
 
 
 def test_pointwise_domains(m33):
     row0 = pmask(m33, (0, 0), (0, 1), (0, 2))
-    assert derived.pointwise_domain_of_dependence(m33, row0).mask == (1 << m33.n) - 1
+    assert oracles.pointwise_domain_of_dependence(m33, row0).mask == (1 << m33.n) - 1
     a = pmask(m33, (0, 0), (0, 2))
-    assert derived.pointwise_domain_of_dependence(m33, a).mask == a
-    assert derived.pointwise_domain_of_dependence(m33, 0).mask == 0
+    assert oracles.pointwise_domain_of_dependence(m33, a).mask == a
+    assert oracles.pointwise_domain_of_dependence(m33, 0).mask == 0
 
 
 def test_pointwise_domain_past(m33):
     row2 = pmask(m33, (2, 0), (2, 1), (2, 2))
-    res = derived.pointwise_domain_of_dependence(m33, row2, "past")
+    res = oracles.pointwise_domain_of_dependence(m33, row2, "past")
     assert res.mask == (1 << m33.n) - 1
 
 
@@ -320,4 +320,4 @@ def test_vertical_grid_domains():
     col0_bottom = mask_of_iter([i for i, l in enumerate(v.labels) if l == "(0,0)"])
     col0 = mask_of_iter([i for i, l in enumerate(v.labels)
                          if l.startswith("(0,")])
-    assert derived.pointwise_domain_of_dependence(v, col0_bottom).mask == col0
+    assert oracles.pointwise_domain_of_dependence(v, col0_bottom).mask == col0

@@ -503,7 +503,7 @@ def random_frame(rng):
         return S.OrderedSpace.build(n, [], opens="discrete").frame
     gens_ = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
     f = L.frame_from_topology(n, oracles.close_family_under_union_intersection(n, gens_))
-    return f if kind == "mask" else derived.subframe(f, f.elements())[0]
+    return f if kind == "mask" else derived.subframe(f, f.elements(), f.coprimes())[0]
 
 
 def random_map(rng, f):
@@ -1074,7 +1074,7 @@ def test_law_reports_agree_across_encodings(seed):
         n = rng.randint(1, 5)
         gens_ = [rng.randrange(1 << n) for _ in range(rng.randint(1, 5))]
         f = L.frame_from_topology(n, oracles.close_family_under_union_intersection(n, gens_))
-    g, incl = derived.subframe(f, f.elements())
+    g, incl = derived.subframe(f, f.elements(), f.coprimes())
     assert g.kind == "mask" and [g.mask_of(i) for i in g.elements()] == list(map(f.mask_of, incl))
     iso = [0] * f.m
     for i, x in enumerate(incl):
@@ -1421,8 +1421,8 @@ def test_point_structures_match_per_open_scans(seed):
     else:
         olx = S.induced_locale(sp, rng.choice(["em", "upper", "lower"]))
         if style == 1:
-            olx = rows_locale(derived.subframe(olx.frame, olx.frame.elements())[0],
-                              olx.rel_rows())
+            g = olx.frame
+            olx = rows_locale(derived.subframe(g, g.elements(), g.coprimes())[0], olx.rel_rows())
     g = olx.frame
     assert D.pt_masks(g) == [oracles.pt_mask(g, g.primes(), u) for u in g.elements()]
     assert D._point_data(olx)[0] == oracles.point_order_rows(olx, g.primes())
@@ -1481,9 +1481,9 @@ def glued_rows(rng):
     return oracles.order_rows(items, leq)
 
 
-def random_order_rows(rng, shuffle=True):
-    """Reflexive down rows of at most 8 elements, ids shuffled unless asked
-    not to: a distributive lattice, one with M3 or N5 glued on, a bounded
+def random_order_rows(rng):
+    """Reflexive down rows of at most 8 elements, ids shuffled: a
+    distributive lattice, one with M3 or N5 glued on, a bounded
     two-layer order, a random relation (mostly not antisymmetric or not
     transitive), or a distributive lattice with one off-diagonal entry
     flipped."""
@@ -1511,7 +1511,7 @@ def random_order_rows(rng, shuffle=True):
         if style == 4 and f.m > 1:
             i, j = rng.sample(range(f.m), 2)
             rows[i] ^= 1 << j
-    return permuted_rows(rng, rows) if shuffle else rows
+    return permuted_rows(rng, rows)
 
 
 def permuted_rows(rng, rows):
@@ -1535,7 +1535,7 @@ def test_birkhoff_frames_match_table_construction(seed):
         except ValidationError as e:
             return e
 
-    got, want = build(derived.frame_from_down_rows), build(oracles.frame_by_tables)
+    got, want = build(oracles.frame_from_down_rows), build(oracles.frame_by_tables)
     if isinstance(want, ValidationError):
         assert type(got) is type(want), (rows, got, want)
         if isinstance(want, NotDistributive):
@@ -1567,36 +1567,11 @@ def test_birkhoff_rows_cover_every_outcome():
     seen = set()
     for seed in range(300):
         try:
-            derived.frame_from_down_rows(random_order_rows(random.Random(seed)))
+            oracles.frame_from_down_rows(random_order_rows(random.Random(seed)))
             seen.add("frame")
         except ValidationError as e:
             seen.add(type(e).__name__)
     assert seen == {"frame", "NotALattice", "NotDistributive"}
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 10_000), st.booleans())
-def test_birkhoff_check_matches_the_scans_it_replaces(seed, shuffle):
-    # (b) by prefix sharing and (c) by the extension lemma, against the AND
-    # over every carrier and the scan over every (x, j): the same frame, or
-    # the same exception and message.  Unshuffled rows and the rows of
-    # powersets and topologies mostly have ids that extend the order
-    rng = random.Random(seed)
-    if seed % 4:
-        rows = random_order_rows(rng, shuffle)
-    else:
-        f = random_frame(rng) if rng.random() < 0.7 else L.powerset_frame(rng.randint(0, 6))
-        rows = permuted_rows(rng, f.down_rows()) if shuffle else list(f.down_rows())
-    try:
-        want = oracles.birkhoff_check_scan(rows)
-    except ValidationError as e:
-        with pytest.raises(ValidationError) as got:
-            derived.frame_from_down_rows(rows)
-        assert (type(got.value), str(got.value)) == (type(e), str(e))
-        return
-    f = derived.frame_from_down_rows(rows)
-    assert (f.bottom, f.top, f.carriers(), f.coprimes()) == want
-    assert f.down_rows() == rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -1621,7 +1596,7 @@ def test_frame_map_kernels_match_pair_scan(seed):
             for x in rng.sample(range(f.m), min(f.m, rng.randint(1, 3))):
                 ids |= {f.join(x, y) for y in ids}
         try:
-            sub, incl = derived.subframe(f, ids)
+            sub, incl = derived.subframe(f, ids, oracles.join_irreducibles_of(f, ids))
             fmap = derived.FrameMap(f, sub, incl)
         except ValidationError:
             pass
@@ -1668,47 +1643,161 @@ def test_frame_map_validate_op_count_on_vertical_grid(monkeypatch):
     assert len(budgets) >= 4 and all(used <= budget for used, budget in budgets), budgets
 
 
+def assert_frame_matches_oracles(got, want, rows, heyting_rows=None):
+    """A frame built on its join-irreducibles against the pair-loop frame
+    `want` of the Birkhoff table oracle (`oracles.frame_from_down_rows`,
+    carriers of element ids) and the meet/join tables of `frame_by_tables`
+    on `rows`, the down rows of the kept order: ids, extents, labels, meta,
+    order rows, meets, joins, Heyting arrows (on every row, or on the rows
+    `heyting_rows`), join-irreducibles, primes and atoms."""
+    table = oracles.frame_by_tables(rows)
+    els = got.elements()
+    assert (got.m, got.bottom, got.top) == (want.m, want.bottom, want.top) == \
+        (len(rows), table.bottom, table.top)
+    assert (got.base_size, got.labels, got.meta, got.realized) == \
+        (want.base_size, want.labels, want.meta, want.realized)
+    if got.realized:
+        assert [got.mask_of(i) for i in els] == [want.mask_of(i) for i in els]
+    assert [got.down_row(i) for i in els] == rows and got.down_rows() == rows
+    for a in els:
+        assert [got.meet(a, b) for b in els] == table.meet_t[a]
+        assert [got.join(a, b) for b in els] == table.join_t[a]
+    for a in els if heyting_rows is None else heyting_rows:
+        assert [got.heyting(a, b) for b in els] == [table.heyting(a, b) for b in els]
+    assert got.coprimes() == want.coprimes() == table.coprimes()
+    assert got.primes() == want.primes() == table.primes()
+    assert got.atoms() == want.atoms() == oracles.atoms_by_definition(got)
+
+
+def subframe_outcome(f, ids, meta):
+    """`derived.subframe` on the definitional join-irreducibles of the kept
+    ids and `oracles.subframe_by_pairs`, or the refusal of the oracle:
+    NotALattice alone (no J' to give), or NotDistributive from both with
+    the same message."""
+    try:
+        want, w_ids = oracles.subframe_by_pairs(f, ids, meta=meta)
+    except oracles.NotALattice:
+        return None
+    except NotDistributive as e:
+        with pytest.raises(NotDistributive) as got:
+            derived.subframe(f, ids, oracles.join_irreducibles_of(f, ids), meta=meta)
+        assert str(got.value) == str(e)
+        return None
+    got, g_ids = derived.subframe(f, ids, oracles.join_irreducibles_of(f, ids), meta=meta)
+    assert g_ids == w_ids
+    return got, want, g_ids
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_subframe_matches_pair_loop(seed):
     # random id subsets of powerset, mask and Birkhoff frames, half of them
-    # with bottom and top; most are not lattices, and then both routes
-    # must refuse with the same error
+    # with bottom and top; most are not lattices, which the pair loop
+    # refuses and `subframe` is never given (its callers supply J' of a
+    # lattice).  A lattice gets J' from the definition, and both routes give
+    # the same frame or the same NotDistributive message
     rng = random.Random(seed)
     f = random_frame(rng)
     ids = [i for i in f.elements() if rng.random() < 0.6]
     if rng.random() < 0.5:
         ids += [f.bottom, f.top]
+    out = subframe_outcome(f, ids, {"construction": "test"})
+    if out is not None:
+        got, want, g_ids = out
+        assert_frame_matches_oracles(got, want, oracles.order_rows(g_ids, f.leq))
 
-    def build(route):
-        try:
-            return route(f, ids, meta={"construction": "test"})
-        except ValidationError as e:
-            return type(e)
 
-    got, want = build(derived.subframe), build(oracles.subframe_by_pairs)
-    if isinstance(want, type):
-        assert got is want
-        return
-    (g, g_ids), (w, w_ids) = got, want
-    assert g_ids == w_ids and g.m == w.m and g.meta == w.meta
-    assert (g.bottom, g.top, g.base_size, g.labels) == (w.bottom, w.top, w.base_size, w.labels)
-    assert [g.down_row(i) for i in g.elements()] == [w.down_row(i) for i in w.elements()]
-    meet = [[oracles.order_meet(g_ids, f.leq, a, b) for b in g.elements()] for a in g.elements()]
-    join = [[oracles.order_join(g_ids, f.leq, a, b) for b in g.elements()] for a in g.elements()]
-    for a in g.elements():
-        assert [g.meet(a, b) for b in g.elements()] == meet[a]
-        assert [g.join(a, b) for b in g.elements()] == join[a]
-        for b in g.elements():
-            # a -> b is the join of the w with a & w <= b
-            h = g.bottom
-            for x in g.elements():
-                if f.leq(g_ids[meet[a][x]], g_ids[b]):
-                    h = join[h][x]
-            assert g.heyting(a, b) == h
-    assert g.coprimes() == w.coprimes() and g.primes() == w.primes()
-    if f.realized:
-        assert [g.mask_of(i) for i in g.elements()] == [w.mask_of(i) for i in w.elements()]
+def random_ambient(rng):
+    """A powerset of up to 64 elements, the frame of a random topology on
+    up to 6 points, or its Birkhoff copy (`derived.subframe` on every
+    element and J)."""
+    n = rng.randint(1, 6)
+    kind = rng.choice(("powerset", "topology", "birkhoff"))
+    if kind == "powerset":
+        return L.powerset_frame(n)
+    gens_ = [rng.randrange(1 << n) for _ in range(rng.randint(1, 2 * n))]
+    f = L.frame_from_topology(n, oracles.close_family_under_union_intersection(n, gens_))
+    return f if kind == "topology" else derived.subframe(f, f.elements(), f.coprimes())[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_subframes_match_the_table_oracle(seed):
+    # the three derived frames of `subframe`, on powerset, topology and
+    # Birkhoff ambients of up to 64 elements: a random join-closed subset
+    # with bottom (the shape of a cone image; M3 or N5 inside makes it
+    # refuse), the regular elements, and the ideal frame, each against the
+    # pair-loop frame and the meet/join tables of the Birkhoff table oracle
+    rng = random.Random(seed)
+    f = random_ambient(rng)
+    style = rng.randrange(3)
+    if style == 0:
+        ids = {f.bottom}
+        for x in rng.sample(range(f.m), min(f.m, rng.randint(1, 5))):
+            ids |= {f.join(x, y) for y in ids}
+        out = subframe_outcome(f, ids, {"construction": "test"})
+        if out is not None:
+            got, want, g_ids = out
+            assert_frame_matches_oracles(got, want, oracles.order_rows(g_ids, f.leq))
+    elif style == 1:
+        got, fmap = derived.double_negation_frame(f)
+        regular = [x for x in f.elements() if f.neg(f.neg(x)) == x]
+        if got is f:
+            assert len(regular) == f.m and f.is_boolean()
+            return
+        want, w_ids = oracles.subframe_by_pairs(f, regular,
+                                                meta={"construction": "double-negation"})
+        assert [fmap.preimage[u] for u in w_ids] == list(got.elements())
+        assert_frame_matches_oracles(got, want, oracles.order_rows(w_ids, f.leq))
+    else:
+        got, wit = derived.ideal_frame(f)
+        rows = oracles.ideal_frame_rows(f)
+        want = oracles.frame_from_down_rows(rows, ext=rows, base_size=f.m,
+                                            labels=[f"e{i}" for i in f.elements()],
+                                            meta={"construction": "ideals"})
+        assert wit == list(f.elements())
+        assert_frame_matches_oracles(got, want, rows)
+
+
+def test_subframes_above_the_indicator_gate_match_the_table_oracle():
+    # k = |J'| above 20, where the closure check is the per-open scan: a
+    # 22-element chain of a 21-point powerset (k = 21), the same chain on
+    # top of M3 (k = 24: NotDistributive with the oracle's message), and
+    # the futures frame of M55 (k = 25), on every tenth Heyting row
+    chain = [(1 << i) - 1 for i in range(22)]
+    f = L.powerset_frame(21)
+    got, want, g_ids = subframe_outcome(f, chain, {"construction": "test"})
+    assert len(got.coprimes()) == 21
+    assert_frame_matches_oracles(got, want, oracles.order_rows(g_ids, f.leq))
+    f = L.powerset_frame(24)
+    m3_chain = [0, 3, 5, 6] + [(1 << i) - 1 for i in range(3, 25)]
+    assert len(oracles.join_irreducibles_of(f, m3_chain)) == 24
+    assert subframe_outcome(f, m3_chain, {"construction": "test"}) is None
+    with pytest.raises(NotDistributive):
+        derived.subframe(f, m3_chain, oracles.join_irreducibles_of(f, m3_chain))
+    olx = S.induced_locale(gen.minkowski_grid(gen.GridSpec(5, 5)), "em")
+    got, fmap = derived.futures_frame(olx)
+    incl = fmap.preimage
+    assert len(got.coprimes()) == 25
+    want, w_ids = oracles.subframe_by_pairs(olx.frame, incl, meta={"construction": "futures"})
+    assert w_ids == incl
+    assert_frame_matches_oracles(got, want, oracles.order_rows(incl, olx.frame.leq),
+                                 heyting_rows=range(0, got.m, 10))
+
+
+def test_a_cone_with_image_M3_is_refused_with_the_oracle_message():
+    # a join-preserving cone on 2^3 that is no closure, with values 01, 12
+    # and 02 at the points: its image {}, 01, 12, 02, 012 is M3, and the
+    # futures frame refuses it as the listed-image oracle does
+    f = L.powerset_frame(3)
+    ident = L.SubsetCone(3, 0, [1, 2, 4])
+    olx = O.OrderedLocale(f, up_map=L.SubsetCone(3, 0, [3, 6, 5]), down_map=ident)
+    assert not O._is_closure(f, olx.cones.u) and O._cone_join_failure(olx) is None
+    with pytest.raises(NotDistributive) as got:
+        derived.futures_frame(olx)
+    with pytest.raises(NotDistributive) as want:
+        oracles.cone_frame_by_list(olx, "u", "futures")
+    assert str(got.value) == str(want.value) == "a&(b|c) != (a&b)|(a&c) at (3, 1, 2)"
 
 
 def test_subframe_makes_no_ambient_leq_calls(monkeypatch):
@@ -1716,6 +1805,7 @@ def test_subframe_makes_no_ambient_leq_calls(monkeypatch):
     # makes one ambient leq call per pair of kept elements
     olx = S.induced_locale(gen.minkowski_grid(gen.GridSpec(3, 3)), "em")
     f = olx.frame
+    js = derived._cone_frame_points(f, olx.cones.u)[0]
     calls = []
     leq = L.FiniteFrame.leq
 
@@ -1725,7 +1815,7 @@ def test_subframe_makes_no_ambient_leq_calls(monkeypatch):
         return leq(self, i, j)
 
     monkeypatch.setattr(L.FiniteFrame, "leq", counted)
-    sub, incl = derived.subframe(f, olx.up_map, meta={"construction": "futures"})
+    sub, incl = derived.subframe(f, olx.up_map, js, meta={"construction": "futures"})
     assert sub.m == len(set(olx.up_map)) and calls == []
 
 
@@ -1984,14 +2074,14 @@ def test_relation_ideals_match_enumeration(seed):
 
 
 def shuffled_frame(rng, f):
-    """f with its element ids permuted, rebuilt by `frame_from_down_rows`:
+    """f with its element ids permuted, rebuilt by `oracles.frame_from_down_rows`:
     the ids no longer extend the order."""
     perm = list(f.elements())
     rng.shuffle(perm)
     rows = [0] * f.m
     for i in f.elements():
         rows[perm[i]] = mask_of_iter(perm[j] for j in bits(f.down_row(i)))
-    return derived.frame_from_down_rows(rows)
+    return oracles.frame_from_down_rows(rows)
 
 
 def ids_extend_order(f):
@@ -2019,7 +2109,7 @@ def random_sublattice(rng, f):
     while True:
         more = {g(a, b) for a in ids for b in ids for g in (f.meet, f.join)} - ids
         if not more:
-            return derived.subframe(f, ids)[0]
+            return derived.subframe(f, ids, oracles.join_irreducibles_of(f, ids))[0]
         ids |= more
 
 
@@ -2310,7 +2400,7 @@ def test_pt_masks_of_the_primes_read_no_rows(monkeypatch):
     # on powersets, topologies and down-row frames alike
     frames = [L.powerset_frame(4), gen.suite_instance("m22").frame,
               L.frame_from_topology(3, [0, 1, 3, 7]), L.frame_from_topology(2, [0, 3])]
-    frames.append(derived.subframe(frames[2], frames[2].elements())[0])
+    frames.append(derived.subframe(frames[2], frames[2].elements(), frames[2].coprimes())[0])
     calls = count_calls(monkeypatch, ((L, "rows_above"), (L.FiniteFrame, "up_row"),
                                       (L.FiniteFrame, "leq")))
     pms = [D.pt_masks(f) for f in frames]
@@ -2321,7 +2411,7 @@ def test_pt_masks_of_the_primes_read_no_rows(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 100_000))
 def test_fold_matches_the_per_key_fold(seed):
-    # `duality._fold` reads each key from k-bit chunk tables: it equals the
+    # `lattice.fold_rows` reads each key from k-bit chunk tables: it equals the
     # fold of the rows over each key's bits, OR from a nonzero unit and AND
     # from the full one, with no keys, one table (2^n <= 2|keys|) or many
     # chunks, on 0 to 45 rows
@@ -2334,7 +2424,7 @@ def test_fold_matches_the_per_key_fold(seed):
         keys = list(range(1 << n))
     for op, unit in ((operator.or_, rng.getrandbits(width) | 1), (operator.and_, (1 << width) - 1)):
         want = [functools.reduce(op, (rows[i] for i in bits(s)), unit) for s in keys]
-        assert D._fold(rows, op, unit, keys) == want, (n, len(keys), op)
+        assert L.fold_rows(rows, op, unit, keys) == want, (n, len(keys), op)
 
 
 def test_pt_masks_refuse_powersets_above_subset_limit():
